@@ -269,11 +269,8 @@ impl Trainer {
         checkpoint_path: Option<&Path>,
         mut sink: Option<EpochSink<'_>>,
     ) -> corgipile_storage::Result<TrainReport> {
-        if table.num_tuples() == 0 {
-            return Err(corgipile_storage::StorageError::EmptyTable);
-        }
+        let dim = table.dim()?;
         let wall_start = std::time::Instant::now();
-        let dim = infer_dim(table)?;
         let mut model = build_model(&self.cfg.model, dim, seed);
         let mut optimizer = self.cfg.optimizer.build();
         let mut strategy: Box<dyn ShuffleStrategy> =
@@ -509,10 +506,6 @@ pub fn evaluate(model: &dyn Model, tuples: &[Tuple]) -> f64 {
 /// Mean loss helper re-exported for reports.
 pub fn evaluate_loss(model: &dyn Model, tuples: &[Tuple]) -> f64 {
     mean_loss(model, tuples)
-}
-
-fn infer_dim(table: &Table) -> corgipile_storage::Result<usize> {
-    Ok(table.get_tuple(0)?.features.dim())
 }
 
 /// Grid-search the initial learning rate (paper §7.1.3: {0.1, 0.01, 0.001})

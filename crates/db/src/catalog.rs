@@ -681,7 +681,12 @@ mod tests {
     #[test]
     fn append_invalidates_cached_hd_and_installs_writer_estimate() {
         let c = Catalog::new();
-        let t = DatasetSpec::higgs_like(50).build_table(1).unwrap();
+        // One-page blocks: ĥ_D needs at least two blocks to compare.
+        let t = DatasetSpec::higgs_like(500)
+            .with_block_bytes(8192)
+            .build_table(1)
+            .unwrap();
+        assert!(t.num_blocks() >= 2);
         let tid = t.config().table_id;
         c.register_table("t", t);
         c.cache_block_variance("t", tid, 0.7);

@@ -172,7 +172,7 @@ impl LogicalPlan {
     /// feature count. Errors here are planning-time [`DbError`]s — an
     /// out-of-range `f<N>` never survives to execution.
     pub fn build(spec: &TrainPlanSpec, table: &Table) -> Result<LogicalPlan, DbError> {
-        let dim = table.get_tuple(0)?.features.dim();
+        let dim = table.dim()?;
         validate_columns(spec, dim)?;
         let order = match spec.strategy {
             StrategyKind::CorgiPile | StrategyKind::BlockOnly => ScanOrder::RandomBlocks,
@@ -221,7 +221,7 @@ impl LogicalPlan {
     /// use the same rewrite, so a predicate is evaluated on the zero-copy
     /// block path before any tuple is batched.
     pub fn build_predict(spec: &PredictPlanSpec, table: &Table) -> Result<LogicalPlan, DbError> {
-        let dim = table.get_tuple(0)?.features.dim();
+        let dim = table.dim()?;
         validate_filter(spec.filter.as_ref(), dim)?;
         if spec.batch_rows == 0 {
             return Err(DbError::BadParam("batch_rows must be >= 1".into()));

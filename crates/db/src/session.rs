@@ -888,7 +888,7 @@ impl Session {
         }
 
         // --- Model ------------------------------------------------------
-        let dim_all = table.get_tuple(0)?.features.dim();
+        let dim_all = table.dim()?;
         let projected = projection.feature_indices();
         let dim = projected.as_ref().map(|c| c.len()).unwrap_or(dim_all);
         let model = build_model(&kind, dim, seed);
@@ -1107,27 +1107,19 @@ impl Session {
     /// journaled as one fsynced table-WAL frame before it is acknowledged,
     /// and the publish invalidates the planner's cached ĥ_D exactly like
     /// `RECLUSTER` does.
-    fn insert(&mut self, table_name: &str, rows: Vec<Vec<f64>>) -> Result<QueryResult, DbError> {
+    fn insert(&mut self, table_name: &str, rows: Vec<Tuple>) -> Result<QueryResult, DbError> {
         let table = self.catalog().table(table_name)?;
-        let dim = table.get_tuple(0)?.features.dim();
-        let tuples: Vec<Tuple> = rows
-            .into_iter()
-            .map(|r| {
-                let (label, features) = r.split_last().expect("the parser requires >= 2 values");
-                if features.len() != dim {
-                    return Err(DbError::BadParam(format!(
-                        "INSERT row has {} features, table {table_name} stores {dim}",
-                        features.len()
-                    )));
-                }
-                Ok(Tuple::dense(
-                    0, // overwritten: the append writer assigns sequence ids
-                    features.iter().map(|v| *v as f32).collect(),
-                    *label as f32,
-                ))
-            })
-            .collect::<Result<_, DbError>>()?;
-        let out = self.catalog().append_rows(table_name, tuples)?;
+        // An empty table has no width yet: the statement's first row sets it.
+        let dim = table
+            .dim()
+            .or_else(|e| rows.first().map(|r| r.features.dim()).ok_or(e))?;
+        if let Some(bad) = rows.iter().find(|r| r.features.dim() != dim) {
+            return Err(DbError::BadParam(format!(
+                "INSERT row has {} features, table {table_name} stores {dim}",
+                bad.features.dim()
+            )));
+        }
+        let out = self.catalog().append_rows(table_name, rows)?;
         self.telemetry.counter("db.insert.rows").add(out.rows);
         if out.recovered > 0 {
             self.telemetry
@@ -1233,7 +1225,7 @@ impl Session {
                 pick.kind
             }
         };
-        let dim_all = snapshot.get_tuple(0)?.features.dim();
+        let dim_all = snapshot.dim()?;
         let projected = projection.feature_indices();
         let dim = projected.as_ref().map(|c| c.len()).unwrap_or(dim_all);
         let eval_view = |table: &Arc<Table>| -> Arc<Vec<Tuple>> {
@@ -1542,7 +1534,7 @@ impl Session {
     ) -> Result<PredictSummary, DbError> {
         let table = self.catalog().table(table_name)?;
         let (servable, cache_hit) = self.resolve_servable(model_name, opts.version)?;
-        let dim = table.get_tuple(0)?.features.dim();
+        let dim = table.dim()?;
         if servable.dim() != dim {
             return Err(DbError::BadParam(format!(
                 "model {model_name} v{} expects {} features, table {table_name} has {dim}",
@@ -3435,6 +3427,51 @@ mod tests {
         }
         assert_eq!(s.catalog().table_version("higgs").unwrap(), 2);
         assert_eq!(s.telemetry().counter("db.insert.rows").get(), 2);
+    }
+
+    #[test]
+    fn insert_into_an_empty_table_takes_its_width_from_the_first_row() {
+        use corgipile_storage::{StorageError, TableConfig};
+        let db = Database::new(SimDevice::hdd_scaled(1000.0, 0));
+        db.register_table(
+            "empty",
+            Table::from_tuples(TableConfig::new("empty", 7), []).unwrap(),
+        );
+        let mut s = db.connect();
+        // Nothing to train on yet: a typed error, not a panic in the planner.
+        for sql in [
+            "SELECT * FROM empty TRAIN BY svm",
+            "EXPLAIN SELECT * FROM empty TRAIN BY svm",
+            "SELECT * FROM empty TRAIN BY svm CONTINUOUS WITH refresh = 1",
+        ] {
+            assert!(
+                matches!(
+                    s.execute(sql),
+                    Err(DbError::Storage(StorageError::EmptyTable))
+                ),
+                "{sql}"
+            );
+        }
+        // Rows of one statement must agree with each other…
+        match s.execute("INSERT INTO empty VALUES (1, 2, 1), (3, -1)") {
+            Err(DbError::BadParam(msg)) => assert!(msg.contains("features"), "{msg}"),
+            other => panic!("expected BadParam, got {other:?}"),
+        }
+        // …and the first accepted row fixes the width for later statements.
+        s.execute("INSERT INTO empty VALUES (1, 2, 1), (3, 4, -1)")
+            .unwrap();
+        let t = s.catalog().table("empty").unwrap();
+        assert_eq!((t.num_tuples(), t.dim()), (2, Ok(2)));
+        assert!(matches!(
+            s.execute("INSERT INTO empty VALUES (1, 2, 3, 1)"),
+            Err(DbError::BadParam(_))
+        ));
+        // A literal that overflows the stored f32 never reaches the table.
+        assert!(matches!(
+            s.execute("INSERT INTO empty VALUES (1e39, 2, 1)"),
+            Err(DbError::Parse(_))
+        ));
+        assert_eq!(s.catalog().table("empty").unwrap().num_tuples(), 2);
     }
 
     #[test]

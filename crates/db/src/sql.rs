@@ -341,8 +341,9 @@ pub enum Query {
     Insert {
         /// Destination table.
         table: String,
-        /// Rows as parsed: `[features…, label]` per row.
-        rows: Vec<Vec<f64>>,
+        /// Rows as parsed, features and label already narrowed to `f32`;
+        /// ids are placeholders the append writer overwrites.
+        rows: Vec<Tuple>,
     },
     /// `RECLUSTER <table> [WITH io_budget = f, seed = n]`: Corgi²-style
     /// bounded-I/O offline partial re-clustering. Rewrites the most
@@ -716,20 +717,24 @@ fn parse_tokens(t: &mut Tokens) -> Result<Query, DbError> {
             let table = t.ident("table name")?;
             t.expect_kw("VALUES")?;
             let mut rows = Vec::new();
+            // Values per row, learnt from the first row: pre-sizes the rest.
+            let mut arity = 0;
             loop {
                 t.expect_kw("(")?;
-                let mut vals = Vec::new();
+                let mut vals: Vec<f32> = Vec::with_capacity(arity);
                 loop {
                     let tok = t.bump().ok_or_else(|| {
                         DbError::Parse("expected numeric literal, found end of input".into())
                     })?;
+                    // Finite as stored: `1e39` parses as f64 but is `inf` in f32.
                     let v = tok
                         .parse::<f64>()
                         .ok()
+                        .map(|v| v as f32)
                         .filter(|v| v.is_finite())
                         .ok_or_else(|| {
                             DbError::Parse(format!(
-                                "INSERT values must be finite numeric literals, found {tok:?}"
+                                "INSERT values must be finite f32 numeric literals, found {tok:?}"
                             ))
                         })?;
                     vals.push(v);
@@ -746,12 +751,11 @@ fn parse_tokens(t: &mut Tokens) -> Result<Query, DbError> {
                         }
                     }
                 }
-                if vals.len() < 2 {
-                    return Err(DbError::Parse(
-                        "INSERT rows need at least one feature value and a label".into(),
-                    ));
-                }
-                rows.push(vals);
+                arity = vals.len();
+                let label = vals.pop().filter(|_| !vals.is_empty()).ok_or_else(|| {
+                    DbError::Parse("INSERT rows need at least one feature value and a label".into())
+                })?;
+                rows.push(Tuple::dense(0, vals, label));
                 match t.peek() {
                     Some(",") => {
                         t.bump();
@@ -974,7 +978,7 @@ mod tests {
             parse("INSERT INTO t VALUES (0.5, -1.25, 1)").unwrap(),
             Query::Insert {
                 table: "t".into(),
-                rows: vec![vec![0.5, -1.25, 1.0]]
+                rows: vec![Tuple::dense(0, vec![0.5, -1.25], 1.0)]
             }
         );
         // Multi-row COPY-style append, trailing semicolon, lowercase.
@@ -982,7 +986,10 @@ mod tests {
             parse("insert into s values (1, 2, 1), (3, 4, -1);").unwrap(),
             Query::Insert {
                 table: "s".into(),
-                rows: vec![vec![1.0, 2.0, 1.0], vec![3.0, 4.0, -1.0]]
+                rows: vec![
+                    Tuple::dense(0, vec![1.0, 2.0], 1.0),
+                    Tuple::dense(0, vec![3.0, 4.0], -1.0)
+                ]
             }
         );
     }
@@ -1003,6 +1010,24 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn insert_rejects_values_that_are_not_finite_in_f32() {
+        // 1e39 is a finite f64 but overflows the f32 the table stores.
+        for bad in ["1e39", "-1e39", "1e999", "NaN", "inf"] {
+            for sql in [
+                format!("INSERT INTO t VALUES ({bad}, 1)"),
+                format!("INSERT INTO t VALUES (1, {bad})"),
+            ] {
+                assert!(
+                    matches!(parse(&sql), Err(DbError::Parse(m)) if m.contains("finite")),
+                    "{sql:?} should be rejected as non-finite"
+                );
+            }
+        }
+        // The largest f32 still goes through.
+        assert!(parse("INSERT INTO t VALUES (3.4028234e38, 1)").is_ok());
     }
 
     #[test]

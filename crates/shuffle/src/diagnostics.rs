@@ -175,8 +175,10 @@ pub fn block_variance_sampled(
         "sample fraction must be in (0, 1]"
     );
     let blocks_total = table.num_blocks();
+    // An empty table has no block to pick.
     let want = ((blocks_total as f64 * fraction).ceil() as usize)
-        .clamp(2.min(blocks_total.max(1)), blocks_total.max(1));
+        .clamp(2.min(blocks_total.max(1)), blocks_total.max(1))
+        .min(blocks_total);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x4D_5A);
     let mut picks: Vec<usize> = Vec::with_capacity(want);
     for s in 0..want {

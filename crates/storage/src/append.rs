@@ -9,27 +9,31 @@
 //!   build time, which is what makes `TRAIN` bit-reproducible under
 //!   concurrent writers.
 //! * [`AppendableTable`] — the single writer behind a table name. Rows
-//!   buffer into the tail block of a [`TableBuilder`]; each `INSERT`
+//!   buffer into the open block of a [`TableBuilder`]; each `INSERT`
 //!   statement's rows are journaled as one `CORGIWL1` frame
 //!   ([`RT_TABLE_ROWS`]) and fsynced before acknowledgement, and a seal
-//!   marker ([`RT_TABLE_SEAL`]) is logged whenever the tail grows past the
-//!   configured block size. Recovery is [`Wal::open`]'s
-//!   longest-valid-prefix scan: a crash at any write site loses at most the
-//!   unacknowledged statement, never an acknowledged row, and a torn tail
-//!   is truncated away.
+//!   marker ([`RT_TABLE_SEAL`]) is logged whenever the builder seals a
+//!   block. Recovery is [`Wal::open`]'s longest-valid-prefix scan: a crash
+//!   at any write site loses at most the unacknowledged statement, never an
+//!   acknowledged row, and a torn tail is truncated away.
 //!
-//! The writer also maintains **incremental per-block label moments** (count,
-//! Σlabel, Σlabel²) for every sealed block plus the live tail. From these it
-//! derives [`AppendableTable::hd_estimate`] — the between-block share of
-//! label variance, the same ĥ_D ∈ [0, 1] the cost-based planner otherwise
-//! estimates by sampling — so every append keeps the planner's clusteredness
-//! evidence fresh without a scan.
+//! Publishing a version ([`AppendableTable::snapshot_table`]) costs the rows
+//! appended since the last one, not the table: sealed blocks are shared by
+//! `Arc` and only the open page is ever copied.
+//!
+//! Every page keeps its **label moments** (count, Σlabel, Σlabel²) and a
+//! block's are the merge of its pages', so the blocks the planner shuffles
+//! are the blocks [`AppendableTable::hd_estimate`] measures — the
+//! between-block share of label variance, the same ĥ_D ∈ [0, 1] the
+//! cost-based planner otherwise estimates by sampling — and every append
+//! keeps that clusteredness evidence fresh without a scan.
 //!
 //! Crash injection: appends visit [`sites::TABLE_APPEND_ROWS`] before any
 //! byte is written and [`sites::TABLE_SEAL_BLOCK`] before a seal marker, in
 //! addition to the three WAL sites every frame append already visits.
 
-use crate::codec::{put_bytes, FieldReader};
+use crate::block::between_block_share;
+use crate::codec::FieldReader;
 use crate::error::StorageError;
 use crate::fault::{sites, FaultInjector, WriteOutcome};
 use crate::retry::RetryPolicy;
@@ -91,39 +95,15 @@ impl Deref for TableSnapshot {
     }
 }
 
-/// Per-block label moments: enough to compute block means and the pooled
-/// variance decomposition without revisiting tuples.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct LabelMoments {
-    tuples: u64,
-    sum: f64,
-    sq_sum: f64,
-}
-
-impl LabelMoments {
-    fn add(&mut self, label: f32) {
-        self.tuples += 1;
-        self.sum += label as f64;
-        self.sq_sum += (label as f64) * (label as f64);
-    }
-
-    fn mean(&self) -> f64 {
-        if self.tuples == 0 {
-            0.0
-        } else {
-            self.sum / self.tuples as f64
-        }
-    }
-}
-
 fn encode_rows(rows: &[Tuple]) -> Vec<u8> {
-    let mut payload = Vec::new();
+    let mut payload =
+        Vec::with_capacity(4 + rows.iter().map(|t| 4 + t.encoded_len()).sum::<usize>());
     payload.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    let mut body = Vec::new();
     for t in rows {
-        body.clear();
-        t.encode(&mut body);
-        put_bytes(&mut payload, &body);
+        // A length-prefixed field ([`crate::codec::put_bytes`] layout),
+        // encoded in place.
+        payload.extend_from_slice(&(t.encoded_len() as u32).to_le_bytes());
+        t.encode(&mut payload);
     }
     payload
 }
@@ -149,7 +129,7 @@ fn decode_rows(payload: &[u8]) -> Result<Vec<Tuple>> {
 /// The append-capable writer behind one table name.
 ///
 /// Exactly one writer exists per name (the catalog serializes appends); it
-/// owns the tail [`TableBuilder`] and the table WAL, and publishes immutable
+/// owns the [`TableBuilder`] and the table WAL, and publishes immutable
 /// [`Table`]s via [`AppendableTable::snapshot_table`]. Appended tuples get
 /// sequence ids continuing the base table's positions, which is also the
 /// WAL replay rule: on recovery, a row record is applied only if its
@@ -162,28 +142,24 @@ pub struct AppendableTable {
     builder: TableBuilder,
     wal: Option<Wal>,
     retry: RetryPolicy,
-    sealed: Vec<LabelMoments>,
-    tail: LabelMoments,
-    tail_bytes: u64,
     replayed_rows: u64,
     appended_rows: u64,
 }
 
 impl AppendableTable {
-    /// A memory-only writer (no WAL, no durability) seeded from `base`.
-    pub fn open_in_memory(base: &Table) -> AppendableTable {
-        let mut at = AppendableTable {
+    fn seeded(base: &Table, wal: Option<Wal>) -> AppendableTable {
+        AppendableTable {
             builder: TableBuilder::from_table(base),
-            wal: None,
+            wal,
             retry: RetryPolicy::default(),
-            sealed: Vec::new(),
-            tail: LabelMoments::default(),
-            tail_bytes: 0,
             replayed_rows: 0,
             appended_rows: 0,
-        };
-        at.seed_stats_from(base);
-        at
+        }
+    }
+
+    /// A memory-only writer (no WAL, no durability) seeded from `base`.
+    pub fn open_in_memory(base: &Table) -> AppendableTable {
+        Self::seeded(base, None)
     }
 
     /// A WAL-backed writer at `wal_path`, seeded from `base`.
@@ -193,17 +169,7 @@ impl AppendableTable {
     /// the rows acknowledged before a crash that the in-memory catalog lost.
     pub fn open(base: &Table, wal_path: &Path) -> Result<AppendableTable> {
         let (wal, records) = Wal::open(wal_path)?;
-        let mut at = AppendableTable {
-            builder: TableBuilder::from_table(base),
-            wal: Some(wal),
-            retry: RetryPolicy::default(),
-            sealed: Vec::new(),
-            tail: LabelMoments::default(),
-            tail_bytes: 0,
-            replayed_rows: 0,
-            appended_rows: 0,
-        };
-        at.seed_stats_from(base);
+        let mut at = Self::seeded(base, Some(wal));
         for rec in records {
             match rec.rtype {
                 RT_TABLE_ROWS => {
@@ -218,7 +184,7 @@ impl AppendableTable {
                                 t.id, next
                             )));
                         }
-                        at.apply_row(&t, None, false)?;
+                        at.builder.append(&t)?;
                         at.replayed_rows += 1;
                     }
                 }
@@ -243,22 +209,6 @@ impl AppendableTable {
         Ok(at)
     }
 
-    /// Fold `base`'s existing blocks into the per-block label moments so
-    /// ĥ_D estimates cover the whole table, not just appended rows.
-    fn seed_stats_from(&mut self, base: &Table) {
-        for id in 0..base.num_blocks() {
-            let mut m = LabelMoments::default();
-            if let Ok(tuples) = base.block_tuples(id) {
-                for t in &tuples {
-                    m.add(t.label);
-                }
-            }
-            if m.tuples > 0 {
-                self.sealed.push(m);
-            }
-        }
-    }
-
     /// Total rows in the writer (base + appended).
     pub fn num_tuples(&self) -> u64 {
         self.builder.tuple_count()
@@ -274,14 +224,10 @@ impl AppendableTable {
         self.appended_rows
     }
 
-    /// Sealed blocks tracked by the stats accumulator (base blocks included).
+    /// Blocks sealed so far (the base table's included): every block of the
+    /// table but the open one.
     pub fn sealed_blocks(&self) -> usize {
-        self.sealed.len()
-    }
-
-    /// Rows in the live (unsealed) tail block.
-    pub fn tail_tuples(&self) -> u64 {
-        self.tail.tuples
+        self.builder.sealed().len()
     }
 
     /// The table WAL, if this writer is durable.
@@ -290,9 +236,10 @@ impl AppendableTable {
     }
 
     /// Append one statement's rows: assign sequence ids, journal them as a
-    /// single fsynced WAL frame, then apply them to the tail block (sealing
-    /// full blocks as they close). On `Err` the writer must be discarded and
-    /// re-opened — exactly the crashed-process contract [`Wal::append`] has.
+    /// single fsynced WAL frame, then apply them to the open block (logging
+    /// a seal marker for every block that closes). On `Err` the writer must
+    /// be discarded and re-opened — exactly the crashed-process contract
+    /// [`Wal::append`] has.
     pub fn append_rows(
         &mut self,
         mut rows: Vec<Tuple>,
@@ -323,57 +270,45 @@ impl AppendableTable {
             wal.append_retry(RT_TABLE_ROWS, &payload, inj.as_deref_mut(), &self.retry)?;
         }
         for t in &rows {
-            self.apply_row(t, inj.as_deref_mut(), true)?;
+            let sealed = self.sealed_blocks();
+            self.builder.append(t)?;
+            if self.sealed_blocks() > sealed {
+                self.log_seal(inj.as_deref_mut())?;
+            }
         }
         self.appended_rows += rows.len() as u64;
         Ok(())
     }
 
-    fn apply_row(
-        &mut self,
-        t: &Tuple,
-        inj: Option<&mut FaultInjector>,
-        durable: bool,
-    ) -> Result<()> {
-        self.builder.append(t)?;
-        self.tail.add(t.label);
-        self.tail_bytes += t.encoded_len() as u64;
-        if self.tail_bytes >= self.builder.block_bytes() as u64 {
-            self.seal(inj, durable)?;
-        }
-        Ok(())
-    }
-
-    /// Close the tail block: log a seal marker (durable writers only) and
-    /// roll its moments into the sealed set.
-    fn seal(&mut self, mut inj: Option<&mut FaultInjector>, durable: bool) -> Result<()> {
-        if durable {
-            if let Some(i) = inj.as_deref_mut() {
-                match i.on_write(sites::TABLE_SEAL_BLOCK) {
-                    WriteOutcome::Ok => {}
-                    WriteOutcome::Fail(e) => return Err(e),
-                    // The sealed rows were fsynced by their own row records;
-                    // dying here loses nothing acknowledged.
-                    WriteOutcome::Torn { .. } | WriteOutcome::Crash => {
-                        return Err(StorageError::Crashed {
-                            site: sites::TABLE_SEAL_BLOCK.into(),
-                        });
-                    }
+    /// Log a seal marker for the block the builder just sealed (durable
+    /// writers only; the marker is advisory, the block is sealed either way).
+    fn log_seal(&mut self, mut inj: Option<&mut FaultInjector>) -> Result<()> {
+        if let Some(i) = inj.as_deref_mut() {
+            match i.on_write(sites::TABLE_SEAL_BLOCK) {
+                WriteOutcome::Ok => {}
+                WriteOutcome::Fail(e) => return Err(e),
+                // The sealed rows were fsynced by their own row records;
+                // dying here loses nothing acknowledged.
+                WriteOutcome::Torn { .. } | WriteOutcome::Crash => {
+                    return Err(StorageError::Crashed {
+                        site: sites::TABLE_SEAL_BLOCK.into(),
+                    });
                 }
             }
-            let tuple_count = self.builder.tuple_count();
-            if let Some(wal) = self.wal.as_mut() {
-                let mut payload = Vec::with_capacity(32);
-                payload.extend_from_slice(&tuple_count.to_le_bytes());
-                payload.extend_from_slice(&self.tail.tuples.to_le_bytes());
-                payload.extend_from_slice(&self.tail.sum.to_le_bytes());
-                payload.extend_from_slice(&self.tail.sq_sum.to_le_bytes());
-                wal.append_retry(RT_TABLE_SEAL, &payload, inj, &self.retry)?;
-            }
         }
-        self.sealed.push(self.tail);
-        self.tail = LabelMoments::default();
-        self.tail_bytes = 0;
+        if let Some(wal) = self.wal.as_mut() {
+            let block = self
+                .builder
+                .sealed()
+                .last()
+                .expect("a block was just sealed");
+            let mut payload = Vec::with_capacity(32);
+            payload.extend_from_slice(&block.meta.tuples.end.to_le_bytes());
+            payload.extend_from_slice(&block.labels.tuples.to_le_bytes());
+            payload.extend_from_slice(&block.labels.sum.to_le_bytes());
+            payload.extend_from_slice(&block.labels.sq_sum.to_le_bytes());
+            wal.append_retry(RT_TABLE_SEAL, &payload, inj, &self.retry)?;
+        }
         Ok(())
     }
 
@@ -385,40 +320,15 @@ impl AppendableTable {
     }
 
     /// Incremental ĥ_D: the between-block share of label variance, from the
-    /// per-block moments the writer maintains. `None` with fewer than two
-    /// non-empty blocks (no between-block structure to speak of).
+    /// label moments every block of the table carries. `None` with fewer
+    /// than two non-empty blocks (no between-block structure to speak of).
     ///
     /// This is the same clusteredness measure the cost-based planner
     /// otherwise estimates by sampling blocks: ĥ_D → 1 when blocks are pure
     /// (fully clustered data, where tuple-only shuffles fail), ĥ_D → 0 when
     /// every block looks like the global label mix.
     pub fn hd_estimate(&self) -> Option<f64> {
-        let mut blocks: Vec<LabelMoments> = self
-            .sealed
-            .iter()
-            .copied()
-            .filter(|m| m.tuples > 0)
-            .collect();
-        if self.tail.tuples > 0 {
-            blocks.push(self.tail);
-        }
-        if blocks.len() < 2 {
-            return None;
-        }
-        let n: f64 = blocks.iter().map(|b| b.tuples as f64).sum();
-        let grand_sum: f64 = blocks.iter().map(|b| b.sum).sum();
-        let grand_sq: f64 = blocks.iter().map(|b| b.sq_sum).sum();
-        let grand_mean = grand_sum / n;
-        let total_var = (grand_sq / n - grand_mean * grand_mean).max(0.0);
-        if total_var <= 1e-12 {
-            return Some(0.0);
-        }
-        let between: f64 = blocks
-            .iter()
-            .map(|b| b.tuples as f64 * (b.mean() - grand_mean).powi(2))
-            .sum::<f64>()
-            / n;
-        Some((between / total_var).clamp(0.0, 1.0))
+        between_block_share(self.builder.block_labels())
     }
 }
 

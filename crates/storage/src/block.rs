@@ -5,7 +5,9 @@
 //! fast as a sequential scan once blocks reach ~10 MB (Appendix A), which is
 //! the hardware-efficiency half of CorgiPile's argument.
 
+use crate::page::{LabelMoments, Page};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Index of a block within a table.
 pub type BlockId = usize;
@@ -35,11 +37,85 @@ impl BlockMeta {
     }
 }
 
+/// One block of a table: its pages, its placement and its label moments.
+///
+/// Immutable once built and held behind `Arc`, a block is the unit every
+/// version of a table shares: publishing a new version after an append
+/// re-uses each block that was already closed and rebuilds only the last.
+#[derive(Debug)]
+pub(crate) struct Block {
+    pub(crate) meta: BlockMeta,
+    pub(crate) pages: Vec<Arc<Page>>,
+    pub(crate) labels: LabelMoments,
+}
+
+impl Block {
+    /// The block made of `pages`, placed after `prev` (the block before it
+    /// in table order, if any).
+    pub(crate) fn after(prev: Option<&Block>, pages: Vec<Arc<Page>>) -> Block {
+        let (id, first_page, first_tuple) = match prev {
+            Some(b) => (b.meta.id + 1, b.meta.pages.end, b.meta.tuples.end),
+            None => (0, 0, 0),
+        };
+        let mut labels = LabelMoments::default();
+        let mut bytes = 0;
+        for p in &pages {
+            labels.merge(p.label_moments());
+            bytes += p.disk_bytes();
+        }
+        Block {
+            meta: BlockMeta {
+                id,
+                pages: first_page..first_page + pages.len(),
+                tuples: first_tuple..first_tuple + labels.tuples,
+                bytes,
+            },
+            pages,
+            labels,
+        }
+    }
+}
+
+/// The one definition of a block boundary: a page of `page_bytes` starts a
+/// new block when the open block already holds `open_bytes` and the page
+/// would push it past `block_bytes`. [`plan_blocks`], the table builder's
+/// seal and therefore the per-block label moments all follow it.
+pub(crate) fn closes_block(open_bytes: usize, page_bytes: usize, block_bytes: usize) -> bool {
+    open_bytes > 0 && open_bytes + page_bytes > block_bytes
+}
+
+/// The between-block share of label variance over `blocks` — ĥ_D ∈ [0, 1].
+/// `None` with fewer than two non-empty blocks (no between-block structure
+/// to speak of); `Some(0.0)` when the labels do not vary at all.
+pub(crate) fn between_block_share(
+    blocks: impl Iterator<Item = LabelMoments> + Clone,
+) -> Option<f64> {
+    let blocks = blocks.filter(|b| b.tuples > 0);
+    if blocks.clone().take(2).count() < 2 {
+        return None;
+    }
+    let mut all = LabelMoments::default();
+    blocks.clone().for_each(|b| all.merge(b));
+    let n = all.tuples as f64;
+    let grand_mean = all.mean();
+    let total_var = (all.sq_sum / n - grand_mean * grand_mean).max(0.0);
+    if total_var <= 1e-12 {
+        return Some(0.0);
+    }
+    let between = blocks
+        .map(|b| b.tuples as f64 * (b.mean() - grand_mean).powi(2))
+        .sum::<f64>()
+        / n;
+    Some((between / total_var).clamp(0.0, 1.0))
+}
+
 /// Plan the block boundaries for a sequence of page sizes.
 ///
 /// Greedily packs pages into blocks of at most `block_bytes` each; a single
 /// page larger than `block_bytes` (a jumbo page) gets its own block. Every
-/// page lands in exactly one block and page order is preserved.
+/// page lands in exactly one block and page order is preserved. The plan is
+/// prefix-stable — appending pages never moves an earlier boundary — which
+/// is what lets the table builder keep it incrementally.
 pub fn plan_blocks(
     page_bytes: &[usize],
     page_tuples: &[usize],
@@ -53,7 +129,7 @@ pub fn plan_blocks(
     let mut cur_bytes = 0usize;
     let mut cur_tuples = 0u64;
     for (i, (&b, &t)) in page_bytes.iter().zip(page_tuples).enumerate() {
-        if cur_bytes > 0 && cur_bytes + b > block_bytes {
+        if closes_block(cur_bytes, b, block_bytes) {
             blocks.push(BlockMeta {
                 id: blocks.len(),
                 pages: start_page..i,

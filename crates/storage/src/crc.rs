@@ -1,4 +1,4 @@
-//! CRC-32 (IEEE 802.3 polynomial), table-driven and dependency-free.
+//! CRC-32 (IEEE 802.3 polynomial), slice-by-8 table-driven and dependency-free.
 //!
 //! Used by the `CORGIPL3` heap format and the training-checkpoint blob to
 //! detect torn writes and bit rot: every block payload and every header
@@ -7,8 +7,11 @@
 /// Reflected IEEE polynomial (the one used by zip, PNG, ethernet).
 const POLY: u32 = 0xEDB8_8320;
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `TABLES[0]` is the classic byte-at-a-time table and
+/// `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so eight
+/// input bytes fold into the state with eight independent lookups.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut crc = i as u32;
@@ -21,21 +24,48 @@ const fn build_table() -> [u32; 256] {
             };
             j += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1usize;
+    while k < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
+
+fn crc32_bytewise(mut crc: u32, data: &[u8]) -> u32 {
+    for &b in data {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
 
 /// CRC-32 of `data` (IEEE, init `0xFFFF_FFFF`, final xor `0xFFFF_FFFF`).
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
     }
-    !crc
+    !crc32_bytewise(crc, chunks.remainder())
 }
 
 #[cfg(test)]
@@ -46,6 +76,24 @@ mod tests {
     fn matches_the_standard_check_value() {
         // The canonical CRC-32/IEEE check: crc32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn slice_by_8_matches_the_bytewise_loop() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(8);
+        let buf: Vec<u8> = (0..4096 + 8).map(|_| rng.gen()).collect();
+        for start in 0..8 {
+            for _ in 0..200 {
+                let len = rng.gen_range(0..=4096usize);
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    !crc32_bytewise(0xFFFF_FFFF, data),
+                    "start {start} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,39 @@ use crate::Result;
 /// Standard page size in bytes (PostgreSQL default: 8 KB).
 pub const PAGE_SIZE: usize = 8192;
 
+/// Label moments (count, Σlabel, Σlabel²) of a run of tuples: enough to
+/// compute block means and the pooled variance decomposition behind ĥ_D
+/// without revisiting tuples. Every [`Page`] keeps its own as tuples are
+/// pushed; a block's moments are the merge of its pages'.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct LabelMoments {
+    pub(crate) tuples: u64,
+    pub(crate) sum: f64,
+    pub(crate) sq_sum: f64,
+}
+
+impl LabelMoments {
+    fn add(&mut self, label: f32) {
+        self.tuples += 1;
+        self.sum += label as f64;
+        self.sq_sum += (label as f64) * (label as f64);
+    }
+
+    pub(crate) fn merge(&mut self, other: LabelMoments) {
+        self.tuples += other.tuples;
+        self.sum += other.sum;
+        self.sq_sum += other.sq_sum;
+    }
+
+    pub(crate) fn mean(&self) -> f64 {
+        if self.tuples == 0 {
+            0.0
+        } else {
+            self.sum / self.tuples as f64
+        }
+    }
+}
+
 /// A slotted page of encoded tuples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Page {
@@ -25,6 +58,8 @@ pub struct Page {
     data: Vec<u8>,
     /// Byte offset of each tuple within `data`.
     slots: Vec<u32>,
+    /// Label moments of the stored tuples.
+    labels: LabelMoments,
 }
 
 impl Page {
@@ -34,6 +69,7 @@ impl Page {
             capacity: PAGE_SIZE,
             data: Vec::new(),
             slots: Vec::new(),
+            labels: LabelMoments::default(),
         }
     }
 
@@ -43,6 +79,7 @@ impl Page {
             capacity: bytes.max(PAGE_SIZE),
             data: Vec::new(),
             slots: Vec::new(),
+            labels: LabelMoments::default(),
         }
     }
 
@@ -88,9 +125,23 @@ impl Page {
                 free: self.free_bytes(),
             });
         }
+        if self.slots.is_empty() {
+            // Allocate the page whole, like the fixed-size heap page it
+            // models, with slots for a page of tuples this size: a page is
+            // written until it is full, and growing it by doubling leaves a
+            // trail of freed buffers between pages that outlive them.
+            self.data.reserve_exact(self.capacity);
+            self.slots.reserve_exact(self.capacity / (len + 4));
+        }
         self.slots.push(self.data.len() as u32);
         tuple.encode(&mut self.data);
+        self.labels.add(tuple.label);
         Ok(())
+    }
+
+    /// Label moments of the tuples on the page.
+    pub(crate) fn label_moments(&self) -> LabelMoments {
+        self.labels
     }
 
     /// Decode the tuple in slot `slot`.

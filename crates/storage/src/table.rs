@@ -13,13 +13,14 @@
 //!   modeled as a two-pass external sort (read + write, twice) plus 2×
 //!   storage, matching the paper's observations (§3.1, Table 1).
 
-use crate::block::{plan_blocks, BlockId, BlockMeta};
+use crate::block::{closes_block, Block, BlockId, BlockMeta};
 use crate::device::{Access, SimDevice};
 use crate::error::StorageError;
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::{LabelMoments, Page, PAGE_SIZE};
 use crate::retry::RetryPolicy;
 use crate::tuple::{Tuple, TupleId};
 use crate::Result;
+use std::sync::Arc;
 
 /// Default block size: 10 MB (the paper's recommended sweet spot, §7.3.4).
 pub const DEFAULT_BLOCK_BYTES: usize = 10 << 20;
@@ -70,12 +71,25 @@ impl TableConfig {
 }
 
 /// Incrementally builds a [`Table`] from a tuple stream.
+///
+/// The builder keeps the block plan as it goes: pages collect in the open
+/// block until the page that would overflow it arrives — the boundary
+/// [`plan_blocks`](crate::block::plan_blocks) draws — at which point the
+/// open block is sealed behind an `Arc` and never touched again. [`TableBuilder::snapshot`] therefore
+/// shares every sealed block with the tables it publishes and only builds
+/// the last block anew.
 #[derive(Debug)]
 pub struct TableBuilder {
     config: TableConfig,
-    pages: Vec<Page>,
+    sealed: Arc<Vec<Arc<Block>>>,
+    /// Pages of the open block. Only the last can still take tuples; a
+    /// published table may share it, so it is written copy-on-write.
+    open_pages: Vec<Arc<Page>>,
+    open_bytes: usize,
     tuple_count: u64,
+    total_bytes: usize,
     any_toast: bool,
+    dim: Option<usize>,
 }
 
 impl TableBuilder {
@@ -84,9 +98,13 @@ impl TableBuilder {
         config.validate()?;
         Ok(TableBuilder {
             config,
-            pages: Vec::new(),
+            sealed: Arc::default(),
+            open_pages: Vec::new(),
+            open_bytes: 0,
             tuple_count: 0,
+            total_bytes: 0,
             any_toast: false,
+            dim: None,
         })
     }
 
@@ -97,32 +115,55 @@ impl TableBuilder {
         if len > self.config.toast_threshold {
             self.any_toast = true;
         }
-        let fits_current = self.pages.last().map(|p| p.fits(len)).unwrap_or(false);
-        if !fits_current {
+        if !self.open_pages.last().is_some_and(|p| p.fits(len)) {
             let mut fresh = Page::new();
             if !fresh.fits(len) {
                 fresh = Page::new_jumbo(len + 16);
             }
-            self.pages.push(fresh);
+            self.start_page(Arc::new(fresh));
         }
-        self.pages
-            .last_mut()
-            .expect("page pushed above")
-            .push(tuple)?;
+        Arc::make_mut(self.open_pages.last_mut().expect("page pushed above")).push(tuple)?;
+        self.dim.get_or_insert(tuple.features.dim());
         self.tuple_count += 1;
         Ok(())
     }
 
-    /// Re-open a finished table for further appends. The builder starts
-    /// with a clone of the table's pages, so the table itself stays
-    /// immutable — this is how [`AppendableTable`](crate::AppendableTable)
-    /// seeds its writer from the currently-registered snapshot.
+    /// Add `page` to the open block, sealing that block first if the page
+    /// does not belong to it.
+    fn start_page(&mut self, page: Arc<Page>) {
+        let bytes = page.disk_bytes();
+        if closes_block(self.open_bytes, bytes, self.config.block_bytes) {
+            let pages = std::mem::take(&mut self.open_pages);
+            let block = self.open_block(pages);
+            Arc::make_mut(&mut self.sealed).push(Arc::new(block));
+            self.open_bytes = 0;
+        }
+        self.open_bytes += bytes;
+        self.total_bytes += bytes;
+        self.open_pages.push(page);
+    }
+
+    fn open_block(&self, pages: Vec<Arc<Page>>) -> Block {
+        Block::after(self.sealed.last().map(|b| &**b), pages)
+    }
+
+    /// Re-open a finished table for further appends. The builder shares
+    /// the table's blocks, so the table itself stays immutable — this is
+    /// how [`AppendableTable`](crate::AppendableTable) seeds its writer
+    /// from the currently-registered snapshot.
     pub fn from_table(table: &Table) -> TableBuilder {
         TableBuilder {
             config: table.config.clone(),
-            pages: table.pages.clone(),
+            sealed: table.sealed.clone(),
+            open_pages: table
+                .last
+                .as_ref()
+                .map_or_else(Vec::new, |b| b.pages.clone()),
+            open_bytes: table.last.as_ref().map_or(0, |b| b.meta.bytes),
             tuple_count: table.tuple_count,
+            total_bytes: table.total_bytes,
             any_toast: table.any_toast,
+            dim: table.dim,
         }
     }
 
@@ -131,55 +172,59 @@ impl TableBuilder {
         self.tuple_count
     }
 
-    /// Target block size this builder plans blocks against.
-    pub fn block_bytes(&self) -> usize {
-        self.config.block_bytes
+    /// Blocks sealed so far (every block but the open one).
+    pub(crate) fn sealed(&self) -> &[Arc<Block>] {
+        &self.sealed
     }
 
-    /// Plan block boundaries over the current pages without consuming the
-    /// builder: an immutable point-in-time [`Table`] that shares nothing
-    /// mutable with the builder, so appends can continue underneath it.
+    /// Label moments of every block in table order, the open one included.
+    pub(crate) fn block_labels(&self) -> impl Iterator<Item = LabelMoments> + Clone + '_ {
+        let mut open = LabelMoments::default();
+        for p in &self.open_pages {
+            open.merge(p.label_moments());
+        }
+        self.sealed.iter().map(|b| b.labels).chain([open])
+    }
+
+    /// An immutable point-in-time [`Table`] over the current pages, so
+    /// appends can continue underneath it. Pointer work only: sealed blocks
+    /// are shared, and the open page is copied by the next
+    /// [`TableBuilder::append`] that writes to it, not here.
     pub fn snapshot(&self) -> Table {
-        let page_bytes: Vec<usize> = self.pages.iter().map(|p| p.disk_bytes()).collect();
-        let page_tuples: Vec<usize> = self.pages.iter().map(|p| p.tuple_count()).collect();
-        let blocks = plan_blocks(&page_bytes, &page_tuples, self.config.block_bytes);
-        let total_bytes = page_bytes.iter().sum();
+        let last = (!self.open_pages.is_empty())
+            .then(|| Arc::new(self.open_block(self.open_pages.clone())));
         Table {
             config: self.config.clone(),
-            pages: self.pages.clone(),
-            blocks,
+            sealed: self.sealed.clone(),
+            last,
             tuple_count: self.tuple_count,
-            total_bytes,
+            total_bytes: self.total_bytes,
             any_toast: self.any_toast,
+            dim: self.dim,
         }
     }
 
-    /// Finish: plan block boundaries and seal the table.
+    /// Finish: the table over everything appended.
     pub fn finish(self) -> Table {
-        let page_bytes: Vec<usize> = self.pages.iter().map(|p| p.disk_bytes()).collect();
-        let page_tuples: Vec<usize> = self.pages.iter().map(|p| p.tuple_count()).collect();
-        let blocks = plan_blocks(&page_bytes, &page_tuples, self.config.block_bytes);
-        let total_bytes = page_bytes.iter().sum();
-        Table {
-            config: self.config,
-            pages: self.pages,
-            blocks,
-            tuple_count: self.tuple_count,
-            total_bytes,
-            any_toast: self.any_toast,
-        }
+        self.snapshot()
     }
 }
 
 /// An immutable heap table.
+///
+/// Blocks follow [`plan_blocks`](crate::block::plan_blocks) over the
+/// table's pages. Every block but the last is final — no append can change
+/// it — and is shared by `Arc` with the builder and with every later
+/// version of the table; cloning a table copies pointers, never pages.
 #[derive(Debug, Clone)]
 pub struct Table {
     config: TableConfig,
-    pages: Vec<Page>,
-    blocks: Vec<BlockMeta>,
+    sealed: Arc<Vec<Arc<Block>>>,
+    last: Option<Arc<Block>>,
     tuple_count: u64,
     total_bytes: usize,
     any_toast: bool,
+    dim: Option<usize>,
 }
 
 impl Table {
@@ -205,14 +250,22 @@ impl Table {
         self.tuple_count
     }
 
+    /// Feature dimensionality, recorded from the first tuple appended.
+    /// [`StorageError::EmptyTable`] while the table holds no tuple.
+    pub fn dim(&self) -> Result<usize> {
+        self.dim.ok_or(StorageError::EmptyTable)
+    }
+
     /// Number of blocks (the paper's `N`).
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.sealed.len() + usize::from(self.last.is_some())
     }
 
     /// Number of pages.
     pub fn num_pages(&self) -> usize {
-        self.pages.len()
+        self.all_blocks()
+            .next_back()
+            .map_or(0, |b| b.meta.pages.end)
     }
 
     /// On-disk size in bytes.
@@ -222,10 +275,10 @@ impl Table {
 
     /// Average tuples per block (the paper's `b`).
     pub fn tuples_per_block(&self) -> f64 {
-        if self.blocks.is_empty() {
+        if self.num_blocks() == 0 {
             0.0
         } else {
-            self.tuple_count as f64 / self.blocks.len() as f64
+            self.tuple_count as f64 / self.num_blocks() as f64
         }
     }
 
@@ -234,17 +287,30 @@ impl Table {
         self.any_toast
     }
 
-    /// Block metadata.
-    pub fn block(&self, id: BlockId) -> Result<&BlockMeta> {
-        self.blocks.get(id).ok_or(StorageError::BlockOutOfRange {
+    fn all_blocks(&self) -> impl DoubleEndedIterator<Item = &Arc<Block>> {
+        self.sealed.iter().chain(&self.last)
+    }
+
+    fn block_at(&self, id: BlockId) -> Result<&Block> {
+        let found = match id.checked_sub(self.sealed.len()) {
+            None => self.sealed.get(id),
+            Some(0) => self.last.as_ref(),
+            Some(_) => None,
+        };
+        found.map(|b| &**b).ok_or(StorageError::BlockOutOfRange {
             block: id,
-            blocks: self.blocks.len(),
+            blocks: self.num_blocks(),
         })
     }
 
+    /// Block metadata.
+    pub fn block(&self, id: BlockId) -> Result<&BlockMeta> {
+        Ok(&self.block_at(id)?.meta)
+    }
+
     /// All block metadata in table order.
-    pub fn blocks(&self) -> &[BlockMeta] {
-        &self.blocks
+    pub fn blocks(&self) -> impl Iterator<Item = &BlockMeta> {
+        self.all_blocks().map(|b| &b.meta)
     }
 
     fn cache_key(&self, block: BlockId) -> u64 {
@@ -262,9 +328,9 @@ impl Table {
     /// Decode the tuples of a block without charging any device (used by
     /// in-memory tooling and tests).
     pub fn block_tuples(&self, id: BlockId) -> Result<Vec<Tuple>> {
-        let meta = self.block(id)?.clone();
-        let mut out = Vec::with_capacity(meta.tuple_count());
-        for p in &self.pages[meta.pages.clone()] {
+        let block = self.block_at(id)?;
+        let mut out = Vec::with_capacity(block.meta.tuple_count());
+        for p in &block.pages {
             out.extend(p.tuples());
         }
         Ok(out)
@@ -349,27 +415,27 @@ impl Table {
         Ok(out)
     }
 
-    /// Locate the block and page holding tuple `tid`.
-    fn locate(&self, tid: TupleId) -> Result<(BlockId, usize)> {
+    /// Locate tuple `tid`: its block, its page and its slot on that page.
+    /// A binary search over the blocks, then a walk over one block's pages.
+    fn locate(&self, tid: TupleId) -> Result<(BlockId, &Page, usize)> {
         if tid >= self.tuple_count {
             return Err(StorageError::Corrupt(format!(
                 "tuple {tid} out of range ({} tuples)",
                 self.tuple_count
             )));
         }
-        let block = self.blocks.partition_point(|b| b.tuples.end <= tid);
-        // Find the page within the block.
-        let meta = &self.blocks[block];
-        let mut first_on_page = meta.tuples.start;
-        for p in meta.pages.clone() {
-            let cnt = self.pages[p].tuple_count() as u64;
+        let id = self.sealed.partition_point(|b| b.meta.tuples.end <= tid);
+        let block = self.block_at(id)?;
+        let mut first_on_page = block.meta.tuples.start;
+        for p in &block.pages {
+            let cnt = p.tuple_count() as u64;
             if tid < first_on_page + cnt {
-                return Ok((block, p));
+                return Ok((id, p, (tid - first_on_page) as usize));
             }
             first_on_page += cnt;
         }
         Err(StorageError::Corrupt(format!(
-            "tuple {tid} not found in block {block}"
+            "tuple {tid} not found in block {id}"
         )))
     }
 
@@ -377,61 +443,52 @@ impl Table {
     /// page transfer. The full-shuffle access pattern (map-style dataset on
     /// secondary storage).
     pub fn read_tuple_random(&self, tid: TupleId, dev: &mut SimDevice) -> Result<Tuple> {
-        let (block, page) = self.locate(tid)?;
+        let (block, page, slot) = self.locate(tid)?;
         dev.read(
             Some(self.cache_key(block)),
-            self.pages[page].disk_bytes(),
+            page.disk_bytes(),
             Access::Random,
             self.toast_cap(),
         );
-        self.get_tuple(tid)
+        page.tuple(slot)
     }
 
     /// Decode a tuple by position without charging a device.
     pub fn get_tuple(&self, tid: TupleId) -> Result<Tuple> {
-        let (_, page) = self.locate(tid)?;
-        let first_on_page: u64 = self.pages[..page]
-            .iter()
-            .map(|p| p.tuple_count() as u64)
-            .sum();
-        self.pages[page].tuple((tid - first_on_page) as usize)
+        let (_, page, slot) = self.locate(tid)?;
+        page.tuple(slot)
     }
 
     /// All tuples in table order, without device charges.
     pub fn all_tuples(&self) -> Vec<Tuple> {
         let mut out = Vec::with_capacity(self.tuple_count as usize);
-        for p in &self.pages {
+        for p in self.all_blocks().flat_map(|b| &b.pages) {
             out.extend(p.tuples());
         }
         out
     }
 
-    /// A copy of this table under a fresh `table_id`. Device/pool caches key
-    /// extents by `(table_id, block)`, so every published table version must
-    /// carry its own id — two versions sharing an id would alias cache
-    /// entries across different block contents.
-    pub fn with_table_id(&self, table_id: u32) -> Table {
-        let mut out = self.clone();
-        out.config.table_id = table_id;
-        out
+    /// This table under a fresh `table_id`. Device/pool caches key extents
+    /// by `(table_id, block)`, so every published table version must carry
+    /// its own id — two versions sharing an id would alias cache entries
+    /// across different block contents.
+    pub fn with_table_id(mut self, table_id: u32) -> Table {
+        self.config.table_id = table_id;
+        self
     }
 
-    /// Re-plan the block boundaries with a new block size (metadata-only in
-    /// spirit; pages are untouched). Used by the SQL surface's
-    /// `block_size = …` parameter (§6.1).
+    /// Re-plan the block boundaries with a new block size: the same pages,
+    /// by pointer, regrouped. Used by the SQL surface's `block_size = …`
+    /// parameter (§6.1).
     pub fn rechunk(&self, block_bytes: usize) -> Result<Table> {
-        if block_bytes == 0 {
-            return Err(StorageError::InvalidConfig(
-                "block_bytes must be > 0".into(),
-            ));
+        let mut b = TableBuilder::new(self.config.clone().with_block_bytes(block_bytes))?;
+        for p in self.all_blocks().flat_map(|b| &b.pages) {
+            b.start_page(p.clone());
         }
-        let page_bytes: Vec<usize> = self.pages.iter().map(|p| p.disk_bytes()).collect();
-        let page_tuples: Vec<usize> = self.pages.iter().map(|p| p.tuple_count()).collect();
-        let blocks = plan_blocks(&page_bytes, &page_tuples, block_bytes);
-        let mut out = self.clone();
-        out.config.block_bytes = block_bytes;
-        out.blocks = blocks;
-        Ok(out)
+        b.tuple_count = self.tuple_count;
+        b.any_toast = self.any_toast;
+        b.dim = self.dim;
+        Ok(b.finish())
     }
 
     /// Materialize a reordered copy (Shuffle Once's offline shuffle).
@@ -557,6 +614,19 @@ mod tests {
     }
 
     #[test]
+    fn random_get_tuple_agrees_with_a_full_decode_on_a_many_page_table() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let t = make_table(80_000, 48, 8 * PAGE_SIZE);
+        assert!(t.num_pages() >= 2_000, "{} pages", t.num_pages());
+        let all = t.all_tuples();
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..10_000 {
+            let tid = rng.gen_range(0..t.num_tuples());
+            assert_eq!(t.get_tuple(tid).unwrap(), all[tid as usize]);
+        }
+    }
+
+    #[test]
     fn sequential_scan_cheaper_than_block_random_cheaper_than_tuple_random() {
         let t = make_table(5000, 16, 64 * PAGE_SIZE);
         let mut d1 = SimDevice::hdd(0);
@@ -652,6 +722,18 @@ mod tests {
         assert!(finer.num_blocks() > before);
         assert_eq!(finer.num_tuples(), 500);
         assert_eq!(finer.all_tuples(), t.all_tuples());
+        // Same pages by pointer, regrouped: nothing was copied.
+        assert!(pages(&finer)
+            .iter()
+            .zip(pages(&t))
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+        // The regrouped blocks carry the label moments of their own pages.
+        let hd = crate::append::AppendableTable::open_in_memory(&finer).hd_estimate();
+        let exact = exact_between_block_share(&finer);
+        assert!(
+            (hd.unwrap() - exact.unwrap()).abs() <= 1e-9,
+            "{hd:?} {exact:?}"
+        );
         assert!(t.rechunk(0).is_err());
         // Tuple ranges still partition.
         let mut next = 0u64;
@@ -740,7 +822,107 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
     }
 
+    fn pages(t: &Table) -> Vec<&Arc<Page>> {
+        t.all_blocks().flat_map(|b| &b.pages).collect()
+    }
+
+    /// ĥ_D the long way: decode every block of `t`, two passes over labels.
+    fn exact_between_block_share(t: &Table) -> Option<f64> {
+        let blocks: Vec<Vec<f64>> = (0..t.num_blocks())
+            .map(|b| t.block_tuples(b).unwrap())
+            .map(|ts| ts.iter().map(|t| t.label as f64).collect())
+            .filter(|b: &Vec<f64>| !b.is_empty())
+            .collect();
+        if blocks.len() < 2 {
+            return None;
+        }
+        let n = blocks.iter().map(Vec::len).sum::<usize>() as f64;
+        let mean = blocks.iter().flatten().sum::<f64>() / n;
+        let total = blocks
+            .iter()
+            .flatten()
+            .map(|l| (l - mean).powi(2))
+            .sum::<f64>()
+            / n;
+        if total <= 1e-12 {
+            return Some(0.0);
+        }
+        let between = blocks
+            .iter()
+            .map(|b| b.len() as f64 * (b.iter().sum::<f64>() / b.len() as f64 - mean).powi(2))
+            .sum::<f64>()
+            / n;
+        Some((between / total).clamp(0.0, 1.0))
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every published version of an appended-to table is the table a
+        /// from-scratch build would give, shares all it can with the version
+        /// before it, and leaves that version untouched.
+        #[test]
+        fn prop_versions_follow_the_block_plan_and_share_sealed_blocks(
+            block_pages in prop_oneof![Just(1usize), Just(8), Just(128)],
+            base_rows in 0u64..6000,
+            schedule in proptest::collection::vec((1usize..40, 0u32..8, 0u32..4), 1..20),
+        ) {
+            use crate::append::AppendableTable;
+            use crate::block::plan_blocks;
+            let row = |jumbo: bool, label: f32| {
+                // 48 features share a page with ~37 others; 3000 need a jumbo page.
+                Tuple::dense(0, vec![label; if jumbo { 3000 } else { 48 }], label)
+            };
+            let cfg = TableConfig::new("t", 1).with_block_bytes(block_pages * PAGE_SIZE);
+            let base = Table::from_tuples(
+                cfg,
+                (0..base_rows).map(|id| Tuple { id, ..row(false, (id % 3) as f32 - 1.0) }),
+            )
+            .unwrap();
+            let mut expected = base.all_tuples();
+            let mut writer = AppendableTable::open_in_memory(&base);
+            let mut versions = vec![base];
+            for (v, (batch, kind, label)) in schedule.into_iter().enumerate() {
+                let jumbo = kind == 0;
+                let rows: Vec<Tuple> = (0..if jumbo { batch.min(5) } else { batch })
+                    .map(|i| row(jumbo, ((label as usize + i * (kind as usize % 2)) % 4) as f32 - 1.5))
+                    .collect();
+                for r in &rows {
+                    expected.push(Tuple { id: expected.len() as u64, ..r.clone() });
+                }
+                writer.append_rows(rows, None).unwrap();
+                let snap = writer.snapshot_table(v as u32 + 2);
+
+                let page_bytes: Vec<usize> = pages(&snap).iter().map(|p| p.disk_bytes()).collect();
+                let page_tuples: Vec<usize> = pages(&snap).iter().map(|p| p.tuple_count()).collect();
+                let plan = plan_blocks(&page_bytes, &page_tuples, block_pages * PAGE_SIZE);
+                prop_assert_eq!(snap.blocks().cloned().collect::<Vec<_>>(), plan);
+                prop_assert_eq!(snap.total_bytes(), page_bytes.iter().sum::<usize>());
+                prop_assert_eq!(&snap.all_tuples(), &expected);
+
+                match (writer.hd_estimate(), exact_between_block_share(&snap)) {
+                    (Some(got), Some(want)) => prop_assert!((got - want).abs() <= 1e-9, "{got} vs {want}"),
+                    (got, want) => prop_assert_eq!(got, want),
+                }
+
+                let prev = versions.last().unwrap();
+                prop_assert!(snap.sealed.len() >= prev.sealed.len());
+                for (a, b) in prev.sealed.iter().zip(snap.sealed.iter()) {
+                    prop_assert!(Arc::ptr_eq(a, b), "sealed block {} was rebuilt", a.meta.id);
+                }
+                // All of the previous version's pages but its open one live on.
+                let (old, new) = (pages(prev), pages(&snap));
+                for (a, b) in old.iter().zip(&new).take(old.len().saturating_sub(1)) {
+                    prop_assert!(Arc::ptr_eq(a, b));
+                }
+                versions.push(snap);
+            }
+            // Pinned versions never saw the appends that followed them.
+            for v in &versions {
+                prop_assert_eq!(&v.all_tuples()[..], &expected[..v.num_tuples() as usize]);
+            }
+        }
+
         #[test]
         fn prop_roundtrip_all_tuples(n in 1u64..400, width in 1usize..12, blk_pages in 1usize..6) {
             let t = make_table(n, width, blk_pages * PAGE_SIZE);

@@ -109,4 +109,10 @@ assert d['continuous_reaches_target'], d['drift']
 assert d['bit_identical_all'], 'continuous rerun diverged'
 " || { echo "BENCH_ingest.json failed the ingest gate"; exit 1; }
 
+banner "Repo benchmark (quick): harness unit tests + every workload's output checks"
+# Not a performance gate: --quick shortens the runs; a workload whose
+# output checks fail (correct = false, failed > 0) exits non-zero.
+(cd benchmark && cargo test --offline)
+bash benchmark/run.sh --quick
+
 banner "CI gate passed"

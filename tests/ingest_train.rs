@@ -149,6 +149,61 @@ fn pinned_snapshot_train_is_bit_identical_under_a_concurrent_writer() {
 }
 
 #[test]
+fn a_pinned_snapshot_outlives_its_eviction_from_the_retained_chain() {
+    let db = engine(800);
+    let pinned = db.catalog().snapshot("higgs").unwrap();
+    assert_eq!(pinned.version(), 1);
+    let rows_before = pinned.all_tuples();
+    let cold_train = |model: &str| {
+        let cold = Database::new(SimDevice::hdd_scaled(1000.0, 0));
+        cold.register_table("higgs", pinned.table().as_ref().clone());
+        train(&cold, &pinned_train_sql(model, 3, 11));
+        params(&cold, model)
+    };
+    let params_before = cold_train("before");
+
+    // The writer publishes until told to stop and reports each version, so
+    // everything below the `recv` loop runs against live appends — into the
+    // very blocks and open page v1 shares with the writer.
+    let stop = Arc::new(AtomicBool::new(false));
+    let (published, versions) = std::sync::mpsc::channel();
+    let writer = {
+        let db = Arc::clone(&db);
+        let stop = Arc::clone(&stop);
+        thread::spawn(move || {
+            for i in 0.. {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let out = db.catalog().append_rows("higgs", batch(i, 3)).unwrap();
+                published.send(out.version).ok();
+            }
+        })
+    };
+    // The catalog retains 8 versions: once v10 exists, v1 is long gone.
+    while versions.recv().unwrap() < 10 {}
+    assert!(
+        db.catalog().snapshot_at("higgs", 1).is_err(),
+        "v1 should have left the retained chain"
+    );
+    let rows_during = pinned.all_tuples();
+    let params_during = cold_train("during");
+    // One more publish *after* the train finished: the writer raced all of it.
+    while versions.try_recv().is_ok() {}
+    let still_writing = versions.recv().is_ok();
+    stop.store(true, Ordering::SeqCst);
+    writer.join().unwrap();
+
+    assert!(still_writing, "the writer must have been live throughout");
+    assert_eq!(pinned.num_tuples(), 800);
+    assert_eq!(rows_during, rows_before, "a pinned snapshot never changes");
+    assert_eq!(
+        params_during, params_before,
+        "training on an evicted-but-pinned snapshot must not see later appends"
+    );
+}
+
+#[test]
 fn continuous_train_runs_alongside_inserts_and_serving() {
     let db = engine(600);
     // Seed a model so PREDICT traffic has something to serve from epoch 0.
