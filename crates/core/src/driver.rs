@@ -1,0 +1,381 @@
+//! The one epoch loop (§6.2–6.3).
+//!
+//! The paper's in-database integration is three operators and *one* SGD
+//! loop with a double-buffer switch. [`EpochDriver`] is that loop; the
+//! library [`Trainer`](crate::Trainer) and the SQL `SGD` operator are thin
+//! adapters that supply an [`EpochSource`] and read the per-epoch
+//! [`EpochOutcome`]s back. One run is
+//!
+//! ```text
+//! resume: validate → replay → restore
+//! per epoch:  source ─fills→ kernel stage → clock → hook → checkpoint
+//! ```
+//!
+//! * **Source.** [`EpochSource::stream_epoch`] pushes the epoch's buffer
+//!   fills, in order, through [`run_epoch_pipeline`]. With `double_buffer`
+//!   set the source runs on a scoped producer thread and overlaps the
+//!   kernel; without it the very same closures run inline on the calling
+//!   thread. There is exactly one producer, one consumer and
+//!   an order-preserving hand-off either way, so the kernel sees the same
+//!   tuple sequence and trains bit-identical models.
+//! * **Kernel stage.** One of two accumulators carried across the epoch's
+//!   fills: [`PerTupleTrainer`] (standard SGD, lazy L2 decay) when
+//!   `batch_size <= 1` under plain SGD, else a [`MinibatchTrainer`] whose
+//!   batches span fill boundaries. It is entered once per fill.
+//! * **Clock.** Each fill is charged the per-tuple sum of the model's FLOP
+//!   estimates. `batched_dispatch` selects the dispatch-cost rule — the
+//!   invocation overhead once per tuple ([`ComputeCostModel::seconds`]) or
+//!   once per fill ([`ComputeCostModel::seconds_batched`]) — and nothing
+//!   else. Per-fill I/O and compute then go through the analytic
+//!   [`DoubleBufferModel`].
+//! * **Hook.** [`EpochSource::epoch_done`] sees the settled epoch (and the
+//!   model) to evaluate, record, emit telemetry, or halt the run.
+//! * **Checkpoint.** Only when a path or a sink is set, a
+//!   [`TrainCheckpoint`] is built after the hook and handed to both.
+
+use corgipile_ml::{
+    ComputeCostModel, EpochStats, MinibatchTrainer, Model, Optimizer, PerTupleTrainer,
+    TrainCheckpoint, TrainOptions,
+};
+use corgipile_storage::{
+    run_epoch_pipeline, DoubleBufferModel, PipelineError, PipelineReport, StorageError, Telemetry,
+    Tuple, TupleBatch,
+};
+use std::ops::ControlFlow;
+use std::path::PathBuf;
+
+/// The tuples of one buffer fill, in SGD consumption order.
+pub trait TupleSeq: Default + Send {
+    /// Iterate the tuples in order.
+    fn tuples(&self) -> impl Iterator<Item = &Tuple>;
+}
+
+impl TupleSeq for Vec<Tuple> {
+    fn tuples(&self) -> impl Iterator<Item = &Tuple> {
+        self.iter()
+    }
+}
+
+impl TupleSeq for TupleBatch {
+    fn tuples(&self) -> impl Iterator<Item = &Tuple> {
+        self.iter().map(|r| r.tuple())
+    }
+}
+
+/// One buffer fill on its way from the source to the kernel stage.
+#[derive(Debug, Default)]
+pub struct Fill<B> {
+    /// The fill's tuples.
+    pub batch: B,
+    /// Index of the [`EpochIo::fill_io`] entry this fill's loading cost
+    /// lands in; the fill's compute is attributed to the same slot.
+    pub slot: usize,
+    /// Simulated seconds spent producing the fill (recorded on the
+    /// `pipeline.fill` span of overlapped runs).
+    pub sim_seconds: f64,
+}
+
+/// What a source reports once an epoch's stream has ended.
+#[derive(Debug, Default)]
+pub struct EpochIo {
+    /// One-off cost charged before this epoch's stream (offline shuffles).
+    pub setup_seconds: f64,
+    /// Loading cost of every fill slot, in order.
+    pub fill_io: Vec<f64>,
+}
+
+/// One settled epoch, as seen by [`EpochSource::epoch_done`].
+pub struct EpochOutcome<'a> {
+    /// Epoch index (0-based).
+    pub epoch: usize,
+    /// The source's setup cost for this epoch.
+    pub setup_seconds: f64,
+    /// Loading-side simulated seconds (all fills).
+    pub io_seconds: f64,
+    /// Compute-side simulated seconds (all fills).
+    pub compute_seconds: f64,
+    /// Epoch duration after the single-/double-buffer overlap model.
+    pub epoch_seconds: f64,
+    /// Cumulative simulated time at the end of this epoch.
+    pub sim_seconds_end: f64,
+    /// Mean pre-update loss, tuples consumed, optimizer updates.
+    pub stats: EpochStats,
+    /// The model after this epoch's updates.
+    pub model: &'a dyn Model,
+}
+
+/// A checkpoint that cannot continue this run (other seed, other shape,
+/// other optimizer).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointMismatch(pub String);
+
+impl From<CheckpointMismatch> for StorageError {
+    fn from(e: CheckpointMismatch) -> Self {
+        StorageError::Corrupt(e.0)
+    }
+}
+
+/// Where an epoch's buffer fills come from, and where its numbers go.
+///
+/// `Send` because a double-buffered run borrows the source into the
+/// producer thread for the duration of each epoch.
+pub trait EpochSource: Send {
+    /// Container of one fill's tuples.
+    type Batch: TupleSeq;
+    /// Error of the source itself, of checkpoint I/O and of the sink.
+    type Error: From<StorageError> + From<CheckpointMismatch> + Send;
+
+    /// Advance every RNG stream past `epochs` completed epochs without
+    /// touching the real device or clock (resume). The streams depend only
+    /// on seeds and the table shape, so replaying against a scratch device
+    /// lands them exactly where the checkpointed run left them.
+    fn replay(&mut self, epochs: usize) -> Result<(), Self::Error>;
+
+    /// Stream `epoch`'s fills through `emit`, in order, until the stream
+    /// ends or `emit` returns `false`. `emit` may take the fill's contents,
+    /// or leave them in place to be overwritten by the next fill.
+    fn stream_epoch(
+        &mut self,
+        epoch: usize,
+        emit: &mut dyn FnMut(&mut Fill<Self::Batch>) -> bool,
+    ) -> Result<EpochIo, Self::Error>;
+
+    /// Per-epoch hook, called on the training thread once the epoch's clock
+    /// is settled and before any checkpoint is written. `Break` halts the
+    /// run after this epoch (and its checkpoint).
+    fn epoch_done(&mut self, epoch: EpochOutcome<'_>) -> ControlFlow<()>;
+}
+
+/// Per-epoch checkpoint consumer: the freshly built [`TrainCheckpoint`] and
+/// the epoch's mean training loss. An `Err` aborts the run at that epoch
+/// boundary, exactly where a dead process would have stopped.
+pub type EpochSink<'a, E> = &'a mut dyn FnMut(&TrainCheckpoint, f64) -> Result<(), E>;
+
+/// What a finished [`EpochDriver::run`] reports beyond the hook's records.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DriverRun {
+    /// The hook stopped the run before the last epoch.
+    pub halted: bool,
+    /// Summed pipeline report of all overlapped epochs (all-zero for
+    /// inline runs).
+    pub pipeline: PipelineReport,
+}
+
+/// The accumulator carried across one epoch's fills.
+enum KernelStage {
+    PerTuple(PerTupleTrainer),
+    Minibatch(MinibatchTrainer),
+}
+
+/// Model + optimizer + options, and the loop that trains them.
+pub struct EpochDriver {
+    /// The model being trained.
+    pub model: Box<dyn Model>,
+    /// Its optimizer.
+    pub optimizer: Box<dyn Optimizer>,
+    /// Batch size, clipping, L2.
+    pub options: TrainOptions,
+    /// Compute cost model for the simulated clock.
+    pub compute: ComputeCostModel,
+    /// Total epochs of the run (a resumed run executes the remainder).
+    pub epochs: usize,
+    /// Overlap loading with the kernel on a producer thread (§6.3).
+    pub double_buffer: bool,
+    /// Dispatch-cost rule: charge the invocation overhead once per fill
+    /// instead of once per tuple. FLOPs — and so the model — are unchanged.
+    pub batched_dispatch: bool,
+    /// Seed stamped into checkpoints and validated on resume.
+    pub seed: u64,
+    /// The simulated clock: set it to any one-off setup cost before the
+    /// run; a resume overwrites it from the checkpoint.
+    pub sim_clock: f64,
+    /// Resume from this checkpoint instead of starting at epoch 0.
+    pub resume_from: Option<TrainCheckpoint>,
+    /// Write a [`TrainCheckpoint`] here (atomically) after every epoch.
+    pub checkpoint_path: Option<PathBuf>,
+}
+
+impl EpochDriver {
+    /// A driver with per-tuple dispatch costs, a zero clock, seed 0 and no
+    /// checkpointing.
+    pub fn new(
+        model: Box<dyn Model>,
+        optimizer: Box<dyn Optimizer>,
+        options: TrainOptions,
+        compute: ComputeCostModel,
+        epochs: usize,
+        double_buffer: bool,
+    ) -> Self {
+        EpochDriver {
+            model,
+            optimizer,
+            options,
+            compute,
+            epochs,
+            double_buffer,
+            batched_dispatch: false,
+            seed: 0,
+            sim_clock: 0.0,
+            resume_from: None,
+            checkpoint_path: None,
+        }
+    }
+
+    /// Validate and apply `resume_from`; returns the first epoch to run.
+    fn resume<S: EpochSource>(&mut self, source: &mut S) -> Result<usize, S::Error> {
+        let Some(ck) = self.resume_from.take() else {
+            return Ok(0);
+        };
+        if ck.seed != self.seed {
+            return Err(CheckpointMismatch(format!(
+                "checkpoint was taken under seed {}, cannot resume under seed {}",
+                ck.seed, self.seed
+            ))
+            .into());
+        }
+        if ck.model_params.len() != self.model.params().len() {
+            return Err(CheckpointMismatch(format!(
+                "checkpoint carries {} model parameters, this run expects {}",
+                ck.model_params.len(),
+                self.model.params().len()
+            ))
+            .into());
+        }
+        let start = ck.epoch_next.min(self.epochs);
+        source.replay(start)?;
+        self.model.params_mut().copy_from_slice(&ck.model_params);
+        if !self.optimizer.load_state(&ck.optimizer_state) {
+            return Err(CheckpointMismatch(
+                "checkpoint optimizer state does not match this optimizer".into(),
+            )
+            .into());
+        }
+        self.sim_clock = ck.sim_clock;
+        Ok(start)
+    }
+
+    /// Run the remaining epochs over `source`.
+    pub fn run<S: EpochSource>(
+        &mut self,
+        telemetry: &Telemetry,
+        source: &mut S,
+        mut sink: Option<EpochSink<'_, S::Error>>,
+    ) -> Result<DriverRun, S::Error> {
+        let start = self.resume(source)?;
+        let per_tuple = self.options.batch_size <= 1 && self.optimizer.name() == "sgd";
+        let mut run = DriverRun::default();
+        for epoch in start..self.epochs {
+            self.optimizer.set_epoch(epoch);
+            let mut stage = if per_tuple {
+                KernelStage::PerTuple(PerTupleTrainer::new(self.optimizer.lr(), &self.options))
+            } else {
+                KernelStage::Minibatch(MinibatchTrainer::new(
+                    self.model.num_params(),
+                    self.options.clone(),
+                ))
+            };
+            let mut compute: Vec<f64> = Vec::new();
+            let mut epoch_io = EpochIo::default();
+            let (model, optimizer) = (self.model.as_mut(), self.optimizer.as_mut());
+            let (cost, batched) = (self.compute, self.batched_dispatch);
+            let result = run_epoch_pipeline(
+                telemetry,
+                self.double_buffer,
+                |sender| {
+                    epoch_io = source.stream_epoch(epoch, &mut |fill| {
+                        let sim_seconds = fill.sim_seconds;
+                        sender.fill_and_send(fill, sim_seconds)
+                    })?;
+                    Ok(())
+                },
+                |fill: &mut Fill<S::Batch>| {
+                    if compute.len() <= fill.slot {
+                        compute.resize(fill.slot + 1, 0.0);
+                    }
+                    let charged = &mut compute[fill.slot];
+                    if batched {
+                        let flops: f64 = fill
+                            .batch
+                            .tuples()
+                            .map(|t| model.flops_per_example(t.features.nnz()))
+                            .sum();
+                        *charged += cost.seconds_batched(flops);
+                    } else {
+                        for t in fill.batch.tuples() {
+                            *charged += cost.seconds(model.flops_per_example(t.features.nnz()), 1);
+                        }
+                    }
+                    match &mut stage {
+                        KernelStage::PerTuple(pt) => pt.feed(model, fill.batch.tuples()),
+                        KernelStage::Minibatch(mb) => {
+                            for t in fill.batch.tuples() {
+                                mb.feed(model, optimizer, t);
+                            }
+                        }
+                    }
+                    true
+                },
+            );
+            match result {
+                Ok(report) => {
+                    run.pipeline.fills += report.fills;
+                    run.pipeline.batches_consumed += report.batches_consumed;
+                    run.pipeline.producer_tuple_clones += report.producer_tuple_clones;
+                    run.pipeline.stall_wall_seconds += report.stall_wall_seconds;
+                    run.pipeline.backpressure_wall_seconds += report.backpressure_wall_seconds;
+                }
+                Err(PipelineError::Producer(e)) => return Err(e),
+                Err(PipelineError::ProducerPanicked(msg)) => {
+                    panic!("epoch pipeline producer panicked: {msg}")
+                }
+            }
+            let stats = match stage {
+                KernelStage::PerTuple(pt) => pt.finish(),
+                KernelStage::Minibatch(mb) => mb.finish(model, optimizer),
+            };
+
+            // Sources whose scan reports no fills of its own account the
+            // whole epoch as one fill with zero separate loading cost.
+            let mut io = epoch_io.fill_io;
+            let slots = io.len().max(compute.len());
+            io.resize(slots, 0.0);
+            compute.resize(slots, 0.0);
+            let epoch_seconds = if self.double_buffer {
+                DoubleBufferModel::double_buffer(&io, &compute)
+            } else {
+                DoubleBufferModel::single_buffer(&io, &compute)
+            };
+            self.sim_clock += epoch_io.setup_seconds + epoch_seconds;
+            let flow = source.epoch_done(EpochOutcome {
+                epoch,
+                setup_seconds: epoch_io.setup_seconds,
+                io_seconds: io.iter().sum(),
+                compute_seconds: compute.iter().sum(),
+                epoch_seconds,
+                sim_seconds_end: self.sim_clock,
+                stats,
+                model: self.model.as_ref(),
+            });
+            if self.checkpoint_path.is_some() || sink.is_some() {
+                let ck = TrainCheckpoint {
+                    epoch_next: epoch + 1,
+                    seed: self.seed,
+                    sim_clock: self.sim_clock,
+                    model_params: self.model.params().to_vec(),
+                    optimizer_state: self.optimizer.state_bytes(),
+                };
+                if let Some(path) = &self.checkpoint_path {
+                    ck.save(path)?;
+                }
+                if let Some(sink) = sink.as_mut() {
+                    sink(&ck, stats.mean_loss)?;
+                }
+            }
+            if flow.is_break() {
+                run.halted = true;
+                break;
+            }
+        }
+        Ok(run)
+    }
+}

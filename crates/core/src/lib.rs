@@ -15,6 +15,9 @@
 //!   averaging; plus the data-order equivalence tooling behind Figure 5
 //!   and the work-stealing executor that runs block-granular fill tasks
 //!   and gradient chunks on one persistent thread pool.
+//! * [`driver`] — the one epoch loop ([`EpochDriver`]): resume → per epoch
+//!   {fills → kernel stage → simulated clock → hook → checkpoint}, shared
+//!   by the [`Trainer`] and the SQL `SGD` operator.
 //! * [`trainer`] — the end-to-end [`Trainer`]: strategy × model × optimizer
 //!   × device, producing per-epoch convergence/time records (the raw
 //!   material of every figure).
@@ -23,10 +26,12 @@
 //!
 //! [`CorgiPileConfig`]: config::CorgiPileConfig
 //! [`CorgiPileDataset`]: dataset::CorgiPileDataset
+//! [`EpochDriver`]: driver::EpochDriver
 //! [`Trainer`]: trainer::Trainer
 
 pub mod config;
 pub mod dataset;
+pub mod driver;
 pub mod loader;
 pub mod parallel;
 mod proptests;
@@ -35,11 +40,14 @@ pub mod trainer;
 
 pub use config::CorgiPileConfig;
 pub use dataset::CorgiPileDataset;
+pub use driver::{
+    CheckpointMismatch, DriverRun, EpochDriver, EpochIo, EpochOutcome, EpochSink, EpochSource,
+    Fill, TupleSeq,
+};
 pub use loader::{LoaderError, ThreadedLoader};
 pub use parallel::{
-    parallel_epoch_pipelined, parallel_epoch_plan, parallel_epoch_stealing, train_parallel,
-    train_parallel_pipelined, train_parallel_stealing, ParallelConfig, StealScope,
-    StealingExecutor,
+    parallel_epoch_plan, parallel_epoch_stealing, train_parallel, train_parallel_stealing,
+    ParallelConfig, StealScope, StealingExecutor,
 };
 pub use theory::{block_variance_factor, CorgiFactors, Theorem1Bound};
-pub use trainer::{EpochRecord, EpochSink, TrainReport, Trainer, TrainerConfig};
+pub use trainer::{EpochRecord, TrainReport, Trainer, TrainerConfig};

@@ -35,7 +35,7 @@
 
 use corgipile_data::rng::shuffle_in_place;
 use corgipile_ml::{Model, Optimizer};
-use corgipile_storage::{SimDevice, Table, Tuple, PIPELINE_SLOTS};
+use corgipile_storage::{SimDevice, Table, Tuple};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as TaskQueue};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -206,112 +206,6 @@ pub fn parallel_epoch_plan(table: &Table, cfg: &ParallelConfig, epoch: usize) ->
         merged_batches,
         io_seconds,
     }
-}
-
-/// Pipelined multi-process epoch: every worker runs its own double-buffered
-/// fill pipeline — a producer thread reading and shuffling its next local
-/// buffer while the main thread interleaves already-filled tuples into
-/// global batches and hands them to `consume` (§5's per-process loaders,
-/// overlapped with training like §6.3's write/read double buffering).
-///
-/// Global batch order is identical to [`parallel_epoch_plan`]'s
-/// `merged_batches` for the same config and epoch: the fill code, RNG
-/// streams and `batch/PN` interleave are shared, and each worker's bounded
-/// channel preserves its fill order. Returns the simulated loading seconds
-/// (max across workers, as they load in parallel).
-pub fn parallel_epoch_pipelined<F: FnMut(Vec<Tuple>)>(
-    table: &Table,
-    cfg: &ParallelConfig,
-    epoch: usize,
-    mut consume: F,
-) -> f64 {
-    let pn = cfg.workers;
-    let (parts, n_local) = worker_block_parts(table, cfg, epoch);
-    std::thread::scope(|scope| {
-        let mut rxs = Vec::with_capacity(pn);
-        let mut handles = Vec::with_capacity(pn);
-        for (w, part) in parts.into_iter().enumerate() {
-            let (tx, rx) = mpsc::sync_channel::<Vec<Tuple>>(PIPELINE_SLOTS);
-            rxs.push(rx);
-            handles.push(scope.spawn(move || {
-                let mut worker_io = 0.0f64;
-                for (fill, chunk) in part.chunks(n_local).enumerate() {
-                    let mut rng = fill_rng(cfg, w, fill, epoch);
-                    let mut dev = fill_device(cfg);
-                    let buf = fill_worker_buffer(table, chunk, &mut rng, &mut dev);
-                    worker_io += dev.stats().io_seconds;
-                    if tx.send(buf).is_err() {
-                        break; // consumer hung up early
-                    }
-                }
-                worker_io
-            }));
-        }
-
-        // Interleave batch/PN per worker, pulling each worker's next buffer
-        // only when its pending tuples run short (so producers keep filling
-        // ahead behind the bounded channels).
-        let share = (cfg.batch_size / pn).max(1);
-        let mut pending: Vec<VecDeque<Tuple>> = (0..pn).map(|_| VecDeque::new()).collect();
-        let mut open = vec![true; pn];
-        loop {
-            let mut batch = Vec::with_capacity(share * pn);
-            let mut any = false;
-            for w in 0..pn {
-                while open[w] && pending[w].len() < share {
-                    match rxs[w].recv() {
-                        Ok(buf) => pending[w].extend(buf),
-                        Err(_) => open[w] = false,
-                    }
-                }
-                let take = share.min(pending[w].len());
-                if take > 0 {
-                    batch.extend(pending[w].drain(..take));
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-            consume(batch);
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker fill thread panicked"))
-            .fold(0.0f64, f64::max)
-    })
-}
-
-/// One epoch of synchronous data-parallel training with per-worker fill
-/// pipelines: batches stream straight from [`parallel_epoch_pipelined`]
-/// into AllReduce steps, so loading overlaps training instead of
-/// materializing the whole epoch first. Bit-identical to running
-/// [`train_parallel`] over [`parallel_epoch_plan`]'s `merged_batches`.
-///
-/// Returns `(mean pre-update loss, simulated loading seconds)`.
-pub fn train_parallel_pipelined(
-    model: &mut dyn Model,
-    opt: &mut dyn Optimizer,
-    table: &Table,
-    cfg: &ParallelConfig,
-    epoch: usize,
-) -> (f64, f64) {
-    let mut loss_sum = 0.0f64;
-    let mut examples = 0usize;
-    let io_seconds = parallel_epoch_pipelined(table, cfg, epoch, |batch| {
-        let n = batch.len();
-        let mean = train_parallel(model, opt, std::slice::from_ref(&batch), cfg.workers);
-        loss_sum += mean * n as f64;
-        examples += n;
-    });
-    (
-        if examples > 0 {
-            loss_sum / examples as f64
-        } else {
-            0.0
-        },
-        io_seconds,
-    )
 }
 
 /// Synchronous data-parallel mini-batch step over `batches`: each batch is
@@ -913,72 +807,6 @@ mod tests {
         for (a, b) in m1.params().iter().zip(m3.params()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn pipelined_epoch_preserves_merged_batch_order() {
-        // The per-worker fill pipelines must interleave into exactly the
-        // batches the materialized plan produces — same ids, same grouping.
-        let t = clustered(900);
-        for workers in [1usize, 3, 4] {
-            let cfg = ParallelConfig {
-                workers,
-                batch_size: 48,
-                seed: 9,
-                ..Default::default()
-            };
-            for epoch in 0..2 {
-                let plan = parallel_epoch_plan(&t, &cfg, epoch);
-                let mut streamed: Vec<Vec<u64>> = Vec::new();
-                let io = parallel_epoch_pipelined(&t, &cfg, epoch, |batch| {
-                    streamed.push(batch.iter().map(|t| t.id).collect());
-                });
-                let planned: Vec<Vec<u64>> = plan
-                    .merged_batches
-                    .iter()
-                    .map(|b| b.iter().map(|t| t.id).collect())
-                    .collect();
-                assert_eq!(streamed, planned, "workers {workers} epoch {epoch}");
-                assert!(
-                    (io - plan.io_seconds).abs() < 1e-12,
-                    "io accounting diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_training_is_bit_identical_to_materialized() {
-        let t = clustered(600);
-        let cfg = ParallelConfig {
-            workers: 3,
-            batch_size: 30,
-            seed: 4,
-            total_buffer_fraction: 0.2,
-            ..Default::default()
-        };
-        let mut m_plan = build_model(&ModelKind::LogisticRegression, 28, 1);
-        let mut m_pipe = build_model(&ModelKind::LogisticRegression, 28, 1);
-        let mut o_plan = Sgd::new(0.1, 0.95);
-        let mut o_pipe = Sgd::new(0.1, 0.95);
-        for e in 0..3 {
-            o_plan.set_epoch(e);
-            o_pipe.set_epoch(e);
-            let plan = parallel_epoch_plan(&t, &cfg, e);
-            train_parallel(
-                m_plan.as_mut(),
-                &mut o_plan,
-                &plan.merged_batches,
-                cfg.workers,
-            );
-            let (loss, _) = train_parallel_pipelined(m_pipe.as_mut(), &mut o_pipe, &t, &cfg, e);
-            assert!(loss.is_finite());
-        }
-        assert_eq!(
-            m_plan.params(),
-            m_pipe.params(),
-            "pipelined parallel training must match the materialized plan bit-for-bit"
-        );
     }
 
     #[test]

@@ -16,18 +16,15 @@
 //! convergence/time figures.
 
 use corgipile_ml::{
-    accuracy, build_model, mean_loss, r_squared, train_minibatch, train_per_tuple,
-    ComputeCostModel, EpochStats, MinibatchTrainer, Model, ModelKind, OptimizerKind,
-    TrainCheckpoint, TrainOptions,
+    accuracy, build_model, r_squared, ComputeCostModel, Model, ModelKind, OptimizerKind,
+    TrainOptions,
 };
 use corgipile_shuffle::{build_strategy, Segment, ShuffleStrategy, StrategyKind, StrategyParams};
-use corgipile_storage::{
-    run_epoch_pipeline, DoubleBufferModel, PipelineError, SimDevice, StorageError, Table, Tuple,
-};
-
-use std::path::Path;
+use corgipile_storage::{Counter, SimDevice, StorageError, Table, Telemetry, Tuple};
+use std::ops::ControlFlow;
 
 use crate::config::CorgiPileConfig;
+use crate::driver::{EpochDriver, EpochIo, EpochOutcome, EpochSource, Fill};
 
 /// Full configuration of a training run.
 #[derive(Debug, Clone)]
@@ -182,11 +179,6 @@ impl TrainReport {
     }
 }
 
-/// Per-epoch checkpoint sink: receives the freshly-built
-/// [`TrainCheckpoint`] and the epoch's mean training loss; an `Err`
-/// aborts the run at that epoch boundary.
-pub type EpochSink<'a> = &'a mut dyn FnMut(&TrainCheckpoint, f64) -> corgipile_storage::Result<()>;
-
 /// Runs training jobs described by a [`TrainerConfig`].
 #[derive(Debug, Clone)]
 pub struct Trainer {
@@ -197,11 +189,6 @@ impl Trainer {
     /// Create a trainer.
     pub fn new(cfg: TrainerConfig) -> Self {
         Trainer { cfg }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &TrainerConfig {
-        &self.cfg
     }
 
     /// Train on `table` with no test set.
@@ -222,275 +209,130 @@ impl Trainer {
         dev: &mut SimDevice,
         seed: u64,
     ) -> corgipile_storage::Result<TrainReport> {
-        self.train_resumable(table, test, dev, seed, None, None)
-    }
-
-    /// [`Trainer::train_with_test`] with epoch-granular checkpoint/resume.
-    ///
-    /// When `checkpoint_path` is set, a [`TrainCheckpoint`] is written
-    /// atomically after every epoch. When `resume` is set, epochs
-    /// `0..resume.epoch_next` are *replayed* rather than re-trained: the
-    /// strategy's per-epoch RNG draws depend only on the seed and the table
-    /// shape, so driving it against a scratch in-memory device lands every
-    /// internal stream exactly where the checkpointed run left it, after
-    /// which the saved model parameters, optimizer state and simulated
-    /// clock are restored. A killed run resumed this way produces a
-    /// **bit-identical** final model to an uninterrupted one.
-    ///
-    /// The returned report covers only the epochs actually executed here
-    /// (`resume.epoch_next..epochs`); `sim_seconds_end` stays cumulative
-    /// across the resume because the clock is restored from the checkpoint.
-    pub fn train_resumable(
-        &self,
-        table: &Table,
-        test: &[Tuple],
-        dev: &mut SimDevice,
-        seed: u64,
-        resume: Option<&TrainCheckpoint>,
-        checkpoint_path: Option<&Path>,
-    ) -> corgipile_storage::Result<TrainReport> {
-        self.train_resumable_sink(table, test, dev, seed, resume, checkpoint_path, None)
-    }
-
-    /// [`Trainer::train_resumable`] with a per-epoch checkpoint sink,
-    /// mirroring the in-DB `SGD` operator's: `sink` receives the
-    /// freshly-built [`TrainCheckpoint`] and the epoch's mean training loss
-    /// after every epoch (alongside any `checkpoint_path` file write). An
-    /// `Err` from the sink aborts the run at that epoch boundary — the
-    /// library-layer hook for WAL-backed durable stores.
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_resumable_sink(
-        &self,
-        table: &Table,
-        test: &[Tuple],
-        dev: &mut SimDevice,
-        seed: u64,
-        resume: Option<&TrainCheckpoint>,
-        checkpoint_path: Option<&Path>,
-        mut sink: Option<EpochSink<'_>>,
-    ) -> corgipile_storage::Result<TrainReport> {
-        let dim = table.dim()?;
         let wall_start = std::time::Instant::now();
-        let mut model = build_model(&self.cfg.model, dim, seed);
-        let mut optimizer = self.cfg.optimizer.build();
-        let mut strategy: Box<dyn ShuffleStrategy> =
-            build_strategy(self.cfg.strategy, self.cfg.strategy_params(seed));
-
-        let mut sim_clock = 0.0f64;
-        let mut start_epoch = 0usize;
-        if let Some(ck) = resume {
-            if ck.seed != seed {
-                return Err(StorageError::Corrupt(format!(
-                    "checkpoint was taken under seed {}, cannot resume under seed {}",
-                    ck.seed, seed
-                )));
-            }
-            if ck.model_params.len() != model.params().len() {
-                return Err(StorageError::Corrupt(format!(
-                    "checkpoint carries {} model parameters, this run expects {}",
-                    ck.model_params.len(),
-                    model.params().len()
-                )));
-            }
-            start_epoch = ck.epoch_next.min(self.cfg.epochs);
-            let mut scratch = SimDevice::in_memory();
-            for _ in 0..start_epoch {
-                let _ = strategy.next_epoch(table, &mut scratch);
-            }
-            model.params_mut().copy_from_slice(&ck.model_params);
-            if !optimizer.load_state(&ck.optimizer_state) {
-                return Err(StorageError::Corrupt(
-                    "checkpoint optimizer state does not match this optimizer".into(),
-                ));
-            }
-            sim_clock = ck.sim_clock;
-        }
-
-        // Observability: per-epoch events + counters through the device's
-        // telemetry handle (no-ops when the handle is disabled).
-        let tel = dev.telemetry().clone();
-        let tuple_counter = tel.counter("core.trainer.tuples");
-        let epoch_counter = tel.counter("core.trainer.epochs");
-
-        let per_tuple_mode = self.cfg.train_options.batch_size <= 1
-            && matches!(
-                self.cfg.optimizer,
-                OptimizerKind::Sgd { .. } | OptimizerKind::SgdInverseTime { .. }
-            );
-
-        let mut records = Vec::with_capacity(self.cfg.epochs - start_epoch);
-        for epoch in start_epoch..self.cfg.epochs {
-            optimizer.set_epoch(epoch);
-
-            // Per-segment loading/compute costs for the pipeline model.
-            let mut io = Vec::new();
-            let mut compute = Vec::new();
-            let (setup_seconds, stats) = if self.cfg.corgipile.double_buffer {
-                // Double-buffered path: a producer thread streams buffer
-                // fills (strategy + device mutably borrowed into it for the
-                // epoch) while this thread trains on the previous fill. The
-                // producer emits exactly `next_epoch`'s segments in order,
-                // so the visit order — and therefore the final model — is
-                // bit-identical to the serial path below.
-                let mut setup_seconds = 0.0f64;
-                let mut loss_sum = 0.0f64;
-                let mut examples = 0usize;
-                let mut updates = 0usize;
-                // Mini-batches span buffer fills, exactly as a DataLoader's
-                // batches span the loader's internal buffers: the
-                // accumulator carries partial batches across segments and
-                // flushes the trailing remainder once, at epoch end.
-                let mut mb = (!per_tuple_mode).then(|| {
-                    MinibatchTrainer::new(model.num_params(), self.cfg.train_options.clone())
-                });
-                let strategy = strategy.as_mut();
-                let dev = &mut *dev;
-                let result = run_epoch_pipeline::<Segment, std::convert::Infallible, _, _>(
-                    &tel,
-                    |sender| {
-                        setup_seconds = strategy.stream_epoch(table, dev, &mut |seg| {
-                            sender.fill_and_send(move |span| {
-                                span.add_sim_seconds(seg.io_seconds);
-                                seg
-                            })
-                        });
-                        Ok(())
-                    },
-                    |seg| {
-                        io.push(seg.io_seconds);
-                        let flops: f64 = seg
-                            .tuples
-                            .first()
-                            .map(|t| model.flops_per_example(t.features.nnz()))
-                            .unwrap_or(0.0);
-                        compute.push(self.cfg.compute.seconds(flops, seg.tuples.len()));
-                        if let Some(mb) = mb.as_mut() {
-                            for t in &seg.tuples {
-                                mb.feed(model.as_mut(), optimizer.as_mut(), t);
-                            }
-                        } else {
-                            let s =
-                                train_per_tuple(model.as_mut(), optimizer.as_ref(), &seg.tuples);
-                            loss_sum += s.mean_loss * s.examples as f64;
-                            examples += s.examples;
-                            updates += s.updates;
-                        }
-                        true
-                    },
-                );
-                match result {
-                    Ok(_) => {}
-                    Err(PipelineError::Producer(e)) => match e {},
-                    Err(PipelineError::ProducerPanicked(msg)) => {
-                        panic!("epoch pipeline producer panicked: {msg}")
-                    }
-                }
-                let stats = match mb {
-                    Some(mb) => mb.finish(model.as_mut(), optimizer.as_mut()),
-                    None => EpochStats {
-                        mean_loss: if examples > 0 {
-                            loss_sum / examples as f64
-                        } else {
-                            0.0
-                        },
-                        examples,
-                        updates,
-                    },
-                };
-                (setup_seconds, stats)
-            } else {
-                let plan = strategy.next_epoch(table, dev);
-                for seg in &plan.segments {
-                    io.push(seg.io_seconds);
-                    let flops: f64 = seg
-                        .tuples
-                        .first()
-                        .map(|t| model.flops_per_example(t.features.nnz()))
-                        .unwrap_or(0.0);
-                    compute.push(self.cfg.compute.seconds(flops, seg.tuples.len()));
-                }
-                // Train over the continuous epoch stream: mini-batches span
-                // buffer fills, exactly as a DataLoader's batches span the
-                // loader's internal buffers.
-                let stream = plan.segments.iter().flat_map(|s| s.tuples.iter());
-                let stats = if per_tuple_mode {
-                    train_per_tuple(model.as_mut(), optimizer.as_ref(), stream)
-                } else {
-                    train_minibatch(
-                        model.as_mut(),
-                        optimizer.as_mut(),
-                        stream,
-                        &self.cfg.train_options,
-                    )
-                };
-                (plan.setup_seconds, stats)
-            };
-            let loss_sum = stats.mean_loss * stats.examples as f64;
-            let examples = stats.examples;
-            let epoch_seconds = if self.cfg.corgipile.double_buffer {
-                DoubleBufferModel::double_buffer(&io, &compute)
-            } else {
-                DoubleBufferModel::single_buffer(&io, &compute)
-            };
-            sim_clock += setup_seconds + epoch_seconds;
-
-            let test_metric = if test.is_empty() {
-                None
-            } else {
-                Some(evaluate(model.as_ref(), test))
-            };
-            let epoch_io: f64 = io.iter().sum();
-            let epoch_compute: f64 = compute.iter().sum();
-            let train_loss = if examples > 0 {
-                loss_sum / examples as f64
-            } else {
-                0.0
-            };
-            tuple_counter.add(examples as u64);
-            epoch_counter.inc();
-            let e = epoch as u64;
-            tel.event(e, "core.epoch.io_seconds", epoch_io);
-            tel.event(e, "core.epoch.compute_seconds", epoch_compute);
-            tel.event(e, "core.epoch.epoch_seconds", epoch_seconds);
-            tel.event(e, "core.epoch.train_loss", train_loss);
-            tel.event(e, "core.epoch.tuples", examples as f64);
-            records.push(EpochRecord {
-                epoch,
-                setup_seconds,
-                io_seconds: epoch_io,
-                compute_seconds: epoch_compute,
-                epoch_seconds,
-                sim_seconds_end: sim_clock,
-                train_loss,
-                test_metric,
-            });
-            if checkpoint_path.is_some() || sink.is_some() {
-                let ck = TrainCheckpoint {
-                    epoch_next: epoch + 1,
-                    seed,
-                    sim_clock,
-                    model_params: model.params().to_vec(),
-                    optimizer_state: optimizer.state_bytes(),
-                };
-                if let Some(path) = checkpoint_path {
-                    ck.save(path)?;
-                }
-                if let Some(sink) = sink.as_mut() {
-                    sink(&ck, train_loss)?;
-                }
-            }
-        }
-
-        let train_tuples = table.all_tuples();
-        let final_train_metric = evaluate(model.as_ref(), &train_tuples);
+        let mut driver = self.driver(table, seed)?;
+        let mut source = self.source(table, test, dev, seed);
+        driver.run(&source.tel.clone(), &mut source, None)?;
+        let final_train_metric = evaluate(driver.model.as_ref(), &table.all_tuples());
         Ok(TrainReport {
             strategy: self.cfg.strategy,
             model_kind: self.cfg.model.clone(),
-            epochs: records,
-            model,
+            epochs: source.records,
+            model: driver.model,
             final_train_metric,
             wall_seconds: wall_start.elapsed().as_secs_f64(),
         })
+    }
+
+    /// The [`EpochDriver`] this configuration describes: model, optimizer,
+    /// options, per-tuple dispatch costs, `seed` stamped into checkpoints.
+    fn driver(&self, table: &Table, seed: u64) -> corgipile_storage::Result<EpochDriver> {
+        let mut driver = EpochDriver::new(
+            build_model(&self.cfg.model, table.dim()?, seed),
+            self.cfg.optimizer.build(),
+            self.cfg.train_options.clone(),
+            self.cfg.compute,
+            self.cfg.epochs,
+            self.cfg.corgipile.double_buffer,
+        );
+        driver.seed = seed;
+        Ok(driver)
+    }
+
+    /// The configured shuffle strategy over `table`, as an epoch source.
+    fn source<'a>(
+        &self,
+        table: &'a Table,
+        test: &'a [Tuple],
+        dev: &'a mut SimDevice,
+        seed: u64,
+    ) -> StrategySource<'a> {
+        // Observability: per-epoch events + counters through the device's
+        // telemetry handle (no-ops when the handle is disabled).
+        let tel = dev.telemetry().clone();
+        StrategySource {
+            strategy: build_strategy(self.cfg.strategy, self.cfg.strategy_params(seed)),
+            table,
+            test,
+            dev,
+            tuple_counter: tel.counter("core.trainer.tuples"),
+            epoch_counter: tel.counter("core.trainer.epochs"),
+            tel,
+            records: Vec::new(),
+        }
+    }
+}
+
+/// A [`ShuffleStrategy`] over a heap table as the driver's fill source:
+/// one fill per [`Segment`], in `next_epoch` order.
+struct StrategySource<'a> {
+    strategy: Box<dyn ShuffleStrategy>,
+    table: &'a Table,
+    test: &'a [Tuple],
+    dev: &'a mut SimDevice,
+    tel: Telemetry,
+    tuple_counter: Counter,
+    epoch_counter: Counter,
+    records: Vec<EpochRecord>,
+}
+
+impl EpochSource for StrategySource<'_> {
+    type Batch = Vec<Tuple>;
+    type Error = StorageError;
+
+    fn replay(&mut self, epochs: usize) -> Result<(), StorageError> {
+        let mut scratch = SimDevice::in_memory();
+        for _ in 0..epochs {
+            let _ = self.strategy.next_epoch(self.table, &mut scratch);
+        }
+        Ok(())
+    }
+
+    fn stream_epoch(
+        &mut self,
+        _epoch: usize,
+        emit: &mut dyn FnMut(&mut Fill<Vec<Tuple>>) -> bool,
+    ) -> Result<EpochIo, StorageError> {
+        let mut fill_io = Vec::new();
+        let setup_seconds =
+            self.strategy
+                .stream_epoch(self.table, self.dev, &mut |seg: Segment| {
+                    let mut fill = Fill {
+                        batch: seg.tuples,
+                        slot: fill_io.len(),
+                        sim_seconds: seg.io_seconds,
+                    };
+                    fill_io.push(seg.io_seconds);
+                    emit(&mut fill)
+                });
+        Ok(EpochIo {
+            setup_seconds,
+            fill_io,
+        })
+    }
+
+    fn epoch_done(&mut self, done: EpochOutcome<'_>) -> ControlFlow<()> {
+        let test_metric = (!self.test.is_empty()).then(|| evaluate(done.model, self.test));
+        self.tuple_counter.add(done.stats.examples as u64);
+        self.epoch_counter.inc();
+        let e = done.epoch as u64;
+        let event = |name, value| self.tel.event(e, name, value);
+        event("core.epoch.io_seconds", done.io_seconds);
+        event("core.epoch.compute_seconds", done.compute_seconds);
+        event("core.epoch.epoch_seconds", done.epoch_seconds);
+        event("core.epoch.train_loss", done.stats.mean_loss);
+        event("core.epoch.tuples", done.stats.examples as f64);
+        self.records.push(EpochRecord {
+            epoch: done.epoch,
+            setup_seconds: done.setup_seconds,
+            io_seconds: done.io_seconds,
+            compute_seconds: done.compute_seconds,
+            epoch_seconds: done.epoch_seconds,
+            sim_seconds_end: done.sim_seconds_end,
+            train_loss: done.stats.mean_loss,
+            test_metric,
+        });
+        ControlFlow::Continue(())
     }
 }
 
@@ -501,11 +343,6 @@ pub fn evaluate(model: &dyn Model, tuples: &[Tuple]) -> f64 {
     } else {
         r_squared(model, tuples)
     }
-}
-
-/// Mean loss helper re-exported for reports.
-pub fn evaluate_loss(model: &dyn Model, tuples: &[Tuple]) -> f64 {
-    mean_loss(model, tuples)
 }
 
 /// Grid-search the initial learning rate (paper §7.1.3: {0.1, 0.01, 0.001})
@@ -549,6 +386,7 @@ pub fn grid_search_lr(
 mod tests {
     use super::*;
     use corgipile_data::{DatasetSpec, Order};
+    use corgipile_ml::TrainCheckpoint;
 
     /// Laptop-scale experiments keep the paper's seek-to-transfer ratio by
     /// scaling the device latency with the dataset (DESIGN.md §4).
@@ -833,6 +671,25 @@ mod tests {
         assert!([0.1f32, 0.01, 0.001].contains(&lr));
     }
 
+    /// Drive `cfg` through the same driver + source [`Trainer::train`]
+    /// assembles, with the driver's checkpoint/resume fields set by
+    /// `setup` and an optional per-epoch sink.
+    fn drive(
+        cfg: &TrainerConfig,
+        table: &Table,
+        seed: u64,
+        setup: impl FnOnce(&mut EpochDriver),
+        sink: Option<crate::driver::EpochSink<'_, StorageError>>,
+    ) -> corgipile_storage::Result<(Vec<EpochRecord>, Vec<f32>)> {
+        let trainer = Trainer::new(cfg.clone());
+        let mut driver = trainer.driver(table, seed)?;
+        setup(&mut driver);
+        let mut dev = SimDevice::hdd(0);
+        let mut source = trainer.source(table, &[], &mut dev, seed);
+        driver.run(&Telemetry::disabled(), &mut source, sink)?;
+        Ok((source.records, driver.model.params().to_vec()))
+    }
+
     /// Simulate a crash after `split` of `epochs` epochs and resume from the
     /// checkpoint; return (interrupted final params, straight final params).
     fn crash_and_resume(
@@ -852,32 +709,38 @@ mod tests {
         // Phase 1: run `split` epochs, checkpointing each, then "crash".
         let mut partial_cfg = cfg.clone();
         partial_cfg.epochs = split;
-        Trainer::new(partial_cfg)
-            .train_resumable(table, &[], &mut SimDevice::hdd(0), seed, None, Some(&path))
-            .unwrap();
+        drive(
+            &partial_cfg,
+            table,
+            seed,
+            |d| d.checkpoint_path = Some(path.clone()),
+            None,
+        )
+        .unwrap();
         // Phase 2: a fresh process loads the checkpoint and resumes.
         let ck = TrainCheckpoint::load(&path).unwrap();
         assert_eq!(ck.epoch_next, split);
-        let resumed = Trainer::new(cfg.clone())
-            .train_resumable(
-                table,
-                &[],
-                &mut SimDevice::hdd(0),
-                seed,
-                Some(&ck),
-                Some(&path),
-            )
-            .unwrap();
-        assert_eq!(resumed.epochs.len(), epochs - split);
+        let (resumed, resumed_params) = drive(
+            &cfg,
+            table,
+            seed,
+            |d| {
+                d.resume_from = Some(ck);
+                d.checkpoint_path = Some(path.clone());
+            },
+            None,
+        )
+        .unwrap();
+        assert_eq!(resumed.len(), epochs - split);
         // Reference: the uninterrupted run.
         let straight = Trainer::new(cfg)
-            .train_with_test(table, &[], &mut SimDevice::hdd(0), seed)
+            .train(table, &mut SimDevice::hdd(0), seed)
             .unwrap();
         std::fs::remove_file(path).ok();
         (
-            resumed.model.params().to_vec(),
+            resumed_params,
             straight.model.params().to_vec(),
-            resumed.total_sim_seconds(),
+            resumed.last().unwrap().sim_seconds_end,
             straight.total_sim_seconds(),
         )
     }
@@ -894,45 +757,22 @@ mod tests {
             seen.push((ck.epoch_next, ck.model_params.len()));
             Ok(())
         };
-        let r = Trainer::new(cfg.clone())
-            .train_resumable_sink(
-                &table,
-                &[],
-                &mut SimDevice::hdd(0),
-                7,
-                None,
-                None,
-                Some(&mut sink),
-            )
-            .unwrap();
-        let nparams = r.model.params().len();
+        let (_, params) = drive(&cfg, &table, 7, |_| {}, Some(&mut sink)).unwrap();
+        let nparams = params.len();
         assert_eq!(seen, vec![(1, nparams), (2, nparams), (3, nparams)]);
         // An erroring sink aborts the run at that epoch boundary, the way
         // an injected WAL crash would kill a durable training query.
         let mut fail = |ck: &TrainCheckpoint, _loss: f64| {
             if ck.epoch_next == 2 {
-                Err(corgipile_storage::StorageError::Crashed {
+                Err(StorageError::Crashed {
                     site: "wal.after_fsync".into(),
                 })
             } else {
                 Ok(())
             }
         };
-        let err = Trainer::new(cfg)
-            .train_resumable_sink(
-                &table,
-                &[],
-                &mut SimDevice::hdd(0),
-                7,
-                None,
-                None,
-                Some(&mut fail),
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            corgipile_storage::StorageError::Crashed { .. }
-        ));
+        let err = drive(&cfg, &table, 7, |_| {}, Some(&mut fail)).unwrap_err();
+        assert!(matches!(err, StorageError::Crashed { .. }));
     }
 
     #[test]
@@ -969,35 +809,22 @@ mod tests {
         let cfg = TrainerConfig::new(ModelKind::Svm, 2);
         let path =
             std::env::temp_dir().join(format!("corgi_resume_reject_{}.ckpt", std::process::id()));
-        Trainer::new(cfg.clone())
-            .train_resumable(
-                &table,
-                &[],
-                &mut SimDevice::in_memory(),
-                7,
-                None,
-                Some(&path),
-            )
-            .unwrap();
+        drive(
+            &cfg,
+            &table,
+            7,
+            |d| d.checkpoint_path = Some(path.clone()),
+            None,
+        )
+        .unwrap();
         let ck = TrainCheckpoint::load(&path).unwrap();
         // Wrong seed: the replayed RNG streams would diverge — refuse.
-        let err = Trainer::new(cfg.clone())
-            .train_resumable(&table, &[], &mut SimDevice::in_memory(), 8, Some(&ck), None)
-            .unwrap_err();
+        let err = drive(&cfg, &table, 8, |d| d.resume_from = Some(ck.clone()), None).unwrap_err();
         assert!(err.to_string().contains("seed"), "unexpected error: {err}");
         // Wrong model shape: parameter count differs — refuse.
         let mut bad = ck.clone();
         bad.model_params.push(0.0);
-        let err = Trainer::new(cfg)
-            .train_resumable(
-                &table,
-                &[],
-                &mut SimDevice::in_memory(),
-                7,
-                Some(&bad),
-                None,
-            )
-            .unwrap_err();
+        let err = drive(&cfg, &table, 7, |d| d.resume_from = Some(bad), None).unwrap_err();
         assert!(
             err.to_string().contains("parameters"),
             "unexpected error: {err}"
@@ -1011,24 +838,46 @@ mod tests {
         let cfg = TrainerConfig::new(ModelKind::Svm, 3);
         let path =
             std::env::temp_dir().join(format!("corgi_resume_noop_{}.ckpt", std::process::id()));
-        let full = Trainer::new(cfg.clone())
-            .train_resumable(
-                &table,
-                &[],
-                &mut SimDevice::in_memory(),
-                5,
-                None,
-                Some(&path),
-            )
-            .unwrap();
+        let (_, full) = drive(
+            &cfg,
+            &table,
+            5,
+            |d| d.checkpoint_path = Some(path.clone()),
+            None,
+        )
+        .unwrap();
         let ck = TrainCheckpoint::load(&path).unwrap();
         assert_eq!(ck.epoch_next, 3);
-        let resumed = Trainer::new(cfg)
-            .train_resumable(&table, &[], &mut SimDevice::in_memory(), 5, Some(&ck), None)
-            .unwrap();
-        assert!(resumed.epochs.is_empty(), "nothing left to train");
-        assert_eq!(resumed.model.params(), full.model.params());
+        let (resumed, params) = drive(&cfg, &table, 5, |d| d.resume_from = Some(ck), None).unwrap();
+        assert!(resumed.is_empty(), "nothing left to train");
+        assert_eq!(params, full);
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn l2_regularizes_per_tuple_sgd_and_zero_skips_the_decay() {
+        // `train_options.l2` used to be dropped at batch_size = 1.
+        let (table, _) = clustered_higgs(1200);
+        let run = |l2: Option<f32>| {
+            let mut cfg = TrainerConfig::new(ModelKind::LogisticRegression, 3);
+            if let Some(l2) = l2 {
+                cfg.train_options = TrainOptions::default().with_l2(l2);
+            }
+            let r = Trainer::new(cfg)
+                .train(&table, &mut SimDevice::hdd(0), 3)
+                .unwrap();
+            r.model.params().to_vec()
+        };
+        let norm = |w: &[f32]| w.iter().map(|p| p * p).sum::<f32>();
+        let (plain, zero, reg) = (run(None), run(Some(0.0)), run(Some(0.5)));
+        assert_eq!(plain, zero, "l2 = 0 must not touch the weights");
+        assert_ne!(plain, reg);
+        assert!(
+            norm(&reg) < norm(&plain),
+            "{} !< {}",
+            norm(&reg),
+            norm(&plain)
+        );
     }
 
     proptest::proptest! {

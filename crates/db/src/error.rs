@@ -55,6 +55,12 @@ impl From<StorageError> for DbError {
     }
 }
 
+impl From<corgipile_core::CheckpointMismatch> for DbError {
+    fn from(e: corgipile_core::CheckpointMismatch) -> Self {
+        DbError::Checkpoint(e.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,20 +21,20 @@
 //!   inner plan) to reshuffle and re-read for the next epoch.
 
 use crate::error::DbError;
+use crate::plan::feature_list;
 use crate::sql::Predicate;
+use corgipile_core::trainer::evaluate;
+use corgipile_core::{EpochDriver, EpochIo, EpochOutcome, EpochSink, EpochSource, Fill};
 use corgipile_data::rng::shuffle_in_place;
-use corgipile_ml::{
-    train_minibatch, ComputeCostModel, Model, Optimizer, TrainCheckpoint, TrainOptions,
-};
+use corgipile_ml::{ComputeCostModel, Model, Optimizer, TrainCheckpoint, TrainOptions};
 use corgipile_shuffle::{BlockReversalShuffle, StrategyParams};
 use corgipile_storage::{
-    block_refs, run_epoch_pipeline, Counter, DeviceHandle, DoubleBufferModel, PipelineError,
-    PipelineReport, PoolHandle, RetryPolicy, SimDevice, Table, Telemetry, Tuple, TupleBatch,
-    TupleRef,
+    block_refs, Counter, DeviceHandle, PipelineReport, PoolHandle, RetryPolicy, SimDevice, Table,
+    Telemetry, Tuple, TupleBatch, TupleRef,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// What the executor does when a block read fails even after retries.
@@ -93,13 +93,6 @@ impl<'a> ExecContext<'a> {
             skipped_blocks: Vec::new(),
             telemetry,
         }
-    }
-
-    /// Create a context with a buffer-pool handle (`shared_buffers`).
-    pub fn with_pool(dev: &'a mut DeviceHandle, pool: &'a mut PoolHandle) -> Self {
-        let mut ctx = ExecContext::new(dev);
-        ctx.pool = Some(pool);
-        ctx
     }
 }
 
@@ -217,17 +210,6 @@ impl OpStats {
         }
         lines
     }
-
-    /// Fraction of evaluated tuples that passed this node's predicate
-    /// (1.0 when nothing was filtered).
-    pub fn selectivity(&self) -> f64 {
-        let seen = self.rows + self.rows_filtered;
-        if seen == 0 {
-            1.0
-        } else {
-            self.rows as f64 / seen as f64
-        }
-    }
 }
 
 /// SplitMix64 finalizer: a bijective avalanche mix on `u64`. Used to derive
@@ -251,35 +233,13 @@ pub(crate) fn project_tuple(t: &Tuple, cols: &[usize]) -> Tuple {
     )
 }
 
-/// Compatibility-shim state backing the default [`PhysicalOperator::next`]
-/// and [`PhysicalOperator::next_ref`] implementations: the most recent
-/// batch pulled via [`PhysicalOperator::next_batch`] plus a read position.
-/// Every operator owns one and exposes it through
-/// [`PhysicalOperator::cursor`]; batch-native callers never touch it.
-#[derive(Debug, Default)]
-pub struct BatchCursor {
-    batch: TupleBatch,
-    pos: usize,
-}
-
-impl BatchCursor {
-    /// Drop any unread refs and reset the read position (keeps capacity).
-    pub fn reset(&mut self) {
-        self.batch.clear();
-        self.pos = 0;
-    }
-}
-
 /// A pull-based physical operator, batch-at-a-time.
 ///
 /// The primary interface is [`PhysicalOperator::next_batch`]: the caller
 /// hands down a reusable [`TupleBatch`] and the operator refills it with
 /// the next run of zero-copy [`TupleRef`]s, so the steady-state inner loop
 /// makes **one virtual call per batch** instead of one per tuple (and,
-/// once capacities are warm, zero allocations). The tuple-at-a-time
-/// `next`/`next_ref` methods survive as thin compatibility shims draining
-/// a [`BatchCursor`]; do not interleave them with direct `next_batch`
-/// calls within one pass — the cursor may hold undrained refs.
+/// once capacities are warm, zero allocations).
 ///
 /// `Send` is a supertrait so a boxed plan can be mutably borrowed into the
 /// producer thread of the double-buffered pipeline (see
@@ -307,36 +267,6 @@ pub trait PhysicalOperator: Send {
     /// bit-identical pushdown. Default: one `next_batch` per call.
     fn next_block(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
         self.next_batch(ctx, out)
-    }
-    /// The operator's compatibility-shim cursor (state for the default
-    /// `next`/`next_ref`). Must be reset on `init` and `rescan`.
-    fn cursor(&mut self) -> &mut BatchCursor;
-    /// Tuple-at-a-time compatibility shim over [`PhysicalOperator::next_batch`]:
-    /// drains the cursor's current batch one zero-copy ref at a time,
-    /// pulling the next batch when it runs dry.
-    fn next_ref(&mut self, ctx: &mut ExecContext) -> Result<Option<TupleRef>, DbError> {
-        loop {
-            let cur = self.cursor();
-            if cur.pos < cur.batch.len() {
-                let r = cur.batch[cur.pos].clone();
-                cur.pos += 1;
-                return Ok(Some(r));
-            }
-            // Take the batch out of the cursor so `self` is free for the
-            // `next_batch` call, then put it back (keeping its capacity).
-            let mut batch = std::mem::take(&mut self.cursor().batch);
-            let more = self.next_batch(ctx, &mut batch)?;
-            let cur = self.cursor();
-            cur.batch = batch;
-            cur.pos = 0;
-            if !more {
-                return Ok(None);
-            }
-        }
-    }
-    /// Materializing compatibility shim: one cloned [`Tuple`] per call.
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Tuple>, DbError> {
-        Ok(self.next_ref(ctx)?.map(|r| r.tuple().clone()))
     }
     /// Reset for another pass (PostgreSQL `ExecReScan*`); block orders are
     /// re-randomized.
@@ -381,7 +311,6 @@ pub struct BlockShuffleOp {
     projection: Option<Vec<usize>>,
     shared_scan: bool,
     initialized: bool,
-    shim: BatchCursor,
     actuals: OpStats,
 }
 
@@ -400,7 +329,6 @@ impl BlockShuffleOp {
             projection: None,
             shared_scan: false,
             initialized: false,
-            shim: BatchCursor::default(),
             actuals: OpStats::default(),
         }
     }
@@ -425,11 +353,6 @@ impl BlockShuffleOp {
     pub fn with_shared_scan(mut self, shared_scan: bool) -> Self {
         self.shared_scan = shared_scan;
         self
-    }
-
-    /// The underlying table.
-    pub fn table(&self) -> &Table {
-        &self.table
     }
 
     fn reshuffle(&mut self) {
@@ -579,7 +502,6 @@ impl PhysicalOperator for BlockShuffleOp {
         self.epoch = 0;
         self.reshuffle();
         self.initialized = true;
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
@@ -614,19 +536,13 @@ impl PhysicalOperator for BlockShuffleOp {
         Ok(true)
     }
 
-    fn cursor(&mut self) -> &mut BatchCursor {
-        &mut self.shim
-    }
-
     fn rescan(&mut self, _ctx: &mut ExecContext) {
         self.reshuffle();
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
     fn close(&mut self, _ctx: &mut ExecContext) {
         self.order.clear();
-        self.shim.reset();
         self.initialized = false;
     }
 
@@ -639,15 +555,7 @@ impl PhysicalOperator for BlockShuffleOp {
         };
         stats.depth = depth;
         stats.predicate = self.predicate.as_ref().map(|p| p.to_string());
-        stats.projection = self.projection.as_ref().map(|cols| {
-            let mut s = cols
-                .iter()
-                .map(|i| format!("f{i}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            s.push_str(", label");
-            s
-        });
+        stats.projection = self.projection.as_deref().map(feature_list);
         out.push(stats);
     }
 }
@@ -674,7 +582,6 @@ pub struct TupleShuffleOp {
     /// Persistent sort scratch for the keyed in-buffer shuffle.
     keyed: Vec<(u64, TupleRef)>,
     exhausted: bool,
-    shim: BatchCursor,
     actuals: OpStats,
 }
 
@@ -697,7 +604,6 @@ impl TupleShuffleOp {
             fetch: TupleBatch::new(),
             keyed: Vec::new(),
             exhausted: false,
-            shim: BatchCursor::default(),
             actuals: OpStats::default(),
         }
     }
@@ -773,7 +679,6 @@ impl PhysicalOperator for TupleShuffleOp {
         self.epoch = 0;
         self.buffer.clear();
         self.exhausted = false;
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
@@ -798,23 +703,17 @@ impl PhysicalOperator for TupleShuffleOp {
         Ok(true)
     }
 
-    fn cursor(&mut self) -> &mut BatchCursor {
-        &mut self.shim
-    }
-
     fn rescan(&mut self, ctx: &mut ExecContext) {
         self.child.rescan(ctx);
         self.epoch += 1;
         self.buffer.clear();
         self.exhausted = false;
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
     fn close(&mut self, ctx: &mut ExecContext) {
         self.child.close(ctx);
         self.buffer.clear();
-        self.shim.reset();
     }
 
     fn collect_stats(&self, depth: usize, out: &mut Vec<OpStats>) {
@@ -834,7 +733,6 @@ pub struct FilterOp {
     child: Box<dyn PhysicalOperator>,
     predicate: Predicate,
     scratch: TupleBatch,
-    shim: BatchCursor,
     actuals: OpStats,
 }
 
@@ -845,7 +743,6 @@ impl FilterOp {
             child,
             predicate,
             scratch: TupleBatch::new(),
-            shim: BatchCursor::default(),
             actuals: OpStats::default(),
         }
     }
@@ -858,7 +755,6 @@ impl PhysicalOperator for FilterOp {
 
     fn init(&mut self, ctx: &mut ExecContext) {
         self.child.init(ctx);
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
@@ -884,19 +780,13 @@ impl PhysicalOperator for FilterOp {
         }
     }
 
-    fn cursor(&mut self) -> &mut BatchCursor {
-        &mut self.shim
-    }
-
     fn rescan(&mut self, ctx: &mut ExecContext) {
         self.child.rescan(ctx);
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
     fn close(&mut self, ctx: &mut ExecContext) {
         self.child.close(ctx);
-        self.shim.reset();
     }
 
     fn collect_stats(&self, depth: usize, out: &mut Vec<OpStats>) {
@@ -916,7 +806,6 @@ pub struct ProjectOp {
     child: Box<dyn PhysicalOperator>,
     columns: Vec<usize>,
     scratch: TupleBatch,
-    shim: BatchCursor,
     actuals: OpStats,
 }
 
@@ -927,20 +816,8 @@ impl ProjectOp {
             child,
             columns,
             scratch: TupleBatch::new(),
-            shim: BatchCursor::default(),
             actuals: OpStats::default(),
         }
-    }
-
-    fn output_desc(&self) -> String {
-        let mut s = self
-            .columns
-            .iter()
-            .map(|i| format!("f{i}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        s.push_str(", label");
-        s
     }
 }
 
@@ -951,7 +828,6 @@ impl PhysicalOperator for ProjectOp {
 
     fn init(&mut self, ctx: &mut ExecContext) {
         self.child.init(ctx);
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
@@ -974,26 +850,20 @@ impl PhysicalOperator for ProjectOp {
         Ok(true)
     }
 
-    fn cursor(&mut self) -> &mut BatchCursor {
-        &mut self.shim
-    }
-
     fn rescan(&mut self, ctx: &mut ExecContext) {
         self.child.rescan(ctx);
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
     fn close(&mut self, ctx: &mut ExecContext) {
         self.child.close(ctx);
-        self.shim.reset();
     }
 
     fn collect_stats(&self, depth: usize, out: &mut Vec<OpStats>) {
         let mut stats = self.actuals.clone();
         stats.name = self.name().to_string();
         stats.depth = depth;
-        stats.projection = Some(self.output_desc());
+        stats.projection = Some(feature_list(&self.columns));
         out.push(stats);
         self.child.collect_stats(depth + 1, out);
     }
@@ -1083,7 +953,6 @@ pub struct FusedPipelineOp {
     post: PostStage,
     label: String,
     scratch: TupleBatch,
-    shim: BatchCursor,
     batch_ctr: Counter,
     tuple_ctr: Counter,
     actuals: OpStats,
@@ -1100,16 +969,10 @@ impl FusedPipelineOp {
             post,
             label: label.into(),
             scratch: TupleBatch::new(),
-            shim: BatchCursor::default(),
             batch_ctr: disabled.counter("db.exec.batches"),
             tuple_ctr: disabled.counter("db.exec.fused_tuples"),
             actuals: OpStats::default(),
         }
-    }
-
-    /// The fused stage chain, e.g. `scan→filter→shuffle→sgd`.
-    pub fn label(&self) -> &str {
-        &self.label
     }
 
     fn apply_post(
@@ -1171,7 +1034,6 @@ impl PhysicalOperator for FusedPipelineOp {
         self.batch_ctr = ctx.telemetry.counter("db.exec.batches");
         self.tuple_ctr = ctx.telemetry.counter("db.exec.fused_tuples");
         self.source.init(ctx);
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
@@ -1225,19 +1087,13 @@ impl PhysicalOperator for FusedPipelineOp {
         Ok(true)
     }
 
-    fn cursor(&mut self) -> &mut BatchCursor {
-        &mut self.shim
-    }
-
     fn rescan(&mut self, ctx: &mut ExecContext) {
         self.source.rescan(ctx);
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
     fn close(&mut self, ctx: &mut ExecContext) {
         self.source.close(ctx);
-        self.shim.reset();
     }
 
     fn collect_stats(&self, depth: usize, out: &mut Vec<OpStats>) {
@@ -1271,13 +1127,7 @@ impl PhysicalOperator for FusedPipelineOp {
                 if let PostStage::FilterProject(p, _) = &self.post {
                     stats.predicate = Some(p.to_string());
                 }
-                let mut s = cols
-                    .iter()
-                    .map(|i| format!("f{i}"))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                s.push_str(", label");
-                stats.projection = Some(s);
+                stats.projection = Some(feature_list(cols));
             }
             PostStage::None => {}
         }
@@ -1348,36 +1198,25 @@ impl std::fmt::Debug for SgdRunResult {
 pub type CheckpointSink = Box<dyn FnMut(&TrainCheckpoint, f64) -> Result<(), DbError>>;
 
 /// The `SGD` operator: the root of the training plan.
+///
+/// A thin adapter: the epoch loop itself is [`EpochDriver`], shared with
+/// the library trainer. This operator hands its child pipeline to the
+/// driver as the fill source (one fill per `next_batch`, `rescan` between
+/// epochs — PostgreSQL's re-scan mechanism, §6.2) and turns the driver's
+/// per-epoch outcomes into [`DbEpochRecord`]s and `EXPLAIN ANALYZE`
+/// actuals.
 pub struct SgdOperator {
     child: Box<dyn PhysicalOperator>,
-    model: Box<dyn Model>,
-    optimizer: Box<dyn Optimizer>,
-    options: TrainOptions,
-    compute: ComputeCostModel,
-    epochs: usize,
-    double_buffer: bool,
-    /// Fused-pipeline accounting: charge the per-tuple invocation overhead
-    /// once per batch ([`ComputeCostModel::seconds_batched`]) and train
-    /// through the batched kernel ([`Model::sgd_batch`]). The tuple stream
-    /// and every model update are bit-identical to the interpreted path —
-    /// only the simulated compute clock (and the real inner loop) change.
-    pub fused: bool,
-    /// Extra one-off cost charged before epoch 0 (e.g. a baseline's
-    /// pre-shuffle), for bookkeeping parity with the library trainer.
-    pub setup_seconds: f64,
+    /// The epoch driver: model, optimizer, options, double buffering and
+    /// the checkpoint/resume wiring (`seed`, `resume_from`,
+    /// `checkpoint_path`). Fused plans set `batched_dispatch`; a one-off
+    /// setup cost (a baseline's pre-shuffle) starts `sim_clock`.
+    pub driver: EpochDriver,
     /// Evaluate the training metric over these tuples after each epoch
     /// (§6's per-epoch accuracy output; costs one extra pass per epoch).
     /// The planner passes the training view — table tuples after any
     /// `WHERE` filter and projection — so metrics match what SGD saw.
     pub eval_each_epoch: Option<Arc<Vec<Tuple>>>,
-    /// Write a [`TrainCheckpoint`] here (atomically) after every epoch.
-    pub checkpoint_path: Option<PathBuf>,
-    /// Resume from this checkpoint: completed epochs are replayed against a
-    /// scratch device to restore the operators' RNG streams, then model
-    /// parameters, optimizer state and clock are restored from the blob.
-    pub resume_from: Option<TrainCheckpoint>,
-    /// Seed stamped into checkpoints and validated on resume.
-    pub checkpoint_seed: u64,
     /// Stop after this epoch completes (0-based) — a deterministic
     /// simulated crash for exercising resume.
     pub halt_after_epoch: Option<usize>,
@@ -1399,18 +1238,8 @@ impl SgdOperator {
     ) -> Self {
         SgdOperator {
             child,
-            model,
-            optimizer,
-            options,
-            compute,
-            epochs,
-            double_buffer,
-            fused: false,
-            setup_seconds: 0.0,
+            driver: EpochDriver::new(model, optimizer, options, compute, epochs, double_buffer),
             eval_each_epoch: None,
-            checkpoint_path: None,
-            resume_from: None,
-            checkpoint_seed: 0,
             halt_after_epoch: None,
             checkpoint_sink: None,
         }
@@ -1419,334 +1248,32 @@ impl SgdOperator {
     /// Run all epochs (ExecInitSGD + ExecSGD + re-scans, §6.2).
     pub fn execute(mut self, ctx: &mut ExecContext) -> Result<SgdRunResult, DbError> {
         let tel = ctx.telemetry.clone();
-        let step_counter = tel.counter("db.sgd.gradient_steps");
         self.child.init(ctx);
-        let mut records = Vec::with_capacity(self.epochs);
-        let mut total_io = 0.0f64;
-        let mut total_compute = 0.0f64;
-        let mut total_epoch_seconds = 0.0f64;
-        let mut total_tuples = 0u64;
-        let mut epochs_run = 0u64;
-        let mut sim_clock = self.setup_seconds;
-        let mut start_epoch = 0usize;
-        let mut halted = false;
-        if let Some(ck) = self.resume_from.take() {
-            if ck.seed != self.checkpoint_seed {
-                return Err(DbError::Checkpoint(format!(
-                    "checkpoint was taken under seed {}, cannot resume under seed {}",
-                    ck.seed, self.checkpoint_seed
-                )));
-            }
-            if ck.model_params.len() != self.model.params().len() {
-                return Err(DbError::Checkpoint(format!(
-                    "checkpoint carries {} model parameters, this plan expects {}",
-                    ck.model_params.len(),
-                    self.model.params().len()
-                )));
-            }
-            start_epoch = ck.epoch_next.min(self.epochs);
-            // Replay the completed epochs against a scratch in-memory
-            // device: the operators' shuffle orders depend only on their
-            // seeds and the table shape, so this lands every RNG stream
-            // exactly where the checkpointed run left it, without touching
-            // the real device or the real clock.
-            let mut scratch_dev = DeviceHandle::private(SimDevice::in_memory());
-            let mut scratch = ExecContext::new(&mut scratch_dev);
-            let mut replay = TupleBatch::new();
-            for epoch in 0..start_epoch {
-                if epoch > 0 {
-                    self.child.rescan(&mut scratch);
-                }
-                while self.child.next_batch(&mut scratch, &mut replay)? {}
-            }
-            self.model.params_mut().copy_from_slice(&ck.model_params);
-            if !self.optimizer.load_state(&ck.optimizer_state) {
-                return Err(DbError::Checkpoint(
-                    "checkpoint optimizer state does not match this optimizer".into(),
-                ));
-            }
-            sim_clock = ck.sim_clock;
-        }
-        let per_tuple_mode = self.options.batch_size <= 1 && self.optimizer.name() == "sgd";
-        let fused = self.fused;
-        let mut pipeline_total = PipelineReport::default();
-        // Serial-path batch, reused (capacity-preserving) across pulls and
-        // epochs: after the first epoch warms it, the steady-state drain
-        // performs zero allocations.
-        let mut serial_batch = TupleBatch::new();
-        for epoch in start_epoch..self.epochs {
-            if epoch > 0 {
-                ctx.fill_io.clear();
-                ctx.skipped_blocks.clear();
-                self.child.rescan(ctx);
-            }
-            self.optimizer.set_epoch(epoch);
-            let mut fill_compute: Vec<f64> = Vec::new();
-            let mut pending: Vec<TupleRef> = Vec::new();
-            let mut loss_sum = 0.0f64;
-            let mut tuples = 0usize;
-            let mut gradient_steps = 0u64;
+        let mut source = PlanSource {
+            child: &mut self.child,
+            ctx,
+            eval: self.eval_each_epoch.take(),
+            halt_after_epoch: self.halt_after_epoch,
+            step_counter: tel.counter("db.sgd.gradient_steps"),
+            tel: tel.clone(),
+            records: Vec::with_capacity(self.driver.epochs),
+        };
+        let run = self.driver.run(
+            &tel,
+            &mut source,
+            self.checkpoint_sink
+                .as_mut()
+                .map(|s| s.as_mut() as EpochSink<'_, DbError>),
+        )?;
+        let records = source.records;
 
-            // One SGD update over `batch` (averaged gradients), attributing
-            // its compute cost to fill `$fill_idx`. The cost model's FLOP
-            // count comes from the flush-triggering tuple (the last pushed)
-            // for in-stream flushes, from the first pending tuple for the
-            // trailing partial batch.
-            macro_rules! flush_minibatch {
-                ($batch:expr, $fill_idx:expr, $last:expr, $model:expr, $optimizer:expr) => {{
-                    let batch = &mut *$batch;
-                    let bi = if $last { batch.len() - 1 } else { 0 };
-                    let flops = $model.flops_per_example(batch[bi].features.nnz());
-                    let stats = train_minibatch(
-                        $model.as_mut(),
-                        $optimizer.as_mut(),
-                        batch.iter().map(|r| r.tuple()),
-                        &self.options,
-                    );
-                    loss_sum += stats.mean_loss * stats.examples as f64;
-                    gradient_steps += 1;
-                    // Fused pipelines pay the invocation overhead once per
-                    // mini-batch; the interpreted tree pays it per tuple.
-                    fill_compute[$fill_idx] += if fused {
-                        self.compute.seconds_batched(flops * batch.len() as f64)
-                    } else {
-                        self.compute.seconds(flops, batch.len())
-                    };
-                    batch.clear();
-                }};
-            }
-
-            if self.double_buffer {
-                // §6.3 for real: the producer thread pulls buffer fills
-                // through the operator tree (block reads, retries, fault
-                // skips and the in-buffer shuffle all run over there, on
-                // the caller's real device) while this thread trains on the
-                // previous fill. Each batch carries the index of the
-                // `ctx.fill_io` entry its fill pushed, so compute is
-                // attributed to fills exactly as in the serial loop.
-                let child = &mut self.child;
-                let model = &mut self.model;
-                let optimizer = &mut self.optimizer;
-                let ctx = &mut *ctx;
-                let result = run_epoch_pipeline::<(Vec<TupleRef>, usize), DbError, _, _>(
-                    &tel,
-                    |sender| {
-                        let mut fill = TupleBatch::new();
-                        loop {
-                            let io_before = ctx.dev.stats().io_seconds;
-                            if !child.next_batch(ctx, &mut fill)? {
-                                return Ok(());
-                            }
-                            let fill_sim = ctx.dev.stats().io_seconds - io_before;
-                            let fill_idx = ctx.fill_io.len().saturating_sub(1);
-                            // Cross-thread handover surrenders the backing
-                            // Vec (one allocation per fill, inherent to
-                            // moving ownership through the channel).
-                            let refs = fill.take_refs();
-                            if !sender.fill_and_send(|span| {
-                                span.add_sim_seconds(fill_sim);
-                                (refs, fill_idx)
-                            }) {
-                                return Ok(());
-                            }
-                        }
-                    },
-                    |(batch, fill_idx)| {
-                        while fill_compute.len() <= fill_idx {
-                            fill_compute.push(0.0);
-                        }
-                        tuples += batch.len();
-                        if per_tuple_mode && fused {
-                            // Fused kernel: one virtual call per batch, the
-                            // invocation overhead amortized across it. Same
-                            // update sequence as the per-tuple loop.
-                            let mut total_flops = 0.0f64;
-                            for r in &batch {
-                                total_flops += model.flops_per_example(r.features.nnz());
-                            }
-                            model.sgd_batch(&batch, optimizer.lr(), &mut loss_sum);
-                            gradient_steps += batch.len() as u64;
-                            fill_compute[fill_idx] += self.compute.seconds_batched(total_flops);
-                        } else if per_tuple_mode {
-                            for r in &batch {
-                                let flops = model.flops_per_example(r.features.nnz());
-                                loss_sum += model.loss(&r.features, r.label);
-                                model.sgd_step(&r.features, r.label, optimizer.lr());
-                                gradient_steps += 1;
-                                fill_compute[fill_idx] += self.compute.seconds(flops, 1);
-                            }
-                        } else {
-                            for r in batch {
-                                pending.push(r);
-                                if pending.len() >= self.options.batch_size {
-                                    flush_minibatch!(
-                                        &mut pending,
-                                        fill_idx,
-                                        true,
-                                        model,
-                                        optimizer
-                                    );
-                                }
-                            }
-                        }
-                        true
-                    },
-                );
-                match result {
-                    Ok(report) => {
-                        pipeline_total.fills += report.fills;
-                        pipeline_total.batches_consumed += report.batches_consumed;
-                        pipeline_total.producer_tuple_clones += report.producer_tuple_clones;
-                        pipeline_total.stall_wall_seconds += report.stall_wall_seconds;
-                        pipeline_total.backpressure_wall_seconds +=
-                            report.backpressure_wall_seconds;
-                    }
-                    Err(PipelineError::Producer(e)) => return Err(e),
-                    Err(PipelineError::ProducerPanicked(msg)) => {
-                        panic!("sgd pipeline producer panicked: {msg}")
-                    }
-                }
-            } else {
-                // Batch-at-a-time serial drain: one virtual call per batch
-                // through the operator tree, reusing `serial_batch`'s
-                // capacity across pulls — no per-tuple `next_ref` calls.
-                while self.child.next_batch(ctx, &mut serial_batch)? {
-                    let fill_now = ctx.fill_io.len().saturating_sub(1);
-                    while fill_compute.len() <= fill_now {
-                        fill_compute.push(0.0);
-                    }
-                    tuples += serial_batch.len();
-                    if per_tuple_mode && fused {
-                        // Fused kernel: the batch runs through one
-                        // monomorphized `sgd_batch` call (same update
-                        // sequence as the per-tuple loop), and the
-                        // invocation overhead is charged once per batch.
-                        let mut total_flops = 0.0f64;
-                        for r in serial_batch.iter() {
-                            total_flops += self.model.flops_per_example(r.features.nnz());
-                        }
-                        self.model
-                            .sgd_batch(&serial_batch, self.optimizer.lr(), &mut loss_sum);
-                        gradient_steps += serial_batch.len() as u64;
-                        fill_compute[fill_now] += self.compute.seconds_batched(total_flops);
-                    } else if per_tuple_mode {
-                        // Standard SGD: update per tuple in batch order
-                        // (§6.2), overhead charged per tuple.
-                        for r in serial_batch.iter() {
-                            let flops = self.model.flops_per_example(r.features.nnz());
-                            loss_sum += self.model.loss(&r.features, r.label);
-                            self.model
-                                .sgd_step(&r.features, r.label, self.optimizer.lr());
-                            gradient_steps += 1;
-                            fill_compute[fill_now] += self.compute.seconds(flops, 1);
-                        }
-                    } else {
-                        // Mini-batch SGD: batches span buffer fills, like a
-                        // DataLoader's batches span its internal buffers.
-                        for r in serial_batch.iter() {
-                            pending.push(r.clone());
-                            if pending.len() >= self.options.batch_size {
-                                flush_minibatch!(
-                                    &mut pending,
-                                    fill_now,
-                                    true,
-                                    self.model,
-                                    self.optimizer
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            if !pending.is_empty() {
-                if fill_compute.is_empty() {
-                    fill_compute.push(0.0);
-                }
-                let last = fill_compute.len() - 1;
-                flush_minibatch!(&mut pending, last, false, self.model, self.optimizer);
-            }
-
-            let mut io: Vec<f64> = ctx.fill_io.clone();
-            while fill_compute.len() < io.len() {
-                fill_compute.push(0.0);
-            }
-            // Plans without a fill-reporting operator (plain SeqScan under
-            // SGD) account their whole epoch as one fill with zero separate
-            // loading cost — the scan cost is already on the device clock;
-            // surface it here so epoch totals stay truthful.
-            if io.len() < fill_compute.len() {
-                io.resize(fill_compute.len(), 0.0);
-            }
-            let epoch_seconds = if self.double_buffer {
-                DoubleBufferModel::double_buffer(&io, &fill_compute)
-            } else {
-                DoubleBufferModel::single_buffer(&io, &fill_compute)
-            };
-            sim_clock += epoch_seconds;
-            let train_metric = self.eval_each_epoch.as_ref().map(|all| {
-                if self.model.is_classifier() {
-                    corgipile_ml::accuracy(self.model.as_ref(), all.iter())
-                } else {
-                    corgipile_ml::r_squared(self.model.as_ref(), all.iter())
-                }
-            });
-            let epoch_io: f64 = io.iter().sum();
-            let epoch_compute: f64 = fill_compute.iter().sum();
-            let train_loss = if tuples > 0 {
-                loss_sum / tuples as f64
-            } else {
-                0.0
-            };
-            let skipped = std::mem::take(&mut ctx.skipped_blocks);
-            total_io += epoch_io;
-            total_compute += epoch_compute;
-            total_epoch_seconds += epoch_seconds;
-            total_tuples += tuples as u64;
-            epochs_run += 1;
-            step_counter.add(gradient_steps);
-            let e = epoch as u64;
-            tel.event(e, "db.epoch.io_seconds", epoch_io);
-            tel.event(e, "db.epoch.compute_seconds", epoch_compute);
-            tel.event(e, "db.epoch.epoch_seconds", epoch_seconds);
-            tel.event(e, "db.epoch.train_loss", train_loss);
-            tel.event(e, "db.epoch.tuples", tuples as f64);
-            tel.event(e, "db.epoch.skipped_blocks", skipped.len() as f64);
-            tel.event(e, "db.epoch.gradient_steps", gradient_steps as f64);
-            records.push(DbEpochRecord {
-                epoch,
-                io_seconds: epoch_io,
-                compute_seconds: epoch_compute,
-                epoch_seconds,
-                sim_seconds_end: sim_clock,
-                train_loss,
-                train_metric,
-                tuples,
-                skipped_blocks: skipped,
-            });
-            if self.checkpoint_path.is_some() || self.checkpoint_sink.is_some() {
-                let ck = TrainCheckpoint {
-                    epoch_next: epoch + 1,
-                    seed: self.checkpoint_seed,
-                    sim_clock,
-                    model_params: self.model.params().to_vec(),
-                    optimizer_state: self.optimizer.state_bytes(),
-                };
-                if let Some(path) = &self.checkpoint_path {
-                    ck.save(path)?;
-                }
-                if let Some(sink) = self.checkpoint_sink.as_mut() {
-                    sink(&ck, train_loss)?;
-                }
-            }
-            if self.halt_after_epoch == Some(epoch) {
-                halted = true;
-                break;
-            }
-        }
+        let total_io: f64 = records.iter().map(|e| e.io_seconds).sum();
+        let total_compute: f64 = records.iter().map(|e| e.compute_seconds).sum();
+        let total_epoch_seconds: f64 = records.iter().map(|e| e.epoch_seconds).sum();
         // Fraction of the serial (single-buffer) epoch time hidden by
         // overlapping loads with compute: 1 - pipelined / (io + compute).
         let single = total_io + total_compute;
-        let overlap_ratio = if self.double_buffer && single > 0.0 {
+        let overlap_ratio = if self.driver.double_buffer && single > 0.0 {
             (1.0 - total_epoch_seconds / single).max(0.0)
         } else {
             0.0
@@ -1754,8 +1281,8 @@ impl SgdOperator {
         let mut op_stats = vec![OpStats {
             name: "SGD".to_string(),
             depth: 0,
-            rows: total_tuples,
-            loops: epochs_run,
+            rows: records.iter().map(|e| e.tuples as u64).sum(),
+            loops: records.len() as u64,
             io_seconds: total_io,
             compute_seconds: total_compute,
             overlap_ratio,
@@ -1764,12 +1291,108 @@ impl SgdOperator {
         self.child.collect_stats(1, &mut op_stats);
         self.child.close(ctx);
         Ok(SgdRunResult {
-            model: self.model,
+            model: self.driver.model,
             epochs: records,
-            halted,
+            halted: run.halted,
             op_stats,
-            pipeline: pipeline_total,
+            pipeline: run.pipeline,
         })
+    }
+}
+
+/// The operator tree below `SGD` as the driver's fill source: one fill per
+/// `next_batch` (block reads, retries, fault skips and the in-buffer
+/// shuffle all run here, on the caller's real device — on the producer
+/// thread when double-buffered), each tagged with the `ctx.fill_io` entry
+/// its read pushed so compute is attributed to the right fill.
+struct PlanSource<'a, 'c> {
+    child: &'a mut Box<dyn PhysicalOperator>,
+    ctx: &'a mut ExecContext<'c>,
+    eval: Option<Arc<Vec<Tuple>>>,
+    halt_after_epoch: Option<usize>,
+    step_counter: Counter,
+    tel: Telemetry,
+    records: Vec<DbEpochRecord>,
+}
+
+impl EpochSource for PlanSource<'_, '_> {
+    type Batch = TupleBatch;
+    type Error = DbError;
+
+    fn replay(&mut self, epochs: usize) -> Result<(), DbError> {
+        let mut scratch_dev = DeviceHandle::private(SimDevice::in_memory());
+        let mut scratch = ExecContext::new(&mut scratch_dev);
+        let mut batch = TupleBatch::new();
+        for epoch in 0..epochs {
+            if epoch > 0 {
+                self.child.rescan(&mut scratch);
+            }
+            while self.child.next_batch(&mut scratch, &mut batch)? {}
+        }
+        Ok(())
+    }
+
+    fn stream_epoch(
+        &mut self,
+        epoch: usize,
+        emit: &mut dyn FnMut(&mut Fill<TupleBatch>) -> bool,
+    ) -> Result<EpochIo, DbError> {
+        if epoch > 0 {
+            self.ctx.fill_io.clear();
+            self.ctx.skipped_blocks.clear();
+            self.child.rescan(self.ctx);
+        }
+        // An inline run keeps refilling this one batch (zero steady-state
+        // allocations); an overlapped run surrenders its backing Vec per
+        // fill, inherent to moving ownership through the channel.
+        let mut fill = Fill::<TupleBatch>::default();
+        loop {
+            let io_before = self.ctx.dev.stats().io_seconds;
+            if !self.child.next_batch(self.ctx, &mut fill.batch)? {
+                break;
+            }
+            fill.sim_seconds = self.ctx.dev.stats().io_seconds - io_before;
+            fill.slot = self.ctx.fill_io.len().saturating_sub(1);
+            if !emit(&mut fill) {
+                break;
+            }
+        }
+        Ok(EpochIo {
+            setup_seconds: 0.0,
+            fill_io: self.ctx.fill_io.clone(),
+        })
+    }
+
+    fn epoch_done(&mut self, done: EpochOutcome<'_>) -> ControlFlow<()> {
+        let train_metric = self.eval.as_ref().map(|all| evaluate(done.model, all));
+        let skipped = std::mem::take(&mut self.ctx.skipped_blocks);
+        let gradient_steps = done.stats.updates as u64;
+        self.step_counter.add(gradient_steps);
+        let e = done.epoch as u64;
+        let event = |name, value| self.tel.event(e, name, value);
+        event("db.epoch.io_seconds", done.io_seconds);
+        event("db.epoch.compute_seconds", done.compute_seconds);
+        event("db.epoch.epoch_seconds", done.epoch_seconds);
+        event("db.epoch.train_loss", done.stats.mean_loss);
+        event("db.epoch.tuples", done.stats.examples as f64);
+        event("db.epoch.skipped_blocks", skipped.len() as f64);
+        event("db.epoch.gradient_steps", gradient_steps as f64);
+        self.records.push(DbEpochRecord {
+            epoch: done.epoch,
+            io_seconds: done.io_seconds,
+            compute_seconds: done.compute_seconds,
+            epoch_seconds: done.epoch_seconds,
+            sim_seconds_end: done.sim_seconds_end,
+            train_loss: done.stats.mean_loss,
+            train_metric,
+            tuples: done.stats.examples,
+            skipped_blocks: skipped,
+        });
+        if self.halt_after_epoch == Some(done.epoch) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
     }
 }
 
@@ -1967,8 +1590,9 @@ mod tests {
 
     fn drain(op: &mut dyn PhysicalOperator, ctx: &mut ExecContext) -> Vec<u64> {
         let mut ids = Vec::new();
-        while let Some(t) = op.next(ctx).unwrap() {
-            ids.push(t.id);
+        let mut batch = TupleBatch::new();
+        while op.next_batch(ctx, &mut batch).unwrap() {
+            ids.extend(batch.iter().map(|r| r.id));
         }
         ids
     }
@@ -2243,13 +1867,14 @@ mod tests {
         let t = table(2000);
         let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0)); // no OS cache
         let mut pool = PoolHandle::private(corgipile_storage::BufferPool::new(64 << 20));
-        let mut ctx = ExecContext::with_pool(&mut dev, &mut pool);
+        let mut ctx = ExecContext::new(&mut dev);
+        ctx.pool = Some(&mut pool);
         let mut op = BlockShuffleOp::new(t, ScanMode::RandomBlocks, 5);
         op.init(&mut ctx);
-        while op.next(&mut ctx).unwrap().is_some() {}
+        drain(&mut op, &mut ctx);
         let cold = ctx.dev.stats().io_seconds;
         op.rescan(&mut ctx);
-        while op.next(&mut ctx).unwrap().is_some() {}
+        drain(&mut op, &mut ctx);
         let warm = ctx.dev.stats().io_seconds - cold;
         assert_eq!(warm, 0.0, "all blocks must come from shared_buffers");
         assert!(pool.stats().hits > 0 && pool.stats().misses > 0);
@@ -2385,17 +2010,14 @@ mod tests {
         ctx.retry = RetryPolicy::with_max_retries(1);
         let mut op = BlockShuffleOp::new(t, ScanMode::RandomBlocks, 2);
         op.init(&mut ctx);
-        let mut err = None;
-        loop {
-            match op.next(&mut ctx) {
-                Ok(Some(_)) => continue,
-                Ok(None) => break,
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
+        let mut batch = TupleBatch::new();
+        let err = loop {
+            match op.next_batch(&mut ctx, &mut batch) {
+                Ok(true) => continue,
+                Ok(false) => break None,
+                Err(e) => break Some(e),
             }
-        }
+        };
         match err {
             Some(DbError::Storage(corgipile_storage::StorageError::ReadFailed {
                 block: 0,
@@ -2471,8 +2093,8 @@ mod tests {
         let straight = sgd(&t).execute(&mut ExecContext::new(&mut dev)).unwrap();
         // Crashed run: halt after epoch 1 with a checkpoint on disk.
         let mut op = sgd(&t);
-        op.checkpoint_path = Some(path.clone());
-        op.checkpoint_seed = 9;
+        op.driver.checkpoint_path = Some(path.clone());
+        op.driver.seed = 9;
         op.halt_after_epoch = Some(1);
         let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0));
         let crashed = op.execute(&mut ExecContext::new(&mut dev)).unwrap();
@@ -2482,8 +2104,8 @@ mod tests {
         let ck = TrainCheckpoint::load(&path).unwrap();
         assert_eq!(ck.epoch_next, 2);
         let mut op = sgd(&t);
-        op.checkpoint_seed = 9;
-        op.resume_from = Some(ck);
+        op.driver.seed = 9;
+        op.driver.resume_from = Some(ck);
         let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0));
         let resumed = op.execute(&mut ExecContext::new(&mut dev)).unwrap();
         assert!(!resumed.halted);
@@ -2503,8 +2125,8 @@ mod tests {
         // Mismatched seed is refused.
         let ck = TrainCheckpoint::load(&path).unwrap();
         let mut op = sgd(&t);
-        op.checkpoint_seed = 10;
-        op.resume_from = Some(ck);
+        op.driver.seed = 10;
+        op.driver.resume_from = Some(ck);
         let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0));
         let err = op.execute(&mut ExecContext::new(&mut dev)).unwrap_err();
         assert!(matches!(err, DbError::Checkpoint(_)));

@@ -25,7 +25,9 @@
 //!   handles; `Arc<Database>` + [`Database::connect`] opens concurrent
 //!   sessions.
 //! * [`session`] — a connection: parses, plans, executes, and stores
-//!   results.
+//!   results. `TRAIN` lives in its own module: one prepared statement
+//!   (options, snapshot, strategy, logical plan) that `EXPLAIN`, plain
+//!   `TRAIN` and `TRAIN … CONTINUOUS` all consume through one run function.
 //! * [`baselines`] — MADlib- and Bismarck-style UDA trainer emulations
 //!   (Shuffle-Once / No-Shuffle variants with their measured compute
 //!   characteristics), the comparison systems of Figures 1, 11 and 13.
@@ -42,6 +44,7 @@ mod proptests;
 pub mod serving;
 pub mod session;
 pub mod sql;
+mod train;
 
 pub use baselines::{system_trainer_config, InDbSystem};
 pub use catalog::{AppendOutcome, Catalog, StoredModel};
@@ -49,7 +52,7 @@ pub use corgipile_storage::{TableSnapshot, Telemetry, TelemetrySnapshot};
 pub use database::Database;
 pub use error::DbError;
 pub use exec::{
-    BatchCursor, BlockShuffleOp, CheckpointSink, DbEpochRecord, ExecContext, FaultAction, FilterOp,
+    BlockShuffleOp, CheckpointSink, DbEpochRecord, ExecContext, FaultAction, FilterOp,
     FusedPipelineOp, FusedSource, OpStats, PhysicalOperator, PostStage, PredictOperator,
     PredictRunResult, ProjectOp, ScanMode, SgdOperator, SgdRunResult, TupleShuffleOp,
 };
@@ -58,8 +61,8 @@ pub use options::{
     effective_line, known_keys, OptionSpec, OptionType, QueryOptions, Statement, OPTIONS,
 };
 pub use plan::{
-    build_physical, build_physical_with, BuildOptions, LogicalPlan, PhysicalPlan, PredictPlanSpec,
-    ScanOrder, TrainPlanSpec,
+    build_physical_with, BuildOptions, LogicalPlan, PhysicalPlan, PredictPlanSpec, ScanOrder,
+    TrainPlanSpec,
 };
 pub use serving::{CacheStats, ModelCache, ServableModel};
 pub use session::{DbTrainSummary, PredictSummary, QueryResult, ServeOptions, Session};

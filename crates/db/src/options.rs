@@ -270,7 +270,6 @@ pub fn effective_line(stmt: Statement, params: &BTreeMap<String, ParamValue>) ->
 /// and own the user-facing error strings.
 #[derive(Debug)]
 pub struct QueryOptions<'a> {
-    stmt: Statement,
     params: &'a BTreeMap<String, ParamValue>,
 }
 
@@ -285,7 +284,7 @@ impl<'a> QueryOptions<'a> {
                 return Err(unknown_key(stmt, key));
             }
         }
-        Ok(QueryOptions { stmt, params })
+        Ok(QueryOptions { params })
     }
 
     /// 0/1 switch.
@@ -351,11 +350,6 @@ impl<'a> QueryOptions<'a> {
     /// Whether the query set the key explicitly.
     pub fn is_set(&self, key: &str) -> bool {
         self.params.contains_key(key)
-    }
-
-    /// The EXPLAIN `Options:` line for this statement.
-    pub fn line(&self) -> String {
-        effective_line(self.stmt, self.params)
     }
 }
 

@@ -1,8 +1,8 @@
 //! Query planning: logical plans, pushdown rewrites, and physical
 //! operator construction.
 //!
-//! This is the single plan-construction site of the engine. A parsed
-//! `TRAIN BY` query becomes a [`LogicalPlan`] tree
+//! This is the single plan-construction site of the engine. A prepared
+//! `TRAIN BY` statement (`train.rs`) becomes a [`LogicalPlan`] tree
 //!
 //! ```text
 //! Sgd ← Project? ← Filter? ← TupleShuffle? ← Scan
@@ -22,8 +22,8 @@
 //! source blocks (not tuples) and orders survivors by a deterministic
 //! per-tuple key, so the tuple visit sequence — and therefore the trained
 //! model, bit for bit — is identical whether a tuple is dropped before
-//! the buffer or after it. [`Session::train`](crate::Session) exposes the
-//! un-rewritten plan under `WITH pushdown = 0` for exactly that A/B.
+//! the buffer or after it. `TRAIN … WITH pushdown = 0` runs the
+//! un-rewritten plan for exactly that A/B.
 //!
 //! After (optional) pushdown, lowering runs a *pipeline-fusion* pass:
 //! [`build_physical_with`] recognizes the full
@@ -68,6 +68,38 @@ pub enum ScanOrder {
     /// Epoch-indexed rotation/reversal order at near-sequential cost
     /// (Block-Reversal).
     BlockReversal,
+}
+
+impl ScanOrder {
+    /// `EXPLAIN` wording of this order over `blocks` blocks.
+    fn describe(self, blocks: usize) -> String {
+        match self {
+            ScanOrder::Sequential => format!("sequential over {blocks} blocks"),
+            ScanOrder::RandomBlocks => format!("random order over {blocks} blocks"),
+            ScanOrder::SequentialShuffledCopy => {
+                format!("sequential over {blocks} blocks of the shuffled copy")
+            }
+            ScanOrder::ReclusteredCopy => {
+                format!("random order over {blocks} blocks of the reclustered copy")
+            }
+            ScanOrder::BlockReversal => {
+                format!("rotated/reversed near-sequential over {blocks} blocks")
+            }
+        }
+    }
+
+    /// The one-off setup the order pays before epoch 0, if any.
+    fn setup_note(self) -> Option<&'static str> {
+        match self {
+            ScanOrder::SequentialShuffledCopy => {
+                Some("(setup: offline full shuffle, ORDER BY RANDOM(), 2x storage)")
+            }
+            ScanOrder::ReclusteredCopy => {
+                Some("(setup: bounded RECLUSTER, io_budget x full shuffle)")
+            }
+            _ => None,
+        }
+    }
 }
 
 /// Planner input distilled from a parsed `TRAIN BY` query.
@@ -341,18 +373,10 @@ impl LogicalPlan {
         }
     }
 
-    /// Render the plan as the vectorized executor will run it: the root
-    /// kernel, then one `Fused Pipeline (…)` node standing in for the
-    /// whole collapsed chain, annotated with the scan order, buffer, and
-    /// any predicate/projection. Falls back to [`Self::explain_lines`]
-    /// when the shape is not fusable (the current planner always is).
-    pub fn explain_lines_fused(&self) -> Vec<String> {
-        let Some(chain) = fuse_chain(self) else {
-            return self.explain_lines();
-        };
-        let mut lines = Vec::new();
+    /// The root kernel's `EXPLAIN` line; `None` for non-root nodes.
+    fn root_line(&self) -> Option<String> {
         match self {
-            LogicalPlan::Sgd { model, epochs, .. } => lines.push(format!(
+            LogicalPlan::Sgd { model, epochs, .. } => Some(format!(
                 "SGD (model={model}, epochs={epochs}, re-scan per epoch)"
             )),
             LogicalPlan::Predict {
@@ -365,12 +389,24 @@ impl LogicalPlan {
                     Some(v) => format!("version={v}"),
                     None => "version=active".to_string(),
                 };
-                lines.push(format!(
+                Some(format!(
                     "Predict (model={model}, {pin}, batch_rows={batch_rows})"
-                ));
+                ))
             }
-            _ => unreachable!("fuse_chain roots are Sgd/Predict"),
+            _ => None,
         }
+    }
+
+    /// Render the plan as the vectorized executor will run it: the root
+    /// kernel, then one `Fused Pipeline (…)` node standing in for the
+    /// whole collapsed chain, annotated with the scan order, buffer, and
+    /// any predicate/projection. Falls back to [`Self::explain_lines`]
+    /// when the shape is not fusable (the current planner always is).
+    pub fn explain_lines_fused(&self) -> Vec<String> {
+        let Some(chain) = fuse_chain(self) else {
+            return self.explain_lines();
+        };
+        let mut lines = vec![self.root_line().expect("fuse_chain roots are Sgd/Predict")];
         lines.push(format!("  -> Fused Pipeline ({})", chain.label()));
         let pad = "       ";
         let LogicalPlan::Scan {
@@ -384,20 +420,7 @@ impl LogicalPlan {
         else {
             unreachable!("fuse_chain scan is Scan")
         };
-        let desc = match order {
-            ScanOrder::Sequential => format!("sequential over {blocks} blocks"),
-            ScanOrder::RandomBlocks => format!("random order over {blocks} blocks"),
-            ScanOrder::SequentialShuffledCopy => {
-                format!("sequential over {blocks} blocks of the shuffled copy")
-            }
-            ScanOrder::ReclusteredCopy => {
-                format!("random order over {blocks} blocks of the reclustered copy")
-            }
-            ScanOrder::BlockReversal => {
-                format!("rotated/reversed near-sequential over {blocks} blocks")
-            }
-        };
-        lines.push(format!("{pad}Scan: {desc}"));
+        lines.push(format!("{pad}Scan: {}", order.describe(*blocks)));
         if let Some(bb) = chain.shuffle_blocks {
             lines.push(format!(
                 "{pad}Buffer: {bb} source blocks (double-buffered tuple shuffle)"
@@ -409,15 +432,8 @@ impl LogicalPlan {
         if let Some(p) = predicate.as_ref().or(chain.post_filter) {
             lines.push(format!("{pad}Filter: ({p})"));
         }
-        if *order == ScanOrder::SequentialShuffledCopy {
-            lines.push(format!(
-                "{pad}(setup: offline full shuffle, ORDER BY RANDOM(), 2x storage)"
-            ));
-        }
-        if *order == ScanOrder::ReclusteredCopy {
-            lines.push(format!(
-                "{pad}(setup: bounded RECLUSTER, io_budget x full shuffle)"
-            ));
+        if let Some(note) = order.setup_note() {
+            lines.push(format!("{pad}{note}"));
         }
         lines.push(format!("  Scan target: {table} ({tuples} tuples)"));
         lines
@@ -449,29 +465,9 @@ impl LogicalPlan {
         };
         let pad = " ".repeat(2 * depth + if depth > 0 { 5 } else { 2 });
         match self {
-            LogicalPlan::Predict {
-                model,
-                version,
-                batch_rows,
-                input,
-            } => {
-                let pin = match version {
-                    Some(v) => format!("version={v}"),
-                    None => "version=active".to_string(),
-                };
-                lines.push(format!(
-                    "{head}Predict (model={model}, {pin}, batch_rows={batch_rows})"
-                ));
-                input.render_into(depth + 1, lines, target);
-            }
-            LogicalPlan::Sgd {
-                model,
-                epochs,
-                input,
-            } => {
-                lines.push(format!(
-                    "{head}SGD (model={model}, epochs={epochs}, re-scan per epoch)"
-                ));
+            LogicalPlan::Predict { input, .. } | LogicalPlan::Sgd { input, .. } => {
+                let root = self.root_line().expect("Sgd/Predict render a root line");
+                lines.push(format!("{head}{root}"));
                 input.render_into(depth + 1, lines, target);
             }
             LogicalPlan::Project { columns, input } => {
@@ -499,35 +495,15 @@ impl LogicalPlan {
                 predicate,
                 projection,
             } => {
-                let desc = match order {
-                    ScanOrder::Sequential => format!("sequential over {blocks} blocks"),
-                    ScanOrder::RandomBlocks => format!("random order over {blocks} blocks"),
-                    ScanOrder::SequentialShuffledCopy => {
-                        format!("sequential over {blocks} blocks of the shuffled copy")
-                    }
-                    ScanOrder::ReclusteredCopy => {
-                        format!("random order over {blocks} blocks of the reclustered copy")
-                    }
-                    ScanOrder::BlockReversal => {
-                        format!("rotated/reversed near-sequential over {blocks} blocks")
-                    }
-                };
-                lines.push(format!("{head}BlockShuffle ({desc})"));
+                lines.push(format!("{head}BlockShuffle ({})", order.describe(*blocks)));
                 if let Some(cols) = projection {
                     lines.push(format!("{pad}Output: {}", feature_list(cols)));
                 }
                 if let Some(p) = predicate {
                     lines.push(format!("{pad}Filter: ({p})"));
                 }
-                if *order == ScanOrder::SequentialShuffledCopy {
-                    lines.push(format!(
-                        "{pad}(setup: offline full shuffle, ORDER BY RANDOM(), 2x storage)"
-                    ));
-                }
-                if *order == ScanOrder::ReclusteredCopy {
-                    lines.push(format!(
-                        "{pad}(setup: bounded RECLUSTER, io_budget x full shuffle)"
-                    ));
+                if let Some(note) = order.setup_note() {
+                    lines.push(format!("{pad}{note}"));
                 }
                 *target = Some((table.clone(), *tuples));
             }
@@ -720,34 +696,10 @@ pub struct BuildOptions {
     pub shared_scan: bool,
 }
 
-/// Lower a logical plan to the interpreted operator tree (no fusion, no
-/// shared scan). Kept as the plain entry point for operator-level tests
-/// and oracles; `Session` routes through [`build_physical_with`].
-pub fn build_physical(
-    plan: &LogicalPlan,
-    table: &Arc<Table>,
-    table_name: &str,
-    params: &StrategyParams,
-    seed: u64,
-    dev: &mut DeviceHandle,
-    catalog: &Catalog,
-) -> Result<PhysicalPlan, DbError> {
-    build_physical_with(
-        plan,
-        table,
-        table_name,
-        params,
-        seed,
-        dev,
-        catalog,
-        BuildOptions::default(),
-    )
-}
-
 /// Lower a logical plan to physical operators. This is the only place in
 /// the engine that constructs scan/shuffle/filter/project operators for
-/// queries — `Session::train`, `Session::predict_batch`, and
-/// `EXPLAIN ANALYZE` all route here.
+/// queries — `TRAIN`, `Session::predict_batch`, and `EXPLAIN ANALYZE` all
+/// route here.
 ///
 /// With `opts.fuse` set, the pass recognizes the full
 /// `Sgd|Predict ← Project? ← Filter? ← TupleShuffle? ← Scan` chain and
@@ -767,21 +719,19 @@ pub fn build_physical_with(
     catalog: &Catalog,
     opts: BuildOptions,
 ) -> Result<PhysicalPlan, DbError> {
-    let mut setup_seconds = 0.0;
-    if opts.fuse {
-        if let Some(chain) = fuse_chain(plan) {
-            let label = chain.label();
-            let scan_op = build_scan_op(
-                chain.scan,
-                table,
-                table_name,
-                params,
-                seed,
-                dev,
-                catalog,
-                opts.shared_scan,
-                &mut setup_seconds,
-            )?;
+    let mut lower = Lowering {
+        table,
+        table_name,
+        params,
+        seed,
+        dev,
+        catalog,
+        shared_scan: opts.shared_scan,
+        setup_seconds: 0.0,
+    };
+    let (child, fused) = match fuse_chain(plan).filter(|_| opts.fuse) {
+        Some(chain) => {
+            let scan_op = lower.scan(chain.scan)?;
             let source = match chain.shuffle_blocks {
                 Some(bb) => {
                     FusedSource::Tuple(TupleShuffleOp::new(Box::new(scan_op), bb, params.clone()))
@@ -794,181 +744,110 @@ pub fn build_physical_with(
                 (None, Some(c)) => PostStage::Project(c.clone()),
                 (Some(p), Some(c)) => PostStage::FilterProject(p.clone(), c.clone()),
             };
-            return Ok(PhysicalPlan {
-                child: Box::new(FusedPipelineOp::new(source, post, label)),
-                setup_seconds,
-                fused: true,
-            });
+            let fused = FusedPipelineOp::new(source, post, chain.label());
+            (Box::new(fused) as Box<dyn PhysicalOperator>, true)
         }
-    }
-    let child = build_node(
-        plan,
-        table,
-        table_name,
-        params,
-        seed,
-        dev,
-        catalog,
-        opts,
-        &mut setup_seconds,
-    )?;
+        None => (lower.node(plan)?, false),
+    };
     Ok(PhysicalPlan {
         child,
-        setup_seconds,
-        fused: false,
+        setup_seconds: lower.setup_seconds,
+        fused,
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn build_node(
-    node: &LogicalPlan,
-    table: &Arc<Table>,
-    table_name: &str,
-    params: &StrategyParams,
+/// What lowering threads through every node: the pinned table, the
+/// strategy parameters, the device that pays for offline copies, and the
+/// setup cost accumulated so far.
+struct Lowering<'a> {
+    table: &'a Arc<Table>,
+    table_name: &'a str,
+    params: &'a StrategyParams,
     seed: u64,
-    dev: &mut DeviceHandle,
-    catalog: &Catalog,
-    opts: BuildOptions,
-    setup_seconds: &mut f64,
-) -> Result<Box<dyn PhysicalOperator>, DbError> {
-    match node {
-        LogicalPlan::Predict { input, .. } | LogicalPlan::Sgd { input, .. } => build_node(
-            input,
-            table,
-            table_name,
-            params,
-            seed,
-            dev,
-            catalog,
-            opts,
-            setup_seconds,
-        ),
-        LogicalPlan::Project { columns, input } => {
-            let child = build_node(
-                input,
-                table,
-                table_name,
-                params,
-                seed,
-                dev,
-                catalog,
-                opts,
-                setup_seconds,
-            )?;
-            Ok(Box::new(ProjectOp::new(child, columns.clone())))
-        }
-        LogicalPlan::Filter { predicate, input } => {
-            let child = build_node(
-                input,
-                table,
-                table_name,
-                params,
-                seed,
-                dev,
-                catalog,
-                opts,
-                setup_seconds,
-            )?;
-            Ok(Box::new(FilterOp::new(child, predicate.clone())))
-        }
-        LogicalPlan::TupleShuffle {
-            buffer_blocks,
-            input,
-        } => {
-            let child = build_node(
-                input,
-                table,
-                table_name,
-                params,
-                seed,
-                dev,
-                catalog,
-                opts,
-                setup_seconds,
-            )?;
-            Ok(Box::new(TupleShuffleOp::new(
-                child,
-                *buffer_blocks,
-                params.clone(),
-            )))
-        }
-        scan @ LogicalPlan::Scan { .. } => {
-            let op = build_scan_op(
-                scan,
-                table,
-                table_name,
-                params,
-                seed,
-                dev,
-                catalog,
-                opts.shared_scan,
-                setup_seconds,
-            )?;
-            Ok(Box::new(op))
-        }
-    }
+    dev: &'a mut DeviceHandle,
+    catalog: &'a Catalog,
+    shared_scan: bool,
+    setup_seconds: f64,
 }
 
-/// Build the leaf [`BlockShuffleOp`] for a `LogicalPlan::Scan` node —
-/// shared by the interpreted lowering (which boxes it) and the fusion
-/// pass (which embeds it unboxed in a [`FusedSource`], so the fused
-/// inner loop reaches it by static dispatch).
-#[allow(clippy::too_many_arguments)]
-fn build_scan_op(
-    scan: &LogicalPlan,
-    table: &Arc<Table>,
-    table_name: &str,
-    params: &StrategyParams,
-    seed: u64,
-    dev: &mut DeviceHandle,
-    catalog: &Catalog,
-    shared_scan: bool,
-    setup_seconds: &mut f64,
-) -> Result<BlockShuffleOp, DbError> {
-    let LogicalPlan::Scan {
-        order,
-        predicate,
-        projection,
-        ..
-    } = scan
-    else {
-        unreachable!("build_scan_op takes a Scan node")
-    };
-    let (src, mode) = match order {
-        ScanOrder::Sequential => (table.clone(), ScanMode::Sequential),
-        ScanOrder::RandomBlocks => (table.clone(), ScanMode::RandomBlocks),
-        ScanOrder::BlockReversal => (table.clone(), ScanMode::Reversal),
-        ScanOrder::SequentialShuffledCopy => {
-            // Offline shuffle first (ORDER BY RANDOM(); 2× storage).
-            let io_before = dev.stats().io_seconds;
-            let mut order: Vec<u64> = (0..table.num_tuples()).collect();
-            shuffle_in_place(&mut StdRng::seed_from_u64(seed), &mut order);
-            let copy_name = format!("{table_name}_shuffled");
-            let copy_id = catalog.fresh_table_id();
-            let copy = dev.with(|d| table.materialize_reordered(&order, copy_name, copy_id, d))?;
-            *setup_seconds += dev.stats().io_seconds - io_before;
-            (Arc::new(copy), ScanMode::Sequential)
-        }
-        ScanOrder::ReclusteredCopy => {
-            // Corgi²: bounded-I/O partial offline re-cluster, then the
-            // regular CorgiPile online pipeline over the copy.
-            let io_before = dev.stats().io_seconds;
-            let copy_name = format!("{table_name}_reclustered");
-            let copy_id = catalog.fresh_table_id();
-            let out = dev
-                .with(|d| recluster_table(table, copy_name, copy_id, params.io_budget, seed, d))?;
-            *setup_seconds += dev.stats().io_seconds - io_before;
-            (Arc::new(out.table), ScanMode::RandomBlocks)
-        }
-    };
-    let mut op = BlockShuffleOp::new(src, mode, seed).with_shared_scan(shared_scan);
-    if let Some(p) = predicate {
-        op = op.with_predicate(p.clone());
+impl Lowering<'_> {
+    /// The interpreted operator tree for `node` (roots lower to their input).
+    fn node(&mut self, node: &LogicalPlan) -> Result<Box<dyn PhysicalOperator>, DbError> {
+        Ok(match node {
+            LogicalPlan::Predict { input, .. } | LogicalPlan::Sgd { input, .. } => {
+                self.node(input)?
+            }
+            LogicalPlan::Project { columns, input } => {
+                Box::new(ProjectOp::new(self.node(input)?, columns.clone()))
+            }
+            LogicalPlan::Filter { predicate, input } => {
+                Box::new(FilterOp::new(self.node(input)?, predicate.clone()))
+            }
+            LogicalPlan::TupleShuffle {
+                buffer_blocks,
+                input,
+            } => Box::new(TupleShuffleOp::new(
+                self.node(input)?,
+                *buffer_blocks,
+                self.params.clone(),
+            )),
+            scan @ LogicalPlan::Scan { .. } => Box::new(self.scan(scan)?),
+        })
     }
-    if let Some(cols) = projection {
-        op = op.with_projection(cols.clone());
+
+    /// The leaf [`BlockShuffleOp`] for a `LogicalPlan::Scan` node — shared
+    /// by the interpreted lowering (which boxes it) and the fusion pass
+    /// (which embeds it unboxed in a [`FusedSource`], so the fused inner
+    /// loop reaches it by static dispatch).
+    fn scan(&mut self, scan: &LogicalPlan) -> Result<BlockShuffleOp, DbError> {
+        let LogicalPlan::Scan {
+            order,
+            predicate,
+            projection,
+            ..
+        } = scan
+        else {
+            unreachable!("Lowering::scan takes a Scan node")
+        };
+        let (table, seed) = (self.table, self.seed);
+        let io_before = self.dev.stats().io_seconds;
+        let (src, mode) = match order {
+            ScanOrder::Sequential => (table.clone(), ScanMode::Sequential),
+            ScanOrder::RandomBlocks => (table.clone(), ScanMode::RandomBlocks),
+            ScanOrder::BlockReversal => (table.clone(), ScanMode::Reversal),
+            ScanOrder::SequentialShuffledCopy => {
+                // Offline shuffle first (ORDER BY RANDOM(); 2× storage).
+                let mut order: Vec<u64> = (0..table.num_tuples()).collect();
+                shuffle_in_place(&mut StdRng::seed_from_u64(seed), &mut order);
+                let copy_name = format!("{}_shuffled", self.table_name);
+                let copy_id = self.catalog.fresh_table_id();
+                let copy = self
+                    .dev
+                    .with(|d| table.materialize_reordered(&order, copy_name, copy_id, d))?;
+                (Arc::new(copy), ScanMode::Sequential)
+            }
+            ScanOrder::ReclusteredCopy => {
+                // Corgi²: bounded-I/O partial offline re-cluster, then the
+                // regular CorgiPile online pipeline over the copy.
+                let copy_name = format!("{}_reclustered", self.table_name);
+                let copy_id = self.catalog.fresh_table_id();
+                let io_budget = self.params.io_budget;
+                let out = self
+                    .dev
+                    .with(|d| recluster_table(table, copy_name, copy_id, io_budget, seed, d))?;
+                (Arc::new(out.table), ScanMode::RandomBlocks)
+            }
+        };
+        self.setup_seconds += self.dev.stats().io_seconds - io_before;
+        let mut op = BlockShuffleOp::new(src, mode, seed).with_shared_scan(self.shared_scan);
+        if let Some(p) = predicate {
+            op = op.with_predicate(p.clone());
+        }
+        if let Some(cols) = projection {
+            op = op.with_projection(cols.clone());
+        }
+        Ok(op)
     }
-    Ok(op)
 }
 
 #[cfg(test)]
@@ -1233,7 +1112,17 @@ mod tests {
         .unwrap();
         assert!(fused.fused);
         assert_eq!(fused.child.name(), "Fused Pipeline");
-        let interp = build_physical(&plan, &t, "t", &params, 1, &mut dev, &catalog).unwrap();
+        let interp = build_physical_with(
+            &plan,
+            &t,
+            "t",
+            &params,
+            1,
+            &mut dev,
+            &catalog,
+            BuildOptions::default(),
+        )
+        .unwrap();
         assert!(!interp.fused);
         assert_eq!(interp.child.name(), "TupleShuffle");
     }

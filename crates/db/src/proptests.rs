@@ -7,7 +7,7 @@ use crate::database::Database;
 use crate::exec::{BlockShuffleOp, ExecContext, PhysicalOperator, ScanMode, TupleShuffleOp};
 use crate::session::QueryResult;
 use corgipile_shuffle::StrategyParams;
-use corgipile_storage::{DeviceHandle, SimDevice, Table, TableConfig, Tuple};
+use corgipile_storage::{DeviceHandle, SimDevice, Table, TableConfig, Tuple, TupleBatch};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -30,8 +30,9 @@ fn table(n: u64, width: usize, block_pages: usize) -> Arc<Table> {
 
 fn drain_ids(op: &mut dyn PhysicalOperator, ctx: &mut ExecContext) -> Vec<u64> {
     let mut out = Vec::new();
-    while let Some(t) = op.next(ctx).unwrap() {
-        out.push(t.id);
+    let mut batch = TupleBatch::new();
+    while op.next_batch(ctx, &mut batch).unwrap() {
+        out.extend(batch.iter().map(|r| r.id));
     }
     out
 }

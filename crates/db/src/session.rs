@@ -22,27 +22,19 @@
 //! neither see each other's injected faults nor pollute each other's
 //! `SHOW STATS`.
 
-use crate::catalog::{Catalog, StoredModel};
+use crate::catalog::Catalog;
 use crate::database::Database;
 use crate::error::DbError;
-use crate::exec::{
-    project_tuple, DbEpochRecord, ExecContext, FaultAction, OpStats, PredictOperator, SgdOperator,
-};
+use crate::exec::{DbEpochRecord, ExecContext, OpStats, PredictOperator};
 use crate::options::{QueryOptions, Statement};
-use crate::plan::{build_physical_with, BuildOptions, LogicalPlan, PredictPlanSpec, TrainPlanSpec};
+use crate::plan::{build_physical_with, BuildOptions, LogicalPlan, PredictPlanSpec};
 use crate::serving::ServableModel;
-use crate::sql::{parse, ParamValue, Predicate, Projection, Query, ShowTarget, StrategyKind};
-use corgipile_ml::{accuracy, build_model, ModelKind, OptimizerKind, TrainOptions};
-use corgipile_ml::{r_squared, ComputeCostModel, TrainCheckpoint};
-use corgipile_shuffle::{block_variance_sampled, recluster_table, CostModel, StrategyParams};
-use corgipile_storage::{
-    BufferPool, DeviceHandle, FaultPlan, PoolHandle, RetryPolicy, SimDevice, Table, Telemetry,
-    Tuple,
-};
-use std::cell::RefCell;
+use crate::sql::{parse, ParamValue, Predicate, Query, ShowTarget};
+use corgipile_core::trainer::evaluate;
+use corgipile_ml::{ComputeCostModel, ModelKind};
+use corgipile_shuffle::{recluster_table, StrategyParams};
+use corgipile_storage::{DeviceHandle, FaultPlan, PoolHandle, Table, Telemetry, Tuple};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Summary of a completed `TRAIN BY` query.
@@ -113,6 +105,27 @@ pub struct ServeOptions {
     /// (`WITH shared_scan = 1`), so repeated PREDICT scans of the same
     /// table hit warm buffers instead of the device.
     pub shared_scan: bool,
+}
+
+impl ServeOptions {
+    /// Resolve a `PREDICT … ON …` statement's `WITH` clause (validated
+    /// against the typed option registry) around its version pin and
+    /// predicate.
+    fn resolve(
+        version: Option<u32>,
+        filter: Option<Predicate>,
+        params: &BTreeMap<String, ParamValue>,
+    ) -> Result<Self, DbError> {
+        let defaults = ServeOptions::default();
+        let q = QueryOptions::parse(Statement::Predict, params)?;
+        Ok(ServeOptions {
+            version,
+            filter,
+            batch_rows: q.positive_int("batch_rows", defaults.batch_rows)?,
+            fuse: q.flag("fuse", defaults.fuse)?,
+            shared_scan: q.flag("shared_scan", defaults.shared_scan)?,
+        })
+    }
 }
 
 impl Default for ServeOptions {
@@ -246,18 +259,18 @@ pub enum QueryResult {
 /// to this session, while the blocks they fault into `shared_buffers`
 /// become cache hits for every other session.
 pub struct Session {
-    db: Arc<Database>,
-    dev: DeviceHandle,
-    pool: PoolHandle,
-    compute: ComputeCostModel,
-    telemetry: Telemetry,
+    pub(crate) db: Arc<Database>,
+    pub(crate) dev: DeviceHandle,
+    pub(crate) pool: PoolHandle,
+    pub(crate) compute: ComputeCostModel,
+    pub(crate) telemetry: Telemetry,
     /// Registry stashed by `set_telemetry_enabled(false)`, restored on
     /// re-enable so accumulated metrics survive an opt-out round trip.
     stashed_telemetry: Option<Telemetry>,
     /// Invoked with the 1-based chunk index before every
     /// `TRAIN … CONTINUOUS` snapshot re-pin (see
     /// [`Session::set_refresh_hook`]).
-    refresh_hook: Option<Box<dyn FnMut(usize) + Send>>,
+    pub(crate) refresh_hook: Option<Box<dyn FnMut(usize) + Send>>,
 }
 
 impl Session {
@@ -360,17 +373,10 @@ impl Session {
 
     fn run(&mut self, query: Query) -> Result<QueryResult, DbError> {
         match query {
-            Query::Train {
-                table,
-                model,
-                projection,
-                filter,
-                strategy,
-                continuous,
-                params,
-            } => self.train(
-                &table, &model, projection, filter, strategy, continuous, params,
-            ),
+            q @ Query::Train { .. } => {
+                let prepared = self.prepare_train(q)?;
+                Ok(QueryResult::Train(self.run_train(prepared)?))
+            }
             Query::Insert { table, rows } => self.insert(&table, rows),
             Query::Predict { table, model } => self.predict(&table, &model),
             Query::PredictServe {
@@ -380,15 +386,7 @@ impl Session {
                 filter,
                 params,
             } => {
-                let defaults = ServeOptions::default();
-                let q = QueryOptions::parse(Statement::Predict, &params)?;
-                let opts = ServeOptions {
-                    version,
-                    filter,
-                    batch_rows: q.positive_int("batch_rows", defaults.batch_rows)?,
-                    fuse: q.flag("fuse", defaults.fuse)?,
-                    shared_scan: q.flag("shared_scan", defaults.shared_scan)?,
-                };
+                let opts = ServeOptions::resolve(version, filter, &params)?;
                 Ok(QueryResult::Serve(
                     self.predict_batch(&table, &model, opts)?,
                 ))
@@ -520,26 +518,13 @@ impl Session {
     fn explain_analyze(&mut self, query: Query) -> Result<QueryResult, DbError> {
         match query {
             q @ Query::Train { .. } => {
-                let durable = match &q {
-                    Query::Train { params, .. } => {
-                        params
-                            .get("durable")
-                            .and_then(|v| v.as_usize())
-                            .unwrap_or(0)
-                            != 0
-                    }
-                    _ => false,
-                };
-                let wal_before = if durable {
-                    self.db.model_store().map(|s| s.stats())
-                } else {
-                    None
+                let prepared = self.prepare_train(q)?;
+                let wal_before = match self.db.model_store() {
+                    Some(store) if prepared.is_durable() => Some(store.stats()),
+                    _ => None,
                 };
                 let before = self.dev.stats().clone();
-                let summary = match self.run(q)? {
-                    QueryResult::Train(t) => t,
-                    _ => unreachable!("Train queries return Train results"),
-                };
+                let summary = self.run_train(prepared)?;
                 let after = self.dev.stats().clone();
                 let mut lines: Vec<String> = summary
                     .op_stats
@@ -619,91 +604,8 @@ impl Session {
     /// predicates fail here with the same structured [`DbError`].
     fn explain(&mut self, query: Query) -> Result<QueryResult, DbError> {
         match query {
-            Query::Train {
-                table,
-                model,
-                projection,
-                filter,
-                strategy,
-                continuous,
-                params,
-            } => {
-                let snap = self.catalog().snapshot(&table)?;
-                let t = snap.table();
-                let kind = self.resolve_model_kind(&model, t)?;
-                let opts = QueryOptions::parse(Statement::Train, &params)?;
-                let epochs = opts.nonneg_int("max_epoch_num", 10)?;
-                let refresh = opts.positive_int("refresh", epochs.max(1))?;
-                if opts.is_set("refresh") && !continuous {
-                    return Err(DbError::BadParam(
-                        "refresh requires TRAIN … CONTINUOUS".into(),
-                    ));
-                }
-                let buffer_fraction = opts.fraction("buffer_fraction", 0.10)?;
-                let io_budget = opts.fraction("io_budget", StrategyParams::default().io_budget)?;
-                let seed = opts.nonneg_int("seed", 42)? as u64;
-                let pushdown = opts.flag("pushdown", true)?;
-                let fuse = opts.flag("fuse", true)?;
-                let planner = opts.flag("planner", true)?;
-                let mut sparams = StrategyParams::default()
-                    .with_buffer_fraction(buffer_fraction)
-                    .with_seed(seed)
-                    .with_io_budget(io_budget);
-                // Resolve the strategy exactly as `train` would, and render
-                // the planner's evidence when the choice was cost-based.
-                let mut planner_line = None;
-                let strategy = match strategy {
-                    Some(kind) => kind,
-                    None if !planner => StrategyKind::CorgiPile,
-                    None => {
-                        let hd = self.block_variance(&table, t, seed, true);
-                        let profile = self.dev.profile();
-                        let pick = CostModel::new(epochs).choose(t, &profile, &sparams, hd);
-                        if !opts.is_set("buffer_fraction") {
-                            sparams = sparams.with_buffer_fraction(pick.buffer_fraction);
-                        }
-                        planner_line = Some(format!(
-                            "Planner: strategy={} h_d={:.3} buffer_fraction={:.2} \
-                             predicted_epoch_io={:.6}s setup_io={:.6}s",
-                            pick.kind.name(),
-                            pick.hd,
-                            pick.buffer_fraction,
-                            pick.predicted_epoch_io,
-                            pick.predicted_setup_io,
-                        ));
-                        pick.kind
-                    }
-                };
-                let spec = TrainPlanSpec {
-                    table,
-                    model: kind.name().to_string(),
-                    epochs,
-                    strategy,
-                    projection,
-                    filter,
-                    buffer_blocks: sparams.buffer_blocks(t),
-                };
-                let mut plan = LogicalPlan::build(&spec, t)?;
-                if pushdown {
-                    plan = plan.push_down();
-                }
-                let mut lines = if fuse {
-                    plan.explain_lines_fused()
-                } else {
-                    plan.explain_lines()
-                };
-                lines.push(format!("Snapshot: version={}", snap.version()));
-                if continuous {
-                    lines.push(format!(
-                        "Continuous: refresh={refresh} (re-pin latest snapshot every \
-                         {refresh} epochs)"
-                    ));
-                }
-                lines.push(opts.line());
-                if let Some(line) = planner_line {
-                    lines.push(line);
-                }
-                Ok(QueryResult::Plan(lines))
+            q @ Query::Train { .. } => {
+                Ok(QueryResult::Plan(self.prepare_train(q)?.explain_lines()))
             }
             Query::Insert { table, rows } => {
                 let version = self.catalog().table_version(&table)?;
@@ -729,22 +631,16 @@ impl Session {
             } => {
                 let t = self.catalog().table(&table)?;
                 self.servable_exists(&model, version)?;
-                let batch_rows = match params.get("batch_rows") {
-                    None => ServeOptions::default().batch_rows,
-                    Some(v) => v.as_usize().filter(|n| *n > 0).ok_or_else(|| {
-                        DbError::BadParam("batch_rows must be a positive integer".into())
-                    })?,
-                };
+                let opts = ServeOptions::resolve(version, filter, &params)?;
                 let spec = PredictPlanSpec {
                     table,
                     model,
                     version,
-                    filter,
-                    batch_rows,
+                    filter: opts.filter,
+                    batch_rows: opts.batch_rows,
                 };
-                let fuse = params.get("fuse").and_then(|v| v.as_usize()).unwrap_or(1) != 0;
                 let plan = LogicalPlan::build_predict(&spec, &t)?.push_down();
-                Ok(QueryResult::Plan(if fuse {
+                Ok(QueryResult::Plan(if opts.fuse {
                     plan.explain_lines_fused()
                 } else {
                     plan.explain_lines()
@@ -752,353 +648,6 @@ impl Session {
             }
             other => self.run(other),
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn train(
-        &mut self,
-        table_name: &str,
-        model_name_raw: &str,
-        projection: Projection,
-        filter: Option<Predicate>,
-        strategy: Option<StrategyKind>,
-        continuous: bool,
-        params: BTreeMap<String, ParamValue>,
-    ) -> Result<QueryResult, DbError> {
-        if continuous {
-            return self.train_continuous(
-                table_name,
-                model_name_raw,
-                projection,
-                filter,
-                strategy,
-                params,
-            );
-        }
-        // Pin the snapshot before anything else: every block this query
-        // reads comes from exactly this version, no matter what concurrent
-        // INSERTs publish while it runs.
-        let snapshot = self.catalog().snapshot(table_name)?;
-        let snapshot_version = snapshot.version();
-        let mut table = snapshot.into_table();
-
-        // --- Parameters (validated against the typed option registry) ---
-        let opts = QueryOptions::parse(Statement::Train, &params)?;
-        if opts.is_set("refresh") {
-            return Err(DbError::BadParam(
-                "refresh requires TRAIN … CONTINUOUS".into(),
-            ));
-        }
-        let learning_rate = opts.float("learning_rate", 0.1)? as f32;
-        let decay = opts.float("decay", 0.95)? as f32;
-        let epochs = opts.nonneg_int("max_epoch_num", 10)?;
-        let buffer_fraction = opts.fraction("buffer_fraction", 0.10)?;
-        let io_budget = opts.fraction("io_budget", StrategyParams::default().io_budget)?;
-        let batch_size = opts.nonneg_int("batch_size", 1)?.max(1);
-        let seed = opts.nonneg_int("seed", 42)? as u64;
-        let double_buffer = opts.flag("double_buffer", true)?;
-        let l2 = opts.float("l2", 0.0)? as f32;
-        if l2 < 0.0 {
-            return Err(DbError::BadParam("l2 must be non-negative".into()));
-        }
-        let shared_buffers = opts.nonneg_int("shared_buffers", 0)?;
-        let report_metrics = opts.flag("report_metrics", false)?;
-        let planner = opts.flag("planner", true)?;
-        let max_retries = opts.nonneg_int("max_retries", 4)? as u32;
-        let on_fault = match params.get("on_fault") {
-            None => FaultAction::Fail,
-            Some(v) => match v.as_text() {
-                Some("fail") => FaultAction::Fail,
-                Some("skip") => FaultAction::SkipBlock,
-                _ => {
-                    return Err(DbError::BadParam(
-                        "on_fault must be 'fail' or 'skip'".into(),
-                    ))
-                }
-            },
-        };
-        let checkpoint_path = match params.get("checkpoint") {
-            None => None,
-            Some(v) => Some(PathBuf::from(v.as_text().ok_or_else(|| {
-                DbError::BadParam("checkpoint must be a path string".into())
-            })?)),
-        };
-        let resume = opts.flag("resume", false)?;
-        if resume && checkpoint_path.is_none() {
-            return Err(DbError::BadParam(
-                "resume = 1 requires checkpoint = '<path>'".into(),
-            ));
-        }
-        let halt_after_epoch = match params.get("halt_after_epoch") {
-            None => None,
-            Some(v) => Some(v.as_usize().ok_or_else(|| {
-                DbError::BadParam("halt_after_epoch must be a non-negative integer".into())
-            })?),
-        };
-        let durable = opts.flag("durable", false)?;
-        let pushdown = opts.flag("pushdown", true)?;
-        let fuse = opts.flag("fuse", true)?;
-        let rechunked = params.contains_key("block_size");
-        if let Some(bs) = params.get("block_size") {
-            let bytes = bs
-                .as_usize()
-                .ok_or_else(|| DbError::BadParam("block_size must be a byte size".into()))?;
-            table = Arc::new(table.rechunk(bytes)?);
-        }
-
-        // --- Logical plan (validates columns against the catalog) -------
-        let kind = self.resolve_model_kind(model_name_raw, &table)?;
-        let mut sparams = StrategyParams::default()
-            .with_buffer_fraction(buffer_fraction)
-            .with_seed(seed)
-            .with_io_budget(io_budget);
-
-        // --- Cost-based strategy planning --------------------------------
-        // A query that names a strategy gets exactly that strategy;
-        // `planner = 0` pins the historical default (plain CorgiPile), the
-        // A/B oracle for the chooser. Otherwise the cost model combines the
-        // (cached) block-variance estimate ĥ_D with the device profile and
-        // picks both the strategy and its buffer fraction — an explicit
-        // `buffer_fraction` parameter stays authoritative.
-        let strategy = match strategy {
-            Some(kind) => kind,
-            None if !planner => StrategyKind::CorgiPile,
-            None => {
-                let hd = self.block_variance(table_name, &table, seed, !rechunked);
-                let profile = self.dev.profile();
-                let pick = CostModel::new(epochs).choose(&table, &profile, &sparams, hd);
-                if !opts.is_set("buffer_fraction") {
-                    sparams = sparams.with_buffer_fraction(pick.buffer_fraction);
-                }
-                pick.kind
-            }
-        };
-        let spec = TrainPlanSpec {
-            table: table_name.to_string(),
-            model: kind.name().to_string(),
-            epochs,
-            strategy,
-            projection: projection.clone(),
-            filter: filter.clone(),
-            buffer_blocks: sparams.buffer_blocks(&table),
-        };
-        let mut plan = LogicalPlan::build(&spec, &table)?;
-        if pushdown {
-            plan = plan.push_down();
-        }
-
-        // --- Model ------------------------------------------------------
-        let dim_all = table.dim()?;
-        let projected = projection.feature_indices();
-        let dim = projected.as_ref().map(|c| c.len()).unwrap_or(dim_all);
-        let model = build_model(&kind, dim, seed);
-        let optimizer = OptimizerKind::Sgd {
-            lr0: learning_rate,
-            decay,
-        }
-        .build();
-        let options = TrainOptions {
-            batch_size,
-            clip_norm: 0.0,
-            l2,
-        };
-
-        // --- Physical plan (single construction site: plan.rs) ----------
-        let catalog = self.db.catalog();
-        let physical = build_physical_with(
-            &plan,
-            &table,
-            table_name,
-            &sparams,
-            seed,
-            &mut self.dev,
-            catalog,
-            BuildOptions {
-                fuse,
-                shared_scan: false,
-            },
-        )?;
-        let setup_seconds = physical.setup_seconds;
-
-        let mut sgd = SgdOperator::new(
-            physical.child,
-            model,
-            optimizer,
-            options,
-            self.compute,
-            epochs,
-            double_buffer,
-        );
-        sgd.setup_seconds = setup_seconds;
-        sgd.fused = physical.fused;
-        // Evaluation sees exactly what training saw: the filtered,
-        // projected tuple set.
-        let eval: Arc<Vec<Tuple>> = {
-            let all = table.all_tuples();
-            if filter.is_some() || projected.is_some() {
-                Arc::new(
-                    all.iter()
-                        .filter(|t| filter.as_ref().is_none_or(|p| p.matches(t)))
-                        .map(|t| match &projected {
-                            Some(cols) => project_tuple(t, cols),
-                            None => t.clone(),
-                        })
-                        .collect(),
-                )
-            } else {
-                Arc::new(all)
-            }
-        };
-        if report_metrics {
-            sgd.eval_each_epoch = Some(eval.clone());
-        }
-        sgd.checkpoint_seed = seed;
-        sgd.halt_after_epoch = halt_after_epoch;
-        if resume {
-            let path = checkpoint_path.as_ref().expect("validated above");
-            sgd.resume_from = Some(TrainCheckpoint::load(path)?);
-        }
-        sgd.checkpoint_path = checkpoint_path;
-
-        // --- Durable training (WAL-backed model store) -------------------
-        let stored_name = params
-            .get("model_name")
-            .and_then(|v| v.as_text())
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| format!("{table_name}_{}", kind.name()));
-        let mut durable_store = None;
-        let mut durable_version = None;
-        if durable {
-            let store = self.db.model_store().cloned().ok_or_else(|| {
-                DbError::BadParam(
-                    "durable = 1 requires an engine opened with a model store \
-                     (Database::with_model_store)"
-                        .into(),
-                )
-            })?;
-            // Auto-resume: the latest durable version of this name continues
-            // where it left off iff it matches this query (same seed, source
-            // table and model shape) and is unfinished; anything else trains
-            // a fresh version. An explicit `resume = 1` checkpoint file wins
-            // over the store's record.
-            let mut version = store.next_version(&stored_name);
-            if !resume {
-                if let Some(rec) = store.latest(&stored_name) {
-                    let resumable = rec.checkpoint.seed == seed
-                        && rec.source == table_name
-                        && rec.stored.kind == kind
-                        && rec.stored.dim == dim
-                        && (rec.epoch as usize) < epochs;
-                    if resumable {
-                        sgd.resume_from = Some(rec.checkpoint.clone());
-                        version = rec.version;
-                    }
-                }
-            }
-            durable_version = Some(version);
-            let sink_store = store.clone();
-            let sink_name = stored_name.clone();
-            let sink_source = table_name.to_string();
-            let sink_kind = kind.clone();
-            sgd.checkpoint_sink = Some(Box::new(move |ck, epoch_loss| {
-                sink_store.record_checkpoint(
-                    &sink_name,
-                    &sink_source,
-                    version,
-                    StoredModel {
-                        kind: sink_kind.clone(),
-                        dim,
-                        params: ck.model_params.clone(),
-                        train_loss: epoch_loss,
-                    },
-                    ck.clone(),
-                )
-            }));
-            durable_store = Some(store);
-        }
-        let wal_before = durable_store.as_ref().map(|s| s.stats());
-        // Pool choice: an explicit `shared_buffers` parameter keeps the old
-        // per-query private pool; otherwise the engine's shared pool serves
-        // the query whenever the engine has one configured.
-        let mut private_pool = if shared_buffers > 0 {
-            let mut p = PoolHandle::private(BufferPool::new(shared_buffers));
-            p.set_telemetry(&self.telemetry);
-            Some(p)
-        } else {
-            None
-        };
-        let mut ctx = ExecContext::new(&mut self.dev);
-        ctx.pool = match private_pool.as_mut() {
-            Some(p) => Some(p),
-            None if self.pool.capacity() > 0 => Some(&mut self.pool),
-            None => None,
-        };
-        ctx.retry = RetryPolicy::with_max_retries(max_retries);
-        ctx.on_fault = on_fault;
-        let result = sgd.execute(&mut ctx)?;
-
-        // Durability cost is observable per session: the WAL work this
-        // query caused, mirrored as `storage.wal.*` counters (the same
-        // numbers EXPLAIN ANALYZE renders on its WAL line).
-        if let (Some(store), Some(before)) = (&durable_store, wal_before) {
-            let s = store.stats();
-            self.telemetry
-                .counter("storage.wal.appends")
-                .add(s.appends - before.appends);
-            self.telemetry
-                .counter("storage.wal.appended_bytes")
-                .add(s.appended_bytes - before.appended_bytes);
-            self.telemetry
-                .counter("storage.wal.fsyncs")
-                .add(s.fsyncs - before.fsyncs);
-            self.telemetry
-                .counter("storage.wal.compactions")
-                .add(s.compactions - before.compactions);
-        }
-
-        // Selectivity is observable even when telemetry consumers never
-        // look at op stats: total rows the scan's fused predicate dropped.
-        let filtered: u64 = result.op_stats.iter().map(|s| s.rows_filtered).sum();
-        if filtered > 0 {
-            self.telemetry
-                .counter("db.scan.rows_filtered")
-                .add(filtered);
-        }
-
-        // --- Evaluate & store --------------------------------------------
-        let final_metric = if result.model.is_classifier() {
-            accuracy(result.model.as_ref(), eval.iter())
-        } else {
-            r_squared(result.model.as_ref(), eval.iter())
-        };
-        let train_loss = result.epochs.last().map(|e| e.train_loss).unwrap_or(0.0);
-        let stored = StoredModel {
-            kind: kind.clone(),
-            dim,
-            params: result.model.params().to_vec(),
-            train_loss,
-        };
-        self.catalog()
-            .store_model(stored_name.clone(), stored.clone());
-        // Hot-reload: every completed TRAIN publishes its result to the
-        // serving cache as the new active version. In-flight PREDICT
-        // batches finish on the version they pinned; the next pin serves
-        // this one. Durable runs reuse their WAL version number so the
-        // cache, store and SHOW MODELS agree.
-        let cache = self.db.model_cache();
-        let version = durable_version.unwrap_or_else(|| cache.next_version(&stored_name));
-        cache.publish(ServableModel::new(&stored_name, version, stored), true);
-        Ok(QueryResult::Train(DbTrainSummary {
-            model_name: stored_name,
-            model_kind: kind,
-            strategy: strategy.name().to_string(),
-            snapshot_version,
-            setup_seconds,
-            epochs: result.epochs,
-            final_train_metric: final_metric,
-            halted: result.halted,
-            op_stats: result.op_stats,
-        }))
     }
 
     /// `INSERT INTO <table> VALUES (…), …`: append through the catalog's
@@ -1134,307 +683,6 @@ impl Session {
         })
     }
 
-    /// `TRAIN … CONTINUOUS`: chunked training over the snapshot chain.
-    ///
-    /// The run splits its `max_epoch_num` epochs into chunks of `refresh`
-    /// epochs. Each chunk pins the *latest* snapshot at its start,
-    /// rebuilds the physical plan over it, and resumes the model from the
-    /// previous chunk's checkpoint — the same epoch-replay resume the
-    /// durable store uses — so every individual scan is bit-reproducible
-    /// on its pinned version while appended data is picked up at epoch
-    /// granularity. Over a table that never changes, the chunked run is
-    /// bit-identical to the equivalent plain `TRAIN`.
-    ///
-    /// The strategy (and the planner's buffer fraction) is resolved once,
-    /// on the first pinned snapshot, and held for the whole run: a
-    /// drifting table must not flip the access path mid-model.
-    fn train_continuous(
-        &mut self,
-        table_name: &str,
-        model_name_raw: &str,
-        projection: Projection,
-        filter: Option<Predicate>,
-        strategy: Option<StrategyKind>,
-        params: BTreeMap<String, ParamValue>,
-    ) -> Result<QueryResult, DbError> {
-        let opts = QueryOptions::parse(Statement::Train, &params)?;
-        // Checkpoint/resume knobs steer the single-shot path's restart
-        // story; CONTINUOUS owns the checkpoint chain itself.
-        for knob in [
-            "durable",
-            "resume",
-            "checkpoint",
-            "halt_after_epoch",
-            "block_size",
-        ] {
-            if params.contains_key(knob) {
-                return Err(DbError::BadParam(format!(
-                    "{knob} is not supported with TRAIN … CONTINUOUS"
-                )));
-            }
-        }
-        let learning_rate = opts.float("learning_rate", 0.1)? as f32;
-        let decay = opts.float("decay", 0.95)? as f32;
-        let epochs = opts.nonneg_int("max_epoch_num", 10)?;
-        let refresh = opts.positive_int("refresh", epochs.max(1))?;
-        let buffer_fraction = opts.fraction("buffer_fraction", 0.10)?;
-        let io_budget = opts.fraction("io_budget", StrategyParams::default().io_budget)?;
-        let batch_size = opts.nonneg_int("batch_size", 1)?.max(1);
-        let seed = opts.nonneg_int("seed", 42)? as u64;
-        let double_buffer = opts.flag("double_buffer", true)?;
-        let l2 = opts.float("l2", 0.0)? as f32;
-        if l2 < 0.0 {
-            return Err(DbError::BadParam("l2 must be non-negative".into()));
-        }
-        let shared_buffers = opts.nonneg_int("shared_buffers", 0)?;
-        let report_metrics = opts.flag("report_metrics", false)?;
-        let planner = opts.flag("planner", true)?;
-        let max_retries = opts.nonneg_int("max_retries", 4)? as u32;
-        let on_fault = match params.get("on_fault") {
-            None => FaultAction::Fail,
-            Some(v) => match v.as_text() {
-                Some("fail") => FaultAction::Fail,
-                Some("skip") => FaultAction::SkipBlock,
-                _ => {
-                    return Err(DbError::BadParam(
-                        "on_fault must be 'fail' or 'skip'".into(),
-                    ))
-                }
-            },
-        };
-        let pushdown = opts.flag("pushdown", true)?;
-        let fuse = opts.flag("fuse", true)?;
-
-        // --- First pin: model shape and strategy resolve here ------------
-        let mut snapshot = self.catalog().snapshot(table_name)?;
-        let kind = self.resolve_model_kind(model_name_raw, &snapshot)?;
-        let mut sparams = StrategyParams::default()
-            .with_buffer_fraction(buffer_fraction)
-            .with_seed(seed)
-            .with_io_budget(io_budget);
-        let strategy = match strategy {
-            Some(kind) => kind,
-            None if !planner => StrategyKind::CorgiPile,
-            None => {
-                let hd = self.block_variance(table_name, &snapshot, seed, true);
-                let profile = self.dev.profile();
-                let pick = CostModel::new(epochs).choose(&snapshot, &profile, &sparams, hd);
-                if !opts.is_set("buffer_fraction") {
-                    sparams = sparams.with_buffer_fraction(pick.buffer_fraction);
-                }
-                pick.kind
-            }
-        };
-        let dim_all = snapshot.dim()?;
-        let projected = projection.feature_indices();
-        let dim = projected.as_ref().map(|c| c.len()).unwrap_or(dim_all);
-        let eval_view = |table: &Arc<Table>| -> Arc<Vec<Tuple>> {
-            let all = table.all_tuples();
-            if filter.is_some() || projected.is_some() {
-                Arc::new(
-                    all.iter()
-                        .filter(|t| filter.as_ref().is_none_or(|p| p.matches(t)))
-                        .map(|t| match &projected {
-                            Some(cols) => project_tuple(t, cols),
-                            None => t.clone(),
-                        })
-                        .collect(),
-                )
-            } else {
-                Arc::new(all)
-            }
-        };
-
-        // --- Chunk loop ---------------------------------------------------
-        let mut all_epochs: Vec<DbEpochRecord> = Vec::new();
-        let mut setup_total = 0.0f64;
-        let mut filtered_total = 0u64;
-        let mut checkpoint: Option<TrainCheckpoint> = None;
-        // All four are assigned on every iteration before the loop can
-        // break, so they need no placeholder values.
-        let mut trained;
-        let mut last_op_stats;
-        let mut final_table: Arc<Table>;
-        let mut snapshot_version;
-        let mut chunk = 0usize;
-        let mut start = 0usize;
-        loop {
-            if chunk > 0 {
-                // Epoch boundary reached: let a registered harness inject
-                // its deterministic drift, then pick up the latest
-                // published snapshot for the next chunk of epochs.
-                if let Some(hook) = self.refresh_hook.as_mut() {
-                    hook(chunk);
-                }
-                snapshot = self.catalog().snapshot(table_name)?;
-            }
-            let table: Arc<Table> = snapshot.table().clone();
-            let end = (start + refresh).min(epochs);
-            let spec = TrainPlanSpec {
-                table: table_name.to_string(),
-                model: kind.name().to_string(),
-                epochs,
-                strategy,
-                projection: projection.clone(),
-                filter: filter.clone(),
-                buffer_blocks: sparams.buffer_blocks(&table),
-            };
-            let mut plan = LogicalPlan::build(&spec, &table)?;
-            if pushdown {
-                plan = plan.push_down();
-            }
-            let catalog = self.db.catalog();
-            let physical = build_physical_with(
-                &plan,
-                &table,
-                table_name,
-                &sparams,
-                seed,
-                &mut self.dev,
-                catalog,
-                BuildOptions {
-                    fuse,
-                    shared_scan: false,
-                },
-            )?;
-            setup_total += physical.setup_seconds;
-            let model = build_model(&kind, dim, seed);
-            let optimizer = OptimizerKind::Sgd {
-                lr0: learning_rate,
-                decay,
-            }
-            .build();
-            let options = TrainOptions {
-                batch_size,
-                clip_norm: 0.0,
-                l2,
-            };
-            let mut sgd = SgdOperator::new(
-                physical.child,
-                model,
-                optimizer,
-                options,
-                self.compute,
-                epochs,
-                double_buffer,
-            );
-            sgd.setup_seconds = physical.setup_seconds;
-            sgd.fused = physical.fused;
-            sgd.checkpoint_seed = seed;
-            sgd.resume_from = checkpoint.take();
-            if end < epochs {
-                sgd.halt_after_epoch = Some(end.saturating_sub(1));
-            }
-            if report_metrics {
-                sgd.eval_each_epoch = Some(eval_view(&table));
-            }
-            // The chunk's final checkpoint seeds the next chunk's resume.
-            let slot: Rc<RefCell<Option<TrainCheckpoint>>> = Rc::new(RefCell::new(None));
-            let sink = Rc::clone(&slot);
-            sgd.checkpoint_sink = Some(Box::new(move |ck, _| {
-                *sink.borrow_mut() = Some(ck.clone());
-                Ok(())
-            }));
-            let mut private_pool = if shared_buffers > 0 {
-                let mut p = PoolHandle::private(BufferPool::new(shared_buffers));
-                p.set_telemetry(&self.telemetry);
-                Some(p)
-            } else {
-                None
-            };
-            let mut ctx = ExecContext::new(&mut self.dev);
-            ctx.pool = match private_pool.as_mut() {
-                Some(p) => Some(p),
-                None if self.pool.capacity() > 0 => Some(&mut self.pool),
-                None => None,
-            };
-            ctx.retry = RetryPolicy::with_max_retries(max_retries);
-            ctx.on_fault = on_fault;
-            let mut result = sgd.execute(&mut ctx)?;
-            checkpoint = slot.borrow_mut().take();
-            filtered_total += result.op_stats.iter().map(|s| s.rows_filtered).sum::<u64>();
-            all_epochs.append(&mut result.epochs);
-            last_op_stats = result.op_stats;
-            trained = result.model;
-            final_table = table;
-            snapshot_version = snapshot.version();
-            if end >= epochs {
-                break;
-            }
-            start = end;
-            chunk += 1;
-        }
-        self.telemetry
-            .counter("db.train.continuous_chunks")
-            .add((chunk + 1) as u64);
-        if filtered_total > 0 {
-            self.telemetry
-                .counter("db.scan.rows_filtered")
-                .add(filtered_total);
-        }
-
-        // --- Evaluate & store (against the last pinned snapshot) ----------
-        let eval = eval_view(&final_table);
-        let final_metric = if trained.is_classifier() {
-            accuracy(trained.as_ref(), eval.iter())
-        } else {
-            r_squared(trained.as_ref(), eval.iter())
-        };
-        let train_loss = all_epochs.last().map(|e| e.train_loss).unwrap_or(0.0);
-        let stored_name = params
-            .get("model_name")
-            .and_then(|v| v.as_text())
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| format!("{table_name}_{}", kind.name()));
-        let stored = StoredModel {
-            kind: kind.clone(),
-            dim,
-            params: trained.params().to_vec(),
-            train_loss,
-        };
-        self.catalog()
-            .store_model(stored_name.clone(), stored.clone());
-        let cache = self.db.model_cache();
-        let version = cache.next_version(&stored_name);
-        cache.publish(ServableModel::new(&stored_name, version, stored), true);
-        Ok(QueryResult::Train(DbTrainSummary {
-            model_name: stored_name,
-            model_kind: kind,
-            strategy: strategy.name().to_string(),
-            snapshot_version,
-            setup_seconds: setup_total,
-            epochs: all_epochs,
-            final_train_metric: final_metric,
-            halted: false,
-            op_stats: last_op_stats,
-        }))
-    }
-
-    /// The planner's ĥ_D estimate for a table: catalog cache when valid
-    /// for this exact table version, else a bounded block sample.
-    ///
-    /// Sampling runs on a scratch device so planning charges no I/O to the
-    /// session's stats and never trips a session fault plan; the bounded
-    /// sample cost is reported inside the estimate itself (EXPLAIN). The
-    /// result is cached per (name, table_id) unless the query rechunked
-    /// the table — a rechunked copy shares the id but not the block
-    /// partition, so its ĥ_D must not overwrite the registered table's.
-    fn block_variance(&self, table_name: &str, table: &Table, seed: u64, cacheable: bool) -> f64 {
-        let table_id = table.config().table_id;
-        if cacheable {
-            if let Some(hd) = self.catalog().cached_block_variance(table_name, table_id) {
-                return hd;
-            }
-        }
-        let mut scratch = SimDevice::ssd(0);
-        let hd = block_variance_sampled(table, 0.25, seed, &mut scratch).hd;
-        if cacheable {
-            self.catalog()
-                .cache_block_variance(table_name, table_id, hd);
-        }
-        hd
-    }
-
     /// `RECLUSTER <table> [WITH io_budget = f, seed = n]`: the bounded-I/O
     /// offline pass of Corgi² run as a standalone statement. The result
     /// replaces the table under its own name (later queries — and the
@@ -1468,29 +716,6 @@ impl Session {
         })
     }
 
-    fn resolve_model_kind(&self, name: &str, table: &Table) -> Result<ModelKind, DbError> {
-        let classes = || -> usize {
-            let max = table
-                .all_tuples()
-                .iter()
-                .map(|t| t.label as i64)
-                .max()
-                .unwrap_or(1);
-            (max + 1).max(2) as usize
-        };
-        match name {
-            "svm" => Ok(ModelKind::Svm),
-            "lr" | "logit" | "logistic" => Ok(ModelKind::LogisticRegression),
-            "linreg" | "linear_regression" => Ok(ModelKind::LinearRegression),
-            "softmax" => Ok(ModelKind::Softmax { classes: classes() }),
-            "mlp" => Ok(ModelKind::Mlp {
-                hidden: vec![32],
-                classes: classes(),
-            }),
-            other => Err(DbError::UnknownModelKind(other.to_string())),
-        }
-    }
-
     fn predict(&mut self, table_name: &str, model_name: &str) -> Result<QueryResult, DbError> {
         let table = self.catalog().table(table_name)?;
         let model = self.catalog().model(model_name)?.instantiate();
@@ -1500,11 +725,7 @@ impl Session {
             .iter()
             .map(|t| model.predict_label(&t.features))
             .collect();
-        let metric = if model.is_classifier() {
-            accuracy(model.as_ref(), &tuples)
-        } else {
-            r_squared(model.as_ref(), &tuples)
-        };
+        let metric = evaluate(model.as_ref(), &tuples);
         Ok(QueryResult::Predict {
             predictions,
             metric,

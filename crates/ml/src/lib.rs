@@ -36,6 +36,7 @@ pub use mlp::Mlp;
 pub use model::{build_model, Model, ModelKind};
 pub use optimizer::{Adam, Optimizer, OptimizerKind, Sgd};
 pub use sgd::{
-    train_minibatch, train_per_tuple, ComputeCostModel, EpochStats, MinibatchTrainer, TrainOptions,
+    train_minibatch, train_per_tuple, ComputeCostModel, EpochStats, MinibatchTrainer,
+    PerTupleTrainer, TrainOptions,
 };
 pub use softmax::SoftmaxRegression;

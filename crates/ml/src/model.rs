@@ -3,7 +3,7 @@
 use crate::linear::{LinearModel, LinearTask};
 use crate::mlp::Mlp;
 use crate::softmax::SoftmaxRegression;
-use corgipile_storage::{FeatureVec, TupleRef};
+use corgipile_storage::FeatureVec;
 
 /// A trainable model with a flat parameter vector.
 ///
@@ -40,24 +40,6 @@ pub trait Model: Send + Sync {
         self.grad(x, y, &mut g);
         for (p, gi) in self.params_mut().iter_mut().zip(&g) {
             *p -= lr * gi;
-        }
-    }
-
-    /// Fused batch of per-tuple SGD steps: for each tuple in order,
-    /// accumulate its pre-update loss into `loss_sum` and apply
-    /// [`Model::sgd_step`].
-    ///
-    /// This is the vectorized executor's training kernel: one virtual call
-    /// per batch instead of two per tuple. Because default trait methods
-    /// are monomorphized per implementor, `self.loss`/`self.sgd_step`
-    /// dispatch *statically* inside this body. The loss accumulation order
-    /// and the update sequence are exactly the interpreted per-tuple
-    /// loop's, so trained models and reported training loss stay
-    /// bit-identical.
-    fn sgd_batch(&mut self, batch: &[TupleRef], lr: f32, loss_sum: &mut f64) {
-        for r in batch {
-            *loss_sum += self.loss(&r.features, r.label);
-            self.sgd_step(&r.features, r.label, lr);
         }
     }
 
@@ -233,56 +215,6 @@ mod tests {
             let scalar: Vec<f32> = xs.iter().map(|x| m.predict_label(x)).collect();
             assert_eq!(batched, scalar, "{k}");
             assert!(m.inference_flops_per_example(5) <= m.flops_per_example(5));
-        }
-    }
-
-    #[test]
-    fn sgd_batch_is_bit_identical_to_per_tuple_loop() {
-        use corgipile_storage::Tuple;
-        use std::sync::Arc;
-        let kinds = [
-            ModelKind::LogisticRegression,
-            ModelKind::Svm,
-            ModelKind::LinearRegression,
-            ModelKind::Softmax { classes: 3 },
-            ModelKind::Mlp {
-                hidden: vec![5],
-                classes: 3,
-            },
-        ];
-        let block: Arc<Vec<Tuple>> = Arc::new(
-            (0..30)
-                .map(|i| {
-                    let label = if matches!(i % 3, 0) { 1.0 } else { -1.0 };
-                    Tuple::dense(
-                        i,
-                        (0..4)
-                            .map(|j| ((i * 5 + j * 7) % 13) as f32 / 4.0 - 1.5)
-                            .collect(),
-                        label,
-                    )
-                })
-                .collect(),
-        );
-        let refs: Vec<TupleRef> = corgipile_storage::block_refs(&block).collect();
-        for k in kinds {
-            let mut fused = build_model(&k, 4, 7);
-            let mut scalar = build_model(&k, 4, 7);
-            let mut fused_loss = 0.0f64;
-            let mut scalar_loss = 0.0f64;
-            for chunk in refs.chunks(7) {
-                fused.sgd_batch(chunk, 0.05, &mut fused_loss);
-                for r in chunk {
-                    scalar_loss += scalar.loss(&r.features, r.label);
-                    scalar.sgd_step(&r.features, r.label, 0.05);
-                }
-            }
-            assert_eq!(fused.params(), scalar.params(), "{k}: params diverged");
-            assert_eq!(
-                fused_loss.to_bits(),
-                scalar_loss.to_bits(),
-                "{k}: loss accumulation diverged"
-            );
         }
     }
 

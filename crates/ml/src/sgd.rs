@@ -123,42 +123,72 @@ pub struct EpochStats {
 /// Per-tuple SGD over a stream: `x_{k} = x_{k-1} − η ∇f(x_{k-1})`.
 ///
 /// Uses the model's fused (sparse-aware) step; the optimizer provides the
-/// current learning rate.
+/// current learning rate. One [`PerTupleTrainer`] pass without L2.
 pub fn train_per_tuple<'a, I>(model: &mut dyn Model, opt: &dyn Optimizer, tuples: I) -> EpochStats
 where
     I: IntoIterator<Item = &'a Tuple>,
 {
-    train_per_tuple_with(model, opt, tuples, &TrainOptions::default())
+    let mut pt = PerTupleTrainer::new(opt.lr(), &TrainOptions::default());
+    pt.feed(model, tuples);
+    pt.finish()
 }
 
-/// Per-tuple SGD with full [`TrainOptions`] (L2 via lazy weight decay).
-pub fn train_per_tuple_with<'a, I>(
-    model: &mut dyn Model,
-    opt: &dyn Optimizer,
-    tuples: I,
-    options: &TrainOptions,
-) -> EpochStats
-where
-    I: IntoIterator<Item = &'a Tuple>,
-{
-    let lr = opt.lr();
-    let mut loss_sum = 0.0f64;
-    let mut n = 0usize;
-    let decay_stride = (1.0 - lr * options.l2).powi(L2_STRIDE as i32);
-    for t in tuples {
-        loss_sum += model.loss(&t.features, t.label);
-        model.sgd_step(&t.features, t.label, lr);
-        n += 1;
-        if options.l2 > 0.0 && n.is_multiple_of(L2_STRIDE) {
-            for p in model.params_mut() {
-                *p *= decay_stride;
+/// Incremental per-tuple SGD: the per-tuple twin of [`MinibatchTrainer`].
+///
+/// Feed an epoch's stream in any grouping (one buffer fill at a time); the
+/// loss accumulator and the lazy weight-decay stride carry across groups,
+/// so any segmentation of the same sequence yields bit-identical models
+/// and stats. L2 is a lazy weight decay; with `l2 = 0` the decay branch is
+/// never taken.
+#[derive(Debug)]
+pub struct PerTupleTrainer {
+    lr: f32,
+    l2: f32,
+    decay_stride: f32,
+    loss_sum: f64,
+    n: usize,
+}
+
+impl PerTupleTrainer {
+    /// Start an epoch at learning rate `lr`.
+    pub fn new(lr: f32, options: &TrainOptions) -> Self {
+        PerTupleTrainer {
+            lr,
+            l2: options.l2,
+            decay_stride: (1.0 - lr * options.l2).powi(L2_STRIDE as i32),
+            loss_sum: 0.0,
+            n: 0,
+        }
+    }
+
+    /// Train on `tuples` in order: pre-update loss, then one fused step.
+    pub fn feed<'a, I>(&mut self, model: &mut dyn Model, tuples: I)
+    where
+        I: IntoIterator<Item = &'a Tuple>,
+    {
+        for t in tuples {
+            self.loss_sum += model.loss(&t.features, t.label);
+            model.sgd_step(&t.features, t.label, self.lr);
+            self.n += 1;
+            if self.l2 > 0.0 && self.n.is_multiple_of(L2_STRIDE) {
+                for p in model.params_mut() {
+                    *p *= self.decay_stride;
+                }
             }
         }
     }
-    EpochStats {
-        mean_loss: if n > 0 { loss_sum / n as f64 } else { 0.0 },
-        examples: n,
-        updates: n,
+
+    /// The epoch stats so far.
+    pub fn finish(self) -> EpochStats {
+        EpochStats {
+            mean_loss: if self.n > 0 {
+                self.loss_sum / self.n as f64
+            } else {
+                0.0
+            },
+            examples: self.n,
+            updates: self.n,
+        }
     }
 }
 
@@ -354,16 +384,8 @@ mod tests {
         let mut plain = LinearModel::new(2, LinearTask::Logistic);
         let mut reg = LinearModel::new(2, LinearTask::Logistic);
         let opt = Sgd::new(0.1, 1.0);
-        train_per_tuple_with(&mut plain, &opt, &data, &TrainOptions::default());
-        train_per_tuple_with(
-            &mut reg,
-            &opt,
-            &data,
-            &TrainOptions {
-                l2: 0.5,
-                ..TrainOptions::default()
-            },
-        );
+        train_per_tuple(&mut plain, &opt, &data);
+        PerTupleTrainer::new(opt.lr(), &TrainOptions::default().with_l2(0.5)).feed(&mut reg, &data);
         let norm = |m: &LinearModel| m.params().iter().map(|p| p * p).sum::<f32>();
         assert!(
             norm(&reg) < norm(&plain),
@@ -385,6 +407,30 @@ mod tests {
             &TrainOptions::minibatch(8).with_l2(0.5),
         );
         assert!(norm(&reg_mb) < norm(&plain_mb));
+    }
+
+    #[test]
+    fn per_tuple_trainer_is_invariant_to_how_the_stream_is_segmented() {
+        // Buffer fills cut the epoch stream at arbitrary points; the loss
+        // sum and the lazy-decay stride must carry across the cuts.
+        let data = stream();
+        let opts = TrainOptions::default().with_l2(0.3);
+        let opt = Sgd::new(0.05, 1.0);
+        let mut whole = LinearModel::new(2, LinearTask::Logistic);
+        let mut pt = PerTupleTrainer::new(opt.lr(), &opts);
+        pt.feed(&mut whole, &data);
+        let want = pt.finish();
+        for cut in [1usize, 7, 16, 33] {
+            let mut m = LinearModel::new(2, LinearTask::Logistic);
+            let mut pt = PerTupleTrainer::new(opt.lr(), &opts);
+            for fill in data.chunks(cut) {
+                pt.feed(&mut m, fill);
+            }
+            let got = pt.finish();
+            assert_eq!(m.params(), whole.params(), "cut {cut}");
+            assert_eq!(got.mean_loss.to_bits(), want.mean_loss.to_bits());
+            assert_eq!(got.examples, 100);
+        }
     }
 
     #[test]

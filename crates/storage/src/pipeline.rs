@@ -33,9 +33,16 @@
 //!   consumer that stops early just drops its receiver; the producer's next
 //!   send fails, it winds down, and the scope joins cleanly. Producer
 //!   panics resurface as [`PipelineError::ProducerPanicked`].
+//! * **One body for serial and overlapped.** Called with
+//!   `overlapped = false`, [`run_epoch_pipeline`] spawns nothing:
+//!   [`PipelineSender::fill_and_send`] runs `consume` on the calling thread,
+//!   on the producer's own batch, so callers write one `produce` and one
+//!   `consume` closure and pass double buffering as a value. The inline mode
+//!   records no spans and returns an empty [`PipelineReport`].
 //!
-//! Telemetry: each fill runs under a `pipeline.fill` span (wall + sim);
-//! consumer waits are recorded under `pipeline.stall` spans, producer waits
+//! Telemetry: each overlapped fill runs under a `pipeline.fill` span (wall
+//! from the previous hand-off, sim as reported by the producer); consumer
+//! waits are recorded under `pipeline.stall` spans, producer waits
 //! in the `pipeline.backpressure.wall_seconds` histogram.
 
 use std::fmt;
@@ -44,7 +51,7 @@ use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::Instant;
 
-use corgipile_telemetry::{Span, Telemetry};
+use corgipile_telemetry::Telemetry;
 
 use crate::tuple::{tuple_clone_count, Tuple};
 
@@ -127,13 +134,6 @@ impl TupleBatch {
         TupleBatch::default()
     }
 
-    /// An empty batch pre-sized for `cap` refs.
-    pub fn with_capacity(cap: usize) -> Self {
-        TupleBatch {
-            refs: Vec::with_capacity(cap),
-        }
-    }
-
     /// Drop all refs but keep the backing allocation.
     pub fn clear(&mut self) {
         self.refs.clear();
@@ -173,12 +173,6 @@ impl TupleBatch {
     /// Iterate the refs in order.
     pub fn iter(&self) -> std::slice::Iter<'_, TupleRef> {
         self.refs.iter()
-    }
-
-    /// Surrender the backing `Vec` (for cross-thread handover), leaving the
-    /// batch empty with no capacity.
-    pub fn take_refs(&mut self) -> Vec<TupleRef> {
-        std::mem::take(&mut self.refs)
     }
 }
 
@@ -237,80 +231,107 @@ pub struct PipelineReport {
     pub backpressure_wall_seconds: f64,
 }
 
+/// Where a [`PipelineSender`] delivers its fills.
+enum Link<'a, T> {
+    /// Overlapped: through the bounded channel to the consumer thread.
+    Channel(SyncSender<T>),
+    /// Inline: straight into the consumer, on this thread.
+    Inline(&'a mut dyn FnMut(&mut T) -> bool),
+}
+
 /// Producer-side handle: fill batches and hand them to the consumer.
-pub struct PipelineSender<T> {
-    tx: SyncSender<T>,
+pub struct PipelineSender<'a, T> {
+    link: Link<'a, T>,
     telemetry: Telemetry,
+    /// When the previous hand-off returned: the wall start of the fill
+    /// being produced now.
+    fill_started: Instant,
     fills: u64,
     backpressure_wall_seconds: f64,
     hung_up: bool,
 }
 
-impl<T> PipelineSender<T> {
-    /// Run `fill` under a `pipeline.fill` span and send its batch.
+impl<'a, T: Default> PipelineSender<'a, T> {
+    fn new(link: Link<'a, T>, telemetry: &Telemetry) -> Self {
+        PipelineSender {
+            link,
+            fill_started: Instant::now(),
+            telemetry: telemetry.clone(),
+            fills: 0,
+            backpressure_wall_seconds: 0.0,
+            hung_up: false,
+        }
+    }
+
+    /// Hand `batch` to the consumer.
     ///
-    /// The closure receives the span to attribute simulated I/O seconds
-    /// (`Span::add_sim_seconds`). Returns `false` once the consumer has
-    /// hung up — the producer should stop filling; the batch that observed
-    /// the hang-up is dropped.
-    pub fn fill_and_send<F: FnOnce(&mut Span) -> T>(&mut self, fill: F) -> bool {
+    /// Overlapped, the batch is taken (leaving `T::default()` behind) and
+    /// sent through the channel under a `pipeline.fill` span: wall since
+    /// the previous hand-off returned, sim = `sim_seconds`. Inline, the consumer runs right here on `batch` in
+    /// place, so the producer's next fill reuses its allocation. Returns
+    /// `false` once the consumer has hung up — the producer should stop
+    /// filling; the batch that observed the hang-up is dropped.
+    pub fn fill_and_send(&mut self, batch: &mut T, sim_seconds: f64) -> bool {
         if self.hung_up {
             return false;
         }
-        let mut span = self.telemetry.span("pipeline.fill");
-        let batch = fill(&mut span);
-        span.finish();
-        let blocked_at = Instant::now();
-        match self.tx.send(batch) {
-            Ok(()) => {
-                self.backpressure_wall_seconds += blocked_at.elapsed().as_secs_f64();
-                self.fills += 1;
-                true
-            }
-            Err(_) => {
-                self.hung_up = true;
-                false
+        match &mut self.link {
+            Link::Inline(consume) => self.hung_up = !consume(batch),
+            Link::Channel(tx) => {
+                let mut span = self.telemetry.span("pipeline.fill");
+                span.backdate(self.fill_started);
+                span.add_sim_seconds(sim_seconds);
+                span.finish();
+                let blocked_at = Instant::now();
+                match tx.send(std::mem::take(batch)) {
+                    Ok(()) => {
+                        self.fill_started = Instant::now();
+                        self.backpressure_wall_seconds +=
+                            (self.fill_started - blocked_at).as_secs_f64();
+                        self.fills += 1;
+                    }
+                    Err(_) => self.hung_up = true,
+                }
             }
         }
-    }
-
-    /// Whether the consumer has already hung up.
-    pub fn consumer_gone(&self) -> bool {
-        self.hung_up
+        !self.hung_up
     }
 }
 
-/// Run one epoch with a producer thread overlapping the consumer.
+/// Run one epoch's fills through `consume`, in send order.
 ///
-/// `produce` executes on a scoped thread and pushes batches through the
-/// bounded channel via [`PipelineSender::fill_and_send`]; `consume` runs on
-/// the calling thread for every batch, in send order, returning `false` to
-/// stop early. Typed producer errors and panics are reported after the
-/// scope joins — never by hanging. See the module docs for the determinism
-/// and accounting rules.
+/// With `overlapped` set, `produce` executes on a scoped thread and pushes
+/// batches through the bounded channel via
+/// [`PipelineSender::fill_and_send`] while `consume` runs on the calling
+/// thread. Without it, `produce` runs on the calling thread and every
+/// `fill_and_send` calls `consume` directly. Either way `consume` returns
+/// `false` to stop early, and typed producer errors and panics are
+/// reported after the scope joins — never by hanging. See the module docs
+/// for the determinism and accounting rules.
 pub fn run_epoch_pipeline<T, E, P, C>(
     telemetry: &Telemetry,
+    overlapped: bool,
     produce: P,
     mut consume: C,
 ) -> Result<PipelineReport, PipelineError<E>>
 where
-    T: Send,
+    T: Send + Default,
     E: Send,
-    P: FnOnce(&mut PipelineSender<T>) -> Result<(), E> + Send,
-    C: FnMut(T) -> bool,
+    P: FnOnce(&mut PipelineSender<'_, T>) -> Result<(), E> + Send,
+    C: FnMut(&mut T) -> bool,
 {
+    if !overlapped {
+        let mut sender = PipelineSender::new(Link::Inline(&mut consume), telemetry);
+        return match produce(&mut sender) {
+            Ok(()) => Ok(PipelineReport::default()),
+            Err(e) => Err(PipelineError::Producer(e)),
+        };
+    }
     let (tx, rx) = std::sync::mpsc::sync_channel::<T>(PIPELINE_SLOTS);
     std::thread::scope(|scope| {
-        let producer_telemetry = telemetry.clone();
         let producer = scope.spawn(move || {
             let clones_before = tuple_clone_count();
-            let mut sender = PipelineSender {
-                tx,
-                telemetry: producer_telemetry,
-                fills: 0,
-                backpressure_wall_seconds: 0.0,
-                hung_up: false,
-            };
+            let mut sender = PipelineSender::new(Link::Channel(tx), telemetry);
             let outcome = produce(&mut sender);
             let clones = tuple_clone_count() - clones_before;
             (
@@ -326,9 +347,9 @@ where
         while let Some(receiver) = rx.as_ref() {
             let batch = recv_with_stall(receiver, telemetry, &mut report);
             match batch {
-                Some(b) => {
+                Some(mut b) => {
                     report.batches_consumed += 1;
-                    if !consume(b) {
+                    if !consume(&mut b) {
                         // Early stop: drop the receiver so the producer's
                         // next send fails and it winds down.
                         rx = None;
@@ -395,89 +416,143 @@ mod tests {
 
     #[test]
     fn batches_arrive_in_send_order() {
-        let tel = Telemetry::enabled();
-        let mut got = Vec::new();
-        let report = run_epoch_pipeline::<_, StorageError, _, _>(
-            &tel,
-            |sender| {
-                for i in 0..16 {
-                    if !sender.fill_and_send(|_| i) {
-                        break;
+        for overlapped in [false, true] {
+            let tel = Telemetry::enabled();
+            let mut got = Vec::new();
+            let report = run_epoch_pipeline::<_, StorageError, _, _>(
+                &tel,
+                overlapped,
+                |sender| {
+                    for mut i in 0..16 {
+                        if !sender.fill_and_send(&mut i, 0.0) {
+                            break;
+                        }
                     }
+                    Ok(())
+                },
+                |i| {
+                    got.push(*i);
+                    true
+                },
+            )
+            .unwrap();
+            assert_eq!(got, (0..16).collect::<Vec<_>>());
+            // Inline runs report nothing: no thread, no channel, no spans.
+            let n = if overlapped { 16 } else { 0 };
+            assert_eq!((report.fills, report.batches_consumed), (n, n));
+            // One `pipeline.fill` span per hand-off.
+            let snap = tel.snapshot();
+            let spans = snap
+                .metrics
+                .histograms
+                .iter()
+                .find(|(name, _)| name == "pipeline.fill.wall_seconds")
+                .map_or(0, |(_, h)| h.count);
+            assert_eq!(spans, n);
+        }
+    }
+
+    #[test]
+    fn inline_mode_consumes_the_producers_batch_in_place() {
+        // The consumer sees the producer's own Vec (same allocation every
+        // fill), on the producer's thread; the overlapped mode takes it.
+        let tel = Telemetry::disabled();
+        let caller = std::thread::current().id();
+        let mut seen = Vec::new();
+        run_epoch_pipeline::<Vec<u64>, StorageError, _, _>(
+            &tel,
+            false,
+            |sender| {
+                let mut batch = Vec::with_capacity(8);
+                for i in 0..4u64 {
+                    batch.clear();
+                    batch.extend([i, i + 1]);
+                    assert!(sender.fill_and_send(&mut batch, 0.0));
+                    assert_eq!(batch.capacity(), 8, "inline keeps the allocation");
                 }
                 Ok(())
             },
-            |i| {
-                got.push(i);
+            |batch| {
+                assert_eq!(std::thread::current().id(), caller);
+                seen.push((batch.as_ptr() as usize, batch.clone()));
                 true
             },
         )
         .unwrap();
-        assert_eq!(got, (0..16).collect::<Vec<_>>());
-        assert_eq!(report.fills, 16);
-        assert_eq!(report.batches_consumed, 16);
+        assert_eq!(seen.len(), 4);
+        assert!(seen.iter().all(|(p, _)| *p == seen[0].0));
+        assert_eq!(seen[3].1, vec![3, 4]);
     }
 
     #[test]
     fn producer_error_is_typed_and_does_not_hang() {
         let tel = Telemetry::disabled();
         let mut got = Vec::new();
-        let err = run_epoch_pipeline(
-            &tel,
-            |sender| {
-                sender.fill_and_send(|_| 1u32);
-                sender.fill_and_send(|_| 2u32);
-                Err(StorageError::ReadFailed {
-                    block: 7,
-                    attempts: 3,
-                    message: "dead block".into(),
-                })
-            },
-            |i| {
-                got.push(i);
-                true
-            },
-        )
-        .unwrap_err();
-        // In-flight batches drain first, then the typed error surfaces.
-        assert_eq!(got, vec![1, 2]);
-        match err {
-            PipelineError::Producer(StorageError::ReadFailed {
-                block, attempts, ..
-            }) => {
-                assert_eq!((block, attempts), (7, 3));
+        for overlapped in [false, true] {
+            got.clear();
+            let err = run_epoch_pipeline(
+                &tel,
+                overlapped,
+                |sender| {
+                    sender.fill_and_send(&mut 1u32, 0.0);
+                    sender.fill_and_send(&mut 2u32, 0.0);
+                    Err(StorageError::ReadFailed {
+                        block: 7,
+                        attempts: 3,
+                        message: "dead block".into(),
+                    })
+                },
+                |i| {
+                    got.push(*i);
+                    true
+                },
+            )
+            .unwrap_err();
+            // In-flight batches drain first, then the typed error surfaces.
+            assert_eq!(got, vec![1, 2]);
+            match err {
+                PipelineError::Producer(StorageError::ReadFailed {
+                    block, attempts, ..
+                }) => {
+                    assert_eq!((block, attempts), (7, 3));
+                }
+                other => panic!("unexpected error: {other:?}"),
             }
-            other => panic!("unexpected error: {other:?}"),
         }
     }
 
     #[test]
     fn early_consumer_stop_joins_cleanly() {
         let tel = Telemetry::disabled();
-        let mut seen = 0u64;
-        let report = run_epoch_pipeline::<_, StorageError, _, _>(
-            &tel,
-            |sender| {
-                let mut sent_all = true;
-                for i in 0..1000u64 {
-                    if !sender.fill_and_send(|_| i) {
-                        sent_all = false;
-                        break;
+        for overlapped in [false, true] {
+            let mut seen = 0u64;
+            let report = run_epoch_pipeline::<_, StorageError, _, _>(
+                &tel,
+                overlapped,
+                |sender| {
+                    let mut sent_all = true;
+                    for mut i in 0..1000u64 {
+                        if !sender.fill_and_send(&mut i, 0.0) {
+                            sent_all = false;
+                            break;
+                        }
                     }
-                }
-                assert!(!sent_all, "consumer hang-up should stop the producer");
-                assert!(sender.consumer_gone());
-                Ok(())
-            },
-            |_| {
-                seen += 1;
-                seen < 3
-            },
-        )
-        .unwrap();
-        assert_eq!(seen, 3);
-        assert_eq!(report.batches_consumed, 3);
-        assert!(report.fills < 1000);
+                    assert!(!sent_all, "consumer hang-up should stop the producer");
+                    assert!(!sender.fill_and_send(&mut 0, 0.0), "and it stays hung up");
+                    Ok(())
+                },
+                |_| {
+                    seen += 1;
+                    seen < 3
+                },
+            )
+            .unwrap();
+            assert_eq!(seen, 3);
+            if overlapped {
+                assert_eq!(report.batches_consumed, 3);
+                assert!(report.fills < 1000);
+            }
+        }
     }
 
     #[test]
@@ -485,6 +560,7 @@ mod tests {
         let tel = Telemetry::disabled();
         let err = run_epoch_pipeline::<u32, StorageError, _, _>(
             &tel,
+            true,
             |_| panic!("boom in producer"),
             |_| true,
         )
@@ -524,18 +600,19 @@ mod tests {
         let mut drained = 0usize;
         let report = run_epoch_pipeline::<_, StorageError, _, _>(
             &tel,
+            true,
             |sender| {
                 for chunk in 0..10usize {
-                    let batch: Vec<TupleRef> = (0..10)
+                    let mut batch: Vec<TupleRef> = (0..10)
                         .map(|i| TupleRef::new(Arc::clone(&block), chunk * 10 + i))
                         .collect();
-                    if !sender.fill_and_send(|_| batch) {
+                    if !sender.fill_and_send(&mut batch, 0.0) {
                         break;
                     }
                 }
                 Ok(())
             },
-            |batch: Vec<TupleRef>| {
+            |batch: &mut Vec<TupleRef>| {
                 drained += batch.len();
                 true
             },
@@ -571,7 +648,7 @@ mod tests {
         assert_eq!(batch_grow_count(), warm, "warm refill must not allocate");
         // Zero-copy: refilling never clones tuples.
         let clones = tuple_clone_count();
-        let mut other = TupleBatch::with_capacity(32);
+        let mut other = TupleBatch::new();
         other.extend_from_slice(&batch);
         assert_eq!(tuple_clone_count(), clones);
         assert_eq!(other.len(), 32);
@@ -592,16 +669,17 @@ mod tests {
                 let mut got = Vec::new();
                 run_epoch_pipeline::<_, StorageError, _, _>(
                     &tel,
+                    true,
                     move |sender| {
                         for chunk in send_side.chunks(3) {
-                            if !sender.fill_and_send(|_| chunk.to_vec()) {
+                            if !sender.fill_and_send(&mut chunk.to_vec(), 0.0) {
                                 break;
                             }
                         }
                         Ok(())
                     },
-                    |chunk: Vec<u64>| {
-                        got.extend(chunk);
+                    |chunk: &mut Vec<u64>| {
+                        got.extend(chunk.iter().copied());
                         true
                     },
                 )

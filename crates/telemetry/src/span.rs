@@ -48,6 +48,14 @@ impl Span {
         }
     }
 
+    /// Move the wall-clock start back to `started`, for work that began
+    /// before the guard could be opened (a fill handed over after the fact).
+    pub fn backdate(&mut self, started: Instant) {
+        if self.started.is_some() {
+            self.started = Some(started);
+        }
+    }
+
     /// Simulated seconds accumulated so far.
     pub fn sim_seconds(&self) -> f64 {
         self.sim_seconds
@@ -105,6 +113,23 @@ mod tests {
             .expect("wall histogram registered");
         assert_eq!(wall.count, 1);
         assert!(wall.sum >= 0.0);
+    }
+
+    #[test]
+    fn backdated_span_measures_wall_from_the_earlier_start() {
+        let tel = Telemetry::enabled();
+        let earlier = std::time::Instant::now() - std::time::Duration::from_secs(2);
+        let mut span = tel.span("loader.fill");
+        span.backdate(earlier);
+        span.finish();
+        let snap = tel.snapshot();
+        let (_, wall) = snap
+            .metrics
+            .histograms
+            .iter()
+            .find(|(name, _)| name == "loader.fill.wall_seconds")
+            .expect("wall histogram registered");
+        assert!(wall.sum >= 2.0, "wall {}", wall.sum);
     }
 
     #[test]

@@ -21,6 +21,12 @@ cargo clippy --workspace -- -D warnings
 banner "Docs (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
+banner "Non-test lines per engine crate (ungated; simplicity PRs quote it)"
+bash scripts/loc.sh
+
+banner "Golden bits (model bits pinned across commits, release arithmetic)"
+cargo test --release --test golden_bits
+
 banner "Concurrency stress (N sessions over one engine, bit-identical)"
 cargo test --release --test concurrent_sessions
 

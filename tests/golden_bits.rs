@@ -1,0 +1,333 @@
+//! Model bits pinned **across commits**, not only across toggles.
+//!
+//! Every `bit_identical*` test elsewhere compares two runs of the same
+//! build, so a refactor that changes both sides still passes. The tables
+//! below hold `crc32` of the final parameter bytes and `f64::to_bits` of
+//! the last epoch's `train_loss` for a fixed small clustered table, over
+//! the SQL surface (strategy × model × batch size × `double_buffer` ×
+//! `fuse`, pushdown, faults + skip, checkpoint/resume, durable
+//! auto-resume, `CONTINUOUS` with a drift schedule) and `Trainer::train`.
+//!
+//! A change that moves any of them changed what the engine computes. When
+//! that is intended, the failure message prints the whole table as Rust
+//! literals to paste back in — and CHANGES.md must say why.
+
+use corgipile::core::{CorgiPileConfig, Trainer, TrainerConfig};
+use corgipile::data::{DatasetSpec, Order};
+use corgipile::db::{Database, DbTrainSummary, QueryResult, Session};
+use corgipile::ml::{ModelKind, OptimizerKind};
+use corgipile::shuffle::StrategyKind;
+use corgipile::storage::{crc32, FaultPlan, SimDevice, Table, Tuple};
+use std::path::PathBuf;
+use std::sync::Arc;
+
+/// `(case, crc32 of the parameter bytes, bits of the last train_loss)`.
+type Golden = (&'static str, u32, u64);
+
+fn higgs(n: usize) -> Table {
+    DatasetSpec::higgs_like(n)
+        .with_order(Order::ClusteredByLabel)
+        .with_block_bytes(8192)
+        .build_table(1)
+        .unwrap()
+}
+
+fn engine() -> Arc<Database> {
+    let db = Database::new(SimDevice::hdd_scaled(1000.0, 0));
+    db.register_table("higgs", higgs(600));
+    db
+}
+
+fn scratch(tag: &str) -> PathBuf {
+    let p = std::env::temp_dir().join(format!("corgi_golden_{}_{tag}", std::process::id()));
+    std::fs::remove_dir_all(&p).ok();
+    std::fs::remove_file(&p).ok();
+    p
+}
+
+fn params_crc(params: &[f32]) -> u32 {
+    let bytes: Vec<u8> = params.iter().flat_map(|p| p.to_le_bytes()).collect();
+    crc32(&bytes)
+}
+
+fn train(s: &mut Session, sql: &str) -> DbTrainSummary {
+    match s.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}")) {
+        QueryResult::Train(t) => t,
+        other => panic!("expected a Train result, got {other:?}"),
+    }
+}
+
+/// Hash of the stored model `m` plus the last epoch's loss bits.
+fn sql_bits(s: &Session, t: &DbTrainSummary) -> (u32, u64) {
+    let params = s.catalog().model("m").unwrap().params.clone();
+    (
+        params_crc(&params),
+        t.epochs.last().unwrap().train_loss.to_bits(),
+    )
+}
+
+/// Compare `got` against `want`; on any difference print the whole table
+/// as Rust literals so it can be pasted back.
+fn check(table: &str, got: &[(String, u32, u64)], want: &[Golden]) {
+    let same = got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.0 == w.0 && g.1 == w.1 && g.2 == w.2);
+    if !same {
+        let mut lines = format!("{table} moved; actual values:\n");
+        for (name, crc, loss) in got {
+            lines.push_str(&format!("    (\"{name}\", 0x{crc:08x}, 0x{loss:016x}),\n"));
+        }
+        panic!("{lines}");
+    }
+}
+
+const SQL_GRID: &[Golden] = &[
+    ("svm/b1/corgipile", 0xe3abc017, 0x3fea010cc7f77777),
+    ("svm/b1/block_only", 0xc69ed23f, 0x3fe5a0abcd69d037),
+    ("svm/b1/shuffle_once", 0xe1cb9222, 0x3fedb7594e051eb8),
+    ("svm/b1/no_shuffle", 0x37c8ea9a, 0x3fde13dea5c5f92c),
+    ("svm/b8/corgipile", 0xb8e3e5dd, 0x3fe6403c860bf259),
+    ("svm/b8/block_only", 0xeebd4d1f, 0x3fe6406bbb555555),
+    ("svm/b8/shuffle_once", 0x0de90927, 0x3fe6e6980f8bf259),
+    ("svm/b8/no_shuffle", 0x52fb75a4, 0x3fe5ddf1b70f5c29),
+    ("lr/b1/corgipile", 0x7b32b500, 0x3fe3174471e51224),
+    ("lr/b1/block_only", 0xa35d098f, 0x3fe163cc90d5824f),
+    ("lr/b1/shuffle_once", 0xc73c4a15, 0x3fe55f3f349c3d76),
+    ("lr/b1/no_shuffle", 0x8ee2e5e9, 0x3fdc7500d12b006d),
+    // The four lr/b8 losses are the only constants that differ from the
+    // commit before the shared epoch driver (by < 5 ulp): the SQL loop used
+    // to round-trip each mini-batch's loss through `mean_loss × n`; the
+    // driver accumulates it once. Parameter hashes did not move.
+    ("lr/b8/corgipile", 0x8c494851, 0x3fe2924d2f58d3bf),
+    ("lr/b8/block_only", 0xbecb25fd, 0x3fe2a0221f8a21b6),
+    ("lr/b8/shuffle_once", 0x9a49235b, 0x3fe2d9b23945d6af),
+    ("lr/b8/no_shuffle", 0x582db7ca, 0x3fe298ce727d5f41),
+];
+
+#[test]
+fn sql_grid_is_pinned_across_double_buffer_and_fuse() {
+    let mut got = Vec::new();
+    for model in ["svm", "lr"] {
+        for batch in [1usize, 8] {
+            for strategy in ["corgipile", "block_only", "shuffle_once", "no_shuffle"] {
+                let name = format!("{model}/b{batch}/{strategy}");
+                let mut cell: Option<(u32, u64)> = None;
+                for double_buffer in [0, 1] {
+                    for fuse in [0, 1] {
+                        let mut s = engine().connect();
+                        let t = train(
+                            &mut s,
+                            &format!(
+                                "SELECT * FROM higgs TRAIN BY {model} WITH max_epoch_num = 3, \
+                                 seed = 11, learning_rate = 0.05, buffer_fraction = 0.2, \
+                                 batch_size = {batch}, strategy = '{strategy}', \
+                                 double_buffer = {double_buffer}, fuse = {fuse}, model_name = m"
+                            ),
+                        );
+                        let bits = sql_bits(&s, &t);
+                        match cell {
+                            None => cell = Some(bits),
+                            Some(first) => assert_eq!(
+                                first, bits,
+                                "{name}: double_buffer={double_buffer} fuse={fuse} diverged"
+                            ),
+                        }
+                    }
+                }
+                let (crc, loss) = cell.unwrap();
+                got.push((name, crc, loss));
+            }
+        }
+    }
+    check("SQL_GRID", &got, SQL_GRID);
+}
+
+const SQL_PATHS: &[Golden] = &[
+    ("pushdown", 0xfad6990e, 0x3fe49eb4f457ea98),
+    ("fault_skip", 0xa75b9aed, 0x3fec84afc5f596f3),
+    ("checkpoint_resume", 0x1a1b295a, 0x3fe9273afa5f92c6),
+    ("durable_resume", 0x15b7f8cc, 0x3fe83b165c5314e9),
+    ("continuous", 0xa8c35b81, 0x3fed7c8746048485),
+];
+
+#[test]
+fn sql_pushdown_faults_resume_durable_and_continuous_are_pinned() {
+    let mut got = Vec::new();
+
+    // WHERE + projection: pushdown on and off train the same bits.
+    let mut cell = None;
+    for pushdown in [0, 1] {
+        let mut s = engine().connect();
+        let t = train(
+            &mut s,
+            &format!(
+                "SELECT f0, f1, f2, f5 FROM higgs WHERE f3 > 0.0 TRAIN BY lr WITH \
+                 max_epoch_num = 3, seed = 11, strategy = 'corgipile', buffer_fraction = 0.2, \
+                 pushdown = {pushdown}, model_name = m"
+            ),
+        );
+        let bits = sql_bits(&s, &t);
+        assert_eq!(*cell.get_or_insert(bits), bits, "pushdown = {pushdown}");
+    }
+    let (crc, loss) = cell.unwrap();
+    got.push(("pushdown".to_string(), crc, loss));
+
+    // A transient fault (retried) plus a dead block skipped every epoch.
+    let db = engine();
+    let mut s = db.connect();
+    let tid = db.catalog().table("higgs").unwrap().config().table_id;
+    s.inject_faults(
+        FaultPlan::new(7)
+            .with_transient(tid, 0, 1)
+            .with_permanent(tid, 1),
+    );
+    let t = train(
+        &mut s,
+        "SELECT * FROM higgs TRAIN BY svm WITH max_epoch_num = 3, seed = 11, \
+         strategy = 'corgipile', buffer_fraction = 0.2, on_fault = 'skip', max_retries = 1, \
+         model_name = m",
+    );
+    assert_eq!(t.skipped_blocks(), vec![1]);
+    let (crc, loss) = sql_bits(&s, &t);
+    got.push(("fault_skip".to_string(), crc, loss));
+
+    // Checkpoint file: halt after epoch 1, resume in a fresh engine.
+    let ckpt = scratch("ckpt");
+    let base = format!(
+        "SELECT * FROM higgs TRAIN BY svm WITH max_epoch_num = 4, seed = 11, \
+         strategy = 'corgipile', buffer_fraction = 0.2, batch_size = 4, model_name = m, \
+         checkpoint = '{}'",
+        ckpt.display()
+    );
+    let t = train(
+        &mut engine().connect(),
+        &format!("{base}, halt_after_epoch = 1"),
+    );
+    assert!(t.halted);
+    let mut s = engine().connect();
+    let t = train(&mut s, &format!("{base}, resume = 1"));
+    assert_eq!(t.epochs.len(), 2);
+    let (crc, loss) = sql_bits(&s, &t);
+    got.push(("checkpoint_resume".to_string(), crc, loss));
+    std::fs::remove_file(&ckpt).ok();
+
+    // Durable store: halt, drop the engine, reopen, re-issue the same SQL.
+    let dir = scratch("store");
+    let durable = "SELECT * FROM higgs TRAIN BY lr WITH max_epoch_num = 4, seed = 11, \
+                   strategy = 'corgipile', buffer_fraction = 0.2, model_name = m, durable = 1";
+    let open = || {
+        let db = Database::with_model_store(SimDevice::hdd_scaled(1000.0, 0), 0, &dir).unwrap();
+        db.register_table("higgs", higgs(600));
+        db
+    };
+    let t = train(
+        &mut open().connect(),
+        &format!("{durable}, halt_after_epoch = 1"),
+    );
+    assert!(t.halted);
+    let mut s = open().connect();
+    let t = train(&mut s, durable);
+    assert_eq!(t.epochs.len(), 2, "auto-resume runs only epochs 2 and 3");
+    let (crc, loss) = sql_bits(&s, &t);
+    got.push(("durable_resume".to_string(), crc, loss));
+    std::fs::remove_dir_all(&dir).ok();
+
+    // CONTINUOUS over a deterministic drift schedule.
+    let db = engine();
+    let mut s = db.connect();
+    let writer = db.clone();
+    s.set_refresh_hook(move |chunk| {
+        let rows: Vec<Tuple> = (0..40)
+            .map(|i| {
+                let x = (chunk * 40 + i) as f32 * 0.01;
+                Tuple::dense(0, vec![x; 28], (i % 2) as f32)
+            })
+            .collect();
+        writer.catalog().append_rows("higgs", rows).unwrap();
+    });
+    let t = train(
+        &mut s,
+        "SELECT * FROM higgs TRAIN BY svm CONTINUOUS WITH max_epoch_num = 6, refresh = 2, \
+         seed = 11, strategy = 'corgipile', buffer_fraction = 0.2, model_name = m",
+    );
+    assert_eq!(t.snapshot_version, 3);
+    let (crc, loss) = sql_bits(&s, &t);
+    got.push(("continuous".to_string(), crc, loss));
+
+    check("SQL_PATHS", &got, SQL_PATHS);
+}
+
+const TRAINER: &[Golden] = &[
+    ("corgipile/per_tuple", 0x2ccb3a7b, 0x3fe4c7a079e6dbb6),
+    ("corgipile/minibatch_adam", 0x7b2fb7a1, 0x3fe696f768e6a8c9),
+    ("shuffle_once/per_tuple", 0x31182211, 0x3fe91aeee89da2a7),
+    (
+        "shuffle_once/minibatch_adam",
+        0xa202b125,
+        0x3fe4fabb6184b019,
+    ),
+    ("mrs/per_tuple", 0xf10c56d2, 0x3fe14f72a601f308),
+    ("mrs/minibatch_adam", 0x8f407f2d, 0x3fe8dc38a6dd37ca),
+    ("sliding_window/per_tuple", 0x89b3bce8, 0x3fe17cc4867d9718),
+    (
+        "sliding_window/minibatch_adam",
+        0x7ed81e10,
+        0x3fe9a25c00938ec1,
+    ),
+];
+
+#[test]
+fn trainer_is_pinned_across_double_buffer() {
+    let table = higgs(600);
+    let mut got = Vec::new();
+    for strategy in [
+        StrategyKind::CorgiPile,
+        StrategyKind::ShuffleOnce,
+        StrategyKind::Mrs,
+        StrategyKind::SlidingWindow,
+    ] {
+        for minibatch_adam in [false, true] {
+            let name = format!(
+                "{}/{}",
+                strategy.name(),
+                if minibatch_adam {
+                    "minibatch_adam"
+                } else {
+                    "per_tuple"
+                }
+            );
+            let mut cell: Option<(u32, u64)> = None;
+            for double_buffer in [false, true] {
+                let mut cfg = TrainerConfig::new(ModelKind::LogisticRegression, 3)
+                    .with_strategy(strategy)
+                    .with_corgipile(
+                        CorgiPileConfig::default()
+                            .with_buffer_fraction(0.2)
+                            .with_double_buffer(double_buffer),
+                    );
+                if minibatch_adam {
+                    cfg = cfg
+                        .with_batch_size(8)
+                        .with_optimizer(OptimizerKind::default_adam(0.05));
+                }
+                let r = Trainer::new(cfg)
+                    .train(&table, &mut SimDevice::hdd_scaled(1000.0, 0), 11)
+                    .unwrap();
+                let bits = (
+                    params_crc(r.model.params()),
+                    r.epochs.last().unwrap().train_loss.to_bits(),
+                );
+                assert_eq!(
+                    *cell.get_or_insert(bits),
+                    bits,
+                    "{name}: double_buffer diverged"
+                );
+            }
+            let (crc, loss) = cell.unwrap();
+            got.push((name, crc, loss));
+        }
+    }
+    check("TRAINER", &got, TRAINER);
+}
