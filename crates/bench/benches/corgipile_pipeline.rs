@@ -1,11 +1,11 @@
 //! Criterion: the full CorgiPile stack — library trainer epochs, the
-//! threaded double-buffered loader, and multi-worker epochs.
+//! one-loader double-buffered stream, and multi-worker epochs.
 
 use corgipile_core::{
-    parallel_epoch_plan, train_parallel, ParallelConfig, ThreadedLoader, Trainer, TrainerConfig,
+    EpochSource, ParallelConfig, ParallelSource, SimulatedBlocks, Trainer, TrainerConfig,
 };
 use corgipile_data::{DatasetSpec, Order};
-use corgipile_ml::{build_model, ModelKind, OptimizerKind, Sgd};
+use corgipile_ml::{ModelKind, OptimizerKind};
 use corgipile_shuffle::StrategyKind;
 use corgipile_storage::{SimDevice, Table};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -42,15 +42,33 @@ fn bench_trainer(c: &mut Criterion) {
     group.finish();
 }
 
+fn workers(workers: usize) -> ParallelConfig {
+    ParallelConfig {
+        workers,
+        total_buffer_fraction: 0.1,
+        ..Default::default()
+    }
+}
+
 fn bench_threaded_loader(c: &mut Criterion) {
     let table = table();
     let mut group = c.benchmark_group("threaded_loader_epoch");
     group.throughput(Throughput::Elements(table.num_tuples()));
     group.sample_size(20);
-    group.bench_function("double_buffered", |b| {
+    group.bench_function("one_loader_thread", |b| {
         b.iter(|| {
-            let loader = ThreadedLoader::spawn(table.clone(), 14, 3);
-            std::hint::black_box(loader.count())
+            let reader = SimulatedBlocks {
+                table: &table,
+                device: SimDevice::in_memory(),
+            };
+            let mut count = 0usize;
+            ParallelSource::new(reader, workers(1), 128, 3)
+                .stream_epoch(0, &mut |fill| {
+                    count += fill.batch.len();
+                    true
+                })
+                .unwrap();
+            std::hint::black_box(count)
         })
     });
     group.finish();
@@ -61,25 +79,22 @@ fn bench_parallel_epoch(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_epoch");
     group.throughput(Throughput::Elements(table.num_tuples()));
     group.sample_size(10);
-    for workers in [1usize, 2, 4] {
-        group.bench_function(format!("{workers}_workers"), |b| {
-            let cfg = ParallelConfig {
-                workers,
-                total_buffer_fraction: 0.1,
-                batch_size: 128,
-                seed: 1,
-                ..Default::default()
-            };
+    for pn in [1usize, 2, 4] {
+        group.bench_function(format!("{pn}_workers"), |b| {
             b.iter(|| {
-                let mut model = build_model(&ModelKind::LogisticRegression, 28, 1);
-                let mut opt = Sgd::new(0.02, 1.0);
-                let plan = parallel_epoch_plan(&table, &cfg, 0);
-                std::hint::black_box(train_parallel(
-                    model.as_mut(),
-                    &mut opt,
-                    &plan.merged_batches,
-                    workers,
-                ))
+                let cfg = TrainerConfig::new(ModelKind::LogisticRegression, 1)
+                    .with_batch_size(128)
+                    .with_optimizer(OptimizerKind::Sgd {
+                        lr0: 0.02,
+                        decay: 1.0,
+                    });
+                std::hint::black_box(
+                    Trainer::new(cfg)
+                        .with_workers(workers(pn))
+                        .train(&table, &mut SimDevice::in_memory(), 1)
+                        .unwrap()
+                        .final_train_metric,
+                )
             })
         });
     }

@@ -10,9 +10,9 @@
 use super::{paper_strategies, run_strategy, tail_metric};
 use crate::common::{cifar_dataset, imagenet_dataset, yelp_dataset, ExpData};
 use crate::report::{fmt_pct, fmt_secs, Report};
-use corgipile_core::{parallel_epoch_plan, train_parallel, ParallelConfig};
+use corgipile_core::{ParallelConfig, Trainer, TrainerConfig};
 use corgipile_data::Order;
-use corgipile_ml::{accuracy, build_model, ModelKind, Optimizer, OptimizerKind, Sgd};
+use corgipile_ml::{ModelKind, OptimizerKind};
 use corgipile_shuffle::StrategyKind;
 
 fn small_net(classes: usize) -> ModelKind {
@@ -70,34 +70,28 @@ pub fn fig7() {
         }
     }
 
-    // --- CorgiPile, true multi-worker with AllReduce ----------------------
-    let cfg = ParallelConfig {
-        workers,
-        total_buffer_fraction: 0.10,
-        batch_size: 128,
-        seed: 77,
-        device_scale: data.device_scale(),
-        cache_bytes: data.table.total_bytes() / 2 / workers,
-    };
-    let mut model = build_model(&big_net(20), data.spec.dim(), 1);
-    let mut opt = Sgd::new(0.1, 0.95);
-    let compute = corgipile_ml::ComputeCostModel::in_db_core();
-    let mut cum = 0.0;
-    for e in 0..epochs {
-        opt.set_epoch(e);
-        let plan = parallel_epoch_plan(&data.table, &cfg, e);
-        train_parallel(model.as_mut(), &mut opt, &plan.merged_batches, workers);
-        // Loading overlaps across workers (plan.io_seconds is the max);
-        // compute divides across the 8 workers like DDP's data parallelism.
-        let flops = model.flops_per_example(data.spec.dim());
-        let per_worker = (data.table.num_tuples() as usize).div_ceil(workers);
-        cum += plan.io_seconds.max(compute.seconds(flops, per_worker));
-        let acc = accuracy(model.as_ref(), &data.ds.test);
+    // --- CorgiPile, true multi-worker: 8 loaders, one merged stream ------
+    // Loading overlaps across workers (a fill slot costs its slowest
+    // worker); compute divides by 8 like the baselines' above.
+    let cfg = TrainerConfig::new(big_net(20), epochs)
+        .with_batch_size(128)
+        .with_optimizer(OptimizerKind::default_sgd(0.1))
+        .with_compute(ddp_compute);
+    let r = Trainer::new(cfg)
+        .with_workers(ParallelConfig {
+            workers,
+            total_buffer_fraction: 0.10,
+            device_scale: data.device_scale(),
+            cache_bytes: data.table.total_bytes() / 2 / workers,
+        })
+        .train_with_test(&data.table, &data.ds.test, &mut data.hdd(), 77)
+        .expect("non-empty table");
+    for e in &r.epochs {
         rep.row(&[
             &format!("CorgiPile ({workers} workers)"),
-            &e,
-            &fmt_pct(acc),
-            &fmt_secs(cum),
+            &e.epoch,
+            &fmt_pct(e.test_metric.unwrap_or(0.0)),
+            &fmt_secs(e.sim_seconds_end),
         ]);
     }
     rep.note("CorgiPile converges like Shuffle Once but skips the offline shuffle; No Shuffle collapses (paper Fig. 7).");
@@ -159,19 +153,4 @@ fn deep_convergence(id: &str, spec: corgipile_data::DatasetSpec, classes: usize,
     }
     rep.note("CorgiPile ≈ Shuffle Once; No Shuffle / Sliding-Window / MRS converge to lower accuracy on clustered data.");
     rep.finish();
-}
-
-/// Multi-worker helper used by the pipeline bench.
-pub fn one_parallel_epoch(data: &ExpData, workers: usize) -> f64 {
-    let cfg = ParallelConfig {
-        workers,
-        total_buffer_fraction: 0.10,
-        batch_size: 128,
-        seed: 5,
-        ..Default::default()
-    };
-    let mut model = build_model(&small_net(10), data.spec.dim(), 1);
-    let mut opt = Sgd::new(0.1, 0.95);
-    let plan = parallel_epoch_plan(&data.table, &cfg, 0);
-    train_parallel(model.as_mut(), &mut opt, &plan.merged_batches, workers)
 }

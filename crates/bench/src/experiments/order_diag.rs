@@ -135,11 +135,9 @@ pub fn fig5() {
     let cfg = ParallelConfig {
         workers: 2,
         total_buffer_fraction: 0.2,
-        batch_size: 100,
-        seed: 3,
         ..Default::default()
     };
-    let plan = parallel_epoch_plan(&table, &cfg, 0);
+    let plan = parallel_epoch_plan(&table, &cfg, 100, 3, 0);
     let merged: Vec<corgipile_storage::Tuple> = plan.merged_batches.concat();
     let ids: Vec<u64> = merged.iter().map(|t| t.id).collect();
     let labels: Vec<f32> = merged.iter().map(|t| t.label).collect();

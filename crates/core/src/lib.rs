@@ -8,13 +8,12 @@
 //! * [`dataset`] — [`CorgiPileDataset`]: the PyTorch-style
 //!   `Dataset`/`DataLoader` API of §5 (block index + per-epoch shuffled
 //!   iterator).
-//! * [`loader`] — a real threaded double-buffered loader (§6.3's
-//!   optimization, with actual threads and crossbeam channels).
-//! * [`parallel`] — multi-process CorgiPile (§5.1): per-worker block
-//!   partitions, per-worker buffers, and AllReduce-style gradient
-//!   averaging; plus the data-order equivalence tooling behind Figure 5
-//!   and the work-stealing executor that runs block-granular fill tasks
-//!   and gradient chunks on one persistent thread pool.
+//! * [`parallel`] — multi-process CorgiPile (§5.1) as a fill source
+//!   ([`ParallelSource`]): shared-seed block partitions, one producer
+//!   thread and buffer per worker, round-robin merged into the stream the
+//!   one loop trains on; at one worker it is the threaded double-buffered
+//!   loader of §6.3. [`parallel_epoch_plan`] collects the same stream as
+//!   the order reference behind Figure 5.
 //! * [`driver`] — the one epoch loop ([`EpochDriver`]): resume → per epoch
 //!   {fills → kernel stage → simulated clock → hook → checkpoint}, shared
 //!   by the [`Trainer`] and the SQL `SGD` operator.
@@ -29,10 +28,11 @@
 //! [`EpochDriver`]: driver::EpochDriver
 //! [`Trainer`]: trainer::Trainer
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod dataset;
 pub mod driver;
-pub mod loader;
 pub mod parallel;
 mod proptests;
 pub mod theory;
@@ -44,10 +44,9 @@ pub use driver::{
     CheckpointMismatch, DriverRun, EpochDriver, EpochIo, EpochOutcome, EpochSink, EpochSource,
     Fill, TupleSeq,
 };
-pub use loader::{LoaderError, ThreadedLoader};
 pub use parallel::{
-    parallel_epoch_plan, parallel_epoch_stealing, train_parallel, train_parallel_stealing,
-    ParallelConfig, StealScope, StealingExecutor,
+    parallel_epoch_plan, BlockReader, ParallelConfig, ParallelEpoch, ParallelSource,
+    SimulatedBlocks,
 };
 pub use theory::{block_variance_factor, CorgiFactors, Theorem1Bound};
 pub use trainer::{EpochRecord, TrainReport, Trainer, TrainerConfig};

@@ -1,7 +1,8 @@
 //! The end-to-end trainer: strategy × model × optimizer × device.
 //!
 //! [`Trainer::train`] runs `epochs` passes of a [`ShuffleStrategy`] over a
-//! heap table, feeding the stream to per-tuple or mini-batch SGD while
+//! heap table — or, handed a [`ParallelConfig`], of multi-process CorgiPile
+//! (§5) — feeding the stream to per-tuple or mini-batch SGD while
 //! accounting simulated time:
 //!
 //! * **I/O time** comes from the strategy's segment costs (device cost
@@ -24,7 +25,8 @@ use corgipile_storage::{Counter, SimDevice, StorageError, Table, Telemetry, Tupl
 use std::ops::ControlFlow;
 
 use crate::config::CorgiPileConfig;
-use crate::driver::{EpochDriver, EpochIo, EpochOutcome, EpochSource, Fill};
+use crate::driver::{EpochDriver, EpochIo, EpochOutcome, EpochSink, EpochSource, Fill};
+use crate::parallel::{ParallelConfig, ParallelSource, SimulatedBlocks};
 
 /// Full configuration of a training run.
 #[derive(Debug, Clone)]
@@ -183,12 +185,22 @@ impl TrainReport {
 #[derive(Debug, Clone)]
 pub struct Trainer {
     cfg: TrainerConfig,
+    workers: Option<ParallelConfig>,
 }
 
 impl Trainer {
     /// Create a trainer.
     pub fn new(cfg: TrainerConfig) -> Self {
-        Trainer { cfg }
+        Trainer { cfg, workers: None }
+    }
+
+    /// Train over multi-process CorgiPile (§5) instead of the configured
+    /// single-process strategy: `workers.workers` loaders merged into
+    /// global batches of the configured batch size. Data-parallel compute
+    /// is the caller's [`ComputeCostModel`] to scale.
+    pub fn with_workers(mut self, workers: ParallelConfig) -> Self {
+        self.workers = Some(workers);
+        self
     }
 
     /// Train on `table` with no test set.
@@ -211,13 +223,15 @@ impl Trainer {
     ) -> corgipile_storage::Result<TrainReport> {
         let wall_start = std::time::Instant::now();
         let mut driver = self.driver(table, seed)?;
-        let mut source = self.source(table, test, dev, seed);
-        driver.run(&source.tel.clone(), &mut source, None)?;
+        let epochs = self.run(&mut driver, table, test, dev, seed, None)?;
         let final_train_metric = evaluate(driver.model.as_ref(), &table.all_tuples());
         Ok(TrainReport {
-            strategy: self.cfg.strategy,
+            strategy: match self.workers {
+                Some(_) => StrategyKind::CorgiPile,
+                None => self.cfg.strategy,
+            },
             model_kind: self.cfg.model.clone(),
-            epochs: source.records,
+            epochs,
             model: driver.model,
             final_train_metric,
             wall_seconds: wall_start.elapsed().as_secs_f64(),
@@ -239,27 +253,95 @@ impl Trainer {
         Ok(driver)
     }
 
-    /// The configured shuffle strategy over `table`, as an epoch source.
-    fn source<'a>(
+    /// Run `driver` over the configured source — the shuffle strategy, or
+    /// multi-process CorgiPile when workers were handed in — and return the
+    /// per-epoch records. Observability goes through the device's
+    /// telemetry handle (no-ops when the handle is disabled).
+    fn run(
         &self,
-        table: &'a Table,
-        test: &'a [Tuple],
-        dev: &'a mut SimDevice,
+        driver: &mut EpochDriver,
+        table: &Table,
+        test: &[Tuple],
+        dev: &mut SimDevice,
         seed: u64,
-    ) -> StrategySource<'a> {
-        // Observability: per-epoch events + counters through the device's
-        // telemetry handle (no-ops when the handle is disabled).
+        sink: Option<EpochSink<'_, StorageError>>,
+    ) -> corgipile_storage::Result<Vec<EpochRecord>> {
         let tel = dev.telemetry().clone();
-        StrategySource {
-            strategy: build_strategy(self.cfg.strategy, self.cfg.strategy_params(seed)),
-            table,
+        let recorder = EpochRecorder::new(test, &tel);
+        let recorder = match &self.workers {
+            None => {
+                let mut source = StrategySource {
+                    strategy: build_strategy(self.cfg.strategy, self.cfg.strategy_params(seed)),
+                    table,
+                    dev,
+                    recorder,
+                };
+                driver.run(&tel, &mut source, sink)?;
+                source.recorder
+            }
+            Some(workers) => {
+                // Every fill reads through a fresh loader device that
+                // carries the caller's telemetry handle and fault plan.
+                let mut device = workers.fill_device();
+                device.set_telemetry(tel.clone());
+                if let Some(injector) = dev.fault_injector() {
+                    device.set_fault_plan(injector.plan().clone());
+                }
+                let batch_size = self.cfg.train_options.batch_size;
+                let reader = SimulatedBlocks { table, device };
+                let mut source = ParallelSource::new(reader, workers.clone(), batch_size, seed);
+                source.recorder = recorder;
+                driver.run(&tel, &mut source, sink)?;
+                source.recorder
+            }
+        };
+        Ok(recorder.records)
+    }
+}
+
+/// The per-epoch hook every [`Trainer`] source shares: evaluate on the test
+/// set, count, emit `core.epoch.*` events, keep the [`EpochRecord`].
+pub(crate) struct EpochRecorder<'a> {
+    test: &'a [Tuple],
+    pub(crate) tel: Telemetry,
+    tuple_counter: Counter,
+    epoch_counter: Counter,
+    records: Vec<EpochRecord>,
+}
+
+impl<'a> EpochRecorder<'a> {
+    pub(crate) fn new(test: &'a [Tuple], tel: &Telemetry) -> Self {
+        EpochRecorder {
             test,
-            dev,
             tuple_counter: tel.counter("core.trainer.tuples"),
             epoch_counter: tel.counter("core.trainer.epochs"),
-            tel,
+            tel: tel.clone(),
             records: Vec::new(),
         }
+    }
+
+    pub(crate) fn epoch_done(&mut self, done: EpochOutcome<'_>) -> ControlFlow<()> {
+        let test_metric = (!self.test.is_empty()).then(|| evaluate(done.model, self.test));
+        self.tuple_counter.add(done.stats.examples as u64);
+        self.epoch_counter.inc();
+        let e = done.epoch as u64;
+        let event = |name, value| self.tel.event(e, name, value);
+        event("core.epoch.io_seconds", done.io_seconds);
+        event("core.epoch.compute_seconds", done.compute_seconds);
+        event("core.epoch.epoch_seconds", done.epoch_seconds);
+        event("core.epoch.train_loss", done.stats.mean_loss);
+        event("core.epoch.tuples", done.stats.examples as f64);
+        self.records.push(EpochRecord {
+            epoch: done.epoch,
+            setup_seconds: done.setup_seconds,
+            io_seconds: done.io_seconds,
+            compute_seconds: done.compute_seconds,
+            epoch_seconds: done.epoch_seconds,
+            sim_seconds_end: done.sim_seconds_end,
+            train_loss: done.stats.mean_loss,
+            test_metric,
+        });
+        ControlFlow::Continue(())
     }
 }
 
@@ -268,12 +350,8 @@ impl Trainer {
 struct StrategySource<'a> {
     strategy: Box<dyn ShuffleStrategy>,
     table: &'a Table,
-    test: &'a [Tuple],
     dev: &'a mut SimDevice,
-    tel: Telemetry,
-    tuple_counter: Counter,
-    epoch_counter: Counter,
-    records: Vec<EpochRecord>,
+    recorder: EpochRecorder<'a>,
 }
 
 impl EpochSource for StrategySource<'_> {
@@ -312,27 +390,7 @@ impl EpochSource for StrategySource<'_> {
     }
 
     fn epoch_done(&mut self, done: EpochOutcome<'_>) -> ControlFlow<()> {
-        let test_metric = (!self.test.is_empty()).then(|| evaluate(done.model, self.test));
-        self.tuple_counter.add(done.stats.examples as u64);
-        self.epoch_counter.inc();
-        let e = done.epoch as u64;
-        let event = |name, value| self.tel.event(e, name, value);
-        event("core.epoch.io_seconds", done.io_seconds);
-        event("core.epoch.compute_seconds", done.compute_seconds);
-        event("core.epoch.epoch_seconds", done.epoch_seconds);
-        event("core.epoch.train_loss", done.stats.mean_loss);
-        event("core.epoch.tuples", done.stats.examples as f64);
-        self.records.push(EpochRecord {
-            epoch: done.epoch,
-            setup_seconds: done.setup_seconds,
-            io_seconds: done.io_seconds,
-            compute_seconds: done.compute_seconds,
-            epoch_seconds: done.epoch_seconds,
-            sim_seconds_end: done.sim_seconds_end,
-            train_loss: done.stats.mean_loss,
-            test_metric,
-        });
-        ControlFlow::Continue(())
+        self.recorder.epoch_done(done)
     }
 }
 
@@ -671,35 +729,33 @@ mod tests {
         assert!([0.1f32, 0.01, 0.001].contains(&lr));
     }
 
-    /// Drive `cfg` through the same driver + source [`Trainer::train`]
+    /// Drive `trainer` through the same driver + source [`Trainer::train`]
     /// assembles, with the driver's checkpoint/resume fields set by
     /// `setup` and an optional per-epoch sink.
     fn drive(
-        cfg: &TrainerConfig,
+        trainer: &Trainer,
         table: &Table,
         seed: u64,
         setup: impl FnOnce(&mut EpochDriver),
-        sink: Option<crate::driver::EpochSink<'_, StorageError>>,
+        sink: Option<EpochSink<'_, StorageError>>,
     ) -> corgipile_storage::Result<(Vec<EpochRecord>, Vec<f32>)> {
-        let trainer = Trainer::new(cfg.clone());
         let mut driver = trainer.driver(table, seed)?;
         setup(&mut driver);
-        let mut dev = SimDevice::hdd(0);
-        let mut source = trainer.source(table, &[], &mut dev, seed);
-        driver.run(&Telemetry::disabled(), &mut source, sink)?;
-        Ok((source.records, driver.model.params().to_vec()))
+        let records = trainer.run(&mut driver, table, &[], &mut SimDevice::hdd(0), seed, sink)?;
+        Ok((records, driver.model.params().to_vec()))
     }
 
-    /// Simulate a crash after `split` of `epochs` epochs and resume from the
-    /// checkpoint; return (interrupted final params, straight final params).
+    /// Simulate a crash after `split` of the trainer's epochs and resume
+    /// from the checkpoint; return (resumed final params, straight final
+    /// params, resumed clock, straight clock).
     fn crash_and_resume(
         tag: &str,
-        cfg: TrainerConfig,
+        trainer: Trainer,
         table: &Table,
         seed: u64,
         split: usize,
     ) -> (Vec<f32>, Vec<f32>, f64, f64) {
-        let epochs = cfg.epochs;
+        let epochs = trainer.cfg.epochs;
         let path = std::env::temp_dir().join(format!(
             "corgi_resume_{tag}_{}_{}_{}.ckpt",
             std::process::id(),
@@ -707,10 +763,10 @@ mod tests {
             split
         ));
         // Phase 1: run `split` epochs, checkpointing each, then "crash".
-        let mut partial_cfg = cfg.clone();
-        partial_cfg.epochs = split;
+        let mut partial = trainer.clone();
+        partial.cfg.epochs = split;
         drive(
-            &partial_cfg,
+            &partial,
             table,
             seed,
             |d| d.checkpoint_path = Some(path.clone()),
@@ -721,7 +777,7 @@ mod tests {
         let ck = TrainCheckpoint::load(&path).unwrap();
         assert_eq!(ck.epoch_next, split);
         let (resumed, resumed_params) = drive(
-            &cfg,
+            &trainer,
             table,
             seed,
             |d| {
@@ -733,9 +789,7 @@ mod tests {
         .unwrap();
         assert_eq!(resumed.len(), epochs - split);
         // Reference: the uninterrupted run.
-        let straight = Trainer::new(cfg)
-            .train(table, &mut SimDevice::hdd(0), seed)
-            .unwrap();
+        let straight = trainer.train(table, &mut SimDevice::hdd(0), seed).unwrap();
         std::fs::remove_file(path).ok();
         (
             resumed_params,
@@ -748,7 +802,7 @@ mod tests {
     #[test]
     fn checkpoint_sink_sees_every_epoch_and_can_abort() {
         let (table, _) = clustered_higgs(600);
-        let cfg = TrainerConfig::new(ModelKind::Svm, 3);
+        let cfg = Trainer::new(TrainerConfig::new(ModelKind::Svm, 3));
         // The sink fires once per epoch with the same checkpoint the file
         // path would have written.
         let mut seen: Vec<(usize, usize)> = Vec::new();
@@ -778,8 +832,9 @@ mod tests {
     #[test]
     fn resume_after_crash_is_bit_identical_sgd() {
         let (table, _) = clustered_higgs(1200);
-        let cfg = TrainerConfig::new(ModelKind::Svm, 5);
-        let (resumed, straight, t_res, t_straight) = crash_and_resume("sgd", cfg, &table, 13, 2);
+        let trainer = Trainer::new(TrainerConfig::new(ModelKind::Svm, 5));
+        let (resumed, straight, t_res, t_straight) =
+            crash_and_resume("sgd", trainer, &table, 13, 2);
         assert_eq!(
             resumed, straight,
             "resumed SGD model must match bit-for-bit"
@@ -796,7 +851,7 @@ mod tests {
         let cfg = TrainerConfig::new(ModelKind::LogisticRegression, 4)
             .with_batch_size(32)
             .with_optimizer(OptimizerKind::default_adam(0.05));
-        let (resumed, straight, _, _) = crash_and_resume("adam", cfg, &table, 21, 3);
+        let (resumed, straight, _, _) = crash_and_resume("adam", Trainer::new(cfg), &table, 21, 3);
         assert_eq!(
             resumed, straight,
             "resumed Adam model must match bit-for-bit"
@@ -804,9 +859,28 @@ mod tests {
     }
 
     #[test]
+    fn resume_after_crash_is_bit_identical_with_four_workers() {
+        // A multi-worker fill is a pure function of (seed, worker, fill,
+        // epoch): the source replays nothing and still resumes exactly.
+        let (table, _) = clustered_higgs(900);
+        let cfg = TrainerConfig::new(ModelKind::LogisticRegression, 4)
+            .with_batch_size(32)
+            .with_optimizer(OptimizerKind::default_adam(0.05));
+        let trainer = Trainer::new(cfg).with_workers(ParallelConfig {
+            workers: 4,
+            total_buffer_fraction: 0.2,
+            ..Default::default()
+        });
+        let (resumed, straight, t_res, t_straight) =
+            crash_and_resume("workers", trainer, &table, 21, 1);
+        assert_eq!(resumed, straight, "resumed model must match bit-for-bit");
+        assert!((t_res - t_straight).abs() < 1e-9);
+    }
+
+    #[test]
     fn resume_rejects_seed_and_shape_mismatches() {
         let (table, _) = clustered_higgs(600);
-        let cfg = TrainerConfig::new(ModelKind::Svm, 2);
+        let cfg = Trainer::new(TrainerConfig::new(ModelKind::Svm, 2));
         let path =
             std::env::temp_dir().join(format!("corgi_resume_reject_{}.ckpt", std::process::id()));
         drive(
@@ -835,7 +909,7 @@ mod tests {
     #[test]
     fn checkpoint_at_final_epoch_resumes_to_a_noop() {
         let (table, _) = clustered_higgs(400);
-        let cfg = TrainerConfig::new(ModelKind::Svm, 3);
+        let cfg = Trainer::new(TrainerConfig::new(ModelKind::Svm, 3));
         let path =
             std::env::temp_dir().join(format!("corgi_resume_noop_{}.ckpt", std::process::id()));
         let (_, full) = drive(
@@ -891,8 +965,8 @@ mod tests {
                 .with_block_bytes(8192)
                 .build(7);
             let table = ds.to_table(1).unwrap();
-            let cfg = TrainerConfig::new(ModelKind::LogisticRegression, 4);
-            let (resumed, straight, _, _) = crash_and_resume("prop", cfg, &table, seed, split);
+            let trainer = Trainer::new(TrainerConfig::new(ModelKind::LogisticRegression, 4));
+            let (resumed, straight, _, _) = crash_and_resume("prop", trainer, &table, seed, split);
             proptest::prop_assert_eq!(resumed, straight);
         }
     }

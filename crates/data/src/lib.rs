@@ -21,6 +21,8 @@
 //! * [`rng`] — seeded normal/uniform sampling helpers (Box–Muller; avoids a
 //!   `rand_distr` dependency).
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod generator;
 pub mod libsvm;

@@ -32,6 +32,8 @@
 //!   (Shuffle-Once / No-Shuffle variants with their measured compute
 //!   characteristics), the comparison systems of Figures 1, 11 and 13.
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 pub mod catalog;
 pub mod database;

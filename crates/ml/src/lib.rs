@@ -20,6 +20,8 @@
 //!
 //! [`Model`]: model::Model
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod linear;
 pub mod metrics;

@@ -34,6 +34,8 @@
 //! [`EpochPlan`]: plan::EpochPlan
 //! [`Segment`]: plan::Segment
 
+#![forbid(unsafe_code)]
+
 pub mod block_only;
 pub mod block_reversal;
 pub mod corgi2;

@@ -45,6 +45,8 @@
 //! Everything is deterministic: "time" is the simulated clock advanced by
 //! the device cost model, so experiments reproduce bit-for-bit across runs.
 
+#![forbid(unsafe_code)]
+
 pub mod append;
 pub mod block;
 pub mod buffer;

@@ -19,6 +19,8 @@
 //! by `corgipile-bench` reports) and [`Telemetry::prometheus`] for text
 //! exposition.
 
+#![forbid(unsafe_code)]
+
 pub mod events;
 pub mod export;
 pub mod registry;

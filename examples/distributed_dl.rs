@@ -5,15 +5,17 @@
 //! ```
 //!
 //! Trains an MLP on a clustered multi-class dataset with 4 workers: a
-//! shared-seed block permutation split across workers, per-worker tuple
-//! buffers, and real worker threads computing partial gradients that are
-//! AllReduce-averaged each step — the paper's PyTorch-DDP integration in
-//! miniature. Also demonstrates the double-buffered threaded loader
-//! (§6.3) feeding a single-process run.
+//! shared-seed block permutation split across workers, one loader thread
+//! and tuple buffer per worker, and `batch/PN` tuples per worker merged into
+//! every global batch — the paper's PyTorch-DDP integration in miniature.
+//! Synchronous gradient averaging makes that exactly mini-batch SGD over the
+//! merged stream, so the same `Trainer` loop runs it. With one worker and
+//! `double_buffer` the same source is the threaded loader of §6.3.
 
-use corgipile::core::{parallel_epoch_plan, train_parallel, ParallelConfig, ThreadedLoader};
+use corgipile::core::{CorgiPileConfig, ParallelConfig, Trainer, TrainerConfig};
 use corgipile::data::{DatasetSpec, Order};
-use corgipile::ml::{accuracy, build_model, ModelKind, Optimizer, Sgd};
+use corgipile::ml::{ModelKind, OptimizerKind};
+use corgipile::storage::SimDevice;
 
 fn main() {
     let spec = DatasetSpec::cifar_like(6_000)
@@ -30,41 +32,46 @@ fn main() {
     );
 
     // --- DDP-style multi-worker CorgiPile --------------------------------
-    let cfg = ParallelConfig {
-        workers,
-        total_buffer_fraction: 0.10,
-        batch_size: 128,
-        seed: 9,
-        ..Default::default()
-    };
     let kind = ModelKind::Mlp {
         hidden: vec![48],
         classes: spec.num_classes(),
     };
-    let mut model = build_model(&kind, spec.dim(), 1);
-    let mut opt = Sgd::new(0.1, 0.95);
-    println!("epoch  mean_loss  test_acc");
-    for epoch in 0..8 {
-        opt.set_epoch(epoch);
-        let plan = parallel_epoch_plan(&table, &cfg, epoch);
-        let loss = train_parallel(model.as_mut(), &mut opt, &plan.merged_batches, workers);
+    let cfg = TrainerConfig::new(kind, 8)
+        .with_batch_size(128)
+        .with_optimizer(OptimizerKind::default_sgd(0.1));
+    let report = Trainer::new(cfg.clone())
+        .with_workers(ParallelConfig {
+            workers,
+            total_buffer_fraction: 0.10,
+            ..Default::default()
+        })
+        .train_with_test(&table, &ds.test, &mut SimDevice::hdd(0), 9)
+        .expect("multi-worker training");
+    println!("epoch  mean_loss  test_acc  sim_seconds");
+    for e in &report.epochs {
         println!(
-            "{epoch:>5}  {loss:>9.4}  {:>7.1}%",
-            accuracy(model.as_ref(), &ds.test) * 100.0
+            "{:>5}  {:>9.4}  {:>7.1}%  {:>11.3}",
+            e.epoch,
+            e.train_loss,
+            e.test_metric.unwrap_or(0.0) * 100.0,
+            e.sim_seconds_end
         );
     }
 
     // --- Threaded double-buffered loader ---------------------------------
-    let loader = ThreadedLoader::spawn(table.clone(), 4, 77);
-    let mut count = 0usize;
-    let mut label_sum = 0.0f64;
-    for t in loader {
-        count += 1;
-        label_sum += t.label as f64;
-    }
+    let cfg = cfg.with_corgipile(CorgiPileConfig::default().with_double_buffer(true));
+    let report = Trainer::new(cfg)
+        .with_workers(ParallelConfig {
+            workers: 1,
+            total_buffer_fraction: 0.10,
+            ..Default::default()
+        })
+        .train_with_test(&table, &ds.test, &mut SimDevice::hdd(0), 77)
+        .expect("loader-fed training");
     println!(
-        "\nthreaded double-buffered loader streamed {count} tuples \
-         (mean class {:.2}) while overlapping load and consume",
-        label_sum / count as f64
+        "\none loader thread + double buffering: {:.1}% test accuracy in {:.3} simulated s \
+         (loads overlap the SGD kernel)",
+        report.final_test_metric().unwrap_or(0.0) * 100.0,
+        report.total_sim_seconds()
     );
 }

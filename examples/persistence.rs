@@ -12,7 +12,7 @@
 //! 4. train via SQL, export the model blob, reload it in a fresh session
 //!    and predict with it.
 
-use corgipile::core::ThreadedLoader;
+use corgipile::core::{EpochSource, ParallelConfig, ParallelSource};
 use corgipile::data::libsvm::{load_libsvm_table, write_libsvm_file};
 use corgipile::data::{DatasetSpec, Order};
 use corgipile::db::{Database, QueryResult, StoredModel};
@@ -56,10 +56,20 @@ fn main() {
     );
 
     // 3b. Block-addressable access against the real file: CorgiPile's
-    // block shuffle with actual positioned reads, feeding the
-    // double-buffered loader.
+    // block shuffle with actual positioned reads, two loader threads
+    // merged into one stream.
     let ft = Arc::new(FileTable::open(&table_path).expect("open heap file"));
-    let streamed = ThreadedLoader::spawn_file(ft.clone(), 8, 99).count();
+    let loaders = ParallelConfig {
+        workers: 2,
+        ..Default::default()
+    };
+    let mut streamed = 0;
+    ParallelSource::new(ft.clone(), loaders, 64, 99)
+        .stream_epoch(0, &mut |fill| {
+            streamed += fill.batch.len();
+            true
+        })
+        .expect("read heap file");
     println!(
         "file-backed CorgiPile epoch: streamed {streamed} tuples from {} on-disk blocks",
         ft.num_blocks()

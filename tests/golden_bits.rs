@@ -6,13 +6,16 @@
 //! the last epoch's `train_loss` for a fixed small clustered table, over
 //! the SQL surface (strategy × model × batch size × `double_buffer` ×
 //! `fuse`, pushdown, faults + skip, checkpoint/resume, durable
-//! auto-resume, `CONTINUOUS` with a drift schedule) and `Trainer::train`.
+//! auto-resume, `CONTINUOUS` with a drift schedule), `Trainer::train`, and
+//! the multi-worker order (`parallel_epoch_plan` at 1/2/4/8 workers).
 //!
 //! A change that moves any of them changed what the engine computes. When
 //! that is intended, the failure message prints the whole table as Rust
 //! literals to paste back in — and CHANGES.md must say why.
 
-use corgipile::core::{CorgiPileConfig, Trainer, TrainerConfig};
+use corgipile::core::{
+    parallel_epoch_plan, CorgiPileConfig, ParallelConfig, Trainer, TrainerConfig,
+};
 use corgipile::data::{DatasetSpec, Order};
 use corgipile::db::{Database, DbTrainSummary, QueryResult, Session};
 use corgipile::ml::{ModelKind, OptimizerKind};
@@ -330,4 +333,86 @@ fn trainer_is_pinned_across_double_buffer() {
         }
     }
     check("TRAINER", &got, TRAINER);
+}
+
+/// `(case, crc32 of the merged id stream, crc32 over the per-worker stream
+/// crc32s, bits of io_seconds)`. Recorded on the commit that still had the
+/// serial plan and the work-stealing trainer; the one-source rewrite did not
+/// move them.
+const PARALLEL_ORDER: &[(&str, u32, u32, u64)] = &[
+    ("pn1/e0", 0x290b0e6a, 0xde07a4d6, 0x3fd1890b3225ce4d),
+    ("pn1/e1", 0x07b95d2b, 0x9970ca92, 0x3fd1890b3225ce4d),
+    ("pn2/e0", 0xd27ca7cf, 0x97e0bd56, 0x3fc1890b3225ce4c),
+    ("pn2/e1", 0x5c9ddd5c, 0x12514a40, 0x3fc1890b3225ce4c),
+    ("pn4/e0", 0x0df52d78, 0x7d91457e, 0x3fb2911ae9cdad42),
+    ("pn4/e1", 0x74faec68, 0xb3febd0d, 0x3fb2911ae9cdad42),
+    ("pn8/e0", 0xc7544921, 0x8ffdfd17, 0x3fa4a13a591d6b2d),
+    ("pn8/e1", 0x0226c52e, 0xceed052b, 0x3fa4a13a591d6b2d),
+];
+
+/// Parameter crc32 of a 2-epoch, one-worker, batch-8 run: the deleted
+/// work-stealing trainer and today's `Trainer::with_workers` agree.
+const PARALLEL_ONE_WORKER_PARAMS: u32 = 0xdd1c61d2;
+
+fn ids_crc<'a>(tuples: impl IntoIterator<Item = &'a Tuple>) -> u32 {
+    let bytes: Vec<u8> = tuples
+        .into_iter()
+        .flat_map(|t| t.id.to_le_bytes())
+        .collect();
+    crc32(&bytes)
+}
+
+#[test]
+fn multi_worker_order_and_one_worker_bits_are_pinned() {
+    let table = higgs(2000);
+    let workers = |workers| ParallelConfig {
+        workers,
+        total_buffer_fraction: 0.25,
+        ..Default::default()
+    };
+    let mut got = Vec::new();
+    for pn in [1usize, 2, 4, 8] {
+        for epoch in [0usize, 1] {
+            let plan = parallel_epoch_plan(&table, &workers(pn), 16, 11, epoch);
+            let per_worker: Vec<u8> = plan
+                .worker_streams
+                .iter()
+                .flat_map(|s| ids_crc(s).to_le_bytes())
+                .collect();
+            got.push((
+                format!("pn{pn}/e{epoch}"),
+                ids_crc(plan.merged_batches.iter().flatten()),
+                crc32(&per_worker),
+                plan.io_seconds.to_bits(),
+            ));
+        }
+    }
+    let same = got.len() == PARALLEL_ORDER.len()
+        && got
+            .iter()
+            .zip(PARALLEL_ORDER)
+            .all(|(g, w)| (g.0.as_str(), g.1, g.2, g.3) == *w);
+    if !same {
+        let mut lines = String::from("PARALLEL_ORDER moved; actual values:\n");
+        for (name, merged, per_worker, io) in &got {
+            lines.push_str(&format!(
+                "    (\"{name}\", 0x{merged:08x}, 0x{per_worker:08x}, 0x{io:016x}),\n"
+            ));
+        }
+        panic!("{lines}");
+    }
+
+    let cfg = TrainerConfig::new(ModelKind::LogisticRegression, 2)
+        .with_batch_size(8)
+        .with_optimizer(OptimizerKind::default_sgd(0.05));
+    let r = Trainer::new(cfg)
+        .with_workers(workers(1))
+        .train(&table, &mut SimDevice::in_memory(), 11)
+        .unwrap();
+    assert_eq!(
+        params_crc(r.model.params()),
+        PARALLEL_ONE_WORKER_PARAMS,
+        "one-worker parameters moved: 0x{:08x}",
+        params_crc(r.model.params())
+    );
 }

@@ -1,12 +1,12 @@
-//! Integration: multi-worker CorgiPile and the threaded loader against the
-//! single-process reference.
+//! Integration: multi-worker CorgiPile — and its one-worker, double-buffered
+//! case, the threaded loader — against the single-process reference.
 
 use corgipile::core::{
-    parallel_epoch_plan, train_parallel, CorgiPileConfig, CorgiPileDataset, ParallelConfig,
-    ThreadedLoader, Trainer, TrainerConfig,
+    parallel_epoch_plan, CorgiPileConfig, CorgiPileDataset, EpochSource, ParallelConfig,
+    ParallelSource, SimulatedBlocks, Trainer, TrainerConfig,
 };
 use corgipile::data::{DatasetSpec, Order};
-use corgipile::ml::{accuracy, build_model, ModelKind, Optimizer, OptimizerKind, Sgd};
+use corgipile::ml::{ModelKind, OptimizerKind};
 use corgipile::shuffle::{label_uniformity_score, order_displacement, StrategyKind};
 use corgipile::storage::{SimDevice, Table};
 
@@ -32,28 +32,23 @@ fn multi_worker_matches_single_process_accuracy() {
         .with_batch_size(128)
         .with_optimizer(OptimizerKind::default_sgd(0.1));
     let mut dev = SimDevice::in_memory();
-    let single = Trainer::new(cfg)
+    let single = Trainer::new(cfg.clone())
         .train_with_test(&table, &test, &mut dev, 3)
         .unwrap()
         .final_test_metric()
         .unwrap();
 
-    // 4-worker DDP-style CorgiPile, same global batch.
-    let pcfg = ParallelConfig {
-        workers: 4,
-        total_buffer_fraction: 0.10,
-        batch_size: 128,
-        seed: 3,
-        ..Default::default()
-    };
-    let mut model = build_model(&kind, 128, 3);
-    let mut opt = Sgd::new(0.1, 0.95);
-    for e in 0..6 {
-        opt.set_epoch(e);
-        let plan = parallel_epoch_plan(&table, &pcfg, e);
-        train_parallel(model.as_mut(), &mut opt, &plan.merged_batches, 4);
-    }
-    let multi = accuracy(model.as_ref(), &test);
+    // 4-worker DDP-style CorgiPile, same global batch, same loop.
+    let multi = Trainer::new(cfg)
+        .with_workers(ParallelConfig {
+            workers: 4,
+            total_buffer_fraction: 0.10,
+            ..Default::default()
+        })
+        .train_with_test(&table, &test, &mut dev, 3)
+        .unwrap()
+        .final_test_metric()
+        .unwrap();
     assert!(
         (single - multi).abs() < 0.08,
         "multi-worker {multi:.3} should track single-process {single:.3} (paper Fig. 5/7)"
@@ -67,11 +62,9 @@ fn multi_worker_order_is_statistically_equivalent_to_single() {
     let pcfg = ParallelConfig {
         workers: 4,
         total_buffer_fraction: 0.2,
-        batch_size: 100,
-        seed: 5,
         ..Default::default()
     };
-    let plan = parallel_epoch_plan(&table, &pcfg, 0);
+    let plan = parallel_epoch_plan(&table, &pcfg, 100, 5, 0);
     let merged: Vec<_> = plan.merged_batches.concat();
     let ids: Vec<u64> = merged.iter().map(|t| t.id).collect();
     let labels: Vec<f32> = merged.iter().map(|t| t.label).collect();
@@ -102,14 +95,31 @@ fn multi_worker_order_is_statistically_equivalent_to_single() {
     );
 }
 
+/// One loader process: with `double_buffer` it is §6.3's two-thread loader.
+fn one_loader() -> ParallelConfig {
+    ParallelConfig {
+        workers: 1,
+        total_buffer_fraction: 0.15,
+        ..Default::default()
+    }
+}
+
 #[test]
 fn threaded_loader_stream_equals_strategy_coverage() {
     let (table, _) = clustered_cifar();
-    let n = table.num_tuples();
-    let loader = ThreadedLoader::spawn(table, 8, 9);
-    let mut ids: Vec<u64> = loader.map(|t| t.id).collect();
+    let reader = SimulatedBlocks {
+        table: &table,
+        device: SimDevice::in_memory(),
+    };
+    let mut ids: Vec<u64> = Vec::new();
+    ParallelSource::new(reader, one_loader(), 128, 9)
+        .stream_epoch(0, &mut |fill| {
+            ids.extend(fill.batch.iter().map(|t| t.id));
+            true
+        })
+        .unwrap();
     ids.sort_unstable();
-    assert_eq!(ids, (0..n).collect::<Vec<_>>());
+    assert_eq!(ids, (0..table.num_tuples()).collect::<Vec<_>>());
 }
 
 #[test]
@@ -119,19 +129,15 @@ fn training_from_threaded_loader_learns() {
         hidden: vec![32],
         classes: 10,
     };
-    let mut model = build_model(&kind, 128, 1);
-    let mut opt = Sgd::new(0.1, 0.95);
-    for epoch in 0..6 {
-        opt.set_epoch(epoch);
-        let loader = ThreadedLoader::spawn(table.clone(), 40, 1000 + epoch as u64);
-        let tuples: Vec<_> = loader.collect();
-        corgipile::ml::train_minibatch(
-            model.as_mut(),
-            &mut opt,
-            tuples.iter(),
-            &corgipile::ml::TrainOptions::minibatch(128),
-        );
-    }
-    let acc = accuracy(model.as_ref(), &test);
+    let cfg = TrainerConfig::new(kind, 6)
+        .with_batch_size(128)
+        .with_optimizer(OptimizerKind::default_sgd(0.1))
+        .with_corgipile(CorgiPileConfig::default().with_double_buffer(true));
+    let acc = Trainer::new(cfg)
+        .with_workers(one_loader())
+        .train_with_test(&table, &test, &mut SimDevice::in_memory(), 1000)
+        .unwrap()
+        .final_test_metric()
+        .unwrap();
     assert!(acc > 0.5, "loader-fed training should learn: {acc:.3}");
 }
