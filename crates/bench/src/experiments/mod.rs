@@ -13,7 +13,6 @@ pub mod io;
 pub mod order_diag;
 pub mod pipeline;
 pub mod planner;
-pub mod pushdown;
 pub mod recovery;
 pub mod serving;
 pub mod tables;
@@ -64,7 +63,6 @@ pub fn registry() -> Vec<Experiment> {
         Experiment { id: "ablation", what: "extension: block-level vs tuple-level shuffle contribution", run: ablation::ablation },
         Experiment { id: "theory", what: "extension: Theorem 1 bound vs measured convergence", run: ablation::theory },
         Experiment { id: "concurrency", what: "extension: multi-worker epoch wall time per worker count + cross-session shared buffers", run: concurrency::concurrency },
-        Experiment { id: "pushdown", what: "extension: WHERE pushdown below TupleShuffle vs post-buffer filtering (buffered tuples, I/O, bit identity)", run: pushdown::pushdown },
         Experiment { id: "recovery", what: "extension: WAL recovery scan time, durable-training overhead, crash-matrix bit-identity", run: recovery::recovery },
         Experiment { id: "serving", what: "extension: batched PREDICT serving throughput/latency at 1/4/8 sessions, cold vs warm cache, hot-reload bit-identity", run: serving::serving },
         Experiment { id: "vectorize", what: "extension: fused batch-at-a-time pipeline vs interpreted operator tree (sim-compute speedup, bit identity)", run: vectorize::vectorize },

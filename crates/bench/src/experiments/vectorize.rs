@@ -120,7 +120,7 @@ fn trained_tuples(summary: &DbTrainSummary) -> u64 {
 }
 
 /// Run the fused-vs-interpreted grid: each strategy at full selectivity
-/// plus the corgipile strategy under a pushed-down 0.5 predicate.
+/// plus the corgipile strategy under a 0.5-selectivity predicate.
 pub fn measure(n_tuples: usize, epochs: usize) -> Vec<VectorizeRun> {
     let table = clustered(n_tuples);
     let cells: [(&'static str, f64); 4] = [

@@ -263,8 +263,9 @@ pub trait PhysicalOperator: Send {
     /// Unlike [`PhysicalOperator::next_batch`], a fully filtered (or dead,
     /// skipped) block yields `Ok(true)` with an **empty** `out`, so a
     /// buffering parent counting blocks sees identical fill boundaries
-    /// whether a predicate ran below it or not — the invariant behind
-    /// bit-identical pushdown. Default: one `next_batch` per call.
+    /// whether a predicate ran below it or not — the invariant that makes
+    /// filtering below the buffer an equivalence. Default: one `next_batch`
+    /// per call.
     fn next_block(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
         self.next_batch(ctx, out)
     }
@@ -294,11 +295,11 @@ pub enum ScanMode {
 
 /// The `BlockShuffle` operator.
 ///
-/// Optionally carries a fused predicate and projection (WHERE/SELECT
-/// pushdown): the predicate is evaluated on each decoded tuple *before* its
-/// ref enters any queue or buffer, so filtered tuples never occupy
-/// TupleShuffle capacity, and the projection materializes only surviving
-/// tuples.
+/// Owns the statement's `WHERE` predicate and column list, the way a
+/// PostgreSQL scan evaluates its qualifiers: the predicate is evaluated on
+/// each decoded tuple *before* its ref enters any queue or buffer, so
+/// filtered tuples never occupy TupleShuffle capacity, and the projection
+/// materializes only surviving tuples. This is the engine's one filter.
 pub struct BlockShuffleOp {
     table: Arc<Table>,
     mode: ScanMode,
@@ -333,15 +334,15 @@ impl BlockShuffleOp {
         }
     }
 
-    /// Fuse a pushed-down predicate into the scan (evaluated zero-copy on
-    /// each decoded tuple before it is queued or buffered).
+    /// Set the scan's predicate (evaluated zero-copy on each decoded tuple
+    /// before it is queued or buffered).
     pub fn with_predicate(mut self, predicate: Predicate) -> Self {
         self.predicate = Some(predicate);
         self
     }
 
-    /// Fuse a pushed-down projection (feature column indices) into the
-    /// scan: surviving tuples are re-materialized over the selected columns.
+    /// Set the scan's projection (feature column indices): surviving
+    /// tuples are re-materialized over the selected columns.
     pub fn with_projection(mut self, columns: Vec<usize>) -> Self {
         self.projection = Some(columns);
         self
@@ -566,10 +567,11 @@ impl PhysicalOperator for BlockShuffleOp {
 /// [`PhysicalOperator::next_block`] (not in buffered tuples), and the
 /// in-buffer shuffle orders tuples by a deterministic per-(seed, epoch,
 /// tuple-id) hash key. Together these make the emitted stream invariant to
-/// where a predicate runs: a pushdown plan (filter below the buffer) and a
-/// post-buffer filter see the same fill boundaries and the same surviving
-/// order, so they train bit-identical models — while the pushdown plan
-/// buffers only survivors.
+/// where a predicate runs: the scan's filter below the buffer and a filter
+/// applied to the buffer's output see the same fill boundaries and the same
+/// surviving order, so they train bit-identical models — while filtering
+/// below buffers only survivors (checked against the test-side
+/// `PostBufferFilter` reference in `proptests.rs`).
 pub struct TupleShuffleOp {
     child: Box<dyn PhysicalOperator>,
     capacity_blocks: usize,
@@ -636,7 +638,7 @@ impl TupleShuffleOp {
             }
         }
         // Buffer copy + shuffle cost (§4.1 overheads), charged on what was
-        // actually buffered — pushdown plans pay only for survivors.
+        // actually buffered — filtered scans pay only for survivors.
         ctx.dev
             .charge_seconds(self.params.buffering_cost(self.buffer.len(), bytes));
         // Deterministic in-buffer shuffle: order by a per-(seed, epoch,
@@ -725,158 +727,13 @@ impl PhysicalOperator for TupleShuffleOp {
     }
 }
 
-/// The `Filter` operator: a standalone predicate node used when pushdown is
-/// disabled (`WITH pushdown = 0`) — tuples pass through the buffer first
-/// and are filtered on the way out, PostgreSQL's plain `Filter` above a
-/// materialization. The reference plan pushdown is checked against.
-pub struct FilterOp {
-    child: Box<dyn PhysicalOperator>,
-    predicate: Predicate,
-    scratch: TupleBatch,
-    actuals: OpStats,
-}
-
-impl FilterOp {
-    /// Filter the child's stream by `predicate`.
-    pub fn new(child: Box<dyn PhysicalOperator>, predicate: Predicate) -> Self {
-        FilterOp {
-            child,
-            predicate,
-            scratch: TupleBatch::new(),
-            actuals: OpStats::default(),
-        }
-    }
-}
-
-impl PhysicalOperator for FilterOp {
-    fn name(&self) -> &'static str {
-        "Filter"
-    }
-
-    fn init(&mut self, ctx: &mut ExecContext) {
-        self.child.init(ctx);
-        self.actuals.loops += 1;
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
-        // Preserve the child's batch (= fill) boundaries; a batch whose
-        // tuples are all filtered is skipped, like a fully filtered fill.
-        out.clear();
-        loop {
-            if !self.child.next_batch(ctx, &mut self.scratch)? {
-                return Ok(false);
-            }
-            for r in self.scratch.iter() {
-                if self.predicate.matches(r) {
-                    out.push(r.clone());
-                } else {
-                    self.actuals.rows_filtered += 1;
-                }
-            }
-            if !out.is_empty() {
-                self.actuals.rows += out.len() as u64;
-                return Ok(true);
-            }
-        }
-    }
-
-    fn rescan(&mut self, ctx: &mut ExecContext) {
-        self.child.rescan(ctx);
-        self.actuals.loops += 1;
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext) {
-        self.child.close(ctx);
-    }
-
-    fn collect_stats(&self, depth: usize, out: &mut Vec<OpStats>) {
-        let mut stats = self.actuals.clone();
-        stats.name = self.name().to_string();
-        stats.depth = depth;
-        stats.predicate = Some(self.predicate.to_string());
-        out.push(stats);
-        self.child.collect_stats(depth + 1, out);
-    }
-}
-
-/// The `Project` operator: a standalone projection node used when pushdown
-/// is disabled. Each surviving tuple is re-materialized over the selected
-/// feature columns (one fresh block per batch).
-pub struct ProjectOp {
-    child: Box<dyn PhysicalOperator>,
-    columns: Vec<usize>,
-    scratch: TupleBatch,
-    actuals: OpStats,
-}
-
-impl ProjectOp {
-    /// Project the child's stream onto `columns` (feature indices).
-    pub fn new(child: Box<dyn PhysicalOperator>, columns: Vec<usize>) -> Self {
-        ProjectOp {
-            child,
-            columns,
-            scratch: TupleBatch::new(),
-            actuals: OpStats::default(),
-        }
-    }
-}
-
-impl PhysicalOperator for ProjectOp {
-    fn name(&self) -> &'static str {
-        "Project"
-    }
-
-    fn init(&mut self, ctx: &mut ExecContext) {
-        self.child.init(ctx);
-        self.actuals.loops += 1;
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
-        out.clear();
-        if !self.child.next_batch(ctx, &mut self.scratch)? {
-            return Ok(false);
-        }
-        self.actuals.rows += self.scratch.len() as u64;
-        // One fresh Arc-shared block of projected tuples per batch — the
-        // only materializing stage of the batch pipeline (pushdown = 0).
-        let projected: Vec<Tuple> = self
-            .scratch
-            .iter()
-            .map(|r| project_tuple(r, &self.columns))
-            .collect();
-        for r in block_refs(&Arc::new(projected)) {
-            out.push(r);
-        }
-        Ok(true)
-    }
-
-    fn rescan(&mut self, ctx: &mut ExecContext) {
-        self.child.rescan(ctx);
-        self.actuals.loops += 1;
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext) {
-        self.child.close(ctx);
-    }
-
-    fn collect_stats(&self, depth: usize, out: &mut Vec<OpStats>) {
-        let mut stats = self.actuals.clone();
-        stats.name = self.name().to_string();
-        stats.depth = depth;
-        stats.projection = Some(feature_list(&self.columns));
-        out.push(stats);
-        self.child.collect_stats(depth + 1, out);
-    }
-}
-
 /// Source stage of a [`FusedPipelineOp`]: the concrete scan/shuffle
 /// operators, *not* trait objects — every call into the source statically
 /// dispatches, so the fused inner loop makes no per-tuple virtual calls.
 /// (A `Tuple` source still holds its scan child behind one `Box<dyn>`,
 /// costing a single virtual call per *block* pull.)
 pub enum FusedSource {
-    /// `(Block)Shuffle ← Scan`, with any pushed-down predicate/projection
-    /// fused into the scan.
+    /// `(Block)Shuffle ← Scan`, predicate/projection included.
     Block(BlockShuffleOp),
     /// `TupleShuffle ← (Block)Shuffle ← Scan`.
     Tuple(TupleShuffleOp),
@@ -926,94 +783,31 @@ impl FusedSource {
     }
 }
 
-/// Post-source stage of a [`FusedPipelineOp`], chosen **once at build
-/// time** by the planner's fusion pass: the specialized inner loop runs
-/// the selected predicate/projection combination with no per-tuple
-/// dispatch and no intermediate operator hops. `None` streams source
-/// batches through untouched (zero extra copies).
-pub enum PostStage {
-    /// Pass source batches straight through.
-    None,
-    /// Post-buffer predicate (`pushdown = 0` plans).
-    Filter(Predicate),
-    /// Post-buffer projection.
-    Project(Vec<usize>),
-    /// Predicate then projection, fused into one pass.
-    FilterProject(Predicate, Vec<usize>),
-}
-
 /// A whole lowered pipeline collapsed into one operator: the planner's
-/// fusion pass rewrites `Sgd←Project?←Filter?←(Tuple|Block)Shuffle←Scan`
-/// (and the Predict equivalent) into `Sgd←FusedPipelineOp` when
-/// `WITH fuse = 1` (the default). Batches flow source→post→root with one
-/// virtual call per batch; the interpreted operator tree stays available
-/// behind `WITH fuse = 0` as the bit-identity oracle.
+/// fusion pass rewrites `Sgd←(Tuple|Block)Shuffle←Scan` (and the Predict
+/// equivalent) into `Sgd←FusedPipelineOp` when `WITH fuse = 1` (the
+/// default). The source fills the root's batch directly — one virtual call
+/// per batch, no copy; the interpreted operator tree stays available behind
+/// `WITH fuse = 0` as the bit-identity oracle.
 pub struct FusedPipelineOp {
     source: FusedSource,
-    post: PostStage,
     label: String,
-    scratch: TupleBatch,
     batch_ctr: Counter,
     tuple_ctr: Counter,
     actuals: OpStats,
 }
 
 impl FusedPipelineOp {
-    /// Assemble over a built source and a specialized post stage. `label`
-    /// names the fused stages in execution order (e.g. `scan→filter→sgd`)
-    /// for EXPLAIN.
-    pub fn new(source: FusedSource, post: PostStage, label: impl Into<String>) -> Self {
+    /// Assemble over a built source. `label` names the fused stages in
+    /// execution order (e.g. `scan→filter→sgd`) for EXPLAIN.
+    pub fn new(source: FusedSource, label: impl Into<String>) -> Self {
         let disabled = Telemetry::disabled();
         FusedPipelineOp {
             source,
-            post,
             label: label.into(),
-            scratch: TupleBatch::new(),
             batch_ctr: disabled.counter("db.exec.batches"),
             tuple_ctr: disabled.counter("db.exec.fused_tuples"),
             actuals: OpStats::default(),
-        }
-    }
-
-    fn apply_post(
-        post: &PostStage,
-        scratch: &TupleBatch,
-        out: &mut TupleBatch,
-        rows_filtered: &mut u64,
-    ) {
-        match post {
-            PostStage::None => unreachable!("PostStage::None streams directly"),
-            PostStage::Filter(pred) => {
-                for r in scratch.iter() {
-                    if pred.matches(r) {
-                        out.push(r.clone());
-                    } else {
-                        *rows_filtered += 1;
-                    }
-                }
-            }
-            PostStage::Project(cols) => {
-                let projected: Vec<Tuple> =
-                    scratch.iter().map(|r| project_tuple(r, cols)).collect();
-                for r in block_refs(&Arc::new(projected)) {
-                    out.push(r);
-                }
-            }
-            PostStage::FilterProject(pred, cols) => {
-                let mut projected = Vec::new();
-                for r in scratch.iter() {
-                    if pred.matches(r) {
-                        projected.push(project_tuple(r, cols));
-                    } else {
-                        *rows_filtered += 1;
-                    }
-                }
-                if !projected.is_empty() {
-                    for r in block_refs(&Arc::new(projected)) {
-                        out.push(r);
-                    }
-                }
-            }
         }
     }
 
@@ -1038,48 +832,17 @@ impl PhysicalOperator for FusedPipelineOp {
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
-        out.clear();
-        if matches!(self.post, PostStage::None) {
-            // Straight-through: the source fills `out` directly, no copy.
-            if !self.source.next_batch(ctx, out)? {
-                return Ok(false);
-            }
-            self.note_batch(out.len());
-            return Ok(true);
+        // Straight-through: the source fills `out` directly, no copy.
+        if !self.source.next_batch(ctx, out)? {
+            return Ok(false);
         }
-        loop {
-            if !self.source.next_batch(ctx, &mut self.scratch)? {
-                return Ok(false);
-            }
-            Self::apply_post(
-                &self.post,
-                &self.scratch,
-                out,
-                &mut self.actuals.rows_filtered,
-            );
-            if !out.is_empty() {
-                self.note_batch(out.len());
-                return Ok(true);
-            }
-        }
+        self.note_batch(out.len());
+        Ok(true)
     }
 
     fn next_block(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
-        out.clear();
-        if matches!(self.post, PostStage::None) {
-            if !self.source.next_block(ctx, out)? {
-                return Ok(false);
-            }
-        } else {
-            if !self.source.next_block(ctx, &mut self.scratch)? {
-                return Ok(false);
-            }
-            Self::apply_post(
-                &self.post,
-                &self.scratch,
-                out,
-                &mut self.actuals.rows_filtered,
-            );
+        if !self.source.next_block(ctx, out)? {
+            return Ok(false);
         }
         // Consumed-but-empty blocks surface as Ok(true) with empty `out`,
         // preserving block-counting parents' fill alignment.
@@ -1120,16 +883,6 @@ impl PhysicalOperator for FusedPipelineOp {
             if stats.projection.is_none() {
                 stats.projection.clone_from(&s.projection);
             }
-        }
-        match &self.post {
-            PostStage::Filter(p) => stats.predicate = Some(p.to_string()),
-            PostStage::Project(cols) | PostStage::FilterProject(_, cols) => {
-                if let PostStage::FilterProject(p, _) = &self.post {
-                    stats.predicate = Some(p.to_string());
-                }
-                stats.projection = Some(feature_list(cols));
-            }
-            PostStage::None => {}
         }
         out.push(stats);
     }
@@ -1406,7 +1159,7 @@ pub struct PredictRunResult {
     pub rows: u64,
     /// Prediction batches executed.
     pub batches: u64,
-    /// Tuples dropped by the pushed-down predicate.
+    /// Tuples dropped by the scan's predicate.
     pub rows_filtered: u64,
     /// Simulated scan I/O seconds.
     pub io_seconds: f64,
@@ -1678,16 +1431,13 @@ mod tests {
         let t = table(1000);
         let survivors = t.all_tuples().iter().filter(|tp| tp.label == 1.0).count();
         assert!(survivors > 0 && survivors < 1000);
-        let scan = BlockShuffleOp::new(t, ScanMode::RandomBlocks, 11);
-        let mut op = FusedPipelineOp::new(
-            FusedSource::Block(scan),
-            PostStage::Filter(Predicate::Cmp {
+        let scan =
+            BlockShuffleOp::new(t, ScanMode::RandomBlocks, 11).with_predicate(Predicate::Cmp {
                 col: crate::sql::ColumnRef::Label,
                 op: crate::sql::CmpOp::Eq,
                 value: 1.0,
-            }),
-            "scan→filter→sgd",
-        );
+            });
+        let mut op = FusedPipelineOp::new(FusedSource::Block(scan), "scan→filter→sgd");
         let mut dev = DeviceHandle::private(SimDevice::in_memory());
         let mut ctx = ExecContext::new(&mut dev);
         op.init(&mut ctx);
@@ -1711,7 +1461,7 @@ mod tests {
         let t = table(500);
         let scan = BlockShuffleOp::new(t.clone(), ScanMode::Sequential, 1)
             .with_predicate(id_pred(crate::sql::CmpOp::Lt, 0.0));
-        let mut op = FusedPipelineOp::new(FusedSource::Block(scan), PostStage::None, "scan→sgd");
+        let mut op = FusedPipelineOp::new(FusedSource::Block(scan), "scan→sgd");
         let mut dev = DeviceHandle::private(SimDevice::in_memory());
         let mut ctx = ExecContext::new(&mut dev);
         op.init(&mut ctx);
@@ -1723,7 +1473,7 @@ mod tests {
         // ...and a table whose last block is partial is covered exactly,
         // across rescans (the batch reuse must not leak stale tuples).
         let scan = BlockShuffleOp::new(t, ScanMode::RandomBlocks, 3);
-        let mut op = FusedPipelineOp::new(FusedSource::Block(scan), PostStage::None, "scan→sgd");
+        let mut op = FusedPipelineOp::new(FusedSource::Block(scan), "scan→sgd");
         op.init(&mut ctx);
         for _pass in 0..2 {
             let mut ids = Vec::new();
@@ -1742,15 +1492,15 @@ mod tests {
         // steady-state epoch must then run without a single batch
         // reallocation (the zero-alloc contract of the batch executor).
         let t = table(1200);
-        let scan = BlockShuffleOp::new(t, ScanMode::RandomBlocks, 7);
+        let scan = BlockShuffleOp::new(t, ScanMode::RandomBlocks, 7)
+            .with_predicate(id_pred(crate::sql::CmpOp::Ge, 100.0));
         let mut op = FusedPipelineOp::new(
             FusedSource::Tuple(TupleShuffleOp::new(
                 Box::new(scan),
                 2,
                 StrategyParams::default(),
             )),
-            PostStage::Filter(id_pred(crate::sql::CmpOp::Ge, 100.0)),
-            "scan→shuffle→filter→sgd",
+            "scan→filter→shuffle→sgd",
         );
         let mut dev = DeviceHandle::private(SimDevice::in_memory());
         let mut ctx = ExecContext::new(&mut dev);

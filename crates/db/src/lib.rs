@@ -54,9 +54,9 @@ pub use corgipile_storage::{TableSnapshot, Telemetry, TelemetrySnapshot};
 pub use database::Database;
 pub use error::DbError;
 pub use exec::{
-    BlockShuffleOp, CheckpointSink, DbEpochRecord, ExecContext, FaultAction, FilterOp,
-    FusedPipelineOp, FusedSource, OpStats, PhysicalOperator, PostStage, PredictOperator,
-    PredictRunResult, ProjectOp, ScanMode, SgdOperator, SgdRunResult, TupleShuffleOp,
+    BlockShuffleOp, CheckpointSink, DbEpochRecord, ExecContext, FaultAction, FusedPipelineOp,
+    FusedSource, OpStats, PhysicalOperator, PredictOperator, PredictRunResult, ScanMode,
+    SgdOperator, SgdRunResult, TupleShuffleOp,
 };
 pub use model_store::{ModelRecord, ModelStore, ModelStoreOptions, ModelStoreStats};
 pub use options::{

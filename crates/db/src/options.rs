@@ -166,8 +166,6 @@ pub const OPTIONS: &[OptionSpec] = &[
         false,
         false,
     ),
-    opt("planner", OptionType::Flag, Some("1"), true, false, false),
-    opt("pushdown", OptionType::Flag, Some("1"), true, false, false),
     // `TRAIN … CONTINUOUS` only: re-pin the latest snapshot every this
     // many epochs. Unset defaults to max_epoch_num (one pin per run).
     opt("refresh", OptionType::Int, None, true, false, false),
@@ -369,9 +367,10 @@ mod tests {
         for pair in OPTIONS.windows(2) {
             assert!(pair[0].name < pair[1].name, "registry must stay sorted");
         }
-        assert!(known_keys(Statement::Train).contains(&"planner"));
+        assert_eq!(OPTIONS.len(), 24);
+        assert!(known_keys(Statement::Train).contains(&"strategy"));
         assert!(known_keys(Statement::Predict).contains(&"batch_rows"));
-        assert!(!known_keys(Statement::Predict).contains(&"planner"));
+        assert!(!known_keys(Statement::Predict).contains(&"strategy"));
         assert_eq!(known_keys(Statement::Recluster), vec!["io_budget", "seed"]);
     }
 

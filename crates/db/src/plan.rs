@@ -1,48 +1,48 @@
-//! Query planning: logical plans, pushdown rewrites, and physical
-//! operator construction.
+//! Query planning: logical plans and physical operator construction.
 //!
 //! This is the single plan-construction site of the engine. A prepared
-//! `TRAIN BY` statement (`train.rs`) becomes a [`LogicalPlan`] tree
+//! `TRAIN BY` statement (`train.rs`) or a `PREDICT` becomes a
+//! [`LogicalPlan`] of the one shape the paper's PostgreSQL integration has
+//! (§6: `BlockShuffle`, `TupleShuffle`, `SGD`, qualifiers evaluated by the
+//! scan):
 //!
 //! ```text
-//! Sgd ← Project? ← Filter? ← TupleShuffle? ← Scan
+//! Sgd|Predict ← TupleShuffle? ← Scan{predicate, projection}
 //! ```
 //!
 //! validated against the catalog (feature indices in predicates and
-//! projections must exist; `id` is not selectable as a training input),
-//! then rewritten by [`LogicalPlan::push_down`], which moves `Filter` and
-//! `Project` *below* the tuple-shuffle buffer and fuses them into the
-//! block scan. Pushdown matters for convergence-per-byte: the buffer
-//! holds a fixed block budget, so filtering before buffering raises the
-//! effective buffer fraction of the post-filter dataset that CorgiPile's
-//! convergence analysis depends on — and the projection shrinks every
-//! buffered tuple besides.
+//! projections must exist; `id` is not selectable as a training input).
+//! The scan owns the `WHERE` predicate and the column list: it evaluates
+//! the predicate on each decoded tuple *below* the tuple-shuffle buffer and
+//! materializes only survivors over the named columns. That placement
+//! matters for convergence-per-byte: the buffer holds a fixed block budget,
+//! so filtering before buffering raises the effective buffer fraction of
+//! the post-filter dataset that CorgiPile's convergence analysis depends
+//! on — and the projection shrinks every buffered tuple besides.
 //!
-//! Pushdown is an *equivalence*: the tuple shuffle counts its window in
-//! source blocks (not tuples) and orders survivors by a deterministic
-//! per-tuple key, so the tuple visit sequence — and therefore the trained
-//! model, bit for bit — is identical whether a tuple is dropped before
-//! the buffer or after it. `TRAIN … WITH pushdown = 0` runs the
-//! un-rewritten plan for exactly that A/B.
+//! Filtering below the buffer trains the same model, bit for bit, as
+//! filtering the buffer's output would: the tuple shuffle counts its window
+//! in source blocks (not tuples) and orders survivors by a deterministic
+//! per-tuple key, so the tuple visit sequence is the same either way. That
+//! is checked against the test-side `PostBufferFilter` reference in
+//! `proptests.rs` and against the `WHERE` constants in
+//! `tests/golden_bits.rs`, which were recorded with the filter above the
+//! buffer.
 //!
-//! After (optional) pushdown, lowering runs a *pipeline-fusion* pass:
-//! [`build_physical_with`] recognizes the full
-//! `Sgd|Predict ← Project? ← Filter? ← TupleShuffle? ← Scan` chain and
-//! collapses it into a single [`FusedPipelineOp`] whose inner loop moves
-//! whole [`TupleBatch`](corgipile_storage::TupleBatch)es with the
-//! predicate, projection, and source shape specialized once at build
-//! time — no per-tuple virtual calls. Fusion never changes semantics:
-//! the interpreted operator tree stays available under `WITH fuse = 0`
-//! as the bit-identity oracle, and both paths replay the same tuple
-//! sequence. Only the *compute accounting* differs (the fused path
-//! charges its per-tuple dispatch overhead once per batch), which is the
-//! vectorization speedup the `vectorize` experiment measures.
+//! Lowering runs a *pipeline-fusion* pass: [`build_physical_with`]
+//! collapses the chain into a single [`FusedPipelineOp`] whose inner loop
+//! moves whole [`TupleBatch`](corgipile_storage::TupleBatch)es from a
+//! statically dispatched source — no per-tuple virtual calls. Fusion never
+//! changes semantics: the interpreted operator tree stays available under
+//! `WITH fuse = 0` as the bit-identity oracle, and both paths replay the
+//! same tuple sequence. Only the *compute accounting* differs (the fused
+//! path charges its per-tuple dispatch overhead once per batch), which is
+//! the vectorization speedup the `vectorize` experiment measures.
 
 use crate::catalog::Catalog;
 use crate::error::DbError;
 use crate::exec::{
-    BlockShuffleOp, FilterOp, FusedPipelineOp, FusedSource, PhysicalOperator, PostStage, ProjectOp,
-    ScanMode, TupleShuffleOp,
+    BlockShuffleOp, FusedPipelineOp, FusedSource, PhysicalOperator, ScanMode, TupleShuffleOp,
 };
 use crate::sql::{ColumnRef, Predicate, Projection, StrategyKind};
 use corgipile_data::rng::shuffle_in_place;
@@ -160,20 +160,6 @@ pub enum LogicalPlan {
         /// Input plan.
         input: Box<LogicalPlan>,
     },
-    /// Keep only the named feature columns (the label always rides along).
-    Project {
-        /// Feature indices to keep, in declared order.
-        columns: Vec<usize>,
-        /// Input plan.
-        input: Box<LogicalPlan>,
-    },
-    /// Drop tuples failing the predicate.
-    Filter {
-        /// The predicate.
-        predicate: Predicate,
-        /// Input plan.
-        input: Box<LogicalPlan>,
-    },
     /// Buffered tuple shuffle over block windows.
     TupleShuffle {
         /// Buffer capacity in source blocks.
@@ -181,7 +167,8 @@ pub enum LogicalPlan {
         /// Input plan.
         input: Box<LogicalPlan>,
     },
-    /// The block scan, with optionally fused predicate/projection.
+    /// The block scan; it owns the statement's `WHERE` predicate and
+    /// column list.
     Scan {
         /// Table name.
         table: String,
@@ -191,18 +178,20 @@ pub enum LogicalPlan {
         blocks: usize,
         /// Number of tuples in the table.
         tuples: u64,
-        /// Predicate fused into the scan (evaluated before buffering).
+        /// `WHERE` predicate, evaluated on pre-projection feature indices
+        /// before a tuple is buffered.
         predicate: Option<Predicate>,
-        /// Projection fused into the scan (applied after the predicate).
+        /// Feature columns to keep (the label always rides along), applied
+        /// to survivors of the predicate.
         projection: Option<Vec<usize>>,
     },
 }
 
 impl LogicalPlan {
-    /// Build the canonical (pre-rewrite) logical plan for a training
-    /// query, validating every column reference against the table's
-    /// feature count. Errors here are planning-time [`DbError`]s — an
-    /// out-of-range `f<N>` never survives to execution.
+    /// Build the logical plan for a training query, validating every
+    /// column reference against the table's feature count. Errors here are
+    /// planning-time [`DbError`]s — an out-of-range `f<N>` never survives
+    /// to execution.
     pub fn build(spec: &TrainPlanSpec, table: &Table) -> Result<LogicalPlan, DbError> {
         let dim = table.dim()?;
         validate_columns(spec, dim)?;
@@ -219,24 +208,12 @@ impl LogicalPlan {
             order,
             blocks: table.num_blocks(),
             tuples: table.num_tuples(),
-            predicate: None,
-            projection: None,
+            predicate: spec.filter.clone(),
+            projection: spec.projection.feature_indices(),
         };
         if spec.strategy.is_tuple_buffered() {
             node = LogicalPlan::TupleShuffle {
                 buffer_blocks: spec.buffer_blocks,
-                input: Box::new(node),
-            };
-        }
-        if let Some(p) = &spec.filter {
-            node = LogicalPlan::Filter {
-                predicate: p.clone(),
-                input: Box::new(node),
-            };
-        }
-        if let Some(cols) = spec.projection.feature_indices() {
-            node = LogicalPlan::Project {
-                columns: cols,
                 input: Box::new(node),
             };
         }
@@ -247,130 +224,29 @@ impl LogicalPlan {
         })
     }
 
-    /// Build the canonical logical plan for a serving query:
-    /// `Predict ← Filter? ← Scan(sequential)`. Pushdown then fuses the
-    /// filter into the scan exactly as for training — inference scans
-    /// use the same rewrite, so a predicate is evaluated on the zero-copy
-    /// block path before any tuple is batched.
+    /// Build the logical plan for a serving query: `Predict ←
+    /// Scan(sequential)`, the predicate on the scan exactly as for training,
+    /// so it is evaluated on the zero-copy block path before any tuple is
+    /// batched.
     pub fn build_predict(spec: &PredictPlanSpec, table: &Table) -> Result<LogicalPlan, DbError> {
         let dim = table.dim()?;
         validate_filter(spec.filter.as_ref(), dim)?;
         if spec.batch_rows == 0 {
             return Err(DbError::BadParam("batch_rows must be >= 1".into()));
         }
-        let mut node = LogicalPlan::Scan {
-            table: spec.table.clone(),
-            order: ScanOrder::Sequential,
-            blocks: table.num_blocks(),
-            tuples: table.num_tuples(),
-            predicate: None,
-            projection: None,
-        };
-        if let Some(p) = &spec.filter {
-            node = LogicalPlan::Filter {
-                predicate: p.clone(),
-                input: Box::new(node),
-            };
-        }
         Ok(LogicalPlan::Predict {
             model: spec.model.clone(),
             version: spec.version,
             batch_rows: spec.batch_rows,
-            input: Box::new(node),
+            input: Box::new(LogicalPlan::Scan {
+                table: spec.table.clone(),
+                order: ScanOrder::Sequential,
+                blocks: table.num_blocks(),
+                tuples: table.num_tuples(),
+                predicate: spec.filter.clone(),
+                projection: None,
+            }),
         })
-    }
-
-    /// Rewrite rules: push `Filter` and `Project` below `TupleShuffle`
-    /// and fuse them into the scan. The scan evaluates its predicate
-    /// *before* its projection, so fusing both preserves semantics even
-    /// though the predicate references pre-projection feature indices.
-    pub fn push_down(self) -> LogicalPlan {
-        match self {
-            LogicalPlan::Predict {
-                model,
-                version,
-                batch_rows,
-                input,
-            } => LogicalPlan::Predict {
-                model,
-                version,
-                batch_rows,
-                input: Box::new(input.push_down()),
-            },
-            LogicalPlan::Sgd {
-                model,
-                epochs,
-                input,
-            } => LogicalPlan::Sgd {
-                model,
-                epochs,
-                input: Box::new(input.push_down()),
-            },
-            LogicalPlan::Filter { predicate, input } => match input.push_down() {
-                LogicalPlan::TupleShuffle {
-                    buffer_blocks,
-                    input,
-                } => LogicalPlan::TupleShuffle {
-                    buffer_blocks,
-                    input: Box::new(LogicalPlan::Filter { predicate, input }.push_down()),
-                },
-                LogicalPlan::Scan {
-                    table,
-                    order,
-                    blocks,
-                    tuples,
-                    predicate: None,
-                    projection,
-                } => LogicalPlan::Scan {
-                    table,
-                    order,
-                    blocks,
-                    tuples,
-                    predicate: Some(predicate),
-                    projection,
-                },
-                other => LogicalPlan::Filter {
-                    predicate,
-                    input: Box::new(other),
-                },
-            },
-            LogicalPlan::Project { columns, input } => match input.push_down() {
-                LogicalPlan::TupleShuffle {
-                    buffer_blocks,
-                    input,
-                } => LogicalPlan::TupleShuffle {
-                    buffer_blocks,
-                    input: Box::new(LogicalPlan::Project { columns, input }.push_down()),
-                },
-                LogicalPlan::Scan {
-                    table,
-                    order,
-                    blocks,
-                    tuples,
-                    predicate,
-                    projection: None,
-                } => LogicalPlan::Scan {
-                    table,
-                    order,
-                    blocks,
-                    tuples,
-                    predicate,
-                    projection: Some(columns),
-                },
-                other => LogicalPlan::Project {
-                    columns,
-                    input: Box::new(other),
-                },
-            },
-            LogicalPlan::TupleShuffle {
-                buffer_blocks,
-                input,
-            } => LogicalPlan::TupleShuffle {
-                buffer_blocks,
-                input: Box::new(input.push_down()),
-            },
-            scan @ LogicalPlan::Scan { .. } => scan,
-        }
     }
 
     /// The root kernel's `EXPLAIN` line; `None` for non-root nodes.
@@ -426,10 +302,10 @@ impl LogicalPlan {
                 "{pad}Buffer: {bb} source blocks (double-buffered tuple shuffle)"
             ));
         }
-        if let Some(cols) = projection.as_ref().or(chain.post_project) {
+        if let Some(cols) = projection {
             lines.push(format!("{pad}Output: {}", feature_list(cols)));
         }
-        if let Some(p) = predicate.as_ref().or(chain.post_filter) {
+        if let Some(p) = predicate {
             lines.push(format!("{pad}Filter: ({p})"));
         }
         if let Some(note) = order.setup_note() {
@@ -440,8 +316,8 @@ impl LogicalPlan {
     }
 
     /// Render the plan, PostgreSQL `EXPLAIN`-style (root first). The
-    /// scan's fused predicate/projection appear as `Filter:` / `Output:`
-    /// sub-lines on the scan node itself.
+    /// scan's predicate/projection appear as `Filter:` / `Output:` sub-lines
+    /// on the scan node itself.
     pub fn explain_lines(&self) -> Vec<String> {
         let mut lines = Vec::new();
         let mut target = None;
@@ -468,14 +344,6 @@ impl LogicalPlan {
             LogicalPlan::Predict { input, .. } | LogicalPlan::Sgd { input, .. } => {
                 let root = self.root_line().expect("Sgd/Predict render a root line");
                 lines.push(format!("{head}{root}"));
-                input.render_into(depth + 1, lines, target);
-            }
-            LogicalPlan::Project { columns, input } => {
-                lines.push(format!("{head}Project ({})", feature_list(columns)));
-                input.render_into(depth + 1, lines, target);
-            }
-            LogicalPlan::Filter { predicate, input } => {
-                lines.push(format!("{head}Filter ({predicate})"));
                 input.render_into(depth + 1, lines, target);
             }
             LogicalPlan::TupleShuffle {
@@ -511,17 +379,12 @@ impl LogicalPlan {
     }
 }
 
-/// The decomposed fusable chain `Sgd|Predict ← Project? ← Filter? ←
-/// TupleShuffle? ← Scan`, borrowed from a lowered logical plan. Produced
-/// by [`fuse_chain`]; consumed by the fusion pass in
-/// [`build_physical_with`] and by fused `EXPLAIN` rendering.
+/// The decomposed chain `Sgd|Predict ← TupleShuffle? ← Scan`, borrowed
+/// from a logical plan. Produced by [`fuse_chain`]; consumed by the fusion
+/// pass in [`build_physical_with`] and by fused `EXPLAIN` rendering.
 struct FuseChain<'a> {
     /// `"sgd"` or `"predict"` — the root kernel, last stage of the label.
     kernel: &'static str,
-    /// Post-buffer predicate (`pushdown = 0` plans only).
-    post_filter: Option<&'a Predicate>,
-    /// Post-buffer projection (`pushdown = 0` plans only).
-    post_project: Option<&'a Vec<usize>>,
     /// Tuple-shuffle buffer capacity in source blocks, if the strategy
     /// buffers at all.
     shuffle_blocks: Option<usize>,
@@ -531,8 +394,8 @@ struct FuseChain<'a> {
 
 impl FuseChain<'_> {
     /// Stage list in execution order, e.g. `scan→filter→sgd` for a
-    /// pushed-down block-only TRAIN or `scan→shuffle→filter→predict`
-    /// for an unpushed filtered PREDICT over a buffered strategy.
+    /// filtered block-only TRAIN or `scan→filter→project→shuffle→sgd` for
+    /// a filtered, projected CorgiPile one.
     fn label(&self) -> String {
         let LogicalPlan::Scan {
             predicate,
@@ -552,37 +415,20 @@ impl FuseChain<'_> {
         if self.shuffle_blocks.is_some() {
             stages.push("shuffle");
         }
-        if self.post_filter.is_some() {
-            stages.push("filter");
-        }
-        if self.post_project.is_some() {
-            stages.push("project");
-        }
         stages.push(self.kernel);
         stages.join("→")
     }
 }
 
-/// Decompose a lowered plan into the fusable chain, or `None` for shapes
-/// the fusion pass doesn't cover. The current planner only ever emits
-/// fusable shapes (with or without pushdown), so the `None` arm is a
-/// totality guard for future plan nodes, not a live path.
+/// Decompose a plan into the fusable chain, or `None` when `plan` is not
+/// rooted at `Sgd`/`Predict` (the planner only ever emits rooted plans; a
+/// caller may still hand [`build_physical_with`] a bare subtree).
 fn fuse_chain(plan: &LogicalPlan) -> Option<FuseChain<'_>> {
     let (kernel, mut node) = match plan {
         LogicalPlan::Sgd { input, .. } => ("sgd", input.as_ref()),
         LogicalPlan::Predict { input, .. } => ("predict", input.as_ref()),
         _ => return None,
     };
-    let mut post_project = None;
-    if let LogicalPlan::Project { columns, input } = node {
-        post_project = Some(columns);
-        node = input.as_ref();
-    }
-    let mut post_filter = None;
-    if let LogicalPlan::Filter { predicate, input } = node {
-        post_filter = Some(predicate);
-        node = input.as_ref();
-    }
     let mut shuffle_blocks = None;
     if let LogicalPlan::TupleShuffle {
         buffer_blocks,
@@ -595,8 +441,6 @@ fn fuse_chain(plan: &LogicalPlan) -> Option<FuseChain<'_>> {
     match node {
         scan @ LogicalPlan::Scan { .. } => Some(FuseChain {
             kernel,
-            post_filter,
-            post_project,
             shuffle_blocks,
             scan,
         }),
@@ -697,17 +541,13 @@ pub struct BuildOptions {
 }
 
 /// Lower a logical plan to physical operators. This is the only place in
-/// the engine that constructs scan/shuffle/filter/project operators for
-/// queries — `TRAIN`, `Session::predict_batch`, and `EXPLAIN ANALYZE` all
-/// route here.
+/// the engine that constructs scan/shuffle operators for queries — `TRAIN`,
+/// both `PREDICT` forms, and `EXPLAIN ANALYZE` all route here.
 ///
-/// With `opts.fuse` set, the pass recognizes the full
-/// `Sgd|Predict ← Project? ← Filter? ← TupleShuffle? ← Scan` chain and
-/// emits one [`FusedPipelineOp`]: the scan (with any pushed-down
+/// With `opts.fuse` set, the pass emits one [`FusedPipelineOp`] for the
+/// `Sgd|Predict ← TupleShuffle? ← Scan` chain: the scan (with its
 /// predicate/projection) and the optional tuple shuffle become a
-/// statically-dispatched [`FusedSource`], and any post-buffer
-/// filter/project becomes a [`PostStage`] chosen once here rather than
-/// re-decided per tuple.
+/// statically-dispatched [`FusedSource`].
 #[allow(clippy::too_many_arguments)]
 pub fn build_physical_with(
     plan: &LogicalPlan,
@@ -738,13 +578,7 @@ pub fn build_physical_with(
                 }
                 None => FusedSource::Block(scan_op),
             };
-            let post = match (chain.post_filter, chain.post_project) {
-                (None, None) => PostStage::None,
-                (Some(p), None) => PostStage::Filter(p.clone()),
-                (None, Some(c)) => PostStage::Project(c.clone()),
-                (Some(p), Some(c)) => PostStage::FilterProject(p.clone(), c.clone()),
-            };
-            let fused = FusedPipelineOp::new(source, post, chain.label());
+            let fused = FusedPipelineOp::new(source, chain.label());
             (Box::new(fused) as Box<dyn PhysicalOperator>, true)
         }
         None => (lower.node(plan)?, false),
@@ -776,12 +610,6 @@ impl Lowering<'_> {
         Ok(match node {
             LogicalPlan::Predict { input, .. } | LogicalPlan::Sgd { input, .. } => {
                 self.node(input)?
-            }
-            LogicalPlan::Project { columns, input } => {
-                Box::new(ProjectOp::new(self.node(input)?, columns.clone()))
-            }
-            LogicalPlan::Filter { predicate, input } => {
-                Box::new(FilterOp::new(self.node(input)?, predicate.clone()))
             }
             LogicalPlan::TupleShuffle {
                 buffer_blocks,
@@ -885,11 +713,11 @@ mod tests {
     }
 
     #[test]
-    fn pushdown_fuses_filter_and_project_into_the_scan() {
+    fn build_puts_filter_and_projection_on_the_scan_below_the_shuffle() {
         let mut s = spec(StrategyKind::CorgiPile);
         s.filter = Some(pred());
         s.projection = Projection::Columns(vec![ColumnRef::Feature(1), ColumnRef::Feature(3)]);
-        let plan = LogicalPlan::build(&s, &table()).unwrap().push_down();
+        let plan = LogicalPlan::build(&s, &table()).unwrap();
         // Shape: Sgd -> TupleShuffle -> Scan{pred, proj}.
         let LogicalPlan::Sgd { input, .. } = plan else {
             panic!("root must be Sgd")
@@ -910,24 +738,10 @@ mod tests {
     }
 
     #[test]
-    fn without_pushdown_filter_stays_above_the_shuffle() {
-        let mut s = spec(StrategyKind::CorgiPile);
-        s.filter = Some(pred());
-        let plan = LogicalPlan::build(&s, &table()).unwrap();
-        let LogicalPlan::Sgd { input, .. } = plan else {
-            panic!()
-        };
-        assert!(matches!(*input, LogicalPlan::Filter { .. }));
-    }
-
-    #[test]
     fn explain_shows_predicate_on_the_scan_node() {
         let mut s = spec(StrategyKind::CorgiPile);
         s.filter = Some(pred());
-        let lines = LogicalPlan::build(&s, &table())
-            .unwrap()
-            .push_down()
-            .explain_lines();
+        let lines = LogicalPlan::build(&s, &table()).unwrap().explain_lines();
         assert!(lines[0].starts_with("SGD (model=svm, epochs=3"));
         assert!(lines.iter().any(|l| l.contains("TupleShuffle")));
         let scan = lines
@@ -945,14 +759,13 @@ mod tests {
     fn once_plan_renders_setup_line_and_sequential_copy_scan() {
         let lines = LogicalPlan::build(&spec(StrategyKind::ShuffleOnce), &table())
             .unwrap()
-            .push_down()
             .explain_lines();
         assert!(lines.iter().any(|l| l.contains("of the shuffled copy")));
         assert!(lines.iter().any(|l| l.contains("offline full shuffle")));
     }
 
     #[test]
-    fn predict_plan_pushes_filter_into_a_sequential_scan() {
+    fn predict_plan_puts_the_filter_on_a_sequential_scan() {
         let s = PredictPlanSpec {
             table: "t".into(),
             model: "m".into(),
@@ -960,9 +773,7 @@ mod tests {
             filter: Some(pred()),
             batch_rows: 256,
         };
-        let plan = LogicalPlan::build_predict(&s, &table())
-            .unwrap()
-            .push_down();
+        let plan = LogicalPlan::build_predict(&s, &table()).unwrap();
         let LogicalPlan::Predict {
             version,
             batch_rows,
@@ -977,7 +788,7 @@ mod tests {
             order, predicate, ..
         } = *input
         else {
-            panic!("filter must fuse into the scan")
+            panic!("the scan sits directly under Predict")
         };
         assert_eq!(order, ScanOrder::Sequential);
         assert_eq!(predicate, Some(pred()));
@@ -994,7 +805,6 @@ mod tests {
         };
         let lines = LogicalPlan::build_predict(&s, &table())
             .unwrap()
-            .push_down()
             .explain_lines();
         assert!(
             lines[0].starts_with("Predict (model=m, version=active, batch_rows=64)"),
@@ -1023,26 +833,19 @@ mod tests {
     #[test]
     fn fuse_chain_labels_follow_execution_order() {
         let t = table();
-        // Pushed-down CorgiPile TRAIN with filter + projection.
+        // CorgiPile TRAIN with filter + projection.
         let mut s = spec(StrategyKind::CorgiPile);
         s.filter = Some(pred());
         s.projection = Projection::Columns(vec![ColumnRef::Feature(1)]);
-        let plan = LogicalPlan::build(&s, &t).unwrap().push_down();
+        let plan = LogicalPlan::build(&s, &t).unwrap();
         assert_eq!(
             fuse_chain(&plan).unwrap().label(),
             "scan→filter→project→shuffle→sgd"
         );
-        // Same query without pushdown: filter/project stay post-buffer.
-        let plan = LogicalPlan::build(&s, &t).unwrap();
-        assert_eq!(
-            fuse_chain(&plan).unwrap().label(),
-            "scan→shuffle→filter→project→sgd"
-        );
-        // Block-only (no tuple shuffle) with a pushed filter: the exact
-        // chain the issue's acceptance criterion names.
+        // Block-only (no tuple shuffle) with a filter.
         let mut s = spec(StrategyKind::BlockOnly);
         s.filter = Some(pred());
-        let plan = LogicalPlan::build(&s, &t).unwrap().push_down();
+        let plan = LogicalPlan::build(&s, &t).unwrap();
         assert_eq!(fuse_chain(&plan).unwrap().label(), "scan→filter→sgd");
         // Serving chain.
         let ps = PredictPlanSpec {
@@ -1052,7 +855,7 @@ mod tests {
             filter: Some(pred()),
             batch_rows: 64,
         };
-        let plan = LogicalPlan::build_predict(&ps, &t).unwrap().push_down();
+        let plan = LogicalPlan::build_predict(&ps, &t).unwrap();
         assert_eq!(fuse_chain(&plan).unwrap().label(), "scan→filter→predict");
     }
 
@@ -1062,7 +865,6 @@ mod tests {
         s.filter = Some(pred());
         let lines = LogicalPlan::build(&s, &table())
             .unwrap()
-            .push_down()
             .explain_lines_fused();
         assert!(lines[0].starts_with("SGD (model=svm"), "{lines:?}");
         assert_eq!(lines[1], "  -> Fused Pipeline (scan→filter→sgd)");
@@ -1091,7 +893,7 @@ mod tests {
         let mut dev = shared.handle();
         let mut s = spec(StrategyKind::CorgiPile);
         s.filter = Some(pred());
-        let plan = LogicalPlan::build(&s, &t).unwrap().push_down();
+        let plan = LogicalPlan::build(&s, &t).unwrap();
         let params = StrategyParams {
             seed: 1,
             ..Default::default()

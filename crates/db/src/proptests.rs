@@ -4,12 +4,54 @@
 #![cfg(test)]
 
 use crate::database::Database;
-use crate::exec::{BlockShuffleOp, ExecContext, PhysicalOperator, ScanMode, TupleShuffleOp};
+use crate::error::DbError;
+use crate::exec::{
+    BlockShuffleOp, ExecContext, PhysicalOperator, ScanMode, SgdOperator, TupleShuffleOp,
+};
 use crate::session::QueryResult;
+use crate::sql::{parse, Predicate, Query};
+use corgipile_ml::{build_model, ComputeCostModel, ModelKind, OptimizerKind, TrainOptions};
 use corgipile_shuffle::StrategyParams;
 use corgipile_storage::{DeviceHandle, SimDevice, Table, TableConfig, Tuple, TupleBatch};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// The reference the scan's filter is checked against: drop non-matching
+/// tuples from the batches an *unfiltered* tuple-shuffle buffer emits —
+/// PostgreSQL's plain `Filter` above a materialization, the placement the
+/// engine itself no longer has.
+struct PostBufferFilter {
+    child: TupleShuffleOp,
+    predicate: Predicate,
+    fetch: TupleBatch,
+}
+
+impl PhysicalOperator for PostBufferFilter {
+    fn name(&self) -> &'static str {
+        "PostBufferFilter"
+    }
+    fn init(&mut self, ctx: &mut ExecContext) {
+        self.child.init(ctx)
+    }
+    fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
+        out.clear();
+        while out.is_empty() {
+            if !self.child.next_batch(ctx, &mut self.fetch)? {
+                return Ok(false);
+            }
+            for r in self.fetch.iter().filter(|r| self.predicate.matches(r)) {
+                out.push(r.clone());
+            }
+        }
+        Ok(true)
+    }
+    fn rescan(&mut self, ctx: &mut ExecContext) {
+        self.child.rescan(ctx)
+    }
+    fn close(&mut self, ctx: &mut ExecContext) {
+        self.child.close(ctx)
+    }
+}
 
 fn table(n: u64, width: usize, block_pages: usize) -> Arc<Table> {
     let cfg = TableConfig::new("prop", 1).with_block_bytes(block_pages * 8192);
@@ -126,13 +168,13 @@ proptest! {
         }
     }
 
-    /// Pushing a random WHERE predicate below the tuple-shuffle buffer is
-    /// an equivalence: for any seed, the pushdown plan and the post-buffer
-    /// `FilterOp` plan visit the surviving tuples in the same order, so
-    /// the trained models are bit-identical and the SGD node sees the
-    /// same `rows_out` — while the pushdown plan buffers fewer tuples.
+    /// Evaluating a random WHERE predicate in the scan, below the
+    /// tuple-shuffle buffer, is an equivalence: for any seed, the SQL plan
+    /// and a hand-built `SGD ← PostBufferFilter ← TupleShuffle ← BlockShuffle`
+    /// tree visit the surviving tuples in the same order, so the trained
+    /// models are bit-identical and the SGD node sees the same row count.
     #[test]
-    fn prop_pushdown_filter_is_bit_identical_to_post_buffer(
+    fn prop_scan_filter_is_bit_identical_to_post_buffer(
         n in 100u64..500,
         seed in 0u64..1_000_000,
         cutoff in 0.05f64..0.95,
@@ -145,33 +187,51 @@ proptest! {
         if disjunct {
             pred = format!("{pred} OR label = 1");
         }
-        let run = |pushdown: usize| {
-            let db = Database::new(SimDevice::in_memory());
-            db.register_table("t", (*table(n, 4, 1)).clone());
-            let mut s = db.connect();
-            let r = s
-                .execute(&format!(
-                    "SELECT * FROM t WHERE {pred} TRAIN BY svm WITH \
-                     max_epoch_num = 2, seed = {seed}, buffer_fraction = 0.5, \
-                     pushdown = {pushdown}, model_name = m"
-                ))
-                .unwrap();
-            let summary = match r {
-                QueryResult::Train(t) => t,
-                _ => unreachable!("TRAIN returns a train summary"),
-            };
-            let params = s.catalog().model("m").unwrap().params.clone();
-            (params, summary.op_stats[0].rows)
+        let sql = format!(
+            "SELECT * FROM t WHERE {pred} TRAIN BY svm WITH max_epoch_num = 2, seed = {seed}, \
+             buffer_fraction = 0.5, strategy = 'corgipile', model_name = m"
+        );
+        let t = table(n, 4, 1);
+
+        let db = Database::new(SimDevice::in_memory());
+        db.register_table("t", (*t).clone());
+        let mut s = db.connect();
+        let summary = match s.execute(&sql).unwrap() {
+            QueryResult::Train(t) => t,
+            _ => unreachable!("TRAIN returns a train summary"),
         };
-        let (pushed_params, pushed_rows) = run(1);
-        let (post_params, post_rows) = run(0);
-        prop_assert_eq!(pushed_params, post_params);
-        prop_assert_eq!(pushed_rows, post_rows);
+        let scan_params = s.catalog().model("m").unwrap().params.clone();
+
+        // What the statement resolves to, rebuilt by hand with the filter
+        // above the buffer instead of in the scan.
+        let Query::Train { filter: Some(predicate), .. } = parse(&sql).unwrap() else {
+            unreachable!("the statement has a WHERE clause")
+        };
+        let sparams = StrategyParams::default().with_buffer_fraction(0.5).with_seed(seed);
+        let scan = BlockShuffleOp::new(t.clone(), ScanMode::RandomBlocks, seed);
+        let post = PostBufferFilter {
+            child: TupleShuffleOp::new(Box::new(scan), sparams.buffer_blocks(&t), sparams),
+            predicate,
+            fetch: TupleBatch::new(),
+        };
+        let sgd = SgdOperator::new(
+            Box::new(post),
+            build_model(&ModelKind::Svm, 4, seed),
+            OptimizerKind::Sgd { lr0: 0.1, decay: 0.95 }.build(),
+            TrainOptions::default(),
+            ComputeCostModel::in_db_core(),
+            2,
+            true,
+        );
+        let mut dev = DeviceHandle::private(SimDevice::in_memory());
+        let post = sgd.execute(&mut ExecContext::new(&mut dev)).unwrap();
+        prop_assert_eq!(scan_params.as_slice(), post.model.params());
+        prop_assert_eq!(summary.op_stats[0].rows, post.op_stats[0].rows);
     }
 
     /// The fused pipeline is an exact oracle match of the interpreted
-    /// operator tree: for any seed, selectivity, strategy, and pushdown
-    /// setting, `fuse = 1` and `fuse = 0` train bit-identical models, drop
+    /// operator tree: for any seed, selectivity and strategy, `fuse = 1`
+    /// and `fuse = 0` train bit-identical models, drop
     /// the same number of rows, report bit-identical training loss and
     /// final metric — while the fused run's simulated compute never
     /// exceeds the interpreted run's (batched overhead accounting).
@@ -181,7 +241,6 @@ proptest! {
         seed in 0u64..1_000_000,
         cutoff in 0.05f64..0.95,
         strat_idx in 0usize..5,
-        pushdown in any::<bool>(),
         filtered in any::<bool>(),
     ) {
         let strategies = ["corgipile", "block_only", "no", "once", "tuple_only"];
@@ -200,9 +259,8 @@ proptest! {
                 .execute(&format!(
                     "SELECT * FROM t {wher}TRAIN BY svm WITH \
                      max_epoch_num = 2, seed = {seed}, buffer_fraction = 0.5, \
-                     strategy = '{strategy}', pushdown = {}, fuse = {fuse}, \
-                     report_metrics = 1, model_name = m",
-                    pushdown as usize,
+                     strategy = '{strategy}', fuse = {fuse}, \
+                     report_metrics = 1, model_name = m"
                 ))
                 .unwrap();
             let summary = match r {

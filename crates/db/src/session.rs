@@ -30,7 +30,6 @@ use crate::options::{QueryOptions, Statement};
 use crate::plan::{build_physical_with, BuildOptions, LogicalPlan, PredictPlanSpec};
 use crate::serving::ServableModel;
 use crate::sql::{parse, ParamValue, Predicate, Query, ShowTarget};
-use corgipile_core::trainer::evaluate;
 use corgipile_ml::{ComputeCostModel, ModelKind};
 use corgipile_shuffle::{recluster_table, StrategyParams};
 use corgipile_storage::{DeviceHandle, FaultPlan, PoolHandle, Table, Telemetry, Tuple};
@@ -92,8 +91,8 @@ impl DbTrainSummary {
 pub struct ServeOptions {
     /// Explicit version pin; `None` serves the cache-active version.
     pub version: Option<u32>,
-    /// Optional row predicate, lowered through the planner's pushdown so
-    /// it is evaluated on the zero-copy block path before batching.
+    /// Optional row predicate, placed on the scan so it is evaluated on
+    /// the zero-copy block path before batching.
     pub filter: Option<Predicate>,
     /// Tuples per prediction batch.
     pub batch_rows: usize,
@@ -160,7 +159,7 @@ pub struct PredictSummary {
     pub rows: u64,
     /// Prediction batches executed.
     pub batches: u64,
-    /// Tuples dropped by the pushed-down predicate.
+    /// Tuples dropped by the scan's predicate.
     pub rows_filtered: u64,
     /// True when the pin was served straight from the model cache (no
     /// store/catalog fallback instantiation).
@@ -378,7 +377,17 @@ impl Session {
                 Ok(QueryResult::Train(self.run_train(prepared)?))
             }
             Query::Insert { table, rows } => self.insert(&table, rows),
-            Query::Predict { table, model } => self.predict(&table, &model),
+            Query::Predict { table, model } => {
+                let t = self.catalog().table(&table)?;
+                let servable = self.catalog_servable(&model)?;
+                let served = self.serve(&table, &t, servable, ServeOptions::default())?;
+                Ok(QueryResult::Predict {
+                    predictions: served.predictions,
+                    // `None` only when no row was scored, which a table
+                    // that has a width cannot produce without a WHERE.
+                    metric: served.metric.unwrap_or(0.0),
+                })
+            }
             Query::PredictServe {
                 model,
                 version,
@@ -616,11 +625,9 @@ impl Session {
             }
             Query::Predict { table, model } => {
                 let t = self.catalog().table(&table)?;
-                self.catalog().model(&model)?;
-                Ok(QueryResult::Plan(vec![
-                    format!("Predict (model={model})"),
-                    format!("  -> SeqScan on {table} ({} tuples)", t.num_tuples()),
-                ]))
+                let servable = self.catalog_servable(&model)?;
+                let plan = predict_plan(&table, &t, &servable, &ServeOptions::default())?;
+                Ok(QueryResult::Plan(plan.explain_lines_fused()))
             }
             Query::PredictServe {
                 model,
@@ -639,7 +646,7 @@ impl Session {
                     filter: opts.filter,
                     batch_rows: opts.batch_rows,
                 };
-                let plan = LogicalPlan::build_predict(&spec, &t)?.push_down();
+                let plan = LogicalPlan::build_predict(&spec, &t)?;
                 Ok(QueryResult::Plan(if opts.fuse {
                     plan.explain_lines_fused()
                 } else {
@@ -716,32 +723,14 @@ impl Session {
         })
     }
 
-    fn predict(&mut self, table_name: &str, model_name: &str) -> Result<QueryResult, DbError> {
-        let table = self.catalog().table(table_name)?;
-        let model = self.catalog().model(model_name)?.instantiate();
-        // Inference scans the table sequentially.
-        let tuples = self.dev.with(|d| table.scan_all(d))?;
-        let predictions: Vec<f32> = tuples
-            .iter()
-            .map(|t| model.predict_label(&t.features))
-            .collect();
-        let metric = evaluate(model.as_ref(), &tuples);
-        Ok(QueryResult::Predict {
-            predictions,
-            metric,
-        })
-    }
-
     /// Batched inference — the engine behind
     /// `PREDICT <model> [VERSION n] ON <table> [WHERE …]`.
     ///
     /// Pins an immutable [`ServableModel`] from the engine's model cache
-    /// *before* the first block is read, lowers the scan through the
-    /// planner (an optional predicate is pushed into the scan and
-    /// evaluated zero-copy, before any tuple is batched), and runs
-    /// [`PredictOperator`] over `batch_rows`-sized batches. A concurrent
-    /// `TRAIN` publishing a newer version mid-scan never changes this
-    /// run's predictions — the pin holds until the run returns.
+    /// *before* the first block is read, then runs the one PREDICT executor
+    /// (`Session::serve`) over it. A concurrent `TRAIN` publishing a
+    /// newer version mid-scan never changes this run's predictions — the
+    /// pin holds until the run returns.
     ///
     /// Cache-miss fallbacks: an explicit `VERSION n` not in the cache is
     /// loaded from the durable store's version history (stashed in the
@@ -755,47 +744,8 @@ impl Session {
     ) -> Result<PredictSummary, DbError> {
         let table = self.catalog().table(table_name)?;
         let (servable, cache_hit) = self.resolve_servable(model_name, opts.version)?;
-        let dim = table.dim()?;
-        if servable.dim() != dim {
-            return Err(DbError::BadParam(format!(
-                "model {model_name} v{} expects {} features, table {table_name} has {dim}",
-                servable.version(),
-                servable.dim(),
-            )));
-        }
-        let spec = PredictPlanSpec {
-            table: table_name.to_string(),
-            model: model_name.to_string(),
-            version: opts.version,
-            filter: opts.filter.clone(),
-            batch_rows: opts.batch_rows,
-        };
-        let plan = LogicalPlan::build_predict(&spec, &table)?.push_down();
-        let sparams = StrategyParams::default();
-        let physical = build_physical_with(
-            &plan,
-            &table,
-            table_name,
-            &sparams,
-            0,
-            &mut self.dev,
-            self.db.catalog(),
-            BuildOptions {
-                fuse: opts.fuse,
-                shared_scan: opts.shared_scan,
-            },
-        )?;
-        let version = servable.version();
-        let mut op = PredictOperator::new(physical.child, servable, self.compute, opts.batch_rows);
-        op.fused = physical.fused;
-        let mut ctx = ExecContext::new(&mut self.dev);
-        if self.pool.capacity() > 0 {
-            ctx.pool = Some(&mut self.pool);
-        }
-        let r = op.execute(&mut ctx)?;
-
-        self.telemetry.counter("serving.predictions").add(r.rows);
-        self.telemetry.counter("serving.batches").add(r.batches);
+        let mut summary = self.serve(table_name, &table, servable, opts)?;
+        summary.cache_hit = cache_hit;
         self.telemetry
             .counter(if cache_hit {
                 "serving.cache.hits"
@@ -806,6 +756,56 @@ impl Session {
         self.telemetry
             .gauge("serving.cache.generation")
             .set(self.db.model_cache().generation() as f64);
+        Ok(summary)
+    }
+
+    /// The catalog's model object as an unpublished [`ServableModel`]
+    /// (version 0, never in the cache). `PREDICT BY` scores with it rather
+    /// than with the cache's active pin, so a `LOAD MODEL` without
+    /// `AS ACTIVE` steers `PREDICT BY` and leaves `PREDICT … ON` alone.
+    fn catalog_servable(&self, name: &str) -> Result<Arc<ServableModel>, DbError> {
+        let stored = self.catalog().model(name)?;
+        Ok(Arc::new(ServableModel::new(name, 0, stored)))
+    }
+
+    /// The one PREDICT executor, behind both `PREDICT … ON` and
+    /// `PREDICT BY`: check the model's width against the table, lower the
+    /// sequential scan through the planner (an optional predicate sits on
+    /// the scan and is evaluated zero-copy, before any tuple is batched),
+    /// run [`PredictOperator`] over `batch_rows`-sized batches, summarise.
+    fn serve(
+        &mut self,
+        table_name: &str,
+        table: &Arc<Table>,
+        servable: Arc<ServableModel>,
+        opts: ServeOptions,
+    ) -> Result<PredictSummary, DbError> {
+        let plan = predict_plan(table_name, table, &servable, &opts)?;
+        let sparams = StrategyParams::default();
+        let physical = build_physical_with(
+            &plan,
+            table,
+            table_name,
+            &sparams,
+            0,
+            &mut self.dev,
+            self.db.catalog(),
+            BuildOptions {
+                fuse: opts.fuse,
+                shared_scan: opts.shared_scan,
+            },
+        )?;
+        let (model_name, version) = (servable.name().to_string(), servable.version());
+        let mut op = PredictOperator::new(physical.child, servable, self.compute, opts.batch_rows);
+        op.fused = physical.fused;
+        let mut ctx = ExecContext::new(&mut self.dev);
+        if self.pool.capacity() > 0 {
+            ctx.pool = Some(&mut self.pool);
+        }
+        let r = op.execute(&mut ctx)?;
+
+        self.telemetry.counter("serving.predictions").add(r.rows);
+        self.telemetry.counter("serving.batches").add(r.batches);
         let hist = self.telemetry.histogram("serving.batch.wall_seconds");
         for w in &r.batch_wall_seconds {
             hist.record(*w);
@@ -819,14 +819,14 @@ impl Session {
         let scan_reads: u64 = r.op_stats.iter().map(|s| s.blocks_read).sum();
         let scan_hits: u64 = r.op_stats.iter().map(|s| s.cache_hits).sum();
         Ok(PredictSummary {
-            model_name: model_name.to_string(),
+            model_name,
             version,
             predictions: r.predictions,
             metric: r.metric,
             rows: r.rows,
             batches: r.batches,
             rows_filtered: r.rows_filtered,
-            cache_hit,
+            cache_hit: false,
             scan_cache_hit_rate: if scan_reads == 0 {
                 0.0
             } else {
@@ -905,6 +905,35 @@ impl Session {
             }))
         }
     }
+}
+
+/// The plan every PREDICT runs and `EXPLAIN` renders: refuse a model whose
+/// width differs from the table's (scoring `f0, f1` against the weights of
+/// `f5, f9`, or indexing a 28-wide weight vector with a sparse feature id,
+/// is never what the statement meant), then `Predict ← Scan(sequential)`.
+fn predict_plan(
+    table_name: &str,
+    table: &Table,
+    servable: &ServableModel,
+    opts: &ServeOptions,
+) -> Result<LogicalPlan, DbError> {
+    let dim = table.dim()?;
+    if servable.dim() != dim {
+        return Err(DbError::BadParam(format!(
+            "model {} v{} expects {} features, table {table_name} has {dim}",
+            servable.name(),
+            servable.version(),
+            servable.dim(),
+        )));
+    }
+    let spec = PredictPlanSpec {
+        table: table_name.to_string(),
+        model: servable.name().to_string(),
+        version: opts.version,
+        filter: opts.filter.clone(),
+        batch_rows: opts.batch_rows,
+    };
+    LogicalPlan::build_predict(&spec, table)
 }
 
 #[cfg(test)]
@@ -1135,14 +1164,17 @@ mod tests {
         let t = train_summary(
             s.execute(
                 "SELECT * FROM higgs WHERE id < 500 TRAIN BY svm WITH \
-                 max_epoch_num = 2, model_name = m",
+                 max_epoch_num = 2, strategy = 'corgipile', model_name = m",
             )
             .unwrap(),
         );
-        // The SGD node sees only the 500 survivors, each epoch.
+        // The SGD node sees only the 500 survivors, each epoch — and only
+        // they ever occupy the shuffle buffer: the scan filters below it.
         assert_eq!(t.op_stats[0].rows, 1000);
         let dropped: u64 = t.op_stats.iter().map(|s| s.rows_filtered).sum();
         assert_eq!(dropped, 2 * 1500);
+        let buffered: u64 = t.op_stats.iter().map(|s| s.buffered_tuples).sum();
+        assert_eq!(buffered, 2 * 500);
         assert!(s.catalog().model("m").is_ok());
     }
 
@@ -1162,7 +1194,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_shows_pushed_predicate_on_the_scan_node() {
+    fn explain_shows_the_predicate_on_the_scan_node() {
         let mut s = session_with_higgs(1000);
         // Fused rendering (the default) carries the same annotations on
         // the pipeline node.
@@ -1213,18 +1245,6 @@ mod tests {
             !lines.iter().any(|l| l.contains("-> Filter")),
             "no separate Filter node above TupleShuffle: {lines:?}"
         );
-        // With pushdown disabled the filter/project stay above the shuffle.
-        let lines = match s
-            .execute(
-                "EXPLAIN SELECT * FROM higgs WHERE f0 > 0.5 TRAIN BY svm WITH \
-                 pushdown = 0, fuse = 0",
-            )
-            .unwrap()
-        {
-            QueryResult::Plan(lines) => lines,
-            _ => panic!("expected a plan"),
-        };
-        assert!(lines.iter().any(|l| l.contains("-> Filter (f0 > 0.5)")));
     }
 
     #[test]
@@ -1272,44 +1292,6 @@ mod tests {
         assert!(lines
             .iter()
             .any(|l| l.trim_start().starts_with("Filter: (id < 1000)")));
-    }
-
-    #[test]
-    fn pushdown_buffers_fewer_tuples_with_bit_identical_models() {
-        let mut s = session_with_higgs(4000);
-        let mut run = |pushdown: usize| -> DbTrainSummary {
-            train_summary(
-                s.execute(&format!(
-                    "SELECT * FROM higgs WHERE id < 400 TRAIN BY svm WITH \
-                     max_epoch_num = 2, pushdown = {pushdown}, model_name = m_p{pushdown}"
-                ))
-                .unwrap(),
-            )
-        };
-        let pushed = run(1);
-        let post = run(0);
-        assert_eq!(
-            s.catalog().model("m_p1").unwrap().params,
-            s.catalog().model("m_p0").unwrap().params,
-            "pushdown must not change the visit order"
-        );
-        // At 10% selectivity the post-filter plan buffers the whole table
-        // every epoch, the pushdown plan only the survivors: 10x fewer.
-        // Fused plans fold the shuffle's stats into the pipeline node, so
-        // sum across nodes instead of naming the TupleShuffle operator.
-        let buffered = |t: &DbTrainSummary| {
-            t.op_stats
-                .iter()
-                .map(|o| o.buffered_tuples)
-                .sum::<u64>()
-                .max(1)
-        };
-        assert!(
-            buffered(&post) >= 5 * buffered(&pushed),
-            "pushdown {} vs post-filter {}",
-            buffered(&pushed),
-            buffered(&post)
-        );
     }
 
     #[test]
@@ -2059,13 +2041,24 @@ mod tests {
              model_name = m",
         )
         .unwrap();
-        let per_tuple = match s.execute("SELECT * FROM higgs PREDICT BY m").unwrap() {
+        // The reference: one `predict_label` call per stored tuple.
+        let model = s.catalog().model("m").unwrap().instantiate();
+        let tuples = s.catalog().table("higgs").unwrap().all_tuples();
+        let per_tuple: (Vec<f32>, f64) = (
+            tuples
+                .iter()
+                .map(|t| model.predict_label(&t.features))
+                .collect(),
+            corgipile_core::trainer::evaluate(model.as_ref(), &tuples),
+        );
+        // `PREDICT BY` runs the same executor over the catalog object.
+        match s.execute("SELECT * FROM higgs PREDICT BY m").unwrap() {
             QueryResult::Predict {
                 predictions,
                 metric,
-            } => (predictions, metric),
+            } => assert_eq!((predictions, metric), per_tuple),
             other => panic!("unexpected {other:?}"),
-        };
+        }
         // Odd batch size: the tail batch is smaller than the rest.
         let served = match s
             .execute("PREDICT m ON higgs WITH batch_rows = 97")
@@ -2082,10 +2075,11 @@ mod tests {
         assert!(served.cache_hit, "TRAIN publishes into the serving cache");
         assert!(served.io_seconds > 0.0 && served.compute_seconds > 0.0);
         assert!(served.latency_quantile(0.5).unwrap() <= served.latency_quantile(0.99).unwrap());
-        // Serving telemetry accumulated on the session (the per-tuple
-        // path emits none).
-        assert_eq!(s.telemetry().counter("serving.predictions").get(), 2000);
+        // Serving telemetry accumulated on the session: both statements
+        // predicted every row, only `PREDICT … ON` consulted the cache.
+        assert_eq!(s.telemetry().counter("serving.predictions").get(), 4000);
         assert_eq!(s.telemetry().counter("serving.cache.hits").get(), 1);
+        assert_eq!(s.telemetry().counter("serving.cache.misses").get(), 0);
     }
 
     #[test]
@@ -2167,7 +2161,7 @@ mod tests {
         assert_eq!(served.rows, 500);
         assert_eq!(served.predictions.len(), 500);
         assert_eq!(served.rows_filtered, 1500);
-        // EXPLAIN renders the pushed-down serving plan without executing.
+        // EXPLAIN renders the serving plan without executing.
         match s
             .execute("EXPLAIN PREDICT m ON higgs WHERE id < 500")
             .unwrap()
@@ -2383,16 +2377,17 @@ mod tests {
     }
 
     #[test]
-    fn planner_zero_pins_the_historical_default() {
-        // `planner = 0` is the A/B oracle: same query as the corgi2 test
-        // above, but the chooser is off and plain CorgiPile runs.
+    fn a_named_strategy_skips_the_chooser() {
+        // Same query as the corgi2 test above, but the statement names its
+        // strategy: plain CorgiPile runs, with no setup pass.
         let mut s = session_with_higgs(2000);
         let t = run_train(
             &mut s,
-            "SELECT * FROM higgs TRAIN BY svm WITH max_epoch_num = 20, planner = 0, \
-             model_name = m",
+            "SELECT * FROM higgs TRAIN BY svm WITH max_epoch_num = 20, \
+             strategy = 'corgipile', model_name = m",
         );
         assert_eq!(t.strategy, "corgipile");
+        assert_eq!(t.setup_seconds, 0.0);
     }
 
     #[test]
@@ -2410,7 +2405,11 @@ mod tests {
             .find(|l| l.starts_with("Options: "))
             .expect("effective options line");
         assert!(options.contains("max_epoch_num=20"), "{options}");
-        assert!(options.contains("planner=1"), "{options}");
+        assert!(options.contains("fuse=1"), "{options}");
+        assert!(
+            !options.contains("planner") && !options.contains("pushdown"),
+            "{options}"
+        );
         let planner = lines
             .iter()
             .find(|l| l.starts_with("Planner: "))
@@ -2467,12 +2466,25 @@ mod tests {
             }
             other => panic!("expected BadParam, got {other:?}"),
         }
-        // Statement-scoped: planner is a TRAIN option, not a PREDICT one.
+        // The retired knobs are unknown keys like any other (and too far
+        // from every live key to earn a suggestion).
+        for key in ["planner", "pushdown"] {
+            for value in [0, 1] {
+                let sql = format!("SELECT * FROM higgs TRAIN BY svm WITH {key} = {value}");
+                match s.execute(&sql) {
+                    Err(DbError::BadParam(msg)) => {
+                        assert_eq!(msg, format!("unknown parameter {key}"))
+                    }
+                    other => panic!("expected BadParam, got {other:?}"),
+                }
+            }
+        }
+        // Statement-scoped: strategy is a TRAIN option, not a PREDICT one.
         s.execute("SELECT * FROM higgs TRAIN BY svm WITH max_epoch_num = 1, model_name = m")
             .unwrap();
-        match s.execute("PREDICT m ON higgs WITH planner = 1") {
+        match s.execute("PREDICT m ON higgs WITH strategy = 'corgipile'") {
             Err(DbError::BadParam(msg)) => {
-                assert!(msg.contains("unknown parameter planner"), "{msg}")
+                assert!(msg.contains("unknown parameter strategy"), "{msg}")
             }
             other => panic!("expected BadParam, got {other:?}"),
         }
@@ -2536,29 +2548,25 @@ mod tests {
     #[test]
     fn new_strategies_are_bit_reproducible_across_executor_configs() {
         // For a fixed seed, corgi2 and block_reversal must produce
-        // bit-identical models across every fuse × double_buffer ×
-        // pushdown combination — the same oracle the original strategies
-        // are held to.
+        // bit-identical models across every fuse × double_buffer
+        // combination — the same oracle the original strategies are held
+        // to.
         for strategy in ["corgi2", "block_reversal"] {
             let mut reference: Option<Vec<f32>> = None;
             for fuse in [0, 1] {
                 for double_buffer in [0, 1] {
-                    for pushdown in [0, 1] {
-                        let mut s = session_with_higgs(1000);
-                        let sql = format!(
-                            "SELECT * FROM higgs TRAIN BY svm WITH strategy = '{strategy}', \
-                             max_epoch_num = 3, seed = 7, fuse = {fuse}, \
-                             double_buffer = {double_buffer}, pushdown = {pushdown}, \
-                             model_name = m"
-                        );
-                        run_train(&mut s, &sql);
-                        let params = s.catalog().model("m").unwrap().params.clone();
-                        match &reference {
-                            None => reference = Some(params),
-                            Some(r) => assert_eq!(
-                                r, &params,
-                                "{strategy} fuse={fuse} db={double_buffer} pd={pushdown}"
-                            ),
+                    let mut s = session_with_higgs(1000);
+                    let sql = format!(
+                        "SELECT * FROM higgs TRAIN BY svm WITH strategy = '{strategy}', \
+                         max_epoch_num = 3, seed = 7, fuse = {fuse}, \
+                         double_buffer = {double_buffer}, model_name = m"
+                    );
+                    run_train(&mut s, &sql);
+                    let params = s.catalog().model("m").unwrap().params.clone();
+                    match &reference {
+                        None => reference = Some(params),
+                        Some(r) => {
+                            assert_eq!(r, &params, "{strategy} fuse={fuse} db={double_buffer}")
                         }
                     }
                 }

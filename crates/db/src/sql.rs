@@ -374,7 +374,7 @@ pub enum Query {
         version: Option<u32>,
         /// Source table.
         table: String,
-        /// Optional `WHERE` predicate, pushed down into the scan.
+        /// Optional `WHERE` predicate, evaluated by the scan.
         filter: Option<Predicate>,
         /// `WITH` parameters (`batch_rows`, …).
         params: BTreeMap<String, ParamValue>,

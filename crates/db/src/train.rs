@@ -4,8 +4,8 @@
 //! [`PreparedTrain`] — every `WITH` option validated once, the
 //! `CONTINUOUS` exclusions applied, the snapshot pinned (and rechunked
 //! under `block_size`), the model kind resolved, the strategy chosen (with
-//! the planner's evidence kept), and the logical plan built and pushed
-//! down. `EXPLAIN` renders it, plain `TRAIN` runs it as exactly one chunk
+//! the planner's evidence kept), and the logical plan built. `EXPLAIN`
+//! renders it, plain `TRAIN` runs it as exactly one chunk
 //! of epochs, and `TRAIN … CONTINUOUS` runs it as `refresh`-sized chunks
 //! that re-pin the latest snapshot in between — all through
 //! [`Session::run_train`], the one place that builds the physical plan,
@@ -21,7 +21,7 @@ use crate::options::{effective_line, QueryOptions, Statement};
 use crate::plan::{build_physical_with, BuildOptions, LogicalPlan, TrainPlanSpec};
 use crate::serving::ServableModel;
 use crate::session::{DbTrainSummary, Session};
-use crate::sql::{ParamValue, Query, StrategyKind};
+use crate::sql::{ParamValue, Query};
 use corgipile_core::trainer::evaluate;
 use corgipile_ml::{build_model, ModelKind, OptimizerKind, TrainCheckpoint, TrainOptions};
 use corgipile_shuffle::{block_variance_sampled, CostEstimate, CostModel, StrategyParams};
@@ -58,7 +58,6 @@ pub(crate) struct PreparedTrain {
     halt_after_epoch: Option<usize>,
     /// The engine's model store, iff `durable = 1`.
     durable: Option<Arc<ModelStore>>,
-    pushdown: bool,
     fuse: bool,
     /// The statement's raw `WITH` map, kept for `EXPLAIN`'s `Options:` line.
     params: BTreeMap<String, ParamValue>,
@@ -86,7 +85,7 @@ impl PreparedTrain {
     fn repin(&mut self, snapshot: TableSnapshot) -> Result<(), DbError> {
         self.snapshot_version = snapshot.version();
         self.table = snapshot.into_table();
-        self.plan = logical_plan(&mut self.spec, &self.sparams, self.pushdown, &self.table)?;
+        self.plan = logical_plan(&mut self.spec, &self.sparams, &self.table)?;
         Ok(())
     }
 
@@ -140,18 +139,15 @@ impl PreparedTrain {
     }
 }
 
-/// Logical plan of `spec` over `table`, after the pushdown rewrite. The
-/// buffer is sized in blocks of *this* table, so a rechunked or re-pinned
-/// table gets its own count.
+/// Logical plan of `spec` over `table`. The buffer is sized in blocks of
+/// *this* table, so a rechunked or re-pinned table gets its own count.
 fn logical_plan(
     spec: &mut TrainPlanSpec,
     sparams: &StrategyParams,
-    pushdown: bool,
     table: &Table,
 ) -> Result<LogicalPlan, DbError> {
     spec.buffer_blocks = sparams.buffer_blocks(table);
-    let plan = LogicalPlan::build(spec, table)?;
-    Ok(if pushdown { plan.push_down() } else { plan })
+    LogicalPlan::build(spec, table)
 }
 
 impl Session {
@@ -215,7 +211,6 @@ impl Session {
         }
         let shared_buffers = opts.nonneg_int("shared_buffers", 0)?;
         let report_metrics = opts.flag("report_metrics", false)?;
-        let planner = opts.flag("planner", true)?;
         let max_retries = opts.nonneg_int("max_retries", 4)? as u32;
         let on_fault = match params.get("on_fault") {
             None => FaultAction::Fail,
@@ -260,7 +255,6 @@ impl Session {
         } else {
             None
         };
-        let pushdown = opts.flag("pushdown", true)?;
         let fuse = opts.flag("fuse", true)?;
         let block_size = params.get("block_size");
         if let Some(bs) = block_size {
@@ -282,12 +276,11 @@ impl Session {
         };
 
         // --- Cost-based strategy planning --------------------------------
-        // A query that names a strategy gets exactly that strategy;
-        // `planner = 0` pins the historical default (plain CorgiPile), the
-        // A/B oracle for the chooser. Otherwise the cost model combines the
-        // (cached) block-variance estimate ĥ_D with the device profile and
-        // picks both the strategy and its buffer fraction — an explicit
-        // `buffer_fraction` parameter stays authoritative.
+        // A query that names a strategy gets exactly that strategy.
+        // Otherwise the cost model combines the (cached) block-variance
+        // estimate ĥ_D with the device profile and picks both the strategy
+        // and its buffer fraction — an explicit `buffer_fraction` parameter
+        // stays authoritative.
         let mut sparams = StrategyParams::default()
             .with_buffer_fraction(buffer_fraction)
             .with_seed(seed)
@@ -295,7 +288,6 @@ impl Session {
         let mut planner_pick = None;
         let strategy = match strategy {
             Some(kind) => kind,
-            None if !planner => StrategyKind::CorgiPile,
             None => {
                 let hd = self.block_variance(&table_name, &table, seed, block_size.is_none());
                 let pick = CostModel::new(epochs).choose(&table, &self.dev.profile(), &sparams, hd);
@@ -317,7 +309,7 @@ impl Session {
             filter,
             buffer_blocks: 0,
         };
-        let plan = logical_plan(&mut spec, &sparams, pushdown, &table)?;
+        let plan = logical_plan(&mut spec, &sparams, &table)?;
         Ok(PreparedTrain {
             spec,
             stored_name,
@@ -340,7 +332,6 @@ impl Session {
             resume_from,
             halt_after_epoch,
             durable,
-            pushdown,
             fuse,
             params,
             snapshot_version,
@@ -523,7 +514,7 @@ impl Session {
                 .add(chunks as u64);
         }
         // Selectivity is observable even when telemetry consumers never
-        // look at op stats: total rows the scan's fused predicate dropped.
+        // look at op stats: total rows the scan's predicate dropped.
         if rows_filtered > 0 {
             self.telemetry
                 .counter("db.scan.rows_filtered")

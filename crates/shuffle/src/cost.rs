@@ -265,8 +265,8 @@ mod tests {
     fn corgi2_setup_matches_the_budgeted_full_shuffle_fraction() {
         let t = table(Order::ClusteredByLabel);
         let params = StrategyParams::default().with_io_budget(0.25);
-        let mut dev = SimDevice::hdd(0);
-        let full = full_shuffle_io(&t, &mut dev);
+        let dev = SimDevice::hdd(0);
+        let full = full_shuffle_io(&t, &dev);
         let est = CostModel::new(3)
             .candidates(&t, dev.profile(), &params, 0.5)
             .into_iter()

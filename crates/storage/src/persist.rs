@@ -29,10 +29,9 @@
 //! never a torn one. Checksums make any surviving corruption detectable:
 //! the header CRC covers the index, and each block CRC is verified before
 //! its bytes are decoded, so a flipped bit surfaces as
-//! [`StorageError::ChecksumMismatch`] rather than silent bad data.
-//!
-//! The previous `CORGIPL2` format (no checksums, 32-byte index entries)
-//! remains readable; [`FileBlockMeta::crc`] is `None` for such files.
+//! [`StorageError::ChecksumMismatch`] rather than silent bad data. A file
+//! that starts with any other magic — the retired, checksum-less `CORGIPL2`
+//! included — is rejected as [`StorageError::Corrupt`] naming the magic.
 
 use crate::crc::crc32;
 use crate::error::StorageError;
@@ -47,7 +46,6 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC_V3: &[u8; 8] = b"CORGIPL3";
-const MAGIC_V2: &[u8; 8] = b"CORGIPL2";
 
 fn io_err(op: &'static str, e: io::Error) -> StorageError {
     StorageError::Io {
@@ -241,52 +239,6 @@ pub fn save_table_faulted(
     fsync_parent_dir(path)
 }
 
-/// Write `table` in the legacy `CORGIPL2` format (no checksums, non-atomic).
-///
-/// Retained only so compatibility tests can produce files identical to what
-/// older builds wrote; new code should use [`save_table`].
-#[doc(hidden)]
-pub fn save_table_v2(table: &Table, path: &Path) -> Result<()> {
-    let mut f = io::BufWriter::new(std::fs::File::create(path).map_err(|e| io_err("create", e))?);
-    let cfg = table.config();
-    let regions = encode_regions(table)?;
-    let name = cfg.name.as_bytes();
-    f.write_all(MAGIC_V2).map_err(|e| io_err("write", e))?;
-    f.write_all(&(name.len() as u32).to_le_bytes())
-        .map_err(|e| io_err("write", e))?;
-    f.write_all(name).map_err(|e| io_err("write", e))?;
-    f.write_all(&cfg.table_id.to_le_bytes())
-        .map_err(|e| io_err("write", e))?;
-    f.write_all(&(cfg.block_bytes as u64).to_le_bytes())
-        .map_err(|e| io_err("write", e))?;
-    f.write_all(&(cfg.toast_threshold as u64).to_le_bytes())
-        .map_err(|e| io_err("write", e))?;
-    f.write_all(&cfg.toast_cap.to_le_bytes())
-        .map_err(|e| io_err("write", e))?;
-    f.write_all(&table.num_tuples().to_le_bytes())
-        .map_err(|e| io_err("write", e))?;
-    f.write_all(&(table.num_blocks() as u64).to_le_bytes())
-        .map_err(|e| io_err("write", e))?;
-    let header_end = 8 + 4 + name.len() + 4 + 8 + 8 + 8 + 8 + 8 + regions.len() * 32;
-    let mut off = header_end as u64;
-    for (first, count, data) in &regions {
-        f.write_all(&first.to_le_bytes())
-            .map_err(|e| io_err("write", e))?;
-        f.write_all(&count.to_le_bytes())
-            .map_err(|e| io_err("write", e))?;
-        f.write_all(&off.to_le_bytes())
-            .map_err(|e| io_err("write", e))?;
-        f.write_all(&(data.len() as u64).to_le_bytes())
-            .map_err(|e| io_err("write", e))?;
-        off += data.len() as u64;
-    }
-    for (_, _, data) in &regions {
-        f.write_all(data).map_err(|e| io_err("write", e))?;
-    }
-    f.flush().map_err(|e| io_err("flush", e))?;
-    Ok(())
-}
-
 /// Metadata of one block inside a heap file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileBlockMeta {
@@ -298,15 +250,14 @@ pub struct FileBlockMeta {
     pub data_off: u64,
     /// Byte length of the block's data region.
     pub data_len: u64,
-    /// CRC-32 of the data region (`None` for legacy `CORGIPL2` files).
-    pub crc: Option<u32>,
+    /// CRC-32 of the data region.
+    pub crc: u32,
 }
 
 struct FileHeader {
     config: TableConfig,
     tuple_count: u64,
     blocks: Vec<FileBlockMeta>,
-    version: u8,
 }
 
 /// A reader that remembers every byte it hands out, for after-the-fact
@@ -328,20 +279,13 @@ fn read_header<R: Read>(f: &mut R) -> Result<FileHeader> {
     let mut magic = [0u8; 8];
     f.read_exact(&mut magic)
         .map_err(|e| io_err("read magic", e))?;
-    let version: u8 = if &magic == MAGIC_V3 {
-        3
-    } else if &magic == MAGIC_V2 {
-        2
-    } else {
-        return Err(StorageError::Corrupt(
-            "bad magic (not a corgipile heap file)".into(),
-        ));
-    };
-    let expected_crc = if version == 3 {
-        Some(read_u32(f)?)
-    } else {
-        None
-    };
+    if &magic != MAGIC_V3 {
+        return Err(StorageError::Corrupt(format!(
+            "bad magic {:?} (not a CORGIPL3 heap file)",
+            String::from_utf8_lossy(&magic)
+        )));
+    }
+    let expected = read_u32(f)?;
     let mut tee = TeeReader {
         inner: f,
         seen: Vec::new(),
@@ -376,22 +320,16 @@ fn read_header<R: Read>(f: &mut R) -> Result<FileHeader> {
             tuple_count: read_u64(f)?,
             data_off: read_u64(f)?,
             data_len: read_u64(f)?,
-            crc: if version == 3 {
-                Some(read_u32(f)?)
-            } else {
-                None
-            },
+            crc: read_u32(f)?,
         });
     }
-    if let Some(expected) = expected_crc {
-        let actual = crc32(&tee.seen);
-        if actual != expected {
-            return Err(StorageError::ChecksumMismatch {
-                block: None,
-                expected,
-                actual,
-            });
-        }
+    let actual = crc32(&tee.seen);
+    if actual != expected {
+        return Err(StorageError::ChecksumMismatch {
+            block: None,
+            expected,
+            actual,
+        });
     }
     let mut config = TableConfig::new(name, table_id).with_block_bytes(block_bytes.max(1));
     config.toast_threshold = toast_threshold;
@@ -400,21 +338,18 @@ fn read_header<R: Read>(f: &mut R) -> Result<FileHeader> {
         config,
         tuple_count,
         blocks,
-        version,
     })
 }
 
-/// Verify a block's data region against its stored checksum (v3 files).
+/// Verify a block's data region against its stored checksum.
 fn verify_block_crc(block: usize, meta: &FileBlockMeta, data: &[u8]) -> Result<()> {
-    if let Some(expected) = meta.crc {
-        let actual = crc32(data);
-        if actual != expected {
-            return Err(StorageError::ChecksumMismatch {
-                block: Some(block),
-                expected,
-                actual,
-            });
-        }
+    let actual = crc32(data);
+    if actual != meta.crc {
+        return Err(StorageError::ChecksumMismatch {
+            block: Some(block),
+            expected: meta.crc,
+            actual,
+        });
     }
     Ok(())
 }
@@ -447,7 +382,7 @@ fn decode_block(data: &[u8], expected: u64) -> Result<Vec<Tuple>> {
     Ok(tuples)
 }
 
-/// Read a whole table previously written by [`save_table`] (either format).
+/// Read a whole table previously written by [`save_table`].
 pub fn load_table(path: &Path) -> Result<Table> {
     let mut f = io::BufReader::new(std::fs::File::open(path).map_err(|e| io_err("open", e))?);
     let header = read_header(&mut f)?;
@@ -485,7 +420,6 @@ pub struct FileTable {
     config: TableConfig,
     tuple_count: u64,
     blocks: Vec<FileBlockMeta>,
-    version: u8,
     injector: Mutex<Option<FaultInjector>>,
 }
 
@@ -502,7 +436,6 @@ impl FileTable {
             config: header.config,
             tuple_count: header.tuple_count,
             blocks: header.blocks,
-            version: header.version,
             injector: Mutex::new(None),
         })
     }
@@ -525,11 +458,6 @@ impl FileTable {
     /// Block index entries.
     pub fn blocks(&self) -> &[FileBlockMeta] {
         &self.blocks
-    }
-
-    /// Heap-format version of the underlying file (2 or 3).
-    pub fn format_version(&self) -> u8 {
-        self.version
     }
 
     /// Install a deterministic fault plan on the read path.
@@ -692,8 +620,19 @@ mod tests {
     #[test]
     fn rejects_wrong_magic_and_truncation() {
         let path = tmp("garbage.tbl");
-        std::fs::write(&path, b"NOTATABLEFILE").unwrap();
-        assert!(load_table(&path).is_err());
+        // Any other magic is a typed error naming it — the retired
+        // CORGIPL2 format included — for both the loader and the opener.
+        for magic in [&b"NOTATABL"[..], b"CORGIPL2"] {
+            std::fs::write(&path, magic).unwrap();
+            for result in [load_table(&path).err(), FileTable::open(&path).err()] {
+                match result {
+                    Some(StorageError::Corrupt(msg)) => {
+                        assert!(msg.contains(std::str::from_utf8(magic).unwrap()), "{msg}")
+                    }
+                    other => panic!("expected Corrupt, got {other:?}"),
+                }
+            }
+        }
 
         let table = sample_table(50);
         save_table(&table, &path).unwrap();
@@ -800,35 +739,6 @@ mod tests {
         save_table(&new, &path).unwrap();
         assert_eq!(load_table(&path).unwrap().num_tuples(), 120);
         assert!(!temp_sibling(&path).exists());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn corgipl2_files_still_load() {
-        let table = sample_table(200);
-        let path = tmp("legacy_v2.tbl");
-        save_table_v2(&table, &path).unwrap();
-        // Whole-table load.
-        let back = load_table(&path).unwrap();
-        assert_eq!(back.all_tuples(), table.all_tuples());
-        // Block-granular access, with no checksums available.
-        let ft = FileTable::open(&path).unwrap();
-        assert_eq!(ft.format_version(), 2);
-        assert!(ft.blocks().iter().all(|b| b.crc.is_none()));
-        for id in 0..ft.num_blocks() {
-            assert_eq!(ft.read_block(id).unwrap(), table.block_tuples(id).unwrap());
-        }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn v3_files_carry_block_checksums() {
-        let table = sample_table(200);
-        let path = tmp("v3_crc.tbl");
-        save_table(&table, &path).unwrap();
-        let ft = FileTable::open(&path).unwrap();
-        assert_eq!(ft.format_version(), 3);
-        assert!(ft.blocks().iter().all(|b| b.crc.is_some()));
         std::fs::remove_file(path).ok();
     }
 

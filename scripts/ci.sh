@@ -16,12 +16,12 @@ banner "Format check"
 cargo fmt --check
 
 banner "Clippy"
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 banner "Docs (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-banner "Non-test lines per engine crate (ungated; simplicity PRs quote it)"
+banner "Non-test lines per engine crate (fails when core + db passes its ceiling)"
 bash scripts/loc.sh
 
 banner "Golden bits (model bits pinned across commits, release arithmetic)"
@@ -45,12 +45,6 @@ CORGI_CONCURRENCY_TUPLES=2000 CORGI_CONCURRENCY_EPOCHS=1 \
   cargo run --release -p corgipile-bench --bin corgi-bench -- concurrency
 python3 -c "import json; json.load(open('BENCH_concurrency.json'))" \
   || { echo "BENCH_concurrency.json is not valid JSON"; exit 1; }
-
-banner "Pushdown bench (smoke scale)"
-CORGI_PUSHDOWN_TUPLES=2000 CORGI_PUSHDOWN_EPOCHS=1 \
-  cargo run --release -p corgipile-bench --bin corgi-bench -- pushdown
-python3 -c "import json; json.load(open('BENCH_pushdown.json'))" \
-  || { echo "BENCH_pushdown.json is not valid JSON"; exit 1; }
 
 banner "Recovery bench (smoke scale)"
 CORGI_RECOVERY_TUPLES=2000 CORGI_RECOVERY_EPOCHS=2 \

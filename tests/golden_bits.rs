@@ -5,7 +5,7 @@
 //! below hold `crc32` of the final parameter bytes and `f64::to_bits` of
 //! the last epoch's `train_loss` for a fixed small clustered table, over
 //! the SQL surface (strategy × model × batch size × `double_buffer` ×
-//! `fuse`, pushdown, faults + skip, checkpoint/resume, durable
+//! `fuse`, `WHERE` / projection, faults + skip, checkpoint/resume, durable
 //! auto-resume, `CONTINUOUS` with a drift schedule), `Trainer::train`, and
 //! the multi-worker order (`parallel_epoch_plan` at 1/2/4/8 workers).
 //!
@@ -149,6 +149,54 @@ fn sql_grid_is_pinned_across_double_buffer_and_fuse() {
 
 const SQL_PATHS: &[Golden] = &[
     ("pushdown", 0xfad6990e, 0x3fe49eb4f457ea98),
+    ("where/corgipile/half", 0x538f507a, 0x3fede5e0b7accccd),
+    (
+        "where_project/corgipile/half",
+        0xa629451f,
+        0x3fe7d7819ff1999a,
+    ),
+    ("where/corgipile/tenth", 0xa019338d, 0x3fe1113069dae607),
+    (
+        "where_project/corgipile/tenth",
+        0x4ce88bde,
+        0x3fe5f318f7c4a33f,
+    ),
+    ("where/block_only/half", 0xf0490e1a, 0x3fe908690beccccd),
+    (
+        "where_project/block_only/half",
+        0x77ed0f7b,
+        0x3fdd1d26c0fccccd,
+    ),
+    ("where/block_only/tenth", 0x983d2efb, 0x3fe4e916d4c0ed73),
+    (
+        "where_project/block_only/tenth",
+        0x91cae09f,
+        0x3fe2d96dad642c86,
+    ),
+    ("where/no_shuffle/half", 0xbab2cd09, 0x3fe171ff1cb33333),
+    (
+        "where_project/no_shuffle/half",
+        0x0ecadc5d,
+        0x3fc84f7a94000000,
+    ),
+    ("where/no_shuffle/tenth", 0xf67fc17c, 0x3fe512f870000000),
+    (
+        "where_project/no_shuffle/tenth",
+        0x9b09fc26,
+        0x3fda476d2c0ed730,
+    ),
+    ("where/shuffle_once/half", 0x3a754efd, 0x3ff163d6a509999a),
+    (
+        "where_project/shuffle_once/half",
+        0x3ed4c33f,
+        0x3ff099a869380000,
+    ),
+    ("where/shuffle_once/tenth", 0xbe41f40b, 0x3fe00c08efc4a33f),
+    (
+        "where_project/shuffle_once/tenth",
+        0x6a61875b,
+        0x3ff1e7f0859f8946,
+    ),
     ("fault_skip", 0xa75b9aed, 0x3fec84afc5f596f3),
     ("checkpoint_resume", 0x1a1b295a, 0x3fe9273afa5f92c6),
     ("durable_resume", 0x15b7f8cc, 0x3fe83b165c5314e9),
@@ -159,23 +207,38 @@ const SQL_PATHS: &[Golden] = &[
 fn sql_pushdown_faults_resume_durable_and_continuous_are_pinned() {
     let mut got = Vec::new();
 
-    // WHERE + projection: pushdown on and off train the same bits.
-    let mut cell = None;
-    for pushdown in [0, 1] {
-        let mut s = engine().connect();
-        let t = train(
-            &mut s,
-            &format!(
-                "SELECT f0, f1, f2, f5 FROM higgs WHERE f3 > 0.0 TRAIN BY lr WITH \
-                 max_epoch_num = 3, seed = 11, strategy = 'corgipile', buffer_fraction = 0.2, \
-                 pushdown = {pushdown}, model_name = m"
-            ),
-        );
-        let bits = sql_bits(&s, &t);
-        assert_eq!(*cell.get_or_insert(bits), bits, "pushdown = {pushdown}");
-    }
-    let (crc, loss) = cell.unwrap();
+    // WHERE + projection. This constant and the sixteen below were
+    // recorded with the filter *above* the tuple-shuffle buffer (the
+    // `pushdown = 0` plans of the commit that still had them): the scan's
+    // filter below the buffer must keep training exactly these bits.
+    let mut s = engine().connect();
+    let t = train(
+        &mut s,
+        "SELECT f0, f1, f2, f5 FROM higgs WHERE f3 > 0.0 TRAIN BY lr WITH max_epoch_num = 3, \
+         seed = 11, strategy = 'corgipile', buffer_fraction = 0.2, model_name = m",
+    );
+    let (crc, loss) = sql_bits(&s, &t);
     got.push(("pushdown".to_string(), crc, loss));
+
+    // WHERE and WHERE + projection on every scan shape, at about one half
+    // and about one tenth selectivity.
+    for strategy in ["corgipile", "block_only", "no_shuffle", "shuffle_once"] {
+        for (sel, predicate) in [("half", "f3 > 0.0"), ("tenth", "f3 > 1.3")] {
+            for (shape, cols) in [("where", "*"), ("where_project", "f1, f3, f7")] {
+                let mut s = engine().connect();
+                let t = train(
+                    &mut s,
+                    &format!(
+                        "SELECT {cols} FROM higgs WHERE {predicate} TRAIN BY svm WITH \
+                         max_epoch_num = 3, seed = 11, strategy = '{strategy}', \
+                         buffer_fraction = 0.2, model_name = m"
+                    ),
+                );
+                let (crc, loss) = sql_bits(&s, &t);
+                got.push((format!("{shape}/{strategy}/{sel}"), crc, loss));
+            }
+        }
+    }
 
     // A transient fault (retried) plus a dead block skipped every epoch.
     let db = engine();

@@ -231,40 +231,24 @@ fn regression_model_via_sql_reports_r2() {
 #[test]
 fn where_pushdown_end_to_end() {
     let mut s = session();
-    // Train on the first quarter of the table only; the predicate is fused
-    // into the block scan, below the shuffle buffer.
-    let run = |s: &mut Session, pushdown: usize| {
-        let r = s
-            .execute(&format!(
-                "SELECT * FROM susy WHERE id < 2000 TRAIN BY svm WITH \
-                 learning_rate = 0.03, max_epoch_num = 3, pushdown = {pushdown}, \
-                 model_name = m_pd{pushdown}"
-            ))
-            .unwrap();
-        match r {
-            QueryResult::Train(t) => t,
-            _ => panic!("expected train summary"),
-        }
+    // Train on the first quarter of the table only. The scan evaluates the
+    // predicate below the shuffle buffer, so per epoch the SGD root sees —
+    // and the buffer ever holds — exactly the 2000 survivors, not the
+    // 8000 stored tuples.
+    let trained = match s
+        .execute(
+            "SELECT * FROM susy WHERE id < 2000 TRAIN BY svm WITH learning_rate = 0.03, \
+             max_epoch_num = 3, strategy = 'corgipile', model_name = m_where",
+        )
+        .unwrap()
+    {
+        QueryResult::Train(t) => t,
+        _ => panic!("expected train summary"),
     };
-    let pushed = run(&mut s, 1);
-    let post = run(&mut s, 0);
-    // Equivalence: same models bit for bit, same rows at the SGD root.
-    assert_eq!(
-        s.catalog().model("m_pd1").unwrap().params,
-        s.catalog().model("m_pd0").unwrap().params,
-    );
-    assert_eq!(pushed.op_stats[0].rows, 3 * 2000);
-    assert_eq!(post.op_stats[0].rows, 3 * 2000);
-    // Economy: the pushdown plan buffers 4x fewer tuples. (The fused
-    // default folds the chain into one stats node, so sum across nodes.)
-    let buffered = |t: &corgipile::db::DbTrainSummary| {
-        t.op_stats
-            .iter()
-            .map(|o| o.buffered_tuples)
-            .sum::<u64>()
-            .max(1)
-    };
-    assert!(buffered(&post) >= 3 * buffered(&pushed));
+    assert_eq!(trained.op_stats[0].rows, 3 * 2000);
+    // (The fused default folds the chain into one stats node, so sum.)
+    let buffered: u64 = trained.op_stats.iter().map(|o| o.buffered_tuples).sum();
+    assert_eq!(buffered, 3 * 2000);
 
     // EXPLAIN (fused default) folds the predicate into the pipeline node.
     let lines = match s
@@ -334,4 +318,52 @@ fn where_pushdown_end_to_end() {
         s.execute("EXPLAIN SELECT * FROM susy WHERE f99 > 0 TRAIN BY svm"),
         Err(DbError::UnknownColumn(_))
     ));
+}
+
+/// `PREDICT BY` and its `EXPLAIN`, which must both refuse with the typed
+/// width error `PREDICT … ON` returns.
+fn assert_width_mismatch(s: &mut Session, table: &str, model_dim: usize, table_dim: usize) {
+    let on = s
+        .execute(&format!("PREDICT m ON {table}"))
+        .expect_err("PREDICT ON");
+    assert!(matches!(on, DbError::BadParam(_)), "{on:?}");
+    for stmt in [
+        format!("SELECT * FROM {table} PREDICT BY m"),
+        format!("EXPLAIN SELECT * FROM {table} PREDICT BY m"),
+    ] {
+        match s.execute(&stmt) {
+            Err(DbError::BadParam(msg)) => assert!(
+                msg.contains(&format!("expects {model_dim} features"))
+                    && msg.contains(&format!("table {table} has {table_dim}")),
+                "{stmt}: {msg}"
+            ),
+            other => panic!("{stmt}: expected BadParam, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn predict_by_refuses_a_model_trained_on_a_projection() {
+    // Used to answer: f0, f1 scored against the weights of f5, f9.
+    let mut s = session();
+    s.execute("SELECT f5, f9, label FROM susy TRAIN BY svm WITH max_epoch_num = 1, model_name = m")
+        .unwrap();
+    assert_width_mismatch(&mut s, "susy", 2, 18);
+}
+
+#[test]
+fn predict_by_refuses_a_dense_model_on_a_sparse_table() {
+    // Used to panic: a sparse feature id indexing a 28-wide weight vector.
+    let mut s = session();
+    s.register_table(
+        "higgs",
+        DatasetSpec::higgs_like(500).build_table(1).unwrap(),
+    );
+    let criteo = DatasetSpec::criteo_like(300).build_table(1).unwrap();
+    let width = criteo.dim().unwrap();
+    assert!(width > 28);
+    s.register_table("criteo", criteo);
+    s.execute("SELECT * FROM higgs TRAIN BY svm WITH max_epoch_num = 1, model_name = m")
+        .unwrap();
+    assert_width_mismatch(&mut s, "criteo", 28, width);
 }
