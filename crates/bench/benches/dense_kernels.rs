@@ -1,6 +1,6 @@
 //! Criterion: the dense dot/axpy inner loops, scalar vs 8-wide unrolled —
-//! the kernels behind every GLM/softmax/MLP gradient step (and the basis
-//! of the `kernel_gflops` section of `BENCH_pipeline.json`).
+//! the kernels behind every GLM/softmax/MLP gradient step (the
+//! scalar-vs-unrolled GFLOP/s figure ROADMAP item 2 quotes).
 
 use corgipile_storage::{dense_axpy, dense_axpy_scalar, dense_dot, dense_dot_scalar};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -1,11 +1,10 @@
 //! Criterion: fused batch-at-a-time pipeline vs the interpreted Volcano
 //! tree, measured as real host wall time over the same `TRAIN BY` query.
 //!
-//! The simulated clock (what BENCH_vectorize.json gates on) moves with
-//! the batched cost model; this bench pins down the *host* side of the
-//! story — one virtual `next()` call per tuple vs one `next_batch` call
-//! per `TupleBatch` with the predicate/projection/kernel closure chosen
-//! once at build time.
+//! The simulated clock moves with the batched cost model; this bench pins
+//! down the *host* side of the story — one virtual `next()` call per tuple
+//! vs one `next_batch` call per `TupleBatch` with the
+//! predicate/projection/kernel closure chosen once at build time.
 
 use corgipile_data::{DatasetSpec, Order};
 use corgipile_db::{Database, QueryResult};

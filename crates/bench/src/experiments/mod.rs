@@ -4,19 +4,12 @@
 //! registry drives the `corgi-bench` CLI.
 
 pub mod ablation;
-pub mod concurrency;
 pub mod convergence;
 pub mod deep;
 pub mod indb;
-pub mod ingest;
 pub mod io;
 pub mod order_diag;
-pub mod pipeline;
-pub mod planner;
-pub mod recovery;
-pub mod serving;
 pub mod tables;
-pub mod vectorize;
 
 use crate::common::ExpData;
 use corgipile_core::{TrainReport, Trainer, TrainerConfig};
@@ -34,7 +27,8 @@ pub struct Experiment {
     pub run: fn(),
 }
 
-/// All experiments, in paper order.
+/// All experiments, in paper order (one row per artifact).
+#[rustfmt::skip]
 pub fn registry() -> Vec<Experiment> {
     vec![
         Experiment { id: "fig1", what: "SVM on clustered higgs: convergence + end-to-end time, all strategies", run: convergence::fig1 },
@@ -59,15 +53,8 @@ pub fn registry() -> Vec<Experiment> {
         Experiment { id: "table1", what: "qualitative strategy summary (measured)", run: tables::table1 },
         Experiment { id: "table2", what: "dataset inventory", run: tables::table2 },
         Experiment { id: "table3", what: "final train/test accuracy: Shuffle Once vs CorgiPile", run: tables::table3 },
-        Experiment { id: "pipeline", what: "extension: serial vs double-buffered epoch time (real prefetch pipeline) + kernel GFLOP/s", run: pipeline::pipeline },
         Experiment { id: "ablation", what: "extension: block-level vs tuple-level shuffle contribution", run: ablation::ablation },
         Experiment { id: "theory", what: "extension: Theorem 1 bound vs measured convergence", run: ablation::theory },
-        Experiment { id: "concurrency", what: "extension: multi-worker epoch wall time per worker count + cross-session shared buffers", run: concurrency::concurrency },
-        Experiment { id: "recovery", what: "extension: WAL recovery scan time, durable-training overhead, crash-matrix bit-identity", run: recovery::recovery },
-        Experiment { id: "serving", what: "extension: batched PREDICT serving throughput/latency at 1/4/8 sessions, cold vs warm cache, hot-reload bit-identity", run: serving::serving },
-        Experiment { id: "vectorize", what: "extension: fused batch-at-a-time pipeline vs interpreted operator tree (sim-compute speedup, bit identity)", run: vectorize::vectorize },
-        Experiment { id: "planner", what: "extension: cost-based shuffle planning — strategy grid vs planner choice on clustered data, RECLUSTER io_budget probe", run: planner::planner },
-        Experiment { id: "ingest", what: "extension: append throughput through the versioned table WAL, TRAIN CONTINUOUS vs retrain-from-scratch on a drifting stream", run: ingest::ingest },
     ]
 }
 

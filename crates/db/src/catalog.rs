@@ -21,7 +21,10 @@
 
 use crate::error::DbError;
 use corgipile_ml::{build_model, Model, ModelKind};
-use corgipile_storage::{AppendableTable, FaultInjector, FaultPlan, Table, TableSnapshot, Tuple};
+use corgipile_storage::{
+    atomic_write_bytes, AppendableTable, FaultInjector, FaultPlan, FieldReader, Table,
+    TableSnapshot, Tuple,
+};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -91,62 +94,43 @@ impl StoredModel {
         out
     }
 
-    /// Deserialize a blob written by [`StoredModel::to_bytes`].
+    /// Deserialize a blob written by [`StoredModel::to_bytes`]. The
+    /// declared shape is checked against the declared parameter count, and
+    /// every count against the bytes actually present, before anything is
+    /// sized by it.
     pub fn from_bytes(bytes: &[u8]) -> Result<StoredModel, DbError> {
         let corrupt = |m: &str| DbError::BadParam(format!("model blob: {m}"));
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], DbError> {
-            if *pos + n > bytes.len() {
-                return Err(corrupt("truncated"));
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 8)? != b"CORGIMD1" {
+        let mut r = FieldReader::new(bytes, "model blob");
+        if r.take(8)? != b"CORGIMD1" {
             return Err(corrupt("bad magic"));
         }
-        let tag = take(&mut pos, 1)?[0];
-        let read_u32 = |pos: &mut usize| -> Result<u32, DbError> {
-            Ok(u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()))
-        };
-        let kind = match tag {
+        let kind = match r.u8()? {
             0 => ModelKind::LogisticRegression,
             1 => ModelKind::Svm,
             2 => ModelKind::LinearRegression,
             3 => ModelKind::Softmax {
-                classes: read_u32(&mut pos)? as usize,
+                classes: r.u32()? as usize,
             },
             4 => {
-                let classes = read_u32(&mut pos)? as usize;
-                let layers = read_u32(&mut pos)? as usize;
-                if layers > 64 {
-                    return Err(corrupt("implausible layer count"));
-                }
-                let mut hidden = Vec::with_capacity(layers);
-                for _ in 0..layers {
-                    hidden.push(read_u32(&mut pos)? as usize);
-                }
+                let classes = r.u32()? as usize;
+                let layers = r.u32()? as usize;
+                let hidden = (0..layers)
+                    .map(|_| Ok(r.u32()? as usize))
+                    .collect::<Result<_, DbError>>()?;
                 ModelKind::Mlp { hidden, classes }
             }
             other => return Err(corrupt(&format!("unknown kind tag {other}"))),
         };
-        let dim = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-        let train_loss = f64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let nparams = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-        if nparams > 1 << 28 {
-            return Err(corrupt("implausible parameter count"));
-        }
-        let mut params = Vec::with_capacity(nparams);
-        for _ in 0..nparams {
-            params.push(f32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()));
-        }
+        let dim = r.u64()? as usize;
+        let train_loss = r.f64()?;
+        let nparams = r.u64()? as usize;
         // Consistency: the parameter vector must fit the declared shape
-        // (checked before instantiate(), which assumes a matching length).
-        let expected = build_model(&kind, dim, 0).num_params();
-        if expected != params.len() {
+        // (instantiate() assumes a matching length).
+        if kind.num_params(dim) != Some(nparams) {
             return Err(corrupt("parameter count does not match model shape"));
         }
+        let params = r.f32s(nparams)?;
+        r.finish()?;
         Ok(StoredModel {
             kind,
             dim,
@@ -155,9 +139,10 @@ impl StoredModel {
         })
     }
 
-    /// Write to a file.
+    /// Atomically write to a file (temp sibling + rename — a crash
+    /// mid-save leaves the previous model intact, never a torn blob).
     pub fn save(&self, path: &std::path::Path) -> Result<(), DbError> {
-        std::fs::write(path, self.to_bytes())
+        atomic_write_bytes(path, &self.to_bytes())
             .map_err(|e| DbError::BadParam(format!("cannot write model: {e}")))
     }
 
@@ -509,7 +494,7 @@ impl Catalog {
 mod tests {
     use super::*;
     use corgipile_data::DatasetSpec;
-    use corgipile_storage::FeatureVec;
+    use corgipile_storage::{FeatureVec, StorageError};
 
     #[test]
     fn register_and_lookup_tables() {
@@ -592,6 +577,33 @@ mod tests {
         }
         .to_bytes();
         assert!(StoredModel::from_bytes(&bad).is_err());
+
+        // Hostile lengths. Layout of a linear blob: magic 8, tag 1, dim u64
+        // at 9, train_loss at 17, nparams u64 at 25, params from 33.
+        let with = |dim: u64, nparams: u64| {
+            let mut b = good.clone();
+            b[9..17].copy_from_slice(&dim.to_le_bytes());
+            b[25..33].copy_from_slice(&nparams.to_le_bytes());
+            StoredModel::from_bytes(&b)
+        };
+        // A self-consistent 2^28-parameter shape over 16 bytes of params:
+        // refused from the bytes present, nothing reserved for the claim.
+        assert!(matches!(
+            with((1 << 28) - 1, 1 << 28),
+            Err(DbError::Storage(StorageError::Corrupt(_)))
+        ));
+        // `dim` is a length too: the shape check must not build a 2^60-wide
+        // model to count its parameters.
+        assert!(matches!(with(1 << 60, 4), Err(DbError::BadParam(_))));
+        assert!(matches!(with(u64::MAX, 0), Err(DbError::BadParam(_))));
+        // Shapes `build_model` asserts on are errors, not panics.
+        let mut softmax0 = b"CORGIMD1\x03".to_vec();
+        softmax0.extend_from_slice(&0u32.to_le_bytes());
+        softmax0.extend_from_slice(&good[9..33]);
+        assert!(matches!(
+            StoredModel::from_bytes(&softmax0),
+            Err(DbError::BadParam(_))
+        ));
     }
 
     #[test]

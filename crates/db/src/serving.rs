@@ -155,36 +155,37 @@ impl ModelCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Pin the active version of `name`: one `Arc` clone under a brief
-    /// read lock. The caller keeps the pin for its whole batch — later
-    /// publishes swap the active pointer without touching pinned entries.
+    /// Look up `version` of `name` (`None`: the active version) without
+    /// moving the hit/miss counters: one `Arc` clone under a brief read
+    /// lock. `EXPLAIN` reads through this; executing statements count
+    /// their lookup via [`ModelCache::pin`] / [`ModelCache::pin_version`].
+    pub fn peek(&self, name: &str, version: Option<u32>) -> Option<Arc<ServableModel>> {
+        let map = self.read();
+        let e = map.get(name)?;
+        e.versions.get(&version.unwrap_or(e.active)).cloned()
+    }
+
+    /// Pin the active version of `name`. The caller keeps the pin for its
+    /// whole batch — later publishes swap the active pointer without
+    /// touching pinned entries.
     pub fn pin(&self, name: &str) -> Option<Arc<ServableModel>> {
-        let got = {
-            let map = self.read();
-            map.get(name)
-                .and_then(|e| e.versions.get(&e.active).cloned())
-        };
-        self.count(got.is_some());
-        got
+        self.counted(self.peek(name, None))
     }
 
     /// Pin a specific version of `name`.
     pub fn pin_version(&self, name: &str, version: u32) -> Option<Arc<ServableModel>> {
-        let got = {
-            let map = self.read();
-            map.get(name)
-                .and_then(|e| e.versions.get(&version).cloned())
-        };
-        self.count(got.is_some());
-        got
+        self.counted(self.peek(name, Some(version)))
     }
 
-    fn count(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+    /// Count a lookup as a hit or a miss and hand it back.
+    fn counted(&self, got: Option<Arc<ServableModel>>) -> Option<Arc<ServableModel>> {
+        let counter = if got.is_some() {
+            &self.hits
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        got
     }
 
     /// Insert a servable entry. With `activate`, the entry becomes the

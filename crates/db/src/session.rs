@@ -636,17 +636,12 @@ impl Session {
                 filter,
                 params,
             } => {
-                let t = self.catalog().table(&table)?;
-                self.servable_exists(&model, version)?;
+                // The checks `PREDICT … ON` makes, in its order, so both
+                // refuse the same statements with the same error.
                 let opts = ServeOptions::resolve(version, filter, &params)?;
-                let spec = PredictPlanSpec {
-                    table,
-                    model,
-                    version,
-                    filter: opts.filter,
-                    batch_rows: opts.batch_rows,
-                };
-                let plan = LogicalPlan::build_predict(&spec, &t)?;
+                let t = self.catalog().table(&table)?;
+                let servable = self.peek_servable(&model, version)?;
+                let plan = predict_plan(&table, &t, &servable, &opts)?;
                 Ok(QueryResult::Plan(if opts.fuse {
                     plan.explain_lines_fused()
                 } else {
@@ -839,71 +834,66 @@ impl Session {
         })
     }
 
-    /// Resolve a serving pin: cache first, then the durable store's
-    /// version history (explicit pins) or the catalog object (active
-    /// pins). Returns the pinned model and whether the cache had it.
+    /// Resolve a serving pin: cache first, then [`Session::uncached_servable`],
+    /// published on the way out. Returns the pinned model and whether the
+    /// cache had it.
     fn resolve_servable(
         &mut self,
         name: &str,
         version: Option<u32>,
     ) -> Result<(Arc<ServableModel>, bool), DbError> {
         let cache = self.db.model_cache();
-        match version {
+        let pinned = match version {
+            Some(v) => cache.pin_version(name, v),
+            None => cache.pin(name),
+        };
+        if let Some(pin) = pinned {
+            return Ok((pin, true));
+        }
+        // An explicit pin is stashed without activating: it must not steal
+        // traffic from the active version.
+        let fresh = self.uncached_servable(name, version)?;
+        Ok((cache.publish(fresh, version.is_none()), false))
+    }
+
+    /// The model a serving pin would resolve, without executing anything
+    /// or moving the cache's counters or contents (used by `EXPLAIN`).
+    fn peek_servable(
+        &self,
+        name: &str,
+        version: Option<u32>,
+    ) -> Result<Arc<ServableModel>, DbError> {
+        match self.db.model_cache().peek(name, version) {
+            Some(pin) => Ok(pin),
+            None => Ok(Arc::new(self.uncached_servable(name, version)?)),
+        }
+    }
+
+    /// The entry a pin the cache does not hold resolves to: the durable
+    /// store's version history for an explicit pin; for an active pin the
+    /// catalog object — models registered before the serving layer saw
+    /// them (e.g. straight catalog writes) become the active version on
+    /// first use.
+    fn uncached_servable(
+        &self,
+        name: &str,
+        version: Option<u32>,
+    ) -> Result<ServableModel, DbError> {
+        let (v, stored) = match version {
             Some(v) => {
-                if let Some(pin) = cache.pin_version(name, v) {
-                    return Ok((pin, true));
-                }
                 let rec = self
                     .db
                     .model_store()
                     .and_then(|s| s.version(name, v))
                     .ok_or_else(|| DbError::UnknownModel(format!("{name} version {v}")))?;
-                // Stash without activating: an explicit pin must not
-                // steal traffic from the active version.
-                Ok((
-                    cache.publish(ServableModel::new(name, v, rec.stored), false),
-                    false,
-                ))
+                (v, rec.stored)
             }
             None => {
-                if let Some(pin) = cache.pin(name) {
-                    return Ok((pin, true));
-                }
-                // Models registered before the serving layer saw them
-                // (e.g. straight catalog writes) become the active
-                // version on first use.
                 let stored = self.catalog().model(name)?;
-                let v = cache.next_version(name);
-                Ok((
-                    cache.publish(ServableModel::new(name, v, stored), true),
-                    false,
-                ))
+                (self.db.model_cache().next_version(name), stored)
             }
-        }
-    }
-
-    /// Planning-time check that a serving pin would resolve, without
-    /// executing anything or touching the cache (used by `EXPLAIN`).
-    fn servable_exists(&self, name: &str, version: Option<u32>) -> Result<(), DbError> {
-        let cache = self.db.model_cache();
-        let known = match version {
-            Some(v) => {
-                cache.versions(name).contains(&v)
-                    || self
-                        .db
-                        .model_store()
-                        .is_some_and(|s| s.version(name, v).is_some())
-            }
-            None => cache.active_version(name).is_some() || self.catalog().model(name).is_ok(),
         };
-        if known {
-            Ok(())
-        } else {
-            Err(DbError::UnknownModel(match version {
-                Some(v) => format!("{name} version {v}"),
-                None => name.to_string(),
-            }))
-        }
+        Ok(ServableModel::new(name, v, stored))
     }
 }
 
@@ -2223,6 +2213,59 @@ mod tests {
             s.execute("PREDICT m ON higgs WITH bogus = 1"),
             Err(DbError::BadParam(_))
         ));
+    }
+
+    #[test]
+    fn explain_predict_on_refuses_what_predict_on_refuses_and_leaves_the_cache_alone() {
+        let mut s = session_with_higgs(400);
+        s.execute("SELECT * FROM higgs TRAIN BY svm WITH max_epoch_num = 1, model_name = m")
+            .unwrap();
+        s.execute(
+            "SELECT f5, f9, label FROM higgs TRAIN BY svm WITH max_epoch_num = 1, \
+             model_name = narrow",
+        )
+        .unwrap();
+        // `raw` exists only in the catalog: the serving layer has not seen it.
+        let raw = s.catalog().model("narrow").unwrap();
+        s.catalog().store_model("raw", raw);
+        let rejected = [
+            // Width: a 2-feature model on the 28-feature table, cached or not.
+            "PREDICT narrow ON higgs",
+            "PREDICT raw ON higgs",
+            "PREDICT narrow ON higgs WHERE id < 10 WITH batch_rows = 64",
+            // Names, pins, columns, options.
+            "PREDICT ghost ON higgs",
+            "PREDICT m VERSION 9 ON higgs",
+            "PREDICT m ON nowhere",
+            "PREDICT m ON higgs WHERE f99 > 0",
+            "PREDICT m ON higgs WITH batch_rows = 0",
+            "PREDICT m ON higgs WITH bogus = 1",
+        ];
+        for stmt in rejected {
+            // EXPLAIN first, so `raw` is still uncached when it is explained.
+            let before = s.database().model_cache().stats();
+            let explained = s
+                .execute(&format!("EXPLAIN {stmt}"))
+                .expect_err(stmt)
+                .to_string();
+            assert_eq!(s.database().model_cache().stats(), before, "{stmt}");
+            assert_eq!(explained, s.execute(stmt).expect_err(stmt).to_string());
+        }
+        // An EXPLAIN that succeeds counts nothing and publishes nothing
+        // either, whether the cache holds the model or only the catalog does.
+        s.catalog()
+            .store_model("raw_wide", s.catalog().model("m").unwrap());
+        let before = s.database().model_cache().stats();
+        for stmt in [
+            "EXPLAIN PREDICT m ON higgs",
+            "EXPLAIN PREDICT raw_wide ON higgs",
+        ] {
+            assert!(
+                matches!(s.execute(stmt), Ok(QueryResult::Plan(_))),
+                "{stmt}"
+            );
+        }
+        assert_eq!(s.database().model_cache().stats(), before);
     }
 
     #[test]

@@ -117,6 +117,33 @@ impl ModelKind {
     pub fn is_convex(&self) -> bool {
         !matches!(self, ModelKind::Mlp { .. })
     }
+
+    /// Length of the parameter vector [`build_model`] allocates for this
+    /// kind at `dim` input features, computed without allocating; `None`
+    /// for a shape `build_model` refuses (< 2 classes, no hidden layer) or
+    /// one whose size overflows. Decoders check a stored shape against this
+    /// before building anything from it.
+    pub fn num_params(&self, dim: usize) -> Option<usize> {
+        match self {
+            ModelKind::LogisticRegression | ModelKind::Svm | ModelKind::LinearRegression => {
+                dim.checked_add(1)
+            }
+            ModelKind::Softmax { classes } if *classes >= 2 => {
+                classes.checked_mul(dim)?.checked_add(*classes)
+            }
+            ModelKind::Mlp { hidden, classes } if *classes >= 2 && !hidden.is_empty() => {
+                let mut fan_in = dim;
+                let mut total = 0usize;
+                for &fan_out in hidden.iter().chain([classes]) {
+                    total =
+                        total.checked_add(fan_in.checked_mul(fan_out)?.checked_add(fan_out)?)?;
+                    fan_in = fan_out;
+                }
+                Some(total)
+            }
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for ModelKind {
@@ -158,11 +185,16 @@ mod tests {
                 hidden: vec![8],
                 classes: 3,
             },
+            ModelKind::Mlp {
+                hidden: vec![8, 5],
+                classes: 4,
+            },
         ];
         for k in kinds {
             let m = build_model(&k, 10, 1);
             assert!(m.num_params() > 0, "{k}: no params");
             assert_eq!(m.params().len(), m.num_params());
+            assert_eq!(k.num_params(10), Some(m.num_params()), "{k}");
         }
     }
 

@@ -2,6 +2,8 @@
 //! default, §7.1.3: "an exponential learning rate decay with 0.95") and
 //! Adam (§7.2.3).
 
+use corgipile_storage::FieldReader;
+
 /// A first-order optimizer stepping a flat parameter vector.
 pub trait Optimizer: Send {
     /// Apply one update with the given gradient.
@@ -254,27 +256,28 @@ impl Optimizer for Adam {
             self.v.clear();
             return true;
         }
-        if bytes.len() < 24 || &bytes[..8] != ADAM_STATE_MAGIC {
+        let Some((t, m, v)) = decode_adam_state(bytes) else {
             return false;
-        }
-        let t = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-        let n = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")) as usize;
-        if bytes.len() != 24 + 8 * n {
-            return false;
-        }
-        let read_f32s = |start: usize| -> Vec<f32> {
-            (0..n)
-                .map(|i| {
-                    let o = start + 4 * i;
-                    f32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"))
-                })
-                .collect()
         };
         self.t = t;
-        self.m = read_f32s(24);
-        self.v = read_f32s(24 + 4 * n);
+        self.m = m;
+        self.v = v;
         true
     }
+}
+
+/// Decode `Adam::state_bytes` (`magic ∥ t u64 ∥ n u64 ∥ m[n] ∥ v[n]`);
+/// `FieldReader` checks `n` against the bytes actually present.
+fn decode_adam_state(bytes: &[u8]) -> Option<(u64, Vec<f32>, Vec<f32>)> {
+    let mut r = FieldReader::new(bytes, "adam state");
+    if r.take(8).ok()? != ADAM_STATE_MAGIC {
+        return None;
+    }
+    let t = r.u64().ok()?;
+    let n = r.u64().ok()? as usize;
+    let (m, v) = (r.f32s(n).ok()?, r.f32s(n).ok()?);
+    r.finish().ok()?;
+    Some((t, m, v))
 }
 
 #[cfg(test)]
@@ -428,6 +431,11 @@ mod tests {
         let mut truncated = good.state_bytes();
         truncated.pop();
         assert!(!opt.load_state(&truncated));
+        // A hostile count: 8 · 2⁶¹ wraps to 0, so an unchecked
+        // `len == 24 + 8 * n` would accept 24 bytes and index past them.
+        let mut hostile = good.state_bytes()[..24].to_vec();
+        hostile[16..24].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        assert!(!opt.load_state(&hostile));
         assert!(opt.load_state(&good.state_bytes()));
         assert!(opt.load_state(&[]), "empty state resets to fresh");
     }

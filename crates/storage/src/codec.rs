@@ -148,6 +148,16 @@ impl<'a> FieldReader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Read `n` little-endian `f32`s. `n` is checked against the bytes left
+    /// before anything is sized by it.
+    pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>> {
+        let raw = self.take(n.saturating_mul(4))?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+            .collect())
+    }
+
     /// Read a `u32 len ∥ bytes` field written by [`put_bytes`].
     pub fn bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.u32()? as usize;

@@ -33,6 +33,7 @@
 //! that starts with any other magic — the retired, checksum-less `CORGIPL2`
 //! included — is rejected as [`StorageError::Corrupt`] naming the magic.
 
+use crate::codec::FieldReader;
 use crate::crc::crc32;
 use crate::error::StorageError;
 use crate::fault::{sites, FaultInjector, FaultPlan, FaultStats, ReadOutcome, WriteOutcome};
@@ -46,6 +47,11 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC_V3: &[u8; 8] = b"CORGIPL3";
+/// Header bytes between the name and the block index: table_id u32, then
+/// block_bytes, toast_threshold, toast_cap, tuple_count, block_count.
+const FIXED_FIELD_BYTES: usize = 4 + 5 * 8;
+/// One block-index entry: four u64s and a crc u32.
+const INDEX_ENTRY_BYTES: usize = 4 * 8 + 4;
 
 fn io_err(op: &'static str, e: io::Error) -> StorageError {
     StorageError::Io {
@@ -66,8 +72,8 @@ fn temp_sibling(path: &Path) -> PathBuf {
 }
 
 /// Atomically replace `path` with `bytes`: write a synced temp sibling,
-/// then rename it into place. Used by table persistence and training
-/// checkpoints; a crash at any point leaves either the old file or the new
+/// then rename it into place. Used by training checkpoints and exported
+/// model blobs; a crash at any point leaves either the old file or the new
 /// one, never a torn mix.
 ///
 /// The parent directory is fsynced after the rename — without it the
@@ -173,7 +179,7 @@ pub fn save_table_faulted(
     let regions = encode_regions(table)?;
     let name = cfg.name.as_bytes();
     // 8 magic + 4 header crc + the header region itself.
-    let header_end = 8 + 4 + 4 + name.len() + 4 + 8 + 8 + 8 + 8 + 8 + regions.len() * 36;
+    let header_end = 8 + 4 + 4 + name.len() + FIXED_FIELD_BYTES + regions.len() * INDEX_ENTRY_BYTES;
 
     // Build the checksummed header region in memory.
     let mut hdr = Vec::with_capacity(header_end - 12);
@@ -260,19 +266,20 @@ struct FileHeader {
     blocks: Vec<FileBlockMeta>,
 }
 
-/// A reader that remembers every byte it hands out, for after-the-fact
-/// checksum verification of a streamed header.
-struct TeeReader<'a, R: Read> {
-    inner: &'a mut R,
-    seen: Vec<u8>,
-}
-
-impl<R: Read> Read for TeeReader<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.seen.extend_from_slice(&buf[..n]);
-        Ok(n)
+/// Append exactly `n` more bytes of `f` to `buf`. The buffer grows only as
+/// bytes arrive, so a hostile length field costs no more memory than the
+/// file holds; running out of file is `Corrupt`, not an I/O failure.
+fn read_more<R: Read>(f: &mut R, buf: &mut Vec<u8>, n: usize) -> Result<()> {
+    let got = f
+        .take(n as u64)
+        .read_to_end(buf)
+        .map_err(|e| io_err("read header", e))?;
+    if got < n {
+        return Err(StorageError::Corrupt(format!(
+            "heap file header: truncated ({got} of {n} bytes left)"
+        )));
     }
+    Ok(())
 }
 
 fn read_header<R: Read>(f: &mut R) -> Result<FileHeader> {
@@ -285,45 +292,28 @@ fn read_header<R: Read>(f: &mut R) -> Result<FileHeader> {
             String::from_utf8_lossy(&magic)
         )));
     }
-    let expected = read_u32(f)?;
-    let mut tee = TeeReader {
-        inner: f,
-        seen: Vec::new(),
-    };
-    let f = &mut tee;
-    let name_len = read_u32(f)? as usize;
+    // Stream the checksummed region into memory in three steps, each
+    // sized by a field of the previous one: header_crc ∥ name_len, then
+    // the name and the fixed-width fields, then the block index. Nothing
+    // is decoded, and no index entry is reserved, before the CRC holds.
+    let mut hdr = Vec::new();
+    read_more(f, &mut hdr, 8)?;
+    let expected = u32::from_le_bytes(hdr[..4].try_into().unwrap());
+    let name_len = u32::from_le_bytes(hdr[4..8].try_into().unwrap()) as usize;
     if name_len > 1 << 16 {
         return Err(StorageError::Corrupt(format!(
             "implausible name length {name_len}"
         )));
     }
-    let mut name = vec![0u8; name_len];
-    f.read_exact(&mut name)
-        .map_err(|e| io_err("read header", e))?;
-    let name = String::from_utf8(name)
-        .map_err(|_| StorageError::Corrupt("table name is not UTF-8".into()))?;
-    let table_id = read_u32(f)?;
-    let block_bytes = read_u64(f)? as usize;
-    let toast_threshold = read_u64(f)? as usize;
-    let toast_cap = read_f64(f)?;
-    let tuple_count = read_u64(f)?;
-    let block_count = read_u64(f)? as usize;
+    read_more(f, &mut hdr, name_len + FIXED_FIELD_BYTES)?;
+    let block_count = u64::from_le_bytes(hdr[hdr.len() - 8..].try_into().unwrap());
     if block_count > 1 << 24 {
         return Err(StorageError::Corrupt(format!(
             "implausible block count {block_count}"
         )));
     }
-    let mut blocks = Vec::with_capacity(block_count);
-    for _ in 0..block_count {
-        blocks.push(FileBlockMeta {
-            first_tuple: read_u64(f)?,
-            tuple_count: read_u64(f)?,
-            data_off: read_u64(f)?,
-            data_len: read_u64(f)?,
-            crc: read_u32(f)?,
-        });
-    }
-    let actual = crc32(&tee.seen);
+    read_more(f, &mut hdr, block_count as usize * INDEX_ENTRY_BYTES)?;
+    let actual = crc32(&hdr[4..]);
     if actual != expected {
         return Err(StorageError::ChecksumMismatch {
             block: None,
@@ -331,6 +321,26 @@ fn read_header<R: Read>(f: &mut R) -> Result<FileHeader> {
             actual,
         });
     }
+
+    let mut r = FieldReader::new(&hdr[4..], "heap file header");
+    let name = r.string()?;
+    let table_id = r.u32()?;
+    let block_bytes = r.u64()? as usize;
+    let toast_threshold = r.u64()? as usize;
+    let toast_cap = r.f64()?;
+    let tuple_count = r.u64()?;
+    let blocks = (0..r.u64()?)
+        .map(|_| {
+            Ok(FileBlockMeta {
+                first_tuple: r.u64()?,
+                tuple_count: r.u64()?,
+                data_off: r.u64()?,
+                data_len: r.u64()?,
+                crc: r.u32()?,
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    r.finish()?;
     let mut config = TableConfig::new(name, table_id).with_block_bytes(block_bytes.max(1));
     config.toast_threshold = toast_threshold;
     config.toast_cap = toast_cap;
@@ -534,24 +544,6 @@ impl FileTable {
         }
         Ok(builder.finish())
     }
-}
-
-fn read_u32<R: Read>(r: &mut R) -> Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b).map_err(|e| io_err("read header", e))?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b).map_err(|e| io_err("read header", e))?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_f64<R: Read>(r: &mut R) -> Result<f64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b).map_err(|e| io_err("read header", e))?;
-    Ok(f64::from_le_bytes(b))
 }
 
 #[cfg(test)]
@@ -797,6 +789,19 @@ mod tests {
             load_table(&path).is_err(),
             "header corruption must be detected"
         );
+        // A hostile block count — the largest the sanity bound admits — in
+        // a file that does not hold the index it promises: typed `Corrupt`
+        // from the bytes actually there, before any index entry is reserved.
+        bytes[40] ^= 0x01;
+        let block_count_at = 16 + "persisted".len() + FIXED_FIELD_BYTES - 8;
+        bytes[block_count_at..block_count_at + 8].copy_from_slice(&(1u64 << 24).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        for result in [load_table(&path).err(), FileTable::open(&path).err()] {
+            match result {
+                Some(StorageError::Corrupt(msg)) => assert!(msg.contains("truncated"), "{msg}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
         std::fs::remove_file(path).ok();
     }
 

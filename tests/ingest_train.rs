@@ -243,29 +243,78 @@ fn continuous_train_runs_alongside_inserts_and_serving() {
     assert_eq!(final_tuples, 600 + 5 * 30);
 }
 
+/// One `CONTINUOUS` statement over deterministic drift: a refresh hook
+/// appends one `rows`-row batch at every chunk boundary, so every run sees
+/// the same snapshot sequence. Returns the engine and the device bytes the
+/// training session read.
+fn continuous_over_drift(
+    model: &str,
+    n: usize,
+    epochs: usize,
+    rows: usize,
+) -> (Arc<Database>, u64) {
+    let db = engine(n);
+    let hook_db = Arc::clone(&db);
+    let mut s = db.connect();
+    s.set_refresh_hook(move |chunk| {
+        hook_db
+            .catalog()
+            .append_rows("higgs", batch(chunk, rows))
+            .unwrap();
+    });
+    match s.execute(&train_sql(model, epochs, 13)).unwrap() {
+        QueryResult::Train(t) => {
+            assert_eq!(
+                t.snapshot_version, epochs as u64,
+                "every boundary append re-pinned"
+            );
+        }
+        other => panic!("expected Train result, got {other:?}"),
+    }
+    let io = s.device().stats().device_bytes;
+    (db, io)
+}
+
 #[test]
 fn continuous_train_reruns_bit_identically_over_the_same_drift() {
-    // Deterministic drift: a refresh hook appends one batch at every
-    // chunk boundary, so two runs see identical snapshot sequences.
-    let run = |model: &str| -> Vec<f32> {
-        let db = engine(400);
-        let hook_db = Arc::clone(&db);
-        let mut s = db.connect();
-        s.set_refresh_hook(move |chunk| {
-            hook_db
-                .catalog()
-                .append_rows("higgs", batch(chunk, 20))
-                .unwrap();
-        });
-        match s.execute(&train_sql(model, 3, 13)).unwrap() {
-            QueryResult::Train(t) => {
-                assert_eq!(t.snapshot_version, 3, "two boundary appends re-pinned");
-            }
-            other => panic!("expected Train result, got {other:?}"),
-        }
-        params(&db, model)
-    };
+    let run = |model: &str| params(&continuous_over_drift(model, 400, 3, 20).0, model);
     assert_eq!(run("a"), run("b"));
+}
+
+#[test]
+fn continuous_train_reaches_the_retrain_loss_with_less_device_io() {
+    // What `CONTINUOUS` is for: rows keep arriving and the model must stay
+    // current. It trains once, re-pinning at each boundary and keeping the
+    // warm model — K epoch scans. Without it every drift step means a
+    // retrain from scratch over the grown table, with the epochs the
+    // continuous run has consumed by then — K·(K+1)/2 scans. Same append
+    // schedule, same seed, same plan.
+    const EPOCHS: usize = 4;
+    const ROWS: usize = 50;
+    let (continuous, continuous_io) = continuous_over_drift("m", 2_000, EPOCHS, ROWS);
+    let continuous_loss = continuous.catalog().model("m").unwrap().train_loss;
+
+    let db = engine(2_000);
+    let mut s = db.connect();
+    for step in 0..EPOCHS {
+        if step > 0 {
+            db.catalog()
+                .append_rows("higgs", batch(step, ROWS))
+                .unwrap();
+        }
+        s.execute(&pinned_train_sql("m", step + 1, 13)).unwrap();
+    }
+    let retrain_io = s.device().stats().device_bytes;
+    let retrain_loss = db.catalog().model("m").unwrap().train_loss;
+
+    assert!(
+        continuous_io * 2 < retrain_io,
+        "continuous read {continuous_io} B, retraining {retrain_io} B"
+    );
+    assert!(
+        continuous_loss <= retrain_loss * 1.1 + 1e-6,
+        "continuous loss {continuous_loss} vs retrain {retrain_loss}"
+    );
 }
 
 #[test]

@@ -76,10 +76,21 @@ fn full_persistence_pipeline() {
 
     // Model blob round trip into a fresh process-equivalent session.
     let blob = dir.join("susy_lr.model");
-    s.catalog().model("susy_lr").unwrap().save(&blob).unwrap();
+    let model = s.catalog().model("susy_lr").unwrap();
+    model.save(&blob).unwrap();
     let restored = StoredModel::load(&blob).unwrap().instantiate();
     let acc = accuracy(restored.as_ref(), &ds.test);
     assert!(acc > 0.7, "restored model accuracy {acc}");
+
+    // The save is atomic (temp sibling + rename). What a save killed before
+    // its rename leaves behind — a torn temp beside the intact model — never
+    // shadows the model, and the next save replaces it and cleans up.
+    let residue = dir.join("susy_lr.model.tmp");
+    std::fs::write(&residue, &model.to_bytes()[..20]).unwrap();
+    assert_eq!(StoredModel::load(&blob).unwrap().params, model.params);
+    model.save(&blob).unwrap();
+    assert!(!residue.exists(), "save must rename its temp sibling away");
+    assert_eq!(std::fs::read(&blob).unwrap(), model.to_bytes());
 
     std::fs::remove_dir_all(dir).ok();
 }

@@ -10,7 +10,7 @@
 //! reads, no mixed-version batches).
 
 use corgipile::data::{DatasetSpec, Order};
-use corgipile::db::{Database, QueryResult};
+use corgipile::db::{Database, QueryResult, Session};
 use corgipile::storage::{SimDevice, Table};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -151,29 +151,37 @@ fn concurrent_predictions_stay_bit_identical_to_their_pinned_version() {
 fn restart_serves_the_recovered_version_warm() {
     let dir = std::env::temp_dir().join(format!("corgi_serve_restart_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let want = {
+    let serve = |s: &mut Session, stmt: &str| match s.execute(stmt).unwrap() {
+        QueryResult::Serve(p) => p,
+        other => panic!("unexpected {other:?}"),
+    };
+    let (want_v1, want_v2) = {
         let db = Database::with_model_store(SimDevice::hdd_scaled(1000.0, 0), 0, &dir).unwrap();
         db.register_table("higgs", higgs(500));
         let mut s = db.connect();
         s.execute(&train_sql(7)).unwrap();
-        match s.execute("PREDICT m ON higgs").unwrap() {
-            QueryResult::Serve(p) => p.predictions,
-            other => panic!("unexpected {other:?}"),
-        }
+        let v1 = serve(&mut s, "PREDICT m ON higgs").predictions;
+        s.execute(&train_sql(8)).unwrap();
+        (v1, serve(&mut s, "PREDICT m ON higgs").predictions)
     };
-    // Reopen over the same store: recovery republishes the model into the
-    // serving cache, so the first PREDICT is a cache hit with the same
-    // bits — no LOAD MODEL, no retrain.
+    // Reopen over the same store: recovery republishes the latest version
+    // into the serving cache, so the first PREDICT is a cache hit with the
+    // same bits — no LOAD MODEL, no retrain.
     let db = Database::with_model_store(SimDevice::hdd_scaled(1000.0, 0), 0, &dir).unwrap();
     db.register_table("higgs", higgs(500));
     let mut s = db.connect();
-    match s.execute("PREDICT m ON higgs").unwrap() {
-        QueryResult::Serve(p) => {
-            assert!(p.cache_hit, "recovery must pre-warm the serving cache");
-            assert_eq!(p.version, 1);
-            assert_eq!(p.predictions, want);
-        }
-        other => panic!("unexpected {other:?}"),
-    }
+    let active = serve(&mut s, "PREDICT m ON higgs");
+    assert!(active.cache_hit, "recovery must pre-warm the serving cache");
+    assert_eq!(active.version, 2);
+    assert_eq!(active.predictions, want_v2);
+    // An older version is not resident after a restart: its first pin is
+    // cold (fetched from the store's history), the repeat is warm, and
+    // neither steals traffic from the active version.
+    let cold = serve(&mut s, "PREDICT m VERSION 1 ON higgs");
+    let warm = serve(&mut s, "PREDICT m VERSION 1 ON higgs");
+    assert!(!cold.cache_hit && warm.cache_hit);
+    assert_eq!(cold.predictions, want_v1);
+    assert_eq!(warm.predictions, want_v1);
+    assert_eq!(db.model_cache().active_version("m"), Some(2));
     std::fs::remove_dir_all(&dir).ok();
 }

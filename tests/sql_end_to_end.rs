@@ -320,14 +320,12 @@ fn where_pushdown_end_to_end() {
     ));
 }
 
-/// `PREDICT BY` and its `EXPLAIN`, which must both refuse with the typed
-/// width error `PREDICT … ON` returns.
+/// Both PREDICT forms and their `EXPLAIN`s must refuse with the same typed
+/// width error.
 fn assert_width_mismatch(s: &mut Session, table: &str, model_dim: usize, table_dim: usize) {
-    let on = s
-        .execute(&format!("PREDICT m ON {table}"))
-        .expect_err("PREDICT ON");
-    assert!(matches!(on, DbError::BadParam(_)), "{on:?}");
     for stmt in [
+        format!("PREDICT m ON {table}"),
+        format!("EXPLAIN PREDICT m ON {table}"),
         format!("SELECT * FROM {table} PREDICT BY m"),
         format!("EXPLAIN SELECT * FROM {table} PREDICT BY m"),
     ] {
