@@ -2,7 +2,7 @@
 //! cache hierarchy) and the Figure-20 throughput curve computation.
 
 use corgipile_data::{DatasetSpec, Order};
-use corgipile_storage::{Access, DeviceProfile, SimDevice};
+use corgipile_storage::{Access, DeviceProfile, RetryPolicy, SimDevice};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_random_block_reads(c: &mut Criterion) {
@@ -31,11 +31,11 @@ fn bench_table_block_access(c: &mut Criterion) {
     let mut group = c.benchmark_group("table_access");
     group.throughput(Throughput::Elements(table.tuples_per_block() as u64));
     group.bench_function("read_block_decode", |b| {
-        let mut dev = SimDevice::in_memory();
-        let mut id = 0usize;
+        let (mut dev, mut id) = (SimDevice::in_memory(), 0usize);
         b.iter(|| {
             id = (id + 1) % table.num_blocks();
-            std::hint::black_box(table.read_block(id, &mut dev).unwrap().len())
+            let read = table.read(id, Access::Random, &mut dev, &RetryPolicy::none());
+            std::hint::black_box(read.unwrap().len())
         });
     });
     group.bench_function("read_tuple_random", |b| {

@@ -137,7 +137,7 @@ pub fn fig5() {
         total_buffer_fraction: 0.2,
         ..Default::default()
     };
-    let plan = parallel_epoch_plan(&table, &cfg, 100, 3, 0);
+    let plan = parallel_epoch_plan(&table, &cfg, 100, 3, 0).unwrap();
     let merged: Vec<corgipile_storage::Tuple> = plan.merged_batches.concat();
     let ids: Vec<u64> = merged.iter().map(|t| t.id).collect();
     let labels: Vec<f32> = merged.iter().map(|t| t.label).collect();

@@ -62,6 +62,8 @@ impl CorgiPileDataset {
     }
 
     /// Produce the next epoch's shuffled tuple stream, charging `dev`.
+    /// Collects [`ShuffleStrategy::next_epoch`], so like it this is for
+    /// devices that cannot fault.
     pub fn epoch_iter(&mut self, dev: &mut SimDevice) -> impl Iterator<Item = Tuple> {
         self.epoch += 1;
         let plan = self.strategy.next_epoch(&self.table, dev);

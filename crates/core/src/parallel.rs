@@ -30,7 +30,9 @@
 use crate::driver::{EpochIo, EpochOutcome, EpochSource, Fill};
 use crate::trainer::EpochRecorder;
 use corgipile_data::rng::shuffle_in_place;
-use corgipile_storage::{FileTable, RetryPolicy, SimDevice, StorageError, Table, Telemetry, Tuple};
+use corgipile_storage::{
+    Access, FileTable, RetryPolicy, SimDevice, StorageError, Table, Telemetry, Tuple,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -113,7 +115,7 @@ impl BlockReader for SimulatedBlocks<'_> {
     ) -> Result<f64, StorageError> {
         let mut dev = self.device.clone();
         for &b in blocks {
-            out.extend(self.table.read_block_retry(b, &mut dev, policy)?);
+            out.extend(self.table.read(b, Access::Random, &mut dev, policy)?);
         }
         Ok(dev.stats().io_seconds)
     }
@@ -359,7 +361,7 @@ pub fn parallel_epoch_plan(
     batch_size: usize,
     seed: u64,
     epoch: usize,
-) -> ParallelEpoch {
+) -> Result<ParallelEpoch, StorageError> {
     let reader = SimulatedBlocks {
         table,
         device: cfg.fill_device(),
@@ -367,25 +369,23 @@ pub fn parallel_epoch_plan(
     let source = ParallelSource::new(reader, cfg.clone(), batch_size, seed);
     let mut worker_streams = vec![Vec::new(); cfg.workers];
     let mut merged_batches = Vec::new();
-    let io = source
-        .merge_epoch(epoch, |fill, takes| {
-            let mut at = 0;
-            for round in takes.chunks(cfg.workers) {
-                let start = at;
-                for (stream, &n) in worker_streams.iter_mut().zip(round) {
-                    stream.extend_from_slice(&fill.batch[at..at + n]);
-                    at += n;
-                }
-                merged_batches.push(fill.batch[start..at].to_vec());
+    let io = source.merge_epoch(epoch, |fill, takes| {
+        let mut at = 0;
+        for round in takes.chunks(cfg.workers) {
+            let start = at;
+            for (stream, &n) in worker_streams.iter_mut().zip(round) {
+                stream.extend_from_slice(&fill.batch[at..at + n]);
+                at += n;
             }
-            true
-        })
-        .expect("a table without a fault plan reads every block");
-    ParallelEpoch {
+            merged_batches.push(fill.batch[start..at].to_vec());
+        }
+        true
+    })?;
+    Ok(ParallelEpoch {
         worker_streams,
         merged_batches,
         io_seconds: io.iter().map(|w| w.iter().sum::<f64>()).fold(0.0, f64::max),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -442,7 +442,7 @@ mod tests {
     #[test]
     fn plan_partitions_all_tuples_across_workers() {
         let t = clustered(800);
-        let plan = parallel_epoch_plan(&t, &workers(4), 64, 0xDD9, 0);
+        let plan = parallel_epoch_plan(&t, &workers(4), 64, 0xDD9, 0).unwrap();
         assert_eq!(plan.worker_streams.len(), 4);
         let mut ids: Vec<u64> = plan
             .worker_streams
@@ -467,7 +467,7 @@ mod tests {
             total_buffer_fraction: 0.2,
             ..Default::default()
         };
-        let plan = parallel_epoch_plan(&t, &cfg, 100, 5, 0);
+        let plan = parallel_epoch_plan(&t, &cfg, 100, 5, 0).unwrap();
         let mut mixed = 0;
         let total = plan.merged_batches.len();
         for b in &plan.merged_batches {
@@ -484,15 +484,15 @@ mod tests {
     fn epochs_produce_fresh_orders() {
         let t = clustered(400);
         let cfg = ParallelConfig::default();
-        let a = merged_ids(&parallel_epoch_plan(&t, &cfg, 64, 0xDD9, 0));
-        let b = merged_ids(&parallel_epoch_plan(&t, &cfg, 64, 0xDD9, 1));
+        let a = merged_ids(&parallel_epoch_plan(&t, &cfg, 64, 0xDD9, 0).unwrap());
+        let b = merged_ids(&parallel_epoch_plan(&t, &cfg, 64, 0xDD9, 1).unwrap());
         assert_ne!(a, b);
     }
 
     #[test]
     fn single_worker_is_a_valid_degenerate_case() {
         let t = clustered(200);
-        let plan = parallel_epoch_plan(&t, &workers(1), 32, 0xDD9, 0);
+        let plan = parallel_epoch_plan(&t, &workers(1), 32, 0xDD9, 0).unwrap();
         assert_eq!(plan.worker_streams.len(), 1);
         let total: usize = plan.merged_batches.iter().map(|b| b.len()).sum();
         assert_eq!(total, 200);
@@ -541,7 +541,7 @@ mod tests {
             let mut opt = cfg.optimizer.build();
             for e in 0..epochs {
                 opt.set_epoch(e);
-                let plan = parallel_epoch_plan(&t, &pcfg, batch, seed, e);
+                let plan = parallel_epoch_plan(&t, &pcfg, batch, seed, e).unwrap();
                 train_minibatch(
                     model.as_mut(),
                     opt.as_mut(),
@@ -792,7 +792,7 @@ mod tests {
             assert_ne!(a, ids(9));
             assert_eq!(
                 a,
-                merged_ids(&parallel_epoch_plan(&t, &workers(pn), 16, 5, 0))
+                merged_ids(&parallel_epoch_plan(&t, &workers(pn), 16, 5, 0).unwrap())
             );
             a.sort_unstable();
             assert_eq!(a, (0..500).collect::<Vec<_>>());

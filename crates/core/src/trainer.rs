@@ -346,7 +346,7 @@ impl<'a> EpochRecorder<'a> {
 }
 
 /// A [`ShuffleStrategy`] over a heap table as the driver's fill source:
-/// one fill per [`Segment`], in `next_epoch` order.
+/// one fill per [`Segment`].
 struct StrategySource<'a> {
     strategy: Box<dyn ShuffleStrategy>,
     table: &'a Table,
@@ -361,7 +361,8 @@ impl EpochSource for StrategySource<'_> {
     fn replay(&mut self, epochs: usize) -> Result<(), StorageError> {
         let mut scratch = SimDevice::in_memory();
         for _ in 0..epochs {
-            let _ = self.strategy.next_epoch(self.table, &mut scratch);
+            self.strategy
+                .stream_epoch(self.table, &mut scratch, &mut |_| true)?;
         }
         Ok(())
     }
@@ -382,7 +383,7 @@ impl EpochSource for StrategySource<'_> {
                     };
                     fill_io.push(seg.io_seconds);
                     emit(&mut fill)
-                });
+                })?;
         Ok(EpochIo {
             setup_seconds,
             fill_io,

@@ -29,8 +29,8 @@ use corgipile_data::rng::shuffle_in_place;
 use corgipile_ml::{ComputeCostModel, Model, Optimizer, TrainCheckpoint, TrainOptions};
 use corgipile_shuffle::{BlockReversalShuffle, StrategyParams};
 use corgipile_storage::{
-    block_refs, Counter, DeviceHandle, PipelineReport, PoolHandle, RetryPolicy, SimDevice, Table,
-    Telemetry, Tuple, TupleBatch, TupleRef,
+    block_refs, Access, Counter, DeviceHandle, PipelineReport, PoolHandle, RetryPolicy, SimDevice,
+    Table, Telemetry, Tuple, TupleBatch, TupleRef,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -398,34 +398,26 @@ impl BlockShuffleOp {
         let table = &self.table;
         let retry = &ctx.retry;
         let first = self.next_block == 0;
-        let read = match self.mode {
-            ScanMode::Sequential => match ctx.pool.as_deref_mut() {
-                // `WITH shared_scan = 1`: a sequential scan opts into the
-                // shared buffer pool, so repeated scans of a hot serving
-                // table hit cached blocks instead of re-reading the device.
-                Some(pool) if self.shared_scan => {
-                    pool.read_block_retry(table, block, ctx.dev, retry)
-                }
-                _ => ctx
-                    .dev
-                    .with(|d| table.scan_block_sequential_retry(block, first, d, retry))
-                    .map(Arc::new),
-            },
-            ScanMode::RandomBlocks => match ctx.pool.as_deref_mut() {
-                Some(pool) => pool.read_block_retry(table, block, ctx.dev, retry),
-                None => ctx
-                    .dev
-                    .with(|d| table.read_block_retry(block, d, retry))
-                    .map(Arc::new),
-            },
+        // What a device read of this block is charged as, and whether the
+        // read may go through the buffer pool (whose misses are random
+        // block reads). Sequential scans use the pool only under `WITH
+        // shared_scan = 1`, so repeated scans of a hot serving table hit
+        // cached blocks; a reversal scan streams adjacent blocks (either
+        // direction) and seeks at the epoch start and the rotation wrap.
+        let (access, pooled) = match self.mode {
+            ScanMode::Sequential => (Access::in_scan(first), self.shared_scan),
+            ScanMode::RandomBlocks => (Access::Random, true),
             ScanMode::Reversal => {
-                // Adjacent blocks (either direction) continue the stream;
-                // the epoch start and the rotation wrap pay the seek.
-                let seek = first || self.order[self.next_block - 1].abs_diff(block) != 1;
-                ctx.dev
-                    .with(|d| table.scan_block_sequential_retry(block, seek, d, retry))
-                    .map(Arc::new)
+                let seeks = first || self.order[self.next_block - 1].abs_diff(block) != 1;
+                (Access::in_scan(seeks), false)
             }
+        };
+        let read = match ctx.pool.as_deref_mut().filter(|_| pooled) {
+            Some(pool) => pool.read_block_retry(table, block, ctx.dev, retry),
+            None => ctx
+                .dev
+                .with(|d| table.read(block, access, d, retry))
+                .map(Arc::new),
         };
         self.next_block += 1;
         self.actuals.blocks_read += 1;

@@ -36,8 +36,7 @@
 //! changes semantics: the interpreted operator tree stays available under
 //! `WITH fuse = 0` as the bit-identity oracle, and both paths replay the
 //! same tuple sequence. Only the *compute accounting* differs (the fused
-//! path charges its per-tuple dispatch overhead once per batch), which is
-//! the vectorization speedup the `vectorize` experiment measures.
+//! path charges its per-tuple dispatch overhead once per batch).
 
 use crate::catalog::Catalog;
 use crate::error::DbError;

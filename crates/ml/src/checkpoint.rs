@@ -19,7 +19,7 @@
 //! crc32 u32          CRC-32 of everything above
 //! ```
 
-use corgipile_storage::{atomic_write_bytes, crc32, Result, StorageError};
+use corgipile_storage::{atomic_write_bytes, crc32, FieldReader, Result, StorageError};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"CORGICK1";
@@ -61,16 +61,19 @@ impl TrainCheckpoint {
         out
     }
 
-    /// Parse a `CORGICK1` blob, verifying magic, structure and checksum.
+    /// Parse a `CORGICK1` blob, verifying magic, checksum and structure.
+    /// Every length in the blob is checked against the bytes present before
+    /// anything is sized by it, so a hostile blob with a valid checksum is
+    /// [`StorageError::Corrupt`], never a panic or an allocation.
     pub fn from_bytes(bytes: &[u8]) -> Result<TrainCheckpoint> {
-        if bytes.len() < 8 + 8 + 8 + 8 + 8 + 8 + 4 {
+        let Some(body_len) = bytes.len().checked_sub(4).filter(|&n| n >= MAGIC.len()) else {
             return Err(StorageError::Corrupt("checkpoint too short".into()));
-        }
-        if &bytes[..8] != MAGIC {
+        };
+        let (body, trailer) = bytes.split_at(body_len);
+        if &body[..MAGIC.len()] != MAGIC {
             return Err(StorageError::Corrupt("bad checkpoint magic".into()));
         }
-        let body = &bytes[..bytes.len() - 4];
-        let expected = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
+        let expected = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
         let actual = crc32(body);
         if actual != expected {
             return Err(StorageError::ChecksumMismatch {
@@ -79,28 +82,15 @@ impl TrainCheckpoint {
                 actual,
             });
         }
-        let u64_at = |o: usize| u64::from_le_bytes(body[o..o + 8].try_into().expect("8 bytes"));
-        let epoch_next = u64_at(8) as usize;
-        let seed = u64_at(16);
-        let sim_clock = f64::from_le_bytes(body[24..32].try_into().expect("8 bytes"));
-        let param_count = u64_at(32) as usize;
-        let params_end = 40usize
-            .checked_add(param_count.checked_mul(4).ok_or_else(too_short)?)
-            .ok_or_else(too_short)?;
-        if body.len() < params_end + 8 {
-            return Err(too_short());
-        }
-        let model_params: Vec<f32> = (0..param_count)
-            .map(|i| {
-                let o = 40 + 4 * i;
-                f32::from_le_bytes(body[o..o + 4].try_into().expect("4 bytes"))
-            })
-            .collect();
-        let state_len = u64_at(params_end) as usize;
-        if body.len() != params_end + 8 + state_len {
-            return Err(StorageError::Corrupt("checkpoint length mismatch".into()));
-        }
-        let optimizer_state = body[params_end + 8..].to_vec();
+        let mut r = FieldReader::new(&body[MAGIC.len()..], "checkpoint");
+        let epoch_next = r.u64()? as usize;
+        let seed = r.u64()?;
+        let sim_clock = r.f64()?;
+        let param_count = r.u64()? as usize;
+        let model_params = r.f32s(param_count)?;
+        let state_len = r.u64()? as usize;
+        let optimizer_state = r.take(state_len)?.to_vec();
+        r.finish()?;
         Ok(TrainCheckpoint {
             epoch_next,
             seed,
@@ -124,10 +114,6 @@ impl TrainCheckpoint {
         })?;
         TrainCheckpoint::from_bytes(&bytes)
     }
-}
-
-fn too_short() -> StorageError {
-    StorageError::Corrupt("checkpoint truncated".into())
 }
 
 #[cfg(test)]
@@ -196,6 +182,27 @@ mod tests {
             assert!(TrainCheckpoint::from_bytes(&bytes[..cut]).is_err());
         }
         assert!(TrainCheckpoint::from_bytes(b"not a checkpoint at all....").is_err());
+
+        // A hostile length under a valid checksum: 4 × param_count + 48
+        // wraps a u64, and the count alone would size a 2^62-float vector.
+        for (offset, len) in [
+            (32, 0x3FFF_FFFF_FFFF_FFF5u64),
+            (32, u64::MAX),
+            (56, u64::MAX),
+        ] {
+            let mut bad = bytes.clone();
+            bad[offset..offset + 8].copy_from_slice(&len.to_le_bytes());
+            let body = bad.len() - 4;
+            let crc = crc32(&bad[..body]);
+            bad[body..].copy_from_slice(&crc.to_le_bytes());
+            assert!(
+                matches!(
+                    TrainCheckpoint::from_bytes(&bad),
+                    Err(StorageError::Corrupt(_))
+                ),
+                "length {len:#x} at byte {offset}"
+            );
+        }
         assert!(TrainCheckpoint::load(Path::new("/nonexistent/ck")).is_err());
     }
 }

@@ -7,10 +7,10 @@
 //! baseline). This ablation isolates the contribution of the second
 //! shuffle level.
 
-use crate::plan::{EpochPlan, Segment};
-use crate::strategy::{ShuffleStrategy, StrategyParams};
+use crate::plan::Segment;
+use crate::strategy::{emit_block, ShuffleStrategy, StrategyParams};
 use corgipile_data::rng::shuffle_in_place;
-use corgipile_storage::{SimDevice, Table};
+use corgipile_storage::{Access, SimDevice, StorageError, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,19 +34,20 @@ impl ShuffleStrategy for BlockOnlyShuffle {
         "block_only"
     }
 
-    fn next_epoch(&mut self, table: &Table, dev: &mut SimDevice) -> EpochPlan {
+    fn stream_epoch(
+        &mut self,
+        table: &Table,
+        dev: &mut SimDevice,
+        emit: &mut dyn FnMut(Segment) -> bool,
+    ) -> Result<f64, StorageError> {
         let mut order: Vec<usize> = (0..table.num_blocks()).collect();
         shuffle_in_place(&mut self.rng, &mut order);
-        let mut segments = Vec::with_capacity(order.len());
         for b in order {
-            let before = dev.stats().io_seconds;
-            let tuples = table.read_block(b, dev).expect("block id in range");
-            segments.push(Segment::new(tuples, dev.stats().io_seconds - before));
+            if !emit_block(table, b, Access::Random, dev, emit)? {
+                break;
+            }
         }
-        EpochPlan {
-            segments,
-            setup_seconds: 0.0,
-        }
+        Ok(0.0)
     }
 
     fn reset(&mut self) {

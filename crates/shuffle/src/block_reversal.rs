@@ -9,9 +9,9 @@
 //! traversal order breaks the fixed-order bias that makes No Shuffle
 //! diverge on clustered data. No tuple buffer is used.
 
-use crate::plan::{EpochPlan, Segment};
-use crate::strategy::{ShuffleStrategy, StrategyParams};
-use corgipile_storage::{SimDevice, Table};
+use crate::plan::Segment;
+use crate::strategy::{emit_block, ShuffleStrategy, StrategyParams};
+use corgipile_storage::{Access, SimDevice, StorageError, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,28 +52,27 @@ impl ShuffleStrategy for BlockReversalShuffle {
         "block_reversal"
     }
 
-    fn next_epoch(&mut self, table: &Table, dev: &mut SimDevice) -> EpochPlan {
+    fn stream_epoch(
+        &mut self,
+        table: &Table,
+        dev: &mut SimDevice,
+        emit: &mut dyn FnMut(Segment) -> bool,
+    ) -> Result<f64, StorageError> {
         let n = table.num_blocks();
         let offset = if n > 0 { self.rng.gen_range(0..n) } else { 0 };
         let order = Self::epoch_order(offset, self.epoch % 2 == 1, n);
         self.epoch += 1;
-        let mut segments = Vec::with_capacity(n);
         let mut prev: Option<usize> = None;
         for b in order {
             // Adjacent in either direction: sequential continuation; a
             // discontinuity (epoch start or the rotation wrap) seeks.
             let adjacent = prev.is_some_and(|p| b.abs_diff(p) == 1);
-            let before = dev.stats().io_seconds;
-            let tuples = table
-                .scan_block_sequential(b, !adjacent, dev)
-                .expect("block id in range");
-            segments.push(Segment::new(tuples, dev.stats().io_seconds - before));
+            if !emit_block(table, b, Access::in_scan(!adjacent), dev, emit)? {
+                break;
+            }
             prev = Some(b);
         }
-        EpochPlan {
-            segments,
-            setup_seconds: 0.0,
-        }
+        Ok(0.0)
     }
 
     fn reset(&mut self) {
@@ -114,8 +113,9 @@ mod tests {
         let mut dev = SimDevice::hdd(0);
         let e0 = s.next_epoch(&t, &mut dev);
         let e1 = s.next_epoch(&t, &mut dev);
-        let first_of =
-            |p: &EpochPlan| -> Vec<u64> { p.segments.iter().map(|s| s.tuples[0].id).collect() };
+        let first_of = |p: &crate::EpochPlan| -> Vec<u64> {
+            p.segments.iter().map(|s| s.tuples[0].id).collect()
+        };
         let f0 = first_of(&e0);
         let f1 = first_of(&e1);
         assert_ne!(f0, f1, "epochs must traverse differently");

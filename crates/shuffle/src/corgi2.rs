@@ -16,8 +16,8 @@
 //! backing the SQL `RECLUSTER <table> [WITH io_budget = f]` statement.
 
 use crate::corgipile::{BlockSampleMode, CorgiPile};
-use crate::plan::{EpochPlan, Segment};
-use crate::strategy::{ShuffleStrategy, StrategyParams};
+use crate::plan::Segment;
+use crate::strategy::{read_block, ShuffleStrategy, StrategyParams};
 use corgipile_data::rng::shuffle_in_place;
 use corgipile_storage::{Access, Result, SimDevice, Table, Tuple};
 use rand::rngs::StdRng;
@@ -102,7 +102,7 @@ pub fn recluster_table(
     let mut rewritten_bytes = 0usize;
     for &b in &chosen {
         rewritten_bytes += table.block(b)?.bytes;
-        pool.extend(table.read_block(b, dev)?);
+        pool.extend(read_block(table, b, Access::Random, dev)?);
     }
     shuffle_in_place(&mut rng, &mut pool);
     if !chosen.is_empty() {
@@ -156,9 +156,9 @@ impl Corgi2 {
         }
     }
 
-    fn ensure_copy(&mut self, table: &Table, dev: &mut SimDevice) -> f64 {
+    fn ensure_copy(&mut self, table: &Table, dev: &mut SimDevice) -> Result<f64> {
         if self.copy.is_some() {
-            return 0.0;
+            return Ok(0.0);
         }
         let before = dev.stats().io_seconds;
         let out = recluster_table(
@@ -168,10 +168,9 @@ impl Corgi2 {
             self.params.io_budget,
             self.params.seed,
             dev,
-        )
-        .expect("recluster over a readable table");
+        )?;
         self.copy = Some(out.table);
-        dev.stats().io_seconds - before
+        Ok(dev.stats().io_seconds - before)
     }
 }
 
@@ -180,28 +179,16 @@ impl ShuffleStrategy for Corgi2 {
         "corgi2"
     }
 
-    fn next_epoch(&mut self, table: &Table, dev: &mut SimDevice) -> EpochPlan {
-        let mut segments = Vec::new();
-        let setup_seconds = self.stream_epoch(table, dev, &mut |seg| {
-            segments.push(seg);
-            true
-        });
-        EpochPlan {
-            segments,
-            setup_seconds,
-        }
-    }
-
     fn stream_epoch(
         &mut self,
         table: &Table,
         dev: &mut SimDevice,
         emit: &mut dyn FnMut(Segment) -> bool,
-    ) -> f64 {
-        let setup = self.ensure_copy(table, dev);
+    ) -> Result<f64> {
+        let setup = self.ensure_copy(table, dev)?;
         let copy = self.copy.as_ref().expect("copy built above");
-        self.online.stream_epoch(copy, dev, emit);
-        setup
+        self.online.stream_epoch(copy, dev, emit)?;
+        Ok(setup)
     }
 
     fn buffer_tuples(&self, table: &Table) -> usize {

@@ -21,10 +21,10 @@
 //! — the costs that the double-buffering optimization (§6.3) overlaps with
 //! SGD compute.
 
-use crate::plan::{EpochPlan, Segment};
-use crate::strategy::{ShuffleStrategy, StrategyParams};
+use crate::plan::Segment;
+use crate::strategy::{read_block, ShuffleStrategy, StrategyParams};
 use corgipile_data::rng::shuffle_in_place;
-use corgipile_storage::{SimDevice, Table, TupleBuffer};
+use corgipile_storage::{Access, SimDevice, StorageError, Table, TupleBuffer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,19 +58,24 @@ impl CorgiPile {
     }
 
     /// Fill one buffer from `blocks`, shuffle it, and cost the work.
-    fn fill_segment(&mut self, table: &Table, blocks: &[usize], dev: &mut SimDevice) -> Segment {
+    fn fill_segment(
+        &mut self,
+        table: &Table,
+        blocks: &[usize],
+        dev: &mut SimDevice,
+    ) -> Result<Segment, StorageError> {
         let mut span = dev.telemetry().clone().span("shuffle.corgipile.fill");
         let before = dev.stats().io_seconds;
         let mut bytes = 0usize;
-        let mut expected: usize = blocks
-            .iter()
-            .map(|&b| table.block(b).expect("in range").tuple_count())
-            .sum();
-        expected = expected.max(1);
-        let mut buffer = TupleBuffer::with_capacity(expected);
+        let mut expected = 0usize;
         for &b in blocks {
-            bytes += table.block(b).expect("in range").bytes;
-            buffer.fill_from(table.read_block(b, dev).expect("in range"));
+            let meta = table.block(b)?;
+            bytes += meta.bytes;
+            expected += meta.tuple_count();
+        }
+        let mut buffer = TupleBuffer::with_capacity(expected.max(1));
+        for &b in blocks {
+            buffer.fill_from(read_block(table, b, Access::Random, dev)?);
         }
         // Buffer copy + tuple-level Fisher–Yates (the §4.1 overheads).
         dev.charge_seconds(self.params.buffering_cost(buffer.len(), bytes));
@@ -78,7 +83,7 @@ impl CorgiPile {
         buffer.shuffle_with(|i| rng.gen_range(0..=i));
         let io = dev.stats().io_seconds - before;
         span.add_sim_seconds(io);
-        Segment::new(buffer.drain(), io)
+        Ok(Segment::new(buffer.drain(), io))
     }
 }
 
@@ -87,26 +92,12 @@ impl ShuffleStrategy for CorgiPile {
         "corgipile"
     }
 
-    fn next_epoch(&mut self, table: &Table, dev: &mut SimDevice) -> EpochPlan {
-        // Delegate to the streaming path so serial and pipelined execution
-        // share one fill implementation (and hence one RNG stream).
-        let mut segments = Vec::new();
-        let setup_seconds = self.stream_epoch(table, dev, &mut |seg| {
-            segments.push(seg);
-            true
-        });
-        EpochPlan {
-            segments,
-            setup_seconds,
-        }
-    }
-
     fn stream_epoch(
         &mut self,
         table: &Table,
         dev: &mut SimDevice,
         emit: &mut dyn FnMut(Segment) -> bool,
-    ) -> f64 {
+    ) -> Result<f64, StorageError> {
         let n = self.params.buffer_blocks(table);
         let mut order: Vec<usize> = (0..table.num_blocks()).collect();
         shuffle_in_place(&mut self.rng, &mut order);
@@ -115,12 +106,12 @@ impl ShuffleStrategy for CorgiPile {
             BlockSampleMode::SampleN => &order[..n.min(order.len())],
         };
         for chunk in chosen.chunks(n.max(1)) {
-            let seg = self.fill_segment(table, chunk, dev);
+            let seg = self.fill_segment(table, chunk, dev)?;
             if !emit(seg) {
                 break;
             }
         }
-        0.0
+        Ok(0.0)
     }
 
     fn buffer_tuples(&self, table: &Table) -> usize {

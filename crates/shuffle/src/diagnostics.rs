@@ -9,7 +9,8 @@
 //! * the **mean displacement** — a scalar randomness score used by tests
 //!   and the Table-1 summary.
 
-use corgipile_storage::{RetryPolicy, SimDevice, Table};
+use crate::strategy::read_block;
+use corgipile_storage::{Access, SimDevice, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -189,11 +190,10 @@ pub fn block_variance_sampled(
     }
     picks.dedup();
     let before = dev.stats().io_seconds;
-    let policy = RetryPolicy::default();
     let mut labels: Vec<f32> = Vec::new();
     let mut per_block: Vec<(usize, f64)> = Vec::new();
     for &b in &picks {
-        let tuples = match table.read_block_retry(b, dev, &policy) {
+        let tuples = match read_block(table, b, Access::Random, dev) {
             Ok(tuples) => tuples,
             Err(_) => continue,
         };

@@ -8,10 +8,10 @@
 //! cost folded into the shuffle pass (the shuffled copy is scanned
 //! sequentially).
 
-use crate::plan::{EpochPlan, Segment};
+use crate::plan::Segment;
 use crate::strategy::{ShuffleStrategy, StrategyParams};
 use corgipile_data::rng::shuffle_in_place;
-use corgipile_storage::{SimDevice, Table};
+use corgipile_storage::{Access, RetryPolicy, SimDevice, StorageError, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,20 +35,19 @@ impl ShuffleStrategy for EpochShuffle {
         "epoch_shuffle"
     }
 
-    fn next_epoch(&mut self, table: &Table, dev: &mut SimDevice) -> EpochPlan {
-        // Charge the per-epoch offline shuffle: two read+write passes.
+    fn stream_epoch(
+        &mut self,
+        table: &Table,
+        dev: &mut SimDevice,
+        emit: &mut dyn FnMut(Segment) -> bool,
+    ) -> Result<f64, StorageError> {
+        // Charge the per-epoch offline shuffle: two read+write passes over
+        // every block of the table.
         let before = dev.stats().io_seconds;
+        table.check_readable(dev, &RetryPolicy::default())?;
         for _ in 0..2 {
-            dev.read(
-                None,
-                table.total_bytes(),
-                corgipile_storage::device::Access::Random,
-                None,
-            );
-            dev.write(
-                table.total_bytes(),
-                corgipile_storage::device::Access::Sequential,
-            );
+            dev.read(None, table.total_bytes(), Access::Random, None);
+            dev.write(table.total_bytes(), Access::Sequential);
         }
         let setup = dev.stats().io_seconds - before;
 
@@ -59,29 +58,20 @@ impl ShuffleStrategy for EpochShuffle {
         // Scan the (conceptually re-materialized) shuffled copy sequentially,
         // segmenting by the original table's block size.
         let tuples_per_block = table.tuples_per_block().max(1.0) as usize;
-        let mut segments = Vec::new();
-        let mut first = true;
-        for chunk in order.chunks(tuples_per_block) {
+        for (k, chunk) in order.chunks(tuples_per_block).enumerate() {
             let io_before = dev.stats().io_seconds;
             let bytes: usize = (table.total_bytes() as f64 * chunk.len() as f64
                 / table.num_tuples() as f64) as usize;
-            let access = if first {
-                corgipile_storage::device::Access::Random
-            } else {
-                corgipile_storage::device::Access::Sequential
-            };
-            first = false;
-            dev.read(None, bytes, access, None);
+            dev.read(None, bytes, Access::in_scan(k == 0), None);
             let tuples = chunk
                 .iter()
-                .map(|&tid| table.get_tuple(tid).expect("tid in range"))
-                .collect();
-            segments.push(Segment::new(tuples, dev.stats().io_seconds - io_before));
+                .map(|&tid| table.get_tuple(tid))
+                .collect::<Result<_, _>>()?;
+            if !emit(Segment::new(tuples, dev.stats().io_seconds - io_before)) {
+                break;
+            }
         }
-        EpochPlan {
-            segments,
-            setup_seconds: setup,
-        }
+        Ok(setup)
     }
 
     fn disk_space_factor(&self) -> f64 {

@@ -16,11 +16,12 @@
 //! | [`BlockReversalShuffle`] | related work | near-sequential rotated/reversed scans | epoch-indexed order |
 //! | [`Corgi2`] | Corgi² (Livne et al.) | bounded-I/O offline recluster, then CorgiPile | partial offline + two-level |
 //!
-//! Every strategy emits an [`EpochPlan`]: a sequence of [`Segment`]s (one
-//! per buffer fill / block read) carrying the tuples in SGD consumption
-//! order together with the simulated I/O seconds spent producing them, so
-//! the trainer can apply the paper's single- vs double-buffer pipeline
-//! model (§6.3).
+//! Every strategy streams an epoch as a sequence of [`Segment`]s (one per
+//! buffer fill / block read; collected, an [`EpochPlan`]) carrying the
+//! tuples in SGD consumption order together with the simulated I/O seconds
+//! spent producing them, so the trainer can apply the paper's single- vs
+//! double-buffer pipeline model (§6.3). A block that stays unreadable ends
+//! the stream with an error ([`ShuffleStrategy::stream_epoch`]).
 //!
 //! [`NoShuffle`]: no_shuffle::NoShuffle
 //! [`ShuffleOnce`]: shuffle_once::ShuffleOnce

@@ -14,9 +14,9 @@
 //! dropped tuples arrive in generally increasing storage order, and buffer
 //! tuples repeat.
 
-use crate::plan::{EpochPlan, Segment};
-use crate::strategy::{ShuffleStrategy, StrategyParams};
-use corgipile_storage::{SimDevice, Table, Tuple};
+use crate::plan::Segment;
+use crate::strategy::{read_block, ShuffleStrategy, StrategyParams};
+use corgipile_storage::{Access, SimDevice, StorageError, Table, Tuple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -46,7 +46,12 @@ impl ShuffleStrategy for MrsShuffle {
         "mrs"
     }
 
-    fn next_epoch(&mut self, table: &Table, dev: &mut SimDevice) -> EpochPlan {
+    fn stream_epoch(
+        &mut self,
+        table: &Table,
+        dev: &mut SimDevice,
+        emit: &mut dyn FnMut(Segment) -> bool,
+    ) -> Result<f64, StorageError> {
         let m = table.num_tuples() as usize;
         let r_cap = self.params.buffer_tuples(table).min(m);
         let a_total = m.saturating_sub(r_cap);
@@ -55,18 +60,15 @@ impl ShuffleStrategy for MrsShuffle {
 
         self.reservoir.clear();
         self.reservoir.reserve(r_cap);
-        let mut segments = Vec::with_capacity(table.num_blocks());
         let mut scanned = 0usize;
         let mut drops = 0usize;
         let mut b_emitted = 0usize;
 
         for blk in 0..table.num_blocks() {
             let before = dev.stats().io_seconds;
-            let incoming = table
-                .scan_block_sequential(blk, blk == 0, dev)
-                .expect("block id in range");
+            let incoming = read_block(table, blk, Access::in_scan(blk == 0), dev)?;
             // Copy cost for tuples routed through the reservoir.
-            let bytes = table.block(blk).expect("in range").bytes;
+            let bytes = table.block(blk)?.bytes;
             dev.charge_seconds(self.params.buffering_cost(0, bytes / 4));
             let mut emitted = Vec::new();
             for t in incoming {
@@ -92,7 +94,9 @@ impl ShuffleStrategy for MrsShuffle {
                     b_emitted += 1;
                 }
             }
-            segments.push(Segment::new(emitted, dev.stats().io_seconds - before));
+            if !emit(Segment::new(emitted, dev.stats().io_seconds - before)) {
+                return Ok(0.0);
+            }
         }
 
         // Thread B tops up the epoch to exactly m updates.
@@ -103,12 +107,9 @@ impl ShuffleStrategy for MrsShuffle {
             b_emitted += 1;
         }
         if !tail.is_empty() {
-            segments.push(Segment::new(tail, 0.0));
+            emit(Segment::new(tail, 0.0));
         }
-        EpochPlan {
-            segments,
-            setup_seconds: 0.0,
-        }
+        Ok(0.0)
     }
 
     fn buffer_tuples(&self, table: &Table) -> usize {

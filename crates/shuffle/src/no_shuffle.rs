@@ -5,9 +5,9 @@
 //! strategy (pure sequential I/O, no buffer) but diverges or converges to
 //! low accuracy on clustered data.
 
-use crate::plan::{EpochPlan, Segment};
-use crate::strategy::ShuffleStrategy;
-use corgipile_storage::{SimDevice, Table};
+use crate::plan::Segment;
+use crate::strategy::{emit_block, ShuffleStrategy};
+use corgipile_storage::{Access, SimDevice, StorageError, Table};
 
 /// The No-Shuffle strategy.
 #[derive(Debug, Default, Clone)]
@@ -25,19 +25,18 @@ impl ShuffleStrategy for NoShuffle {
         "no_shuffle"
     }
 
-    fn next_epoch(&mut self, table: &Table, dev: &mut SimDevice) -> EpochPlan {
-        let mut segments = Vec::with_capacity(table.num_blocks());
+    fn stream_epoch(
+        &mut self,
+        table: &Table,
+        dev: &mut SimDevice,
+        emit: &mut dyn FnMut(Segment) -> bool,
+    ) -> Result<f64, StorageError> {
         for b in 0..table.num_blocks() {
-            let before = dev.stats().io_seconds;
-            let tuples = table
-                .scan_block_sequential(b, b == 0, dev)
-                .expect("block id in range");
-            segments.push(Segment::new(tuples, dev.stats().io_seconds - before));
+            if !emit_block(table, b, Access::in_scan(b == 0), dev, emit)? {
+                break;
+            }
         }
-        EpochPlan {
-            segments,
-            setup_seconds: 0.0,
-        }
+        Ok(0.0)
     }
 
     fn reset(&mut self) {}

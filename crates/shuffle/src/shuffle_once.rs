@@ -8,10 +8,10 @@
 //! as `setup_seconds` of the first epoch — this is the long head start
 //! CorgiPile exploits in Figures 1, 7 and 11.
 
-use crate::plan::{EpochPlan, Segment};
-use crate::strategy::{ShuffleStrategy, StrategyParams};
+use crate::plan::Segment;
+use crate::strategy::{emit_block, ShuffleStrategy, StrategyParams};
 use corgipile_data::rng::shuffle_in_place;
-use corgipile_storage::{SimDevice, Table};
+use corgipile_storage::{Access, SimDevice, StorageError, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -42,37 +42,34 @@ impl ShuffleStrategy for ShuffleOnce {
         "shuffle_once"
     }
 
-    fn next_epoch(&mut self, table: &Table, dev: &mut SimDevice) -> EpochPlan {
+    fn stream_epoch(
+        &mut self,
+        table: &Table,
+        dev: &mut SimDevice,
+        emit: &mut dyn FnMut(Segment) -> bool,
+    ) -> Result<f64, StorageError> {
         let mut setup = 0.0;
         if self.shuffled.is_none() {
             let before = dev.stats().io_seconds;
             let mut order: Vec<u64> = (0..table.num_tuples()).collect();
             let mut rng = StdRng::seed_from_u64(self.params.seed);
             shuffle_in_place(&mut rng, &mut order);
-            let copy = table
-                .materialize_reordered(
-                    &order,
-                    format!("{}_shuffled", table.config().name),
-                    table.config().table_id | 0x8000_0000,
-                    dev,
-                )
-                .expect("order is a permutation of the table");
+            let copy = table.materialize_reordered(
+                &order,
+                format!("{}_shuffled", table.config().name),
+                table.config().table_id | 0x8000_0000,
+                dev,
+            )?;
             setup = dev.stats().io_seconds - before;
             self.shuffled = Some(copy);
         }
         let shuffled = self.shuffled.as_ref().expect("prepared above");
-        let mut segments = Vec::with_capacity(shuffled.num_blocks());
         for b in 0..shuffled.num_blocks() {
-            let before = dev.stats().io_seconds;
-            let tuples = shuffled
-                .scan_block_sequential(b, b == 0, dev)
-                .expect("block id in range");
-            segments.push(Segment::new(tuples, dev.stats().io_seconds - before));
+            if !emit_block(shuffled, b, Access::in_scan(b == 0), dev, emit)? {
+                break;
+            }
         }
-        EpochPlan {
-            segments,
-            setup_seconds: setup,
-        }
+        Ok(setup)
     }
 
     fn disk_space_factor(&self) -> f64 {

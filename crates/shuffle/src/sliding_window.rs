@@ -8,9 +8,9 @@
 //! `p − W·U` on average, so on clustered data nearly all negative tuples
 //! still precede positives (Figure 3b/3f).
 
-use crate::plan::{EpochPlan, Segment};
-use crate::strategy::{ShuffleStrategy, StrategyParams};
-use corgipile_storage::{SimDevice, Table, Tuple};
+use crate::plan::Segment;
+use crate::strategy::{read_block, ShuffleStrategy, StrategyParams};
+use corgipile_storage::{Access, SimDevice, StorageError, Table, Tuple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,18 +35,20 @@ impl ShuffleStrategy for SlidingWindowShuffle {
         "sliding_window"
     }
 
-    fn next_epoch(&mut self, table: &Table, dev: &mut SimDevice) -> EpochPlan {
+    fn stream_epoch(
+        &mut self,
+        table: &Table,
+        dev: &mut SimDevice,
+        emit: &mut dyn FnMut(Segment) -> bool,
+    ) -> Result<f64, StorageError> {
         let window_cap = self.params.buffer_tuples(table);
         let mut window: Vec<Tuple> = Vec::with_capacity(window_cap);
-        let mut segments = Vec::with_capacity(table.num_blocks() + 1);
 
         for b in 0..table.num_blocks() {
             let before = dev.stats().io_seconds;
-            let incoming = table
-                .scan_block_sequential(b, b == 0, dev)
-                .expect("block id in range");
+            let incoming = read_block(table, b, Access::in_scan(b == 0), dev)?;
             // Small CPU cost for copying tuples through the window.
-            let bytes = table.block(b).expect("in range").bytes;
+            let bytes = table.block(b)?.bytes;
             dev.charge_seconds(self.params.buffering_cost(0, bytes.min(window_cap * 256)));
             let mut emitted = Vec::new();
             for t in incoming {
@@ -57,7 +59,9 @@ impl ShuffleStrategy for SlidingWindowShuffle {
                     emitted.push(std::mem::replace(&mut window[slot], t));
                 }
             }
-            segments.push(Segment::new(emitted, dev.stats().io_seconds - before));
+            if !emit(Segment::new(emitted, dev.stats().io_seconds - before)) {
+                return Ok(0.0);
+            }
         }
 
         // Drain the window in random order.
@@ -66,11 +70,8 @@ impl ShuffleStrategy for SlidingWindowShuffle {
             let slot = self.rng.gen_range(0..window.len());
             drain.push(window.swap_remove(slot));
         }
-        segments.push(Segment::new(drain, 0.0));
-        EpochPlan {
-            segments,
-            setup_seconds: 0.0,
-        }
+        emit(Segment::new(drain, 0.0));
+        Ok(0.0)
     }
 
     fn buffer_tuples(&self, table: &Table) -> usize {

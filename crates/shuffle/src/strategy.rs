@@ -11,7 +11,7 @@ use crate::plan::{EpochPlan, Segment};
 use crate::shuffle_once::ShuffleOnce;
 use crate::sliding_window::SlidingWindowShuffle;
 use crate::tuple_only::TupleOnlyShuffle;
-use corgipile_storage::{SimDevice, Table};
+use corgipile_storage::{Access, RetryPolicy, SimDevice, StorageError, Table, Tuple};
 
 /// Parameters shared by buffered strategies.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,11 +83,37 @@ impl StrategyParams {
     }
 }
 
+/// A strategy's charged block read: [`Table::read`] under the default
+/// [`RetryPolicy`], the constant every epoch source retries with.
+pub(crate) fn read_block(
+    table: &Table,
+    block: usize,
+    access: Access,
+    dev: &mut SimDevice,
+) -> Result<Vec<Tuple>, StorageError> {
+    table.read(block, access, dev, &RetryPolicy::default())
+}
+
+/// Read `block` and emit it as one segment costing what the read cost.
+/// Returns what `emit` returned.
+pub(crate) fn emit_block(
+    table: &Table,
+    block: usize,
+    access: Access,
+    dev: &mut SimDevice,
+    emit: &mut dyn FnMut(Segment) -> bool,
+) -> Result<bool, StorageError> {
+    let before = dev.stats().io_seconds;
+    let tuples = read_block(table, block, access, dev)?;
+    Ok(emit(Segment::new(tuples, dev.stats().io_seconds - before)))
+}
+
 /// A per-epoch tuple-stream producer.
 ///
-/// Calling [`ShuffleStrategy::next_epoch`] advances the strategy's internal
-/// epoch counter and RNG; the returned [`EpochPlan`] carries the tuples in
-/// SGD consumption order and the simulated I/O cost of producing them.
+/// One call of [`ShuffleStrategy::stream_epoch`] advances the strategy's
+/// internal epoch counter and RNG and hands over the epoch's [`Segment`]s —
+/// the tuples in SGD consumption order with the simulated I/O cost of
+/// producing them — one by one.
 ///
 /// `Send` is a supertrait so a boxed strategy can move (or be mutably
 /// borrowed) into the producer thread of the double-buffered pipeline.
@@ -95,37 +121,42 @@ pub trait ShuffleStrategy: Send {
     /// Short machine-friendly name ("corgipile", "no_shuffle", …).
     fn name(&self) -> &'static str;
 
-    /// Produce the next epoch's stream over `table`, charging `dev`.
-    fn next_epoch(&mut self, table: &Table, dev: &mut SimDevice) -> EpochPlan;
-
-    /// Stream the next epoch's segments through `emit` as they are filled,
-    /// returning the epoch's setup cost in simulated seconds.
+    /// Stream the next epoch's segments over `table` through `emit`, each
+    /// as soon as it is filled, charging `dev`; returns the epoch's setup
+    /// cost in simulated seconds.
     ///
-    /// This is the hook the double-buffered pipeline hangs its producer on:
-    /// each segment is handed over as soon as it is ready instead of
-    /// materializing the whole [`EpochPlan`] first. Implementations **must**
-    /// emit exactly the segments of [`ShuffleStrategy::next_epoch`], in
-    /// order, with identical RNG advancement, so the pipelined and serial
-    /// paths stay bit-identical for a fixed seed. `emit` returning `false`
-    /// abandons the rest of the epoch (the strategy's RNG state is then
-    /// unspecified until the next [`ShuffleStrategy::reset`]).
-    ///
-    /// The default buffers one full epoch via `next_epoch` — correct for
-    /// every strategy, but with no fill/compute overlap; strategies with
-    /// genuinely incremental fills (CorgiPile) override it.
+    /// This is the hook the double-buffered pipeline hangs its producer
+    /// on. Every block read is retried under the default [`RetryPolicy`];
+    /// one that stays unreadable ends the stream with its
+    /// [`StorageError::ReadFailed`]. `emit` returning `false` abandons the
+    /// rest of the epoch. Either way the strategy's RNG state is
+    /// unspecified until the next [`ShuffleStrategy::reset`].
     fn stream_epoch(
         &mut self,
         table: &Table,
         dev: &mut SimDevice,
         emit: &mut dyn FnMut(Segment) -> bool,
-    ) -> f64 {
-        let plan = self.next_epoch(table, dev);
-        for seg in plan.segments {
-            if !emit(seg) {
-                break;
-            }
+    ) -> Result<f64, StorageError>;
+
+    /// [`ShuffleStrategy::stream_epoch`], collected into an [`EpochPlan`]:
+    /// the convenience for devices without a fault plan (order diagnostics,
+    /// benchmarks).
+    ///
+    /// # Panics
+    ///
+    /// When a block stays unreadable. A device that can fault streams.
+    fn next_epoch(&mut self, table: &Table, dev: &mut SimDevice) -> EpochPlan {
+        let mut segments = Vec::new();
+        let setup_seconds = self
+            .stream_epoch(table, dev, &mut |seg| {
+                segments.push(seg);
+                true
+            })
+            .expect("next_epoch is for devices that cannot fault");
+        EpochPlan {
+            segments,
+            setup_seconds,
         }
-        plan.setup_seconds
     }
 
     /// In-memory buffer requirement in tuples (Table 1's "In-memory buffer").

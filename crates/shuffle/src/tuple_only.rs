@@ -10,9 +10,9 @@
 //! with Block-Only this isolates the contribution of each of CorgiPile's
 //! two levels (see the `ablation` experiment).
 
-use crate::plan::{EpochPlan, Segment};
-use crate::strategy::{ShuffleStrategy, StrategyParams};
-use corgipile_storage::{SimDevice, Table, TupleBuffer};
+use crate::plan::Segment;
+use crate::strategy::{read_block, ShuffleStrategy, StrategyParams};
+use corgipile_storage::{Access, SimDevice, StorageError, Table, TupleBuffer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,40 +36,38 @@ impl ShuffleStrategy for TupleOnlyShuffle {
         "tuple_only"
     }
 
-    fn next_epoch(&mut self, table: &Table, dev: &mut SimDevice) -> EpochPlan {
+    fn stream_epoch(
+        &mut self,
+        table: &Table,
+        dev: &mut SimDevice,
+        emit: &mut dyn FnMut(Segment) -> bool,
+    ) -> Result<f64, StorageError> {
         let n = self.params.buffer_blocks(table);
         let blocks: Vec<usize> = (0..table.num_blocks()).collect();
-        let mut segments = Vec::with_capacity(blocks.len().div_ceil(n.max(1)));
-        let mut first = true;
         for chunk in blocks.chunks(n.max(1)) {
             let before = dev.stats().io_seconds;
             let mut bytes = 0usize;
-            let expected: usize = chunk
-                .iter()
-                .map(|&b| table.block(b).expect("in range").tuple_count())
-                .sum();
+            let mut expected = 0usize;
+            for &b in chunk {
+                let meta = table.block(b)?;
+                bytes += meta.bytes;
+                expected += meta.tuple_count();
+            }
             let mut buffer = TupleBuffer::with_capacity(expected.max(1));
             for &b in chunk {
-                bytes += table.block(b).expect("in range").bytes;
-                buffer.fill_from(
-                    table
-                        .scan_block_sequential(b, first, dev)
-                        .expect("in range"),
-                );
-                first = false;
+                buffer.fill_from(read_block(table, b, Access::in_scan(b == 0), dev)?);
             }
             dev.charge_seconds(self.params.buffering_cost(buffer.len(), bytes));
             let rng = &mut self.rng;
             buffer.shuffle_with(|i| rng.gen_range(0..=i));
-            segments.push(Segment::new(
+            if !emit(Segment::new(
                 buffer.drain(),
                 dev.stats().io_seconds - before,
-            ));
+            )) {
+                break;
+            }
         }
-        EpochPlan {
-            segments,
-            setup_seconds: 0.0,
-        }
+        Ok(0.0)
     }
 
     fn buffer_tuples(&self, table: &Table) -> usize {

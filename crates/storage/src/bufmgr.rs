@@ -3,14 +3,14 @@
 //! The paper's integration "directly interacts with the buffer manager"
 //! (§1, §6) and its experiments tune `shared_buffers` (§7.1.5). This pool
 //! caches decoded blocks above the device tier: a hit returns the cached
-//! block with no device charge (shared-memory access), a miss reads
-//! through the [`SimDevice`] (which itself models the OS page cache below)
-//! and admits the block with LRU eviction.
+//! block with no device charge (shared-memory access); on a miss the
+//! caller reads the block through the [`SimDevice`](crate::SimDevice)
+//! (which itself models the OS page cache below) and offers it back for
+//! admission with LRU eviction. [`PoolHandle`](crate::PoolHandle) is that
+//! caller.
 
 use crate::block::BlockId;
-use crate::table::Table;
 use crate::tuple::Tuple;
-use crate::{Result, SimDevice};
 use corgipile_telemetry::{Counter, Telemetry};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -134,53 +134,7 @@ impl BufferPool {
         tuples: Arc<Vec<Tuple>>,
         bytes: usize,
     ) {
-        self.admit((table_id, block), tuples, bytes);
-    }
-
-    /// Fetch a block through the pool: hit → shared handle at zero device
-    /// cost; miss → random block read through `dev`, then admit.
-    pub fn read_block(
-        &mut self,
-        table: &Table,
-        block: BlockId,
-        dev: &mut SimDevice,
-    ) -> Result<Arc<Vec<Tuple>>> {
-        let table_id = table.config().table_id;
-        if let Some(tuples) = self.lookup(table_id, block) {
-            return Ok(tuples);
-        }
-        let tuples = Arc::new(table.read_block(block, dev)?);
-        let bytes = table.block(block)?.bytes;
-        self.admit_block(table_id, block, tuples.clone(), bytes);
-        Ok(tuples)
-    }
-
-    /// [`BufferPool::read_block`] with bounded retries on the storage read
-    /// (see [`Table::read_block_retry`]). Pool hits never fail.
-    pub fn read_block_retry(
-        &mut self,
-        table: &Table,
-        block: BlockId,
-        dev: &mut SimDevice,
-        policy: &crate::retry::RetryPolicy,
-    ) -> Result<Arc<Vec<Tuple>>> {
-        let table_id = table.config().table_id;
-        if let Some(tuples) = self.lookup(table_id, block) {
-            return Ok(tuples);
-        }
-        let tuples = Arc::new(table.read_block_retry(block, dev, policy)?);
-        let bytes = table.block(block)?.bytes;
-        self.admit_block(table_id, block, tuples.clone(), bytes);
-        Ok(tuples)
-    }
-
-    /// Drop all cached blocks (counters survive).
-    pub fn clear(&mut self) {
-        self.frames.clear();
-        self.used_bytes = 0;
-    }
-
-    fn admit(&mut self, key: (u32, BlockId), tuples: Arc<Vec<Tuple>>, bytes: usize) {
+        let key = (table_id, block);
         if bytes > self.capacity_bytes {
             return; // oversized block: serve uncached
         }
@@ -214,17 +168,45 @@ impl BufferPool {
         );
         self.used_bytes += bytes;
     }
+
+    /// Drop all cached blocks (counters survive).
+    pub fn clear(&mut self) {
+        self.frames.clear();
+        self.used_bytes = 0;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::TableConfig;
-    use crate::tuple::Tuple;
+    use crate::table::{Table, TableConfig};
+    use crate::{Access, RetryPolicy, SimDevice};
 
     fn table(id: u32, n: u64) -> Table {
         let cfg = TableConfig::new(format!("t{id}"), id).with_block_bytes(8192);
         Table::from_tuples(cfg, (0..n).map(|i| Tuple::dense(i, vec![i as f32; 8], 1.0))).unwrap()
+    }
+
+    /// A read through the pool, as [`crate::PoolHandle`] does it.
+    fn read(
+        pool: &mut BufferPool,
+        t: &Table,
+        block: BlockId,
+        dev: &mut SimDevice,
+    ) -> Arc<Vec<Tuple>> {
+        let table_id = t.config().table_id;
+        if let Some(hit) = pool.lookup(table_id, block) {
+            return hit;
+        }
+        let tuples = t.read(block, Access::Random, dev, &RetryPolicy::none());
+        let tuples = Arc::new(tuples.unwrap());
+        pool.admit_block(
+            table_id,
+            block,
+            tuples.clone(),
+            t.block(block).unwrap().bytes,
+        );
+        tuples
     }
 
     #[test]
@@ -232,9 +214,9 @@ mod tests {
         let t = table(1, 400);
         let mut pool = BufferPool::new(1 << 20);
         let mut dev = SimDevice::hdd(0);
-        let a = pool.read_block(&t, 0, &mut dev).unwrap();
+        let a = read(&mut pool, &t, 0, &mut dev);
         let io_after_miss = dev.stats().io_seconds;
-        let b = pool.read_block(&t, 0, &mut dev).unwrap();
+        let b = read(&mut pool, &t, 0, &mut dev);
         assert_eq!(dev.stats().io_seconds, io_after_miss, "hit must be free");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(
@@ -253,10 +235,10 @@ mod tests {
         let t = table(1, 400); // several 8KB blocks
         let mut pool = BufferPool::new(2 * 8192 + 100);
         let mut dev = SimDevice::hdd(0);
-        pool.read_block(&t, 0, &mut dev).unwrap();
-        pool.read_block(&t, 1, &mut dev).unwrap();
-        pool.read_block(&t, 0, &mut dev).unwrap(); // touch 0
-        pool.read_block(&t, 2, &mut dev).unwrap(); // evicts 1
+        read(&mut pool, &t, 0, &mut dev);
+        read(&mut pool, &t, 1, &mut dev);
+        read(&mut pool, &t, 0, &mut dev); // touch 0
+        read(&mut pool, &t, 2, &mut dev); // evicts 1
         assert!(pool.contains(1, 0));
         assert!(!pool.contains(1, 1));
         assert!(pool.contains(1, 2));
@@ -270,10 +252,10 @@ mod tests {
         let t2 = table(2, 100);
         let mut pool = BufferPool::new(1 << 20);
         let mut dev = SimDevice::hdd(0);
-        pool.read_block(&t1, 0, &mut dev).unwrap();
+        read(&mut pool, &t1, 0, &mut dev);
         assert!(pool.contains(1, 0));
         assert!(!pool.contains(2, 0));
-        pool.read_block(&t2, 0, &mut dev).unwrap();
+        read(&mut pool, &t2, 0, &mut dev);
         assert_eq!(pool.stats().misses, 2);
     }
 
@@ -282,7 +264,7 @@ mod tests {
         let t = table(1, 100);
         let mut pool = BufferPool::new(10); // smaller than any block
         let mut dev = SimDevice::hdd(0);
-        pool.read_block(&t, 0, &mut dev).unwrap();
+        read(&mut pool, &t, 0, &mut dev);
         assert!(!pool.contains(1, 0));
         assert_eq!(pool.used(), 0);
     }
@@ -294,10 +276,10 @@ mod tests {
         let mut pool = BufferPool::new(2 * 8192 + 100);
         pool.set_telemetry(&tel);
         let mut dev = SimDevice::hdd(0);
-        pool.read_block(&t, 0, &mut dev).unwrap();
-        pool.read_block(&t, 0, &mut dev).unwrap();
-        pool.read_block(&t, 1, &mut dev).unwrap();
-        pool.read_block(&t, 2, &mut dev).unwrap(); // evicts
+        read(&mut pool, &t, 0, &mut dev);
+        read(&mut pool, &t, 0, &mut dev);
+        read(&mut pool, &t, 1, &mut dev);
+        read(&mut pool, &t, 2, &mut dev); // evicts
         assert_eq!(tel.counter("storage.pool.hits").get(), pool.stats().hits);
         assert_eq!(
             tel.counter("storage.pool.misses").get(),
@@ -315,7 +297,7 @@ mod tests {
         let t = table(1, 100);
         let mut pool = BufferPool::new(1 << 20);
         let mut dev = SimDevice::hdd(0);
-        pool.read_block(&t, 0, &mut dev).unwrap();
+        read(&mut pool, &t, 0, &mut dev);
         pool.clear();
         assert!(!pool.contains(1, 0));
         assert_eq!(pool.stats().misses, 1);

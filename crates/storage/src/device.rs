@@ -31,6 +31,18 @@ pub enum Access {
     Sequential,
 }
 
+impl Access {
+    /// The access of one read of an in-order scan: a read that `seeks`
+    /// (the head of the scan, or a jump) is random, the rest continue.
+    pub fn in_scan(seeks: bool) -> Access {
+        if seeks {
+            Access::Random
+        } else {
+            Access::Sequential
+        }
+    }
+}
+
 /// Latency/bandwidth profile of a storage device.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
@@ -436,6 +448,21 @@ impl SimDevice {
         access: Access,
         throughput_cap: Option<f64>,
     ) -> Result<f64> {
+        self.guard(table_id, block, bytes, access)?;
+        let key = ((table_id as u64) << 32) | block as u64;
+        Ok(self.read(Some(key), bytes, access, throughput_cap))
+    }
+
+    /// The fault-injection half of [`SimDevice::read_guarded`]: one attempt
+    /// at `(table_id, block)` as the injector sees it, charging what a
+    /// failed attempt wastes (or a latency spike adds) and nothing else.
+    pub fn guard(
+        &mut self,
+        table_id: u32,
+        block: usize,
+        bytes: usize,
+        access: Access,
+    ) -> Result<()> {
         let key = ((table_id as u64) << 32) | block as u64;
         let resident = self.is_resident(key);
         if let Some(injector) = self.injector.as_mut().filter(|_| !resident) {
@@ -461,7 +488,7 @@ impl SimDevice {
                 }
             }
         }
-        Ok(self.read(Some(key), bytes, access, throughput_cap))
+        Ok(())
     }
 
     /// Write `bytes` (e.g. Shuffle Once materializing a shuffled copy).
@@ -483,8 +510,8 @@ impl SimDevice {
         self.metrics.io_seconds.set(self.stats.io_seconds);
     }
 
-    /// Record one retry attempt (called by retry loops such as
-    /// `retry_block_read` each time a failed read is re-attempted).
+    /// Record one retry attempt (called by [`Table::read`](crate::Table::read)
+    /// each time a failed read is re-attempted).
     pub fn note_retry(&mut self) {
         self.stats.retries += 1;
         self.metrics.retries.inc();

@@ -17,7 +17,8 @@
 //!   cache model, driving a deterministic simulated clock (substitutes for
 //!   the paper's physical Alibaba Cloud disks);
 //! * [`table`] — append-only heap tables assembled from pages and carved
-//!   into blocks, supporting sequential scans and random block reads;
+//!   into blocks, read one block at a time through [`Table::read`]
+//!   (random or as part of a scan, fault-guarded and retried);
 //! * [`buffer`] — in-memory tuple buffers used by tuple-level shuffling,
 //!   including the double-buffering cost model from the paper's §6.3;
 //! * [`fault`] — seeded, deterministic fault injection (transient and
@@ -31,8 +32,9 @@
 //!   per-table append log;
 //! * [`append`] — versioned [`TableSnapshot`]s plus the WAL-backed
 //!   [`AppendableTable`] writer powering `INSERT` and `TRAIN … CONTINUOUS`;
-//! * [`retry`] — bounded exponential-backoff retry shared by all block
-//!   readers, charging backoff to the simulated clock;
+//! * [`retry`] — the bounded exponential-backoff policy and the one retry
+//!   loop under [`Table::read`], [`FileTable::read_block_retry`] and
+//!   [`Wal::append_retry`];
 //! * [`shared`] — interior-synchronized [`SharedDevice`]/[`SharedBufferPool`]
 //!   engine objects handing out per-connection [`DeviceHandle`]s and
 //!   [`PoolHandle`]s with local stats, fault plans and telemetry scopes;

@@ -37,7 +37,7 @@ use crate::codec::FieldReader;
 use crate::crc::crc32;
 use crate::error::StorageError;
 use crate::fault::{sites, FaultInjector, FaultPlan, FaultStats, ReadOutcome, WriteOutcome};
-use crate::retry::RetryPolicy;
+use crate::retry::{with_retries, RetryPolicy};
 use crate::table::{Table, TableBuilder, TableConfig};
 use crate::tuple::Tuple;
 use crate::wal::fsync_parent_dir;
@@ -517,21 +517,15 @@ impl FileTable {
     /// up to `policy.max_retries` times before a
     /// [`StorageError::ReadFailed`] reports the exhausted attempt count.
     pub fn read_block_retry(&self, id: usize, policy: &RetryPolicy) -> Result<Vec<Tuple>> {
-        let mut attempt = 0u32;
-        loop {
-            match self.read_block(id) {
-                Ok(tuples) => return Ok(tuples),
-                Err(e) if e.is_retryable() && attempt < policy.max_retries => attempt += 1,
-                Err(e) if e.is_retryable() => {
-                    return Err(StorageError::ReadFailed {
-                        block: id,
-                        attempts: attempt + 1,
-                        message: e.to_string(),
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        with_retries(
+            policy,
+            |_| self.read_block(id),
+            |attempts, message| StorageError::ReadFailed {
+                block: id,
+                attempts,
+                message,
+            },
+        )
     }
 
     /// Load the whole file into an in-memory [`Table`].

@@ -1,11 +1,23 @@
-//! Bounded exponential-backoff retry for block reads.
+//! Bounded exponential-backoff retry: one policy, one loop.
 //!
-//! All block readers (executor, loader, buffer pool) share one policy:
-//! retry a retryable failure at most `max_retries` times, sleeping
-//! `base_backoff_s · multiplier^attempt` (capped at `max_backoff_s`)
-//! between attempts. On the simulated device the backoff is charged to the
-//! simulated clock, so fault-tolerance *cost* is visible in every I/O
-//! report rather than hidden in wall-clock noise.
+//! [`with_retries`] is the only retry loop in the engine: a retryable
+//! failure is re-attempted at most `max_retries` times, and exhaustion is
+//! reported through the caller's own error. Its three callers differ only
+//! in what a retry costs and what exhaustion is called:
+//!
+//! * [`Table::read`](crate::Table::read) — the simulated device: each
+//!   retry first charges `base_backoff_s · multiplier^attempt` (capped at
+//!   `max_backoff_s`) to the simulated clock and counts in
+//!   `IoStats::retries`, so fault-tolerance *cost* shows in every I/O
+//!   report; exhaustion is [`StorageError::ReadFailed`].
+//! * [`FileTable::read_block_retry`](crate::FileTable::read_block_retry) —
+//!   real positioned reads: a retry costs nothing but the read itself;
+//!   exhaustion is [`StorageError::ReadFailed`].
+//! * [`Wal::append_retry`](crate::Wal::append_retry) — real appends:
+//!   likewise; exhaustion is [`StorageError::WriteFailed`].
+
+use crate::error::StorageError;
+use crate::Result;
 
 /// Retry policy with bounded exponential backoff.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,6 +71,27 @@ impl RetryPolicy {
     /// Total backoff charged by `attempts` consecutive retries.
     pub fn total_backoff(&self, attempts: u32) -> f64 {
         (0..attempts).map(|a| self.backoff(a)).sum()
+    }
+}
+
+/// Run `op` under `policy`. `op` is handed the 0-based attempt number, so
+/// a caller with a per-retry cost pays it at the head of every attempt but
+/// the first. A retryable error ([`StorageError::is_retryable`]) is
+/// re-attempted up to `policy.max_retries` times; after that `exhausted`
+/// turns the attempt count and the last error's text into the error to
+/// report. Any other error surfaces at once.
+pub fn with_retries<T>(
+    policy: &RetryPolicy,
+    mut op: impl FnMut(u32) -> Result<T>,
+    exhausted: impl FnOnce(u32, String) -> StorageError,
+) -> Result<T> {
+    let mut attempt = 0u32;
+    loop {
+        match op(attempt) {
+            Err(e) if e.is_retryable() && attempt < policy.max_retries => attempt += 1,
+            Err(e) if e.is_retryable() => return Err(exhausted(attempt + 1, e.to_string())),
+            other => return other,
+        }
     }
 }
 

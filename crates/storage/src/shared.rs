@@ -27,7 +27,7 @@
 //! to their serial counterparts — only the I/O clocks observe the sharing.
 
 use crate::bufmgr::{BufferPool, BufferPoolStats};
-use crate::device::{DeviceProfile, IoStats, SimDevice};
+use crate::device::{Access, DeviceProfile, IoStats, SimDevice};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::retry::RetryPolicy;
 use crate::table::Table;
@@ -266,7 +266,7 @@ impl PoolHandle {
             return Ok(tuples);
         }
         self.local.misses += 1;
-        let tuples = Arc::new(dev.with(|d| table.read_block_retry(block, d, policy))?);
+        let tuples = Arc::new(dev.with(|d| table.read(block, Access::Random, d, policy))?);
         let bytes = table.block(block)?.bytes;
         lock(&self.inner).admit_block(table_id, block, tuples.clone(), bytes);
         Ok(tuples)
@@ -299,7 +299,6 @@ impl PoolHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::Access;
     use crate::table::TableConfig;
 
     fn table(id: u32, n: u64) -> Table {
@@ -330,8 +329,11 @@ mod tests {
         faulty.set_fault_plan(FaultPlan::new(1).with_permanent(3, 0));
         // The clean handle reads block 0 without seeing the other
         // connection's fault plan.
-        clean.with(|d| t.read_block(0, d)).unwrap();
-        let err = faulty.with(|d| t.read_block(0, d));
+        let fail_fast = RetryPolicy::none();
+        clean
+            .with(|d| t.read(0, Access::Random, d, &fail_fast))
+            .unwrap();
+        let err = faulty.with(|d| t.read(0, Access::Random, d, &fail_fast));
         assert!(err.is_err(), "the faulty handle's own plan must strike");
         // The injector state survived the swap cycle.
         assert!(faulty.fault_injector().is_some());

@@ -4,9 +4,10 @@
 //! blocks of roughly `block_bytes` each. All read paths charge a
 //! [`SimDevice`] so experiments can account simulated I/O time:
 //!
-//! * [`Table::scan_block_sequential`] — the No-Shuffle path: blocks read in
-//!   order at sequential bandwidth;
-//! * [`Table::read_block`] — the CorgiPile path: one seek + block transfer;
+//! * [`Table::read`] — the one block read, fault-guarded and retried. With
+//!   [`Access::Random`] it is the CorgiPile path (one seek + block
+//!   transfer), with [`Access::Sequential`] the No-Shuffle path (blocks
+//!   read in order at sequential bandwidth);
 //! * [`Table::read_tuple_random`] — the full-shuffle path: one seek + page
 //!   transfer per tuple (this is what makes Shuffle Once so expensive);
 //! * [`Table::materialize_reordered`] — Shuffle Once's offline shuffle,
@@ -17,7 +18,7 @@ use crate::block::{closes_block, Block, BlockId, BlockMeta};
 use crate::device::{Access, SimDevice};
 use crate::error::StorageError;
 use crate::page::{LabelMoments, Page, PAGE_SIZE};
-use crate::retry::RetryPolicy;
+use crate::retry::{with_retries, RetryPolicy};
 use crate::tuple::{Tuple, TupleId};
 use crate::Result;
 use std::sync::Arc;
@@ -336,83 +337,47 @@ impl Table {
         Ok(out)
     }
 
-    /// Read a block with random access: one seek + transfer of the block's
-    /// bytes. This is CorgiPile's I/O primitive. Goes through the device's
-    /// fault injector (if any) and can therefore fail with a retryable
-    /// error; see [`Table::read_block_retry`].
-    pub fn read_block(&self, id: BlockId, dev: &mut SimDevice) -> Result<Vec<Tuple>> {
-        let meta = self.block(id)?;
-        dev.read_guarded(
-            self.config.table_id,
-            id,
-            meta.bytes,
-            Access::Random,
-            self.toast_cap(),
-        )?;
-        self.block_tuples(id)
-    }
-
-    /// Read a block as part of an in-order sequential scan: the first block
-    /// pays a seek, subsequent blocks stream at sequential bandwidth. This
-    /// is the No-Shuffle I/O primitive.
-    pub fn scan_block_sequential(
+    /// The one charged block read: `access` says what the device is
+    /// charged — [`Access::Random`] is one seek + transfer (CorgiPile's I/O
+    /// primitive, and the head of any scan), [`Access::Sequential`] the
+    /// continuation of an in-order scan (No Shuffle's). The read goes
+    /// through the device's fault injector, if any, and a retryable failure
+    /// is re-attempted under `policy` ([`RetryPolicy::none`] fails fast):
+    /// each retry charges its backoff interval to the simulated clock and
+    /// counts in `IoStats::retries`, so fault tolerance has a visible I/O
+    /// cost. Exhaustion is a [`StorageError::ReadFailed`] carrying the
+    /// attempt count; other errors surface at once.
+    pub fn read(
         &self,
         id: BlockId,
-        first: bool,
-        dev: &mut SimDevice,
-    ) -> Result<Vec<Tuple>> {
-        let meta = self.block(id)?;
-        let access = if first {
-            Access::Random
-        } else {
-            Access::Sequential
-        };
-        dev.read_guarded(
-            self.config.table_id,
-            id,
-            meta.bytes,
-            access,
-            self.toast_cap(),
-        )?;
-        self.block_tuples(id)
-    }
-
-    /// [`Table::read_block`] with bounded exponential-backoff retries.
-    ///
-    /// Each retry charges its backoff interval to the simulated clock, so
-    /// fault tolerance has a visible I/O cost. When the policy is exhausted
-    /// the final error is a [`StorageError::ReadFailed`] carrying the total
-    /// attempt count; non-retryable errors surface immediately.
-    pub fn read_block_retry(
-        &self,
-        id: BlockId,
+        access: Access,
         dev: &mut SimDevice,
         policy: &RetryPolicy,
     ) -> Result<Vec<Tuple>> {
-        retry_block_read(id, dev, policy, |dev| self.read_block(id, dev))
+        let bytes = self.block(id)?.bytes;
+        let (table_id, cap) = (self.config.table_id, self.toast_cap());
+        retried(id, dev, policy, |dev| {
+            dev.read_guarded(table_id, id, bytes, access, cap)
+        })?;
+        self.block_tuples(id)
     }
 
-    /// [`Table::scan_block_sequential`] with bounded retries (see
-    /// [`Table::read_block_retry`]).
-    pub fn scan_block_sequential_retry(
-        &self,
-        id: BlockId,
-        first: bool,
-        dev: &mut SimDevice,
-        policy: &RetryPolicy,
-    ) -> Result<Vec<Tuple>> {
-        retry_block_read(id, dev, policy, |dev| {
-            self.scan_block_sequential(id, first, dev)
-        })
-    }
-
-    /// Full sequential scan of the table, charging the device.
-    pub fn scan_all(&self, dev: &mut SimDevice) -> Result<Vec<Tuple>> {
-        let mut out = Vec::with_capacity(self.tuple_count as usize);
-        for id in 0..self.num_blocks() {
-            out.extend(self.scan_block_sequential(id, id == 0, dev)?);
+    /// Ask the fault injector about every block, retried like
+    /// [`Table::read`], charging nothing when all answer. For the passes
+    /// that are *charged* as one bulk transfer of the whole table (the
+    /// offline shuffles) but still have to read each of its blocks.
+    pub fn check_readable(&self, dev: &mut SimDevice, policy: &RetryPolicy) -> Result<()> {
+        for meta in self.blocks() {
+            retried(meta.id, dev, policy, |dev| {
+                dev.guard(
+                    self.config.table_id,
+                    meta.id,
+                    meta.bytes,
+                    Access::Sequential,
+                )
+            })?;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Locate tuple `tid`: its block, its page and its slot on that page.
@@ -501,7 +466,9 @@ impl Table {
     ///
     /// `order[k]` gives the position in `self` of the tuple that lands at
     /// position `k` of the copy. Tuple `id`s are preserved so order
-    /// diagnostics still see original positions.
+    /// diagnostics still see original positions. The sort has to read every
+    /// block of `self`, so a block that stays unreadable under the default
+    /// [`RetryPolicy`] fails it ([`Table::check_readable`]).
     pub fn materialize_reordered(
         &self,
         order: &[TupleId],
@@ -514,6 +481,7 @@ impl Table {
             self.tuple_count,
             "order must be a permutation"
         );
+        self.check_readable(dev, &RetryPolicy::default())?;
         // Two passes of read+write at sequential bandwidth.
         for _pass in 0..2 {
             dev.read(None, self.total_bytes, Access::Random, self.toast_cap());
@@ -530,37 +498,29 @@ impl Table {
     }
 }
 
-/// Run `read` under `policy`: retryable failures back off (charged to the
-/// simulated clock) and retry; exhaustion wraps the last error in
-/// [`StorageError::ReadFailed`] with the total attempt count.
-fn retry_block_read<F>(
+/// `attempt` at block `block` under `policy`, the simulated device's way:
+/// a retry first pays its backoff on the simulated clock.
+fn retried<T>(
     block: BlockId,
     dev: &mut SimDevice,
     policy: &RetryPolicy,
-    mut read: F,
-) -> Result<Vec<Tuple>>
-where
-    F: FnMut(&mut SimDevice) -> Result<Vec<Tuple>>,
-{
-    let mut attempt = 0u32;
-    loop {
-        match read(dev) {
-            Ok(tuples) => return Ok(tuples),
-            Err(e) if e.is_retryable() && attempt < policy.max_retries => {
-                dev.charge_seconds(policy.backoff(attempt));
+    mut attempt: impl FnMut(&mut SimDevice) -> Result<T>,
+) -> Result<T> {
+    with_retries(
+        policy,
+        |n| {
+            if n > 0 {
+                dev.charge_seconds(policy.backoff(n - 1));
                 dev.note_retry();
-                attempt += 1;
             }
-            Err(e) if e.is_retryable() => {
-                return Err(StorageError::ReadFailed {
-                    block,
-                    attempts: attempt + 1,
-                    message: e.to_string(),
-                });
-            }
-            Err(e) => return Err(e),
-        }
-    }
+            attempt(dev)
+        },
+        |attempts, message| StorageError::ReadFailed {
+            block,
+            attempts,
+            message,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -581,6 +541,14 @@ mod tests {
             }),
         )
         .unwrap()
+    }
+
+    /// Full sequential scan of the table, charging the device.
+    fn scan_all(t: &Table, dev: &mut SimDevice) {
+        for id in 0..t.num_blocks() {
+            t.read(id, Access::in_scan(id == 0), dev, &RetryPolicy::none())
+                .unwrap();
+        }
     }
 
     #[test]
@@ -630,12 +598,13 @@ mod tests {
     fn sequential_scan_cheaper_than_block_random_cheaper_than_tuple_random() {
         let t = make_table(5000, 16, 64 * PAGE_SIZE);
         let mut d1 = SimDevice::hdd(0);
-        t.scan_all(&mut d1).unwrap();
+        scan_all(&t, &mut d1);
         let seq = d1.stats().io_seconds;
 
         let mut d2 = SimDevice::hdd(0);
         for b in 0..t.num_blocks() {
-            t.read_block(b, &mut d2).unwrap();
+            t.read(b, Access::Random, &mut d2, &RetryPolicy::none())
+                .unwrap();
         }
         let blk = d2.stats().io_seconds;
 
@@ -659,9 +628,9 @@ mod tests {
     fn cache_makes_second_epoch_fast() {
         let t = make_table(2000, 16, 16 * PAGE_SIZE);
         let mut dev = SimDevice::hdd(t.total_bytes() * 2);
-        t.scan_all(&mut dev).unwrap();
+        scan_all(&t, &mut dev);
         let first = dev.stats().io_seconds;
-        t.scan_all(&mut dev).unwrap();
+        scan_all(&t, &mut dev);
         let second = dev.stats().io_seconds - first;
         assert!(
             second < first / 10.0,
@@ -679,7 +648,7 @@ mod tests {
         .unwrap();
         assert!(t.is_toasted());
         let mut ssd = SimDevice::ssd(0);
-        t.scan_all(&mut ssd).unwrap();
+        scan_all(&t, &mut ssd);
         let capped = ssd.stats().io_seconds;
         // At 130MB/s cap the time must exceed raw SSD time by ~7x.
         let raw = t.total_bytes() as f64 / 1e9;
@@ -758,10 +727,10 @@ mod tests {
 
         let mut faulty = SimDevice::hdd(0);
         faulty.set_fault_plan(FaultPlan::new(5).with_transient(1, 0, 2));
-        let got = t.read_block_retry(0, &mut faulty, &policy).unwrap();
+        let got = t.read(0, Access::Random, &mut faulty, &policy).unwrap();
 
         let mut clean = SimDevice::hdd(0);
-        let want = t.read_block_retry(0, &mut clean, &policy).unwrap();
+        let want = t.read(0, Access::Random, &mut clean, &policy).unwrap();
         assert_eq!(got, want, "recovered read must return the same tuples");
         // Two failed attempts: two backoffs plus two wasted seeks.
         let overhead = faulty.stats().io_seconds - clean.stats().io_seconds;
@@ -783,7 +752,7 @@ mod tests {
         let mut dev = SimDevice::hdd(0);
         dev.set_fault_plan(FaultPlan::new(5).with_permanent(1, 0));
         let policy = RetryPolicy::with_max_retries(3);
-        match t.read_block_retry(0, &mut dev, &policy) {
+        match t.read(0, Access::Random, &mut dev, &policy) {
             Err(StorageError::ReadFailed {
                 block, attempts, ..
             }) => {
@@ -793,7 +762,7 @@ mod tests {
             other => panic!("expected exhausted retries, got {other:?}"),
         }
         // Non-faulty blocks still read fine on the same device.
-        assert!(t.read_block_retry(1, &mut dev, &policy).is_ok());
+        assert!(t.read(1, Access::Random, &mut dev, &policy).is_ok());
     }
 
     #[test]
@@ -801,25 +770,56 @@ mod tests {
         let t = make_table(10, 2, PAGE_SIZE);
         let mut dev = SimDevice::in_memory();
         assert!(matches!(
-            t.read_block_retry(999, &mut dev, &RetryPolicy::default()),
+            t.read(999, Access::Random, &mut dev, &RetryPolicy::default()),
             Err(StorageError::BlockOutOfRange { .. })
         ));
     }
 
     #[test]
-    fn sequential_retry_matches_plain_scan_when_fault_free() {
+    fn the_policy_is_invisible_when_fault_free() {
         let t = make_table(300, 4, 2 * PAGE_SIZE);
         let mut a = SimDevice::hdd(0);
         let mut b = SimDevice::hdd(0);
-        let policy = RetryPolicy::default();
+        scan_all(&t, &mut a);
         for id in 0..t.num_blocks() {
-            let x = t.scan_block_sequential(id, id == 0, &mut a).unwrap();
             let y = t
-                .scan_block_sequential_retry(id, id == 0, &mut b, &policy)
+                .read(
+                    id,
+                    Access::in_scan(id == 0),
+                    &mut b,
+                    &RetryPolicy::default(),
+                )
                 .unwrap();
-            assert_eq!(x, y);
+            assert_eq!(t.block_tuples(id).unwrap(), y);
         }
         assert_eq!(a.stats(), b.stats());
+        t.check_readable(&mut b, &RetryPolicy::default()).unwrap();
+        assert_eq!(a.stats(), b.stats(), "a clean check charges nothing");
+    }
+
+    #[test]
+    fn the_offline_shuffle_has_to_read_every_source_block() {
+        use crate::fault::FaultPlan;
+        let t = make_table(2000, 4, 2 * PAGE_SIZE);
+        assert!(t.num_blocks() > 2);
+        let order: Vec<u64> = (0..2000).collect();
+        let mut clean = SimDevice::hdd(0);
+        t.materialize_reordered(&order, "c", 9, &mut clean).unwrap();
+
+        let mut flaky = SimDevice::hdd(0);
+        flaky.set_fault_plan(FaultPlan::new(5).with_transient(1, 0, 2));
+        t.materialize_reordered(&order, "c", 9, &mut flaky).unwrap();
+        assert_eq!(flaky.stats().retries, 2);
+        assert!(flaky.stats().io_seconds > clean.stats().io_seconds);
+
+        let mut dead = SimDevice::hdd(0);
+        dead.set_fault_plan(FaultPlan::new(5).with_permanent(1, 1));
+        match t.materialize_reordered(&order, "c", 9, &mut dead).map(drop) {
+            Err(StorageError::ReadFailed {
+                block: 1, attempts, ..
+            }) => assert_eq!(attempts, RetryPolicy::default().max_retries + 1),
+            other => panic!("expected ReadFailed on block 1, got {other:?}"),
+        }
     }
 
     fn pages(t: &Table) -> Vec<&Arc<Page>> {

@@ -35,7 +35,7 @@
 
 use crate::error::StorageError;
 use crate::fault::{sites, FaultInjector, WriteOutcome};
-use crate::retry::RetryPolicy;
+use crate::retry::{with_retries, RetryPolicy};
 use crate::Result;
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -273,21 +273,15 @@ impl Wal {
         mut inj: Option<&mut FaultInjector>,
         policy: &RetryPolicy,
     ) -> Result<()> {
-        let mut attempt = 0u32;
-        loop {
-            match self.append(rtype, payload, inj.as_deref_mut()) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_retryable() && attempt < policy.max_retries => attempt += 1,
-                Err(e) if e.is_retryable() => {
-                    return Err(StorageError::WriteFailed {
-                        site: sites::WAL_BEFORE_APPEND.into(),
-                        attempts: attempt + 1,
-                        message: e.to_string(),
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        with_retries(
+            policy,
+            |_| self.append(rtype, payload, inj.as_deref_mut()),
+            |attempts, message| StorageError::WriteFailed {
+                site: sites::WAL_BEFORE_APPEND.into(),
+                attempts,
+                message,
+            },
+        )
     }
 
     /// Truncate the log back to just its magic (after a compaction snapshot

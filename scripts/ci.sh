@@ -21,7 +21,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 banner "Docs (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-banner "Line counts (fails when core + db or crates/bench passes its ceiling)"
+banner "Line counts (fails when core + db, storage or crates/bench passes its ceiling)"
 bash scripts/loc.sh
 
 banner "Golden bits (model bits pinned across commits, release arithmetic)"

@@ -436,7 +436,7 @@ fn multi_worker_order_and_one_worker_bits_are_pinned() {
     let mut got = Vec::new();
     for pn in [1usize, 2, 4, 8] {
         for epoch in [0usize, 1] {
-            let plan = parallel_epoch_plan(&table, &workers(pn), 16, 11, epoch);
+            let plan = parallel_epoch_plan(&table, &workers(pn), 16, 11, epoch).unwrap();
             let per_worker: Vec<u8> = plan
                 .worker_streams
                 .iter()

@@ -64,7 +64,7 @@ fn multi_worker_order_is_statistically_equivalent_to_single() {
         total_buffer_fraction: 0.2,
         ..Default::default()
     };
-    let plan = parallel_epoch_plan(&table, &pcfg, 100, 5, 0);
+    let plan = parallel_epoch_plan(&table, &pcfg, 100, 5, 0).unwrap();
     let merged: Vec<_> = plan.merged_batches.concat();
     let ids: Vec<u64> = merged.iter().map(|t| t.id).collect();
     let labels: Vec<f32> = merged.iter().map(|t| t.label).collect();
