@@ -3,7 +3,7 @@
 //!
 //! The simulated clock moves with the batched cost model; this bench pins
 //! down the *host* side of the story — one virtual `next()` call per tuple
-//! vs one `next_batch` call per `TupleBatch` with the
+//! vs one `next_batch` call per `RowBatch` with the
 //! predicate/projection/kernel closure chosen once at build time.
 
 use corgipile_data::{DatasetSpec, Order};

@@ -24,7 +24,7 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             let t = &dense[i % dense.len()];
             i += 1;
-            m.sgd_step(&t.features, t.label, 0.01);
+            m.sgd_step(t.features.view(), t.label, 0.01);
         });
     });
 
@@ -34,7 +34,7 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             let t = &wide[i % wide.len()];
             i += 1;
-            m.sgd_step(&t.features, t.label, 0.01);
+            m.sgd_step(t.features.view(), t.label, 0.01);
         });
     });
 
@@ -44,7 +44,7 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             let t = &sparse[i % sparse.len()];
             i += 1;
-            m.sgd_step(&t.features, t.label, 0.01);
+            m.sgd_step(t.features.view(), t.label, 0.01);
         });
     });
 
@@ -62,7 +62,7 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             let t = &cifar[i % cifar.len()];
             i += 1;
-            m.sgd_step(&t.features, t.label, 0.01);
+            m.sgd_step(t.features.view(), t.label, 0.01);
         });
     });
     group.finish();

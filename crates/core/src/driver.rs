@@ -39,26 +39,21 @@ use corgipile_ml::{
 };
 use corgipile_storage::{
     run_epoch_pipeline, DoubleBufferModel, PipelineError, PipelineReport, StorageError, Telemetry,
-    Tuple, TupleBatch,
+    Tuple, TupleView,
 };
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 
-/// The tuples of one buffer fill, in SGD consumption order.
+/// The tuples of one buffer fill, in SGD consumption order, borrowed from
+/// wherever the fill keeps them.
 pub trait TupleSeq: Default + Send {
     /// Iterate the tuples in order.
-    fn tuples(&self) -> impl Iterator<Item = &Tuple>;
+    fn rows(&self) -> impl Iterator<Item = TupleView<'_>> + Clone;
 }
 
 impl TupleSeq for Vec<Tuple> {
-    fn tuples(&self) -> impl Iterator<Item = &Tuple> {
-        self.iter()
-    }
-}
-
-impl TupleSeq for TupleBatch {
-    fn tuples(&self) -> impl Iterator<Item = &Tuple> {
-        self.iter().map(|r| r.tuple())
+    fn rows(&self) -> impl Iterator<Item = TupleView<'_>> + Clone {
+        self.iter().map(Tuple::view)
     }
 }
 
@@ -296,19 +291,19 @@ impl EpochDriver {
                     if batched {
                         let flops: f64 = fill
                             .batch
-                            .tuples()
+                            .rows()
                             .map(|t| model.flops_per_example(t.features.nnz()))
                             .sum();
                         *charged += cost.seconds_batched(flops);
                     } else {
-                        for t in fill.batch.tuples() {
+                        for t in fill.batch.rows() {
                             *charged += cost.seconds(model.flops_per_example(t.features.nnz()), 1);
                         }
                     }
                     match &mut stage {
-                        KernelStage::PerTuple(pt) => pt.feed(model, fill.batch.tuples()),
+                        KernelStage::PerTuple(pt) => pt.feed(model, fill.batch.rows()),
                         KernelStage::Minibatch(mb) => {
-                            for t in fill.batch.tuples() {
+                            for t in fill.batch.rows() {
                                 mb.feed(model, optimizer, t);
                             }
                         }
@@ -320,7 +315,6 @@ impl EpochDriver {
                 Ok(report) => {
                     run.pipeline.fills += report.fills;
                     run.pipeline.batches_consumed += report.batches_consumed;
-                    run.pipeline.producer_tuple_clones += report.producer_tuple_clones;
                     run.pipeline.stall_wall_seconds += report.stall_wall_seconds;
                     run.pipeline.backpressure_wall_seconds += report.backpressure_wall_seconds;
                 }

@@ -115,7 +115,8 @@ impl BlockReader for SimulatedBlocks<'_> {
     ) -> Result<f64, StorageError> {
         let mut dev = self.device.clone();
         for &b in blocks {
-            out.extend(self.table.read(b, Access::Random, &mut dev, policy)?);
+            let block = self.table.read(b, Access::Random, &mut dev, policy)?;
+            out.extend(block.rows().map(|r| r.to_tuple()));
         }
         Ok(dev.stats().io_seconds)
     }

@@ -48,11 +48,11 @@ pub fn block_variance_factor(table: &Table, model: &dyn Model) -> GradientStats 
 
     // First pass: block sums and full sum.
     for blk in 0..big_n {
-        let tuples = table.block_tuples(blk).expect("in range");
+        let block = table.block_handle(blk).expect("in range");
         let mut bsum = vec![0.0f64; p];
-        for t in &tuples {
+        for t in block.rows() {
             let mut g = vec![0.0f32; p];
-            model.grad(&t.features, t.label, &mut g);
+            model.grad(t.features, t.label, &mut g);
             for (acc, gi) in bsum.iter_mut().zip(&g) {
                 *acc += *gi as f64;
             }
@@ -61,7 +61,7 @@ pub fn block_variance_factor(table: &Table, model: &dyn Model) -> GradientStats 
         for (f, bi) in full.iter_mut().zip(&bsum) {
             *f += bi;
         }
-        let cnt = tuples.len().max(1) as f64;
+        let cnt = block.len().max(1) as f64;
         per_block_means.push(bsum.into_iter().map(|v| v / cnt).collect());
     }
     for f in full.iter_mut() {

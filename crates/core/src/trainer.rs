@@ -21,7 +21,7 @@ use corgipile_ml::{
     TrainOptions,
 };
 use corgipile_shuffle::{build_strategy, Segment, ShuffleStrategy, StrategyKind, StrategyParams};
-use corgipile_storage::{Counter, SimDevice, StorageError, Table, Telemetry, Tuple};
+use corgipile_storage::{Counter, SimDevice, StorageError, Table, Telemetry, Tuple, TupleView};
 use std::ops::ControlFlow;
 
 use crate::config::CorgiPileConfig;
@@ -224,7 +224,7 @@ impl Trainer {
         let wall_start = std::time::Instant::now();
         let mut driver = self.driver(table, seed)?;
         let epochs = self.run(&mut driver, table, test, dev, seed, None)?;
-        let final_train_metric = evaluate(driver.model.as_ref(), &table.all_tuples());
+        let final_train_metric = evaluate(driver.model.as_ref(), table.rows());
         Ok(TrainReport {
             strategy: match self.workers {
                 Some(_) => StrategyKind::CorgiPile,
@@ -321,7 +321,8 @@ impl<'a> EpochRecorder<'a> {
     }
 
     pub(crate) fn epoch_done(&mut self, done: EpochOutcome<'_>) -> ControlFlow<()> {
-        let test_metric = (!self.test.is_empty()).then(|| evaluate(done.model, self.test));
+        let test_metric = (!self.test.is_empty())
+            .then(|| evaluate(done.model, self.test.iter().map(Tuple::view)));
         self.tuple_counter.add(done.stats.examples as u64);
         self.epoch_counter.inc();
         let e = done.epoch as u64;
@@ -396,7 +397,10 @@ impl EpochSource for StrategySource<'_> {
 }
 
 /// Accuracy for classifiers, R² for regression.
-pub fn evaluate(model: &dyn Model, tuples: &[Tuple]) -> f64 {
+pub fn evaluate<'a, I>(model: &dyn Model, tuples: I) -> f64
+where
+    I: Iterator<Item = TupleView<'a>> + Clone,
+{
     if model.is_classifier() {
         accuracy(model, tuples)
     } else {

@@ -303,7 +303,7 @@ mod tests {
         let n = 2000;
         for _ in 0..n {
             let (x, y) = g.sample(&mut rng);
-            let score = x.dot(&dir);
+            let score = x.view().dot(&dir);
             if (score > 0.0) == (y > 0.0) {
                 correct += 1;
             }
@@ -351,7 +351,7 @@ mod tests {
         let correct = (0..n)
             .filter(|_| {
                 let (x, y) = g.sample(&mut rng);
-                (x.dot(&w) > 0.0) == (y > 0.0)
+                (x.view().dot(&w) > 0.0) == (y > 0.0)
             })
             .count();
         assert!(
@@ -415,7 +415,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         for _ in 0..100 {
             let (x, y) = g.sample(&mut rng);
-            let pred = x.dot(&w) + b;
+            let pred = x.view().dot(&w) + b;
             assert!((pred - y).abs() < 0.1, "pred {pred} vs y {y}");
         }
         assert_eq!(g.num_classes(), 0);

@@ -520,7 +520,7 @@ mod tests {
         assert_eq!(m.params(), &[1.0, -2.0, 0.5]);
         // Rehydrated model predicts with the stored weights.
         let x = FeatureVec::Dense(vec![1.0, 0.0]);
-        assert_eq!(m.predict_label(&x), 1.0);
+        assert_eq!(m.predict_label(x.view()), 1.0);
         assert!(matches!(c.model("missing"), Err(DbError::UnknownModel(_))));
         assert_eq!(c.model_names(), vec!["m"]);
     }

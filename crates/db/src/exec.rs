@@ -19,18 +19,23 @@
 //!   applies per-tuple or mini-batch updates, then calls `rescan` down the
 //!   pipeline (PostgreSQL's re-scan mechanism, as in `NestedLoopJoin`'s
 //!   inner plan) to reshuffle and re-read for the next epoch.
+//!
+//! What moves between them is a [`RowBatch`]: the table's own heap pages,
+//! pinned by `Arc`, plus one 8-byte [`RowRef`] per admitted row, read in
+//! place by the predicate, the key sort and both kernels (a projection
+//! builds one page of the selected columns per block).
 
 use crate::error::DbError;
 use crate::plan::feature_list;
 use crate::sql::Predicate;
 use corgipile_core::trainer::evaluate;
-use corgipile_core::{EpochDriver, EpochIo, EpochOutcome, EpochSink, EpochSource, Fill};
+use corgipile_core::{EpochDriver, EpochIo, EpochOutcome, EpochSink, EpochSource, Fill, TupleSeq};
 use corgipile_data::rng::shuffle_in_place;
 use corgipile_ml::{ComputeCostModel, Model, Optimizer, TrainCheckpoint, TrainOptions};
 use corgipile_shuffle::{BlockReversalShuffle, StrategyParams};
 use corgipile_storage::{
-    block_refs, Access, Counter, DeviceHandle, PipelineReport, PoolHandle, RetryPolicy, SimDevice,
-    Table, Telemetry, Tuple, TupleBatch, TupleRef,
+    Access, BlockHandle, Counter, DeviceHandle, FeatureView, Page, PipelineReport, PoolHandle,
+    RetryPolicy, SimDevice, Table, Telemetry, TupleView,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -222,24 +227,144 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-///// Materialize the projection of one tuple: a fresh dense tuple over the
-/// selected feature columns (constructed, not cloned, so the zero-clone
-/// accounting of the fill path is preserved).
-pub(crate) fn project_tuple(t: &Tuple, cols: &[usize]) -> Tuple {
-    Tuple::dense(
-        t.id,
-        cols.iter().map(|&i| t.features.get(i)).collect(),
-        t.label,
-    )
+/// One row of a [`RowBatch`]: which of its pinned pages, which slot on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowRef {
+    page: u32,
+    slot: u32,
+}
+
+/// The executor's one batch type: pinned pages (one `Arc` bump per page,
+/// none per row) and the [`RowRef`]s of a run of their rows, in consumption
+/// order. [`RowBatch::clear`] keeps both allocations for the next refill.
+#[derive(Debug, Default)]
+pub struct RowBatch {
+    pages: Vec<Arc<Page>>,
+    pub(crate) rows: Vec<RowRef>,
+}
+
+impl RowBatch {
+    /// Every row of `table` the scan qualifiers admit, in table order, read
+    /// without charging a device: the view `TRAIN` computes its metrics over.
+    pub fn scan(
+        table: &Table,
+        predicate: Option<&Predicate>,
+        projection: Option<&[usize]>,
+    ) -> Result<RowBatch, DbError> {
+        let mut out = RowBatch::default();
+        out.rows.reserve(table.num_tuples() as usize);
+        for block in 0..table.num_blocks() {
+            scan_block(&table.block_handle(block)?, predicate, projection, &mut out);
+        }
+        Ok(out)
+    }
+
+    /// Drop all rows and pins but keep the backing allocations.
+    pub fn clear(&mut self) {
+        self.pages.clear();
+        self.rows.clear();
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the batch holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The row behind a handle of this batch.
+    pub(crate) fn row(&self, r: RowRef) -> TupleView<'_> {
+        self.pages[r.page as usize].row(r.slot as usize)
+    }
+
+    /// Pin `page` and append the rows `keep` lets through, in slot order.
+    fn push_page(&mut self, page: &Arc<Page>, keep: Option<&Predicate>) {
+        let (index, before) = (self.pages.len() as u32, self.rows.len());
+        for slot in 0..page.tuple_count() as u32 {
+            if keep.is_none_or(|p| p.matches(page.row(slot as usize))) {
+                self.rows.push(RowRef { page: index, slot });
+            }
+        }
+        if self.rows.len() > before {
+            self.pages.push(Arc::clone(page));
+        }
+    }
+
+    /// Append row `r` of `src`, pinning its page if the last push did not.
+    pub(crate) fn push_from(&mut self, src: &RowBatch, r: RowRef) {
+        let page = &src.pages[r.page as usize];
+        if !self.pages.last().is_some_and(|p| Arc::ptr_eq(p, page)) {
+            self.pages.push(Arc::clone(page));
+        }
+        self.rows.push(RowRef {
+            page: self.pages.len() as u32 - 1,
+            slot: r.slot,
+        });
+    }
+
+    /// Move every row and pin of `other` to the end of this batch.
+    fn append(&mut self, other: &mut RowBatch) {
+        let base = self.pages.len() as u32;
+        self.pages.append(&mut other.pages);
+        self.rows.extend(other.rows.drain(..).map(|r| RowRef {
+            page: base + r.page,
+            slot: r.slot,
+        }));
+    }
+}
+
+impl TupleSeq for RowBatch {
+    fn rows(&self) -> impl Iterator<Item = TupleView<'_>> + Clone {
+        self.rows.iter().map(|&r| self.row(r))
+    }
+}
+
+/// The engine's one filter and one projection. Appends the rows of `block`
+/// that `filter` admits to `out` — in place, or, under a projection, from
+/// one fresh page of their selected columns — and returns how many it dropped.
+pub(crate) fn scan_block(
+    block: &BlockHandle,
+    filter: Option<&Predicate>,
+    projection: Option<&[usize]>,
+    out: &mut RowBatch,
+) -> u64 {
+    let admits = |row: &TupleView<'_>| filter.is_none_or(|p| p.matches(*row));
+    let before = out.len();
+    match projection {
+        None => block.pages().iter().for_each(|p| out.push_page(p, filter)),
+        Some(cols) => {
+            let mut projected: Option<Page> = None;
+            let mut values = Vec::with_capacity(cols.len());
+            for row in block.rows().filter(admits) {
+                values.clear();
+                values.extend(cols.iter().map(|&i| row.features.get(i)));
+                let row = TupleView {
+                    features: FeatureView::Dense(&values),
+                    ..row
+                };
+                projected
+                    .get_or_insert_with(|| Page::new_jumbo(block.len() * (row.encoded_len() + 4)))
+                    .push(row)
+                    .expect("the page is sized for every row of the block");
+            }
+            if let Some(page) = projected {
+                out.push_page(&Arc::new(page), None);
+            }
+        }
+    }
+    (block.len() - (out.len() - before)) as u64
 }
 
 /// A pull-based physical operator, batch-at-a-time.
 ///
 /// The primary interface is [`PhysicalOperator::next_batch`]: the caller
-/// hands down a reusable [`TupleBatch`] and the operator refills it with
-/// the next run of zero-copy [`TupleRef`]s, so the steady-state inner loop
-/// makes **one virtual call per batch** instead of one per tuple (and,
-/// once capacities are warm, zero allocations).
+/// hands down a reusable [`RowBatch`] and the operator refills it with the
+/// next run of row handles, so the steady-state inner loop makes **one
+/// virtual call per batch** instead of one per tuple (and, once capacities
+/// are warm, zero allocations).
 ///
 /// `Send` is a supertrait so a boxed plan can be mutably borrowed into the
 /// producer thread of the double-buffered pipeline (see
@@ -257,7 +382,7 @@ pub trait PhysicalOperator: Send {
     /// what the `fill_io` attribution keys on. Storage failures that
     /// survive the retry policy (and are not absorbed by
     /// [`FaultAction::SkipBlock`]) propagate as [`DbError::Storage`].
-    fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError>;
+    fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<bool, DbError>;
     /// Clear `out` and refill it with the surviving tuples of the next
     /// *source block*, or return `Ok(false)` when the scan is exhausted.
     /// Unlike [`PhysicalOperator::next_batch`], a fully filtered (or dead,
@@ -266,7 +391,7 @@ pub trait PhysicalOperator: Send {
     /// whether a predicate ran below it or not — the invariant that makes
     /// filtering below the buffer an equivalence. Default: one `next_batch`
     /// per call.
-    fn next_block(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
+    fn next_block(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<bool, DbError> {
         self.next_batch(ctx, out)
     }
     /// Reset for another pass (PostgreSQL `ExecReScan*`); block orders are
@@ -296,10 +421,9 @@ pub enum ScanMode {
 /// The `BlockShuffle` operator.
 ///
 /// Owns the statement's `WHERE` predicate and column list, the way a
-/// PostgreSQL scan evaluates its qualifiers: the predicate is evaluated on
-/// each decoded tuple *before* its ref enters any queue or buffer, so
-/// filtered tuples never occupy TupleShuffle capacity, and the projection
-/// materializes only surviving tuples. This is the engine's one filter.
+/// PostgreSQL scan evaluates its qualifiers (`scan_block`): the predicate
+/// reads each row in place *before* its handle enters any buffer, so
+/// filtered tuples never occupy TupleShuffle capacity or get projected.
 pub struct BlockShuffleOp {
     table: Arc<Table>,
     mode: ScanMode,
@@ -334,8 +458,8 @@ impl BlockShuffleOp {
         }
     }
 
-    /// Set the scan's predicate (evaluated zero-copy on each decoded tuple
-    /// before it is queued or buffered).
+    /// Set the scan's predicate (evaluated on each row in place, before it
+    /// is queued or buffered).
     pub fn with_predicate(mut self, predicate: Predicate) -> Self {
         self.predicate = Some(predicate);
         self
@@ -376,16 +500,14 @@ impl BlockShuffleOp {
         self.next_block = 0;
     }
 
-    /// Read the next block of the shuffled order, appending its surviving
-    /// tuples to `out` as `Arc`-shared [`TupleRef`]s (zero tuple clones:
-    /// the buffer-pool path shares the cached `Arc`, the decode paths wrap
-    /// the freshly decoded block once). Returns `Ok(false)` when no blocks
-    /// remain; after a fully filtered or skipped dead block `out` may be
-    /// left unchanged.
+    /// Read the next block of the shuffled order, appending handles on its
+    /// surviving rows to `out` (the pool and the device path hand back the
+    /// same shared pages). Returns `Ok(false)` when no blocks remain; after
+    /// a fully filtered or skipped dead block `out` may be left unchanged.
     fn load_next_block(
         &mut self,
         ctx: &mut ExecContext,
-        out: &mut TupleBatch,
+        out: &mut RowBatch,
     ) -> Result<bool, DbError> {
         if self.next_block >= self.order.len() {
             return Ok(false);
@@ -414,10 +536,7 @@ impl BlockShuffleOp {
         };
         let read = match ctx.pool.as_deref_mut().filter(|_| pooled) {
             Some(pool) => pool.read_block_retry(table, block, ctx.dev, retry),
-            None => ctx
-                .dev
-                .with(|d| table.read(block, access, d, retry))
-                .map(Arc::new),
+            None => ctx.dev.with(|d| table.read(block, access, d, retry)),
         };
         self.next_block += 1;
         self.actuals.blocks_read += 1;
@@ -425,62 +544,22 @@ impl BlockShuffleOp {
             ctx.dev.stats().cache_hits + ctx.pool.as_ref().map_or(0, |p| p.stats().hits);
         self.actuals.cache_hits += hits_after - hits_before;
         self.actuals.retries += ctx.dev.stats().retries - retries_before;
+        let (predicate, projection) = (self.predicate.as_ref(), self.projection.as_deref());
         match read {
-            Ok(tuples) => {
-                // Report the block read as a fill; a TupleShuffle above
-                // folds these into its own per-buffer entries.
-                let fill = ctx.dev.stats().io_seconds - io_before;
-                ctx.fill_io.push(fill);
-                self.actuals.io_seconds += fill;
-                match (&self.predicate, &self.projection) {
-                    (None, None) => {
-                        for r in block_refs(&tuples) {
-                            out.push(r);
-                        }
-                    }
-                    (pred, Some(cols)) => {
-                        // Projection (optionally after the predicate):
-                        // materialize surviving tuples over the selected
-                        // columns as one fresh Arc-shared block.
-                        let mut projected = Vec::new();
-                        for t in tuples.iter() {
-                            if pred.as_ref().is_none_or(|p| p.matches(t)) {
-                                projected.push(project_tuple(t, cols));
-                            } else {
-                                self.actuals.rows_filtered += 1;
-                            }
-                        }
-                        if !projected.is_empty() {
-                            for r in block_refs(&Arc::new(projected)) {
-                                out.push(r);
-                            }
-                        }
-                    }
-                    (Some(pred), None) => {
-                        // Zero-copy fast path: evaluate the predicate on the
-                        // Arc-shared ref before it enters any buffer; dropped
-                        // tuples cost no clone and no buffer slot.
-                        for r in block_refs(&tuples) {
-                            if pred.matches(&r) {
-                                out.push(r);
-                            } else {
-                                self.actuals.rows_filtered += 1;
-                            }
-                        }
-                    }
-                }
-            }
+            Ok(rows) => self.actuals.rows_filtered += scan_block(&rows, predicate, projection, out),
             Err(e) if ctx.on_fault == FaultAction::SkipBlock && e.is_retryable() => {
                 // Dead block after exhausted retries: degrade by moving
                 // on, keeping the wasted retry time on the books.
-                let fill = ctx.dev.stats().io_seconds - io_before;
-                ctx.fill_io.push(fill);
-                self.actuals.io_seconds += fill;
                 self.actuals.skipped_blocks += 1;
                 ctx.skipped_blocks.push(block);
             }
             Err(e) => return Err(e.into()),
         }
+        // Report the block read as a fill; a TupleShuffle above folds these
+        // into its own per-buffer entries.
+        let fill = ctx.dev.stats().io_seconds - io_before;
+        ctx.fill_io.push(fill);
+        self.actuals.io_seconds += fill;
         Ok(true)
     }
 }
@@ -498,7 +577,7 @@ impl PhysicalOperator for BlockShuffleOp {
         self.actuals.loops += 1;
     }
 
-    fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
+    fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<bool, DbError> {
         debug_assert!(self.initialized, "next_batch() before init()");
         // One batch per block read: aligns each batch with the `fill_io`
         // entry its read pushed, which the pipelined SGD consumer uses to
@@ -516,7 +595,7 @@ impl PhysicalOperator for BlockShuffleOp {
         }
     }
 
-    fn next_block(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
+    fn next_block(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<bool, DbError> {
         debug_assert!(self.initialized, "next_block() before init()");
         out.clear();
         if !self.load_next_block(ctx, out)? {
@@ -562,19 +641,17 @@ impl PhysicalOperator for BlockShuffleOp {
 /// where a predicate runs: the scan's filter below the buffer and a filter
 /// applied to the buffer's output see the same fill boundaries and the same
 /// surviving order, so they train bit-identical models — while filtering
-/// below buffers only survivors (checked against the test-side
-/// `PostBufferFilter` reference in `proptests.rs`).
+/// below buffers only survivors (`PostBufferFilter` in `proptests.rs`).
 pub struct TupleShuffleOp {
     child: Box<dyn PhysicalOperator>,
     capacity_blocks: usize,
     params: StrategyParams,
     epoch: u64,
-    buffer: Vec<TupleRef>,
-    /// Scratch batch the child's `next_block` fills into (capacity reused
-    /// across fills — the child is pulled block-at-a-time, never per tuple).
-    fetch: TupleBatch,
+    buffer: RowBatch,
+    /// Scratch batch the child's `next_block` fills into, one block at a time.
+    fetch: RowBatch,
     /// Persistent sort scratch for the keyed in-buffer shuffle.
-    keyed: Vec<(u64, TupleRef)>,
+    keyed: Vec<(u64, RowRef)>,
     exhausted: bool,
     actuals: OpStats,
 }
@@ -594,27 +671,24 @@ impl TupleShuffleOp {
             capacity_blocks,
             params,
             epoch: 0,
-            buffer: Vec::new(),
-            fetch: TupleBatch::new(),
+            buffer: RowBatch::default(),
+            fetch: RowBatch::default(),
             keyed: Vec::new(),
             exhausted: false,
             actuals: OpStats::default(),
         }
     }
 
-    /// Pull one buffer window from the child, shuffle, and record the fill
-    /// cost into `ctx.fill_io`. Zero-copy: the buffer holds [`TupleRef`]s
-    /// into the child's `Arc`-shared blocks, and the key sort permutes
-    /// those refs — no tuple is cloned on the fill path. A window whose
-    /// blocks were all filtered out (or skipped as dead) merges into the
-    /// next window rather than surfacing an empty fill.
+    /// Pull one buffer window from the child, shuffle its [`RowRef`]s (the
+    /// index, never the data), and record the fill cost into `ctx.fill_io`.
+    /// A window whose blocks were all filtered out (or skipped as dead)
+    /// merges into the next window rather than surfacing an empty fill.
     fn refill(&mut self, ctx: &mut ExecContext) -> Result<(), DbError> {
         self.buffer.clear();
         // Child fills recorded below us are folded into our own entry.
         let fills_base = ctx.fill_io.len();
         let io_before = ctx.dev.stats().io_seconds;
         let mut span = ctx.telemetry.span("db.tuple_shuffle.fill");
-        let mut bytes = 0usize;
         while self.buffer.is_empty() && !self.exhausted {
             let mut blocks = 0usize;
             while blocks < self.capacity_blocks {
@@ -623,30 +697,31 @@ impl TupleShuffleOp {
                     break;
                 }
                 blocks += 1;
-                for r in self.fetch.iter() {
-                    bytes += r.encoded_len();
-                }
-                self.buffer.extend(self.fetch.iter().cloned());
+                self.buffer.append(&mut self.fetch);
             }
         }
-        // Buffer copy + shuffle cost (§4.1 overheads), charged on what was
-        // actually buffered — filtered scans pay only for survivors.
-        ctx.dev
-            .charge_seconds(self.params.buffering_cost(self.buffer.len(), bytes));
         // Deterministic in-buffer shuffle: order by a per-(seed, epoch,
         // tuple-id) hash key. splitmix64 is bijective, so keys are unique
         // within an epoch and the order does not depend on buffer arrival
         // positions — filtering below or above the buffer leaves the
-        // survivors' relative order unchanged. The keyed scratch persists
-        // across fills, so steady-state fills reuse both allocations.
+        // survivors' relative order unchanged. The keyed scratch persists.
         let salt = splitmix64(
             (self.params.seed ^ 0x70_5F).wrapping_add(self.epoch.wrapping_mul(0x9E37_79B9)),
         );
+        let (buffer, mut bytes) = (&mut self.buffer, 0usize);
         self.keyed.clear();
-        self.keyed
-            .extend(self.buffer.drain(..).map(|r| (splitmix64(salt ^ r.id), r)));
+        self.keyed.extend(buffer.rows.iter().map(|&r| {
+            let row = buffer.row(r);
+            bytes += row.encoded_len();
+            (splitmix64(salt ^ row.id), r)
+        }));
+        // Buffer copy + shuffle cost (§4.1 overheads), charged on what was
+        // actually buffered — filtered scans pay only for survivors.
+        ctx.dev
+            .charge_seconds(self.params.buffering_cost(buffer.len(), bytes));
         self.keyed.sort_unstable_by_key(|(k, _)| *k);
-        self.buffer.extend(self.keyed.drain(..).map(|(_, r)| r));
+        buffer.rows.clear();
+        buffer.rows.extend(self.keyed.iter().map(|&(_, r)| r));
         ctx.fill_io.truncate(fills_base);
         if self.buffer.is_empty() {
             // End-of-stream probe, not a fill: record nothing.
@@ -676,7 +751,7 @@ impl PhysicalOperator for TupleShuffleOp {
         self.actuals.loops += 1;
     }
 
-    fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
+    fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<bool, DbError> {
         // One batch per buffer fill: the whole shuffled buffer moves out in
         // one handover, so the pipelined SGD consumer drains fill k while
         // the producer builds fill k+1.
@@ -690,8 +765,7 @@ impl PhysicalOperator for TupleShuffleOp {
                 return Ok(false);
             }
         }
-        out.extend_from_slice(&self.buffer);
-        self.buffer.clear();
+        std::mem::swap(out, &mut self.buffer);
         self.actuals.rows += out.len() as u64;
         self.actuals.batches += 1;
         Ok(true)
@@ -719,70 +793,14 @@ impl PhysicalOperator for TupleShuffleOp {
     }
 }
 
-/// Source stage of a [`FusedPipelineOp`]: the concrete scan/shuffle
-/// operators, *not* trait objects — every call into the source statically
-/// dispatches, so the fused inner loop makes no per-tuple virtual calls.
-/// (A `Tuple` source still holds its scan child behind one `Box<dyn>`,
-/// costing a single virtual call per *block* pull.)
-pub enum FusedSource {
-    /// `(Block)Shuffle ← Scan`, predicate/projection included.
-    Block(BlockShuffleOp),
-    /// `TupleShuffle ← (Block)Shuffle ← Scan`.
-    Tuple(TupleShuffleOp),
-}
-
-impl FusedSource {
-    fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
-        match self {
-            FusedSource::Block(op) => op.next_batch(ctx, out),
-            FusedSource::Tuple(op) => op.next_batch(ctx, out),
-        }
-    }
-
-    fn next_block(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
-        match self {
-            FusedSource::Block(op) => op.next_block(ctx, out),
-            FusedSource::Tuple(op) => op.next_block(ctx, out),
-        }
-    }
-
-    fn init(&mut self, ctx: &mut ExecContext) {
-        match self {
-            FusedSource::Block(op) => op.init(ctx),
-            FusedSource::Tuple(op) => op.init(ctx),
-        }
-    }
-
-    fn rescan(&mut self, ctx: &mut ExecContext) {
-        match self {
-            FusedSource::Block(op) => op.rescan(ctx),
-            FusedSource::Tuple(op) => op.rescan(ctx),
-        }
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext) {
-        match self {
-            FusedSource::Block(op) => op.close(ctx),
-            FusedSource::Tuple(op) => op.close(ctx),
-        }
-    }
-
-    fn collect_stats(&self, depth: usize, out: &mut Vec<OpStats>) {
-        match self {
-            FusedSource::Block(op) => op.collect_stats(depth, out),
-            FusedSource::Tuple(op) => op.collect_stats(depth, out),
-        }
-    }
-}
-
 /// A whole lowered pipeline collapsed into one operator: the planner's
 /// fusion pass rewrites `Sgd←(Tuple|Block)Shuffle←Scan` (and the Predict
 /// equivalent) into `Sgd←FusedPipelineOp` when `WITH fuse = 1` (the
-/// default). The source fills the root's batch directly — one virtual call
-/// per batch, no copy; the interpreted operator tree stays available behind
-/// `WITH fuse = 0` as the bit-identity oracle.
+/// default). The source — the same scan/shuffle operators the interpreted
+/// tree would run — fills the root's batch directly: one virtual call per
+/// batch, no copy. `WITH fuse = 0` runs them without this node.
 pub struct FusedPipelineOp {
-    source: FusedSource,
+    source: Box<dyn PhysicalOperator>,
     label: String,
     batch_ctr: Counter,
     tuple_ctr: Counter,
@@ -792,7 +810,7 @@ pub struct FusedPipelineOp {
 impl FusedPipelineOp {
     /// Assemble over a built source. `label` names the fused stages in
     /// execution order (e.g. `scan→filter→sgd`) for EXPLAIN.
-    pub fn new(source: FusedSource, label: impl Into<String>) -> Self {
+    pub fn new(source: Box<dyn PhysicalOperator>, label: impl Into<String>) -> Self {
         let disabled = Telemetry::disabled();
         FusedPipelineOp {
             source,
@@ -823,7 +841,7 @@ impl PhysicalOperator for FusedPipelineOp {
         self.actuals.loops += 1;
     }
 
-    fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
+    fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<bool, DbError> {
         // Straight-through: the source fills `out` directly, no copy.
         if !self.source.next_batch(ctx, out)? {
             return Ok(false);
@@ -832,7 +850,7 @@ impl PhysicalOperator for FusedPipelineOp {
         Ok(true)
     }
 
-    fn next_block(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
+    fn next_block(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<bool, DbError> {
         if !self.source.next_block(ctx, out)? {
             return Ok(false);
         }
@@ -919,8 +937,7 @@ pub struct SgdRunResult {
     /// Per-operator actual statistics (EXPLAIN ANALYZE), root first.
     pub op_stats: Vec<OpStats>,
     /// Summed pipeline report across all double-buffered epochs (all-zero
-    /// when the plan ran serially). `producer_tuple_clones` staying at 0 is
-    /// the zero-copy guarantee of the fill path.
+    /// when the plan ran serially).
     pub pipeline: PipelineReport,
 }
 
@@ -957,11 +974,12 @@ pub struct SgdOperator {
     /// `checkpoint_path`). Fused plans set `batched_dispatch`; a one-off
     /// setup cost (a baseline's pre-shuffle) starts `sim_clock`.
     pub driver: EpochDriver,
-    /// Evaluate the training metric over these tuples after each epoch
+    /// Evaluate the training metric over these rows after each epoch
     /// (§6's per-epoch accuracy output; costs one extra pass per epoch).
-    /// The planner passes the training view — table tuples after any
-    /// `WHERE` filter and projection — so metrics match what SGD saw.
-    pub eval_each_epoch: Option<Arc<Vec<Tuple>>>,
+    /// The planner passes the training view — [`RowBatch::scan`] of the
+    /// table under the `WHERE` filter and projection — so metrics match
+    /// what SGD saw.
+    pub eval_each_epoch: Option<Arc<RowBatch>>,
     /// Stop after this epoch completes (0-based) — a deterministic
     /// simulated crash for exercising resume.
     pub halt_after_epoch: Option<usize>,
@@ -1053,7 +1071,7 @@ impl SgdOperator {
 struct PlanSource<'a, 'c> {
     child: &'a mut Box<dyn PhysicalOperator>,
     ctx: &'a mut ExecContext<'c>,
-    eval: Option<Arc<Vec<Tuple>>>,
+    eval: Option<Arc<RowBatch>>,
     halt_after_epoch: Option<usize>,
     step_counter: Counter,
     tel: Telemetry,
@@ -1061,13 +1079,13 @@ struct PlanSource<'a, 'c> {
 }
 
 impl EpochSource for PlanSource<'_, '_> {
-    type Batch = TupleBatch;
+    type Batch = RowBatch;
     type Error = DbError;
 
     fn replay(&mut self, epochs: usize) -> Result<(), DbError> {
         let mut scratch_dev = DeviceHandle::private(SimDevice::in_memory());
         let mut scratch = ExecContext::new(&mut scratch_dev);
-        let mut batch = TupleBatch::new();
+        let mut batch = RowBatch::default();
         for epoch in 0..epochs {
             if epoch > 0 {
                 self.child.rescan(&mut scratch);
@@ -1080,7 +1098,7 @@ impl EpochSource for PlanSource<'_, '_> {
     fn stream_epoch(
         &mut self,
         epoch: usize,
-        emit: &mut dyn FnMut(&mut Fill<TupleBatch>) -> bool,
+        emit: &mut dyn FnMut(&mut Fill<RowBatch>) -> bool,
     ) -> Result<EpochIo, DbError> {
         if epoch > 0 {
             self.ctx.fill_io.clear();
@@ -1088,9 +1106,9 @@ impl EpochSource for PlanSource<'_, '_> {
             self.child.rescan(self.ctx);
         }
         // An inline run keeps refilling this one batch (zero steady-state
-        // allocations); an overlapped run surrenders its backing Vec per
+        // allocations); an overlapped run surrenders its backing Vecs per
         // fill, inherent to moving ownership through the channel.
-        let mut fill = Fill::<TupleBatch>::default();
+        let mut fill = Fill::<RowBatch>::default();
         loop {
             let io_before = self.ctx.dev.stats().io_seconds;
             if !self.child.next_batch(self.ctx, &mut fill.batch)? {
@@ -1109,7 +1127,10 @@ impl EpochSource for PlanSource<'_, '_> {
     }
 
     fn epoch_done(&mut self, done: EpochOutcome<'_>) -> ControlFlow<()> {
-        let train_metric = self.eval.as_ref().map(|all| evaluate(done.model, all));
+        let train_metric = self
+            .eval
+            .as_ref()
+            .map(|all| evaluate(done.model, all.rows()));
         let skipped = std::mem::take(&mut self.ctx.skipped_blocks);
         let gradient_steps = done.stats.updates as u64;
         self.step_counter.add(gradient_steps);
@@ -1171,9 +1192,10 @@ pub struct PredictRunResult {
 ///
 /// Like [`SgdOperator`] it is a driver, not a [`PhysicalOperator`]: it
 /// owns its child pipeline and a *pinned* immutable model
-/// ([`crate::ServableModel`]), pulls zero-copy [`TupleRef`] blocks, and
-/// regroups them into `batch_rows`-sized prediction batches run through
-/// [`Model::predict_batch_into`]. The pin is taken before the first block
+/// ([`crate::ServableModel`]), pulls blocks of row handles, and regroups
+/// them into `batch_rows`-sized prediction batches run through
+/// [`Model::predict_rows_into`] over the page memory itself. The pin is
+/// taken before the first block
 /// is read, so a hot-reload publishing a newer version mid-scan never
 /// changes this batch's predictions.
 pub struct PredictOperator {
@@ -1211,7 +1233,7 @@ impl PredictOperator {
         let m = self.model.model();
         let is_classifier = m.is_classifier();
         let mut predictions: Vec<f32> = Vec::new();
-        let mut batch: Vec<TupleRef> = Vec::with_capacity(self.batch_rows);
+        let mut batch = RowBatch::default();
         let mut batch_wall_seconds: Vec<f64> = Vec::new();
         let mut compute_seconds = 0.0f64;
         // Online metric accumulators: exact-match count for classifiers;
@@ -1219,26 +1241,20 @@ impl PredictOperator {
         let mut correct = 0u64;
         let (mut sum_y, mut sum_y2, mut ss_res) = (0.0f64, 0.0f64, 0.0f64);
         let mut batches = 0u64;
-        let fused = self.fused;
+        let (cost, fused) = (self.compute, self.fused);
 
         {
             // Scoped so the closure's borrows of the accumulators end here.
-            let mut flush = |batch: &mut Vec<TupleRef>| {
+            let mut flush = |batch: &mut RowBatch| {
                 if batch.is_empty() {
                     return;
                 }
                 let started = std::time::Instant::now();
-                let xs: Vec<&corgipile_storage::FeatureVec> =
-                    batch.iter().map(|r| &r.features).collect();
                 let start = predictions.len();
-                m.predict_batch_into(&xs, &mut predictions);
-                let flops = m.inference_flops_per_example(batch[0].features.nnz());
-                compute_seconds += if fused {
-                    self.compute.seconds_batched(flops * batch.len() as f64)
-                } else {
-                    self.compute.seconds(flops, batch.len())
-                };
-                for (r, pred) in batch.iter().zip(&predictions[start..]) {
+                let xs: Vec<FeatureView<'_>> = batch.rows().map(|r| r.features).collect();
+                m.predict_rows_into(&xs, &mut predictions);
+                compute_seconds += inference_cost(m, cost, fused, &xs);
+                for (r, pred) in batch.rows().zip(&predictions[start..]) {
                     let y = f64::from(r.label);
                     if is_classifier {
                         if *pred == r.label {
@@ -1257,11 +1273,11 @@ impl PredictOperator {
             };
 
             // Block-at-a-time drain into `batch_rows`-sized prediction
-            // batches; the fetch batch's capacity is reused across blocks.
-            let mut fetch = TupleBatch::new();
+            // batches; both batches' capacities are reused across blocks.
+            let mut fetch = RowBatch::default();
             while self.child.next_block(ctx, &mut fetch)? {
-                for r in fetch.iter() {
-                    batch.push(r.clone());
+                for &r in &fetch.rows {
+                    batch.push_from(&fetch, r);
                     if batch.len() >= self.batch_rows {
                         flush(&mut batch);
                     }
@@ -1317,6 +1333,27 @@ impl PredictOperator {
     }
 }
 
+/// Simulated inference cost of one batch: every row pays its own FLOPs, a run
+/// of equal `nnz` as one group, so a dense batch costs `seconds(flops, len)`.
+fn inference_cost(m: &dyn Model, cost: ComputeCostModel, fused: bool, xs: &[FeatureView]) -> f64 {
+    let (mut flops, mut per_tuple) = (0.0f64, 0.0f64);
+    let mut widths = xs.iter().map(|x| x.nnz()).peekable();
+    while let Some(nnz) = widths.next() {
+        let mut run = 1;
+        while widths.next_if_eq(&nnz).is_some() {
+            run += 1;
+        }
+        let each = m.inference_flops_per_example(nnz);
+        flops += each * run as f64;
+        per_tuple += cost.seconds(each, run);
+    }
+    if fused {
+        cost.seconds_batched(flops)
+    } else {
+        per_tuple
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1335,9 +1372,9 @@ mod tests {
 
     fn drain(op: &mut dyn PhysicalOperator, ctx: &mut ExecContext) -> Vec<u64> {
         let mut ids = Vec::new();
-        let mut batch = TupleBatch::new();
+        let mut batch = RowBatch::default();
         while op.next_batch(ctx, &mut batch).unwrap() {
-            ids.extend(batch.iter().map(|r| r.id));
+            ids.extend(batch.rows().map(|r| r.id));
         }
         ids
     }
@@ -1421,7 +1458,7 @@ mod tests {
         // label predicate annihilates entire source blocks: the fused
         // loop must skip them without ever emitting an empty batch.
         let t = table(1000);
-        let survivors = t.all_tuples().iter().filter(|tp| tp.label == 1.0).count();
+        let survivors = t.rows().filter(|tp| tp.label == 1.0).count();
         assert!(survivors > 0 && survivors < 1000);
         let scan =
             BlockShuffleOp::new(t, ScanMode::RandomBlocks, 11).with_predicate(Predicate::Cmp {
@@ -1429,15 +1466,15 @@ mod tests {
                 op: crate::sql::CmpOp::Eq,
                 value: 1.0,
             });
-        let mut op = FusedPipelineOp::new(FusedSource::Block(scan), "scan→filter→sgd");
+        let mut op = FusedPipelineOp::new(Box::new(scan), "scan→filter→sgd");
         let mut dev = DeviceHandle::private(SimDevice::in_memory());
         let mut ctx = ExecContext::new(&mut dev);
         op.init(&mut ctx);
-        let mut out = TupleBatch::new();
+        let mut out = RowBatch::default();
         let mut rows = 0usize;
         while op.next_batch(&mut ctx, &mut out).unwrap() {
             assert!(!out.is_empty(), "next_batch must never yield empty");
-            assert!(out.iter().all(|r| r.label == 1.0));
+            assert!(out.rows().all(|r| r.label == 1.0));
             rows += out.len();
         }
         assert_eq!(rows, survivors);
@@ -1453,11 +1490,11 @@ mod tests {
         let t = table(500);
         let scan = BlockShuffleOp::new(t.clone(), ScanMode::Sequential, 1)
             .with_predicate(id_pred(crate::sql::CmpOp::Lt, 0.0));
-        let mut op = FusedPipelineOp::new(FusedSource::Block(scan), "scan→sgd");
+        let mut op = FusedPipelineOp::new(Box::new(scan), "scan→sgd");
         let mut dev = DeviceHandle::private(SimDevice::in_memory());
         let mut ctx = ExecContext::new(&mut dev);
         op.init(&mut ctx);
-        let mut out = TupleBatch::new();
+        let mut out = RowBatch::default();
         assert!(!op.next_batch(&mut ctx, &mut out).unwrap());
         assert!(out.is_empty());
         op.close(&mut ctx);
@@ -1465,55 +1502,17 @@ mod tests {
         // ...and a table whose last block is partial is covered exactly,
         // across rescans (the batch reuse must not leak stale tuples).
         let scan = BlockShuffleOp::new(t, ScanMode::RandomBlocks, 3);
-        let mut op = FusedPipelineOp::new(FusedSource::Block(scan), "scan→sgd");
+        let mut op = FusedPipelineOp::new(Box::new(scan), "scan→sgd");
         op.init(&mut ctx);
         for _pass in 0..2 {
             let mut ids = Vec::new();
             while op.next_batch(&mut ctx, &mut out).unwrap() {
-                ids.extend(out.iter().map(|r| r.id));
+                ids.extend(out.rows().map(|r| r.id));
             }
             ids.sort_unstable();
             assert_eq!(ids, (0..500).collect::<Vec<_>>());
             op.rescan(&mut ctx);
         }
-    }
-
-    #[test]
-    fn warm_rescans_do_not_grow_batch_allocations() {
-        // Epoch 1 warms every TupleBatch to its high-water capacity; a
-        // steady-state epoch must then run without a single batch
-        // reallocation (the zero-alloc contract of the batch executor).
-        let t = table(1200);
-        let scan = BlockShuffleOp::new(t, ScanMode::RandomBlocks, 7)
-            .with_predicate(id_pred(crate::sql::CmpOp::Ge, 100.0));
-        let mut op = FusedPipelineOp::new(
-            FusedSource::Tuple(TupleShuffleOp::new(
-                Box::new(scan),
-                2,
-                StrategyParams::default(),
-            )),
-            "scan→filter→shuffle→sgd",
-        );
-        let mut dev = DeviceHandle::private(SimDevice::in_memory());
-        let mut ctx = ExecContext::new(&mut dev);
-        op.init(&mut ctx);
-        let mut out = TupleBatch::new();
-        let mut rows0 = 0usize;
-        while op.next_batch(&mut ctx, &mut out).unwrap() {
-            rows0 += out.len();
-        }
-        op.rescan(&mut ctx);
-        let grows_before = corgipile_storage::batch_grow_count();
-        let mut rows1 = 0usize;
-        while op.next_batch(&mut ctx, &mut out).unwrap() {
-            rows1 += out.len();
-        }
-        assert_eq!(rows0, rows1);
-        assert_eq!(
-            corgipile_storage::batch_grow_count() - grows_before,
-            0,
-            "warm epoch must not reallocate any TupleBatch"
-        );
     }
 
     #[test]
@@ -1533,7 +1532,7 @@ mod tests {
             3,
             true,
         );
-        op.eval_each_epoch = Some(Arc::new(t.all_tuples()));
+        op.eval_each_epoch = Some(Arc::new(RowBatch::scan(&t, None, None).unwrap()));
         let mut dev = DeviceHandle::private(SimDevice::in_memory());
         let mut ctx = ExecContext::new(&mut dev);
         let result = op.execute(&mut ctx).unwrap();
@@ -1752,7 +1751,7 @@ mod tests {
         ctx.retry = RetryPolicy::with_max_retries(1);
         let mut op = BlockShuffleOp::new(t, ScanMode::RandomBlocks, 2);
         op.init(&mut ctx);
-        let mut batch = TupleBatch::new();
+        let mut batch = RowBatch::default();
         let err = loop {
             match op.next_batch(&mut ctx, &mut batch) {
                 Ok(true) => continue,
@@ -1981,28 +1980,6 @@ mod tests {
             assert_eq!(s.tuples, p.tuples);
         }
         assert_eq!(serial.epochs[0].skipped_blocks, vec![1]);
-    }
-
-    #[test]
-    fn pipelined_fill_path_makes_zero_tuple_clones() {
-        let t = table(1500);
-        let op = SgdOperator::new(
-            corgi_plan(&t, 2, 5),
-            build_model(&ModelKind::Svm, 28, 1),
-            OptimizerKind::default_sgd(0.05).build(),
-            TrainOptions::default(),
-            ComputeCostModel::in_db_core(),
-            2,
-            true,
-        );
-        let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0));
-        let result = op.execute(&mut ExecContext::new(&mut dev)).unwrap();
-        assert!(result.pipeline.fills > 0);
-        assert_eq!(result.pipeline.batches_consumed, result.pipeline.fills);
-        assert_eq!(
-            result.pipeline.producer_tuple_clones, 0,
-            "the fill path must hand out Arc-shared TupleRefs, never cloned Tuples"
-        );
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use database::Database;
 pub use error::DbError;
 pub use exec::{
     BlockShuffleOp, CheckpointSink, DbEpochRecord, ExecContext, FaultAction, FusedPipelineOp,
-    FusedSource, OpStats, PhysicalOperator, PredictOperator, PredictRunResult, ScanMode,
+    OpStats, PhysicalOperator, PredictOperator, PredictRunResult, RowBatch, RowRef, ScanMode,
     SgdOperator, SgdRunResult, TupleShuffleOp,
 };
 pub use model_store::{ModelRecord, ModelStore, ModelStoreOptions, ModelStoreStats};

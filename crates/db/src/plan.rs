@@ -13,7 +13,7 @@
 //! validated against the catalog (feature indices in predicates and
 //! projections must exist; `id` is not selectable as a training input).
 //! The scan owns the `WHERE` predicate and the column list: it evaluates
-//! the predicate on each decoded tuple *below* the tuple-shuffle buffer and
+//! the predicate on each row in place *below* the tuple-shuffle buffer and
 //! materializes only survivors over the named columns. That placement
 //! matters for convergence-per-byte: the buffer holds a fixed block budget,
 //! so filtering before buffering raises the effective buffer fraction of
@@ -29,20 +29,16 @@
 //! `tests/golden_bits.rs`, which were recorded with the filter above the
 //! buffer.
 //!
-//! Lowering runs a *pipeline-fusion* pass: [`build_physical_with`]
-//! collapses the chain into a single [`FusedPipelineOp`] whose inner loop
-//! moves whole [`TupleBatch`](corgipile_storage::TupleBatch)es from a
-//! statically dispatched source — no per-tuple virtual calls. Fusion never
-//! changes semantics: the interpreted operator tree stays available under
-//! `WITH fuse = 0` as the bit-identity oracle, and both paths replay the
+//! Lowering runs a *pipeline-fusion* pass: [`build_physical_with`] wraps
+//! the chain in a single [`FusedPipelineOp`] that moves whole
+//! [`RowBatch`](crate::RowBatch)es. Fusion never changes semantics:
+//! `WITH fuse = 0` runs the same operators bare, and both paths replay the
 //! same tuple sequence. Only the *compute accounting* differs (the fused
 //! path charges its per-tuple dispatch overhead once per batch).
 
 use crate::catalog::Catalog;
 use crate::error::DbError;
-use crate::exec::{
-    BlockShuffleOp, FusedPipelineOp, FusedSource, PhysicalOperator, ScanMode, TupleShuffleOp,
-};
+use crate::exec::{BlockShuffleOp, FusedPipelineOp, PhysicalOperator, ScanMode, TupleShuffleOp};
 use crate::sql::{ColumnRef, Predicate, Projection, StrategyKind};
 use corgipile_data::rng::shuffle_in_place;
 use corgipile_shuffle::{recluster_table, StrategyParams};
@@ -225,7 +221,7 @@ impl LogicalPlan {
 
     /// Build the logical plan for a serving query: `Predict ←
     /// Scan(sequential)`, the predicate on the scan exactly as for training,
-    /// so it is evaluated on the zero-copy block path before any tuple is
+    /// so it is evaluated on each row in place before any tuple is
     /// batched.
     pub fn build_predict(spec: &PredictPlanSpec, table: &Table) -> Result<LogicalPlan, DbError> {
         let dim = table.dim()?;
@@ -543,10 +539,8 @@ pub struct BuildOptions {
 /// the engine that constructs scan/shuffle operators for queries — `TRAIN`,
 /// both `PREDICT` forms, and `EXPLAIN ANALYZE` all route here.
 ///
-/// With `opts.fuse` set, the pass emits one [`FusedPipelineOp`] for the
-/// `Sgd|Predict ← TupleShuffle? ← Scan` chain: the scan (with its
-/// predicate/projection) and the optional tuple shuffle become a
-/// statically-dispatched [`FusedSource`].
+/// With `opts.fuse` set, the pass wraps the `TupleShuffle? ← Scan` chain
+/// below `Sgd|Predict` in one [`FusedPipelineOp`].
 #[allow(clippy::too_many_arguments)]
 pub fn build_physical_with(
     plan: &LogicalPlan,
@@ -570,14 +564,7 @@ pub fn build_physical_with(
     };
     let (child, fused) = match fuse_chain(plan).filter(|_| opts.fuse) {
         Some(chain) => {
-            let scan_op = lower.scan(chain.scan)?;
-            let source = match chain.shuffle_blocks {
-                Some(bb) => {
-                    FusedSource::Tuple(TupleShuffleOp::new(Box::new(scan_op), bb, params.clone()))
-                }
-                None => FusedSource::Block(scan_op),
-            };
-            let fused = FusedPipelineOp::new(source, chain.label());
+            let fused = FusedPipelineOp::new(lower.node(plan)?, chain.label());
             (Box::new(fused) as Box<dyn PhysicalOperator>, true)
         }
         None => (lower.node(plan)?, false),
@@ -622,10 +609,7 @@ impl Lowering<'_> {
         })
     }
 
-    /// The leaf [`BlockShuffleOp`] for a `LogicalPlan::Scan` node — shared
-    /// by the interpreted lowering (which boxes it) and the fusion pass
-    /// (which embeds it unboxed in a [`FusedSource`], so the fused inner
-    /// loop reaches it by static dispatch).
+    /// The leaf [`BlockShuffleOp`] for a `LogicalPlan::Scan` node.
     fn scan(&mut self, scan: &LogicalPlan) -> Result<BlockShuffleOp, DbError> {
         let LogicalPlan::Scan {
             order,

@@ -6,13 +6,14 @@
 use crate::database::Database;
 use crate::error::DbError;
 use crate::exec::{
-    BlockShuffleOp, ExecContext, PhysicalOperator, ScanMode, SgdOperator, TupleShuffleOp,
+    BlockShuffleOp, ExecContext, PhysicalOperator, RowBatch, ScanMode, SgdOperator, TupleShuffleOp,
 };
 use crate::session::QueryResult;
 use crate::sql::{parse, Predicate, Query};
+use corgipile_core::TupleSeq;
 use corgipile_ml::{build_model, ComputeCostModel, ModelKind, OptimizerKind, TrainOptions};
 use corgipile_shuffle::StrategyParams;
-use corgipile_storage::{DeviceHandle, SimDevice, Table, TableConfig, Tuple, TupleBatch};
+use corgipile_storage::{DeviceHandle, SimDevice, Table, TableConfig, Tuple};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -23,7 +24,7 @@ use std::sync::Arc;
 struct PostBufferFilter {
     child: TupleShuffleOp,
     predicate: Predicate,
-    fetch: TupleBatch,
+    fetch: RowBatch,
 }
 
 impl PhysicalOperator for PostBufferFilter {
@@ -33,14 +34,16 @@ impl PhysicalOperator for PostBufferFilter {
     fn init(&mut self, ctx: &mut ExecContext) {
         self.child.init(ctx)
     }
-    fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
+    fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<bool, DbError> {
         out.clear();
         while out.is_empty() {
             if !self.child.next_batch(ctx, &mut self.fetch)? {
                 return Ok(false);
             }
-            for r in self.fetch.iter().filter(|r| self.predicate.matches(r)) {
-                out.push(r.clone());
+            for &r in &self.fetch.rows {
+                if self.predicate.matches(self.fetch.row(r)) {
+                    out.push_from(&self.fetch, r);
+                }
             }
         }
         Ok(true)
@@ -72,9 +75,9 @@ fn table(n: u64, width: usize, block_pages: usize) -> Arc<Table> {
 
 fn drain_ids(op: &mut dyn PhysicalOperator, ctx: &mut ExecContext) -> Vec<u64> {
     let mut out = Vec::new();
-    let mut batch = TupleBatch::new();
+    let mut batch = RowBatch::default();
     while op.next_batch(ctx, &mut batch).unwrap() {
-        out.extend(batch.iter().map(|r| r.id));
+        out.extend(batch.rows().map(|r| r.id));
     }
     out
 }
@@ -212,7 +215,7 @@ proptest! {
         let post = PostBufferFilter {
             child: TupleShuffleOp::new(Box::new(scan), sparams.buffer_blocks(&t), sparams),
             predicate,
-            fetch: TupleBatch::new(),
+            fetch: RowBatch::default(),
         };
         let sgd = SgdOperator::new(
             Box::new(post),

@@ -92,7 +92,7 @@ pub struct ServeOptions {
     /// Explicit version pin; `None` serves the cache-active version.
     pub version: Option<u32>,
     /// Optional row predicate, placed on the scan so it is evaluated on
-    /// the zero-copy block path before batching.
+    /// each row in place, before batching.
     pub filter: Option<Predicate>,
     /// Tuples per prediction batch.
     pub batch_rows: usize,
@@ -766,7 +766,7 @@ impl Session {
     /// The one PREDICT executor, behind both `PREDICT … ON` and
     /// `PREDICT BY`: check the model's width against the table, lower the
     /// sequential scan through the planner (an optional predicate sits on
-    /// the scan and is evaluated zero-copy, before any tuple is batched),
+    /// the scan and is evaluated in place, before any tuple is batched),
     /// run [`PredictOperator`] over `batch_rows`-sized batches, summarise.
     fn serve(
         &mut self,
@@ -2037,9 +2037,9 @@ mod tests {
         let per_tuple: (Vec<f32>, f64) = (
             tuples
                 .iter()
-                .map(|t| model.predict_label(&t.features))
+                .map(|t| model.predict_label(t.features.view()))
                 .collect(),
-            corgipile_core::trainer::evaluate(model.as_ref(), &tuples),
+            corgipile_core::trainer::evaluate(model.as_ref(), tuples.iter().map(Tuple::view)),
         );
         // `PREDICT BY` runs the same executor over the catalog object.
         match s.execute("SELECT * FROM higgs PREDICT BY m").unwrap() {

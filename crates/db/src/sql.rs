@@ -20,7 +20,7 @@
 
 use crate::error::DbError;
 pub use corgipile_shuffle::StrategyKind;
-use corgipile_storage::Tuple;
+use corgipile_storage::{Tuple, TupleView};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -100,8 +100,8 @@ impl ColumnRef {
         }
     }
 
-    /// Numeric value of this column for a tuple.
-    pub fn value_of(self, t: &Tuple) -> f64 {
+    /// Numeric value of this column for a row, read in place.
+    pub fn value_of(self, t: TupleView<'_>) -> f64 {
         match self {
             ColumnRef::Id => t.id as f64,
             ColumnRef::Label => f64::from(t.label),
@@ -196,8 +196,8 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    /// Evaluate the predicate against one tuple.
-    pub fn matches(&self, t: &Tuple) -> bool {
+    /// Evaluate the predicate against one row, read in place.
+    pub fn matches(&self, t: TupleView<'_>) -> bool {
         match self {
             Predicate::Cmp { col, op, value } => op.eval(col.value_of(t), *value),
             Predicate::And(a, b) => a.matches(t) && b.matches(t),
@@ -1489,13 +1489,13 @@ mod tests {
         let t = Tuple::dense(7, vec![0.5, -2.0, 3.0], 1.0);
         let (_, _, _, filter, _) =
             train_parts("SELECT * FROM x WHERE f0 >= 0.5 AND f1 < 0 AND label = 1 TRAIN BY svm");
-        assert!(filter.as_ref().unwrap().matches(&t));
+        assert!(filter.as_ref().unwrap().matches(t.view()));
         let (_, _, _, filter, _) =
             train_parts("SELECT * FROM x WHERE id < 7 OR f2 > 2.5 TRAIN BY svm");
-        assert!(filter.as_ref().unwrap().matches(&t));
+        assert!(filter.as_ref().unwrap().matches(t.view()));
         let (_, _, _, filter, _) =
             train_parts("SELECT * FROM x WHERE id < 7 AND f2 > 2.5 TRAIN BY svm");
-        assert!(!filter.as_ref().unwrap().matches(&t));
+        assert!(!filter.as_ref().unwrap().matches(t.view()));
     }
 
     #[test]

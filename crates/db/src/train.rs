@@ -15,19 +15,17 @@
 
 use crate::catalog::StoredModel;
 use crate::error::DbError;
-use crate::exec::{project_tuple, ExecContext, FaultAction, SgdOperator};
+use crate::exec::{ExecContext, FaultAction, RowBatch, SgdOperator};
 use crate::model_store::ModelStore;
 use crate::options::{effective_line, QueryOptions, Statement};
 use crate::plan::{build_physical_with, BuildOptions, LogicalPlan, TrainPlanSpec};
 use crate::serving::ServableModel;
 use crate::session::{DbTrainSummary, Session};
 use crate::sql::{ParamValue, Query};
-use corgipile_core::trainer::evaluate;
+use corgipile_core::{trainer::evaluate, TupleSeq};
 use corgipile_ml::{build_model, ModelKind, OptimizerKind, TrainCheckpoint, TrainOptions};
 use corgipile_shuffle::{block_variance_sampled, CostEstimate, CostModel, StrategyParams};
-use corgipile_storage::{
-    BufferPool, PoolHandle, RetryPolicy, SimDevice, Table, TableSnapshot, Tuple,
-};
+use corgipile_storage::{BufferPool, PoolHandle, RetryPolicy, SimDevice, Table, TableSnapshot};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -87,25 +85,6 @@ impl PreparedTrain {
         self.table = snapshot.into_table();
         self.plan = logical_plan(&mut self.spec, &self.sparams, &self.table)?;
         Ok(())
-    }
-
-    /// The pinned table as training sees it — after the `WHERE` filter and
-    /// the projection — so metrics match what SGD saw.
-    fn eval_view(&self) -> Arc<Vec<Tuple>> {
-        let all = self.table.all_tuples();
-        let (filter, projected) = (&self.spec.filter, self.spec.projection.feature_indices());
-        if filter.is_none() && projected.is_none() {
-            return Arc::new(all);
-        }
-        Arc::new(
-            all.iter()
-                .filter(|t| filter.as_ref().is_none_or(|p| p.matches(t)))
-                .map(|t| match &projected {
-                    Some(cols) => project_tuple(t, cols),
-                    None => t.clone(),
-                })
-                .collect(),
-        )
     }
 
     /// `EXPLAIN`: the plan as `run_train` would lower it, the pinned
@@ -438,7 +417,13 @@ impl Session {
             } else {
                 Some(end - 1)
             };
-            let eval = (last || prep.report_metrics).then(|| prep.eval_view());
+            // The pinned table as training sees it — after the `WHERE` filter
+            // and the projection — so metrics match what SGD saw.
+            let cols = prep.spec.projection.feature_indices();
+            let eval = (last || prep.report_metrics)
+                .then(|| RowBatch::scan(&prep.table, prep.spec.filter.as_ref(), cols.as_deref()))
+                .transpose()?
+                .map(Arc::new);
             if prep.report_metrics {
                 sgd.eval_each_epoch = eval.clone();
             }
@@ -522,7 +507,7 @@ impl Session {
         }
 
         // --- Evaluate & store (against the last pinned snapshot) ----------
-        let final_train_metric = evaluate(model.as_ref(), &eval);
+        let final_train_metric = evaluate(model.as_ref(), eval.rows());
         let stored = StoredModel {
             kind: prep.kind.clone(),
             dim: prep.dim,
@@ -579,12 +564,7 @@ impl Session {
 
 fn resolve_model_kind(name: &str, table: &Table) -> Result<ModelKind, DbError> {
     let classes = || -> usize {
-        let max = table
-            .all_tuples()
-            .iter()
-            .map(|t| t.label as i64)
-            .max()
-            .unwrap_or(1);
+        let max = table.rows().map(|t| t.label as i64).max().unwrap_or(1);
         (max + 1).max(2) as usize
     };
     match name {

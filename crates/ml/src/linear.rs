@@ -6,7 +6,7 @@
 //! per-tuple updates implemented here.
 
 use crate::model::Model;
-use corgipile_storage::FeatureVec;
+use corgipile_storage::FeatureView;
 
 /// The loss attached to the linear score `s = w·x + b`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +45,7 @@ impl LinearModel {
     }
 
     /// The raw score `w·x + b`.
-    pub fn score(&self, x: &FeatureVec) -> f32 {
+    pub fn score(&self, x: FeatureView<'_>) -> f32 {
         x.dot(&self.params[..self.dim]) + self.params[self.dim]
     }
 
@@ -82,7 +82,7 @@ impl Model for LinearModel {
         &mut self.params
     }
 
-    fn loss(&self, x: &FeatureVec, y: f32) -> f64 {
+    fn loss(&self, x: FeatureView<'_>, y: f32) -> f64 {
         let s = self.score(x) as f64;
         let y = y as f64;
         match self.task {
@@ -100,7 +100,7 @@ impl Model for LinearModel {
         }
     }
 
-    fn grad(&self, x: &FeatureVec, y: f32, grad: &mut [f32]) {
+    fn grad(&self, x: FeatureView<'_>, y: f32, grad: &mut [f32]) {
         let g = self.dloss_dscore(self.score(x), y);
         if g == 0.0 {
             return;
@@ -109,7 +109,7 @@ impl Model for LinearModel {
         grad[self.dim] += g;
     }
 
-    fn sgd_step(&mut self, x: &FeatureVec, y: f32, lr: f32) {
+    fn sgd_step(&mut self, x: FeatureView<'_>, y: f32, lr: f32) {
         // Sparse fast path: touch only the non-zero coordinates.
         let g = self.dloss_dscore(self.score(x), y);
         if g == 0.0 {
@@ -119,7 +119,7 @@ impl Model for LinearModel {
         self.params[self.dim] -= lr * g;
     }
 
-    fn predict_label(&self, x: &FeatureVec) -> f32 {
+    fn predict_label(&self, x: FeatureView<'_>) -> f32 {
         let s = self.score(x);
         match self.task {
             LinearTask::Squared => s,
@@ -133,11 +133,10 @@ impl Model for LinearModel {
         }
     }
 
-    fn predict_batch_into(&self, xs: &[&FeatureVec], out: &mut Vec<f32>) {
+    fn predict_rows_into(&self, xs: &[FeatureView<'_>], out: &mut Vec<f32>) {
         // Serving fast path: the weight slice and bias are hoisted once, so
         // the batch loop is a bare `dense_dot` per tuple.
         let (w, b) = (&self.params[..self.dim], self.params[self.dim]);
-        out.reserve(xs.len());
         match self.task {
             LinearTask::Squared => out.extend(xs.iter().map(|x| x.dot(w) + b)),
             _ => out.extend(
@@ -162,12 +161,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn dense(v: &[f32]) -> FeatureVec {
-        FeatureVec::Dense(v.to_vec())
+    fn dense(v: &[f32]) -> FeatureView<'_> {
+        FeatureView::Dense(v)
     }
 
     /// Numeric gradient check via central differences on the flat params.
-    fn check_grad(task: LinearTask, x: &FeatureVec, y: f32) {
+    fn check_grad(task: LinearTask, x: FeatureView<'_>, y: f32) {
         let mut m = LinearModel::new(x.dim(), task);
         // Non-trivial params so hinge margins are active.
         for (i, p) in m.params_mut().iter_mut().enumerate() {
@@ -193,19 +192,19 @@ mod tests {
 
     #[test]
     fn gradient_matches_numeric_logistic() {
-        check_grad(LinearTask::Logistic, &dense(&[0.5, -1.0, 2.0]), 1.0);
-        check_grad(LinearTask::Logistic, &dense(&[0.5, -1.0, 2.0]), -1.0);
+        check_grad(LinearTask::Logistic, dense(&[0.5, -1.0, 2.0]), 1.0);
+        check_grad(LinearTask::Logistic, dense(&[0.5, -1.0, 2.0]), -1.0);
     }
 
     #[test]
     fn gradient_matches_numeric_squared() {
-        check_grad(LinearTask::Squared, &dense(&[1.0, 2.0, -0.5]), 3.0);
+        check_grad(LinearTask::Squared, dense(&[1.0, 2.0, -0.5]), 3.0);
     }
 
     #[test]
     fn gradient_matches_numeric_hinge_active_margin() {
         // Pick a point with an active margin (y·s < 1) away from the kink.
-        check_grad(LinearTask::Hinge, &dense(&[0.2, 0.1, -0.3]), 1.0);
+        check_grad(LinearTask::Hinge, dense(&[0.2, 0.1, -0.3]), 1.0);
     }
 
     #[test]
@@ -214,9 +213,9 @@ mod tests {
         m.params_mut()[0] = 10.0;
         let x = dense(&[1.0, 0.0]);
         let mut g = vec![0.0; 3];
-        m.grad(&x, 1.0, &mut g); // s = 10, y·s = 10 > 1
+        m.grad(x, 1.0, &mut g); // s = 10, y·s = 10 > 1
         assert_eq!(g, vec![0.0; 3]);
-        assert_eq!(m.loss(&x, 1.0), 0.0);
+        assert_eq!(m.loss(x, 1.0), 0.0);
     }
 
     #[test]
@@ -224,23 +223,23 @@ mod tests {
         let mut m = LinearModel::new(1, LinearTask::Logistic);
         m.params_mut()[0] = 1000.0;
         let x = dense(&[1.0]);
-        assert!(m.loss(&x, -1.0).is_finite());
-        assert!(m.loss(&x, 1.0).is_finite());
-        assert!(m.loss(&x, 1.0) < 1e-6);
+        assert!(m.loss(x, -1.0).is_finite());
+        assert!(m.loss(x, 1.0).is_finite());
+        assert!(m.loss(x, 1.0) < 1e-6);
         let mut g = vec![0.0; 2];
-        m.grad(&x, -1.0, &mut g);
+        m.grad(x, -1.0, &mut g);
         assert!(g.iter().all(|v| v.is_finite()));
     }
 
     #[test]
     fn sparse_sgd_step_matches_dense_step() {
-        let sparse = FeatureVec::sparse(6, vec![1, 4], vec![2.0, -1.0]);
+        let sparse = corgipile_storage::FeatureVec::sparse(6, vec![1, 4], vec![2.0, -1.0]);
         let densified = dense(&[0.0, 2.0, 0.0, 0.0, -1.0, 0.0]);
         for task in [LinearTask::Logistic, LinearTask::Hinge, LinearTask::Squared] {
             let mut a = LinearModel::new(6, task);
             let mut b = LinearModel::new(6, task);
-            a.sgd_step(&sparse, 1.0, 0.3);
-            b.sgd_step(&densified, 1.0, 0.3);
+            a.sgd_step(sparse.view(), 1.0, 0.3);
+            b.sgd_step(densified, 1.0, 0.3);
             for (pa, pb) in a.params().iter().zip(b.params()) {
                 assert!((pa - pb).abs() < 1e-6, "{task:?}");
             }
@@ -252,23 +251,23 @@ mod tests {
         // x ∈ {(1,1): +1, (-1,-1): −1} — trivially separable.
         let mut m = LinearModel::new(2, LinearTask::Logistic);
         for _ in 0..200 {
-            m.sgd_step(&dense(&[1.0, 1.0]), 1.0, 0.1);
-            m.sgd_step(&dense(&[-1.0, -1.0]), -1.0, 0.1);
+            m.sgd_step(dense(&[1.0, 1.0]), 1.0, 0.1);
+            m.sgd_step(dense(&[-1.0, -1.0]), -1.0, 0.1);
         }
-        assert_eq!(m.predict_label(&dense(&[1.0, 1.0])), 1.0);
-        assert_eq!(m.predict_label(&dense(&[-1.0, -1.0])), -1.0);
-        assert!(m.loss(&dense(&[1.0, 1.0]), 1.0) < 0.2);
+        assert_eq!(m.predict_label(dense(&[1.0, 1.0])), 1.0);
+        assert_eq!(m.predict_label(dense(&[-1.0, -1.0])), -1.0);
+        assert!(m.loss(dense(&[1.0, 1.0]), 1.0) < 0.2);
     }
 
     #[test]
     fn svm_learns_with_margin() {
         let mut m = LinearModel::new(2, LinearTask::Hinge);
         for _ in 0..300 {
-            m.sgd_step(&dense(&[2.0, 0.5]), 1.0, 0.05);
-            m.sgd_step(&dense(&[-2.0, -0.5]), -1.0, 0.05);
+            m.sgd_step(dense(&[2.0, 0.5]), 1.0, 0.05);
+            m.sgd_step(dense(&[-2.0, -0.5]), -1.0, 0.05);
         }
-        assert!(m.score(&dense(&[2.0, 0.5])) >= 1.0, "margin not reached");
-        assert!(m.score(&dense(&[-2.0, -0.5])) <= -1.0);
+        assert!(m.score(dense(&[2.0, 0.5])) >= 1.0, "margin not reached");
+        assert!(m.score(dense(&[-2.0, -0.5])) <= -1.0);
     }
 
     #[test]
@@ -277,13 +276,13 @@ mod tests {
         // y = 3x + 1
         for _ in 0..500 {
             for x in [-2.0f32, -1.0, 0.0, 1.0, 2.0] {
-                m.sgd_step(&dense(&[x]), 3.0 * x + 1.0, 0.05);
+                m.sgd_step(dense(&[x]), 3.0 * x + 1.0, 0.05);
             }
         }
         assert!((m.params()[0] - 3.0).abs() < 0.05, "w = {}", m.params()[0]);
         assert!((m.params()[1] - 1.0).abs() < 0.05, "b = {}", m.params()[1]);
         assert!(!m.is_classifier());
-        let pred = m.predict_label(&dense(&[2.0]));
+        let pred = m.predict_label(dense(&[2.0]));
         assert!((pred - 7.0).abs() < 0.2);
     }
 
@@ -301,10 +300,10 @@ mod tests {
         ) {
             // |dL/ds| ≤ 1 for logistic ⇒ ‖grad_w‖ ≤ ‖x‖.
             let dim = vals.len();
-            let x = FeatureVec::Dense(vals);
+            let x = FeatureView::Dense(&vals);
             let m = LinearModel::new(dim, LinearTask::Logistic);
             let mut g = vec![0.0f32; dim + 1];
-            m.grad(&x, y, &mut g);
+            m.grad(x, y, &mut g);
             let gn: f32 = g[..dim].iter().map(|v| v * v).sum::<f32>().sqrt();
             let xn: f32 = x.norm_sq().sqrt();
             prop_assert!(gn <= xn + 1e-4);
@@ -317,11 +316,11 @@ mod tests {
             w in -3.0f32..3.0,
         ) {
             let dim = vals.len();
-            let x = FeatureVec::Dense(vals);
+            let x = FeatureView::Dense(&vals);
             for task in [LinearTask::Logistic, LinearTask::Hinge, LinearTask::Squared] {
                 let mut m = LinearModel::new(dim, task);
                 m.params_mut().iter_mut().for_each(|p| *p = w);
-                prop_assert!(m.loss(&x, y) >= 0.0, "{task:?}");
+                prop_assert!(m.loss(x, y) >= 0.0, "{task:?}");
             }
         }
     }

@@ -6,18 +6,19 @@
 
 use crate::linear::LinearModel;
 use crate::model::Model;
-use corgipile_storage::Tuple;
+use corgipile_storage::TupleView;
 
 /// Classification accuracy of `model` over `tuples` (exact label match:
 /// ±1 for binary models, class index for multi-class).
 pub fn accuracy<'a, I>(model: &dyn Model, tuples: I) -> f64
 where
-    I: IntoIterator<Item = &'a Tuple>,
+    I: IntoIterator,
+    I::Item: Into<TupleView<'a>>,
 {
     let mut correct = 0usize;
     let mut total = 0usize;
-    for t in tuples {
-        if model.predict_label(&t.features) == t.label {
+    for t in tuples.into_iter().map(Into::into) {
+        if model.predict_label(t.features) == t.label {
             correct += 1;
         }
         total += 1;
@@ -32,12 +33,13 @@ where
 /// Mean per-example loss of `model` over `tuples`.
 pub fn mean_loss<'a, I>(model: &dyn Model, tuples: I) -> f64
 where
-    I: IntoIterator<Item = &'a Tuple>,
+    I: IntoIterator,
+    I::Item: Into<TupleView<'a>>,
 {
     let mut sum = 0.0f64;
     let mut total = 0usize;
-    for t in tuples {
-        sum += model.loss(&t.features, t.label);
+    for t in tuples.into_iter().map(Into::into) {
+        sum += model.loss(t.features, t.label);
         total += 1;
     }
     if total == 0 {
@@ -47,20 +49,26 @@ where
     }
 }
 
-/// Coefficient of determination R² = 1 − SS_res / SS_tot.
+/// Coefficient of determination R² = 1 − SS_res / SS_tot. Two passes over
+/// `tuples`: the label mean, then the residuals.
 pub fn r_squared<'a, I>(model: &dyn Model, tuples: I) -> f64
 where
-    I: IntoIterator<Item = &'a Tuple>,
+    I: IntoIterator,
+    I::IntoIter: Clone,
+    I::Item: Into<TupleView<'a>>,
 {
-    let tuples: Vec<&Tuple> = tuples.into_iter().collect();
-    if tuples.is_empty() {
+    let tuples = tuples.into_iter().map(Into::into);
+    let (n, sum_y) = tuples
+        .clone()
+        .fold((0usize, 0.0f64), |(n, s), t| (n + 1, s + t.label as f64));
+    if n == 0 {
         return 0.0;
     }
-    let mean_y: f64 = tuples.iter().map(|t| t.label as f64).sum::<f64>() / tuples.len() as f64;
+    let mean_y = sum_y / n as f64;
     let mut ss_res = 0.0f64;
     let mut ss_tot = 0.0f64;
-    for t in &tuples {
-        let pred = model.predict_label(&t.features) as f64;
+    for t in tuples {
+        let pred = model.predict_label(t.features) as f64;
         let y = t.label as f64;
         ss_res += (y - pred) * (y - pred);
         ss_tot += (y - mean_y) * (y - mean_y);
@@ -116,12 +124,13 @@ pub fn auc(scores: &[f32], labels: &[f32]) -> f64 {
 /// AUC of a binary linear model over a tuple set (uses the raw score).
 pub fn auc_of<'a, I>(model: &LinearModel, tuples: I) -> f64
 where
-    I: IntoIterator<Item = &'a Tuple>,
+    I: IntoIterator,
+    I::Item: Into<TupleView<'a>>,
 {
     let mut scores = Vec::new();
     let mut labels = Vec::new();
-    for t in tuples {
-        scores.push(model.score(&t.features));
+    for t in tuples.into_iter().map(Into::into) {
+        scores.push(model.score(t.features));
         labels.push(t.label);
     }
     auc(&scores, &labels)
@@ -130,12 +139,13 @@ where
 /// Mean binary log-loss of a logistic scorer: `mean ln(1 + e^{−y·s})`.
 pub fn log_loss<'a, I>(model: &LinearModel, tuples: I) -> f64
 where
-    I: IntoIterator<Item = &'a Tuple>,
+    I: IntoIterator,
+    I::Item: Into<TupleView<'a>>,
 {
     let mut sum = 0.0f64;
     let mut n = 0usize;
-    for t in tuples {
-        let z = -(t.label as f64) * model.score(&t.features) as f64;
+    for t in tuples.into_iter().map(Into::into) {
+        let z = -(t.label as f64) * model.score(t.features) as f64;
         sum += if z > 30.0 { z } else { z.exp().ln_1p() };
         n += 1;
     }
@@ -151,6 +161,7 @@ mod tests {
     use super::*;
     use crate::linear::{LinearModel, LinearTask};
     use crate::model::Model;
+    use corgipile_storage::Tuple;
 
     #[test]
     fn accuracy_of_perfect_and_inverted_models() {
@@ -248,7 +259,7 @@ mod tests {
         let m = LinearModel::new(1, LinearTask::Logistic);
         let manual: f64 = data
             .iter()
-            .map(|t| m.loss(&t.features, t.label))
+            .map(|t| m.loss(t.features.view(), t.label))
             .sum::<f64>()
             / 2.0;
         assert!((mean_loss(&m, &data) - manual).abs() < 1e-12);

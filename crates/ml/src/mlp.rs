@@ -10,7 +10,7 @@
 
 use crate::model::Model;
 use crate::softmax::softmax;
-use corgipile_storage::{dense_axpy, dense_dot, FeatureVec};
+use corgipile_storage::{dense_axpy, dense_dot, FeatureView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -79,7 +79,7 @@ impl Mlp {
 
     /// Forward pass; returns per-layer pre-activation inputs (activations)
     /// and the final logits.
-    fn forward(&self, x: &FeatureVec) -> (Vec<Vec<f32>>, Vec<f32>) {
+    fn forward(&self, x: FeatureView<'_>) -> (Vec<Vec<f32>>, Vec<f32>) {
         let mut acts: Vec<Vec<f32>> = Vec::with_capacity(self.shapes.len());
         let mut a: Vec<f32> = (0..self.dim).map(|i| x.get(i)).collect();
         for (li, s) in self.shapes.iter().enumerate() {
@@ -102,7 +102,7 @@ impl Mlp {
     }
 
     /// Logits for an input.
-    pub fn logits(&self, x: &FeatureVec) -> Vec<f32> {
+    pub fn logits(&self, x: FeatureView<'_>) -> Vec<f32> {
         self.forward(x).1
     }
 }
@@ -120,12 +120,12 @@ impl Model for Mlp {
         &mut self.params
     }
 
-    fn loss(&self, x: &FeatureVec, y: f32) -> f64 {
+    fn loss(&self, x: FeatureView<'_>, y: f32) -> f64 {
         let p = softmax(&self.logits(x));
         -(p[y as usize].max(1e-12) as f64).ln()
     }
 
-    fn grad(&self, x: &FeatureVec, y: f32, grad: &mut [f32]) {
+    fn grad(&self, x: FeatureView<'_>, y: f32, grad: &mut [f32]) {
         let (acts, logits) = self.forward(x);
         let p = softmax(&logits);
         // dL/dz for the output layer.
@@ -166,7 +166,7 @@ impl Model for Mlp {
         }
     }
 
-    fn predict_label(&self, x: &FeatureVec) -> f32 {
+    fn predict_label(&self, x: FeatureView<'_>) -> f32 {
         let logits = self.logits(x);
         logits
             .iter()
@@ -190,8 +190,8 @@ impl Model for Mlp {
 mod tests {
     use super::*;
 
-    fn dense(v: &[f32]) -> FeatureVec {
-        FeatureVec::Dense(v.to_vec())
+    fn dense(v: &[f32]) -> FeatureView<'_> {
+        FeatureView::Dense(v)
     }
 
     #[test]
@@ -208,16 +208,16 @@ mod tests {
         let x = dense(&[0.9, -0.6, 0.3]);
         let y = 1.0;
         let mut g = vec![0.0f32; m0.num_params()];
-        m0.grad(&x, y, &mut g);
+        m0.grad(x, y, &mut g);
         let mut m = m0.clone();
         let eps = 1e-3f32;
         let mut checked = 0;
         for i in (0..m.num_params()).step_by(3) {
             let orig = m.params()[i];
             m.params_mut()[i] = orig + eps;
-            let lp = m.loss(&x, y);
+            let lp = m.loss(x, y);
             m.params_mut()[i] = orig - eps;
-            let lm = m.loss(&x, y);
+            let lm = m.loss(x, y);
             m.params_mut()[i] = orig;
             let num = ((lp - lm) / (2.0 * eps as f64)) as f32;
             assert!(
@@ -243,11 +243,11 @@ mod tests {
         ];
         for _ in 0..2000 {
             for (x, y) in &data {
-                m.sgd_step(&dense(x), *y, 0.1);
+                m.sgd_step(dense(x), *y, 0.1);
             }
         }
         for (x, y) in &data {
-            assert_eq!(m.predict_label(&dense(x)), *y, "input {x:?}");
+            assert_eq!(m.predict_label(dense(x)), *y, "input {x:?}");
         }
     }
 
@@ -269,13 +269,13 @@ mod tests {
             (dense(&[0.0, 3.0, 0.0]), 1.0),
             (dense(&[0.0, 0.0, 3.0]), 2.0),
         ];
-        let before: f64 = xs.iter().map(|(x, y)| m.loss(x, *y)).sum();
+        let before: f64 = xs.iter().map(|(x, y)| m.loss(*x, *y)).sum();
         for _ in 0..200 {
             for (x, y) in &xs {
-                m.sgd_step(x, *y, 0.05);
+                m.sgd_step(*x, *y, 0.05);
             }
         }
-        let after: f64 = xs.iter().map(|(x, y)| m.loss(x, *y)).sum();
+        let after: f64 = xs.iter().map(|(x, y)| m.loss(*x, *y)).sum();
         assert!(after < before / 5.0, "loss {before} → {after}");
     }
 

@@ -3,7 +3,7 @@
 use crate::linear::{LinearModel, LinearTask};
 use crate::mlp::Mlp;
 use crate::softmax::SoftmaxRegression;
-use corgipile_storage::FeatureVec;
+use corgipile_storage::{FeatureVec, FeatureView};
 
 /// A trainable model with a flat parameter vector.
 ///
@@ -25,17 +25,17 @@ pub trait Model: Send + Sync {
     fn params_mut(&mut self) -> &mut [f32];
 
     /// Per-example loss.
-    fn loss(&self, x: &FeatureVec, y: f32) -> f64;
+    fn loss(&self, x: FeatureView<'_>, y: f32) -> f64;
 
     /// Accumulate the per-example gradient into `grad` (length
     /// [`Model::num_params`]). Does **not** zero `grad` first.
-    fn grad(&self, x: &FeatureVec, y: f32, grad: &mut [f32]);
+    fn grad(&self, x: FeatureView<'_>, y: f32, grad: &mut [f32]);
 
     /// Fused single-example SGD step: `params -= lr * ∇loss`.
     ///
     /// The default materializes a dense gradient; linear models override it
     /// with a sparse update.
-    fn sgd_step(&mut self, x: &FeatureVec, y: f32, lr: f32) {
+    fn sgd_step(&mut self, x: FeatureView<'_>, y: f32, lr: f32) {
         let mut g = vec![0.0f32; self.num_params()];
         self.grad(x, y, &mut g);
         for (p, gi) in self.params_mut().iter_mut().zip(&g) {
@@ -45,20 +45,23 @@ pub trait Model: Send + Sync {
 
     /// Predicted label: sign (±1) for binary classifiers, class index for
     /// multi-class, real value for regression.
-    fn predict_label(&self, x: &FeatureVec) -> f32;
+    fn predict_label(&self, x: FeatureView<'_>) -> f32;
 
-    /// Batched inference: the predicted label of every feature vector in
+    /// Batched inference: the predicted label of every feature vector of
     /// `xs`, appended to `out` in order (the serving path's unit of work).
     ///
     /// The default loops [`Model::predict_label`]; linear and softmax
     /// models override it to hoist the weight slices out of the per-tuple
     /// path so the loop runs straight over the unrolled `dense_dot`
     /// kernel. Overrides must stay bit-identical to the default.
+    fn predict_rows_into(&self, xs: &[FeatureView<'_>], out: &mut Vec<f32>) {
+        out.extend(xs.iter().map(|&x| self.predict_label(x)));
+    }
+
+    /// [`Model::predict_rows_into`] over owned feature vectors.
     fn predict_batch_into(&self, xs: &[&FeatureVec], out: &mut Vec<f32>) {
-        out.reserve(xs.len());
-        for x in xs {
-            out.push(self.predict_label(x));
-        }
+        let views: Vec<FeatureView<'_>> = xs.iter().map(|x| x.view()).collect();
+        self.predict_rows_into(&views, out)
     }
 
     /// FLOPs per example for inference (forward pass only), for the
@@ -244,7 +247,7 @@ mod tests {
             }
             let mut batched = Vec::new();
             m.predict_batch_into(&refs, &mut batched);
-            let scalar: Vec<f32> = xs.iter().map(|x| m.predict_label(x)).collect();
+            let scalar: Vec<f32> = xs.iter().map(|x| m.predict_label(x.view())).collect();
             assert_eq!(batched, scalar, "{k}");
             assert!(m.inference_flops_per_example(5) <= m.flops_per_example(5));
         }
@@ -255,14 +258,14 @@ mod tests {
         let mut m = build_model(&ModelKind::LogisticRegression, 3, 0);
         let x = FeatureVec::Dense(vec![1.0, -1.0, 0.5]);
         let mut g = vec![0.0; m.num_params()];
-        m.grad(&x, 1.0, &mut g);
+        m.grad(x.view(), 1.0, &mut g);
         let expect: Vec<f32> = m
             .params()
             .iter()
             .zip(&g)
             .map(|(p, gi)| p - 0.1 * gi)
             .collect();
-        m.sgd_step(&x, 1.0, 0.1);
+        m.sgd_step(x.view(), 1.0, 0.1);
         for (a, b) in m.params().iter().zip(&expect) {
             assert!((a - b).abs() < 1e-6);
         }

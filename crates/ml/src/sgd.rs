@@ -7,7 +7,7 @@
 
 use crate::model::Model;
 use crate::optimizer::Optimizer;
-use corgipile_storage::Tuple;
+use corgipile_storage::TupleView;
 
 /// Options for one training run.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,7 +126,8 @@ pub struct EpochStats {
 /// current learning rate. One [`PerTupleTrainer`] pass without L2.
 pub fn train_per_tuple<'a, I>(model: &mut dyn Model, opt: &dyn Optimizer, tuples: I) -> EpochStats
 where
-    I: IntoIterator<Item = &'a Tuple>,
+    I: IntoIterator,
+    I::Item: Into<TupleView<'a>>,
 {
     let mut pt = PerTupleTrainer::new(opt.lr(), &TrainOptions::default());
     pt.feed(model, tuples);
@@ -164,11 +165,12 @@ impl PerTupleTrainer {
     /// Train on `tuples` in order: pre-update loss, then one fused step.
     pub fn feed<'a, I>(&mut self, model: &mut dyn Model, tuples: I)
     where
-        I: IntoIterator<Item = &'a Tuple>,
+        I: IntoIterator,
+        I::Item: Into<TupleView<'a>>,
     {
-        for t in tuples {
-            self.loss_sum += model.loss(&t.features, t.label);
-            model.sgd_step(&t.features, t.label, self.lr);
+        for t in tuples.into_iter().map(Into::into) {
+            self.loss_sum += model.loss(t.features, t.label);
+            model.sgd_step(t.features, t.label, self.lr);
             self.n += 1;
             if self.l2 > 0.0 && self.n.is_multiple_of(L2_STRIDE) {
                 for p in model.params_mut() {
@@ -224,9 +226,9 @@ impl MinibatchTrainer {
     }
 
     /// Accumulate one tuple, stepping the optimizer on batch boundaries.
-    pub fn feed(&mut self, model: &mut dyn Model, opt: &mut dyn Optimizer, t: &Tuple) {
-        self.loss_sum += model.loss(&t.features, t.label);
-        model.grad(&t.features, t.label, &mut self.grad);
+    pub fn feed(&mut self, model: &mut dyn Model, opt: &mut dyn Optimizer, t: TupleView<'_>) {
+        self.loss_sum += model.loss(t.features, t.label);
+        model.grad(t.features, t.label, &mut self.grad);
         self.in_batch += 1;
         self.n += 1;
         if self.in_batch == self.options.batch_size {
@@ -291,11 +293,12 @@ pub fn train_minibatch<'a, I>(
     options: &TrainOptions,
 ) -> EpochStats
 where
-    I: IntoIterator<Item = &'a Tuple>,
+    I: IntoIterator,
+    I::Item: Into<TupleView<'a>>,
 {
     let mut mb = MinibatchTrainer::new(model.num_params(), options.clone());
     for t in tuples {
-        mb.feed(model, opt, t);
+        mb.feed(model, opt, t.into());
     }
     mb.finish(model, opt)
 }
@@ -452,7 +455,7 @@ mod tests {
     fn empty_stream_is_a_noop() {
         let mut m = LinearModel::new(2, LinearTask::Logistic);
         let opt = Sgd::new(0.1, 1.0);
-        let stats = train_per_tuple(&mut m, &opt, &[]);
+        let stats = train_per_tuple(&mut m, &opt, &[] as &[Tuple]);
         assert_eq!(stats, EpochStats::default());
     }
 

@@ -2,7 +2,7 @@
 //! for multi-class datasets (mini8m) and the final layer of our MLPs.
 
 use crate::model::Model;
-use corgipile_storage::FeatureVec;
+use corgipile_storage::FeatureView;
 
 /// Softmax regression over `k` classes.
 ///
@@ -32,7 +32,7 @@ impl SoftmaxRegression {
     }
 
     /// Per-class scores `Wx + b`.
-    pub fn logits(&self, x: &FeatureVec) -> Vec<f32> {
+    pub fn logits(&self, x: FeatureView<'_>) -> Vec<f32> {
         let (w, b) = self.params.split_at(self.classes * self.dim);
         (0..self.classes)
             .map(|c| x.dot(&w[c * self.dim..(c + 1) * self.dim]) + b[c])
@@ -40,7 +40,7 @@ impl SoftmaxRegression {
     }
 
     /// Softmax probabilities (numerically stabilized).
-    pub fn probabilities(&self, x: &FeatureVec) -> Vec<f32> {
+    pub fn probabilities(&self, x: FeatureView<'_>) -> Vec<f32> {
         softmax(&self.logits(x))
     }
 }
@@ -66,14 +66,14 @@ impl Model for SoftmaxRegression {
         &mut self.params
     }
 
-    fn loss(&self, x: &FeatureVec, y: f32) -> f64 {
+    fn loss(&self, x: FeatureView<'_>, y: f32) -> f64 {
         let p = self.probabilities(x);
         let c = y as usize;
         debug_assert!(c < self.classes, "label {y} out of range");
         -(p[c].max(1e-12) as f64).ln()
     }
 
-    fn grad(&self, x: &FeatureVec, y: f32, grad: &mut [f32]) {
+    fn grad(&self, x: FeatureView<'_>, y: f32, grad: &mut [f32]) {
         let p = self.probabilities(x);
         let target = y as usize;
         let (gw, gb) = grad.split_at_mut(self.classes * self.dim);
@@ -86,7 +86,7 @@ impl Model for SoftmaxRegression {
         }
     }
 
-    fn sgd_step(&mut self, x: &FeatureVec, y: f32, lr: f32) {
+    fn sgd_step(&mut self, x: FeatureView<'_>, y: f32, lr: f32) {
         let p = self.probabilities(x);
         let target = y as usize;
         let dim = self.dim;
@@ -100,7 +100,7 @@ impl Model for SoftmaxRegression {
         }
     }
 
-    fn predict_label(&self, x: &FeatureVec) -> f32 {
+    fn predict_label(&self, x: FeatureView<'_>) -> f32 {
         let logits = self.logits(x);
         logits
             .iter()
@@ -110,12 +110,11 @@ impl Model for SoftmaxRegression {
             .unwrap_or(0.0)
     }
 
-    fn predict_batch_into(&self, xs: &[&FeatureVec], out: &mut Vec<f32>) {
+    fn predict_rows_into(&self, xs: &[FeatureView<'_>], out: &mut Vec<f32>) {
         // Argmax over logits only — the softmax normalization is monotone,
         // so serving skips it. Ties keep the *last* maximum class, exactly
         // like `predict_label`'s `max_by`.
         let (w, b) = self.params.split_at(self.classes * self.dim);
-        out.reserve(xs.len());
         for x in xs {
             let mut best = 0usize;
             let mut best_score = f32::NEG_INFINITY;
@@ -140,8 +139,8 @@ impl Model for SoftmaxRegression {
 mod tests {
     use super::*;
 
-    fn dense(v: &[f32]) -> FeatureVec {
-        FeatureVec::Dense(v.to_vec())
+    fn dense(v: &[f32]) -> FeatureView<'_> {
+        FeatureView::Dense(v)
     }
 
     #[test]
@@ -156,11 +155,11 @@ mod tests {
     #[test]
     fn uniform_probabilities_at_init() {
         let m = SoftmaxRegression::new(4, 3);
-        let p = m.probabilities(&dense(&[1.0, 2.0, 3.0, 4.0]));
+        let p = m.probabilities(dense(&[1.0, 2.0, 3.0, 4.0]));
         for v in p {
             assert!((v - 1.0 / 3.0).abs() < 1e-6);
         }
-        assert!((m.loss(&dense(&[0.0; 4]), 1.0) - (3.0f64).ln()).abs() < 1e-6);
+        assert!((m.loss(dense(&[0.0; 4]), 1.0) - (3.0f64).ln()).abs() < 1e-6);
     }
 
     #[test]
@@ -172,14 +171,14 @@ mod tests {
         let x = dense(&[0.7, -0.4, 1.2]);
         let y = 2.0;
         let mut g = vec![0.0f32; m.num_params()];
-        m.grad(&x, y, &mut g);
+        m.grad(x, y, &mut g);
         let eps = 1e-3f32;
         for (i, gi) in g.iter().enumerate() {
             let orig = m.params()[i];
             m.params_mut()[i] = orig + eps;
-            let lp = m.loss(&x, y);
+            let lp = m.loss(x, y);
             m.params_mut()[i] = orig - eps;
-            let lm = m.loss(&x, y);
+            let lm = m.loss(x, y);
             m.params_mut()[i] = orig;
             let num = ((lp - lm) / (2.0 * eps as f64)) as f32;
             assert!((num - gi).abs() < 1e-2, "param {i}: {num} vs {gi}");
@@ -192,11 +191,11 @@ mod tests {
         let centers = [[2.0f32, 0.0], [-1.0, 1.5], [-1.0, -1.5]];
         for _ in 0..300 {
             for (c, ctr) in centers.iter().enumerate() {
-                m.sgd_step(&dense(ctr), c as f32, 0.1);
+                m.sgd_step(dense(ctr), c as f32, 0.1);
             }
         }
         for (c, ctr) in centers.iter().enumerate() {
-            assert_eq!(m.predict_label(&dense(ctr)), c as f32, "class {c}");
+            assert_eq!(m.predict_label(dense(ctr)), c as f32, "class {c}");
         }
     }
 
@@ -211,9 +210,9 @@ mod tests {
                 *p = i as f32 * 0.01;
             }
         }
-        a.sgd_step(&x, 1.0, 0.2);
+        a.sgd_step(x, 1.0, 0.2);
         let mut g = vec![0.0f32; b.num_params()];
-        b.grad(&x, 1.0, &mut g);
+        b.grad(x, 1.0, &mut g);
         for (p, gi) in b.params_mut().iter_mut().zip(&g) {
             *p -= 0.2 * gi;
         }

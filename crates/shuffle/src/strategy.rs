@@ -84,14 +84,16 @@ impl StrategyParams {
 }
 
 /// A strategy's charged block read: [`Table::read`] under the default
-/// [`RetryPolicy`], the constant every epoch source retries with.
+/// [`RetryPolicy`], the constant every epoch source retries with. Copied
+/// out: a [`Segment`] owns its tuples.
 pub(crate) fn read_block(
     table: &Table,
     block: usize,
     access: Access,
     dev: &mut SimDevice,
 ) -> Result<Vec<Tuple>, StorageError> {
-    table.read(block, access, dev, &RetryPolicy::default())
+    let handle = table.read(block, access, dev, &RetryPolicy::default())?;
+    Ok(handle.to_tuples())
 }
 
 /// Read `block` and emit it as one segment costing what the read cost.

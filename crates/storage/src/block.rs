@@ -6,6 +6,7 @@
 //! the hardware-efficiency half of CorgiPile's argument.
 
 use crate::page::{LabelMoments, Page};
+use crate::tuple::{Tuple, TupleView};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -73,6 +74,40 @@ impl Block {
             pages,
             labels,
         }
+    }
+}
+
+/// What a block read hands out: the block's pages, shared with the table
+/// (one `Arc` bump per read, nothing copied).
+#[derive(Debug, Clone)]
+pub struct BlockHandle(pub(crate) Arc<Block>);
+
+impl BlockHandle {
+    /// Number of tuples in the block.
+    pub fn len(&self) -> usize {
+        self.0.meta.tuple_count()
+    }
+
+    /// Whether the block holds no tuple.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The block's pages, in table order.
+    pub fn pages(&self) -> &[Arc<Page>] {
+        &self.0.pages
+    }
+
+    /// The block's rows in table order, borrowed from its pages.
+    pub fn rows(&self) -> impl Iterator<Item = TupleView<'_>> + Clone {
+        self.0.pages.iter().flat_map(|p| p.rows())
+    }
+
+    /// Owned copies of the block's rows.
+    pub fn to_tuples(&self) -> Vec<Tuple> {
+        let mut out = Vec::with_capacity(self.len());
+        out.extend(self.rows().map(|r| r.to_tuple()));
+        out
     }
 }
 

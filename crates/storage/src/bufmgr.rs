@@ -2,18 +2,16 @@
 //!
 //! The paper's integration "directly interacts with the buffer manager"
 //! (§1, §6) and its experiments tune `shared_buffers` (§7.1.5). This pool
-//! caches decoded blocks above the device tier: a hit returns the cached
+//! caches block handles above the device tier: a hit returns the cached
 //! block with no device charge (shared-memory access); on a miss the
 //! caller reads the block through the [`SimDevice`](crate::SimDevice)
 //! (which itself models the OS page cache below) and offers it back for
 //! admission with LRU eviction. [`PoolHandle`](crate::PoolHandle) is that
 //! caller.
 
-use crate::block::BlockId;
-use crate::tuple::Tuple;
+use crate::block::{BlockHandle, BlockId};
 use corgipile_telemetry::{Counter, Telemetry};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Counters for buffer-pool behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,7 +37,7 @@ impl BufferPoolStats {
 }
 
 struct Frame {
-    tuples: Arc<Vec<Tuple>>,
+    block: BlockHandle,
     bytes: usize,
     stamp: u64,
 }
@@ -63,7 +61,7 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// A pool holding up to `capacity_bytes` of decoded blocks.
+    /// A pool holding up to `capacity_bytes` of blocks.
     pub fn new(capacity_bytes: usize) -> Self {
         BufferPool {
             capacity_bytes,
@@ -105,18 +103,18 @@ impl BufferPool {
     }
 
     /// Probe the pool for a block, recording a hit or miss. A hit returns
-    /// the shared tuple handle and touches its LRU stamp; a miss returns
+    /// the shared block handle and touches its LRU stamp; a miss returns
     /// `None` — the caller reads the block from storage and offers it back
     /// via [`BufferPool::admit_block`]. Splitting the probe from the admit
     /// lets shared-pool callers release the pool lock during the device
     /// read.
-    pub fn lookup(&mut self, table_id: u32, block: BlockId) -> Option<Arc<Vec<Tuple>>> {
+    pub fn lookup(&mut self, table_id: u32, block: BlockId) -> Option<BlockHandle> {
         self.stamp += 1;
         if let Some(frame) = self.frames.get_mut(&(table_id, block)) {
             frame.stamp = self.stamp;
             self.stats.hits += 1;
             self.metrics.hits.inc();
-            Some(frame.tuples.clone())
+            Some(frame.block.clone())
         } else {
             self.stats.misses += 1;
             self.metrics.misses.inc();
@@ -131,7 +129,7 @@ impl BufferPool {
         &mut self,
         table_id: u32,
         block: BlockId,
-        tuples: Arc<Vec<Tuple>>,
+        handle: BlockHandle,
         bytes: usize,
     ) {
         let key = (table_id, block);
@@ -161,7 +159,7 @@ impl BufferPool {
         self.frames.insert(
             key,
             Frame {
-                tuples,
+                block: handle,
                 bytes,
                 stamp: self.stamp,
             },
@@ -180,7 +178,7 @@ impl BufferPool {
 mod tests {
     use super::*;
     use crate::table::{Table, TableConfig};
-    use crate::{Access, RetryPolicy, SimDevice};
+    use crate::{Access, RetryPolicy, SimDevice, Tuple};
 
     fn table(id: u32, n: u64) -> Table {
         let cfg = TableConfig::new(format!("t{id}"), id).with_block_bytes(8192);
@@ -188,25 +186,21 @@ mod tests {
     }
 
     /// A read through the pool, as [`crate::PoolHandle`] does it.
-    fn read(
-        pool: &mut BufferPool,
-        t: &Table,
-        block: BlockId,
-        dev: &mut SimDevice,
-    ) -> Arc<Vec<Tuple>> {
+    fn read(pool: &mut BufferPool, t: &Table, block: BlockId, dev: &mut SimDevice) -> BlockHandle {
         let table_id = t.config().table_id;
         if let Some(hit) = pool.lookup(table_id, block) {
             return hit;
         }
-        let tuples = t.read(block, Access::Random, dev, &RetryPolicy::none());
-        let tuples = Arc::new(tuples.unwrap());
+        let handle = t
+            .read(block, Access::Random, dev, &RetryPolicy::none())
+            .unwrap();
         pool.admit_block(
             table_id,
             block,
-            tuples.clone(),
+            handle.clone(),
             t.block(block).unwrap().bytes,
         );
-        tuples
+        handle
     }
 
     #[test]
@@ -218,7 +212,7 @@ mod tests {
         let io_after_miss = dev.stats().io_seconds;
         let b = read(&mut pool, &t, 0, &mut dev);
         assert_eq!(dev.stats().io_seconds, io_after_miss, "hit must be free");
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(std::sync::Arc::ptr_eq(&a.pages()[0], &b.pages()[0]));
         assert_eq!(
             pool.stats(),
             BufferPoolStats {

@@ -245,6 +245,18 @@ impl DeviceMetrics {
     }
 }
 
+/// A telemetry handle with the device instruments resolved against it: what
+/// a connection swaps in and out around every access, resolving nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BoundTelemetry(pub(crate) Telemetry, DeviceMetrics);
+
+impl BoundTelemetry {
+    pub(crate) fn new(telemetry: Telemetry) -> Self {
+        let metrics = DeviceMetrics::resolve(&telemetry);
+        BoundTelemetry(telemetry, metrics)
+    }
+}
+
 /// A deterministic simulated device with an OS page cache.
 ///
 /// Reads are keyed: passing a stable `key` (e.g. `(table_id, block_id)`
@@ -287,8 +299,13 @@ impl SimDevice {
     /// are mirrored into it from this point on. Pass
     /// [`Telemetry::disabled`] to opt back out.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.metrics = DeviceMetrics::resolve(&telemetry);
-        self.telemetry = telemetry;
+        self.swap_telemetry(&mut BoundTelemetry::new(telemetry));
+    }
+
+    /// Exchange the attached telemetry with `other`.
+    pub(crate) fn swap_telemetry(&mut self, other: &mut BoundTelemetry) {
+        std::mem::swap(&mut self.telemetry, &mut other.0);
+        std::mem::swap(&mut self.metrics, &mut other.1);
     }
 
     /// The attached telemetry handle (disabled unless

@@ -68,7 +68,7 @@ pub mod tuple;
 pub mod wal;
 
 pub use append::{AppendableTable, TableSnapshot, RT_TABLE_ROWS, RT_TABLE_SEAL};
-pub use block::{BlockId, BlockMeta};
+pub use block::{BlockHandle, BlockId, BlockMeta};
 pub use buffer::{DoubleBufferModel, TupleBuffer, INITIAL_RESERVATION_CAP};
 pub use bufmgr::{BufferPool, BufferPoolStats};
 pub use codec::{
@@ -86,15 +86,14 @@ pub use persist::{
     FileBlockMeta, FileTable,
 };
 pub use pipeline::{
-    batch_grow_count, block_refs, run_epoch_pipeline, PipelineError, PipelineReport,
-    PipelineSender, TupleBatch, TupleRef, PIPELINE_SLOTS,
+    run_epoch_pipeline, PipelineError, PipelineReport, PipelineSender, PIPELINE_SLOTS,
 };
 pub use retry::RetryPolicy;
 pub use shared::{DeviceHandle, PoolHandle, SharedBufferPool, SharedDevice};
 pub use table::{Table, TableBuilder, TableConfig};
 pub use tuple::{
-    dense_axpy, dense_axpy_scalar, dense_dot, dense_dot_scalar, tuple_clone_count, FeatureVec,
-    Tuple, TupleId, DENSE_LANES,
+    dense_axpy, dense_axpy_scalar, dense_dot, dense_dot_scalar, FeatureVec, FeatureView, Tuple,
+    TupleId, TupleView, DENSE_LANES,
 };
 pub use wal::{scan_valid_prefix, Wal, WalRecord, WAL_MAGIC, WAL_MAX_PAYLOAD};
 

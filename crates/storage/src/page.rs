@@ -1,15 +1,23 @@
-//! Slotted heap pages.
+//! Heap pages, kept columnar.
 //!
-//! PostgreSQL stores tuples in fixed-size (8 KB) slotted pages. We mirror
-//! that: a [`Page`] holds a byte payload plus a slot directory mapping slot
-//! number → byte offset. Tuples wider than a page (e.g. epsilon/yfcc-like
-//! rows with thousands of dense features — which PostgreSQL would TOAST,
-//! §7.1.5) are stored in a dedicated *jumbo* page whose byte size equals the
-//! tuple size; the table layer accounts for the extra decompression cost
-//! when TOAST emulation is enabled.
+//! PostgreSQL stores tuples in fixed-size (8 KB) slotted pages, and a
+//! [`Page`] is *accounted* exactly like one: each row takes its
+//! [`TupleView::encoded_len`] bytes of payload plus a 4-byte line pointer,
+//! so pagination, block boundaries and every simulated I/O charge are those
+//! of the slotted layout. In memory the page is the slab the executor reads:
+//! ids, labels, feature values and sparse indices are typed columns, a
+//! per-row extent says which slice of them is row `slot`, and [`Page::row`]
+//! hands that slice out as a borrowed [`TupleView`] — no decode, no copy, no
+//! allocation. Tables hold pages behind `Arc` and never change a shared one,
+//! so a view lives as long as its page is pinned.
+//!
+//! Tuples wider than a page (epsilon/yfcc-like rows with thousands of dense
+//! features, which PostgreSQL would TOAST, §7.1.5) get a dedicated *jumbo*
+//! page whose byte size equals the tuple size; the table layer accounts for
+//! the extra decompression cost when TOAST emulation is enabled.
 
 use crate::error::StorageError;
-use crate::tuple::Tuple;
+use crate::tuple::{FeatureView, Tuple, TupleId, TupleView};
 use crate::Result;
 
 /// Standard page size in bytes (PostgreSQL default: 8 KB).
@@ -48,38 +56,55 @@ impl LabelMoments {
     }
 }
 
-/// A slotted page of encoded tuples.
+/// Which slices of a page's columns make up one row: `nnz` components from
+/// `values[values..]`, their indices from `indices[indices..]` ([`DENSE`]
+/// for a dense row), `dim` logical dimensions.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Extent {
+    values: u32,
+    nnz: u32,
+    indices: u32,
+    dim: u32,
+}
+
+const DENSE: u32 = u32::MAX;
+
+/// A heap page: slotted-page byte accounting over columnar storage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Page {
     /// Capacity in bytes. `PAGE_SIZE` for regular pages; larger for jumbo
     /// pages holding a single oversized tuple.
     capacity: usize,
-    /// Concatenated tuple encodings.
-    data: Vec<u8>,
-    /// Byte offset of each tuple within `data`.
-    slots: Vec<u32>,
+    /// Sum of the stored rows' encoded lengths.
+    used: usize,
+    ids: Vec<TupleId>,
+    labels: Vec<f32>,
+    /// Stored feature components of every row, back to back.
+    values: Vec<f32>,
+    /// Indices of the sparse rows' components; empty on an all-dense page.
+    indices: Vec<u32>,
+    extents: Vec<Extent>,
     /// Label moments of the stored tuples.
-    labels: LabelMoments,
+    moments: LabelMoments,
 }
 
 impl Page {
     /// Create an empty page of standard size.
     pub fn new() -> Self {
-        Page {
-            capacity: PAGE_SIZE,
-            data: Vec::new(),
-            slots: Vec::new(),
-            labels: LabelMoments::default(),
-        }
+        Self::new_jumbo(PAGE_SIZE)
     }
 
     /// Create a jumbo page sized to hold exactly one tuple of `bytes` bytes.
     pub fn new_jumbo(bytes: usize) -> Self {
         Page {
             capacity: bytes.max(PAGE_SIZE),
-            data: Vec::new(),
-            slots: Vec::new(),
-            labels: LabelMoments::default(),
+            used: 0,
+            ids: Vec::new(),
+            labels: Vec::new(),
+            values: Vec::new(),
+            indices: Vec::new(),
+            extents: Vec::new(),
+            moments: LabelMoments::default(),
         }
     }
 
@@ -90,19 +115,19 @@ impl Page {
 
     /// Number of tuples on the page.
     pub fn tuple_count(&self) -> usize {
-        self.slots.len()
+        self.extents.len()
     }
 
     /// Bytes currently used by tuple payloads (excluding the slot directory).
     pub fn used_bytes(&self) -> usize {
-        self.data.len()
+        self.used
     }
 
     /// Free payload bytes remaining, accounting 4 bytes of slot overhead per
     /// stored tuple (mimicking PostgreSQL's line pointers).
     pub fn free_bytes(&self) -> usize {
-        let overhead = 4 * (self.slots.len() + 1);
-        self.capacity.saturating_sub(self.data.len() + overhead)
+        let overhead = 4 * (self.extents.len() + 1);
+        self.capacity.saturating_sub(self.used + overhead)
     }
 
     /// On-disk footprint of the page in bytes (its full capacity — heap
@@ -116,81 +141,93 @@ impl Page {
         encoded_len <= self.free_bytes()
     }
 
-    /// Append a tuple. Fails with [`StorageError::PageFull`] if it does not fit.
-    pub fn push(&mut self, tuple: &Tuple) -> Result<()> {
-        let len = tuple.encoded_len();
+    /// Append a row. Fails with [`StorageError::PageFull`] if it does not fit.
+    pub fn push(&mut self, row: TupleView<'_>) -> Result<()> {
+        let len = row.encoded_len();
         if !self.fits(len) {
             return Err(StorageError::PageFull {
                 needed: len,
                 free: self.free_bytes(),
             });
         }
-        if self.slots.is_empty() {
+        let (dim, indices, values) = match row.features {
+            FeatureView::Dense(v) => (v.len() as u32, None, v),
+            FeatureView::Sparse {
+                dim,
+                indices,
+                values,
+            } => (dim, Some(indices), values),
+        };
+        if self.extents.is_empty() {
             // Allocate the page whole, like the fixed-size heap page it
-            // models, with slots for a page of tuples this size: a page is
+            // models, with room for a page of rows this size: a page is
             // written until it is full, and growing it by doubling leaves a
             // trail of freed buffers between pages that outlive them.
-            self.data.reserve_exact(self.capacity);
-            self.slots.reserve_exact(self.capacity / (len + 4));
+            let rows = self.capacity / (len + 4);
+            self.ids.reserve_exact(rows);
+            self.labels.reserve_exact(rows);
+            self.extents.reserve_exact(rows);
+            self.values.reserve_exact(rows * values.len());
+            if indices.is_some() {
+                self.indices.reserve_exact(rows * values.len());
+            }
         }
-        self.slots.push(self.data.len() as u32);
-        tuple.encode(&mut self.data);
-        self.labels.add(tuple.label);
+        self.extents.push(Extent {
+            values: self.values.len() as u32,
+            nnz: values.len() as u32,
+            indices: indices.map_or(DENSE, |_| self.indices.len() as u32),
+            dim,
+        });
+        self.ids.push(row.id);
+        self.labels.push(row.label);
+        self.values.extend_from_slice(values);
+        self.indices.extend_from_slice(indices.unwrap_or_default());
+        self.used += len;
+        self.moments.add(row.label);
         Ok(())
     }
 
     /// Label moments of the tuples on the page.
     pub(crate) fn label_moments(&self) -> LabelMoments {
-        self.labels
+        self.moments
     }
 
-    /// Decode the tuple in slot `slot`.
-    pub fn tuple(&self, slot: usize) -> Result<Tuple> {
-        let off = *self
-            .slots
-            .get(slot)
-            .ok_or_else(|| StorageError::Corrupt(format!("slot {slot} out of range")))?
-            as usize;
-        Tuple::decode(&self.data[off..]).map(|(t, _)| t)
-    }
-
-    /// Iterate all tuples on the page in slot order.
-    pub fn tuples(&self) -> PageTuples<'_> {
-        PageTuples {
-            page: self,
-            next: 0,
+    /// The row in slot `slot`, borrowed from the page's columns. Panics when
+    /// `slot >= self.tuple_count()`, like a slice index.
+    #[inline]
+    pub fn row(&self, slot: usize) -> TupleView<'_> {
+        let e = self.extents[slot];
+        let values = &self.values[e.values as usize..][..e.nnz as usize];
+        let features = if e.indices == DENSE {
+            FeatureView::Dense(values)
+        } else {
+            FeatureView::Sparse {
+                dim: e.dim,
+                indices: &self.indices[e.indices as usize..][..e.nnz as usize],
+                values,
+            }
+        };
+        TupleView {
+            id: self.ids[slot],
+            label: self.labels[slot],
+            features,
         }
+    }
+
+    /// An owned copy of the row in slot `slot`.
+    pub fn tuple(&self, slot: usize) -> Tuple {
+        self.row(slot).to_tuple()
+    }
+
+    /// Iterate all rows on the page in slot order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = TupleView<'_>> + Clone {
+        (0..self.tuple_count()).map(|slot| self.row(slot))
     }
 }
 
 impl Default for Page {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Iterator over the tuples of a [`Page`].
-pub struct PageTuples<'a> {
-    page: &'a Page,
-    next: usize,
-}
-
-impl Iterator for PageTuples<'_> {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        if self.next >= self.page.tuple_count() {
-            return None;
-        }
-        let t = self.page.tuple(self.next).expect("page self-consistency");
-        self.next += 1;
-        Some(t)
-    }
-}
-
-impl ExactSizeIterator for PageTuples<'_> {
-    fn len(&self) -> usize {
-        self.page.tuple_count() - self.next
     }
 }
 
@@ -211,15 +248,16 @@ mod tests {
     fn push_and_read_back() {
         let mut p = Page::new();
         for id in 0..10 {
-            p.push(&tiny(id)).unwrap();
+            p.push(tiny(id).view()).unwrap();
         }
         assert_eq!(p.tuple_count(), 10);
         for id in 0..10 {
-            assert_eq!(p.tuple(id as usize).unwrap(), tiny(id));
+            assert_eq!(p.tuple(id as usize), tiny(id));
+            assert_eq!(p.row(id as usize), tiny(id).view());
         }
-        let all: Vec<_> = p.tuples().collect();
+        let all: Vec<_> = p.rows().collect();
         assert_eq!(all.len(), 10);
-        assert_eq!(all[3], tiny(3));
+        assert_eq!(all[3].to_tuple(), tiny(3));
     }
 
     #[test]
@@ -228,11 +266,11 @@ mod tests {
         let t = Tuple::dense(0, vec![0.0; 64], 1.0); // 277 bytes encoded
         let mut n = 0;
         while p.fits(t.encoded_len()) {
-            p.push(&t).unwrap();
+            p.push(t.view()).unwrap();
             n += 1;
         }
         assert!(n > 10, "expected a few dozen tuples per page, got {n}");
-        let err = p.push(&t).unwrap_err();
+        let err = p.push(t.view()).unwrap_err();
         assert!(matches!(err, StorageError::PageFull { .. }));
     }
 
@@ -242,8 +280,8 @@ mod tests {
         assert!(t.encoded_len() > PAGE_SIZE);
         let mut p = Page::new_jumbo(t.encoded_len() + 8);
         assert!(p.is_jumbo());
-        p.push(&t).unwrap();
-        assert_eq!(p.tuple(0).unwrap(), t);
+        p.push(t.view()).unwrap();
+        assert_eq!(p.tuple(0), t);
     }
 
     #[test]
@@ -255,36 +293,85 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_slot_errors() {
-        let p = Page::new();
-        assert!(p.tuple(0).is_err());
+    #[should_panic]
+    fn out_of_range_slot_panics_like_an_index() {
+        Page::new().row(0);
     }
 
     #[test]
-    fn exact_size_iterator_len() {
+    fn a_full_page_never_outgrows_its_first_reservation() {
+        // One reservation per column when the first row arrives; an
+        // all-dense page has no index column at all.
         let mut p = Page::new();
-        for id in 0..5 {
-            p.push(&tiny(id)).unwrap();
+        p.push(tiny(0).view()).unwrap();
+        let caps = (p.ids.capacity(), p.values.capacity(), p.extents.capacity());
+        let mut id = 1;
+        while p.fits(tiny(id).encoded_len()) {
+            p.push(tiny(id).view()).unwrap();
+            id += 1;
         }
-        let mut it = p.tuples();
-        assert_eq!(it.len(), 5);
-        it.next();
-        assert_eq!(it.len(), 4);
+        assert_eq!(
+            caps,
+            (p.ids.capacity(), p.values.capacity(), p.extents.capacity())
+        );
+        assert_eq!(p.rows().len(), id as usize);
+        assert_eq!(p.indices.capacity(), 0);
+    }
+
+    /// A dense tuple of `width` features or a sparse one of `width` stored
+    /// components, by `sparse`.
+    fn arb_tuple(id: u64, width: usize, sparse: bool) -> Tuple {
+        let values: Vec<f32> = (0..width).map(|k| (id + k as u64) as f32 * 0.5).collect();
+        let label = (id % 3) as f32 - 1.0;
+        if sparse {
+            let indices = (0..width as u32).map(|k| 3 * k + 1).collect();
+            Tuple::sparse(id, 3 * width as u32 + 2, indices, values, label)
+        } else {
+            Tuple::dense(id, values, label)
+        }
     }
 
     proptest! {
+        /// The layout is invisible: any interleaving of dense rows of
+        /// varying width and sparse rows reads back as pushed, and the byte
+        /// accounting is the slotted page's — payload = Σ encoded_len, free =
+        /// capacity − payload − 4·(rows + 1) — after every push.
         #[test]
-        fn prop_page_roundtrips_many_tuples(count in 1usize..40, width in 1usize..16) {
-            let mut p = Page::new();
-            let mut stored = Vec::new();
-            for id in 0..count as u64 {
-                let t = Tuple::dense(id, vec![id as f32; width], 1.0);
-                if p.fits(t.encoded_len()) {
-                    p.push(&t).unwrap();
-                    stored.push(t);
+        fn prop_layout_is_invisible(
+            jumbo in prop_oneof![Just(0usize), Just(20_000)],
+            rows in proptest::collection::vec((0usize..40, any::<bool>()), 1..120),
+        ) {
+            let mut p = if jumbo == 0 { Page::new() } else { Page::new_jumbo(jumbo) };
+            let capacity = jumbo.max(PAGE_SIZE);
+            let mut stored: Vec<Tuple> = Vec::new();
+            let mut payload = 0usize;
+            for (id, (width, sparse)) in rows.into_iter().enumerate() {
+                let t = arb_tuple(id as u64, width, sparse);
+                let len = t.encoded_len();
+                let free = capacity.saturating_sub(payload + 4 * (stored.len() + 1));
+                prop_assert_eq!(p.fits(len), len <= free);
+                match p.push(t.view()) {
+                    Ok(()) => {
+                        prop_assert!(len <= free);
+                        payload += len;
+                        stored.push(t);
+                    }
+                    Err(e) => {
+                        prop_assert!(len > free);
+                        let full = matches!(e, StorageError::PageFull { needed, free: f } if needed == len && f == free);
+                        prop_assert!(full, "{:?}", e);
+                    }
                 }
+                prop_assert_eq!(p.used_bytes(), payload);
+                prop_assert_eq!(p.free_bytes(), capacity.saturating_sub(payload + 4 * (stored.len() + 1)));
+                prop_assert_eq!(p.disk_bytes(), capacity);
+                prop_assert_eq!(p.tuple_count(), stored.len());
             }
-            let got: Vec<_> = p.tuples().collect();
+            for (slot, t) in stored.iter().enumerate() {
+                prop_assert_eq!(p.row(slot), t.view());
+                prop_assert_eq!(&p.tuple(slot), t);
+            }
+            let got: Vec<Tuple> = p.rows().map(|r| r.to_tuple()).collect();
             prop_assert_eq!(got, stored);
         }
 
@@ -295,7 +382,7 @@ mod tests {
             for id in 0..count as u64 {
                 let t = tiny(id);
                 if !p.fits(t.encoded_len()) { break; }
-                p.push(&t).unwrap();
+                p.push(t.view()).unwrap();
                 let now = p.free_bytes();
                 prop_assert!(now < last);
                 last = now;

@@ -147,12 +147,9 @@ fn encode_regions(table: &Table) -> Result<Vec<(u64, u64, Vec<u8>)>> {
     for blk in 0..table.num_blocks() {
         let meta = table.block(blk)?.clone();
         let mut data = Vec::new();
-        let mut tbuf = Vec::new();
-        for t in table.block_tuples(blk)? {
-            tbuf.clear();
-            t.encode(&mut tbuf);
-            data.extend_from_slice(&(tbuf.len() as u32).to_le_bytes());
-            data.extend_from_slice(&tbuf);
+        for t in table.block_handle(blk)?.rows() {
+            data.extend_from_slice(&(t.encoded_len() as u32).to_le_bytes());
+            t.encode(&mut data);
         }
         regions.push((meta.tuples.start, meta.tuple_count() as u64, data));
     }

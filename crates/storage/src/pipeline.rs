@@ -1,197 +1,52 @@
 //! Double-buffered prefetch pipeline (the paper's §6.3, for real).
 //!
 //! The analytic [`DoubleBufferModel`](crate::buffer::DoubleBufferModel)
-//! predicts the epoch time when buffer filling overlaps SGD; this module
-//! provides the actual mechanism: a *producer* thread fills buffer `B`
-//! (block reads + tuple-level shuffle) while the consumer drains buffer `A`
-//! into the training loop, the two swapping through a bounded channel of
-//! capacity [`PIPELINE_SLOTS`]. One batch can sit in the channel while the
-//! producer builds the next — exactly the two in-flight buffers of double
-//! buffering.
+//! predicts the epoch time when buffer filling overlaps SGD; this module is
+//! the mechanism: a *producer* thread fills buffer `B` (block reads +
+//! tuple-level shuffle) while the consumer drains buffer `A` into the
+//! training loop, the two swapping through a bounded channel of capacity
+//! [`PIPELINE_SLOTS`]. [`run_epoch_pipeline`] and its [`PipelineSender`] are
+//! all there is: generic over the batch, they never look inside one — the
+//! SQL executor sends page pins and row handles, the library trainer owned
+//! tuples.
 //!
-//! ## Design rules
-//!
-//! * **Scoped, not detached.** [`run_epoch_pipeline`] spawns the producer
-//!   inside [`std::thread::scope`], so the producer may mutably borrow the
-//!   caller's `SimDevice`, operators, or shuffle strategy for the duration
-//!   of the epoch. No state is cloned and no stats need merging: simulated
-//!   I/O is charged to the *real* device, fault injection and retry run
-//!   their normal code path (just on the producer thread), and when the
-//!   scope ends the caller's borrows are back.
+//! * **Scoped, not detached.** The producer runs inside
+//!   [`std::thread::scope`], so it may mutably borrow the caller's device,
+//!   operators or shuffle strategy for the epoch. Simulated I/O is charged
+//!   to the *real* device and fault injection and retry run their normal
+//!   code path, just on the producer thread.
 //! * **Determinism.** The producer runs the *same* fill code (same RNG
-//!   streams, same visit order) as the serial path; the channel preserves
-//!   send order; there is exactly one producer and one consumer. Hence the
-//!   consumer observes tuples in the identical order as serial execution,
-//!   and trained models are bit-identical for a fixed seed.
+//!   streams, same visit order) as the serial path, the channel preserves
+//!   send order, and there is one producer and one consumer: the consumer
+//!   sees the tuples in the serial order and trains bit-identical models.
 //! * **Clock accounting.** The simulated clock knows nothing about threads:
-//!   fills charge `io_seconds` as usual, and the epoch-time formula is the
-//!   caller's job (`DoubleBufferModel::double_buffer` over the per-fill
-//!   io/compute vectors when pipelining, `single_buffer` otherwise). Wall
-//!   clock, by contrast, overlaps for real — that is the point.
-//! * **Failure.** A producer error travels to the consumer side as
+//!   fills charge `io_seconds` as usual and the epoch-time formula
+//!   (`DoubleBufferModel::double_buffer` or `single_buffer` over the
+//!   per-fill vectors) is the caller's job. Wall clock overlaps for real.
+//! * **Failure.** A producer error reaches the consumer side as
 //!   [`PipelineError::Producer`] once in-flight batches drain — no hang. A
-//!   consumer that stops early just drops its receiver; the producer's next
-//!   send fails, it winds down, and the scope joins cleanly. Producer
-//!   panics resurface as [`PipelineError::ProducerPanicked`].
-//! * **One body for serial and overlapped.** Called with
-//!   `overlapped = false`, [`run_epoch_pipeline`] spawns nothing:
-//!   [`PipelineSender::fill_and_send`] runs `consume` on the calling thread,
-//!   on the producer's own batch, so callers write one `produce` and one
-//!   `consume` closure and pass double buffering as a value. The inline mode
-//!   records no spans and returns an empty [`PipelineReport`].
+//!   consumer that stops early drops its receiver; the producer's next send
+//!   fails, it winds down, and the scope joins. Producer panics resurface
+//!   as [`PipelineError::ProducerPanicked`].
+//! * **One body for serial and overlapped.** With `overlapped = false`
+//!   nothing is spawned: [`PipelineSender::fill_and_send`] runs `consume` on
+//!   the calling thread, on the producer's own batch (which keeps its
+//!   allocation), records no spans and returns an empty [`PipelineReport`].
 //!
 //! Telemetry: each overlapped fill runs under a `pipeline.fill` span (wall
 //! from the previous hand-off, sim as reported by the producer); consumer
-//! waits are recorded under `pipeline.stall` spans, producer waits
-//! in the `pipeline.backpressure.wall_seconds` histogram.
+//! waits are recorded under `pipeline.stall` spans, producer waits in the
+//! `pipeline.backpressure.wall_seconds` histogram.
 
 use std::fmt;
-use std::ops::Deref;
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
-use std::sync::Arc;
 use std::time::Instant;
 
 use corgipile_telemetry::Telemetry;
 
-use crate::tuple::{tuple_clone_count, Tuple};
-
 /// Bounded-channel capacity between producer and consumer: one batch in
 /// flight plus one being built equals the paper's two buffers.
 pub const PIPELINE_SLOTS: usize = 1;
-
-/// A shared, immutable reference to one tuple of an `Arc`-backed block.
-///
-/// The zero-copy fill path shuffles *references* instead of cloning
-/// [`Tuple`]s: a block is decoded (or fetched from the buffer pool) once
-/// into an `Arc<Vec<Tuple>>`, and the in-buffer Fisher–Yates permutes
-/// `TupleRef`s, each two words plus an `Arc` bump.
-#[derive(Debug, Clone)]
-pub struct TupleRef {
-    block: Arc<Vec<Tuple>>,
-    idx: u32,
-}
-
-impl TupleRef {
-    /// Reference tuple `idx` of `block`.
-    pub fn new(block: Arc<Vec<Tuple>>, idx: usize) -> Self {
-        debug_assert!(idx < block.len());
-        TupleRef {
-            block,
-            idx: idx as u32,
-        }
-    }
-
-    /// The referenced tuple.
-    pub fn tuple(&self) -> &Tuple {
-        &self.block[self.idx as usize]
-    }
-}
-
-impl Deref for TupleRef {
-    type Target = Tuple;
-
-    fn deref(&self) -> &Tuple {
-        self.tuple()
-    }
-}
-
-/// Wrap every tuple of an `Arc`-shared block in a [`TupleRef`].
-pub fn block_refs(block: &Arc<Vec<Tuple>>) -> impl Iterator<Item = TupleRef> + '_ {
-    (0..block.len()).map(|i| TupleRef::new(Arc::clone(block), i))
-}
-
-thread_local! {
-    static BATCH_GROWS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Thread-local count of [`TupleBatch`] backing-store reallocations.
-///
-/// A steady-state batch executor clears and refills the same batches every
-/// epoch; once warm, this counter must stop moving. Tests snapshot it
-/// before and after an epoch to assert zero steady-state allocations.
-pub fn batch_grow_count() -> u64 {
-    BATCH_GROWS.with(|c| c.get())
-}
-
-fn note_batch_grow() {
-    BATCH_GROWS.with(|c| c.set(c.get() + 1));
-}
-
-/// A reusable, capacity-preserving batch of zero-copy [`TupleRef`]s.
-///
-/// The batch-at-a-time executor hands one `TupleBatch` down the operator
-/// tree per pull; each operator `clear()`s and refills it. `clear` keeps
-/// the backing allocation, so after the first epoch warms the capacity no
-/// further allocations happen ([`batch_grow_count`] stops moving).
-#[derive(Debug, Default)]
-pub struct TupleBatch {
-    refs: Vec<TupleRef>,
-}
-
-impl TupleBatch {
-    /// An empty batch with no backing store yet.
-    pub fn new() -> Self {
-        TupleBatch::default()
-    }
-
-    /// Drop all refs but keep the backing allocation.
-    pub fn clear(&mut self) {
-        self.refs.clear();
-    }
-
-    /// Append one ref, counting a grow if the backing store reallocates.
-    pub fn push(&mut self, r: TupleRef) {
-        if self.refs.len() == self.refs.capacity() {
-            note_batch_grow();
-        }
-        self.refs.push(r);
-    }
-
-    /// Append `Arc`-bump clones of `src` (no `Tuple` clones).
-    pub fn extend_from_slice(&mut self, src: &[TupleRef]) {
-        if self.refs.len() + src.len() > self.refs.capacity() {
-            note_batch_grow();
-        }
-        self.refs.extend_from_slice(src);
-    }
-
-    /// Number of refs currently in the batch.
-    pub fn len(&self) -> usize {
-        self.refs.len()
-    }
-
-    /// Whether the batch holds no refs.
-    pub fn is_empty(&self) -> bool {
-        self.refs.is_empty()
-    }
-
-    /// Capacity of the backing store.
-    pub fn capacity(&self) -> usize {
-        self.refs.capacity()
-    }
-
-    /// Iterate the refs in order.
-    pub fn iter(&self) -> std::slice::Iter<'_, TupleRef> {
-        self.refs.iter()
-    }
-}
-
-impl Deref for TupleBatch {
-    type Target = [TupleRef];
-
-    fn deref(&self) -> &[TupleRef] {
-        &self.refs
-    }
-}
-
-impl<'a> IntoIterator for &'a TupleBatch {
-    type Item = &'a TupleRef;
-    type IntoIter = std::slice::Iter<'a, TupleRef>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.refs.iter()
-    }
-}
 
 /// Error surfaced on the consumer side of [`run_epoch_pipeline`].
 #[derive(Debug)]
@@ -222,9 +77,6 @@ pub struct PipelineReport {
     pub fills: u64,
     /// Batches the consumer actually received (lower if it stopped early).
     pub batches_consumed: u64,
-    /// `Tuple::clone` calls made on the producer thread — the zero-copy
-    /// fill paths keep this at exactly 0.
-    pub producer_tuple_clones: u64,
     /// Wall seconds the consumer spent waiting for the producer.
     pub stall_wall_seconds: f64,
     /// Wall seconds the producer spent blocked on a full channel.
@@ -267,10 +119,10 @@ impl<'a, T: Default> PipelineSender<'a, T> {
     ///
     /// Overlapped, the batch is taken (leaving `T::default()` behind) and
     /// sent through the channel under a `pipeline.fill` span: wall since
-    /// the previous hand-off returned, sim = `sim_seconds`. Inline, the consumer runs right here on `batch` in
-    /// place, so the producer's next fill reuses its allocation. Returns
-    /// `false` once the consumer has hung up — the producer should stop
-    /// filling; the batch that observed the hang-up is dropped.
+    /// the previous hand-off returned, sim = `sim_seconds`. Inline, the
+    /// consumer runs right here on `batch` in place. Returns `false` once
+    /// the consumer has hung up — the producer should stop filling; the
+    /// batch that observed the hang-up is dropped.
     pub fn fill_and_send(&mut self, batch: &mut T, sim_seconds: f64) -> bool {
         if self.hung_up {
             return false;
@@ -330,16 +182,9 @@ where
     let (tx, rx) = std::sync::mpsc::sync_channel::<T>(PIPELINE_SLOTS);
     std::thread::scope(|scope| {
         let producer = scope.spawn(move || {
-            let clones_before = tuple_clone_count();
             let mut sender = PipelineSender::new(Link::Channel(tx), telemetry);
             let outcome = produce(&mut sender);
-            let clones = tuple_clone_count() - clones_before;
-            (
-                outcome,
-                sender.fills,
-                sender.backpressure_wall_seconds,
-                clones,
-            )
+            (outcome, sender.fills, sender.backpressure_wall_seconds)
         });
 
         let mut report = PipelineReport::default();
@@ -360,10 +205,9 @@ where
         }
 
         match producer.join() {
-            Ok((outcome, fills, backpressure, clones)) => {
+            Ok((outcome, fills, backpressure)) => {
                 report.fills = fills;
                 report.backpressure_wall_seconds = backpressure;
-                report.producer_tuple_clones = clones;
                 match outcome {
                     Ok(()) => Ok(report),
                     Err(e) => Err(PipelineError::Producer(e)),
@@ -569,90 +413,6 @@ mod tests {
             PipelineError::ProducerPanicked(msg) => assert!(msg.contains("boom")),
             other => panic!("unexpected error: {other:?}"),
         }
-    }
-
-    #[test]
-    fn tuple_refs_share_the_block_without_cloning() {
-        let block: Arc<Vec<Tuple>> = Arc::new(
-            (0..10)
-                .map(|i| Tuple::dense(i, vec![i as f32], 1.0))
-                .collect(),
-        );
-        let before = tuple_clone_count();
-        let mut refs: Vec<TupleRef> = block_refs(&block).collect();
-        refs.swap(0, 9);
-        refs.swap(3, 7);
-        assert_eq!(refs[0].id, 9);
-        assert_eq!(refs[9].tuple().id, 0);
-        assert_eq!(refs[3].features.dim(), 1);
-        assert_eq!(
-            tuple_clone_count(),
-            before,
-            "TupleRef must never clone tuples"
-        );
-    }
-
-    #[test]
-    fn pipeline_reports_zero_producer_clones_for_ref_batches() {
-        let block: Arc<Vec<Tuple>> =
-            Arc::new((0..100).map(|i| Tuple::dense(i, vec![0.5], 1.0)).collect());
-        let tel = Telemetry::enabled();
-        let mut drained = 0usize;
-        let report = run_epoch_pipeline::<_, StorageError, _, _>(
-            &tel,
-            true,
-            |sender| {
-                for chunk in 0..10usize {
-                    let mut batch: Vec<TupleRef> = (0..10)
-                        .map(|i| TupleRef::new(Arc::clone(&block), chunk * 10 + i))
-                        .collect();
-                    if !sender.fill_and_send(&mut batch, 0.0) {
-                        break;
-                    }
-                }
-                Ok(())
-            },
-            |batch: &mut Vec<TupleRef>| {
-                drained += batch.len();
-                true
-            },
-        )
-        .unwrap();
-        assert_eq!(drained, 100);
-        assert_eq!(report.producer_tuple_clones, 0);
-    }
-
-    #[test]
-    fn tuple_batch_clear_keeps_capacity_and_counts_grows() {
-        let block: Arc<Vec<Tuple>> = Arc::new(
-            (0..32)
-                .map(|i| Tuple::dense(i, vec![i as f32], 1.0))
-                .collect(),
-        );
-        let mut batch = TupleBatch::new();
-        let before = batch_grow_count();
-        for r in block_refs(&block) {
-            batch.push(r);
-        }
-        assert!(batch_grow_count() > before, "cold fills must grow");
-        assert_eq!(batch.len(), 32);
-        let cap = batch.capacity();
-        batch.clear();
-        assert!(batch.is_empty());
-        assert_eq!(batch.capacity(), cap, "clear must keep the allocation");
-        // Warm refill: same size, zero grows.
-        let warm = batch_grow_count();
-        for r in block_refs(&block) {
-            batch.push(r);
-        }
-        assert_eq!(batch_grow_count(), warm, "warm refill must not allocate");
-        // Zero-copy: refilling never clones tuples.
-        let clones = tuple_clone_count();
-        let mut other = TupleBatch::new();
-        other.extend_from_slice(&batch);
-        assert_eq!(tuple_clone_count(), clones);
-        assert_eq!(other.len(), 32);
-        assert_eq!(other[5].id, 5);
     }
 
     #[test]

@@ -26,12 +26,12 @@
 //! residency, so sessions sharing one device produce models bit-identical
 //! to their serial counterparts — only the I/O clocks observe the sharing.
 
+use crate::block::BlockHandle;
 use crate::bufmgr::{BufferPool, BufferPoolStats};
-use crate::device::{Access, DeviceProfile, IoStats, SimDevice};
+use crate::device::{Access, BoundTelemetry, DeviceProfile, IoStats, SimDevice};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::retry::RetryPolicy;
 use crate::table::Table;
-use crate::tuple::Tuple;
 use crate::Result;
 use corgipile_telemetry::Telemetry;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -63,7 +63,7 @@ impl SharedDevice {
     /// A fresh connection handle. The handle starts with the device's
     /// resting telemetry, no fault plan, and zeroed local stats.
     pub fn handle(&self) -> DeviceHandle {
-        let telemetry = lock(&self.inner).telemetry().clone();
+        let telemetry = BoundTelemetry::new(lock(&self.inner).telemetry().clone());
         DeviceHandle {
             inner: self.inner.clone(),
             injector: None,
@@ -96,8 +96,8 @@ pub struct DeviceHandle {
     /// duration of each access.
     injector: Option<FaultInjector>,
     /// This connection's telemetry registry, bound to the device only for
-    /// the duration of each access.
-    telemetry: Telemetry,
+    /// the duration of each access (when it holds the device's resting one).
+    telemetry: BoundTelemetry,
     /// I/O caused through this handle (deltas of the shared counters).
     local: IoStats,
 }
@@ -106,7 +106,7 @@ impl DeviceHandle {
     /// Wrap an exclusively owned device (single-connection use: tests,
     /// tools). The handle inherits the device's attached telemetry.
     pub fn private(dev: SimDevice) -> Self {
-        let telemetry = dev.telemetry().clone();
+        let telemetry = BoundTelemetry::new(dev.telemetry().clone());
         DeviceHandle {
             inner: Arc::new(Mutex::new(dev)),
             injector: None,
@@ -123,8 +123,7 @@ impl DeviceHandle {
         if let Some(inj) = self.injector.take() {
             dev.set_fault_injector(inj);
         }
-        let resting_telemetry = dev.telemetry().clone();
-        dev.set_telemetry(self.telemetry.clone());
+        dev.swap_telemetry(&mut self.telemetry);
         let before = dev.stats().clone();
         let out = f(&mut dev);
         self.local.add_delta(&before, dev.stats());
@@ -134,7 +133,7 @@ impl DeviceHandle {
         if let Some(inj) = resting_injector {
             dev.set_fault_injector(inj);
         }
-        dev.set_telemetry(resting_telemetry);
+        dev.swap_telemetry(&mut self.telemetry);
         out
     }
 
@@ -181,12 +180,12 @@ impl DeviceHandle {
     /// Bind this connection's telemetry registry; device counters caused
     /// through this handle mirror into it from now on.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+        self.telemetry = BoundTelemetry::new(telemetry);
     }
 
     /// The bound telemetry registry.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.telemetry.0
     }
 }
 
@@ -259,17 +258,17 @@ impl PoolHandle {
         block: crate::block::BlockId,
         dev: &mut DeviceHandle,
         policy: &RetryPolicy,
-    ) -> Result<Arc<Vec<Tuple>>> {
+    ) -> Result<BlockHandle> {
         let table_id = table.config().table_id;
-        if let Some(tuples) = lock(&self.inner).lookup(table_id, block) {
+        if let Some(hit) = lock(&self.inner).lookup(table_id, block) {
             self.local.hits += 1;
-            return Ok(tuples);
+            return Ok(hit);
         }
         self.local.misses += 1;
-        let tuples = Arc::new(dev.with(|d| table.read(block, Access::Random, d, policy))?);
+        let handle = dev.with(|d| table.read(block, Access::Random, d, policy))?;
         let bytes = table.block(block)?.bytes;
-        lock(&self.inner).admit_block(table_id, block, tuples.clone(), bytes);
-        Ok(tuples)
+        lock(&self.inner).admit_block(table_id, block, handle.clone(), bytes);
+        Ok(handle)
     }
 
     /// Pool traffic caused through this handle (evictions are a global
@@ -300,6 +299,7 @@ impl PoolHandle {
 mod tests {
     use super::*;
     use crate::table::TableConfig;
+    use crate::tuple::Tuple;
 
     fn table(id: u32, n: u64) -> Table {
         let cfg = TableConfig::new(format!("t{id}"), id).with_block_bytes(8192);

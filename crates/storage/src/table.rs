@@ -14,12 +14,12 @@
 //!   modeled as a two-pass external sort (read + write, twice) plus 2×
 //!   storage, matching the paper's observations (§3.1, Table 1).
 
-use crate::block::{closes_block, Block, BlockId, BlockMeta};
+use crate::block::{closes_block, Block, BlockHandle, BlockId, BlockMeta};
 use crate::device::{Access, SimDevice};
 use crate::error::StorageError;
 use crate::page::{LabelMoments, Page, PAGE_SIZE};
 use crate::retry::{with_retries, RetryPolicy};
-use crate::tuple::{Tuple, TupleId};
+use crate::tuple::{Tuple, TupleId, TupleView};
 use crate::Result;
 use std::sync::Arc;
 
@@ -123,7 +123,7 @@ impl TableBuilder {
             }
             self.start_page(Arc::new(fresh));
         }
-        Arc::make_mut(self.open_pages.last_mut().expect("page pushed above")).push(tuple)?;
+        Arc::make_mut(self.open_pages.last_mut().expect("page pushed above")).push(tuple.view())?;
         self.dim.get_or_insert(tuple.features.dim());
         self.tuple_count += 1;
         Ok(())
@@ -288,17 +288,17 @@ impl Table {
         self.any_toast
     }
 
-    fn all_blocks(&self) -> impl DoubleEndedIterator<Item = &Arc<Block>> {
+    fn all_blocks(&self) -> impl DoubleEndedIterator<Item = &Arc<Block>> + Clone {
         self.sealed.iter().chain(&self.last)
     }
 
-    fn block_at(&self, id: BlockId) -> Result<&Block> {
+    fn block_at(&self, id: BlockId) -> Result<&Arc<Block>> {
         let found = match id.checked_sub(self.sealed.len()) {
             None => self.sealed.get(id),
             Some(0) => self.last.as_ref(),
             Some(_) => None,
         };
-        found.map(|b| &**b).ok_or(StorageError::BlockOutOfRange {
+        found.ok_or(StorageError::BlockOutOfRange {
             block: id,
             blocks: self.num_blocks(),
         })
@@ -326,15 +326,16 @@ impl Table {
         }
     }
 
-    /// Decode the tuples of a block without charging any device (used by
+    /// The pages of a block, without charging any device: what
+    /// [`Table::read`] returns once the device has been paid.
+    pub fn block_handle(&self, id: BlockId) -> Result<BlockHandle> {
+        self.block_at(id).map(|b| BlockHandle(b.clone()))
+    }
+
+    /// Owned copies of a block's tuples, without charging any device (for
     /// in-memory tooling and tests).
     pub fn block_tuples(&self, id: BlockId) -> Result<Vec<Tuple>> {
-        let block = self.block_at(id)?;
-        let mut out = Vec::with_capacity(block.meta.tuple_count());
-        for p in &block.pages {
-            out.extend(p.tuples());
-        }
-        Ok(out)
+        Ok(self.block_handle(id)?.to_tuples())
     }
 
     /// The one charged block read: `access` says what the device is
@@ -353,13 +354,13 @@ impl Table {
         access: Access,
         dev: &mut SimDevice,
         policy: &RetryPolicy,
-    ) -> Result<Vec<Tuple>> {
-        let bytes = self.block(id)?.bytes;
+    ) -> Result<BlockHandle> {
+        let block = self.block_handle(id)?;
         let (table_id, cap) = (self.config.table_id, self.toast_cap());
         retried(id, dev, policy, |dev| {
-            dev.read_guarded(table_id, id, bytes, access, cap)
+            dev.read_guarded(table_id, id, block.0.meta.bytes, access, cap)
         })?;
-        self.block_tuples(id)
+        Ok(block)
     }
 
     /// Ask the fault injector about every block, retried like
@@ -415,22 +416,24 @@ impl Table {
             Access::Random,
             self.toast_cap(),
         );
-        page.tuple(slot)
+        Ok(page.tuple(slot))
     }
 
-    /// Decode a tuple by position without charging a device.
+    /// Copy a tuple by position without charging a device.
     pub fn get_tuple(&self, tid: TupleId) -> Result<Tuple> {
         let (_, page, slot) = self.locate(tid)?;
-        page.tuple(slot)
+        Ok(page.tuple(slot))
     }
 
-    /// All tuples in table order, without device charges.
+    /// All rows in table order, read in place, without device charges.
+    pub fn rows(&self) -> impl Iterator<Item = TupleView<'_>> + Clone {
+        let pages = self.all_blocks().flat_map(|b| &b.pages);
+        pages.flat_map(|p| p.rows())
+    }
+
+    /// Owned copies of all tuples in table order, without device charges.
     pub fn all_tuples(&self) -> Vec<Tuple> {
-        let mut out = Vec::with_capacity(self.tuple_count as usize);
-        for p in self.all_blocks().flat_map(|b| &b.pages) {
-            out.extend(p.tuples());
-        }
-        out
+        self.rows().map(|r| r.to_tuple()).collect()
     }
 
     /// This table under a fresh `table_id`. Device/pool caches key extents
@@ -731,7 +734,11 @@ mod tests {
 
         let mut clean = SimDevice::hdd(0);
         let want = t.read(0, Access::Random, &mut clean, &policy).unwrap();
-        assert_eq!(got, want, "recovered read must return the same tuples");
+        assert_eq!(
+            got.to_tuples(),
+            want.to_tuples(),
+            "recovered read must return the same tuples"
+        );
         // Two failed attempts: two backoffs plus two wasted seeks.
         let overhead = faulty.stats().io_seconds - clean.stats().io_seconds;
         let expected = policy.total_backoff(2) + 2.0 * clean.profile().seek_latency_s;
@@ -790,7 +797,8 @@ mod tests {
                     &RetryPolicy::default(),
                 )
                 .unwrap();
-            assert_eq!(t.block_tuples(id).unwrap(), y);
+            assert_eq!(t.block_tuples(id).unwrap(), y.to_tuples());
+            assert_eq!(y.len(), y.rows().count());
         }
         assert_eq!(a.stats(), b.stats());
         t.check_readable(&mut b, &RetryPolicy::default()).unwrap();

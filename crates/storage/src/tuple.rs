@@ -1,36 +1,22 @@
-//! Training tuples: `⟨id, features, label⟩`.
+//! Training tuples: `⟨id, features, label⟩`, owned and borrowed.
 //!
 //! The paper stores training data in PostgreSQL with the schema
 //! `⟨id, features_k[], features_v[], label⟩` (§6.1): sparse datasets carry
 //! index/value arrays, dense datasets only the value array. [`FeatureVec`]
 //! mirrors exactly that: [`FeatureVec::Dense`] holds only values,
-//! [`FeatureVec::Sparse`] holds `(index, value)` pairs plus the logical
-//! dimensionality.
+//! [`FeatureVec::Sparse`] `(index, value)` pairs plus the logical dimension.
+//!
+//! A [`Tuple`] owns its arrays; it exists where a row is built or kept on
+//! its own (loaders, `INSERT`, WAL frames, the `CORGIPL3` file codec). Rows
+//! resident in a [`Page`](crate::Page) are read in place as [`TupleView`]s,
+//! `Copy` borrows of the page's columns, and the feature arithmetic (`dot`,
+//! `axpy_into`, …) lives once, on [`FeatureView`].
 
 use crate::error::StorageError;
 use crate::Result;
 
-use std::cell::Cell;
-
 /// Identifier of a tuple within a table (its insertion position).
 pub type TupleId = u64;
-
-thread_local! {
-    /// Per-thread count of [`Tuple`] clones (see [`tuple_clone_count`]).
-    static TUPLE_CLONES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Number of `Tuple::clone` calls made *by the current thread* so far.
-///
-/// The steady-state fill path of the pipelined executor is required to be
-/// zero-copy: blocks are decoded once and handed around behind `Arc`s, so
-/// filling and draining a buffer must not clone tuples at all. Tests (and
-/// the [`crate::pipeline`] producer) enforce that by diffing this counter
-/// around the code under test. The counter is thread-local so concurrent
-/// tests cannot perturb each other's measurements.
-pub fn tuple_clone_count() -> u64 {
-    TUPLE_CLONES.with(|c| c.get())
-}
 
 /// Number of lanes the dense kernels process per unrolled iteration.
 ///
@@ -140,71 +126,36 @@ impl FeatureVec {
         }
     }
 
+    /// Borrow the vector: the form every kernel and operator consumes.
+    #[inline]
+    pub fn view(&self) -> FeatureView<'_> {
+        match self {
+            FeatureVec::Dense(v) => FeatureView::Dense(v),
+            FeatureVec::Sparse {
+                dim,
+                indices,
+                values,
+            } => FeatureView::Sparse {
+                dim: *dim,
+                indices,
+                values,
+            },
+        }
+    }
+
     /// Logical dimensionality of the vector.
     pub fn dim(&self) -> usize {
-        match self {
-            FeatureVec::Dense(v) => v.len(),
-            FeatureVec::Sparse { dim, .. } => *dim as usize,
-        }
+        self.view().dim()
     }
 
     /// Number of materialized (stored) components.
     pub fn nnz(&self) -> usize {
-        match self {
-            FeatureVec::Dense(v) => v.len(),
-            FeatureVec::Sparse { values, .. } => values.len(),
-        }
+        self.view().nnz()
     }
 
     /// Value of feature `i` (zero for absent sparse entries).
     pub fn get(&self, i: usize) -> f32 {
-        match self {
-            FeatureVec::Dense(v) => v.get(i).copied().unwrap_or(0.0),
-            FeatureVec::Sparse {
-                indices, values, ..
-            } => indices
-                .binary_search(&(i as u32))
-                .map(|pos| values[pos])
-                .unwrap_or(0.0),
-        }
-    }
-
-    /// Dot product with a dense weight slice.
-    ///
-    /// The weight slice must be at least as long as the vector's dimension.
-    pub fn dot(&self, w: &[f32]) -> f32 {
-        match self {
-            FeatureVec::Dense(v) => dense_dot(v, w),
-            FeatureVec::Sparse {
-                indices, values, ..
-            } => indices
-                .iter()
-                .zip(values)
-                .map(|(&i, &v)| v * w[i as usize])
-                .sum(),
-        }
-    }
-
-    /// `w += scale * self`, the sparse-aware axpy used by gradient updates.
-    pub fn axpy_into(&self, scale: f32, w: &mut [f32]) {
-        match self {
-            FeatureVec::Dense(v) => dense_axpy(scale, v, w),
-            FeatureVec::Sparse {
-                indices, values, ..
-            } => {
-                for (&i, &v) in indices.iter().zip(values) {
-                    w[i as usize] += scale * v;
-                }
-            }
-        }
-    }
-
-    /// Squared Euclidean norm.
-    pub fn norm_sq(&self) -> f32 {
-        match self {
-            FeatureVec::Dense(v) => v.iter().map(|x| x * x).sum(),
-            FeatureVec::Sparse { values, .. } => values.iter().map(|x| x * x).sum(),
-        }
+        self.view().get(i)
     }
 
     /// Iterate `(index, value)` over materialized components.
@@ -218,12 +169,115 @@ impl FeatureVec {
     }
 }
 
-/// One training example as stored in a heap table.
-///
-/// `Clone` is implemented by hand so every clone bumps the thread-local
-/// counter behind [`tuple_clone_count`] — the zero-copy guarantee of the
-/// pipelined fill path is asserted against it.
-#[derive(Debug, PartialEq)]
+/// A borrowed feature vector: the arrays of a [`FeatureVec`], or a row's
+/// slices of a [`Page`](crate::Page)'s value and index columns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FeatureView<'a> {
+    /// Dense layout: `values[i]` is the value of feature `i`.
+    Dense(&'a [f32]),
+    /// Sparse layout: `(indices[k], values[k])` pairs, indices increasing.
+    Sparse {
+        /// Logical dimensionality of the vector.
+        dim: u32,
+        /// Indices of the non-zero features.
+        indices: &'a [u32],
+        /// Values of the non-zero features (same length as `indices`).
+        values: &'a [f32],
+    },
+}
+
+impl FeatureView<'_> {
+    /// Logical dimensionality of the vector.
+    #[inline]
+    pub fn dim(&self) -> usize {
+        match self {
+            FeatureView::Dense(v) => v.len(),
+            FeatureView::Sparse { dim, .. } => *dim as usize,
+        }
+    }
+
+    /// Number of materialized (stored) components.
+    #[inline]
+    pub fn nnz(&self) -> usize {
+        match self {
+            FeatureView::Dense(v) | FeatureView::Sparse { values: v, .. } => v.len(),
+        }
+    }
+
+    /// Value of feature `i` (zero for absent sparse entries).
+    #[inline]
+    pub fn get(&self, i: usize) -> f32 {
+        match self {
+            FeatureView::Dense(v) => v.get(i).copied().unwrap_or(0.0),
+            FeatureView::Sparse {
+                indices, values, ..
+            } => indices
+                .binary_search(&(i as u32))
+                .map(|pos| values[pos])
+                .unwrap_or(0.0),
+        }
+    }
+
+    /// Dot product with a dense weight slice.
+    ///
+    /// The weight slice must be at least as long as the vector's dimension.
+    #[inline]
+    pub fn dot(&self, w: &[f32]) -> f32 {
+        match self {
+            FeatureView::Dense(v) => dense_dot(v, w),
+            FeatureView::Sparse {
+                indices, values, ..
+            } => indices
+                .iter()
+                .zip(*values)
+                .map(|(&i, &v)| v * w[i as usize])
+                .sum(),
+        }
+    }
+
+    /// `w += scale * self`, the sparse-aware axpy used by gradient updates.
+    #[inline]
+    pub fn axpy_into(&self, scale: f32, w: &mut [f32]) {
+        match self {
+            FeatureView::Dense(v) => dense_axpy(scale, v, w),
+            FeatureView::Sparse {
+                indices, values, ..
+            } => {
+                for (&i, &v) in indices.iter().zip(*values) {
+                    w[i as usize] += scale * v;
+                }
+            }
+        }
+    }
+
+    /// Squared Euclidean norm.
+    pub fn norm_sq(&self) -> f32 {
+        match self {
+            FeatureView::Dense(v) | FeatureView::Sparse { values: v, .. } => {
+                v.iter().map(|x| x * x).sum()
+            }
+        }
+    }
+
+    /// An owned copy.
+    pub fn to_vec(&self) -> FeatureVec {
+        match *self {
+            FeatureView::Dense(v) => FeatureVec::Dense(v.to_vec()),
+            FeatureView::Sparse {
+                dim,
+                indices,
+                values,
+            } => FeatureVec::Sparse {
+                dim,
+                indices: indices.to_vec(),
+                values: values.to_vec(),
+            },
+        }
+    }
+}
+
+/// One training example, owned.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tuple {
     /// Position of the tuple in the original table order (`tuple_id` in the
     /// paper's Figure 3/4 diagnostics).
@@ -235,20 +289,74 @@ pub struct Tuple {
     pub label: f32,
 }
 
-impl Clone for Tuple {
-    fn clone(&self) -> Self {
-        TUPLE_CLONES.with(|c| c.set(c.get() + 1));
-        Tuple {
-            id: self.id,
-            features: self.features.clone(),
-            label: self.label,
-        }
+/// One training example, borrowed: what [`Page::row`](crate::Page::row)
+/// hands out and what every operator and kernel reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TupleView<'a> {
+    /// Position of the tuple in the original table order.
+    pub id: TupleId,
+    /// Label.
+    pub label: f32,
+    /// Feature vector.
+    pub features: FeatureView<'a>,
+}
+
+impl<'a> From<&'a Tuple> for TupleView<'a> {
+    #[inline]
+    fn from(t: &'a Tuple) -> Self {
+        t.view()
     }
 }
 
 /// Encoding tags for the on-page representation.
 const TAG_DENSE: u8 = 0;
 const TAG_SPARSE: u8 = 1;
+
+impl TupleView<'_> {
+    /// An owned copy.
+    pub fn to_tuple(&self) -> Tuple {
+        Tuple {
+            id: self.id,
+            features: self.features.to_vec(),
+            label: self.label,
+        }
+    }
+
+    /// Size in bytes of the binary encoding produced by [`TupleView::encode`]
+    /// — also what the row is accounted as on a page.
+    #[inline]
+    pub fn encoded_len(&self) -> usize {
+        // id(8) + label(4) + tag(1) + dim(4) + nnz(4)
+        let header = 8 + 4 + 1 + 4 + 4;
+        match self.features {
+            FeatureView::Dense(v) => header + 4 * v.len(),
+            FeatureView::Sparse { values, .. } => header + 8 * values.len(),
+        }
+    }
+
+    /// Append the binary encoding of the tuple to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.id.to_le_bytes());
+        out.extend_from_slice(&self.label.to_le_bytes());
+        let (tag, dim, indices, values) = match self.features {
+            FeatureView::Dense(v) => (TAG_DENSE, v.len() as u32, &[][..], v),
+            FeatureView::Sparse {
+                dim,
+                indices,
+                values,
+            } => (TAG_SPARSE, dim, indices, values),
+        };
+        out.push(tag);
+        out.extend_from_slice(&dim.to_le_bytes());
+        out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+        for i in indices {
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        for v in values {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+}
 
 impl Tuple {
     /// Create a dense tuple.
@@ -269,47 +377,24 @@ impl Tuple {
         }
     }
 
+    /// Borrow the tuple.
+    #[inline]
+    pub fn view(&self) -> TupleView<'_> {
+        TupleView {
+            id: self.id,
+            label: self.label,
+            features: self.features.view(),
+        }
+    }
+
     /// Size in bytes of the binary encoding produced by [`Tuple::encode`].
     pub fn encoded_len(&self) -> usize {
-        // id(8) + label(4) + tag(1) + dim(4) + nnz(4)
-        let header = 8 + 4 + 1 + 4 + 4;
-        match &self.features {
-            FeatureVec::Dense(v) => header + 4 * v.len(),
-            FeatureVec::Sparse {
-                indices, values, ..
-            } => header + 4 * indices.len() + 4 * values.len(),
-        }
+        self.view().encoded_len()
     }
 
     /// Append the binary encoding of the tuple to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.id.to_le_bytes());
-        out.extend_from_slice(&self.label.to_le_bytes());
-        match &self.features {
-            FeatureVec::Dense(v) => {
-                out.push(TAG_DENSE);
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            FeatureVec::Sparse {
-                dim,
-                indices,
-                values,
-            } => {
-                out.push(TAG_SPARSE);
-                out.extend_from_slice(&dim.to_le_bytes());
-                out.extend_from_slice(&(indices.len() as u32).to_le_bytes());
-                for i in indices {
-                    out.extend_from_slice(&i.to_le_bytes());
-                }
-                for v in values {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
+        self.view().encode(out)
     }
 
     /// Decode one tuple from the front of `buf`, returning it and the number
@@ -331,53 +416,37 @@ impl Tuple {
         let tag = buf[12];
         let dim = u32::from_le_bytes(buf[13..17].try_into().unwrap());
         let nnz = u32::from_le_bytes(buf[17..21].try_into().unwrap()) as usize;
-        let mut off = 21;
-        match tag {
-            TAG_DENSE => {
-                need(off + 4 * nnz)?;
-                let mut v = Vec::with_capacity(nnz);
-                for _ in 0..nnz {
-                    v.push(f32::from_le_bytes(buf[off..off + 4].try_into().unwrap()));
-                    off += 4;
-                }
-                Ok((
-                    Tuple {
-                        id,
-                        features: FeatureVec::Dense(v),
-                        label,
-                    },
-                    off,
-                ))
+        // One 4-byte word per dense component, two per sparse one; bounded
+        // against the buffer before anything is allocated for them.
+        let words = match tag {
+            TAG_DENSE => nnz,
+            TAG_SPARSE => 2 * nnz,
+            other => {
+                return Err(StorageError::Corrupt(format!(
+                    "unknown feature tag {other}"
+                )))
             }
-            TAG_SPARSE => {
-                need(off + 8 * nnz)?;
-                let mut indices = Vec::with_capacity(nnz);
-                for _ in 0..nnz {
-                    indices.push(u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()));
-                    off += 4;
-                }
-                let mut values = Vec::with_capacity(nnz);
-                for _ in 0..nnz {
-                    values.push(f32::from_le_bytes(buf[off..off + 4].try_into().unwrap()));
-                    off += 4;
-                }
-                Ok((
-                    Tuple {
-                        id,
-                        features: FeatureVec::Sparse {
-                            dim,
-                            indices,
-                            values,
-                        },
-                        label,
-                    },
-                    off,
-                ))
+        };
+        let end = 21 + 4 * words;
+        need(end)?;
+        let mut word = buf[21..end]
+            .chunks_exact(4)
+            .map(|w| <[u8; 4]>::try_from(w).expect("chunks of four"));
+        let features = if tag == TAG_DENSE {
+            FeatureVec::Dense(word.map(f32::from_le_bytes).collect())
+        } else {
+            FeatureVec::Sparse {
+                dim,
+                indices: word.by_ref().take(nnz).map(u32::from_le_bytes).collect(),
+                values: word.map(f32::from_le_bytes).collect(),
             }
-            other => Err(StorageError::Corrupt(format!(
-                "unknown feature tag {other}"
-            ))),
-        }
+        };
+        let tuple = Tuple {
+            id,
+            features,
+            label,
+        };
+        Ok((tuple, end))
     }
 }
 
@@ -436,7 +505,7 @@ mod tests {
         assert_eq!(f.get(0), 0.0);
         assert_eq!(f.get(7), -1.0);
         let w = vec![1.0; 10];
-        assert_eq!(f.dot(&w), 4.0);
+        assert_eq!(f.view().dot(&w), 4.0);
         assert_eq!(f.dim(), 10);
         assert_eq!(f.nnz(), 3);
     }
@@ -445,27 +514,35 @@ mod tests {
     fn dense_dot_and_axpy() {
         let f = FeatureVec::Dense(vec![1.0, 2.0, 3.0]);
         let mut w = vec![0.5, 0.5, 0.5];
-        assert_eq!(f.dot(&w), 3.0);
-        f.axpy_into(2.0, &mut w);
+        assert_eq!(f.view().dot(&w), 3.0);
+        f.view().axpy_into(2.0, &mut w);
         assert_eq!(w, vec![2.5, 4.5, 6.5]);
-        assert_eq!(f.norm_sq(), 14.0);
+        assert_eq!(f.view().norm_sq(), 14.0);
     }
 
     #[test]
     fn sparse_axpy_touches_only_nnz() {
         let f = FeatureVec::sparse(5, vec![0, 3], vec![1.0, 1.0]);
         let mut w = vec![0.0; 5];
-        f.axpy_into(3.0, &mut w);
+        f.view().axpy_into(3.0, &mut w);
         assert_eq!(w, vec![3.0, 0.0, 0.0, 3.0, 0.0]);
     }
 
     #[test]
-    fn clone_bumps_the_thread_local_counter() {
-        let before = tuple_clone_count();
-        let t = Tuple::dense(1, vec![1.0, 2.0], 1.0);
-        #[allow(clippy::redundant_clone)]
-        let _copy = t.clone();
-        assert_eq!(tuple_clone_count(), before + 1);
+    fn views_agree_with_the_owned_forms() {
+        for t in [
+            Tuple::dense(3, vec![1.0, -2.0, 0.5], -1.0),
+            Tuple::sparse(4, 10, vec![1, 4, 7], vec![2.0, 3.0, -1.0], 1.0),
+            Tuple::sparse(5, 10, vec![], vec![], 1.0),
+        ] {
+            let v = t.view();
+            assert_eq!(TupleView::from(&t), v);
+            assert_eq!(v.to_tuple(), t);
+            assert_eq!(v.encoded_len(), t.encoded_len());
+            let f = v.features;
+            assert_eq!((f.dim(), f.nnz()), (t.features.dim(), t.features.nnz()));
+            assert!((0..12).all(|i| f.get(i) == t.features.get(i)));
+        }
     }
 
     #[test]
@@ -551,7 +628,7 @@ mod tests {
             let dense: Vec<f32> = (0..dim as usize).map(|i| s.get(i)).collect();
             let d = FeatureVec::Dense(dense);
             let w: Vec<f32> = (0..dim as usize).map(|i| (i as f32) * 0.1 + 1.0).collect();
-            prop_assert!((s.dot(&w) - d.dot(&w)).abs() < 1e-4);
+            prop_assert!((s.view().dot(&w) - d.view().dot(&w)).abs() < 1e-4);
         }
     }
 }

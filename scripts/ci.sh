@@ -27,6 +27,9 @@ bash scripts/loc.sh
 banner "Golden bits (model bits pinned across commits, release arithmetic)"
 cargo test --release --test golden_bits
 
+banner "Allocation budget (scans allocate per block and per fill, never per row)"
+cargo test --release --test alloc_budget
+
 banner "Concurrency stress (N sessions over one engine, bit-identical)"
 cargo test --release --test concurrent_sessions
 

@@ -11,7 +11,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CORE_DB_CEILING=8089
-STORAGE_CEILING=5172
+STORAGE_CEILING=5170
 BENCH_CEILING=2798
 
 non_test_lines() {

@@ -1,0 +1,150 @@
+//! Allocation budget of the scan paths: rows are read in place.
+//!
+//! A warm `TRAIN … strategy = 'corgipile'`, a `TRAIN … WHERE …` with a
+//! projection and a `PREDICT … WHERE` each walk an N-row table without
+//! decoding, cloning or boxing a row: what they allocate is per statement,
+//! per fill and per block (batch vectors, the sort scratch, one projected
+//! page per block), never per row. The test counts every heap allocation of
+//! the process while one statement runs and holds it under N/10 calls — and,
+//! on a 2000-feature table whose rows are 8 KB each, under 256 B per row.
+//!
+//! At the commit before columnar pages every block read decoded each row
+//! into a `Vec<f32>` of its own (≥ 1 allocation and, on the wide table,
+//! ≥ 8 KB per row per epoch), and the statement's closing metric copied the
+//! table once more.
+
+use corgipile::data::{DatasetSpec, Order};
+use corgipile::db::{Database, QueryResult, Session};
+use corgipile::storage::SimDevice;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
+
+/// The system allocator plus two counters that run only while `COUNTING`
+/// is set, as `benchmark/src/sample.rs` does.
+struct CountingAlloc;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+/// The counters are process-wide: one counted statement at a time.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are statistics and publish no data.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
+        // SAFETY: `layout` is the caller's, passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above
+        // with this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        }
+        // SAFETY: same block, layout and size the caller vouches for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `(allocations, bytes requested)` by every thread while `sql` executes.
+fn counted(session: &mut Session, sql: &str) -> (QueryResult, u64, u64) {
+    let before = (
+        ALLOCS.load(Ordering::Relaxed),
+        ALLOC_BYTES.load(Ordering::Relaxed),
+    );
+    COUNTING.store(true, Ordering::Relaxed);
+    let result = session.execute(sql);
+    COUNTING.store(false, Ordering::Relaxed);
+    let after = (
+        ALLOCS.load(Ordering::Relaxed),
+        ALLOC_BYTES.load(Ordering::Relaxed),
+    );
+    let result = result.unwrap_or_else(|e| panic!("{sql}: {e}"));
+    (result, after.0 - before.0, after.1 - before.1)
+}
+
+/// A session over one clustered `spec` table named `t`.
+fn session(spec: DatasetSpec) -> (Session, u64) {
+    let table = spec
+        .with_order(Order::ClusteredByLabel)
+        .build_table(7)
+        .expect("lay out the table");
+    let rows = table.num_tuples();
+    let db = Database::new(SimDevice::ssd_scaled(1000.0, 0));
+    db.register_table("t", table);
+    (db.connect(), rows)
+}
+
+const TRAIN: &str = "SELECT * FROM t TRAIN BY lr WITH max_epoch_num = 2, \
+                     strategy = 'corgipile', buffer_fraction = 0.25, seed = 41, model_name = m";
+const TRAIN_WHERE: &str = "SELECT f0, f3, f5, label FROM t WHERE f1 > -0.5 TRAIN BY lr \
+                           WITH max_epoch_num = 2, strategy = 'corgipile', \
+                           buffer_fraction = 0.25, seed = 41, model_name = p";
+const PREDICT_WHERE: &str = "PREDICT m ON t WHERE f3 > 0.0";
+
+/// Run the three statements warm and return each one's `(allocations,
+/// bytes)`, having checked that they did real work.
+fn budgets(session: &mut Session, rows: u64) -> [(&'static str, u64, u64); 3] {
+    // Warm: catalog entries, telemetry instruments, the model cache.
+    for sql in [TRAIN, TRAIN_WHERE, PREDICT_WHERE] {
+        session
+            .execute(sql)
+            .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    [TRAIN, TRAIN_WHERE, PREDICT_WHERE].map(|sql| {
+        let (result, allocs, bytes) = counted(session, sql);
+        match result {
+            QueryResult::Train(t) => {
+                assert_eq!(t.epochs.len(), 2, "{sql}");
+                let visited = t.epochs[0].tuples as u64;
+                assert!(visited > rows / 4 && visited <= rows, "{sql}: {visited}");
+            }
+            QueryResult::Serve(p) => {
+                assert!(p.rows > rows / 4 && p.rows < rows, "{sql}: {}", p.rows);
+            }
+            other => panic!("{sql}: unexpected result {other:?}"),
+        }
+        (sql, allocs, bytes)
+    })
+}
+
+#[test]
+fn scans_of_a_narrow_table_allocate_per_block_not_per_row() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut session, rows) = session(DatasetSpec::higgs_like(20_000).with_block_bytes(64 << 10));
+    for (sql, allocs, bytes) in budgets(&mut session, rows) {
+        assert!(
+            allocs < rows / 10,
+            "{allocs} allocations, {rows} rows: {sql}"
+        );
+        assert!(bytes < 256 * rows, "{bytes} bytes, {rows} rows: {sql}");
+    }
+}
+
+#[test]
+fn scans_of_a_2000_wide_table_stay_under_256_bytes_a_row() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut session, rows) = session(DatasetSpec::epsilon_like(6_000).with_block_bytes(4 << 20));
+    for (sql, allocs, bytes) in budgets(&mut session, rows) {
+        assert!(
+            allocs < rows / 10,
+            "{allocs} allocations, {rows} rows: {sql}"
+        );
+        assert!(bytes < 256 * rows, "{bytes} bytes, {rows} rows: {sql}");
+    }
+}

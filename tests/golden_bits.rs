@@ -479,3 +479,49 @@ fn multi_worker_order_and_one_worker_bits_are_pinned() {
         params_crc(r.model.params())
     );
 }
+
+#[test]
+fn pagination_is_pinned_across_page_layouts() {
+    // Recorded at the last commit whose pages held encoded bytes. How a
+    // page keeps its rows in memory may change; where a page ends may not —
+    // block boundaries, `device_bytes_per_row`, `stored_bytes_per_user_byte`
+    // and every sim-clock charge follow from these numbers.
+    use corgipile::storage::BlockMeta;
+    let meta = |id, pages, tuples, bytes| BlockMeta {
+        id,
+        pages,
+        tuples,
+        bytes,
+    };
+    let higgs = DatasetSpec::higgs_like(3000).with_block_bytes(64 << 10);
+    let epsilon = DatasetSpec::epsilon_like(60).with_block_bytes(1 << 20);
+    let criteo = DatasetSpec::criteo_like(2000).with_block_bytes(64 << 10);
+    for (spec, blocks, bytes, first, last) in [
+        (
+            higgs,
+            7,
+            417_792,
+            meta(0, 0..8, 0..472, 65_536),
+            meta(6, 48..51, 2832..3000, 24_576),
+        ),
+        (
+            epsilon,
+            1,
+            491_520,
+            meta(0, 0..60, 0..60, 491_520),
+            meta(0, 0..60, 0..60, 491_520),
+        ),
+        (
+            criteo,
+            11,
+            688_128,
+            meta(0, 0..8, 0..192, 65_536),
+            meta(10, 80..84, 1920..2000, 32_768),
+        ),
+    ] {
+        let t = spec.build_table(7).unwrap();
+        assert_eq!((t.num_blocks(), t.total_bytes()), (blocks, bytes));
+        assert_eq!(t.block(0).unwrap(), &first);
+        assert_eq!(t.block(blocks - 1).unwrap(), &last);
+    }
+}

@@ -365,3 +365,47 @@ fn predict_by_refuses_a_dense_model_on_a_sparse_table() {
         .unwrap();
     assert_width_mismatch(&mut s, "criteo", 28, width);
 }
+
+#[test]
+fn predict_charges_every_sparse_row_its_own_flops() {
+    // Rows of 1 to 33 stored components, the lightest one first in every
+    // batch of nine: charging a batch `len × flops(first row's nnz)` — what
+    // `PREDICT` used to do — bills every row as if it were the lightest.
+    use corgipile::ml::{build_model, ComputeCostModel, ModelKind};
+    use corgipile::storage::{Table, TableConfig, Tuple};
+    let nnz_of = |i: u64| 1 + 4 * (i % 9) as usize;
+    let rows: Vec<Tuple> = (0..900u64)
+        .map(|i| {
+            let nnz = nnz_of(i);
+            let indices = (0..nnz as u32).map(|k| 3 * k).collect();
+            let label = if i % 2 == 0 { 1.0 } else { -1.0 };
+            Tuple::sparse(i, 100, indices, vec![label * 0.5; nnz], label)
+        })
+        .collect();
+    let table = Table::from_tuples(TableConfig::new("sp", 9).with_block_bytes(8 << 10), rows)
+        .expect("lay out the sparse table");
+    let mut s = Database::new(SimDevice::ssd_scaled(1000.0, 0)).connect();
+    s.register_table("sp", table);
+    s.execute("SELECT * FROM sp TRAIN BY lr WITH max_epoch_num = 1, model_name = m")
+        .unwrap();
+
+    let cost = ComputeCostModel::in_db_core();
+    let model = build_model(&ModelKind::LogisticRegression, 100, 0);
+    let flops = |i: u64| model.inference_flops_per_example(nnz_of(i));
+    let per_tuple: f64 = (0..900).map(|i| cost.seconds(flops(i), 1)).sum();
+    let batched: f64 = (0..100u64)
+        .map(|b| cost.seconds_batched((9 * b..9 * b + 9).map(flops).sum()))
+        .sum();
+    for (fuse, want) in [(0, per_tuple), (1, batched)] {
+        let sql = format!("PREDICT m ON sp WITH batch_rows = 9, fuse = {fuse}");
+        let QueryResult::Serve(p) = s.execute(&sql).unwrap() else {
+            panic!("{sql}: expected a serving summary")
+        };
+        assert_eq!((p.rows, p.batches), (900, 100));
+        assert!(
+            (p.compute_seconds - want).abs() <= 1e-9 * want,
+            "fuse = {fuse}: charged {} for {want} of inference",
+            p.compute_seconds
+        );
+    }
+}
