@@ -2,7 +2,7 @@
 //! one-loader double-buffered stream, and multi-worker epochs.
 
 use corgipile_core::{
-    EpochSource, ParallelConfig, ParallelSource, SimulatedBlocks, Trainer, TrainerConfig,
+    EpochSource, Fill, ParallelConfig, ParallelSource, SimulatedBlocks, Trainer, TrainerConfig,
 };
 use corgipile_data::{DatasetSpec, Order};
 use corgipile_ml::{ModelKind, OptimizerKind};
@@ -63,7 +63,7 @@ fn bench_threaded_loader(c: &mut Criterion) {
             };
             let mut count = 0usize;
             ParallelSource::new(reader, workers(1), 128, 3)
-                .stream_epoch(0, &mut |fill| {
+                .stream_epoch(0, &mut Fill::default(), &mut |fill| {
                     count += fill.batch.len();
                     true
                 })

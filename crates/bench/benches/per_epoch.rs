@@ -4,7 +4,7 @@
 
 use corgipile_data::{DatasetSpec, Order};
 use corgipile_db::{
-    BlockShuffleOp, ExecContext, PhysicalOperator, ScanMode, SgdOperator, TupleShuffleOp,
+    BlockShuffleOp, ExecContext, PhysicalOperator, ScanOrder, SgdOperator, TupleShuffleOp,
 };
 use corgipile_ml::{build_model, ComputeCostModel, ModelKind, OptimizerKind, TrainOptions};
 use corgipile_shuffle::StrategyParams;
@@ -24,11 +24,11 @@ fn table() -> Arc<Table> {
 
 fn run_epoch(table: &Arc<Table>, plan: &str, double: bool) -> f64 {
     let child: Box<dyn PhysicalOperator> = match plan {
-        "no" => Box::new(BlockShuffleOp::new(table.clone(), ScanMode::Sequential, 1)),
+        "no" => Box::new(BlockShuffleOp::new(table.clone(), ScanOrder::Sequential, 1)),
         _ => Box::new(TupleShuffleOp::new(
             Box::new(BlockShuffleOp::new(
                 table.clone(),
-                ScanMode::RandomBlocks,
+                ScanOrder::RandomBlocks,
                 1,
             )),
             table.num_blocks().div_ceil(10).max(1),

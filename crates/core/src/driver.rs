@@ -127,11 +127,14 @@ pub trait EpochSource: Send {
     fn replay(&mut self, epochs: usize) -> Result<(), Self::Error>;
 
     /// Stream `epoch`'s fills through `emit`, in order, until the stream
-    /// ends or `emit` returns `false`. `emit` may take the fill's contents,
-    /// or leave them in place to be overwritten by the next fill.
+    /// ends or `emit` returns `false`. Every fill is built in `fill` — one
+    /// of the run's two buffers, holding stale rows on entry — and `emit`
+    /// leaves the other buffer there, or the same one once drained; either
+    /// way the next fill overwrites it.
     fn stream_epoch(
         &mut self,
         epoch: usize,
+        fill: &mut Fill<Self::Batch>,
         emit: &mut dyn FnMut(&mut Fill<Self::Batch>) -> bool,
     ) -> Result<EpochIo, Self::Error>;
 
@@ -259,6 +262,9 @@ impl EpochDriver {
         let start = self.resume(source)?;
         let per_tuple = self.options.batch_size <= 1 && self.optimizer.name() == "sgd";
         let mut run = DriverRun::default();
+        // The run's two buffers (§6.3): one being filled, one being drained,
+        // traded at every hand-off and kept across epochs.
+        let mut fills: [Fill<S::Batch>; 2] = Default::default();
         for epoch in start..self.epochs {
             self.optimizer.set_epoch(epoch);
             let mut stage = if per_tuple {
@@ -276,8 +282,9 @@ impl EpochDriver {
             let result = run_epoch_pipeline(
                 telemetry,
                 self.double_buffer,
-                |sender| {
-                    epoch_io = source.stream_epoch(epoch, &mut |fill| {
+                &mut fills,
+                |fill, sender| {
+                    epoch_io = source.stream_epoch(epoch, fill, &mut |fill| {
                         let sim_seconds = fill.sim_seconds;
                         sender.fill_and_send(fill, sim_seconds)
                     })?;
@@ -287,19 +294,26 @@ impl EpochDriver {
                     if compute.len() <= fill.slot {
                         compute.resize(fill.slot + 1, 0.0);
                     }
+                    // One charge per run of equal width, added once per row:
+                    // the same f64 additions in the same order as asking the
+                    // model and the cost model row by row.
                     let charged = &mut compute[fill.slot];
-                    if batched {
-                        let flops: f64 = fill
-                            .batch
-                            .rows()
-                            .map(|t| model.flops_per_example(t.features.nnz()))
-                            .sum();
-                        *charged += cost.seconds_batched(flops);
-                    } else {
-                        for t in fill.batch.rows() {
-                            *charged += cost.seconds(model.flops_per_example(t.features.nnz()), 1);
+                    let mut sum = if batched { 0.0 } else { *charged };
+                    let (mut width, mut each) = (usize::MAX, 0.0f64);
+                    for nnz in fill.batch.rows().map(|t| t.features.nnz()) {
+                        if nnz != width {
+                            width = nnz;
+                            each = model.flops_per_example(nnz);
+                            if !batched {
+                                each = cost.seconds(each, 1);
+                            }
                         }
+                        sum += each;
                     }
+                    if batched {
+                        sum = *charged + cost.seconds_batched(sum);
+                    }
+                    *charged = sum;
                     match &mut stage {
                         KernelStage::PerTuple(pt) => pt.feed(model, fill.batch.rows()),
                         KernelStage::Minibatch(mb) => {

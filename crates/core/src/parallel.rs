@@ -240,6 +240,7 @@ impl<'a, R: BlockReader> ParallelSource<'a, R> {
     fn merge_epoch(
         &self,
         epoch: usize,
+        fill: &mut Fill<Vec<Tuple>>,
         mut emit: impl FnMut(&mut Fill<Vec<Tuple>>, &[usize]) -> bool,
     ) -> Result<Vec<Vec<f64>>, StorageError>
     where
@@ -271,7 +272,8 @@ impl<'a, R: BlockReader> ParallelSource<'a, R> {
             let mut pending: Vec<VecDeque<Tuple>> = vec![VecDeque::new(); pn];
             let mut io: Vec<Vec<f64>> = vec![Vec::new(); pn];
             let mut slot = 0;
-            let mut fill: Fill<Vec<Tuple>> = Fill::default();
+            fill.batch.clear();
+            fill.sim_seconds = 0.0;
             let mut takes = Vec::new();
             loop {
                 let before = fill.batch.len();
@@ -298,7 +300,7 @@ impl<'a, R: BlockReader> ParallelSource<'a, R> {
                 // Hand over before the next round can wait on a producer, so
                 // no fill is held back behind one still being built.
                 if pending.iter().any(|p| p.len() < share) {
-                    if !emit(&mut fill, &takes) {
+                    if !emit(fill, &takes) {
                         return Ok(io);
                     }
                     fill.batch.clear();
@@ -321,9 +323,10 @@ impl<R: BlockReader + Send> EpochSource for ParallelSource<'_, R> {
     fn stream_epoch(
         &mut self,
         epoch: usize,
+        fill: &mut Fill<Vec<Tuple>>,
         emit: &mut dyn FnMut(&mut Fill<Vec<Tuple>>) -> bool,
     ) -> Result<EpochIo, StorageError> {
-        let io = self.merge_epoch(epoch, |fill, _| emit(fill))?;
+        let io = self.merge_epoch(epoch, fill, |fill, _| emit(fill))?;
         let slots = io.iter().map(Vec::len).max().unwrap_or(0);
         Ok(EpochIo {
             setup_seconds: 0.0,
@@ -370,7 +373,7 @@ pub fn parallel_epoch_plan(
     let source = ParallelSource::new(reader, cfg.clone(), batch_size, seed);
     let mut worker_streams = vec![Vec::new(); cfg.workers];
     let mut merged_batches = Vec::new();
-    let io = source.merge_epoch(epoch, |fill, takes| {
+    let io = source.merge_epoch(epoch, &mut Fill::default(), |fill, takes| {
         let mut at = 0;
         for round in takes.chunks(cfg.workers) {
             let start = at;
@@ -429,7 +432,7 @@ mod tests {
         epoch: usize,
     ) -> Result<Vec<u64>, StorageError> {
         let mut ids = Vec::new();
-        source.stream_epoch(epoch, &mut |fill| {
+        source.stream_epoch(epoch, &mut Fill::default(), &mut |fill| {
             ids.extend(fill.batch.iter().map(|t| t.id));
             true
         })?;
@@ -630,7 +633,7 @@ mod tests {
             let (mut source, read) = counting_source(pn, false);
             let mut consumed = std::collections::HashSet::new();
             source
-                .stream_epoch(0, &mut |fill| {
+                .stream_epoch(0, &mut Fill::default(), &mut |fill| {
                     consumed.extend(fill.batch.iter().map(|t| t.id as usize / PER_BLOCK));
                     let allowed = (consumed.len() + 2 * pn).min(64);
                     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -673,7 +676,7 @@ mod tests {
         let (mut source, _) = counting_source(4, false);
         let mut slots = Vec::new();
         let io = source
-            .stream_epoch(0, &mut |fill| {
+            .stream_epoch(0, &mut Fill::default(), &mut |fill| {
                 slots.push(fill.slot);
                 true
             })
@@ -740,7 +743,7 @@ mod tests {
                 );
                 // The stream itself ends early, at the dead fill.
                 let err = source
-                    .stream_epoch(0, &mut |fill| {
+                    .stream_epoch(0, &mut Fill::default(), &mut |fill| {
                         consumed += fill.batch.len();
                         true
                     })
@@ -758,7 +761,7 @@ mod tests {
             let mut source = ParallelSource::new(sim(&t, None), workers(pn), 16, 3);
             let mut rounds = 0;
             source
-                .stream_epoch(0, &mut |_| {
+                .stream_epoch(0, &mut Fill::default(), &mut |_| {
                     rounds += 1;
                     false
                 })

@@ -87,12 +87,6 @@ impl TrainerConfig {
         self
     }
 
-    /// Set gradient clipping.
-    pub fn with_clip_norm(mut self, c: f32) -> Self {
-        self.train_options.clip_norm = c;
-        self
-    }
-
     /// Override the compute cost model.
     pub fn with_compute(mut self, c: ComputeCostModel) -> Self {
         self.compute = c;
@@ -371,19 +365,20 @@ impl EpochSource for StrategySource<'_> {
     fn stream_epoch(
         &mut self,
         _epoch: usize,
+        fill: &mut Fill<Vec<Tuple>>,
         emit: &mut dyn FnMut(&mut Fill<Vec<Tuple>>) -> bool,
     ) -> Result<EpochIo, StorageError> {
         let mut fill_io = Vec::new();
         let setup_seconds =
             self.strategy
                 .stream_epoch(self.table, self.dev, &mut |seg: Segment| {
-                    let mut fill = Fill {
+                    *fill = Fill {
                         batch: seg.tuples,
                         slot: fill_io.len(),
                         sim_seconds: seg.io_seconds,
                     };
                     fill_io.push(seg.io_seconds);
-                    emit(&mut fill)
+                    emit(fill)
                 })?;
         Ok(EpochIo {
             setup_seconds,
@@ -406,43 +401,6 @@ where
     } else {
         r_squared(model, tuples)
     }
-}
-
-/// Grid-search the initial learning rate (paper §7.1.3: {0.1, 0.01, 0.001})
-/// with a short run each, returning the best rate by final train metric.
-pub fn grid_search_lr(
-    base: &TrainerConfig,
-    table: &Table,
-    test: &[Tuple],
-    probe_epochs: usize,
-    seed: u64,
-) -> corgipile_storage::Result<f32> {
-    let mut best = (f64::NEG_INFINITY, 0.1f32);
-    for lr in [0.1f32, 0.01, 0.001] {
-        let mut cfg = base.clone();
-        cfg.epochs = probe_epochs;
-        cfg.optimizer = match cfg.optimizer {
-            OptimizerKind::Sgd { decay, .. } => OptimizerKind::Sgd { lr0: lr, decay },
-            OptimizerKind::SgdInverseTime { a, .. } => OptimizerKind::SgdInverseTime { lr0: lr, a },
-            OptimizerKind::Adam {
-                beta1, beta2, eps, ..
-            } => OptimizerKind::Adam {
-                lr0: lr,
-                beta1,
-                beta2,
-                eps,
-            },
-        };
-        let mut dev = SimDevice::in_memory();
-        let report = Trainer::new(cfg).train_with_test(table, test, &mut dev, seed)?;
-        let metric = report
-            .final_test_metric()
-            .unwrap_or(report.final_train_metric);
-        if metric > best.0 {
-            best = (metric, lr);
-        }
-    }
-    Ok(best.1)
 }
 
 #[cfg(test)]
@@ -724,14 +682,6 @@ mod tests {
         let hit = r.time_to_metric(final_metric - 0.01);
         assert!(hit.is_some());
         assert!(r.time_to_metric(1.1).is_none());
-    }
-
-    #[test]
-    fn grid_search_returns_a_candidate_rate() {
-        let (table, test) = clustered_higgs(600);
-        let base = TrainerConfig::new(ModelKind::LogisticRegression, 2);
-        let lr = grid_search_lr(&base, &table, &test, 1, 1).unwrap();
-        assert!([0.1f32, 0.01, 0.001].contains(&lr));
     }
 
     /// Drive `trainer` through the same driver + source [`Trainer::train`]

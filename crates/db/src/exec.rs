@@ -9,21 +9,24 @@
 //!
 //! * [`BlockShuffleOp`] shuffles the block ids (`ExecInit`/`ExecReScan`)
 //!   and returns tuples of each block in turn (random block reads); with
-//!   [`ScanMode::Sequential`] it degenerates into PostgreSQL's `SeqScan`,
+//!   [`ScanOrder::Sequential`] it degenerates into PostgreSQL's `SeqScan`,
 //!   which the No-Shuffle baselines use.
 //! * [`TupleShuffleOp`] buffers pulled tuples up to its capacity, shuffles
 //!   the buffer (like PostgreSQL's `Sort` materialization), then emits —
-//!   recording per-fill loading costs so the §6.3 double-buffering overlap
-//!   can be accounted.
+//!   narrow rows copied, in SGD order, into the recycled slab of the batch
+//!   it is handed — recording per-fill loading costs so the §6.3
+//!   double-buffering overlap can be accounted.
 //! * [`SgdOperator`] owns the model; each epoch it pulls every tuple,
 //!   applies per-tuple or mini-batch updates, then calls `rescan` down the
 //!   pipeline (PostgreSQL's re-scan mechanism, as in `NestedLoopJoin`'s
 //!   inner plan) to reshuffle and re-read for the next epoch.
 //!
-//! What moves between them is a [`RowBatch`]: the table's own heap pages,
-//! pinned by `Arc`, plus one 8-byte [`RowRef`] per admitted row, read in
+//! What moves between them is a [`RowBatch`]: heap pages pinned by `Arc`
+//! plus one 8-byte [`RowRef`] per admitted row. Below the buffer, and above
+//! it for rows wider than a kilobyte, the pages are the table's own, read in
 //! place by the predicate, the key sort and both kernels (a projection
-//! builds one page of the selected columns per block).
+//! builds one page of the selected columns per block); a fill of narrow rows
+//! is one page the batch owns alone, its rows `0..n` in SGD order.
 
 use crate::error::DbError;
 use crate::plan::feature_list;
@@ -34,8 +37,8 @@ use corgipile_data::rng::shuffle_in_place;
 use corgipile_ml::{ComputeCostModel, Model, Optimizer, TrainCheckpoint, TrainOptions};
 use corgipile_shuffle::{BlockReversalShuffle, StrategyParams};
 use corgipile_storage::{
-    Access, BlockHandle, Counter, DeviceHandle, FeatureView, Page, PipelineReport, PoolHandle,
-    RetryPolicy, SimDevice, Table, Telemetry, TupleView,
+    splitmix64, Access, BlockHandle, Counter, DeviceHandle, FeatureView, Page, PipelineReport,
+    PoolHandle, RetryPolicy, SimDevice, Table, Telemetry, TupleView,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -217,16 +220,6 @@ impl OpStats {
     }
 }
 
-/// SplitMix64 finalizer: a bijective avalanche mix on `u64`. Used to derive
-/// the per-tuple shuffle keys — distinct inputs always produce distinct
-/// keys, so a sort over them is a total order with no tie-break needed.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// One row of a [`RowBatch`]: which of its pinned pages, which slot on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowRef {
@@ -236,7 +229,10 @@ pub struct RowRef {
 
 /// The executor's one batch type: pinned pages (one `Arc` bump per page,
 /// none per row) and the [`RowRef`]s of a run of their rows, in consumption
-/// order. [`RowBatch::clear`] keeps both allocations for the next refill.
+/// order. [`RowBatch::clear`] keeps both allocations for the next refill. A
+/// batch a [`TupleShuffleOp`] copied narrow rows into holds one page nobody
+/// else does — its slab, found again by that test and overwritten in place
+/// when the batch comes back to be refilled.
 #[derive(Debug, Default)]
 pub struct RowBatch {
     pages: Vec<Arc<Page>>,
@@ -278,6 +274,17 @@ impl RowBatch {
     /// The row behind a handle of this batch.
     pub(crate) fn row(&self, r: RowRef) -> TupleView<'_> {
         self.pages[r.page as usize].row(r.slot as usize)
+    }
+
+    /// Empty the batch down to one page nobody else holds — the slab of its
+    /// last fill, or a fresh one — and hand that page out to copy a fill into.
+    fn slab(&mut self) -> &mut Page {
+        self.pages.truncate(1);
+        if self.pages.first_mut().and_then(Arc::get_mut).is_none() {
+            self.pages.clear();
+            self.pages.push(Arc::new(Page::new()));
+        }
+        Arc::get_mut(&mut self.pages[0]).expect("held by this batch alone: just checked, or new")
     }
 
     /// Pin `page` and append the rows `keep` lets through, in slot order.
@@ -406,16 +413,23 @@ pub trait PhysicalOperator: Send {
     }
 }
 
-/// Whether `BlockShuffleOp` randomizes the block order.
+/// Block visit order of the scan at the bottom of every plan. The two
+/// `…Copy` orders read a copy the planner materialized before epoch 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanMode {
-    /// Sequential block order (PostgreSQL `SeqScan`; No-Shuffle baselines).
+pub enum ScanOrder {
+    /// Stored block order (PostgreSQL `SeqScan`; No Shuffle / Tuple-Only).
     Sequential,
-    /// Random block order (CorgiPile's block-level shuffle).
+    /// Random block permutation per epoch (CorgiPile / Block-Only).
     RandomBlocks,
+    /// Sequential over an offline-shuffled copy (`strategy = 'once'`,
+    /// the MADlib `ORDER BY RANDOM()` baseline; pays a one-off setup).
+    SequentialShuffledCopy,
+    /// Random blocks over a bounded-I/O partially re-clustered copy
+    /// (Corgi²; pays `io_budget × full-shuffle` as a one-off setup).
+    ReclusteredCopy,
     /// Epoch-indexed rotation/reversal order (Block-Reversal): adjacent
     /// blocks stream sequentially, only discontinuities pay a seek.
-    Reversal,
+    BlockReversal,
 }
 
 /// The `BlockShuffle` operator.
@@ -426,7 +440,7 @@ pub enum ScanMode {
 /// filtered tuples never occupy TupleShuffle capacity or get projected.
 pub struct BlockShuffleOp {
     table: Arc<Table>,
-    mode: ScanMode,
+    scan: ScanOrder,
     seed: u64,
     rng: StdRng,
     order: Vec<usize>,
@@ -441,10 +455,10 @@ pub struct BlockShuffleOp {
 
 impl BlockShuffleOp {
     /// Create over a table.
-    pub fn new(table: Arc<Table>, mode: ScanMode, seed: u64) -> Self {
+    pub fn new(table: Arc<Table>, scan: ScanOrder, seed: u64) -> Self {
         BlockShuffleOp {
             table,
-            mode,
+            scan,
             seed,
             rng: StdRng::seed_from_u64(seed ^ 0xB5_0F),
             order: Vec::new(),
@@ -482,13 +496,15 @@ impl BlockShuffleOp {
 
     fn reshuffle(&mut self) {
         self.order.clear();
-        match self.mode {
-            ScanMode::Sequential => self.order.extend(0..self.table.num_blocks()),
-            ScanMode::RandomBlocks => {
+        match self.scan {
+            ScanOrder::Sequential | ScanOrder::SequentialShuffledCopy => {
+                self.order.extend(0..self.table.num_blocks())
+            }
+            ScanOrder::RandomBlocks | ScanOrder::ReclusteredCopy => {
                 self.order.extend(0..self.table.num_blocks());
                 shuffle_in_place(&mut self.rng, &mut self.order);
             }
-            ScanMode::Reversal => {
+            ScanOrder::BlockReversal => {
                 // Same order the standalone strategy produces: a seeded
                 // rotation, traversed in reverse on odd epochs.
                 let n = self.table.num_blocks();
@@ -526,10 +542,12 @@ impl BlockShuffleOp {
         // shared_scan = 1`, so repeated scans of a hot serving table hit
         // cached blocks; a reversal scan streams adjacent blocks (either
         // direction) and seeks at the epoch start and the rotation wrap.
-        let (access, pooled) = match self.mode {
-            ScanMode::Sequential => (Access::in_scan(first), self.shared_scan),
-            ScanMode::RandomBlocks => (Access::Random, true),
-            ScanMode::Reversal => {
+        let (access, pooled) = match self.scan {
+            ScanOrder::Sequential | ScanOrder::SequentialShuffledCopy => {
+                (Access::in_scan(first), self.shared_scan)
+            }
+            ScanOrder::RandomBlocks | ScanOrder::ReclusteredCopy => (Access::Random, true),
+            ScanOrder::BlockReversal => {
                 let seeks = first || self.order[self.next_block - 1].abs_diff(block) != 1;
                 (Access::in_scan(seeks), false)
             }
@@ -578,21 +596,16 @@ impl PhysicalOperator for BlockShuffleOp {
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<bool, DbError> {
-        debug_assert!(self.initialized, "next_batch() before init()");
-        // One batch per block read: aligns each batch with the `fill_io`
-        // entry its read pushed, which the pipelined SGD consumer uses to
-        // attribute compute to fills.
-        out.clear();
-        loop {
-            if !self.load_next_block(ctx, out)? {
-                return Ok(false);
-            }
+        // One batch per block read that left a row: aligns each batch with
+        // the `fill_io` entry its read pushed, which the pipelined SGD
+        // consumer uses to attribute compute to fills.
+        while self.next_block(ctx, out)? {
             if !out.is_empty() {
-                self.actuals.rows += out.len() as u64;
                 self.actuals.batches += 1;
                 return Ok(true);
             }
         }
+        Ok(false)
     }
 
     fn next_block(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<bool, DbError> {
@@ -620,11 +633,12 @@ impl PhysicalOperator for BlockShuffleOp {
 
     fn collect_stats(&self, depth: usize, out: &mut Vec<OpStats>) {
         let mut stats = self.actuals.clone();
-        stats.name = match self.mode {
-            ScanMode::Sequential => "SeqScan".to_string(),
-            ScanMode::RandomBlocks => self.name().to_string(),
-            ScanMode::Reversal => "BlockReversalScan".to_string(),
-        };
+        stats.name = match self.scan {
+            ScanOrder::Sequential | ScanOrder::SequentialShuffledCopy => "SeqScan",
+            ScanOrder::RandomBlocks | ScanOrder::ReclusteredCopy => self.name(),
+            ScanOrder::BlockReversal => "BlockReversalScan",
+        }
+        .to_string();
         stats.depth = depth;
         stats.predicate = self.predicate.as_ref().map(|p| p.to_string());
         stats.projection = self.projection.as_deref().map(feature_list);
@@ -642,19 +656,35 @@ impl PhysicalOperator for BlockShuffleOp {
 /// applied to the buffer's output see the same fill boundaries and the same
 /// surviving order, so they train bit-identical models — while filtering
 /// below buffers only survivors (`PostBufferFilter` in `proptests.rs`).
+///
+/// For narrow rows the buffer is a real one (§6.2): the index is sorted,
+/// then the fill is copied once, in SGD order, into the slab of the batch
+/// it leaves in, so the kernel streams its fill instead of chasing handles
+/// across the window's pages. The pinned pages stay behind in a staging
+/// batch that never leaves the producer.
 pub struct TupleShuffleOp {
     child: Box<dyn PhysicalOperator>,
     capacity_blocks: usize,
     params: StrategyParams,
     epoch: u64,
-    buffer: RowBatch,
+    /// The fill window as scanned: pinned table pages and the handles of
+    /// their admitted rows, in scan order. Never leaves the producer.
+    staging: RowBatch,
     /// Scratch batch the child's `next_block` fills into, one block at a time.
     fetch: RowBatch,
-    /// Persistent sort scratch for the keyed in-buffer shuffle.
-    keyed: Vec<(u64, RowRef)>,
+    /// Persistent sort scratch: `(key, position in staging)`.
+    keyed: Vec<(u64, u32)>,
+    /// Persistent scratch: where in SGD order each staged row goes.
+    rank: Vec<u32>,
     exhausted: bool,
     actuals: OpStats,
 }
+
+/// Fills whose rows average more stored bytes than this are consumed in
+/// place, on the table's pages: a row of many cache lines already streams,
+/// and copying it doubles the traffic of a memory-bound statement. Narrower
+/// rows are copied into the batch's slab (DESIGN.md §9 has the sweep).
+const SLAB_ROW_BYTES: usize = 1024;
 
 impl TupleShuffleOp {
     /// Buffer up to `capacity_blocks` source blocks' worth of surviving
@@ -671,25 +701,29 @@ impl TupleShuffleOp {
             capacity_blocks,
             params,
             epoch: 0,
-            buffer: RowBatch::default(),
+            staging: RowBatch::default(),
             fetch: RowBatch::default(),
             keyed: Vec::new(),
+            rank: Vec::new(),
             exhausted: false,
             actuals: OpStats::default(),
         }
     }
 
-    /// Pull one buffer window from the child, shuffle its [`RowRef`]s (the
-    /// index, never the data), and record the fill cost into `ctx.fill_io`.
-    /// A window whose blocks were all filtered out (or skipped as dead)
-    /// merges into the next window rather than surfacing an empty fill.
-    fn refill(&mut self, ctx: &mut ExecContext) -> Result<(), DbError> {
-        self.buffer.clear();
+    /// Pull one buffer window from the child, sort its row handles into SGD
+    /// order, leave the fill in `out` — narrow rows copied into `out`'s slab,
+    /// wide ones as handles on the pinned pages — and record the fill cost
+    /// into `ctx.fill_io`. A window whose blocks were all filtered out (or
+    /// skipped as dead) merges into the next window rather than surfacing
+    /// an empty fill; `out` is left empty at end of stream.
+    fn refill(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<(), DbError> {
+        let staging = &mut self.staging;
+        staging.clear();
         // Child fills recorded below us are folded into our own entry.
         let fills_base = ctx.fill_io.len();
         let io_before = ctx.dev.stats().io_seconds;
         let mut span = ctx.telemetry.span("db.tuple_shuffle.fill");
-        while self.buffer.is_empty() && !self.exhausted {
+        while staging.is_empty() && !self.exhausted {
             let mut blocks = 0usize;
             while blocks < self.capacity_blocks {
                 if !self.child.next_block(ctx, &mut self.fetch)? {
@@ -697,43 +731,54 @@ impl TupleShuffleOp {
                     break;
                 }
                 blocks += 1;
-                self.buffer.append(&mut self.fetch);
+                staging.append(&mut self.fetch);
             }
         }
         // Deterministic in-buffer shuffle: order by a per-(seed, epoch,
         // tuple-id) hash key. splitmix64 is bijective, so keys are unique
-        // within an epoch and the order does not depend on buffer arrival
-        // positions — filtering below or above the buffer leaves the
-        // survivors' relative order unchanged. The keyed scratch persists.
+        // within an epoch — a sort over them needs no tie-break — and the
+        // order does not depend on buffer arrival positions: filtering
+        // below or above the buffer leaves the survivors' relative order
+        // unchanged. The keyed scratch persists.
         let salt = splitmix64(
             (self.params.seed ^ 0x70_5F).wrapping_add(self.epoch.wrapping_mul(0x9E37_79B9)),
         );
-        let (buffer, mut bytes) = (&mut self.buffer, 0usize);
+        let (n, mut bytes) = (staging.len(), 0usize);
         self.keyed.clear();
-        self.keyed.extend(buffer.rows.iter().map(|&r| {
-            let row = buffer.row(r);
-            bytes += row.encoded_len();
-            (splitmix64(salt ^ row.id), r)
-        }));
+        self.keyed
+            .extend(staging.rows().zip(0u32..).map(|(row, at)| {
+                bytes += row.encoded_len();
+                (splitmix64(salt ^ row.id), at)
+            }));
         // Buffer copy + shuffle cost (§4.1 overheads), charged on what was
         // actually buffered — filtered scans pay only for survivors.
-        ctx.dev
-            .charge_seconds(self.params.buffering_cost(buffer.len(), bytes));
+        ctx.dev.charge_seconds(self.params.buffering_cost(n, bytes));
         self.keyed.sort_unstable_by_key(|(k, _)| *k);
-        buffer.rows.clear();
-        buffer.rows.extend(self.keyed.iter().map(|&(_, r)| r));
         ctx.fill_io.truncate(fills_base);
-        if self.buffer.is_empty() {
+        out.rows.clear();
+        if n == 0 {
             // End-of-stream probe, not a fill: record nothing.
             span.cancel();
-        } else {
-            let fill = ctx.dev.stats().io_seconds - io_before;
-            ctx.fill_io.push(fill);
-            self.actuals.fills += 1;
-            self.actuals.buffered_tuples += self.buffer.len() as u64;
-            self.actuals.io_seconds += fill;
-            span.add_sim_seconds(fill);
+            return Ok(());
         }
+        let order = self.keyed.iter().map(|&(_, at)| at as usize);
+        if bytes / n > SLAB_ROW_BYTES {
+            out.rows.extend(order.map(|at| staging.rows[at]));
+            std::mem::swap(&mut out.pages, &mut staging.pages);
+        } else {
+            // Read the staged pages in sequence, write each row to its rank.
+            self.rank.resize(n, 0);
+            order.zip(0u32..).for_each(|(at, to)| self.rank[at] = to);
+            out.slab().fill_ranked(staging.rows(), &self.rank);
+            out.rows
+                .extend((0..n as u32).map(|slot| RowRef { page: 0, slot }));
+        }
+        let fill = ctx.dev.stats().io_seconds - io_before;
+        ctx.fill_io.push(fill);
+        self.actuals.fills += 1;
+        self.actuals.buffered_tuples += n as u64;
+        self.actuals.io_seconds += fill;
+        span.add_sim_seconds(fill);
         Ok(())
     }
 }
@@ -746,7 +791,6 @@ impl PhysicalOperator for TupleShuffleOp {
     fn init(&mut self, ctx: &mut ExecContext) {
         self.child.init(ctx);
         self.epoch = 0;
-        self.buffer.clear();
         self.exhausted = false;
         self.actuals.loops += 1;
     }
@@ -755,33 +799,26 @@ impl PhysicalOperator for TupleShuffleOp {
         // One batch per buffer fill: the whole shuffled buffer moves out in
         // one handover, so the pipelined SGD consumer drains fill k while
         // the producer builds fill k+1.
-        out.clear();
-        if self.buffer.is_empty() {
-            if self.exhausted {
-                return Ok(false);
-            }
-            self.refill(ctx)?;
-            if self.buffer.is_empty() {
-                return Ok(false);
-            }
+        if self.exhausted {
+            out.rows.clear();
+        } else {
+            self.refill(ctx, out)?;
         }
-        std::mem::swap(out, &mut self.buffer);
         self.actuals.rows += out.len() as u64;
-        self.actuals.batches += 1;
-        Ok(true)
+        self.actuals.batches += u64::from(!out.is_empty());
+        Ok(!out.is_empty())
     }
 
     fn rescan(&mut self, ctx: &mut ExecContext) {
         self.child.rescan(ctx);
         self.epoch += 1;
-        self.buffer.clear();
         self.exhausted = false;
         self.actuals.loops += 1;
     }
 
     fn close(&mut self, ctx: &mut ExecContext) {
         self.child.close(ctx);
-        self.buffer.clear();
+        self.staging.clear();
     }
 
     fn collect_stats(&self, depth: usize, out: &mut Vec<OpStats>) {
@@ -1098,6 +1135,7 @@ impl EpochSource for PlanSource<'_, '_> {
     fn stream_epoch(
         &mut self,
         epoch: usize,
+        fill: &mut Fill<RowBatch>,
         emit: &mut dyn FnMut(&mut Fill<RowBatch>) -> bool,
     ) -> Result<EpochIo, DbError> {
         if epoch > 0 {
@@ -1105,10 +1143,6 @@ impl EpochSource for PlanSource<'_, '_> {
             self.ctx.skipped_blocks.clear();
             self.child.rescan(self.ctx);
         }
-        // An inline run keeps refilling this one batch (zero steady-state
-        // allocations); an overlapped run surrenders its backing Vecs per
-        // fill, inherent to moving ownership through the channel.
-        let mut fill = Fill::<RowBatch>::default();
         loop {
             let io_before = self.ctx.dev.stats().io_seconds;
             if !self.child.next_batch(self.ctx, &mut fill.batch)? {
@@ -1116,7 +1150,7 @@ impl EpochSource for PlanSource<'_, '_> {
             }
             fill.sim_seconds = self.ctx.dev.stats().io_seconds - io_before;
             fill.slot = self.ctx.fill_io.len().saturating_sub(1);
-            if !emit(&mut fill) {
+            if !emit(fill) {
                 break;
             }
         }
@@ -1384,7 +1418,7 @@ mod tests {
         let t = table(300);
         let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0));
         let mut ctx = ExecContext::new(&mut dev);
-        let mut op = BlockShuffleOp::new(t, ScanMode::Sequential, 1);
+        let mut op = BlockShuffleOp::new(t, ScanOrder::Sequential, 1);
         op.init(&mut ctx);
         let ids = drain(&mut op, &mut ctx);
         assert_eq!(ids, (0..300).collect::<Vec<_>>());
@@ -1395,7 +1429,7 @@ mod tests {
         let t = table(600);
         let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0));
         let mut ctx = ExecContext::new(&mut dev);
-        let mut op = BlockShuffleOp::new(t, ScanMode::RandomBlocks, 2);
+        let mut op = BlockShuffleOp::new(t, ScanOrder::RandomBlocks, 2);
         op.init(&mut ctx);
         let a = drain(&mut op, &mut ctx);
         assert_ne!(a, (0..600).collect::<Vec<_>>());
@@ -1414,7 +1448,7 @@ mod tests {
         let blocks = t.num_blocks();
         let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0));
         let mut ctx = ExecContext::new(&mut dev);
-        let child = Box::new(BlockShuffleOp::new(t, ScanMode::RandomBlocks, 3));
+        let child = Box::new(BlockShuffleOp::new(t, ScanOrder::RandomBlocks, 3));
         let mut op = TupleShuffleOp::new(child, 2, StrategyParams::default());
         op.init(&mut ctx);
         let mut ids = drain(&mut op, &mut ctx);
@@ -1433,7 +1467,7 @@ mod tests {
         let t = table(600);
         let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0));
         let mut ctx = ExecContext::new(&mut dev);
-        let child = Box::new(BlockShuffleOp::new(t, ScanMode::RandomBlocks, 4));
+        let child = Box::new(BlockShuffleOp::new(t, ScanOrder::RandomBlocks, 4));
         let mut op = TupleShuffleOp::new(child, 3, StrategyParams::default());
         op.init(&mut ctx);
         let ids = drain(&mut op, &mut ctx);
@@ -1442,6 +1476,150 @@ mod tests {
             descents > 150,
             "expected shuffled stream, {descents} descents"
         );
+    }
+
+    /// `n` rows of `width` stored components each in two-page blocks: all
+    /// dense, all sparse, or alternating, by `sparse(id)`; labels in runs of
+    /// 100, so a label predicate empties whole blocks.
+    fn shaped(n: u64, width: usize, sparse: impl Fn(u64) -> bool) -> Arc<Table> {
+        let cfg = corgipile_storage::TableConfig::new("shaped", 3).with_block_bytes(2 * 8192);
+        let rows = (0..n).map(|id| {
+            let values: Vec<f32> = (0..width).map(|k| (id * 31 + k as u64) as f32).collect();
+            let label = if (id / 100) % 2 == 0 { 1.0 } else { -1.0 };
+            if sparse(id) {
+                let indices = (0..width as u32).map(|k| 2 * k + (id % 2) as u32).collect();
+                corgipile_storage::Tuple::sparse(id, 2 * width as u32, indices, values, label)
+            } else {
+                corgipile_storage::Tuple::dense(id, values, label)
+            }
+        });
+        Arc::new(Table::from_tuples(cfg, rows).unwrap())
+    }
+
+    /// Drive `TupleShuffle(cap) ← SeqScan(t)` for two epochs, refilling one
+    /// batch as the inline driver does, and hold every fill against the
+    /// source: the window's blocks (dead ones left out) through the filter
+    /// and the projection, sorted by the shuffle key. Returns the number of
+    /// fills and whether each sat on pages the table does not own (a slab).
+    fn check_fills(
+        t: &Arc<Table>,
+        cap: usize,
+        keep: Option<Predicate>,
+        cols: Option<Vec<usize>>,
+        dead: &[usize],
+    ) -> (usize, Vec<bool>) {
+        let params = StrategyParams::default();
+        let mut scan = BlockShuffleOp::new(t.clone(), ScanOrder::Sequential, 1);
+        if let Some(p) = &keep {
+            scan = scan.with_predicate(p.clone());
+        }
+        if let Some(c) = &cols {
+            scan = scan.with_projection(c.clone());
+        }
+        let mut op = TupleShuffleOp::new(Box::new(scan), cap, params.clone());
+        let mut dev = DeviceHandle::private(SimDevice::in_memory());
+        let mut plan = corgipile_storage::FaultPlan::new(7);
+        for &b in dead {
+            plan = plan.with_permanent(t.config().table_id, b);
+        }
+        dev.set_fault_plan(plan);
+        let mut ctx = ExecContext::new(&mut dev);
+        ctx.retry = RetryPolicy::with_max_retries(1);
+        ctx.on_fault = FaultAction::SkipBlock;
+        let table_pages: Vec<Arc<Page>> = (0..t.num_blocks())
+            .flat_map(|b| t.block_handle(b).unwrap().pages().to_vec())
+            .collect();
+        let (mut out, mut fills, mut on_slab) = (RowBatch::default(), 0, Vec::new());
+        op.init(&mut ctx);
+        for epoch in 0..2u64 {
+            let salt = splitmix64((params.seed ^ 0x70_5F).wrapping_add(epoch * 0x9E37_79B9));
+            let blocks: Vec<usize> = (0..t.num_blocks()).collect();
+            for window in blocks.chunks(cap) {
+                let mut expected: Vec<corgipile_storage::Tuple> = window
+                    .iter()
+                    .filter(|b| !dead.contains(b))
+                    .flat_map(|&b| t.block_tuples(b).unwrap())
+                    .filter(|row| keep.as_ref().is_none_or(|p| p.matches(row.view())))
+                    .map(|row| match &cols {
+                        None => row,
+                        Some(cols) => corgipile_storage::Tuple::dense(
+                            row.id,
+                            cols.iter().map(|&c| row.features.get(c)).collect(),
+                            row.label,
+                        ),
+                    })
+                    .collect();
+                if expected.is_empty() {
+                    continue; // an emptied window merges into the next one
+                }
+                expected.sort_by_key(|row| splitmix64(salt ^ row.id));
+                assert!(op.next_batch(&mut ctx, &mut out).unwrap());
+                assert_eq!(out.len(), expected.len());
+                for (got, want) in out.rows().zip(&expected) {
+                    assert_eq!(got, want.view(), "epoch {epoch} fill {fills}");
+                }
+                let owned = |p: &Arc<Page>| table_pages.iter().any(|t| Arc::ptr_eq(t, p));
+                let in_place = out.pages.iter().all(owned);
+                assert!(in_place || out.pages.len() == 1, "a copy sits on one page");
+                on_slab.push(!in_place);
+                fills += 1;
+            }
+            assert!(!op.next_batch(&mut ctx, &mut out).unwrap());
+            assert!(out.is_empty());
+            op.rescan(&mut ctx);
+        }
+        (fills, on_slab)
+    }
+
+    #[test]
+    fn a_narrow_fill_read_back_from_its_slab_is_the_key_sorted_window() {
+        let label = |value| Predicate::Cmp {
+            col: crate::sql::ColumnRef::Label,
+            op: crate::sql::CmpOp::Eq,
+            value,
+        };
+        for (name, t) in [
+            ("dense", shaped(3000, 12, |_| false)),
+            ("sparse", shaped(3000, 12, |_| true)),
+            ("mixed", shaped(3000, 12, |id| id % 3 == 0)),
+        ] {
+            let blocks = t.num_blocks();
+            assert!(blocks > 6, "{name}: {blocks} blocks");
+            let (fills, on_slab) = check_fills(&t, 3, None, None, &[]);
+            assert_eq!(fills, 2 * blocks.div_ceil(3), "{name}");
+            assert!(on_slab.iter().all(|&s| s), "{name}: every fill is a copy");
+            // WHERE: label runs of 100 rows empty whole blocks and, at one
+            // block per window, whole windows.
+            let (kept, on_slab) = check_fills(&t, 1, Some(label(1.0)), None, &[]);
+            assert!(kept < 2 * blocks && on_slab.iter().all(|&s| s), "{name}");
+            check_fills(
+                &t,
+                2,
+                Some(id_pred(crate::sql::CmpOp::Ge, 1400.0)),
+                None,
+                &[],
+            );
+            // A projection, alone and under a filter.
+            check_fills(&t, 3, None, Some(vec![5, 0, 7]), &[]);
+            check_fills(&t, 2, Some(label(-1.0)), Some(vec![1, 2]), &[]);
+            // Dead blocks, skipped: alone in their window, and beside others.
+            let (fills, _) = check_fills(&t, 1, None, None, &[0, 4]);
+            assert_eq!(fills, 2 * (blocks - 2), "{name}");
+            check_fills(&t, 3, None, None, &[1, blocks - 1]);
+        }
+    }
+
+    #[test]
+    fn a_fill_of_wide_rows_stays_on_the_tables_pages() {
+        // 300 dense features are 1.2 KB a row, over the width constant: the
+        // fill is handles on the table's own pinned pages, as before.
+        let t = shaped(120, 300, |_| false);
+        let (fills, on_slab) = check_fills(&t, 3, None, None, &[]);
+        assert!(fills > 4);
+        assert!(on_slab.iter().all(|&s| !s), "no copy of wide rows");
+        // Just under it (250 features, ~1 KB) the rows are copied.
+        let (_, on_slab) = check_fills(&shaped(120, 250, |_| false), 3, None, None, &[]);
+        assert!(on_slab.iter().all(|&s| s));
     }
 
     fn id_pred(op: crate::sql::CmpOp, value: f64) -> Predicate {
@@ -1461,7 +1639,7 @@ mod tests {
         let survivors = t.rows().filter(|tp| tp.label == 1.0).count();
         assert!(survivors > 0 && survivors < 1000);
         let scan =
-            BlockShuffleOp::new(t, ScanMode::RandomBlocks, 11).with_predicate(Predicate::Cmp {
+            BlockShuffleOp::new(t, ScanOrder::RandomBlocks, 11).with_predicate(Predicate::Cmp {
                 col: crate::sql::ColumnRef::Label,
                 op: crate::sql::CmpOp::Eq,
                 value: 1.0,
@@ -1488,7 +1666,7 @@ mod tests {
     fn fused_pipeline_empty_result_and_partial_last_block() {
         // A predicate nothing matches ends the stream cleanly...
         let t = table(500);
-        let scan = BlockShuffleOp::new(t.clone(), ScanMode::Sequential, 1)
+        let scan = BlockShuffleOp::new(t.clone(), ScanOrder::Sequential, 1)
             .with_predicate(id_pred(crate::sql::CmpOp::Lt, 0.0));
         let mut op = FusedPipelineOp::new(Box::new(scan), "scan→sgd");
         let mut dev = DeviceHandle::private(SimDevice::in_memory());
@@ -1501,7 +1679,7 @@ mod tests {
 
         // ...and a table whose last block is partial is covered exactly,
         // across rescans (the batch reuse must not leak stale tuples).
-        let scan = BlockShuffleOp::new(t, ScanMode::RandomBlocks, 3);
+        let scan = BlockShuffleOp::new(t, ScanOrder::RandomBlocks, 3);
         let mut op = FusedPipelineOp::new(Box::new(scan), "scan→sgd");
         op.init(&mut ctx);
         for _pass in 0..2 {
@@ -1519,7 +1697,7 @@ mod tests {
     fn per_epoch_metric_reporting() {
         let t = table(2000);
         let child: Box<dyn PhysicalOperator> = Box::new(TupleShuffleOp::new(
-            Box::new(BlockShuffleOp::new(t.clone(), ScanMode::RandomBlocks, 5)),
+            Box::new(BlockShuffleOp::new(t.clone(), ScanOrder::RandomBlocks, 5)),
             3,
             StrategyParams::default(),
         ));
@@ -1551,7 +1729,7 @@ mod tests {
     fn op_stats_and_epoch_events_from_sgd_run() {
         let t = table(2000);
         let child: Box<dyn PhysicalOperator> = Box::new(TupleShuffleOp::new(
-            Box::new(BlockShuffleOp::new(t, ScanMode::RandomBlocks, 5)),
+            Box::new(BlockShuffleOp::new(t, ScanOrder::RandomBlocks, 5)),
             3,
             StrategyParams::default(),
         ));
@@ -1610,7 +1788,7 @@ mod tests {
         let mut pool = PoolHandle::private(corgipile_storage::BufferPool::new(64 << 20));
         let mut ctx = ExecContext::new(&mut dev);
         ctx.pool = Some(&mut pool);
-        let mut op = BlockShuffleOp::new(t, ScanMode::RandomBlocks, 5);
+        let mut op = BlockShuffleOp::new(t, ScanOrder::RandomBlocks, 5);
         op.init(&mut ctx);
         drain(&mut op, &mut ctx);
         let cold = ctx.dev.stats().io_seconds;
@@ -1627,7 +1805,7 @@ mod tests {
         let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0));
         let mut ctx = ExecContext::new(&mut dev);
         let child: Box<dyn PhysicalOperator> = Box::new(TupleShuffleOp::new(
-            Box::new(BlockShuffleOp::new(t.clone(), ScanMode::RandomBlocks, 5)),
+            Box::new(BlockShuffleOp::new(t.clone(), ScanOrder::RandomBlocks, 5)),
             4,
             StrategyParams::default(),
         ));
@@ -1662,7 +1840,7 @@ mod tests {
         let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0));
         let mut ctx = ExecContext::new(&mut dev);
         let child: Box<dyn PhysicalOperator> =
-            Box::new(BlockShuffleOp::new(t.clone(), ScanMode::Sequential, 1));
+            Box::new(BlockShuffleOp::new(t.clone(), ScanOrder::Sequential, 1));
         let op = SgdOperator::new(
             child,
             build_model(&ModelKind::LogisticRegression, 28, 1),
@@ -1688,7 +1866,7 @@ mod tests {
             let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0));
             let mut ctx = ExecContext::new(&mut dev);
             let child: Box<dyn PhysicalOperator> = Box::new(TupleShuffleOp::new(
-                Box::new(BlockShuffleOp::new(t.clone(), ScanMode::RandomBlocks, 5)),
+                Box::new(BlockShuffleOp::new(t.clone(), ScanOrder::RandomBlocks, 5)),
                 3,
                 StrategyParams::default(),
             ));
@@ -1710,7 +1888,7 @@ mod tests {
     #[should_panic(expected = "at least one block")]
     fn zero_capacity_buffer_rejected() {
         let t = table(10);
-        let child = Box::new(BlockShuffleOp::new(t, ScanMode::Sequential, 1));
+        let child = Box::new(BlockShuffleOp::new(t, ScanOrder::Sequential, 1));
         TupleShuffleOp::new(child, 0, StrategyParams::default());
     }
 
@@ -1724,7 +1902,7 @@ mod tests {
                 dev.set_fault_plan(p);
             }
             let mut ctx = ExecContext::new(&mut dev);
-            let mut op = BlockShuffleOp::new(t.clone(), ScanMode::RandomBlocks, 2);
+            let mut op = BlockShuffleOp::new(t.clone(), ScanOrder::RandomBlocks, 2);
             op.init(&mut ctx);
             drain(&mut op, &mut ctx)
         };
@@ -1749,7 +1927,7 @@ mod tests {
         dev.set_fault_plan(FaultPlan::new(7).with_permanent(t.config().table_id, 0));
         let mut ctx = ExecContext::new(&mut dev);
         ctx.retry = RetryPolicy::with_max_retries(1);
-        let mut op = BlockShuffleOp::new(t, ScanMode::RandomBlocks, 2);
+        let mut op = BlockShuffleOp::new(t, ScanOrder::RandomBlocks, 2);
         op.init(&mut ctx);
         let mut batch = RowBatch::default();
         let err = loop {
@@ -1781,7 +1959,7 @@ mod tests {
         ctx.retry = RetryPolicy::with_max_retries(1);
         ctx.on_fault = FaultAction::SkipBlock;
         let child: Box<dyn PhysicalOperator> = Box::new(TupleShuffleOp::new(
-            Box::new(BlockShuffleOp::new(t.clone(), ScanMode::RandomBlocks, 5)),
+            Box::new(BlockShuffleOp::new(t.clone(), ScanOrder::RandomBlocks, 5)),
             2,
             StrategyParams::default(),
         ));
@@ -1813,7 +1991,7 @@ mod tests {
             std::env::temp_dir().join(format!("corgi_db_resume_{}.ckpt", std::process::id()));
         let plan = |t: &Arc<Table>| -> Box<dyn PhysicalOperator> {
             Box::new(TupleShuffleOp::new(
-                Box::new(BlockShuffleOp::new(t.clone(), ScanMode::RandomBlocks, 5)),
+                Box::new(BlockShuffleOp::new(t.clone(), ScanOrder::RandomBlocks, 5)),
                 2,
                 StrategyParams::default(),
             ))
@@ -1877,7 +2055,11 @@ mod tests {
     /// SGD ← TupleShuffle ← BlockShuffle plan over `n` tuples.
     fn corgi_plan(t: &Arc<Table>, buffer_blocks: usize, seed: u64) -> Box<dyn PhysicalOperator> {
         Box::new(TupleShuffleOp::new(
-            Box::new(BlockShuffleOp::new(t.clone(), ScanMode::RandomBlocks, seed)),
+            Box::new(BlockShuffleOp::new(
+                t.clone(),
+                ScanOrder::RandomBlocks,
+                seed,
+            )),
             buffer_blocks,
             StrategyParams::default(),
         ))

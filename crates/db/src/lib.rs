@@ -55,7 +55,7 @@ pub use database::Database;
 pub use error::DbError;
 pub use exec::{
     BlockShuffleOp, CheckpointSink, DbEpochRecord, ExecContext, FaultAction, FusedPipelineOp,
-    OpStats, PhysicalOperator, PredictOperator, PredictRunResult, RowBatch, RowRef, ScanMode,
+    OpStats, PhysicalOperator, PredictOperator, PredictRunResult, RowBatch, RowRef, ScanOrder,
     SgdOperator, SgdRunResult, TupleShuffleOp,
 };
 pub use model_store::{ModelRecord, ModelStore, ModelStoreOptions, ModelStoreStats};
@@ -63,8 +63,7 @@ pub use options::{
     effective_line, known_keys, OptionSpec, OptionType, QueryOptions, Statement, OPTIONS,
 };
 pub use plan::{
-    build_physical_with, BuildOptions, LogicalPlan, PhysicalPlan, PredictPlanSpec, ScanOrder,
-    TrainPlanSpec,
+    build_physical_with, BuildOptions, LogicalPlan, PhysicalPlan, PredictPlanSpec, TrainPlanSpec,
 };
 pub use serving::{CacheStats, ModelCache, ServableModel};
 pub use session::{DbTrainSummary, PredictSummary, QueryResult, ServeOptions, Session};

@@ -38,7 +38,7 @@
 
 use crate::catalog::Catalog;
 use crate::error::DbError;
-use crate::exec::{BlockShuffleOp, FusedPipelineOp, PhysicalOperator, ScanMode, TupleShuffleOp};
+use crate::exec::{BlockShuffleOp, FusedPipelineOp, PhysicalOperator, ScanOrder, TupleShuffleOp};
 use crate::sql::{ColumnRef, Predicate, Projection, StrategyKind};
 use corgipile_data::rng::shuffle_in_place;
 use corgipile_shuffle::{recluster_table, StrategyParams};
@@ -46,24 +46,6 @@ use corgipile_storage::{DeviceHandle, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-
-/// Block visit order of the fused scan at the bottom of every plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanOrder {
-    /// Stored block order (No Shuffle / Tuple-Only).
-    Sequential,
-    /// Random block permutation per epoch (CorgiPile / Block-Only).
-    RandomBlocks,
-    /// Sequential over an offline-shuffled copy (`strategy = 'once'`,
-    /// the MADlib `ORDER BY RANDOM()` baseline; pays a one-off setup).
-    SequentialShuffledCopy,
-    /// Random blocks over a bounded-I/O partially re-clustered copy
-    /// (Corgi²; pays `io_budget × full-shuffle` as a one-off setup).
-    ReclusteredCopy,
-    /// Epoch-indexed rotation/reversal order at near-sequential cost
-    /// (Block-Reversal).
-    BlockReversal,
-}
 
 impl ScanOrder {
     /// `EXPLAIN` wording of this order over `blocks` blocks.
@@ -622,10 +604,10 @@ impl Lowering<'_> {
         };
         let (table, seed) = (self.table, self.seed);
         let io_before = self.dev.stats().io_seconds;
-        let (src, mode) = match order {
-            ScanOrder::Sequential => (table.clone(), ScanMode::Sequential),
-            ScanOrder::RandomBlocks => (table.clone(), ScanMode::RandomBlocks),
-            ScanOrder::BlockReversal => (table.clone(), ScanMode::Reversal),
+        let src = match order {
+            ScanOrder::Sequential | ScanOrder::RandomBlocks | ScanOrder::BlockReversal => {
+                table.clone()
+            }
             ScanOrder::SequentialShuffledCopy => {
                 // Offline shuffle first (ORDER BY RANDOM(); 2× storage).
                 let mut order: Vec<u64> = (0..table.num_tuples()).collect();
@@ -635,7 +617,7 @@ impl Lowering<'_> {
                 let copy = self
                     .dev
                     .with(|d| table.materialize_reordered(&order, copy_name, copy_id, d))?;
-                (Arc::new(copy), ScanMode::Sequential)
+                Arc::new(copy)
             }
             ScanOrder::ReclusteredCopy => {
                 // Corgi²: bounded-I/O partial offline re-cluster, then the
@@ -646,11 +628,11 @@ impl Lowering<'_> {
                 let out = self
                     .dev
                     .with(|d| recluster_table(table, copy_name, copy_id, io_budget, seed, d))?;
-                (Arc::new(out.table), ScanMode::RandomBlocks)
+                Arc::new(out.table)
             }
         };
         self.setup_seconds += self.dev.stats().io_seconds - io_before;
-        let mut op = BlockShuffleOp::new(src, mode, seed).with_shared_scan(self.shared_scan);
+        let mut op = BlockShuffleOp::new(src, *order, seed).with_shared_scan(self.shared_scan);
         if let Some(p) = predicate {
             op = op.with_predicate(p.clone());
         }

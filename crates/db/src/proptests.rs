@@ -6,7 +6,7 @@
 use crate::database::Database;
 use crate::error::DbError;
 use crate::exec::{
-    BlockShuffleOp, ExecContext, PhysicalOperator, RowBatch, ScanMode, SgdOperator, TupleShuffleOp,
+    BlockShuffleOp, ExecContext, PhysicalOperator, RowBatch, ScanOrder, SgdOperator, TupleShuffleOp,
 };
 use crate::session::QueryResult;
 use crate::sql::{parse, Predicate, Query};
@@ -96,7 +96,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let t = table(n, width, block_pages);
-        let mode = if random { ScanMode::RandomBlocks } else { ScanMode::Sequential };
+        let mode = if random { ScanOrder::RandomBlocks } else { ScanOrder::Sequential };
         let mut dev = DeviceHandle::private(SimDevice::in_memory());
         let mut ctx = ExecContext::new(&mut dev);
         let mut op = BlockShuffleOp::new(t, mode, seed);
@@ -121,7 +121,7 @@ proptest! {
         let blocks = t.num_blocks();
         let mut dev = DeviceHandle::private(SimDevice::in_memory());
         let mut ctx = ExecContext::new(&mut dev);
-        let child = Box::new(BlockShuffleOp::new(t, ScanMode::RandomBlocks, seed));
+        let child = Box::new(BlockShuffleOp::new(t, ScanOrder::RandomBlocks, seed));
         let mut op = TupleShuffleOp::new(
             child,
             capacity_blocks,
@@ -147,7 +147,7 @@ proptest! {
         let t = table(n, 4, 1);
         let mut dev = DeviceHandle::private(SimDevice::in_memory());
         let mut ctx = ExecContext::new(&mut dev);
-        let child = Box::new(BlockShuffleOp::new(t, ScanMode::RandomBlocks, seed));
+        let child = Box::new(BlockShuffleOp::new(t, ScanOrder::RandomBlocks, seed));
         let mut op = TupleShuffleOp::new(
             child,
             (n as usize / 4).max(2),
@@ -211,7 +211,7 @@ proptest! {
             unreachable!("the statement has a WHERE clause")
         };
         let sparams = StrategyParams::default().with_buffer_fraction(0.5).with_seed(seed);
-        let scan = BlockShuffleOp::new(t.clone(), ScanMode::RandomBlocks, seed);
+        let scan = BlockShuffleOp::new(t.clone(), ScanOrder::RandomBlocks, seed);
         let post = PostBufferFilter {
             child: TupleShuffleOp::new(Box::new(scan), sparams.buffer_blocks(&t), sparams),
             predicate,

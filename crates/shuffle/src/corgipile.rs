@@ -24,9 +24,9 @@
 use crate::plan::Segment;
 use crate::strategy::{read_block, ShuffleStrategy, StrategyParams};
 use corgipile_data::rng::shuffle_in_place;
-use corgipile_storage::{Access, SimDevice, StorageError, Table, TupleBuffer};
+use corgipile_storage::{Access, SimDevice, StorageError, Table};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// How block-level sampling treats the epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,17 +73,16 @@ impl CorgiPile {
             bytes += meta.bytes;
             expected += meta.tuple_count();
         }
-        let mut buffer = TupleBuffer::with_capacity(expected.max(1));
+        let mut buffer = Vec::with_capacity(expected);
         for &b in blocks {
-            buffer.fill_from(read_block(table, b, Access::Random, dev)?);
+            buffer.extend(read_block(table, b, Access::Random, dev)?);
         }
         // Buffer copy + tuple-level Fisher–Yates (the §4.1 overheads).
         dev.charge_seconds(self.params.buffering_cost(buffer.len(), bytes));
-        let rng = &mut self.rng;
-        buffer.shuffle_with(|i| rng.gen_range(0..=i));
+        shuffle_in_place(&mut self.rng, &mut buffer);
         let io = dev.stats().io_seconds - before;
         span.add_sim_seconds(io);
-        Ok(Segment::new(buffer.drain(), io))
+        Ok(Segment::new(buffer, io))
     }
 }
 

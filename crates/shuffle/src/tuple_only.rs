@@ -12,9 +12,10 @@
 
 use crate::plan::Segment;
 use crate::strategy::{read_block, ShuffleStrategy, StrategyParams};
-use corgipile_storage::{Access, SimDevice, StorageError, Table, TupleBuffer};
+use corgipile_data::rng::shuffle_in_place;
+use corgipile_storage::{Access, SimDevice, StorageError, Table};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// CorgiPile without the block-level shuffle.
 #[derive(Debug)]
@@ -53,17 +54,13 @@ impl ShuffleStrategy for TupleOnlyShuffle {
                 bytes += meta.bytes;
                 expected += meta.tuple_count();
             }
-            let mut buffer = TupleBuffer::with_capacity(expected.max(1));
+            let mut buffer = Vec::with_capacity(expected);
             for &b in chunk {
-                buffer.fill_from(read_block(table, b, Access::in_scan(b == 0), dev)?);
+                buffer.extend(read_block(table, b, Access::in_scan(b == 0), dev)?);
             }
             dev.charge_seconds(self.params.buffering_cost(buffer.len(), bytes));
-            let rng = &mut self.rng;
-            buffer.shuffle_with(|i| rng.gen_range(0..=i));
-            if !emit(Segment::new(
-                buffer.drain(),
-                dev.stats().io_seconds - before,
-            )) {
+            shuffle_in_place(&mut self.rng, &mut buffer);
+            if !emit(Segment::new(buffer, dev.stats().io_seconds - before)) {
                 break;
             }
         }

@@ -1,118 +1,14 @@
-//! In-memory tuple buffers and the double-buffering cost model.
+//! The double-buffering cost model.
 //!
 //! CorgiPile's tuple-level shuffle needs an in-memory buffer holding `n`
-//! blocks (1–10 % of the data set). [`TupleBuffer`] is that buffer. The
-//! paper's §6.3 optimization overlaps buffer filling with SGD via *double
-//! buffering* — two buffers swapped between a loader thread and a consumer
-//! thread; [`DoubleBufferModel`] computes the resulting pipelined epoch time
-//! from per-fill I/O and compute costs, which is how the simulated
-//! experiments account the ~11.7 % residual overhead of Figure 13.
-
-use crate::tuple::Tuple;
-
-/// Upper bound on the *initial* `Vec` reservation made by
-/// [`TupleBuffer::with_capacity`].
-///
-/// `capacity_tuples` is a logical limit derived from the buffered-block
-/// byte budget, and for small tuples it can run into the hundreds of
-/// millions; reserving that eagerly would commit gigabytes before a single
-/// tuple arrives. Reservations are therefore capped at this many slots
-/// (2^20); a buffer whose capacity exceeds the cap still accepts tuples up
-/// to its full `capacity_tuples` — the vector simply grows on demand past
-/// the initial reservation.
-pub const INITIAL_RESERVATION_CAP: usize = 1 << 20;
-
-/// A bounded in-memory tuple buffer.
-#[derive(Debug, Clone, Default)]
-pub struct TupleBuffer {
-    tuples: Vec<Tuple>,
-    capacity_tuples: usize,
-}
-
-impl TupleBuffer {
-    /// Create a buffer able to hold `capacity_tuples` tuples.
-    ///
-    /// At most [`INITIAL_RESERVATION_CAP`] slots are reserved up front; the
-    /// logical capacity is unaffected (see the constant's docs).
-    pub fn with_capacity(capacity_tuples: usize) -> Self {
-        TupleBuffer {
-            tuples: Vec::with_capacity(capacity_tuples.min(INITIAL_RESERVATION_CAP)),
-            capacity_tuples,
-        }
-    }
-
-    /// Current number of buffered tuples.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// True if no tuples are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-
-    /// Tuple capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity_tuples
-    }
-
-    /// Remaining room.
-    pub fn free(&self) -> usize {
-        self.capacity_tuples.saturating_sub(self.tuples.len())
-    }
-
-    /// Whether the buffer is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.free() == 0
-    }
-
-    /// Push one tuple; returns `false` (dropping nothing) if full.
-    pub fn push(&mut self, t: Tuple) -> bool {
-        if self.is_full() {
-            return false;
-        }
-        self.tuples.push(t);
-        true
-    }
-
-    /// Extend with as many tuples from `iter` as fit; returns how many were
-    /// accepted.
-    pub fn fill_from<I: IntoIterator<Item = Tuple>>(&mut self, iter: I) -> usize {
-        let mut n = 0;
-        for t in iter {
-            if !self.push(t) {
-                break;
-            }
-            n += 1;
-        }
-        n
-    }
-
-    /// Shuffle the buffered tuples in place with the supplied RNG-driven
-    /// Fisher–Yates swaps. The closure must return a value in `0..=i`.
-    pub fn shuffle_with<F: FnMut(usize) -> usize>(&mut self, mut pick: F) {
-        for i in (1..self.tuples.len()).rev() {
-            let j = pick(i);
-            debug_assert!(j <= i);
-            self.tuples.swap(i, j);
-        }
-    }
-
-    /// Drain all tuples out of the buffer in their current order.
-    pub fn drain(&mut self) -> Vec<Tuple> {
-        std::mem::take(&mut self.tuples)
-    }
-
-    /// Borrow the buffered tuples.
-    pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
-    }
-
-    /// Clear the buffer.
-    pub fn clear(&mut self) {
-        self.tuples.clear();
-    }
-}
+//! blocks (1–10 % of the data set): the SQL executor's is a recycled
+//! [`Page`](crate::page::Page) filled by `Page::fill_ranked`, the library
+//! strategies' a plain `Vec<Tuple>`. The paper's §6.3 optimization overlaps
+//! buffer filling with SGD via *double buffering* — two buffers swapped
+//! between a loader thread and a consumer thread ([`crate::pipeline`]);
+//! [`DoubleBufferModel`] computes the resulting pipelined epoch time from
+//! per-fill I/O and compute costs, which is how the simulated experiments
+//! account the ~11.7 % residual overhead of Figure 13.
 
 /// Analytic pipelined-epoch model for single vs double buffering.
 ///
@@ -149,68 +45,7 @@ impl DoubleBufferModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::Tuple;
     use proptest::prelude::*;
-
-    fn t(id: u64) -> Tuple {
-        Tuple::dense(id, vec![id as f32], 1.0)
-    }
-
-    #[test]
-    fn buffer_respects_capacity() {
-        let mut b = TupleBuffer::with_capacity(3);
-        assert!(b.is_empty());
-        assert!(b.push(t(0)));
-        assert!(b.push(t(1)));
-        assert!(b.push(t(2)));
-        assert!(b.is_full());
-        assert!(!b.push(t(3)));
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.free(), 0);
-    }
-
-    #[test]
-    fn fill_from_stops_at_capacity() {
-        let mut b = TupleBuffer::with_capacity(5);
-        let n = b.fill_from((0..10).map(t));
-        assert_eq!(n, 5);
-        assert_eq!(b.len(), 5);
-    }
-
-    #[test]
-    fn over_cap_buffer_still_fills_to_full_capacity() {
-        // A logical capacity above INITIAL_RESERVATION_CAP only limits the
-        // eager reservation, never how many tuples the buffer accepts.
-        let cap = INITIAL_RESERVATION_CAP + 3;
-        let mut b = TupleBuffer::with_capacity(cap);
-        assert_eq!(b.capacity(), cap);
-        let accepted =
-            b.fill_from((0..(cap as u64 + 10)).map(|id| Tuple::dense(id, Vec::new(), 0.0)));
-        assert_eq!(accepted, cap);
-        assert_eq!(b.len(), cap);
-        assert!(b.is_full());
-        assert_eq!(b.tuples()[cap - 1].id, cap as u64 - 1);
-    }
-
-    #[test]
-    fn shuffle_with_identity_is_noop() {
-        let mut b = TupleBuffer::with_capacity(4);
-        b.fill_from((0..4).map(t));
-        b.shuffle_with(|i| i);
-        let ids: Vec<u64> = b.tuples().iter().map(|x| x.id).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn shuffle_with_reverse_like_picks_permutes() {
-        let mut b = TupleBuffer::with_capacity(5);
-        b.fill_from((0..5).map(t));
-        b.shuffle_with(|_| 0);
-        let mut ids: Vec<u64> = b.drain().into_iter().map(|x| x.id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]); // a permutation
-        assert!(b.is_empty());
-    }
 
     #[test]
     fn double_buffer_beats_single_buffer() {
@@ -252,24 +87,6 @@ mod tests {
             let io_total: f64 = io.iter().sum();
             let c_total: f64 = compute.iter().sum();
             prop_assert!(d + 1e-9 >= io_total.max(c_total));
-        }
-
-        #[test]
-        fn prop_shuffle_is_permutation(n in 0usize..64, seed in any::<u64>()) {
-            let mut b = TupleBuffer::with_capacity(n);
-            b.fill_from((0..n as u64).map(t));
-            let mut state = seed | 1;
-            b.shuffle_with(|i| {
-                // xorshift-ish deterministic picker
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state % (i as u64 + 1)) as usize
-            });
-            let mut ids: Vec<u64> = b.tuples().iter().map(|x| x.id).collect();
-            ids.sort_unstable();
-            let expect: Vec<u64> = (0..n as u64).collect();
-            prop_assert_eq!(ids, expect);
         }
     }
 }

@@ -302,8 +302,9 @@ pub struct FaultInjector {
     stats: FaultStats,
 }
 
-/// SplitMix64: a tiny, high-quality 64-bit mixer.
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64 finalizer: a bijective avalanche mix on `u64` — distinct
+/// inputs give distinct outputs.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -69,7 +69,7 @@ pub mod wal;
 
 pub use append::{AppendableTable, TableSnapshot, RT_TABLE_ROWS, RT_TABLE_SEAL};
 pub use block::{BlockHandle, BlockId, BlockMeta};
-pub use buffer::{DoubleBufferModel, TupleBuffer, INITIAL_RESERVATION_CAP};
+pub use buffer::DoubleBufferModel;
 pub use bufmgr::{BufferPool, BufferPoolStats};
 pub use codec::{
     decode_container, encode_container, encode_frame, put_bytes, FieldReader, WAL_FRAME_OVERHEAD,
@@ -78,16 +78,15 @@ pub use crc::crc32;
 pub use device::{Access, CacheConfig, DeviceProfile, IoStats, SimDevice};
 pub use error::StorageError;
 pub use fault::{
-    sites, FaultInjector, FaultKind, FaultPlan, FaultStats, ReadOutcome, WriteFault, WriteOutcome,
+    sites, splitmix64, FaultInjector, FaultKind, FaultPlan, FaultStats, ReadOutcome, WriteFault,
+    WriteOutcome,
 };
 pub use page::{Page, PAGE_SIZE};
 pub use persist::{
     atomic_write_bytes, atomic_write_bytes_faulted, load_table, save_table, save_table_faulted,
     FileBlockMeta, FileTable,
 };
-pub use pipeline::{
-    run_epoch_pipeline, PipelineError, PipelineReport, PipelineSender, PIPELINE_SLOTS,
-};
+pub use pipeline::{run_epoch_pipeline, PipelineError, PipelineReport, PipelineSender};
 pub use retry::RetryPolicy;
 pub use shared::{DeviceHandle, PoolHandle, SharedBufferPool, SharedDevice};
 pub use table::{Table, TableBuilder, TableConfig};

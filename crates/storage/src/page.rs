@@ -11,6 +11,11 @@
 //! allocation. Tables hold pages behind `Arc` and never change a shared one,
 //! so a view lives as long as its page is pinned.
 //!
+//! The same columns serve as the executor's fill buffer: a page nobody else
+//! holds is rebuilt in place by [`Page::fill_ranked`] — any number of rows,
+//! each written to its place in SGD order, the allocations of the previous
+//! fill reused — and read back through the same [`Page::row`].
+//!
 //! Tuples wider than a page (epsilon/yfcc-like rows with thousands of dense
 //! features, which PostgreSQL would TOAST, §7.1.5) get a dedicated *jumbo*
 //! page whose byte size equals the tuple size; the table layer accounts for
@@ -68,6 +73,25 @@ struct Extent {
 }
 
 const DENSE: u32 = u32::MAX;
+
+/// `Vec::resize` that grows to fit, not by doubling: a fill buffer that met a
+/// slightly larger fill must not end up twice the size.
+fn resize_exact<T: Clone>(column: &mut Vec<T>, len: usize, value: T) {
+    column.reserve_exact(len.saturating_sub(column.len()));
+    column.resize(len, value);
+}
+
+/// `(dim, sparse indices, stored values)` of a row's features.
+fn columns(features: FeatureView<'_>) -> (u32, Option<&[u32]>, &[f32]) {
+    match features {
+        FeatureView::Dense(v) => (v.len() as u32, None, v),
+        FeatureView::Sparse {
+            dim,
+            indices,
+            values,
+        } => (dim, Some(indices), values),
+    }
+}
 
 /// A heap page: slotted-page byte accounting over columnar storage.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,14 +174,7 @@ impl Page {
                 free: self.free_bytes(),
             });
         }
-        let (dim, indices, values) = match row.features {
-            FeatureView::Dense(v) => (v.len() as u32, None, v),
-            FeatureView::Sparse {
-                dim,
-                indices,
-                values,
-            } => (dim, Some(indices), values),
-        };
+        let (dim, indices, values) = columns(row.features);
         if self.extents.is_empty() {
             // Allocate the page whole, like the fixed-size heap page it
             // models, with room for a page of rows this size: a page is
@@ -185,6 +202,61 @@ impl Page {
         self.used += len;
         self.moments.add(row.label);
         Ok(())
+    }
+
+    /// Rebuild the page as a fill buffer rather than a heap page: the `j`-th
+    /// of `rows` becomes row `rank[j]`, read in sequence and written to its
+    /// place. The byte bound is lifted and the columns keep the allocations
+    /// of the last fill.
+    pub fn fill_ranked<'a>(
+        &mut self,
+        rows: impl Iterator<Item = TupleView<'a>> + Clone,
+        rank: &[u32],
+    ) {
+        let n = rank.len();
+        (self.capacity, self.used, self.moments) = (usize::MAX, 0, LabelMoments::default());
+        // Widths by rank first, so that a running sum places every row.
+        let unset = Extent {
+            values: 0,
+            nnz: 0,
+            indices: DENSE,
+            dim: 0,
+        };
+        self.extents.clear();
+        resize_exact(&mut self.extents, n, unset);
+        for (row, &to) in rows.clone().zip(rank) {
+            let (dim, indices, values) = columns(row.features);
+            self.extents[to as usize] = Extent {
+                nnz: values.len() as u32,
+                indices: indices.map_or(DENSE, |_| 0),
+                dim,
+                ..unset
+            };
+        }
+        let (mut values, mut indices) = (0u32, 0u32);
+        for e in &mut self.extents {
+            e.values = values;
+            values += e.nnz;
+            if e.indices != DENSE {
+                e.indices = indices;
+                indices += e.nnz;
+            }
+        }
+        resize_exact(&mut self.ids, n, 0);
+        resize_exact(&mut self.labels, n, 0.0);
+        resize_exact(&mut self.values, values as usize, 0.0);
+        resize_exact(&mut self.indices, indices as usize, 0);
+        for (row, &to) in rows.zip(rank) {
+            let (e, (_, indices, values)) = (self.extents[to as usize], columns(row.features));
+            self.ids[to as usize] = row.id;
+            self.labels[to as usize] = row.label;
+            self.values[e.values as usize..][..values.len()].copy_from_slice(values);
+            if let Some(indices) = indices {
+                self.indices[e.indices as usize..][..indices.len()].copy_from_slice(indices);
+            }
+            self.used += row.encoded_len();
+            self.moments.add(row.label);
+        }
     }
 
     /// Label moments of the tuples on the page.
@@ -329,6 +401,42 @@ mod tests {
         } else {
             Tuple::dense(id, values, label)
         }
+    }
+
+    #[test]
+    fn fill_ranked_places_each_row_at_its_rank_and_recycles_the_columns() {
+        let mixed = |n: u64| -> Vec<Tuple> {
+            (0..n)
+                .map(|id| arb_tuple(id, (id % 7) as usize, id % 3 == 0))
+                .collect()
+        };
+        let check = |p: &mut Page, rows: &[Tuple], stride: usize| {
+            let n = rows.len();
+            let rank: Vec<u32> = (0..n).map(|j| ((j * stride + 3) % n) as u32).collect();
+            p.fill_ranked(rows.iter().map(Tuple::view), &rank);
+            assert_eq!(p.tuple_count(), n);
+            for (row, &to) in rows.iter().zip(&rank) {
+                assert_eq!(p.row(to as usize), row.view());
+            }
+            let bytes: usize = rows.iter().map(Tuple::encoded_len).sum();
+            assert_eq!(p.used_bytes(), bytes);
+            assert_eq!(p.label_moments().tuples, n as u64);
+        };
+        // Far more than 8 KB of rows: a fill buffer has no byte bound.
+        let mut p = Page::new();
+        check(&mut p, &mixed(1000), 7);
+        let caps = (p.ids.capacity(), p.values.capacity(), p.indices.capacity());
+        assert_eq!(caps.0, 1000, "sized to fit");
+        // A smaller fill overwrites in place; one a row larger grows to fit
+        // rather than doubling.
+        check(&mut p, &mixed(331), 5);
+        assert_eq!(
+            caps,
+            (p.ids.capacity(), p.values.capacity(), p.indices.capacity())
+        );
+        check(&mut p, &mixed(1001), 3);
+        assert_eq!(p.ids.capacity(), 1001);
+        check(&mut p, &[], 1);
     }
 
     proptest! {

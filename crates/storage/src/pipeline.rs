@@ -2,13 +2,14 @@
 //!
 //! The analytic [`DoubleBufferModel`](crate::buffer::DoubleBufferModel)
 //! predicts the epoch time when buffer filling overlaps SGD; this module is
-//! the mechanism: a *producer* thread fills buffer `B` (block reads +
-//! tuple-level shuffle) while the consumer drains buffer `A` into the
-//! training loop, the two swapping through a bounded channel of capacity
-//! [`PIPELINE_SLOTS`]. [`run_epoch_pipeline`] and its [`PipelineSender`] are
-//! all there is: generic over the batch, they never look inside one — the
-//! SQL executor sends page pins and row handles, the library trainer owned
-//! tuples.
+//! the mechanism. **Two batches exist, and they are the caller's**: the
+//! *producer* thread fills one (block reads + tuple-level shuffle) while the
+//! consumer drains the other into the training loop, and every drained batch
+//! travels back on a return lane to be refilled — the paper's two buffers,
+//! never a third queued between them, and no batch memory allocated per
+//! fill. [`run_epoch_pipeline`] and its [`PipelineSender`] are all there is:
+//! generic over the batch, they never look inside one, and neither creates
+//! nor drops one — the lanes carry `&mut` borrows of the caller's pair.
 //!
 //! * **Scoped, not detached.** The producer runs inside
 //!   [`std::thread::scope`], so it may mutably borrow the caller's device,
@@ -16,7 +17,7 @@
 //!   to the *real* device and fault injection and retry run their normal
 //!   code path, just on the producer thread.
 //! * **Determinism.** The producer runs the *same* fill code (same RNG
-//!   streams, same visit order) as the serial path, the channel preserves
+//!   streams, same visit order) as the serial path, the lane preserves
 //!   send order, and there is one producer and one consumer: the consumer
 //!   sees the tuples in the serial order and trains bit-identical models.
 //! * **Clock accounting.** The simulated clock knows nothing about threads:
@@ -24,29 +25,28 @@
 //!   (`DoubleBufferModel::double_buffer` or `single_buffer` over the
 //!   per-fill vectors) is the caller's job. Wall clock overlaps for real.
 //! * **Failure.** A producer error reaches the consumer side as
-//!   [`PipelineError::Producer`] once in-flight batches drain — no hang. A
-//!   consumer that stops early drops its receiver; the producer's next send
-//!   fails, it winds down, and the scope joins. Producer panics resurface
-//!   as [`PipelineError::ProducerPanicked`].
+//!   [`PipelineError::Producer`] once the batch in flight drains — no hang.
+//!   A consumer that stops early drops its ends of both lanes; the
+//!   producer's next hand-off fails, it winds down, and the scope joins.
+//!   Producer panics resurface as [`PipelineError::ProducerPanicked`].
+//!   Whichever way an epoch ends, both batches are back with the caller,
+//!   with whatever rows they last held: a fill overwrites, never appends.
 //! * **One body for serial and overlapped.** With `overlapped = false`
 //!   nothing is spawned: [`PipelineSender::fill_and_send`] runs `consume` on
-//!   the calling thread, on the producer's own batch (which keeps its
-//!   allocation), records no spans and returns an empty [`PipelineReport`].
+//!   the calling thread, on the producer's batch in place (the second batch
+//!   stays untouched), records no spans and returns an empty
+//!   [`PipelineReport`].
 //!
 //! Telemetry: each overlapped fill runs under a `pipeline.fill` span (wall
 //! from the previous hand-off, sim as reported by the producer); consumer
-//! waits are recorded under `pipeline.stall` spans, producer waits in the
-//! `pipeline.backpressure.wall_seconds` histogram.
+//! waits are recorded under `pipeline.stall` spans, producer waits for the
+//! other batch to come back in the `backpressure_wall_seconds` of the report.
 
 use std::fmt;
-use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::time::Instant;
 
 use corgipile_telemetry::Telemetry;
-
-/// Bounded-channel capacity between producer and consumer: one batch in
-/// flight plus one being built equals the paper's two buffers.
-pub const PIPELINE_SLOTS: usize = 1;
 
 /// Error surfaced on the consumer side of [`run_epoch_pipeline`].
 #[derive(Debug)]
@@ -79,14 +79,17 @@ pub struct PipelineReport {
     pub batches_consumed: u64,
     /// Wall seconds the consumer spent waiting for the producer.
     pub stall_wall_seconds: f64,
-    /// Wall seconds the producer spent blocked on a full channel.
+    /// Wall seconds the producer spent waiting for a drained batch.
     pub backpressure_wall_seconds: f64,
 }
 
 /// Where a [`PipelineSender`] delivers its fills.
 enum Link<'a, T> {
-    /// Overlapped: through the bounded channel to the consumer thread.
-    Channel(SyncSender<T>),
+    /// Overlapped: filled batches out, drained batches back.
+    Lanes {
+        filled: Sender<&'a mut T>,
+        drained: Receiver<&'a mut T>,
+    },
     /// Inline: straight into the consumer, on this thread.
     Inline(&'a mut dyn FnMut(&mut T) -> bool),
 }
@@ -103,7 +106,7 @@ pub struct PipelineSender<'a, T> {
     hung_up: bool,
 }
 
-impl<'a, T: Default> PipelineSender<'a, T> {
+impl<'a, T> PipelineSender<'a, T> {
     fn new(link: Link<'a, T>, telemetry: &Telemetry) -> Self {
         PipelineSender {
             link,
@@ -117,33 +120,33 @@ impl<'a, T: Default> PipelineSender<'a, T> {
 
     /// Hand `batch` to the consumer.
     ///
-    /// Overlapped, the batch is taken (leaving `T::default()` behind) and
-    /// sent through the channel under a `pipeline.fill` span: wall since
-    /// the previous hand-off returned, sim = `sim_seconds`. Inline, the
-    /// consumer runs right here on `batch` in place. Returns `false` once
-    /// the consumer has hung up — the producer should stop filling; the
-    /// batch that observed the hang-up is dropped.
+    /// Overlapped, the fill is recorded under a `pipeline.fill` span (wall
+    /// since the previous hand-off returned, sim = `sim_seconds`), then the
+    /// producer waits for the other batch to come back drained, swaps the
+    /// two and sends the full one: `batch` now holds the drained batch's
+    /// leftovers, to be overwritten by the next fill. Inline, the consumer
+    /// runs right here on `batch` in place. Returns `false` once the
+    /// consumer has hung up — the producer should stop filling.
     pub fn fill_and_send(&mut self, batch: &mut T, sim_seconds: f64) -> bool {
         if self.hung_up {
             return false;
         }
         match &mut self.link {
             Link::Inline(consume) => self.hung_up = !consume(batch),
-            Link::Channel(tx) => {
+            Link::Lanes { filled, drained } => {
                 let mut span = self.telemetry.span("pipeline.fill");
                 span.backdate(self.fill_started);
                 span.add_sim_seconds(sim_seconds);
                 span.finish();
                 let blocked_at = Instant::now();
-                match tx.send(std::mem::take(batch)) {
-                    Ok(()) => {
-                        self.fill_started = Instant::now();
-                        self.backpressure_wall_seconds +=
-                            (self.fill_started - blocked_at).as_secs_f64();
-                        self.fills += 1;
-                    }
-                    Err(_) => self.hung_up = true,
-                }
+                // Either lane closing means the consumer has stopped.
+                self.hung_up = drained.recv().map_or(true, |other| {
+                    std::mem::swap(batch, other);
+                    filled.send(other).is_err()
+                });
+                self.fill_started = Instant::now();
+                self.backpressure_wall_seconds += (self.fill_started - blocked_at).as_secs_f64();
+                self.fills += u64::from(!self.hung_up);
             }
         }
         !self.hung_up
@@ -152,55 +155,62 @@ impl<'a, T: Default> PipelineSender<'a, T> {
 
 /// Run one epoch's fills through `consume`, in send order.
 ///
-/// With `overlapped` set, `produce` executes on a scoped thread and pushes
-/// batches through the bounded channel via
-/// [`PipelineSender::fill_and_send`] while `consume` runs on the calling
-/// thread. Without it, `produce` runs on the calling thread and every
-/// `fill_and_send` calls `consume` directly. Either way `consume` returns
-/// `false` to stop early, and typed producer errors and panics are
-/// reported after the scope joins — never by hanging. See the module docs
-/// for the determinism and accounting rules.
+/// `batches` are the epoch's two buffers. `produce` fills the first and
+/// hands it over with [`PipelineSender::fill_and_send`]. With `overlapped`
+/// set it does so on a scoped thread while `consume` runs on the calling
+/// thread, each hand-off trading the full batch for the drained one; without
+/// it, `produce` runs on the calling thread and every `fill_and_send` calls
+/// `consume` directly. Either way `consume` returns `false` to stop early,
+/// and typed producer errors and panics are reported after the scope joins —
+/// never by hanging. See the module docs for the determinism and accounting
+/// rules.
 pub fn run_epoch_pipeline<T, E, P, C>(
     telemetry: &Telemetry,
     overlapped: bool,
+    batches: &mut [T; 2],
     produce: P,
     mut consume: C,
 ) -> Result<PipelineReport, PipelineError<E>>
 where
-    T: Send + Default,
+    T: Send,
     E: Send,
-    P: FnOnce(&mut PipelineSender<'_, T>) -> Result<(), E> + Send,
+    P: FnOnce(&mut T, &mut PipelineSender<'_, T>) -> Result<(), E> + Send,
     C: FnMut(&mut T) -> bool,
 {
+    let [building, spare] = batches;
     if !overlapped {
         let mut sender = PipelineSender::new(Link::Inline(&mut consume), telemetry);
-        return match produce(&mut sender) {
+        return match produce(building, &mut sender) {
             Ok(()) => Ok(PipelineReport::default()),
             Err(e) => Err(PipelineError::Producer(e)),
         };
     }
-    let (tx, rx) = std::sync::mpsc::sync_channel::<T>(PIPELINE_SLOTS);
+    // Unbounded lanes, bounded by what travels on them: one `&mut` per
+    // batch, so neither side can ever queue more than the pair.
+    let (filled, full) = channel::<&mut T>();
+    let (back, drained) = channel::<&mut T>();
+    back.send(spare).expect("the receiver is alive right here");
     std::thread::scope(|scope| {
         let producer = scope.spawn(move || {
-            let mut sender = PipelineSender::new(Link::Channel(tx), telemetry);
-            let outcome = produce(&mut sender);
+            let mut sender = PipelineSender::new(Link::Lanes { filled, drained }, telemetry);
+            let outcome = produce(building, &mut sender);
             (outcome, sender.fills, sender.backpressure_wall_seconds)
         });
 
         let mut report = PipelineReport::default();
-        let mut rx = Some(rx);
-        while let Some(receiver) = rx.as_ref() {
-            let batch = recv_with_stall(receiver, telemetry, &mut report);
-            match batch {
-                Some(mut b) => {
-                    report.batches_consumed += 1;
-                    if !consume(&mut b) {
-                        // Early stop: drop the receiver so the producer's
-                        // next send fails and it winds down.
-                        rx = None;
-                    }
-                }
-                None => rx = None,
+        let mut lanes = Some((full, back));
+        while let Some((full, back)) = lanes.as_ref() {
+            let Some(batch) = recv_with_stall(full, telemetry, &mut report) else {
+                break;
+            };
+            report.batches_consumed += 1;
+            if consume(batch) {
+                // A producer that has already finished needs no batch.
+                back.send(batch).ok();
+            } else {
+                // Early stop: drop both lane ends so the producer's next
+                // hand-off fails and it winds down.
+                lanes = None;
             }
         }
 
@@ -257,18 +267,21 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::error::StorageError;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn batches_arrive_in_send_order() {
         for overlapped in [false, true] {
             let tel = Telemetry::enabled();
             let mut got = Vec::new();
-            let report = run_epoch_pipeline::<_, StorageError, _, _>(
+            let report = run_epoch_pipeline::<u32, StorageError, _, _>(
                 &tel,
                 overlapped,
-                |sender| {
-                    for mut i in 0..16 {
-                        if !sender.fill_and_send(&mut i, 0.0) {
+                &mut [0, 0],
+                |batch, sender| {
+                    for i in 0..16 {
+                        *batch = i;
+                        if !sender.fill_and_send(batch, 0.0) {
                             break;
                         }
                     }
@@ -281,7 +294,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(got, (0..16).collect::<Vec<_>>());
-            // Inline runs report nothing: no thread, no channel, no spans.
+            // Inline runs report nothing: no thread, no lanes, no spans.
             let n = if overlapped { 16 } else { 0 };
             assert_eq!((report.fills, report.batches_consumed), (n, n));
             // One `pipeline.fill` span per hand-off.
@@ -297,35 +310,143 @@ mod tests {
     }
 
     #[test]
-    fn inline_mode_consumes_the_producers_batch_in_place() {
-        // The consumer sees the producer's own Vec (same allocation every
-        // fill), on the producer's thread; the overlapped mode takes it.
+    fn fills_alternate_between_the_callers_two_batches() {
+        // Inline, the consumer sees the producer's batch in place and the
+        // second one is never touched; overlapped, every hand-off trades the
+        // two's contents, so the consumer sees both allocations in turn —
+        // and never a third.
         let tel = Telemetry::disabled();
-        let caller = std::thread::current().id();
-        let mut seen = Vec::new();
-        run_epoch_pipeline::<Vec<u64>, StorageError, _, _>(
-            &tel,
-            false,
-            |sender| {
-                let mut batch = Vec::with_capacity(8);
-                for i in 0..4u64 {
-                    batch.clear();
-                    batch.extend([i, i + 1]);
-                    assert!(sender.fill_and_send(&mut batch, 0.0));
-                    assert_eq!(batch.capacity(), 8, "inline keeps the allocation");
+        for overlapped in [false, true] {
+            let mut pair = [Vec::with_capacity(8), Vec::with_capacity(8)];
+            let owned = pair.each_ref().map(|b: &Vec<u64>| b.as_ptr() as usize);
+            let caller = std::thread::current().id();
+            let mut seen = Vec::new();
+            run_epoch_pipeline::<Vec<u64>, StorageError, _, _>(
+                &tel,
+                overlapped,
+                &mut pair,
+                |batch, sender| {
+                    for i in 0..4u64 {
+                        batch.clear();
+                        batch.extend([i, i + 1]);
+                        assert!(sender.fill_and_send(batch, 0.0));
+                    }
+                    Ok(())
+                },
+                |batch| {
+                    assert_eq!(std::thread::current().id(), caller);
+                    seen.push((batch.as_ptr() as usize, batch.clone()));
+                    true
+                },
+            )
+            .unwrap();
+            let fills: Vec<_> = seen.iter().map(|(_, b)| b.clone()).collect();
+            assert_eq!(fills, [[0, 1], [1, 2], [2, 3], [3, 4]]);
+            let expected = if overlapped {
+                [owned[0], owned[1], owned[0], owned[1]]
+            } else {
+                [owned[0]; 4]
+            };
+            assert_eq!(seen.iter().map(|(p, _)| *p).collect::<Vec<_>>(), expected);
+            assert!(pair.iter().all(|b| b.capacity() == 8));
+        }
+    }
+
+    static ALIVE: AtomicUsize = AtomicUsize::new(0);
+    static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+    /// A batch that counts how many of its kind exist.
+    struct Counted(Vec<u64>);
+
+    impl Default for Counted {
+        fn default() -> Self {
+            let alive = ALIVE.fetch_add(1, Ordering::SeqCst) + 1;
+            PEAK.fetch_max(alive, Ordering::SeqCst);
+            Counted(Vec::new())
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            ALIVE.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn at_most_two_batches_are_ever_alive() {
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        enum Ending {
+            Drained,
+            ConsumerStops,
+            ProducerFails,
+            ProducerPanics,
+        }
+        let tel = Telemetry::disabled();
+        for overlapped in [false, true] {
+            for ending in [
+                Ending::Drained,
+                Ending::ConsumerStops,
+                Ending::ProducerFails,
+                Ending::ProducerPanics,
+            ] {
+                if ending == Ending::ProducerPanics && !overlapped {
+                    continue; // an inline producer's panic is the caller's own
                 }
-                Ok(())
-            },
-            |batch| {
-                assert_eq!(std::thread::current().id(), caller);
-                seen.push((batch.as_ptr() as usize, batch.clone()));
-                true
-            },
-        )
-        .unwrap();
-        assert_eq!(seen.len(), 4);
-        assert!(seen.iter().all(|(p, _)| *p == seen[0].0));
-        assert_eq!(seen[3].1, vec![3, 4]);
+                let mut pair: [Counted; 2] = Default::default();
+                // Three epochs over the same pair: whatever an epoch left in
+                // a batch, the next one's fills overwrite it.
+                for epoch in 0..3u64 {
+                    let mut got = Vec::new();
+                    let result = run_epoch_pipeline(
+                        &tel,
+                        overlapped,
+                        &mut pair,
+                        |batch, sender| {
+                            for fill in 0..6 {
+                                batch.0.clear();
+                                batch.0.extend([epoch, fill]);
+                                if !sender.fill_and_send(batch, 0.0) {
+                                    assert_eq!(ending, Ending::ConsumerStops);
+                                    return Ok(());
+                                }
+                                match ending {
+                                    Ending::ProducerFails if fill == 2 => {
+                                        return Err(StorageError::Corrupt("dead".into()))
+                                    }
+                                    Ending::ProducerPanics if fill == 2 => panic!("boom"),
+                                    _ => {}
+                                }
+                            }
+                            Ok(())
+                        },
+                        |batch| {
+                            got.push(batch.0.clone());
+                            !(ending == Ending::ConsumerStops && got.len() == 2)
+                        },
+                    );
+                    let fills = match ending {
+                        Ending::Drained => 6,
+                        Ending::ConsumerStops => 2,
+                        // What was handed over before the end still drains.
+                        Ending::ProducerFails | Ending::ProducerPanics => 3,
+                    };
+                    let expected: Vec<_> = (0..fills as u64).map(|f| vec![epoch, f]).collect();
+                    assert_eq!(got, expected, "{ending:?} overlapped={overlapped}");
+                    match (ending, result) {
+                        (Ending::Drained | Ending::ConsumerStops, Ok(_)) => {}
+                        (Ending::ProducerFails, Err(PipelineError::Producer(_))) => {}
+                        (Ending::ProducerPanics, Err(PipelineError::ProducerPanicked(m))) => {
+                            assert!(m.contains("boom"))
+                        }
+                        (_, other) => panic!("{ending:?}: unexpected {other:?}"),
+                    }
+                    assert_eq!(ALIVE.load(Ordering::SeqCst), 2, "both are back");
+                }
+                drop(pair);
+                assert_eq!(ALIVE.load(Ordering::SeqCst), 0);
+            }
+        }
+        assert_eq!(PEAK.load(Ordering::SeqCst), 2);
     }
 
     #[test]
@@ -337,9 +458,12 @@ mod tests {
             let err = run_epoch_pipeline(
                 &tel,
                 overlapped,
-                |sender| {
-                    sender.fill_and_send(&mut 1u32, 0.0);
-                    sender.fill_and_send(&mut 2u32, 0.0);
+                &mut [0u32, 0],
+                |batch, sender| {
+                    for i in [1, 2] {
+                        *batch = i;
+                        sender.fill_and_send(batch, 0.0);
+                    }
                     Err(StorageError::ReadFailed {
                         block: 7,
                         attempts: 3,
@@ -370,19 +494,21 @@ mod tests {
         let tel = Telemetry::disabled();
         for overlapped in [false, true] {
             let mut seen = 0u64;
-            let report = run_epoch_pipeline::<_, StorageError, _, _>(
+            let report = run_epoch_pipeline::<u64, StorageError, _, _>(
                 &tel,
                 overlapped,
-                |sender| {
+                &mut [0, 0],
+                |batch, sender| {
                     let mut sent_all = true;
-                    for mut i in 0..1000u64 {
-                        if !sender.fill_and_send(&mut i, 0.0) {
+                    for i in 0..1000u64 {
+                        *batch = i;
+                        if !sender.fill_and_send(batch, 0.0) {
                             sent_all = false;
                             break;
                         }
                     }
                     assert!(!sent_all, "consumer hang-up should stop the producer");
-                    assert!(!sender.fill_and_send(&mut 0, 0.0), "and it stays hung up");
+                    assert!(!sender.fill_and_send(batch, 0.0), "and it stays hung up");
                     Ok(())
                 },
                 |_| {
@@ -400,22 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn producer_panic_is_reported_not_propagated() {
-        let tel = Telemetry::disabled();
-        let err = run_epoch_pipeline::<u32, StorageError, _, _>(
-            &tel,
-            true,
-            |_| panic!("boom in producer"),
-            |_| true,
-        )
-        .unwrap_err();
-        match err {
-            PipelineError::ProducerPanicked(msg) => assert!(msg.contains("boom")),
-            other => panic!("unexpected error: {other:?}"),
-        }
-    }
-
-    #[test]
     fn stress_many_epochs_small_buffers_preserve_order() {
         // Loom-free determinism stress: whatever the thread interleaving,
         // the consumer must observe the producer's exact send order.
@@ -427,18 +537,21 @@ mod tests {
                     .collect();
                 let send_side = expected.clone();
                 let mut got = Vec::new();
-                run_epoch_pipeline::<_, StorageError, _, _>(
+                run_epoch_pipeline::<Vec<u64>, StorageError, _, _>(
                     &tel,
                     true,
-                    move |sender| {
+                    &mut Default::default(),
+                    move |batch, sender| {
                         for chunk in send_side.chunks(3) {
-                            if !sender.fill_and_send(&mut chunk.to_vec(), 0.0) {
+                            batch.clear();
+                            batch.extend_from_slice(chunk);
+                            if !sender.fill_and_send(batch, 0.0) {
                                 break;
                             }
                         }
                         Ok(())
                     },
-                    |chunk: &mut Vec<u64>| {
+                    |chunk| {
                         got.extend(chunk.iter().copied());
                         true
                     },

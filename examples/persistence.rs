@@ -12,7 +12,7 @@
 //! 4. train via SQL, export the model blob, reload it in a fresh session
 //!    and predict with it.
 
-use corgipile::core::{EpochSource, ParallelConfig, ParallelSource};
+use corgipile::core::{EpochSource, Fill, ParallelConfig, ParallelSource};
 use corgipile::data::libsvm::{load_libsvm_table, write_libsvm_file};
 use corgipile::data::{DatasetSpec, Order};
 use corgipile::db::{Database, QueryResult, StoredModel};
@@ -65,7 +65,7 @@ fn main() {
     };
     let mut streamed = 0;
     ParallelSource::new(ft.clone(), loaders, 64, 99)
-        .stream_epoch(0, &mut |fill| {
+        .stream_epoch(0, &mut Fill::default(), &mut |fill| {
             streamed += fill.batch.len();
             true
         })

@@ -30,6 +30,9 @@ cargo test --release --test golden_bits
 banner "Allocation budget (scans allocate per block and per fill, never per row)"
 cargo test --release --test alloc_budget
 
+banner "Two buffers (at most two batches alive; a slab fill is the key-sorted window)"
+cargo test --release -p corgipile-storage -p corgipile-db --lib -- pipeline:: exec::
+
 banner "Concurrency stress (N sessions over one engine, bit-identical)"
 cargo test --release --test concurrent_sessions
 

@@ -10,8 +10,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CORE_DB_CEILING=8089
-STORAGE_CEILING=5170
+CORE_DB_CEILING=8079
+STORAGE_CEILING=5148
 BENCH_CEILING=2798
 
 non_test_lines() {

@@ -189,7 +189,7 @@ fn per_session_stats_sum_to_engine_totals_under_concurrency() {
 
 #[test]
 fn operator_layer_concurrent_execution_is_bit_identical() {
-    use corgipile::db::{BlockShuffleOp, ExecContext, ScanMode, SgdOperator, TupleShuffleOp};
+    use corgipile::db::{BlockShuffleOp, ExecContext, ScanOrder, SgdOperator, TupleShuffleOp};
     use corgipile::ml::{build_model, ComputeCostModel, ModelKind, OptimizerKind, TrainOptions};
     use corgipile::shuffle::StrategyParams;
     use corgipile::storage::{DeviceHandle, SharedDevice};
@@ -203,7 +203,7 @@ fn operator_layer_concurrent_execution_is_bit_identical() {
         let child = Box::new(TupleShuffleOp::new(
             Box::new(BlockShuffleOp::new(
                 table.clone(),
-                ScanMode::RandomBlocks,
+                ScanOrder::RandomBlocks,
                 seed,
             )),
             params.buffer_tuples(&table),

@@ -2,7 +2,7 @@
 //! case, the threaded loader — against the single-process reference.
 
 use corgipile::core::{
-    parallel_epoch_plan, CorgiPileConfig, CorgiPileDataset, EpochSource, ParallelConfig,
+    parallel_epoch_plan, CorgiPileConfig, CorgiPileDataset, EpochSource, Fill, ParallelConfig,
     ParallelSource, SimulatedBlocks, Trainer, TrainerConfig,
 };
 use corgipile::data::{DatasetSpec, Order};
@@ -113,7 +113,7 @@ fn threaded_loader_stream_equals_strategy_coverage() {
     };
     let mut ids: Vec<u64> = Vec::new();
     ParallelSource::new(reader, one_loader(), 128, 9)
-        .stream_epoch(0, &mut |fill| {
+        .stream_epoch(0, &mut Fill::default(), &mut |fill| {
             ids.extend(fill.batch.iter().map(|t| t.id));
             true
         })
