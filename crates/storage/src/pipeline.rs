@@ -39,14 +39,14 @@
 //!
 //! Telemetry: each overlapped fill runs under a `pipeline.fill` span (wall
 //! from the previous hand-off, sim as reported by the producer); consumer
-//! waits are recorded under `pipeline.stall` spans, producer waits for the
+//! waits land in the `pipeline.stall` histogram pair, producer waits for the
 //! other batch to come back in the `backpressure_wall_seconds` of the report.
 
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::time::Instant;
 
-use corgipile_telemetry::Telemetry;
+use corgipile_telemetry::{Histogram, Telemetry};
 
 /// Error surfaced on the consumer side of [`run_epoch_pipeline`].
 #[derive(Debug)]
@@ -190,6 +190,10 @@ where
     let (filled, full) = channel::<&mut T>();
     let (back, drained) = channel::<&mut T>();
     back.send(spare).expect("the receiver is alive right here");
+    // Resolved per epoch, not per stall: how often the consumer waits is
+    // timing, and what a statement allocates must not depend on it.
+    let stall = ["pipeline.stall.wall_seconds", "pipeline.stall.sim_seconds"]
+        .map(|name| telemetry.histogram(name));
     std::thread::scope(|scope| {
         let producer = scope.spawn(move || {
             let mut sender = PipelineSender::new(Link::Lanes { filled, drained }, telemetry);
@@ -200,7 +204,7 @@ where
         let mut report = PipelineReport::default();
         let mut lanes = Some((full, back));
         while let Some((full, back)) = lanes.as_ref() {
-            let Some(batch) = recv_with_stall(full, telemetry, &mut report) else {
+            let Some(batch) = recv_with_stall(full, &stall, &mut report) else {
                 break;
             };
             report.batches_consumed += 1;
@@ -228,39 +232,33 @@ where
     })
 }
 
-/// Receive one batch, charging any wait to `pipeline.stall`.
+/// Receive one batch, charging any wait to the `pipeline.stall` pair.
 fn recv_with_stall<T>(
     rx: &Receiver<T>,
-    telemetry: &Telemetry,
+    [wall, sim]: &[Histogram; 2],
     report: &mut PipelineReport,
 ) -> Option<T> {
-    // Fast path: a batch is already waiting, no stall to record.
+    // Fast path: a batch is already waiting, or none ever will be.
     match rx.try_recv() {
-        Ok(batch) => return Some(batch),
-        Err(TryRecvError::Disconnected) => return None,
         Err(TryRecvError::Empty) => {}
+        ready => return ready.ok(),
     }
-    let span = telemetry.span("pipeline.stall");
     let waited_from = Instant::now();
     let got = rx.recv().ok();
+    // End of stream is not a stall.
     if got.is_some() {
-        report.stall_wall_seconds += waited_from.elapsed().as_secs_f64();
-        span.finish();
-    } else {
-        // End of stream is not a stall.
-        span.cancel();
+        let waited = waited_from.elapsed().as_secs_f64();
+        report.stall_wall_seconds += waited;
+        wall.record(waited);
+        sim.record(0.0);
     }
     got
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic payload".to_string()
-    }
+    let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
+    text.or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic payload".to_string())
 }
 
 #[cfg(test)]
@@ -307,6 +305,35 @@ mod tests {
                 .map_or(0, |(_, h)| h.count);
             assert_eq!(spans, n);
         }
+    }
+
+    #[test]
+    fn every_consumer_wait_is_one_stall_sample_and_end_of_stream_is_none() {
+        // A producer slower than the consumer: the consumer waits for each
+        // of the three fills, then for an end of stream that is not a stall.
+        let tel = Telemetry::enabled();
+        let report = run_epoch_pipeline::<u32, StorageError, _, _>(
+            &tel,
+            true,
+            &mut [0, 0],
+            |batch, sender| {
+                for _ in 0..3 {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    sender.fill_and_send(batch, 0.0);
+                }
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                Ok(())
+            },
+            |_| true,
+        )
+        .unwrap();
+        let (wall, sim) = (
+            tel.histogram("pipeline.stall.wall_seconds"),
+            tel.histogram("pipeline.stall.sim_seconds"),
+        );
+        assert_eq!((wall.count(), sim.count(), sim.sum()), (3, 3, 0.0));
+        assert_eq!(wall.sum(), report.stall_wall_seconds);
+        assert!(wall.sum() >= 0.05, "three waits of about 20 ms each");
     }
 
     #[test]

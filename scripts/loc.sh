@@ -11,7 +11,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CORE_DB_CEILING=8079
-STORAGE_CEILING=5148
+STORAGE_CEILING=5146
 BENCH_CEILING=2798
 
 non_test_lines() {
