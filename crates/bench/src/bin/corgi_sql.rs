@@ -19,12 +19,12 @@
 
 use corgipile_bench::common::glm_datasets;
 use corgipile_data::Order;
-use corgipile_db::{Database, QueryResult};
+use corgipile_db::{known_keys, Database, QueryResult, Statement};
 use corgipile_storage::SimDevice;
 use std::io::{BufRead, Write};
 
 fn main() {
-    let db = Database::new(SimDevice::ssd_scaled(1280.0, 256 << 20));
+    let db = Database::with_shared_buffers(SimDevice::ssd_scaled(1280.0, 256 << 20), 64 << 20);
     let mut session = db.connect();
     eprint!("loading demo tables");
     for spec in glm_datasets(Order::ClusteredByLabel) {
@@ -69,11 +69,10 @@ fn main() {
                     "queries:\n  SELECT * FROM <t> TRAIN BY <lr|svm|linreg|softmax|mlp> \
                      [WITH k = v, ...];\n  SELECT * FROM <t> PREDICT BY <model>;\n  \
                      EXPLAIN <train query>;\n  SHOW TABLES; SHOW MODELS;\n\
-                     params: learning_rate, decay, max_epoch_num, batch_size, l2,\n        \
-                     buffer_fraction, block_size, shared_buffers, seed,\n        \
-                     double_buffer, report_metrics,\n        \
-                     strategy = 'corgipile'|'once'|'no'|'block_only'|'tuple_only',\n        \
-                     model_name\nmeta: \\d tables, \\m models, \\q quit"
+                     params: {}\nstrategy = corgipile | corgi2 | block_only | tuple_only | \
+                     block_reversal | no_shuffle ('no') | shuffle_once ('once')\n\
+                     meta: \\d tables, \\m models, \\q quit",
+                    known_keys(Statement::Train).join(", ")
                 )
                 .ok();
                 continue;

@@ -30,8 +30,9 @@
 //!   [`DoubleBufferModel`].
 //! * **Hook.** [`EpochSource::epoch_done`] sees the settled epoch (and the
 //!   model) to evaluate, record, emit telemetry, or halt the run.
-//! * **Checkpoint.** Only when a path or a sink is set, a
-//!   [`TrainCheckpoint`] is built after the hook and handed to both.
+//! * **Checkpoint.** Only when a sink is set, a [`TrainCheckpoint`] is
+//!   built after the hook and handed to it — the run's one checkpoint
+//!   output (the SQL path's is the durable model store).
 
 use corgipile_ml::{
     ComputeCostModel, EpochStats, MinibatchTrainer, Model, Optimizer, PerTupleTrainer,
@@ -42,7 +43,6 @@ use corgipile_storage::{
     Tuple, TupleView,
 };
 use std::ops::ControlFlow;
-use std::path::PathBuf;
 
 /// The tuples of one buffer fill, in SGD consumption order, borrowed from
 /// wherever the fill keeps them.
@@ -117,7 +117,7 @@ impl From<CheckpointMismatch> for StorageError {
 pub trait EpochSource: Send {
     /// Container of one fill's tuples.
     type Batch: TupleSeq;
-    /// Error of the source itself, of checkpoint I/O and of the sink.
+    /// Error of the source itself and of the checkpoint sink.
     type Error: From<StorageError> + From<CheckpointMismatch> + Send;
 
     /// Advance every RNG stream past `epochs` completed epochs without
@@ -189,13 +189,11 @@ pub struct EpochDriver {
     pub sim_clock: f64,
     /// Resume from this checkpoint instead of starting at epoch 0.
     pub resume_from: Option<TrainCheckpoint>,
-    /// Write a [`TrainCheckpoint`] here (atomically) after every epoch.
-    pub checkpoint_path: Option<PathBuf>,
 }
 
 impl EpochDriver {
-    /// A driver with per-tuple dispatch costs, a zero clock, seed 0 and no
-    /// checkpointing.
+    /// A driver with per-tuple dispatch costs, a zero clock, seed 0 and
+    /// nothing to resume from.
     pub fn new(
         model: Box<dyn Model>,
         optimizer: Box<dyn Optimizer>,
@@ -215,7 +213,6 @@ impl EpochDriver {
             seed: 0,
             sim_clock: 0.0,
             resume_from: None,
-            checkpoint_path: None,
         }
     }
 
@@ -364,7 +361,7 @@ impl EpochDriver {
                 stats,
                 model: self.model.as_ref(),
             });
-            if self.checkpoint_path.is_some() || sink.is_some() {
+            if let Some(sink) = sink.as_mut() {
                 let ck = TrainCheckpoint {
                     epoch_next: epoch + 1,
                     seed: self.seed,
@@ -372,12 +369,7 @@ impl EpochDriver {
                     model_params: self.model.params().to_vec(),
                     optimizer_state: self.optimizer.state_bytes(),
                 };
-                if let Some(path) = &self.checkpoint_path {
-                    ck.save(path)?;
-                }
-                if let Some(sink) = sink.as_mut() {
-                    sink(&ck, stats.mean_loss)?;
-                }
+                sink(&ck, stats.mean_loss)?;
             }
             if flow.is_break() {
                 run.halted = true;

@@ -15,7 +15,7 @@
 //!   loader of §6.3. [`parallel_epoch_plan`] collects the same stream as
 //!   the order reference behind Figure 5.
 //! * [`driver`] — the one epoch loop ([`EpochDriver`]): resume → per epoch
-//!   {fills → kernel stage → simulated clock → hook → checkpoint}, shared
+//!   {fills → kernel stage → simulated clock → hook → checkpoint sink}, shared
 //!   by the [`Trainer`] and the SQL `SGD` operator.
 //! * [`trainer`] — the end-to-end [`Trainer`]: strategy × model × optimizer
 //!   × device, producing per-epoch convergence/time records (the raw

@@ -685,8 +685,8 @@ mod tests {
     }
 
     /// Drive `trainer` through the same driver + source [`Trainer::train`]
-    /// assembles, with the driver's checkpoint/resume fields set by
-    /// `setup` and an optional per-epoch sink.
+    /// assembles, with the driver's resume field set by `setup` and an
+    /// optional per-epoch sink.
     fn drive(
         trainer: &Trainer,
         table: &Table,
@@ -700,52 +700,39 @@ mod tests {
         Ok((records, driver.model.params().to_vec()))
     }
 
+    /// Run `trainer` to the end and return the last checkpoint its sink saw
+    /// — what a process killed right after that epoch would leave behind.
+    fn last_checkpoint(trainer: &Trainer, table: &Table, seed: u64) -> TrainCheckpoint {
+        let mut last = None;
+        let mut keep = |ck: &TrainCheckpoint, _loss: f64| {
+            last = Some(ck.clone());
+            Ok(())
+        };
+        drive(trainer, table, seed, |_| {}, Some(&mut keep)).unwrap();
+        last.expect("the sink fires once per epoch")
+    }
+
     /// Simulate a crash after `split` of the trainer's epochs and resume
-    /// from the checkpoint; return (resumed final params, straight final
-    /// params, resumed clock, straight clock).
+    /// from the last checkpoint; return (resumed final params, straight
+    /// final params, resumed clock, straight clock).
     fn crash_and_resume(
-        tag: &str,
         trainer: Trainer,
         table: &Table,
         seed: u64,
         split: usize,
     ) -> (Vec<f32>, Vec<f32>, f64, f64) {
         let epochs = trainer.cfg.epochs;
-        let path = std::env::temp_dir().join(format!(
-            "corgi_resume_{tag}_{}_{}_{}.ckpt",
-            std::process::id(),
-            seed,
-            split
-        ));
         // Phase 1: run `split` epochs, checkpointing each, then "crash".
         let mut partial = trainer.clone();
         partial.cfg.epochs = split;
-        drive(
-            &partial,
-            table,
-            seed,
-            |d| d.checkpoint_path = Some(path.clone()),
-            None,
-        )
-        .unwrap();
-        // Phase 2: a fresh process loads the checkpoint and resumes.
-        let ck = TrainCheckpoint::load(&path).unwrap();
+        let ck = last_checkpoint(&partial, table, seed);
         assert_eq!(ck.epoch_next, split);
-        let (resumed, resumed_params) = drive(
-            &trainer,
-            table,
-            seed,
-            |d| {
-                d.resume_from = Some(ck);
-                d.checkpoint_path = Some(path.clone());
-            },
-            None,
-        )
-        .unwrap();
+        // Phase 2: a fresh driver resumes from the checkpoint.
+        let (resumed, resumed_params) =
+            drive(&trainer, table, seed, |d| d.resume_from = Some(ck), None).unwrap();
         assert_eq!(resumed.len(), epochs - split);
         // Reference: the uninterrupted run.
         let straight = trainer.train(table, &mut SimDevice::hdd(0), seed).unwrap();
-        std::fs::remove_file(path).ok();
         (
             resumed_params,
             straight.model.params().to_vec(),
@@ -758,8 +745,7 @@ mod tests {
     fn checkpoint_sink_sees_every_epoch_and_can_abort() {
         let (table, _) = clustered_higgs(600);
         let cfg = Trainer::new(TrainerConfig::new(ModelKind::Svm, 3));
-        // The sink fires once per epoch with the same checkpoint the file
-        // path would have written.
+        // The sink fires once per epoch with that epoch's checkpoint.
         let mut seen: Vec<(usize, usize)> = Vec::new();
         let mut sink = |ck: &TrainCheckpoint, loss: f64| {
             assert!(loss.is_finite());
@@ -788,8 +774,7 @@ mod tests {
     fn resume_after_crash_is_bit_identical_sgd() {
         let (table, _) = clustered_higgs(1200);
         let trainer = Trainer::new(TrainerConfig::new(ModelKind::Svm, 5));
-        let (resumed, straight, t_res, t_straight) =
-            crash_and_resume("sgd", trainer, &table, 13, 2);
+        let (resumed, straight, t_res, t_straight) = crash_and_resume(trainer, &table, 13, 2);
         assert_eq!(
             resumed, straight,
             "resumed SGD model must match bit-for-bit"
@@ -806,7 +791,7 @@ mod tests {
         let cfg = TrainerConfig::new(ModelKind::LogisticRegression, 4)
             .with_batch_size(32)
             .with_optimizer(OptimizerKind::default_adam(0.05));
-        let (resumed, straight, _, _) = crash_and_resume("adam", Trainer::new(cfg), &table, 21, 3);
+        let (resumed, straight, _, _) = crash_and_resume(Trainer::new(cfg), &table, 21, 3);
         assert_eq!(
             resumed, straight,
             "resumed Adam model must match bit-for-bit"
@@ -826,8 +811,7 @@ mod tests {
             total_buffer_fraction: 0.2,
             ..Default::default()
         });
-        let (resumed, straight, t_res, t_straight) =
-            crash_and_resume("workers", trainer, &table, 21, 1);
+        let (resumed, straight, t_res, t_straight) = crash_and_resume(trainer, &table, 21, 1);
         assert_eq!(resumed, straight, "resumed model must match bit-for-bit");
         assert!((t_res - t_straight).abs() < 1e-9);
     }
@@ -836,17 +820,7 @@ mod tests {
     fn resume_rejects_seed_and_shape_mismatches() {
         let (table, _) = clustered_higgs(600);
         let cfg = Trainer::new(TrainerConfig::new(ModelKind::Svm, 2));
-        let path =
-            std::env::temp_dir().join(format!("corgi_resume_reject_{}.ckpt", std::process::id()));
-        drive(
-            &cfg,
-            &table,
-            7,
-            |d| d.checkpoint_path = Some(path.clone()),
-            None,
-        )
-        .unwrap();
-        let ck = TrainCheckpoint::load(&path).unwrap();
+        let ck = last_checkpoint(&cfg, &table, 7);
         // Wrong seed: the replayed RNG streams would diverge — refuse.
         let err = drive(&cfg, &table, 8, |d| d.resume_from = Some(ck.clone()), None).unwrap_err();
         assert!(err.to_string().contains("seed"), "unexpected error: {err}");
@@ -858,29 +832,18 @@ mod tests {
             err.to_string().contains("parameters"),
             "unexpected error: {err}"
         );
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn checkpoint_at_final_epoch_resumes_to_a_noop() {
         let (table, _) = clustered_higgs(400);
         let cfg = Trainer::new(TrainerConfig::new(ModelKind::Svm, 3));
-        let path =
-            std::env::temp_dir().join(format!("corgi_resume_noop_{}.ckpt", std::process::id()));
-        let (_, full) = drive(
-            &cfg,
-            &table,
-            5,
-            |d| d.checkpoint_path = Some(path.clone()),
-            None,
-        )
-        .unwrap();
-        let ck = TrainCheckpoint::load(&path).unwrap();
+        let ck = last_checkpoint(&cfg, &table, 5);
         assert_eq!(ck.epoch_next, 3);
+        let full = ck.model_params.clone();
         let (resumed, params) = drive(&cfg, &table, 5, |d| d.resume_from = Some(ck), None).unwrap();
         assert!(resumed.is_empty(), "nothing left to train");
         assert_eq!(params, full);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -921,7 +884,7 @@ mod tests {
                 .build(7);
             let table = ds.to_table(1).unwrap();
             let trainer = Trainer::new(TrainerConfig::new(ModelKind::LogisticRegression, 4));
-            let (resumed, straight, _, _) = crash_and_resume("prop", trainer, &table, seed, split);
+            let (resumed, straight, _, _) = crash_and_resume(trainer, &table, seed, split);
             proptest::prop_assert_eq!(resumed, straight);
         }
     }

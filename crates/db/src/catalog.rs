@@ -22,8 +22,8 @@
 use crate::error::DbError;
 use corgipile_ml::{build_model, Model, ModelKind};
 use corgipile_storage::{
-    atomic_write_bytes, AppendableTable, FaultInjector, FaultPlan, FieldReader, Table,
-    TableSnapshot, Tuple,
+    atomic_write_bytes, AppendableTable, FaultInjector, FaultPlan, FieldReader, StorageError,
+    Table, TableSnapshot, Tuple,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -97,9 +97,10 @@ impl StoredModel {
     /// Deserialize a blob written by [`StoredModel::to_bytes`]. The
     /// declared shape is checked against the declared parameter count, and
     /// every count against the bytes actually present, before anything is
-    /// sized by it.
+    /// sized by it. Every decode failure is [`StorageError::Corrupt`],
+    /// whichever byte was damaged.
     pub fn from_bytes(bytes: &[u8]) -> Result<StoredModel, DbError> {
-        let corrupt = |m: &str| DbError::BadParam(format!("model blob: {m}"));
+        let corrupt = |m: &str| DbError::Storage(StorageError::Corrupt(format!("model blob: {m}")));
         let mut r = FieldReader::new(bytes, "model blob");
         if r.take(8)? != b"CORGIMD1" {
             return Err(corrupt("bad magic"));
@@ -558,8 +559,12 @@ mod tests {
 
     #[test]
     fn model_blob_rejects_garbage() {
-        assert!(StoredModel::from_bytes(b"").is_err());
-        assert!(StoredModel::from_bytes(b"WRONGMAG123").is_err());
+        // Every decode failure is the same typed error, whichever byte broke.
+        let corrupt = |r: Result<StoredModel, DbError>| {
+            matches!(r, Err(DbError::Storage(StorageError::Corrupt(_))))
+        };
+        assert!(corrupt(StoredModel::from_bytes(b"")));
+        assert!(corrupt(StoredModel::from_bytes(b"WRONGMAG123")));
         let good = StoredModel {
             kind: ModelKind::Svm,
             dim: 3,
@@ -567,7 +572,7 @@ mod tests {
             train_loss: 0.0,
         }
         .to_bytes();
-        assert!(StoredModel::from_bytes(&good[..good.len() - 2]).is_err());
+        assert!(corrupt(StoredModel::from_bytes(&good[..good.len() - 2])));
         // Shape mismatch: claim Svm(dim 3) but ship 2 params.
         let bad = StoredModel {
             kind: ModelKind::Svm,
@@ -576,7 +581,7 @@ mod tests {
             train_loss: 0.0,
         }
         .to_bytes();
-        assert!(StoredModel::from_bytes(&bad).is_err());
+        assert!(corrupt(StoredModel::from_bytes(&bad)));
 
         // Hostile lengths. Layout of a linear blob: magic 8, tag 1, dim u64
         // at 9, train_loss at 17, nparams u64 at 25, params from 33.
@@ -588,22 +593,20 @@ mod tests {
         };
         // A self-consistent 2^28-parameter shape over 16 bytes of params:
         // refused from the bytes present, nothing reserved for the claim.
-        assert!(matches!(
-            with((1 << 28) - 1, 1 << 28),
-            Err(DbError::Storage(StorageError::Corrupt(_)))
-        ));
+        assert!(corrupt(with((1 << 28) - 1, 1 << 28)));
         // `dim` is a length too: the shape check must not build a 2^60-wide
         // model to count its parameters.
-        assert!(matches!(with(1 << 60, 4), Err(DbError::BadParam(_))));
-        assert!(matches!(with(u64::MAX, 0), Err(DbError::BadParam(_))));
+        assert!(corrupt(with(1 << 60, 4)));
+        assert!(corrupt(with(u64::MAX, 0)));
         // Shapes `build_model` asserts on are errors, not panics.
         let mut softmax0 = b"CORGIMD1\x03".to_vec();
         softmax0.extend_from_slice(&0u32.to_le_bytes());
         softmax0.extend_from_slice(&good[9..33]);
-        assert!(matches!(
-            StoredModel::from_bytes(&softmax0),
-            Err(DbError::BadParam(_))
-        ));
+        assert!(corrupt(StoredModel::from_bytes(&softmax0)));
+        // An unknown kind tag.
+        let mut tag9 = good.clone();
+        tag9[8] = 9;
+        assert!(corrupt(StoredModel::from_bytes(&tag9)));
     }
 
     #[test]

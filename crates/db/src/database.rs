@@ -51,8 +51,8 @@ pub struct Database {
 }
 
 impl Database {
-    /// An engine over `dev` without a shared buffer pool (each query may
-    /// still request a private pool via the `shared_buffers` parameter).
+    /// An engine over `dev` without a buffer pool: every block read goes to
+    /// the device (and its OS page cache).
     pub fn new(dev: SimDevice) -> Arc<Self> {
         Database::with_shared_buffers(dev, 0)
     }
@@ -60,6 +60,8 @@ impl Database {
     /// An engine over `dev` with a `shared_buffers` pool of
     /// `pool_capacity_bytes`, shared by every connection: blocks one
     /// session faulted in are served to the others at zero device cost.
+    /// As in PostgreSQL it is a server setting — no statement brings its
+    /// own. Random block reads go through it; sequential scans bypass it.
     pub fn with_shared_buffers(dev: SimDevice, pool_capacity_bytes: usize) -> Arc<Self> {
         Database::assemble(dev, pool_capacity_bytes, None)
     }

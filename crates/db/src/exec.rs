@@ -69,10 +69,10 @@ pub struct ExecContext<'a> {
     /// Loading cost of each buffer fill in the current epoch, pushed by the
     /// operator directly below `SGD`.
     pub fill_io: Vec<f64>,
-    /// This connection's view of the engine's buffer pool
-    /// (`shared_buffers`), if configured. Random block reads go through it;
-    /// sequential scans bypass it, like PostgreSQL's ring-buffer strategy
-    /// for large seqscans.
+    /// This connection's view of the engine's buffer pool, if the engine
+    /// has one (`Database::with_shared_buffers`). Random block reads go
+    /// through it; sequential scans bypass it, like PostgreSQL's
+    /// ring-buffer strategy for large seqscans.
     pub pool: Option<&'a mut PoolHandle>,
     /// Retry policy applied to every block read; backoff is charged to the
     /// simulated clock.
@@ -448,7 +448,6 @@ pub struct BlockShuffleOp {
     epoch: u64,
     predicate: Option<Predicate>,
     projection: Option<Vec<usize>>,
-    shared_scan: bool,
     initialized: bool,
     actuals: OpStats,
 }
@@ -466,7 +465,6 @@ impl BlockShuffleOp {
             epoch: 0,
             predicate: None,
             projection: None,
-            shared_scan: false,
             initialized: false,
             actuals: OpStats::default(),
         }
@@ -483,14 +481,6 @@ impl BlockShuffleOp {
     /// tuples are re-materialized over the selected columns.
     pub fn with_projection(mut self, columns: Vec<usize>) -> Self {
         self.projection = Some(columns);
-        self
-    }
-
-    /// Route sequential scans through the shared buffer pool (when the
-    /// context carries one) instead of the ring-buffer-style device path:
-    /// a hot serving table then stops re-paying device I/O on every scan.
-    pub fn with_shared_scan(mut self, shared_scan: bool) -> Self {
-        self.shared_scan = shared_scan;
         self
     }
 
@@ -537,14 +527,14 @@ impl BlockShuffleOp {
         let retry = &ctx.retry;
         let first = self.next_block == 0;
         // What a device read of this block is charged as, and whether the
-        // read may go through the buffer pool (whose misses are random
-        // block reads). Sequential scans use the pool only under `WITH
-        // shared_scan = 1`, so repeated scans of a hot serving table hit
-        // cached blocks; a reversal scan streams adjacent blocks (either
-        // direction) and seeks at the epoch start and the rotation wrap.
+        // read goes through the buffer pool (whose misses are random block
+        // reads). Random block reads do; sequential scans bypass it, like
+        // PostgreSQL's ring buffer for large seqscans, and so does a
+        // reversal scan, which streams adjacent blocks (either direction)
+        // and seeks at the epoch start and the rotation wrap.
         let (access, pooled) = match self.scan {
             ScanOrder::Sequential | ScanOrder::SequentialShuffledCopy => {
-                (Access::in_scan(first), self.shared_scan)
+                (Access::in_scan(first), false)
             }
             ScanOrder::RandomBlocks | ScanOrder::ReclusteredCopy => (Access::Random, true),
             ScanOrder::BlockReversal => {
@@ -1007,9 +997,9 @@ pub type CheckpointSink = Box<dyn FnMut(&TrainCheckpoint, f64) -> Result<(), DbE
 pub struct SgdOperator {
     child: Box<dyn PhysicalOperator>,
     /// The epoch driver: model, optimizer, options, double buffering and
-    /// the checkpoint/resume wiring (`seed`, `resume_from`,
-    /// `checkpoint_path`). Fused plans set `batched_dispatch`; a one-off
-    /// setup cost (a baseline's pre-shuffle) starts `sim_clock`.
+    /// the resume wiring (`seed`, `resume_from`). Fused plans set
+    /// `batched_dispatch`; a one-off setup cost (a baseline's pre-shuffle)
+    /// starts `sim_clock`.
     pub driver: EpochDriver,
     /// Evaluate the training metric over these rows after each epoch
     /// (§6's per-epoch accuracy output; costs one extra pass per epoch).
@@ -1785,7 +1775,7 @@ mod tests {
     fn buffer_pool_makes_later_epochs_cheap() {
         let t = table(2000);
         let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0)); // no OS cache
-        let mut pool = PoolHandle::private(corgipile_storage::BufferPool::new(64 << 20));
+        let mut pool = corgipile_storage::SharedBufferPool::new(64 << 20).handle();
         let mut ctx = ExecContext::new(&mut dev);
         ctx.pool = Some(&mut pool);
         let mut op = BlockShuffleOp::new(t, ScanOrder::RandomBlocks, 5);
@@ -1987,8 +1977,6 @@ mod tests {
     #[test]
     fn halt_checkpoint_resume_is_bit_identical() {
         let t = table(1500);
-        let path =
-            std::env::temp_dir().join(format!("corgi_db_resume_{}.ckpt", std::process::id()));
         let plan = |t: &Arc<Table>| -> Box<dyn PhysicalOperator> {
             Box::new(TupleShuffleOp::new(
                 Box::new(BlockShuffleOp::new(t.clone(), ScanOrder::RandomBlocks, 5)),
@@ -2010,21 +1998,27 @@ mod tests {
         // Uninterrupted reference run.
         let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0));
         let straight = sgd(&t).execute(&mut ExecContext::new(&mut dev)).unwrap();
-        // Crashed run: halt after epoch 1 with a checkpoint on disk.
+        // Crashed run: halt after epoch 1, its sink keeping the last
+        // checkpoint (what the durable store would hold).
+        let last: Arc<std::sync::Mutex<Option<TrainCheckpoint>>> = Arc::default();
         let mut op = sgd(&t);
-        op.driver.checkpoint_path = Some(path.clone());
         op.driver.seed = 9;
         op.halt_after_epoch = Some(1);
+        let keep = Arc::clone(&last);
+        op.checkpoint_sink = Some(Box::new(move |ck, _| {
+            *keep.lock().unwrap() = Some(ck.clone());
+            Ok(())
+        }));
         let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0));
         let crashed = op.execute(&mut ExecContext::new(&mut dev)).unwrap();
         assert!(crashed.halted);
         assert_eq!(crashed.epochs.len(), 2);
         // Resume in a fresh "process": new operators, same seeds.
-        let ck = TrainCheckpoint::load(&path).unwrap();
+        let ck = last.lock().unwrap().take().unwrap();
         assert_eq!(ck.epoch_next, 2);
         let mut op = sgd(&t);
         op.driver.seed = 9;
-        op.driver.resume_from = Some(ck);
+        op.driver.resume_from = Some(ck.clone());
         let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0));
         let resumed = op.execute(&mut ExecContext::new(&mut dev)).unwrap();
         assert!(!resumed.halted);
@@ -2042,14 +2036,12 @@ mod tests {
             "cumulative simulated time must survive the resume"
         );
         // Mismatched seed is refused.
-        let ck = TrainCheckpoint::load(&path).unwrap();
         let mut op = sgd(&t);
         op.driver.seed = 10;
         op.driver.resume_from = Some(ck);
         let mut dev = DeviceHandle::private(SimDevice::hdd_scaled(1000.0, 0));
         let err = op.execute(&mut ExecContext::new(&mut dev)).unwrap_err();
         assert!(matches!(err, DbError::Checkpoint(_)));
-        std::fs::remove_file(path).ok();
     }
 
     /// SGD ← TupleShuffle ← BlockShuffle plan over `n` tuples.

@@ -20,10 +20,10 @@
 //!   epoch/version pinning and mid-traffic hot-reload, behind
 //!   `PREDICT <model> [VERSION n] ON <table>` and
 //!   [`Session::predict_batch`].
-//! * [`database`] — the shared engine object: one device, one
-//!   `shared_buffers` pool, one catalog behind interior-synchronized
-//!   handles; `Arc<Database>` + [`Database::connect`] opens concurrent
-//!   sessions.
+//! * [`database`] — the shared engine object: one device, one buffer pool
+//!   (PostgreSQL's `shared_buffers`, sized when the engine is built), one
+//!   catalog behind interior-synchronized handles; `Arc<Database>` +
+//!   [`Database::connect`] opens concurrent sessions.
 //! * [`session`] — a connection: parses, plans, executes, and stores
 //!   results. `TRAIN` lives in its own module: one prepared statement
 //!   (options, snapshot, strategy, logical plan) that `EXPLAIN`, plain
@@ -62,9 +62,7 @@ pub use model_store::{ModelRecord, ModelStore, ModelStoreOptions, ModelStoreStat
 pub use options::{
     effective_line, known_keys, OptionSpec, OptionType, QueryOptions, Statement, OPTIONS,
 };
-pub use plan::{
-    build_physical_with, BuildOptions, LogicalPlan, PhysicalPlan, PredictPlanSpec, TrainPlanSpec,
-};
+pub use plan::{build_physical_with, LogicalPlan, PhysicalPlan, PredictPlanSpec, TrainPlanSpec};
 pub use serving::{CacheStats, ModelCache, ServableModel};
 pub use session::{DbTrainSummary, PredictSummary, QueryResult, ServeOptions, Session};
 pub use sql::{

@@ -4,9 +4,9 @@
 //! PostgreSQL kernel" (§6.1), which dies with the process. This module
 //! gives the engine the durability story a real database has: every
 //! epoch-granular [`TrainCheckpoint`] produced by a `WITH durable = 1`
-//! training query is appended to an append-only, CRC-framed `CORGIWL1`
-//! write-ahead log ([`corgipile_storage::Wal`]) and fsynced before the
-//! epoch is acknowledged. When the log grows past a threshold it is
+//! training query becomes one [`ModelRecord`], appended to an append-only,
+//! CRC-framed `CORGIWL1` write-ahead log ([`corgipile_storage::Wal`]) and
+//! fsynced before the epoch is acknowledged. When the log grows past a threshold it is
 //! *compacted*: the latest version of every model is written to a
 //! `CORGIMS1` snapshot file (atomically, with a parent-directory fsync)
 //! and the log is truncated back to its magic.
@@ -40,8 +40,12 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// WAL record type: a full versioned model record (name, source table,
-/// version, epoch, model blob, checkpoint blob).
+/// WAL record type: a full versioned model record. Payload, in order:
+/// name, source table (length-prefixed), version `u32`, epoch `u32`, the
+/// `CORGIMD1` model blob (length-prefixed: the one copy of the parameters),
+/// seed `u64`, sim clock `f64`, optimizer state (length-prefixed),
+/// fingerprint `u64`. Every byte sits under the frame's CRC in the log or
+/// the `CORGIMS1` container's CRC in the snapshot.
 pub const RT_MODEL: u8 = 1;
 
 /// Snapshot file magic.
@@ -55,7 +59,8 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// One versioned, durable model record.
+/// One versioned, durable model record: a [`TrainCheckpoint`] with the
+/// model's name, lineage and shape.
 ///
 /// `epoch` counts *completed* epochs (it equals the checkpoint's
 /// `epoch_next`), so a record with `epoch == max_epoch_num` is a finished
@@ -70,10 +75,31 @@ pub struct ModelRecord {
     pub version: u32,
     /// Completed epochs under this version.
     pub epoch: u32,
-    /// The model parameters at this epoch (catalog form).
+    /// The model at this epoch (catalog form) — its parameters are the
+    /// checkpoint's.
     pub stored: StoredModel,
-    /// The resumable training state at this epoch.
-    pub checkpoint: TrainCheckpoint,
+    /// The run's seed.
+    pub seed: u64,
+    /// Simulated clock at the end of the record's last epoch.
+    pub sim_clock: f64,
+    /// Opaque optimizer state (see `Optimizer::state_bytes`).
+    pub optimizer_state: Vec<u8>,
+    /// Hash of what decided the run's visit order and update rule; only a
+    /// statement with the same fingerprint resumes this record.
+    pub fingerprint: u64,
+}
+
+impl ModelRecord {
+    /// The resumable training state this record holds.
+    pub fn into_checkpoint(self) -> TrainCheckpoint {
+        TrainCheckpoint {
+            epoch_next: self.epoch as usize,
+            seed: self.seed,
+            sim_clock: self.sim_clock,
+            model_params: self.stored.params,
+            optimizer_state: self.optimizer_state,
+        }
+    }
 }
 
 /// Tuning knobs for [`ModelStore::open_with`].
@@ -221,22 +247,7 @@ impl ModelStore {
     /// models the process dying at an injected crash point: the on-disk
     /// state is exactly what a real kill would leave, and the store must
     /// be dropped and reopened — recovery is [`ModelStore::open_with`].
-    pub fn record_checkpoint(
-        &self,
-        name: &str,
-        source: &str,
-        version: u32,
-        stored: StoredModel,
-        checkpoint: TrainCheckpoint,
-    ) -> Result<(), DbError> {
-        let rec = ModelRecord {
-            name: name.to_string(),
-            source: source.to_string(),
-            version,
-            epoch: checkpoint.epoch_next as u32,
-            stored,
-            checkpoint,
-        };
+    pub fn append(&self, rec: ModelRecord) -> Result<(), DbError> {
         let payload = encode_record(&rec);
         let mut inner = lock(&self.inner);
         let StoreInner { wal, injector, .. } = &mut *inner;
@@ -373,7 +384,10 @@ fn encode_record(rec: &ModelRecord) -> Vec<u8> {
     out.extend_from_slice(&rec.version.to_le_bytes());
     out.extend_from_slice(&rec.epoch.to_le_bytes());
     put_bytes(&mut out, &rec.stored.to_bytes());
-    put_bytes(&mut out, &rec.checkpoint.to_bytes());
+    out.extend_from_slice(&rec.seed.to_le_bytes());
+    out.extend_from_slice(&rec.sim_clock.to_le_bytes());
+    put_bytes(&mut out, &rec.optimizer_state);
+    out.extend_from_slice(&rec.fingerprint.to_le_bytes());
     out
 }
 
@@ -384,7 +398,10 @@ fn decode_record(payload: &[u8]) -> Result<ModelRecord, DbError> {
     let version = r.u32()?;
     let epoch = r.u32()?;
     let stored = StoredModel::from_bytes(r.bytes()?)?;
-    let checkpoint = TrainCheckpoint::from_bytes(r.bytes()?)?;
+    let seed = r.u64()?;
+    let sim_clock = r.f64()?;
+    let optimizer_state = r.bytes()?.to_vec();
+    let fingerprint = r.u64()?;
     r.finish()?;
     Ok(ModelRecord {
         name,
@@ -392,7 +409,10 @@ fn decode_record(payload: &[u8]) -> Result<ModelRecord, DbError> {
         version,
         epoch,
         stored,
-        checkpoint,
+        seed,
+        sim_clock,
+        optimizer_state,
+        fingerprint,
     })
 }
 
@@ -409,6 +429,7 @@ fn decode_snapshot(bytes: &[u8]) -> Result<Vec<Vec<u8>>, DbError> {
 mod tests {
     use super::*;
     use corgipile_ml::ModelKind;
+    use corgipile_storage::{crc32, WAL_MAGIC};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("corgi_store_{}_{}", tag, std::process::id()));
@@ -416,22 +437,23 @@ mod tests {
         d
     }
 
-    fn record(name: &str, version: u32, epoch: usize, bias: f32) -> (StoredModel, TrainCheckpoint) {
-        let stored = StoredModel {
-            kind: ModelKind::Svm,
-            dim: 2,
-            params: vec![bias, 0.5, -0.5],
-            train_loss: 0.1 * epoch as f64,
-        };
-        let ck = TrainCheckpoint {
-            epoch_next: epoch,
+    fn record(name: &str, source: &str, version: u32, epoch: u32, bias: f32) -> ModelRecord {
+        ModelRecord {
+            name: name.to_string(),
+            source: source.to_string(),
+            version,
+            epoch,
+            stored: StoredModel {
+                kind: ModelKind::Svm,
+                dim: 2,
+                params: vec![bias, 0.5, -0.5],
+                train_loss: 0.1 * f64::from(epoch),
+            },
             seed: 42,
-            sim_clock: epoch as f64,
-            model_params: stored.params.clone(),
+            sim_clock: f64::from(epoch),
             optimizer_state: vec![version as u8],
-        };
-        let _ = name;
-        (stored, ck)
+            fingerprint: 0xF1_9E,
+        }
     }
 
     #[test]
@@ -440,17 +462,22 @@ mod tests {
         {
             let store = ModelStore::open(&dir).unwrap();
             for epoch in 1..=3 {
-                let (m, ck) = record("m", 1, epoch, 1.0);
-                store.record_checkpoint("m", "t", 1, m, ck).unwrap();
+                store.append(record("m", "t", 1, epoch, 1.0)).unwrap();
             }
-            let (m, ck) = record("other", 1, 1, 2.0);
-            store.record_checkpoint("other", "u", 1, m, ck).unwrap();
+            store.append(record("other", "u", 1, 1, 2.0)).unwrap();
         }
         let store = ModelStore::open(&dir).unwrap();
         let rec = store.latest("m").unwrap();
         assert_eq!((rec.version, rec.epoch), (1, 3));
         assert_eq!(rec.source, "t");
-        assert_eq!(rec.checkpoint.epoch_next, 3);
+        assert_eq!(
+            (rec.seed, rec.sim_clock, rec.fingerprint),
+            (42, 3.0, 0xF1_9E)
+        );
+        let ck = rec.into_checkpoint();
+        assert_eq!(ck.epoch_next, 3);
+        assert_eq!(ck.model_params, vec![1.0, 0.5, -0.5]);
+        assert_eq!(ck.optimizer_state, vec![1]);
         assert_eq!(store.models().len(), 2);
         assert_eq!(store.stats().recovered_records, 4);
         assert_eq!(store.next_version("m"), 2);
@@ -468,8 +495,7 @@ mod tests {
         {
             let store = ModelStore::open_with(&dir, opts.clone()).unwrap();
             for epoch in 1..=5 {
-                let (m, ck) = record("m", 1, epoch, 1.0);
-                store.record_checkpoint("m", "t", 1, m, ck).unwrap();
+                store.append(record("m", "t", 1, epoch, 1.0)).unwrap();
             }
             let s = store.stats();
             assert!(s.compactions >= 4, "threshold of 64B must compact eagerly");
@@ -498,10 +524,8 @@ mod tests {
         };
         {
             let store = ModelStore::open_with(&dir, opts).unwrap();
-            let (m, ck) = record("m", 1, 1, 1.0);
-            store.record_checkpoint("m", "t", 1, m, ck).unwrap();
-            let (m, ck) = record("m", 1, 2, 1.5);
-            let err = store.record_checkpoint("m", "t", 1, m, ck).unwrap_err();
+            store.append(record("m", "t", 1, 1, 1.0)).unwrap();
+            let err = store.append(record("m", "t", 1, 2, 1.5)).unwrap_err();
             assert!(
                 matches!(err, DbError::Storage(StorageError::Crashed { .. })),
                 "expected a simulated crash, got {err:?}"
@@ -526,8 +550,7 @@ mod tests {
         };
         {
             let store = ModelStore::open_with(&dir, opts).unwrap();
-            let (m, ck) = record("m", 1, 1, 1.0);
-            let err = store.record_checkpoint("m", "t", 1, m, ck).unwrap_err();
+            let err = store.append(record("m", "t", 1, 1, 1.0)).unwrap_err();
             assert!(matches!(
                 err,
                 DbError::Storage(StorageError::Crashed { .. })
@@ -552,8 +575,7 @@ mod tests {
         let dir = tmpdir("torn_tail");
         {
             let store = ModelStore::open(&dir).unwrap();
-            let (m, ck) = record("m", 1, 1, 1.0);
-            store.record_checkpoint("m", "t", 1, m, ck).unwrap();
+            store.append(record("m", "t", 1, 1, 1.0)).unwrap();
         }
         // Tear the log by hand: append garbage past the valid prefix.
         use std::io::Write;
@@ -576,8 +598,7 @@ mod tests {
         let dir = tmpdir("snap_corrupt");
         {
             let store = ModelStore::open(&dir).unwrap();
-            let (m, ck) = record("m", 1, 1, 1.0);
-            store.record_checkpoint("m", "t", 1, m, ck).unwrap();
+            store.append(record("m", "t", 1, 1, 1.0)).unwrap();
             store.compact().unwrap();
         }
         let snap = dir.join(SNAPSHOT_FILE);
@@ -598,8 +619,9 @@ mod tests {
         {
             let store = ModelStore::open(&dir).unwrap();
             for (version, epoch) in [(1, 1), (1, 2), (2, 1), (2, 3), (3, 1)] {
-                let (m, ck) = record("m", version, epoch, version as f32);
-                store.record_checkpoint("m", "t", version, m, ck).unwrap();
+                store
+                    .append(record("m", "t", version, epoch, version as f32))
+                    .unwrap();
             }
             store.compact().unwrap();
         }
@@ -623,8 +645,9 @@ mod tests {
         {
             let store = ModelStore::open(&dir).unwrap();
             for (version, epoch) in [(1, 1), (1, 2), (2, 1)] {
-                let (m, ck) = record("m", version, epoch, version as f32);
-                store.record_checkpoint("m", "t", version, m, ck).unwrap();
+                store
+                    .append(record("m", "t", version, epoch, version as f32))
+                    .unwrap();
             }
         }
         let store = ModelStore::open(&dir).unwrap();
@@ -635,6 +658,106 @@ mod tests {
             "version ranks above epoch in recency"
         );
         assert_eq!(store.next_version("m"), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_record_stores_its_parameters_once() {
+        let rec = record("m", "t", 1, 2, 1.0);
+        let blob = rec.stored.to_bytes();
+        // name, source, version, epoch, model blob, seed, clock, optimizer
+        // state, fingerprint: the parameters live in the blob and nowhere else.
+        let want = (4 + 1) + (4 + 1) + 4 + 4 + (4 + blob.len()) + 8 + 8 + (4 + 1) + 8;
+        let payload = encode_record(&rec);
+        assert_eq!(payload.len(), want);
+        let back = decode_record(&payload).unwrap();
+        assert_eq!(back.stored.params, rec.stored.params);
+        assert_eq!(encode_record(&back), payload);
+    }
+
+    /// A store at `dir` holding one record of `m`, left in the log or, with
+    /// `compact`, in the snapshot; returns that file's path and bytes.
+    fn one_record_store(dir: &Path, compact: bool) -> (PathBuf, Vec<u8>) {
+        let store = ModelStore::open(dir).unwrap();
+        store.append(record("m", "t", 1, 2, 1.0)).unwrap();
+        let path = if compact {
+            store.compact().unwrap();
+            dir.join(SNAPSHOT_FILE)
+        } else {
+            dir.join(WAL_FILE)
+        };
+        let bytes = std::fs::read(&path).unwrap();
+        (path, bytes)
+    }
+
+    #[test]
+    fn any_single_byte_corruption_of_a_record_is_detected() {
+        // In the log, a flipped byte anywhere in the record's frame fails
+        // the frame CRC: recovery drops it as a torn tail.
+        let dir = tmpdir("flip_wal");
+        let (wal, bytes) = one_record_store(&dir, false);
+        for victim in WAL_MAGIC.len()..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[victim] ^= 0x10;
+            std::fs::write(&wal, &bad).unwrap();
+            let store = ModelStore::open(&dir).unwrap();
+            assert!(
+                store.latest("m").is_none(),
+                "flip at byte {victim} undetected"
+            );
+            assert_eq!(
+                store.stats().torn_tail_bytes as usize,
+                bytes.len() - WAL_MAGIC.len(),
+                "flip at byte {victim}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        // In the snapshot, the container CRC refuses it outright.
+        let dir = tmpdir("flip_snap");
+        let (snap, bytes) = one_record_store(&dir, true);
+        for victim in SNAPSHOT_MAGIC.len()..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[victim] ^= 0x10;
+            std::fs::write(&snap, &bad).unwrap();
+            match ModelStore::open(&dir) {
+                Err(DbError::Storage(StorageError::Corrupt(m))) => {
+                    assert!(m.contains("checksum"), "flip at byte {victim}: {m}")
+                }
+                other => panic!("flip at byte {victim}: {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hostile_lengths_under_a_valid_frame_crc_are_corrupt() {
+        let dir = tmpdir("hostile");
+        let (wal, bytes) = one_record_store(&dir, false);
+        // The frame: len u32, rtype u8, payload, crc u32. Offsets of the
+        // lengths a record carries: the model blob's (u32), the blob's
+        // `dim` and parameter count (u64), the optimizer state's (u32).
+        let blob = WAL_MAGIC.len() + 5 + (4 + 1) + (4 + 1) + 4 + 4;
+        let state = bytes.len() - 4 - 8 - 1 - 4;
+        for (offset, len) in [
+            (blob, &u32::MAX.to_le_bytes()[..]),
+            (blob + 4 + 9, &u64::MAX.to_le_bytes()[..]),
+            (blob + 4 + 25, &u64::MAX.to_le_bytes()[..]),
+            (state, &u32::MAX.to_le_bytes()[..]),
+        ] {
+            let mut bad = bytes.clone();
+            bad[offset..offset + len.len()].copy_from_slice(len);
+            let crc_at = bad.len() - 4;
+            let crc = crc32(&bad[WAL_MAGIC.len()..crc_at]);
+            bad[crc_at..].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(&wal, &bad).unwrap();
+            assert!(
+                matches!(
+                    ModelStore::open(&dir),
+                    Err(DbError::Storage(StorageError::Corrupt(_)))
+                ),
+                "length {len:x?} at byte {offset}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -104,7 +104,6 @@ pub const OPTIONS: &[OptionSpec] = &[
         false,
         false,
     ),
-    opt("checkpoint", OptionType::Text, None, true, false, false),
     opt("decay", OptionType::Float, Some("0.95"), true, false, false),
     opt(
         "double_buffer",
@@ -177,24 +176,7 @@ pub const OPTIONS: &[OptionSpec] = &[
         false,
         false,
     ),
-    opt("resume", OptionType::Flag, Some("0"), true, false, false),
     opt("seed", OptionType::Int, Some("42"), true, false, true),
-    opt(
-        "shared_buffers",
-        OptionType::Int,
-        Some("0"),
-        true,
-        false,
-        false,
-    ),
-    opt(
-        "shared_scan",
-        OptionType::Flag,
-        Some("0"),
-        false,
-        true,
-        false,
-    ),
     opt("strategy", OptionType::Text, None, true, false, false),
 ];
 
@@ -367,7 +349,7 @@ mod tests {
         for pair in OPTIONS.windows(2) {
             assert!(pair[0].name < pair[1].name, "registry must stay sorted");
         }
-        assert_eq!(OPTIONS.len(), 24);
+        assert_eq!(OPTIONS.len(), 20);
         assert!(known_keys(Statement::Train).contains(&"strategy"));
         assert!(known_keys(Statement::Predict).contains(&"batch_rows"));
         assert!(!known_keys(Statement::Predict).contains(&"strategy"));
@@ -413,6 +395,6 @@ mod tests {
     fn effective_line_merges_defaults_and_overrides() {
         let p = params(&[("batch_rows", ParamValue::Number(64.0))]);
         let line = effective_line(Statement::Predict, &p);
-        assert_eq!(line, "Options: batch_rows=64 fuse=1 shared_scan=0");
+        assert_eq!(line, "Options: batch_rows=64 fuse=1");
     }
 }

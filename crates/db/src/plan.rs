@@ -505,24 +505,14 @@ pub struct PhysicalPlan {
     pub fused: bool,
 }
 
-/// Lowering knobs threaded from `WITH` parameters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BuildOptions {
-    /// Collapse the fusable chain into a single [`FusedPipelineOp`]
-    /// (`WITH fuse = 1`, the session default). Off, lowering emits the
-    /// interpreted operator tree — the bit-identity oracle.
-    pub fuse: bool,
-    /// Route sequential scans through the shared buffer pool when the
-    /// context carries one (`WITH shared_scan = 1`, serving only).
-    pub shared_scan: bool,
-}
-
 /// Lower a logical plan to physical operators. This is the only place in
 /// the engine that constructs scan/shuffle operators for queries — `TRAIN`,
 /// both `PREDICT` forms, and `EXPLAIN ANALYZE` all route here.
 ///
-/// With `opts.fuse` set, the pass wraps the `TupleShuffle? ← Scan` chain
-/// below `Sgd|Predict` in one [`FusedPipelineOp`].
+/// With `fuse` set (`WITH fuse = 1`, the session default), the pass wraps
+/// the `TupleShuffle? ← Scan` chain below `Sgd|Predict` in one
+/// [`FusedPipelineOp`]; off, it emits the interpreted operator tree — the
+/// bit-identity oracle.
 #[allow(clippy::too_many_arguments)]
 pub fn build_physical_with(
     plan: &LogicalPlan,
@@ -532,7 +522,7 @@ pub fn build_physical_with(
     seed: u64,
     dev: &mut DeviceHandle,
     catalog: &Catalog,
-    opts: BuildOptions,
+    fuse: bool,
 ) -> Result<PhysicalPlan, DbError> {
     let mut lower = Lowering {
         table,
@@ -541,10 +531,9 @@ pub fn build_physical_with(
         seed,
         dev,
         catalog,
-        shared_scan: opts.shared_scan,
         setup_seconds: 0.0,
     };
-    let (child, fused) = match fuse_chain(plan).filter(|_| opts.fuse) {
+    let (child, fused) = match fuse_chain(plan).filter(|_| fuse) {
         Some(chain) => {
             let fused = FusedPipelineOp::new(lower.node(plan)?, chain.label());
             (Box::new(fused) as Box<dyn PhysicalOperator>, true)
@@ -568,7 +557,6 @@ struct Lowering<'a> {
     seed: u64,
     dev: &'a mut DeviceHandle,
     catalog: &'a Catalog,
-    shared_scan: bool,
     setup_seconds: f64,
 }
 
@@ -632,7 +620,7 @@ impl Lowering<'_> {
             }
         };
         self.setup_seconds += self.dev.stats().io_seconds - io_before;
-        let mut op = BlockShuffleOp::new(src, *order, seed).with_shared_scan(self.shared_scan);
+        let mut op = BlockShuffleOp::new(src, *order, seed);
         if let Some(p) = predicate {
             op = op.with_predicate(p.clone());
         }
@@ -863,33 +851,12 @@ mod tests {
             seed: 1,
             ..Default::default()
         };
-        let fused = build_physical_with(
-            &plan,
-            &t,
-            "t",
-            &params,
-            1,
-            &mut dev,
-            &catalog,
-            BuildOptions {
-                fuse: true,
-                shared_scan: false,
-            },
-        )
-        .unwrap();
+        let fused =
+            build_physical_with(&plan, &t, "t", &params, 1, &mut dev, &catalog, true).unwrap();
         assert!(fused.fused);
         assert_eq!(fused.child.name(), "Fused Pipeline");
-        let interp = build_physical_with(
-            &plan,
-            &t,
-            "t",
-            &params,
-            1,
-            &mut dev,
-            &catalog,
-            BuildOptions::default(),
-        )
-        .unwrap();
+        let interp =
+            build_physical_with(&plan, &t, "t", &params, 1, &mut dev, &catalog, false).unwrap();
         assert!(!interp.fused);
         assert_eq!(interp.child.name(), "TupleShuffle");
     }

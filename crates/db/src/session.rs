@@ -27,7 +27,7 @@ use crate::database::Database;
 use crate::error::DbError;
 use crate::exec::{DbEpochRecord, ExecContext, OpStats, PredictOperator};
 use crate::options::{QueryOptions, Statement};
-use crate::plan::{build_physical_with, BuildOptions, LogicalPlan, PredictPlanSpec};
+use crate::plan::{build_physical_with, LogicalPlan, PredictPlanSpec};
 use crate::serving::ServableModel;
 use crate::sql::{parse, ParamValue, Predicate, Query, ShowTarget};
 use corgipile_ml::{ComputeCostModel, ModelKind};
@@ -100,10 +100,6 @@ pub struct ServeOptions {
     /// default). Off, the interpreted operator tree runs — the serving
     /// bit-identity oracle.
     pub fuse: bool,
-    /// Route the sequential scan through the engine's shared buffer pool
-    /// (`WITH shared_scan = 1`), so repeated PREDICT scans of the same
-    /// table hit warm buffers instead of the device.
-    pub shared_scan: bool,
 }
 
 impl ServeOptions {
@@ -122,21 +118,18 @@ impl ServeOptions {
             filter,
             batch_rows: q.positive_int("batch_rows", defaults.batch_rows)?,
             fuse: q.flag("fuse", defaults.fuse)?,
-            shared_scan: q.flag("shared_scan", defaults.shared_scan)?,
         })
     }
 }
 
 impl Default for ServeOptions {
-    /// Active version, no predicate, 256-tuple batches, fused lowering,
-    /// private (unshared) scans.
+    /// Active version, no predicate, 256-tuple batches, fused lowering.
     fn default() -> Self {
         ServeOptions {
             version: None,
             filter: None,
             batch_rows: 256,
             fuse: true,
-            shared_scan: false,
         }
     }
 }
@@ -164,9 +157,9 @@ pub struct PredictSummary {
     /// True when the pin was served straight from the model cache (no
     /// store/catalog fallback instantiation).
     pub cache_hit: bool,
-    /// Buffer-cache hit rate of the scan (hits / block reads, 0.0 when
-    /// nothing was read). Rises above zero on repeat scans under
-    /// `WITH shared_scan = 1`, when the shared pool serves warm blocks.
+    /// Cache hit rate of the scan (hits / block reads, 0.0 when nothing
+    /// was read). The scan is sequential and bypasses the buffer pool, so
+    /// its hits are the device's OS page cache.
     pub scan_cache_hit_rate: f64,
     /// Simulated scan I/O seconds.
     pub io_seconds: f64,
@@ -255,8 +248,8 @@ pub enum QueryResult {
 ///
 /// Holds the engine behind an `Arc` plus this connection's device and pool
 /// handles: queries executed here account their I/O, faults and telemetry
-/// to this session, while the blocks they fault into `shared_buffers`
-/// become cache hits for every other session.
+/// to this session, while the blocks they fault into the engine's buffer
+/// pool become cache hits for every other session.
 pub struct Session {
     pub(crate) db: Arc<Database>,
     pub(crate) dev: DeviceHandle,
@@ -785,10 +778,7 @@ impl Session {
             0,
             &mut self.dev,
             self.db.catalog(),
-            BuildOptions {
-                fuse: opts.fuse,
-                shared_scan: opts.shared_scan,
-            },
+            opts.fuse,
         )?;
         let (model_name, version) = (servable.name().to_string(), servable.version());
         let mut op = PredictOperator::new(physical.child, servable, self.compute, opts.batch_rows);
@@ -1326,40 +1316,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_buffers_accelerate_later_epochs() {
-        // With a pool large enough for the table, epochs after the first
-        // are compute-bound (no device reads).
-        let table = DatasetSpec::higgs_like(3000)
-            .with_order(Order::ClusteredByLabel)
-            .with_block_bytes(8192)
-            .build_table(4)
-            .unwrap();
-        let run = |shared: &str| {
-            let db = Database::new(SimDevice::hdd_scaled(1000.0, 0));
-            db.register_table("higgs", table.clone());
-            let mut s = db.connect();
-            match s
-                .execute(&format!(
-                    "SELECT * FROM higgs TRAIN BY svm WITH max_epoch_num = 3{shared}"
-                ))
-                .unwrap()
-            {
-                QueryResult::Train(t) => t.epochs[1..].iter().map(|e| e.io_seconds).sum::<f64>(),
-                _ => unreachable!(),
-            }
-        };
-        let without = run("");
-        let with = run(", shared_buffers = 64MB");
-        assert!(
-            with < without / 5.0,
-            "pooled warm epochs {with} should be far cheaper than unpooled {without}"
-        );
-    }
-
-    #[test]
     fn engine_pool_serves_queries_without_the_param() {
-        // An engine-level shared_buffers pool kicks in when the query does
-        // not request a private pool.
+        // The engine's buffer pool serves every query's random block reads:
+        // with one large enough for the table, epochs after the first are
+        // compute-bound (no device reads). There is no per-query pool.
         let warm_epochs = |db: &std::sync::Arc<Database>| -> f64 {
             db.register_table("higgs", higgs_table(2000));
             let mut s = db.connect();
@@ -1585,46 +1545,6 @@ mod tests {
     }
 
     #[test]
-    fn sql_checkpoint_resume_reproduces_the_model() {
-        let path =
-            std::env::temp_dir().join(format!("corgi_sql_resume_{}.ckpt", std::process::id()));
-        let ck = path.to_string_lossy().to_string();
-        let base = "SELECT * FROM higgs TRAIN BY svm WITH learning_rate = 0.05, \
-                    max_epoch_num = 4, model_name = m";
-
-        let mut straight = session_with_higgs(2000);
-        straight.execute(base).unwrap();
-        let want = straight.catalog().model("m").unwrap().params.clone();
-
-        // Crash after epoch 1, then resume in a brand-new session.
-        let mut crashed = session_with_higgs(2000);
-        let t = train_summary(
-            crashed
-                .execute(&format!(
-                    "{base}, checkpoint = '{ck}', halt_after_epoch = 1"
-                ))
-                .unwrap(),
-        );
-        assert!(t.halted);
-        assert_eq!(t.epochs.len(), 2);
-
-        let mut resumed = session_with_higgs(2000);
-        let t = train_summary(
-            resumed
-                .execute(&format!("{base}, checkpoint = '{ck}', resume = 1"))
-                .unwrap(),
-        );
-        assert!(!t.halted);
-        assert_eq!(t.epochs.len(), 2, "only epochs 2 and 3 run after resume");
-        let got = resumed.catalog().model("m").unwrap().params.clone();
-        assert_eq!(
-            got, want,
-            "resumed SQL run must reproduce the model bit-for-bit"
-        );
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
     fn explain_analyze_executes_and_reports_actuals() {
         let mut s = session_with_higgs(2000);
         let lines = match s
@@ -1840,27 +1760,11 @@ mod tests {
     }
 
     #[test]
-    fn fault_and_checkpoint_params_are_validated() {
+    fn on_fault_param_is_validated() {
         let mut s = session_with_higgs(200);
         assert!(matches!(
             s.execute("SELECT * FROM higgs TRAIN BY svm WITH on_fault = 'explode'"),
             Err(DbError::BadParam(_))
-        ));
-        assert!(matches!(
-            s.execute("SELECT * FROM higgs TRAIN BY svm WITH resume = 1"),
-            Err(DbError::BadParam(_))
-        ));
-        assert!(matches!(
-            s.execute("SELECT * FROM higgs TRAIN BY svm WITH checkpoint = 3"),
-            Err(DbError::BadParam(_))
-        ));
-        // Resume from a missing checkpoint file is a storage error.
-        assert!(matches!(
-            s.execute(
-                "SELECT * FROM higgs TRAIN BY svm WITH resume = 1, \
-                 checkpoint = '/nonexistent/dir/x.ckpt'"
-            ),
-            Err(DbError::Storage(_))
         ));
     }
 
@@ -1891,6 +1795,71 @@ mod tests {
         // durable = 0 on a plain engine is a no-op, not an error.
         s.execute("SELECT * FROM higgs TRAIN BY svm WITH durable = 0, max_epoch_num = 1")
             .unwrap();
+    }
+
+    #[test]
+    fn durable_resume_requires_the_statement_that_wrote_the_record() {
+        // Auto-resume continues a record only under the fingerprint of the
+        // statement that wrote it. A re-issue that changes the visit order
+        // or the update rule trains version 2 from scratch, bit-identical
+        // to its own uninterrupted run — it used to stack its epochs on
+        // the old checkpoint and match neither run.
+        let stmt = |select: &str, epochs: usize, with: &str| {
+            format!(
+                "{select} TRAIN BY svm WITH max_epoch_num = {epochs}, model_name = m, \
+                 durable = 1, {with}"
+            )
+        };
+        let (star, base) = (
+            "SELECT * FROM higgs",
+            "learning_rate = 0.05, strategy = 'corgipile'",
+        );
+        let variants = [
+            (star, "learning_rate = 0.5, strategy = 'no'".to_string()),
+            (
+                star,
+                "learning_rate = 0.5, strategy = 'corgipile'".to_string(),
+            ),
+            (
+                star,
+                "learning_rate = 0.05, strategy = 'block_only'".to_string(),
+            ),
+            (star, format!("{base}, buffer_fraction = 0.3")),
+            (star, format!("{base}, io_budget = 0.5")),
+            (star, format!("{base}, block_size = 16KB")),
+            (star, format!("{base}, batch_size = 2")),
+            (star, format!("{base}, decay = 0.9")),
+            (star, format!("{base}, l2 = 0.01")),
+            ("SELECT * FROM higgs WHERE f3 > 0.0", base.to_string()),
+            ("SELECT f0, f1, f2 FROM higgs", base.to_string()),
+        ];
+        for (i, (select, with)) in variants.iter().enumerate() {
+            let sql = stmt(select, 4, with);
+            let ref_dir = store_dir(&format!("fp_ref{i}"));
+            let mut reference = durable_session(600, &ref_dir);
+            reference.execute(&sql).unwrap();
+            let want = reference.catalog().model("m").unwrap().params.clone();
+
+            let dir = store_dir(&format!("fp{i}"));
+            let halted = stmt(star, 4, &format!("{base}, halt_after_epoch = 1"));
+            assert!(train_summary(durable_session(600, &dir).execute(&halted).unwrap()).halted);
+            let mut s = durable_session(600, &dir);
+            let t = train_summary(s.execute(&sql).unwrap());
+            assert_eq!(t.epochs.len(), 4, "{sql}: must not resume");
+            assert_eq!(s.catalog().model("m").unwrap().params, want, "{sql}");
+            let store = s.database().model_store().unwrap().clone();
+            assert_eq!(store.latest("m").unwrap().version, 2, "{sql}");
+            if i == 0 {
+                // `max_epoch_num` is not in the fingerprint: extending a
+                // finished run resumes it.
+                let t = train_summary(s.execute(&stmt(select, 6, with)).unwrap());
+                assert_eq!(t.epochs.len(), 2, "epochs 4 and 5 only");
+                let rec = store.latest("m").unwrap();
+                assert_eq!((rec.version, rec.epoch), (2, 6));
+            }
+            std::fs::remove_dir_all(&ref_dir).ok();
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -2073,13 +2042,9 @@ mod tests {
     }
 
     #[test]
-    fn predict_fuse_oracle_and_shared_scan_hit_rate() {
-        // Shared-pool engine: repeated PREDICT scans under shared_scan = 1
-        // serve warm blocks from the pool; fused and interpreted serving
-        // paths stay bit-identical throughout.
-        let db = Database::with_shared_buffers(SimDevice::hdd_scaled(1000.0, 0), 64 << 20);
-        db.register_table("higgs", higgs_table(2000));
-        let mut s = db.connect();
+    fn predict_fuse_oracle_is_bit_identical_and_charges_less() {
+        // Fused and interpreted serving paths are bit-identical.
+        let mut s = session_with_higgs(2000);
         s.execute("SELECT * FROM higgs TRAIN BY svm WITH max_epoch_num = 1, model_name = m")
             .unwrap();
         let serve = |s: &mut Session, q: &str| match s.execute(q).unwrap() {
@@ -2104,36 +2069,6 @@ mod tests {
             fused.compute_seconds,
             interp.compute_seconds
         );
-        // shared_scan: the second pass over the same table hits the pool.
-        let first = serve(&mut s, "PREDICT m ON higgs WITH shared_scan = 1");
-        let second = serve(&mut s, "PREDICT m ON higgs WITH shared_scan = 1");
-        assert_eq!(first.predictions, second.predictions);
-        assert!(
-            second.scan_cache_hit_rate > 0.9,
-            "second shared scan must be pool-warm, got {}",
-            second.scan_cache_hit_rate
-        );
-        // Hit rate surfaces on the EXPLAIN ANALYZE serving line.
-        match s
-            .execute("EXPLAIN ANALYZE PREDICT m ON higgs WITH shared_scan = 1")
-            .unwrap()
-        {
-            QueryResult::Plan(lines) => {
-                let serving = lines
-                    .iter()
-                    .find(|l| l.starts_with("Serving:"))
-                    .expect("serving line");
-                assert!(serving.contains("scan_hit_rate="), "{serving}");
-                assert!(!serving.contains("scan_hit_rate=0.0%"), "{serving}");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // A private-pool engine leaves shared_scan inert but valid.
-        let mut p = session_with_higgs(500);
-        p.execute("SELECT * FROM higgs TRAIN BY svm WITH max_epoch_num = 1, model_name = m")
-            .unwrap();
-        let r = serve(&mut p, "PREDICT m ON higgs WITH shared_scan = 1");
-        assert_eq!(r.rows, 500);
     }
 
     #[test]
@@ -2849,13 +2784,8 @@ mod tests {
             s.execute("EXPLAIN SELECT * FROM higgs TRAIN BY svm WITH refresh = 2"),
             Err(DbError::BadParam(_))
         ));
-        // Checkpoint/restart knobs belong to the single-shot path.
-        for knob in [
-            "durable = 1",
-            "resume = 1",
-            "halt_after_epoch = 1",
-            "block_size = 8192",
-        ] {
+        // Restart knobs belong to the single-shot path.
+        for knob in ["durable = 1", "halt_after_epoch = 1", "block_size = 8192"] {
             match s.execute(&format!(
                 "SELECT * FROM higgs TRAIN BY svm CONTINUOUS WITH {knob}"
             )) {

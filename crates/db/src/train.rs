@@ -9,26 +9,25 @@
 //! of epochs, and `TRAIN … CONTINUOUS` runs it as `refresh`-sized chunks
 //! that re-pin the latest snapshot in between — all through
 //! [`Session::run_train`], the one place that builds the physical plan,
-//! wires the `SGD` operator, selects the buffer pool, executes, stores and
-//! publishes. What `EXPLAIN` accepts is therefore exactly what `TRAIN`
-//! accepts, and what it renders is the plan `TRAIN` would run.
+//! wires the `SGD` operator, executes, stores and publishes. What `EXPLAIN`
+//! accepts is therefore exactly what `TRAIN` accepts, and what it renders
+//! is the plan `TRAIN` would run.
 
 use crate::catalog::StoredModel;
 use crate::error::DbError;
 use crate::exec::{ExecContext, FaultAction, RowBatch, SgdOperator};
-use crate::model_store::ModelStore;
+use crate::model_store::{ModelRecord, ModelStore};
 use crate::options::{effective_line, QueryOptions, Statement};
-use crate::plan::{build_physical_with, BuildOptions, LogicalPlan, TrainPlanSpec};
+use crate::plan::{build_physical_with, LogicalPlan, TrainPlanSpec};
 use crate::serving::ServableModel;
 use crate::session::{DbTrainSummary, Session};
 use crate::sql::{ParamValue, Query};
 use corgipile_core::{trainer::evaluate, TupleSeq};
 use corgipile_ml::{build_model, ModelKind, OptimizerKind, TrainCheckpoint, TrainOptions};
 use corgipile_shuffle::{block_variance_sampled, CostEstimate, CostModel, StrategyParams};
-use corgipile_storage::{BufferPool, PoolHandle, RetryPolicy, SimDevice, Table, TableSnapshot};
+use corgipile_storage::{RetryPolicy, SimDevice, Table, TableSnapshot};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -47,15 +46,16 @@ pub(crate) struct PreparedTrain {
     options: TrainOptions,
     seed: u64,
     double_buffer: bool,
-    shared_buffers: usize,
     report_metrics: bool,
     retry: RetryPolicy,
     on_fault: FaultAction,
-    checkpoint_path: Option<PathBuf>,
-    resume_from: Option<TrainCheckpoint>,
     halt_after_epoch: Option<usize>,
     /// The engine's model store, iff `durable = 1`.
     durable: Option<Arc<ModelStore>>,
+    /// Hash of everything that decides this run's visit order and update
+    /// rule (see [`fingerprint`]); a durable record resumes only under an
+    /// equal one.
+    fingerprint: u64,
     fuse: bool,
     /// The statement's raw `WITH` map, kept for `EXPLAIN`'s `Options:` line.
     params: BTreeMap<String, ParamValue>,
@@ -155,15 +155,9 @@ impl Session {
         // --- Options (validated against the typed registry) --------------
         let opts = QueryOptions::parse(Statement::Train, &params)?;
         if continuous {
-            // Checkpoint/restart knobs steer the single-shot path's restart
-            // story; CONTINUOUS owns the checkpoint chain itself.
-            for knob in [
-                "durable",
-                "resume",
-                "checkpoint",
-                "halt_after_epoch",
-                "block_size",
-            ] {
+            // The restart knobs steer the single-shot path's restart story;
+            // CONTINUOUS owns the checkpoint chain itself.
+            for knob in ["durable", "halt_after_epoch", "block_size"] {
                 if opts.is_set(knob) {
                     return Err(DbError::BadParam(format!(
                         "{knob} is not supported with TRAIN … CONTINUOUS"
@@ -188,7 +182,6 @@ impl Session {
         if l2 < 0.0 {
             return Err(DbError::BadParam("l2 must be non-negative".into()));
         }
-        let shared_buffers = opts.nonneg_int("shared_buffers", 0)?;
         let report_metrics = opts.flag("report_metrics", false)?;
         let max_retries = opts.nonneg_int("max_retries", 4)? as u32;
         let on_fault = match params.get("on_fault") {
@@ -202,21 +195,6 @@ impl Session {
                     ))
                 }
             },
-        };
-        let checkpoint_path = match params.get("checkpoint") {
-            None => None,
-            Some(v) => Some(PathBuf::from(v.as_text().ok_or_else(|| {
-                DbError::BadParam("checkpoint must be a path string".into())
-            })?)),
-        };
-        let resume_from = match (opts.flag("resume", false)?, &checkpoint_path) {
-            (false, _) => None,
-            (true, Some(path)) => Some(TrainCheckpoint::load(path)?),
-            (true, None) => {
-                return Err(DbError::BadParam(
-                    "resume = 1 requires checkpoint = '<path>'".into(),
-                ))
-            }
         };
         let halt_after_epoch = if opts.is_set("halt_after_epoch") {
             Some(opts.nonneg_int("halt_after_epoch", 0)?)
@@ -235,11 +213,14 @@ impl Session {
             None
         };
         let fuse = opts.flag("fuse", true)?;
-        let block_size = params.get("block_size");
-        if let Some(bs) = block_size {
-            let bytes = bs
-                .as_usize()
-                .ok_or_else(|| DbError::BadParam("block_size must be a byte size".into()))?;
+        let block_size = params
+            .get("block_size")
+            .map(|bs| {
+                bs.as_usize()
+                    .ok_or_else(|| DbError::BadParam("block_size must be a byte size".into()))
+            })
+            .transpose()?;
+        if let Some(bytes) = block_size {
             table = Arc::new(table.rechunk(bytes)?);
         }
 
@@ -289,6 +270,18 @@ impl Session {
             buffer_blocks: 0,
         };
         let plan = logical_plan(&mut spec, &sparams, &table)?;
+        let fingerprint = fingerprint(format_args!(
+            "{}|{kind:?}|{dim}|{seed}|{}|{:x}|{:x}|{block_size:?}|{batch_size}|{:x}|{:x}|{:x}|{:?}|{:?}",
+            spec.table,
+            spec.strategy.name(),
+            sparams.buffer_fraction.to_bits(),
+            sparams.io_budget.to_bits(),
+            learning_rate.to_bits(),
+            decay.to_bits(),
+            l2.to_bits(),
+            spec.filter,
+            spec.projection.feature_indices(),
+        ));
         Ok(PreparedTrain {
             spec,
             stored_name,
@@ -303,14 +296,12 @@ impl Session {
             },
             seed,
             double_buffer,
-            shared_buffers,
             report_metrics,
             retry: RetryPolicy::with_max_retries(max_retries),
             on_fault,
-            checkpoint_path,
-            resume_from,
             halt_after_epoch,
             durable,
+            fingerprint,
             fuse,
             params,
             snapshot_version,
@@ -332,26 +323,22 @@ impl Session {
     /// up at epoch granularity; over a table that never changes the chunked
     /// run is bit-identical to the plain one.
     pub(crate) fn run_train(&mut self, mut prep: PreparedTrain) -> Result<DbTrainSummary, DbError> {
-        let mut resume = prep.resume_from.take();
         // Durable auto-resume: the latest durable version of this name
-        // continues where it left off iff it matches this query (same seed,
-        // source table and model shape) and is unfinished; anything else
-        // trains a fresh version. An explicit `resume = 1` checkpoint file
-        // wins over the store's record. Durable runs reuse their WAL
-        // version number so the cache, store and SHOW MODELS agree.
+        // continues where it left off iff it is unfinished and was written
+        // by this very statement — same fingerprint, so the same source,
+        // seed, model shape, visit order and update rule; anything else
+        // (`max_epoch_num` aside, so a run can be extended) trains a fresh
+        // version. Durable runs reuse their WAL version number so the
+        // cache, store and SHOW MODELS agree.
+        let mut resume = None;
         let mut durable_version = None;
         if let Some(store) = &prep.durable {
             let mut version = store.next_version(&prep.stored_name);
-            if let Some(rec) = store.latest(&prep.stored_name).filter(|_| resume.is_none()) {
-                let resumable = rec.checkpoint.seed == prep.seed
-                    && rec.source == prep.spec.table
-                    && rec.stored.kind == prep.kind
-                    && rec.stored.dim == prep.dim
-                    && (rec.epoch as usize) < prep.spec.epochs;
-                if resumable {
-                    resume = Some(rec.checkpoint);
-                    version = rec.version;
-                }
+            if let Some(rec) = store.latest(&prep.stored_name).filter(|rec| {
+                rec.fingerprint == prep.fingerprint && (rec.epoch as usize) < prep.spec.epochs
+            }) {
+                version = rec.version;
+                resume = Some(rec.into_checkpoint());
             }
             durable_version = Some(version);
         }
@@ -388,10 +375,7 @@ impl Session {
                 prep.seed,
                 &mut self.dev,
                 self.db.catalog(),
-                BuildOptions {
-                    fuse: prep.fuse,
-                    shared_scan: false,
-                },
+                prep.fuse,
             )?;
             setup_seconds += physical.setup_seconds;
             let mut sgd = SgdOperator::new(
@@ -411,7 +395,6 @@ impl Session {
             sgd.driver.batched_dispatch = physical.fused;
             sgd.driver.seed = prep.seed;
             sgd.driver.resume_from = resume.take();
-            sgd.driver.checkpoint_path = prep.checkpoint_path.clone();
             sgd.halt_after_epoch = if last {
                 prep.halt_after_epoch
             } else {
@@ -431,15 +414,24 @@ impl Session {
             let handoff: Rc<RefCell<Option<TrainCheckpoint>>> = Rc::default();
             if let (Some(store), Some(version)) = (prep.durable.clone(), durable_version) {
                 let (name, source) = (prep.stored_name.clone(), prep.spec.table.clone());
-                let (kind, dim) = (prep.kind.clone(), prep.dim);
+                let (kind, dim, fingerprint) = (prep.kind.clone(), prep.dim, prep.fingerprint);
                 sgd.checkpoint_sink = Some(Box::new(move |ck, train_loss| {
-                    let stored = StoredModel {
-                        kind: kind.clone(),
-                        dim,
-                        params: ck.model_params.clone(),
-                        train_loss,
-                    };
-                    store.record_checkpoint(&name, &source, version, stored, ck.clone())
+                    store.append(ModelRecord {
+                        name: name.clone(),
+                        source: source.clone(),
+                        version,
+                        epoch: ck.epoch_next as u32,
+                        stored: StoredModel {
+                            kind: kind.clone(),
+                            dim,
+                            params: ck.model_params.clone(),
+                            train_loss,
+                        },
+                        seed: ck.seed,
+                        sim_clock: ck.sim_clock,
+                        optimizer_state: ck.optimizer_state.clone(),
+                        fingerprint,
+                    })
                 }));
             } else if !last {
                 let slot = Rc::clone(&handoff);
@@ -449,20 +441,12 @@ impl Session {
                 }));
             }
 
-            // Pool choice: an explicit `shared_buffers` parameter keeps the
-            // old per-query private pool; otherwise the engine's shared
-            // pool serves the query whenever the engine has one configured.
-            let mut private_pool = (prep.shared_buffers > 0).then(|| {
-                let mut p = PoolHandle::private(BufferPool::new(prep.shared_buffers));
-                p.set_telemetry(&self.telemetry);
-                p
-            });
+            // The engine's buffer pool serves the query whenever the engine
+            // has one (`Database::with_shared_buffers`).
             let mut ctx = ExecContext::new(&mut self.dev);
-            ctx.pool = match private_pool.as_mut() {
-                Some(p) => Some(p),
-                None if self.pool.capacity() > 0 => Some(&mut self.pool),
-                None => None,
-            };
+            if self.pool.capacity() > 0 {
+                ctx.pool = Some(&mut self.pool);
+            }
             ctx.retry = prep.retry;
             ctx.on_fault = prep.on_fault;
             let mut result = sgd.execute(&mut ctx)?;
@@ -562,6 +546,27 @@ impl Session {
     }
 }
 
+/// FNV-1a of a statement's canonical description: source, model shape,
+/// seed, the strategy actually run (after the planner), buffer fraction,
+/// I/O budget, block size, batch size, learning rate, decay, L2, `WHERE`
+/// and column list. `max_epoch_num` stays out, so extending a run resumes it.
+/// The description is hashed as it is formatted: every `TRAIN` pays for
+/// this, and it allocates nothing.
+fn fingerprint(description: std::fmt::Arguments) -> u64 {
+    struct Fnv1a(u64);
+    impl std::fmt::Write for Fnv1a {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for b in s.bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    std::fmt::write(&mut h, description).expect("Fnv1a::write_str never fails");
+    h.0
+}
+
 fn resolve_model_kind(name: &str, table: &Table) -> Result<ModelKind, DbError> {
     let classes = || -> usize {
         let max = table.rows().map(|t| t.label as i64).max().unwrap_or(1);
@@ -618,19 +623,17 @@ mod tests {
             "TRAIN BY svm WITH on_fault = 'explode'",
             "TRAIN BY svm WITH double_buffer = 7",
             "TRAIN BY svm WITH max_retries = 'x'",
-            "TRAIN BY svm WITH checkpoint = 3",
             "TRAIN BY svm WITH durable = 2",
             "TRAIN BY svm WITH buffer_fraction = 0",
             "TRAIN BY svm WITH bogus_param = 1",
+            // Knobs the engine owns now.
+            "TRAIN BY svm WITH checkpoint = 'x.ckpt', resume = 1",
+            "TRAIN BY svm WITH shared_buffers = 64MB",
             // Options that need each other, or the engine.
-            "TRAIN BY svm WITH resume = 1",
-            "TRAIN BY svm WITH resume = 1, checkpoint = '/nonexistent/dir/x.ckpt'",
             "TRAIN BY svm WITH durable = 1, max_epoch_num = 1",
             "TRAIN BY svm WITH refresh = 2",
             // CONTINUOUS owns the checkpoint chain and the block layout.
             "TRAIN BY svm CONTINUOUS WITH durable = 1",
-            "TRAIN BY svm CONTINUOUS WITH resume = 1",
-            "TRAIN BY svm CONTINUOUS WITH checkpoint = 'x.ckpt'",
             "TRAIN BY svm CONTINUOUS WITH halt_after_epoch = 1",
             "TRAIN BY svm CONTINUOUS WITH block_size = 8192",
             "TRAIN BY svm CONTINUOUS WITH refresh = 0",

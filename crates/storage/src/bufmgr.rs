@@ -1,7 +1,9 @@
 //! The buffer pool: PostgreSQL's `shared_buffers`, block-granular.
 //!
 //! The paper's integration "directly interacts with the buffer manager"
-//! (§1, §6) and its experiments tune `shared_buffers` (§7.1.5). This pool
+//! (§1, §6) and its experiments tune `shared_buffers` (§7.1.5) — a server
+//! setting, so an engine owns exactly one of these, shared by every
+//! connection through [`SharedBufferPool`](crate::SharedBufferPool). This pool
 //! caches block handles above the device tier: a hit returns the cached
 //! block with no device charge (shared-memory access); on a miss the
 //! caller reads the block through the [`SimDevice`](crate::SimDevice)

@@ -1,7 +1,7 @@
 //! CRC-32 (IEEE 802.3 polynomial), slice-by-8 table-driven and dependency-free.
 //!
-//! Used by the `CORGIPL3` heap format and the training-checkpoint blob to
-//! detect torn writes and bit rot: every block payload and every header
+//! Used by the `CORGIPL3` heap format, WAL frames and snapshot containers
+//! to detect torn writes and bit rot: every block payload and every header
 //! carries a checksum that is verified before the bytes are trusted.
 
 /// Reflected IEEE polynomial (the one used by zip, PNG, ethernet).

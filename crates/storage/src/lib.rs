@@ -42,7 +42,7 @@
 //!   into a shared [`Telemetry`] handle (re-exported from
 //!   `corgipile-telemetry`) when one is attached via `set_telemetry`;
 //! * [`crc`] — dependency-free CRC-32 backing the `CORGIPL3` checksummed
-//!   heap format and the training-checkpoint blob.
+//!   heap format, the WAL frames and the snapshot containers.
 //!
 //! Everything is deterministic: "time" is the simulated clock advanced by
 //! the device cost model, so experiments reproduce bit-for-bit across runs.

@@ -229,7 +229,7 @@ impl SharedBufferPool {
     }
 }
 
-/// A per-connection view of a shared (or private) [`BufferPool`].
+/// A per-connection view of the engine's shared [`BufferPool`].
 ///
 /// The pool lock is released while a miss reads through the device, so
 /// concurrent sessions overlap their device reads; two sessions missing
@@ -241,14 +241,6 @@ pub struct PoolHandle {
 }
 
 impl PoolHandle {
-    /// Wrap an exclusively owned pool (per-query `shared_buffers`).
-    pub fn private(pool: BufferPool) -> Self {
-        PoolHandle {
-            inner: Arc::new(Mutex::new(pool)),
-            local: BufferPoolStats::default(),
-        }
-    }
-
     /// Fetch a block through the pool: hit → shared handle at zero device
     /// cost; miss → retried random block read through `dev` (pool lock
     /// released during the read), then admit.
@@ -285,13 +277,6 @@ impl PoolHandle {
     /// Pool capacity in bytes.
     pub fn capacity(&self) -> usize {
         lock(&self.inner).capacity()
-    }
-
-    /// Mirror the underlying pool's counters into `telemetry`. Intended for
-    /// private pools; on a shared pool this redirects the engine-level
-    /// mirror.
-    pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        lock(&self.inner).set_telemetry(telemetry);
     }
 }
 

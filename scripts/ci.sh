@@ -21,7 +21,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 banner "Docs (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-banner "Line counts (fails when core + db, storage or crates/bench passes its ceiling)"
+banner "Line counts (fails when core + db, ml, storage or crates/bench passes its ceiling)"
 bash scripts/loc.sh
 
 banner "Golden bits (model bits pinned across commits, release arithmetic)"
@@ -61,5 +61,11 @@ banner "Repo benchmark (quick): harness unit tests + every workload's output che
 # output checks fail (correct = false, failed > 0) exits non-zero.
 (cd benchmark && cargo test --offline)
 bash benchmark/run.sh --quick
+
+banner "Repo benchmark (traced): every per-layer probe still runs"
+# The probes issue SQL of their own (ROADMAP 1(b)): a PR that deletes an
+# option or entry point they use breaks only a --trace 1 run. ingest_mixed
+# runs every probe; a probe that fails exits non-zero.
+bash benchmark/run.sh --quick --trace 1 --workload ingest_mixed
 
 banner "CI gate passed"

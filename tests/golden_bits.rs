@@ -5,7 +5,7 @@
 //! below hold `crc32` of the final parameter bytes and `f64::to_bits` of
 //! the last epoch's `train_loss` for a fixed small clustered table, over
 //! the SQL surface (strategy × model × batch size × `double_buffer` ×
-//! `fuse`, `WHERE` / projection, faults + skip, checkpoint/resume, durable
+//! `fuse`, `WHERE` / projection, faults + skip, halt and durable
 //! auto-resume, `CONTINUOUS` with a drift schedule), `Trainer::train`, and
 //! the multi-worker order (`parallel_epoch_plan` at 1/2/4/8 workers).
 //!
@@ -44,7 +44,6 @@ fn engine() -> Arc<Database> {
 fn scratch(tag: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("corgi_golden_{}_{tag}", std::process::id()));
     std::fs::remove_dir_all(&p).ok();
-    std::fs::remove_file(&p).ok();
     p
 }
 
@@ -259,46 +258,36 @@ fn sql_pushdown_faults_resume_durable_and_continuous_are_pinned() {
     let (crc, loss) = sql_bits(&s, &t);
     got.push(("fault_skip".to_string(), crc, loss));
 
-    // Checkpoint file: halt after epoch 1, resume in a fresh engine.
-    let ckpt = scratch("ckpt");
-    let base = format!(
-        "SELECT * FROM higgs TRAIN BY svm WITH max_epoch_num = 4, seed = 11, \
-         strategy = 'corgipile', buffer_fraction = 0.2, batch_size = 4, model_name = m, \
-         checkpoint = '{}'",
-        ckpt.display()
-    );
-    let t = train(
-        &mut engine().connect(),
-        &format!("{base}, halt_after_epoch = 1"),
-    );
-    assert!(t.halted);
-    let mut s = engine().connect();
-    let t = train(&mut s, &format!("{base}, resume = 1"));
-    assert_eq!(t.epochs.len(), 2);
-    let (crc, loss) = sql_bits(&s, &t);
-    got.push(("checkpoint_resume".to_string(), crc, loss));
-    std::fs::remove_file(&ckpt).ok();
-
-    // Durable store: halt, drop the engine, reopen, re-issue the same SQL.
-    let dir = scratch("store");
-    let durable = "SELECT * FROM higgs TRAIN BY lr WITH max_epoch_num = 4, seed = 11, \
-                   strategy = 'corgipile', buffer_fraction = 0.2, model_name = m, durable = 1";
-    let open = || {
-        let db = Database::with_model_store(SimDevice::hdd_scaled(1000.0, 0), 0, &dir).unwrap();
-        db.register_table("higgs", higgs(600));
-        db
-    };
-    let t = train(
-        &mut open().connect(),
-        &format!("{durable}, halt_after_epoch = 1"),
-    );
-    assert!(t.halted);
-    let mut s = open().connect();
-    let t = train(&mut s, durable);
-    assert_eq!(t.epochs.len(), 2, "auto-resume runs only epochs 2 and 3");
-    let (crc, loss) = sql_bits(&s, &t);
-    got.push(("durable_resume".to_string(), crc, loss));
-    std::fs::remove_dir_all(&dir).ok();
+    // Durable store: halt after epoch 1, drop the engine, reopen, re-issue
+    // the same SQL. `checkpoint_resume` was recorded through a `CORGICK1`
+    // checkpoint file (`checkpoint = '…'`, then `resume = 1`); halt-and-
+    // resume is `durable = 1` now, and the bits are the same.
+    for (case, model, batch) in [
+        ("checkpoint_resume", "svm", ", batch_size = 4"),
+        ("durable_resume", "lr", ""),
+    ] {
+        let dir = scratch(case);
+        let durable = format!(
+            "SELECT * FROM higgs TRAIN BY {model} WITH max_epoch_num = 4, seed = 11, \
+             strategy = 'corgipile', buffer_fraction = 0.2{batch}, model_name = m, durable = 1"
+        );
+        let open = || {
+            let db = Database::with_model_store(SimDevice::hdd_scaled(1000.0, 0), 0, &dir).unwrap();
+            db.register_table("higgs", higgs(600));
+            db
+        };
+        let t = train(
+            &mut open().connect(),
+            &format!("{durable}, halt_after_epoch = 1"),
+        );
+        assert!(t.halted);
+        let mut s = open().connect();
+        let t = train(&mut s, &durable);
+        assert_eq!(t.epochs.len(), 2, "auto-resume runs only epochs 2 and 3");
+        let (crc, loss) = sql_bits(&s, &t);
+        got.push((case.to_string(), crc, loss));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     // CONTINUOUS over a deterministic drift schedule.
     let db = engine();

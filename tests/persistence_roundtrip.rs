@@ -1,6 +1,6 @@
 //! Integration: the persistence path end to end — generate → export to
 //! LIBSVM → import → save heap file → open file-backed → train through the
-//! SQL engine with shared_buffers → export/reload the model.
+//! SQL engine over a buffer pool → export/reload the model.
 
 use corgipile::data::libsvm::{load_libsvm_table, write_libsvm_file};
 use corgipile::data::{DatasetSpec, Order};
@@ -51,13 +51,13 @@ fn full_persistence_pipeline() {
         assert_eq!(ft.read_block(b).unwrap(), table.block_tuples(b).unwrap());
     }
 
-    // Train via SQL over the reloaded table with a buffer pool.
-    let mut s = Database::new(SimDevice::hdd_scaled(1280.0, 0)).connect();
+    // Train via SQL over the reloaded table, on an engine with a buffer pool.
+    let mut s = Database::with_shared_buffers(SimDevice::hdd_scaled(1280.0, 0), 32 << 20).connect();
     s.register_table("susy", reloaded);
     let summary = match s
         .execute(
             "SELECT * FROM susy TRAIN BY lr WITH learning_rate = 0.03, decay = 0.8, \
-             max_epoch_num = 5, shared_buffers = 32MB, model_name = susy_lr",
+             max_epoch_num = 5, model_name = susy_lr",
         )
         .unwrap()
     {

@@ -207,6 +207,38 @@ fn sql_errors_surface_cleanly() {
 }
 
 #[test]
+fn engine_owned_knobs_are_unknown_parameters() {
+    // The engine owns durability (`durable = 1`, auto-resume) and the buffer
+    // pool (`Database::with_shared_buffers`): the per-statement checkpoint
+    // file, resume switch, private pool and pooled-seqscan knobs are gone.
+    let mut s = session();
+    s.execute("SELECT * FROM susy TRAIN BY svm WITH max_epoch_num = 1, model_name = m")
+        .unwrap();
+    for (key, sql) in [
+        (
+            "checkpoint",
+            "SELECT * FROM susy TRAIN BY svm WITH checkpoint = 'x.ckpt'",
+        ),
+        ("resume", "SELECT * FROM susy TRAIN BY svm WITH resume = 1"),
+        (
+            "shared_buffers",
+            "SELECT * FROM susy TRAIN BY svm WITH shared_buffers = 32MB",
+        ),
+        ("shared_scan", "PREDICT m ON susy WITH shared_scan = 1"),
+    ] {
+        match s.execute(sql) {
+            Err(DbError::BadParam(msg)) => {
+                assert!(
+                    msg.starts_with(&format!("unknown parameter {key}")),
+                    "{msg}"
+                )
+            }
+            other => panic!("{sql}: expected unknown parameter, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn regression_model_via_sql_reports_r2() {
     let table = DatasetSpec::msd_like(4_000)
         .with_block_bytes(8 << 10)
