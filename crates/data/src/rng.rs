@@ -2,7 +2,9 @@
 //!
 //! All randomness in the reproduction flows through seeded `StdRng`s so
 //! every experiment is bit-reproducible. Normal variates use the Box–Muller
-//! transform, keeping the dependency set to plain `rand`.
+//! transform, keeping the dependency set to plain `rand`. The SQL tuple
+//! shuffle draws no numbers at all: it orders its buffer by a seeded hash
+//! key per row, ranked by [`rank_by_key`].
 
 use rand::Rng;
 
@@ -56,9 +58,58 @@ pub fn shuffle_in_place<T, R: Rng + ?Sized>(rng: &mut R, slice: &mut [T]) {
     }
 }
 
+/// A set of keys with a bucket of more positions than this — keys sharing
+/// their top bits — is sorted by `sort_unstable` instead, so that no key set
+/// can make [`rank_by_key`] quadratic.
+const SMALL_BUCKET: usize = 16;
+
+/// The keyed counterpart of [`shuffle_in_place`]: a shuffle by hash key.
+/// Sorts the positions of `keys` by key, ties by position, into `order`, and
+/// writes where in it each position went into `rank`; both are scratch kept
+/// across calls. A bucket sort: each position goes to one of `n` buckets by
+/// its key's top bits (the high word of `key × n`), whose bounds `rank`
+/// holds meanwhile. The buckets are in key order, so one insertion sort over
+/// `order` finishes them all.
+pub fn rank_by_key(keys: &[u64], order: &mut Vec<u32>, rank: &mut Vec<u32>) {
+    let n = keys.len();
+    let bucket = |k: u64| ((u128::from(k) * n as u128) >> 64) as usize;
+    order.resize(n, 0);
+    rank.clear();
+    rank.resize(n + 1, 0);
+    keys.iter().for_each(|&k| rank[bucket(k) + 1] += 1);
+    let big = rank.iter().any(|&size| size as usize > SMALL_BUCKET);
+    let mut start = 0;
+    for at in rank.iter_mut() {
+        start += *at;
+        *at = start;
+    }
+    for (j, &k) in (0u32..).zip(keys) {
+        let at = &mut rank[bucket(k)];
+        order[*at as usize] = j;
+        *at += 1;
+    }
+    if big {
+        order.sort_unstable_by_key(|&j| (keys[j as usize], j));
+    }
+    for i in 1..n {
+        let (j, mut at) = (order[i], i);
+        while at > 0 && keys[order[at - 1] as usize] > keys[j as usize] {
+            order[at] = order[at - 1];
+            at -= 1;
+        }
+        order[at] = j;
+    }
+    rank.truncate(n);
+    for (r, &j) in (0u32..).zip(&*order) {
+        rank[j as usize] = r;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corgipile_storage::splitmix64;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -123,5 +174,59 @@ mod tests {
             (0..100).collect::<Vec<_>>(),
             "shuffle should move things"
         );
+    }
+
+    /// `rank_by_key` into scratch a previous fill left dirty, checked
+    /// against `sort_unstable_by_key` on `(key, position)` pairs.
+    fn assert_ranks_like_the_key_sort(keys: &[u64]) {
+        let mut pairs: Vec<(u64, u32)> = keys.iter().copied().zip(0u32..).collect();
+        pairs.sort_unstable_by_key(|&pair| pair);
+        let (mut order, mut rank) = (vec![7; 5], vec![9; 3]);
+        rank_by_key(keys, &mut order, &mut rank);
+        let want: Vec<u32> = pairs.iter().map(|&(_, j)| j).collect();
+        assert_eq!(order, want);
+        assert_eq!(rank.len(), keys.len());
+        for (r, &j) in (0u32..).zip(&want) {
+            assert_eq!(rank[j as usize], r);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+        /// The bucket sort is the key sort of the SQL tuple shuffle's
+        /// `splitmix64(salt ^ id)` keys, on empty, one-row, power-of-two and
+        /// odd-sized fills, with ids unique or repeated (equal keys).
+        #[test]
+        fn prop_rank_by_key_is_the_key_sort(
+            n in prop_oneof![
+                Just(0usize),
+                Just(1),
+                Just(65_536),
+                Just(70_000),
+                0usize..70_001,
+            ],
+            salt in any::<u64>(),
+            ids in prop_oneof![Just(u64::MAX), 1u64..50],
+        ) {
+            let keys: Vec<u64> = (0..n as u64).map(|j| splitmix64(salt ^ (j % ids))).collect();
+            assert_ranks_like_the_key_sort(&keys);
+        }
+    }
+
+    #[test]
+    fn keys_sharing_their_top_bits_fall_back_to_sort_unstable() {
+        // Every key below 2^40 falls in bucket 0 of 20 000: one bucket far
+        // over SMALL_BUCKET, in descending order — quadratic for an
+        // insertion sort, so it takes the fallback.
+        let n = 20_000u64;
+        let keys: Vec<u64> = (0..n).map(|j| splitmix64(j) >> 24).rev().collect();
+        assert!(keys
+            .iter()
+            .all(|&k| (u128::from(k) * u128::from(n)) >> 64 == 0));
+        assert_ranks_like_the_key_sort(&keys);
+        // A few big buckets among small ones.
+        let mut keys: Vec<u64> = (0..n).map(splitmix64).collect();
+        keys[..3_000].iter_mut().for_each(|k| *k >>= 30);
+        assert_ranks_like_the_key_sort(&keys);
     }
 }

@@ -337,11 +337,6 @@ impl Catalog {
         *lock(&self.append_faults) = Some(FaultInjector::new(plan));
     }
 
-    /// Disarm [`Catalog::set_append_faults`].
-    pub fn clear_append_faults(&self) {
-        *lock(&self.append_faults) = None;
-    }
-
     /// Append `rows` to `name` and publish a new snapshot version.
     ///
     /// The statement is journaled as one fsynced WAL frame before any
@@ -798,7 +793,7 @@ mod tests {
             err,
             DbError::Storage(StorageError::Crashed { .. })
         ));
-        c.clear_append_faults();
+        c.set_append_faults(FaultPlan::new(7));
         // The acked statement survives (it is already published, so the
         // re-opened writer skips its WAL rows); the crashed one is wholly
         // absent; new appends continue cleanly.

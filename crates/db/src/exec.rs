@@ -33,12 +33,12 @@ use crate::plan::feature_list;
 use crate::sql::Predicate;
 use corgipile_core::trainer::evaluate;
 use corgipile_core::{EpochDriver, EpochIo, EpochOutcome, EpochSink, EpochSource, Fill, TupleSeq};
-use corgipile_data::rng::shuffle_in_place;
+use corgipile_data::rng::{rank_by_key, shuffle_in_place};
 use corgipile_ml::{ComputeCostModel, Model, Optimizer, TrainCheckpoint, TrainOptions};
 use corgipile_shuffle::{BlockReversalShuffle, StrategyParams};
 use corgipile_storage::{
     splitmix64, Access, BlockHandle, Counter, DeviceHandle, FeatureView, Page, PipelineReport,
-    PoolHandle, RetryPolicy, SimDevice, Table, Telemetry, TupleView,
+    PoolHandle, RetryPolicy, SimDevice, SpanSite, Table, Telemetry, TupleView,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -312,14 +312,10 @@ impl RowBatch {
         });
     }
 
-    /// Move every row and pin of `other` to the end of this batch.
-    fn append(&mut self, other: &mut RowBatch) {
-        let base = self.pages.len() as u32;
-        self.pages.append(&mut other.pages);
-        self.rows.extend(other.rows.drain(..).map(|r| RowRef {
-            page: base + r.page,
-            slot: r.slot,
-        }));
+    /// The rows a page at a time: each pinned page with the handles of its rows.
+    fn runs(&self) -> impl Iterator<Item = (&Page, &[RowRef])> + Clone {
+        let runs = self.rows.chunk_by(|a, b| a.page == b.page);
+        runs.map(|run| (&*self.pages[run[0].page as usize], run))
     }
 }
 
@@ -390,14 +386,14 @@ pub trait PhysicalOperator: Send {
     /// survive the retry policy (and are not absorbed by
     /// [`FaultAction::SkipBlock`]) propagate as [`DbError::Storage`].
     fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<bool, DbError>;
-    /// Clear `out` and refill it with the surviving tuples of the next
-    /// *source block*, or return `Ok(false)` when the scan is exhausted.
-    /// Unlike [`PhysicalOperator::next_batch`], a fully filtered (or dead,
-    /// skipped) block yields `Ok(true)` with an **empty** `out`, so a
-    /// buffering parent counting blocks sees identical fill boundaries
-    /// whether a predicate ran below it or not — the invariant that makes
-    /// filtering below the buffer an equivalence. Default: one `next_batch`
-    /// per call.
+    /// Append the surviving tuples of the next *source block* to `out`, or
+    /// return `Ok(false)` when the scan is exhausted. Unlike
+    /// [`PhysicalOperator::next_batch`], a fully filtered (or dead, skipped)
+    /// block yields `Ok(true)` and appends **nothing**, so a buffering parent
+    /// counting blocks sees identical fill boundaries whether a predicate ran
+    /// below it or not — the invariant that makes filtering below the buffer
+    /// an equivalence. Default: one `next_batch` per call, which replaces
+    /// `out`'s rows (an append to an empty batch).
     fn next_block(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<bool, DbError> {
         self.next_batch(ctx, out)
     }
@@ -589,6 +585,7 @@ impl PhysicalOperator for BlockShuffleOp {
         // One batch per block read that left a row: aligns each batch with
         // the `fill_io` entry its read pushed, which the pipelined SGD
         // consumer uses to attribute compute to fills.
+        out.clear();
         while self.next_block(ctx, out)? {
             if !out.is_empty() {
                 self.actuals.batches += 1;
@@ -600,14 +597,14 @@ impl PhysicalOperator for BlockShuffleOp {
 
     fn next_block(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<bool, DbError> {
         debug_assert!(self.initialized, "next_block() before init()");
-        out.clear();
+        let before = out.len();
         if !self.load_next_block(ctx, out)? {
             return Ok(false);
         }
-        // Unlike next_batch, an empty result after a consumed block (fully
+        // Unlike next_batch, a consumed block that appended nothing (fully
         // filtered, or dead and skipped) is reported as `Ok(true)`:
         // block-counting parents must see every source block.
-        self.actuals.rows += out.len() as u64;
+        self.actuals.rows += (out.len() - before) as u64;
         Ok(true)
     }
 
@@ -647,7 +644,7 @@ impl PhysicalOperator for BlockShuffleOp {
 /// surviving order, so they train bit-identical models — while filtering
 /// below buffers only survivors (`PostBufferFilter` in `proptests.rs`).
 ///
-/// For narrow rows the buffer is a real one (§6.2): the index is sorted,
+/// For narrow rows the buffer is a real one (§6.2): the index is ranked,
 /// then the fill is copied once, in SGD order, into the slab of the batch
 /// it leaves in, so the kernel streams its fill instead of chasing handles
 /// across the window's pages. The pinned pages stay behind in a staging
@@ -660,13 +657,13 @@ pub struct TupleShuffleOp {
     /// The fill window as scanned: pinned table pages and the handles of
     /// their admitted rows, in scan order. Never leaves the producer.
     staging: RowBatch,
-    /// Scratch batch the child's `next_block` fills into, one block at a time.
-    fetch: RowBatch,
-    /// Persistent sort scratch: `(key, position in staging)`.
-    keyed: Vec<(u64, u32)>,
-    /// Persistent scratch: where in SGD order each staged row goes.
+    /// Sort scratch, kept across fills: a key per staged row, [`rank_by_key`]'s output.
+    keys: Vec<u64>,
+    order: Vec<u32>,
     rank: Vec<u32>,
     exhausted: bool,
+    /// `db.tuple_shuffle.{fill, read, key, sort, copy}`, resolved by the first fill (DESIGN §9).
+    spans: Option<[SpanSite; 5]>,
     actuals: OpStats,
 }
 
@@ -692,74 +689,85 @@ impl TupleShuffleOp {
             params,
             epoch: 0,
             staging: RowBatch::default(),
-            fetch: RowBatch::default(),
-            keyed: Vec::new(),
+            keys: Vec::new(),
+            order: Vec::new(),
             rank: Vec::new(),
             exhausted: false,
+            spans: None,
             actuals: OpStats::default(),
         }
     }
 
-    /// Pull one buffer window from the child, sort its row handles into SGD
-    /// order, leave the fill in `out` — narrow rows copied into `out`'s slab,
-    /// wide ones as handles on the pinned pages — and record the fill cost
-    /// into `ctx.fill_io`. A window whose blocks were all filtered out (or
+    /// Pull one buffer window from the child, rank its rows into SGD order,
+    /// leave the fill in `out` — narrow rows copied into `out`'s slab, wide
+    /// ones as handles on the pinned pages — and record the fill cost into
+    /// `ctx.fill_io`. A window whose blocks were all filtered out (or
     /// skipped as dead) merges into the next window rather than surfacing
     /// an empty fill; `out` is left empty at end of stream.
     fn refill(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<(), DbError> {
         let staging = &mut self.staging;
         staging.clear();
+        out.rows.clear();
         // Child fills recorded below us are folded into our own entry.
         let fills_base = ctx.fill_io.len();
         let io_before = ctx.dev.stats().io_seconds;
-        let mut span = ctx.telemetry.span("db.tuple_shuffle.fill");
+        let site = |p| ctx.telemetry.span_site(&format!("db.tuple_shuffle.{p}"));
+        let phases = ["fill", "read", "key", "sort", "copy"];
+        let [fill, read, key, sort, copy] = &*self.spans.get_or_insert_with(|| phases.map(site));
+        let (mut span, mut phase) = (fill.start(), read.start());
         while staging.is_empty() && !self.exhausted {
-            let mut blocks = 0usize;
-            while blocks < self.capacity_blocks {
-                if !self.child.next_block(ctx, &mut self.fetch)? {
+            for _ in 0..self.capacity_blocks {
+                if !self.child.next_block(ctx, staging)? {
                     self.exhausted = true;
                     break;
                 }
-                blocks += 1;
-                staging.append(&mut self.fetch);
             }
         }
-        // Deterministic in-buffer shuffle: order by a per-(seed, epoch,
-        // tuple-id) hash key. splitmix64 is bijective, so keys are unique
-        // within an epoch — a sort over them needs no tie-break — and the
-        // order does not depend on buffer arrival positions: filtering
-        // below or above the buffer leaves the survivors' relative order
-        // unchanged. The keyed scratch persists.
-        let salt = splitmix64(
-            (self.params.seed ^ 0x70_5F).wrapping_add(self.epoch.wrapping_mul(0x9E37_79B9)),
-        );
-        let (n, mut bytes) = (staging.len(), 0usize);
-        self.keyed.clear();
-        self.keyed
-            .extend(staging.rows().zip(0u32..).map(|(row, at)| {
-                bytes += row.encoded_len();
-                (splitmix64(salt ^ row.id), at)
-            }));
-        // Buffer copy + shuffle cost (§4.1 overheads), charged on what was
-        // actually buffered — filtered scans pay only for survivors.
-        ctx.dev.charge_seconds(self.params.buffering_cost(n, bytes));
-        self.keyed.sort_unstable_by_key(|(k, _)| *k);
         ctx.fill_io.truncate(fills_base);
-        out.rows.clear();
+        let n = staging.len();
         if n == 0 {
             // End-of-stream probe, not a fill: record nothing.
             span.cancel();
+            phase.cancel();
             return Ok(());
         }
-        let order = self.keyed.iter().map(|&(_, at)| at as usize);
+        // Deterministic in-buffer shuffle: order by a per-(seed, epoch,
+        // tuple-id) key from the staged pages' id columns. splitmix64 is
+        // bijective, so any correct sort gives the same order, and filtering
+        // below or above the buffer leaves the survivors' order unchanged.
+        phase = phase.then(key);
+        let salt = splitmix64(
+            (self.params.seed ^ 0x70_5F).wrapping_add(self.epoch.wrapping_mul(0x9E37_79B9)),
+        );
+        let mut bytes = 0;
+        self.keys.clear();
+        self.keys.reserve(n);
+        for (page, run) in staging.runs() {
+            let (ids, slots) = (page.ids(), run.iter().map(|r| r.slot as usize));
+            self.keys
+                .extend(slots.clone().map(|s| splitmix64(salt ^ ids[s])));
+            bytes += if run.len() == page.tuple_count() {
+                page.used_bytes()
+            } else {
+                slots.map(|s| page.row(s).encoded_len()).sum()
+            };
+        }
+        // Buffer copy + shuffle cost (§4.1 overheads), charged on what was
+        // actually buffered — filtered scans pay only for survivors.
+        ctx.dev.charge_seconds(self.params.buffering_cost(n, bytes));
+        phase = phase.then(sort);
+        rank_by_key(&self.keys, &mut self.order, &mut self.rank);
+        let _copy = phase.then(copy);
         if bytes / n > SLAB_ROW_BYTES {
-            out.rows.extend(order.map(|at| staging.rows[at]));
+            out.rows
+                .extend(self.order.iter().map(|&at| staging.rows[at as usize]));
             std::mem::swap(&mut out.pages, &mut staging.pages);
         } else {
             // Read the staged pages in sequence, write each row to its rank.
-            self.rank.resize(n, 0);
-            order.zip(0u32..).for_each(|(at, to)| self.rank[at] = to);
-            out.slab().fill_ranked(staging.rows(), &self.rank);
+            let runs = staging
+                .runs()
+                .map(|(page, run)| (page, run.iter().map(|r| r.slot as usize)));
+            out.slab().fill_ranked(runs, &self.rank);
             out.rows
                 .extend((0..n as u32).map(|slot| RowRef { page: 0, slot }));
         }
@@ -789,11 +797,7 @@ impl PhysicalOperator for TupleShuffleOp {
         // One batch per buffer fill: the whole shuffled buffer moves out in
         // one handover, so the pipelined SGD consumer drains fill k while
         // the producer builds fill k+1.
-        if self.exhausted {
-            out.rows.clear();
-        } else {
-            self.refill(ctx, out)?;
-        }
+        self.refill(ctx, out)?;
         self.actuals.rows += out.len() as u64;
         self.actuals.batches += u64::from(!out.is_empty());
         Ok(!out.is_empty())
@@ -838,12 +842,11 @@ impl FusedPipelineOp {
     /// Assemble over a built source. `label` names the fused stages in
     /// execution order (e.g. `scan→filter→sgd`) for EXPLAIN.
     pub fn new(source: Box<dyn PhysicalOperator>, label: impl Into<String>) -> Self {
-        let disabled = Telemetry::disabled();
         FusedPipelineOp {
             source,
             label: label.into(),
-            batch_ctr: disabled.counter("db.exec.batches"),
-            tuple_ctr: disabled.counter("db.exec.fused_tuples"),
+            batch_ctr: Counter::noop(),
+            tuple_ctr: Counter::noop(),
             actuals: OpStats::default(),
         }
     }
@@ -878,12 +881,13 @@ impl PhysicalOperator for FusedPipelineOp {
     }
 
     fn next_block(&mut self, ctx: &mut ExecContext, out: &mut RowBatch) -> Result<bool, DbError> {
+        let before = out.len();
         if !self.source.next_block(ctx, out)? {
             return Ok(false);
         }
-        // Consumed-but-empty blocks surface as Ok(true) with empty `out`,
+        // Consumed blocks that appended nothing surface as Ok(true),
         // preserving block-counting parents' fill alignment.
-        self.note_batch(out.len());
+        self.note_batch(out.len() - before);
         Ok(true)
     }
 
@@ -1306,6 +1310,7 @@ impl PredictOperator {
                         flush(&mut batch);
                     }
                 }
+                fetch.clear();
             }
             flush(&mut batch);
         }

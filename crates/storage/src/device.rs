@@ -58,20 +58,12 @@ pub struct DeviceProfile {
 impl DeviceProfile {
     /// Magnetic disk: ~8 ms seek, 140 MB/s (paper §7.1.1).
     pub fn hdd() -> Self {
-        DeviceProfile {
-            name: "hdd".into(),
-            seek_latency_s: 8e-3,
-            bandwidth: 140e6,
-        }
+        Self::hdd_scaled(1.0)
     }
 
     /// NVMe-class SSD: ~0.1 ms latency, 1 GB/s (paper §7.1.1).
     pub fn ssd() -> Self {
-        DeviceProfile {
-            name: "ssd".into(),
-            seek_latency_s: 1e-4,
-            bandwidth: 1e9,
-        }
+        Self::ssd_scaled(1.0)
     }
 
     /// HDD profile for experiments scaled down by `scale`.
@@ -316,18 +308,12 @@ impl SimDevice {
 
     /// HDD with a cache of `cache_bytes`.
     pub fn hdd(cache_bytes: usize) -> Self {
-        Self::new(
-            DeviceProfile::hdd(),
-            CacheConfig::with_capacity(cache_bytes),
-        )
+        Self::hdd_scaled(1.0, cache_bytes)
     }
 
     /// SSD with a cache of `cache_bytes`.
     pub fn ssd(cache_bytes: usize) -> Self {
-        Self::new(
-            DeviceProfile::ssd(),
-            CacheConfig::with_capacity(cache_bytes),
-        )
+        Self::ssd_scaled(1.0, cache_bytes)
     }
 
     /// Scale-preserving HDD (see [`DeviceProfile::hdd_scaled`]).
@@ -364,8 +350,7 @@ impl SimDevice {
     /// Reset counters and cache (paper: "we clear the OS cache before
     /// running each experiment").
     pub fn reset(&mut self) {
-        self.resident.clear();
-        self.resident_bytes = 0;
+        self.drop_cache();
         self.stamp = 0;
         self.stats = IoStats::default();
     }

@@ -108,6 +108,9 @@ pub struct Page {
     /// Indices of the sparse rows' components; empty on an all-dense page.
     indices: Vec<u32>,
     extents: Vec<Extent>,
+    /// `Some(w)` when every row is known to be dense with `w` features: set
+    /// by `push`, and by `fill_ranked` from its sources'.
+    dense: Option<u32>,
     /// Label moments of the stored tuples.
     moments: LabelMoments,
 }
@@ -128,18 +131,19 @@ impl Page {
             values: Vec::new(),
             indices: Vec::new(),
             extents: Vec::new(),
+            dense: None,
             moments: LabelMoments::default(),
         }
-    }
-
-    /// True if this page was allocated as a jumbo page.
-    pub fn is_jumbo(&self) -> bool {
-        self.capacity > PAGE_SIZE
     }
 
     /// Number of tuples on the page.
     pub fn tuple_count(&self) -> usize {
         self.extents.len()
+    }
+
+    /// The id column, one per slot.
+    pub fn ids(&self) -> &[TupleId] {
+        &self.ids
     }
 
     /// Bytes currently used by tuple payloads (excluding the slot directory).
@@ -189,6 +193,8 @@ impl Page {
                 self.indices.reserve_exact(rows * values.len());
             }
         }
+        let same = self.extents.is_empty() || self.dense == Some(dim);
+        self.dense = (same && indices.is_none()).then_some(dim);
         self.extents.push(Extent {
             values: self.values.len() as u32,
             nnz: values.len() as u32,
@@ -205,33 +211,42 @@ impl Page {
     }
 
     /// Rebuild the page as a fill buffer rather than a heap page: the `j`-th
-    /// of `rows` becomes row `rank[j]`, read in sequence and written to its
-    /// place. The byte bound is lifted and the columns keep the allocations
-    /// of the last fill.
-    pub fn fill_ranked<'a>(
+    /// row of `runs` — pages, each with the slots of its rows, in sequence —
+    /// becomes row `rank[j]`, column by column, a page at a time. The byte
+    /// bound is lifted and the columns keep the allocations of the last fill.
+    /// Widths by rank come first, unless every row is dense of one width.
+    pub fn fill_ranked<'a, S: ExactSizeIterator<Item = usize> + Clone>(
         &mut self,
-        rows: impl Iterator<Item = TupleView<'a>> + Clone,
-        rank: &[u32],
+        runs: impl Iterator<Item = (&'a Page, S)> + Clone,
+        mut rank: &[u32],
     ) {
         let n = rank.len();
         (self.capacity, self.used, self.moments) = (usize::MAX, 0, LabelMoments::default());
-        // Widths by rank first, so that a running sum places every row.
+        let mut widths = runs.clone().map(|(page, _)| page.dense);
+        let first = widths.next().flatten();
+        self.dense = first.filter(|_| widths.all(|w| w == first));
+        let w = self.dense.unwrap_or(0);
         let unset = Extent {
             values: 0,
-            nnz: 0,
+            nnz: w,
             indices: DENSE,
-            dim: 0,
+            dim: w,
         };
         self.extents.clear();
         resize_exact(&mut self.extents, n, unset);
-        for (row, &to) in rows.clone().zip(rank) {
-            let (dim, indices, values) = columns(row.features);
-            self.extents[to as usize] = Extent {
-                nnz: values.len() as u32,
-                indices: indices.map_or(DENSE, |_| 0),
-                dim,
-                ..unset
-            };
+        if self.dense.is_none() {
+            let rows = runs
+                .clone()
+                .flat_map(|(page, slots)| slots.map(move |s| page.row(s)));
+            for (row, &to) in rows.zip(rank) {
+                let (dim, indices, values) = columns(row.features);
+                self.extents[to as usize] = Extent {
+                    nnz: values.len() as u32,
+                    indices: indices.map_or(DENSE, |_| 0),
+                    dim,
+                    ..unset
+                };
+            }
         }
         let (mut values, mut indices) = (0u32, 0u32);
         for e in &mut self.extents {
@@ -246,16 +261,25 @@ impl Page {
         resize_exact(&mut self.labels, n, 0.0);
         resize_exact(&mut self.values, values as usize, 0.0);
         resize_exact(&mut self.indices, indices as usize, 0);
-        for (row, &to) in rows.zip(rank) {
-            let (e, (_, indices, values)) = (self.extents[to as usize], columns(row.features));
-            self.ids[to as usize] = row.id;
-            self.labels[to as usize] = row.label;
-            self.values[e.values as usize..][..values.len()].copy_from_slice(values);
-            if let Some(indices) = indices {
-                self.indices[e.indices as usize..][..indices.len()].copy_from_slice(indices);
+        for (page, slots) in runs {
+            let to;
+            (to, rank) = rank.split_at(slots.len());
+            for (s, &r) in slots.clone().zip(to) {
+                self.ids[r as usize] = page.ids[s];
             }
-            self.used += row.encoded_len();
-            self.moments.add(row.label);
+            for (s, &r) in slots.clone().zip(to) {
+                self.labels[r as usize] = page.labels[s];
+                self.moments.add(page.labels[s]);
+            }
+            for (s, &r) in slots.zip(to) {
+                let (row, e) = (page.row(s), self.extents[r as usize]);
+                let (_, indices, values) = columns(row.features);
+                self.values[e.values as usize..][..values.len()].copy_from_slice(values);
+                if let Some(indices) = indices {
+                    self.indices[e.indices as usize..][..indices.len()].copy_from_slice(indices);
+                }
+                self.used += row.encoded_len();
+            }
         }
     }
 
@@ -351,7 +375,7 @@ mod tests {
         let t = Tuple::dense(0, vec![1.0; 4000], 1.0); // ~16 KB > PAGE_SIZE
         assert!(t.encoded_len() > PAGE_SIZE);
         let mut p = Page::new_jumbo(t.encoded_len() + 8);
-        assert!(p.is_jumbo());
+        assert!(p.disk_bytes() > PAGE_SIZE);
         p.push(t.view()).unwrap();
         assert_eq!(p.tuple(0), t);
     }
@@ -410,23 +434,54 @@ mod tests {
                 .map(|id| arb_tuple(id, (id % 7) as usize, id % 3 == 0))
                 .collect()
         };
-        let check = |p: &mut Page, rows: &[Tuple], stride: usize| {
-            let n = rows.len();
-            let rank: Vec<u32> = (0..n).map(|j| ((j * stride + 3) % n) as u32).collect();
-            p.fill_ranked(rows.iter().map(Tuple::view), &rank);
-            assert_eq!(p.tuple_count(), n);
-            for (row, &to) in rows.iter().zip(&rank) {
-                assert_eq!(p.row(to as usize), row.view());
+        // Lay `rows` out on heap pages, as a table does, and fill `p` from
+        // every slot but each fifth, as a scan's filter leaves its runs, in a
+        // permuted order. Returns the rows filled and which path they took.
+        let check = |p: &mut Page, rows: &[Tuple], seed: u64| {
+            let mut pages = vec![Page::new()];
+            for t in rows {
+                if !pages.last().unwrap().fits(t.encoded_len()) {
+                    pages.push(Page::new());
+                }
+                pages.last_mut().unwrap().push(t.view()).unwrap();
             }
-            let bytes: usize = rows.iter().map(Tuple::encoded_len).sum();
+            let runs: Vec<(&Page, Vec<usize>)> = pages
+                .iter()
+                .map(|page| {
+                    (
+                        page,
+                        (0..page.tuple_count()).filter(|s| s % 5 != 4).collect(),
+                    )
+                })
+                .filter(|(_, slots): &(_, Vec<_>)| !slots.is_empty())
+                .collect();
+            let kept: Vec<TupleView> = runs
+                .iter()
+                .flat_map(|(page, slots)| slots.iter().map(|&s| page.row(s)))
+                .collect();
+            let n = kept.len();
+            let mut rank: Vec<u32> = (0..n as u32).collect();
+            rank.sort_by_key(|&j| (u64::from(j) ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            p.fill_ranked(
+                runs.iter()
+                    .map(|(page, slots)| (*page, slots.iter().copied())),
+                &rank,
+            );
+            assert_eq!(p.tuple_count(), n);
+            for (row, &to) in kept.iter().zip(&rank) {
+                assert_eq!(p.row(to as usize), *row);
+            }
+            let bytes: usize = kept.iter().map(TupleView::encoded_len).sum();
             assert_eq!(p.used_bytes(), bytes);
             assert_eq!(p.label_moments().tuples, n as u64);
+            (n, p.dense)
         };
         // Far more than 8 KB of rows: a fill buffer has no byte bound.
         let mut p = Page::new();
-        check(&mut p, &mixed(1000), 7);
+        let (n, dense) = check(&mut p, &mixed(1000), 7);
+        assert_eq!(dense, None, "sparse and mixed rows go row by row");
         let caps = (p.ids.capacity(), p.values.capacity(), p.indices.capacity());
-        assert_eq!(caps.0, 1000, "sized to fit");
+        assert_eq!(caps.0, n, "sized to fit");
         // A smaller fill overwrites in place; one a row larger grows to fit
         // rather than doubling.
         check(&mut p, &mixed(331), 5);
@@ -434,9 +489,30 @@ mod tests {
             caps,
             (p.ids.capacity(), p.values.capacity(), p.indices.capacity())
         );
-        check(&mut p, &mixed(1001), 3);
-        assert_eq!(p.ids.capacity(), 1001);
+        let (n, _) = check(&mut p, &mixed(1002), 3);
+        assert_eq!(p.ids.capacity(), n);
         check(&mut p, &[], 1);
+        // Dense rows of one width — 28 features, or 3 as a projection leaves
+        // them — take the column-at-a-time path; one sparse row, or one dense
+        // row of another width, among them sends the fill down the general
+        // one. Either way every row reads back at its rank and the columns
+        // grow to fit.
+        let dense = |n: u64, width: usize| -> Vec<Tuple> {
+            (0..n).map(|id| arb_tuple(id, width, false)).collect()
+        };
+        let mut p = Page::new();
+        let (n, path) = check(&mut p, &dense(2000, 28), 11);
+        assert_eq!(path, Some(28));
+        assert_eq!((p.ids.capacity(), p.values.capacity()), (n, 28 * n));
+        assert_eq!(check(&mut p, &dense(700, 3), 13).1, Some(3));
+        let mut one_sparse = dense(2000, 28);
+        one_sparse[1234] = arb_tuple(1234, 28, true);
+        assert_eq!(check(&mut p, &one_sparse, 17).1, None);
+        let mut one_wider = dense(2000, 28);
+        one_wider[77] = arb_tuple(77, 29, false);
+        let (n, path) = check(&mut p, &one_wider, 19);
+        assert_eq!(path, None);
+        assert_eq!((p.ids.capacity(), p.values.capacity()), (n, 28 * n + 1));
     }
 
     proptest! {

@@ -46,7 +46,7 @@ use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::time::Instant;
 
-use corgipile_telemetry::{Histogram, Telemetry};
+use corgipile_telemetry::{SpanSite, Telemetry};
 
 /// Error surfaced on the consumer side of [`run_epoch_pipeline`].
 #[derive(Debug)]
@@ -97,7 +97,7 @@ enum Link<'a, T> {
 /// Producer-side handle: fill batches and hand them to the consumer.
 pub struct PipelineSender<'a, T> {
     link: Link<'a, T>,
-    telemetry: Telemetry,
+    fill_span: SpanSite,
     /// When the previous hand-off returned: the wall start of the fill
     /// being produced now.
     fill_started: Instant,
@@ -107,11 +107,11 @@ pub struct PipelineSender<'a, T> {
 }
 
 impl<'a, T> PipelineSender<'a, T> {
-    fn new(link: Link<'a, T>, telemetry: &Telemetry) -> Self {
+    fn new(link: Link<'a, T>, fill_span: SpanSite) -> Self {
         PipelineSender {
             link,
             fill_started: Instant::now(),
-            telemetry: telemetry.clone(),
+            fill_span,
             fills: 0,
             backpressure_wall_seconds: 0.0,
             hung_up: false,
@@ -134,11 +134,9 @@ impl<'a, T> PipelineSender<'a, T> {
         match &mut self.link {
             Link::Inline(consume) => self.hung_up = !consume(batch),
             Link::Lanes { filled, drained } => {
-                let mut span = self.telemetry.span("pipeline.fill");
-                span.backdate(self.fill_started);
-                span.add_sim_seconds(sim_seconds);
-                span.finish();
                 let blocked_at = Instant::now();
+                let wall = (blocked_at - self.fill_started).as_secs_f64();
+                self.fill_span.record(wall, sim_seconds);
                 // Either lane closing means the consumer has stopped.
                 self.hung_up = drained.recv().map_or(true, |other| {
                     std::mem::swap(batch, other);
@@ -179,7 +177,7 @@ where
 {
     let [building, spare] = batches;
     if !overlapped {
-        let mut sender = PipelineSender::new(Link::Inline(&mut consume), telemetry);
+        let mut sender = PipelineSender::new(Link::Inline(&mut consume), SpanSite::default());
         return match produce(building, &mut sender) {
             Ok(()) => Ok(PipelineReport::default()),
             Err(e) => Err(PipelineError::Producer(e)),
@@ -190,13 +188,13 @@ where
     let (filled, full) = channel::<&mut T>();
     let (back, drained) = channel::<&mut T>();
     back.send(spare).expect("the receiver is alive right here");
-    // Resolved per epoch, not per stall: how often the consumer waits is
-    // timing, and what a statement allocates must not depend on it.
-    let stall = ["pipeline.stall.wall_seconds", "pipeline.stall.sim_seconds"]
-        .map(|name| telemetry.histogram(name));
+    // Resolved per epoch, not per stall or per fill: how often the consumer
+    // waits is timing, and what a statement allocates must not depend on it.
+    let stall = telemetry.span_site("pipeline.stall");
+    let fill_span = telemetry.span_site("pipeline.fill");
     std::thread::scope(|scope| {
         let producer = scope.spawn(move || {
-            let mut sender = PipelineSender::new(Link::Lanes { filled, drained }, telemetry);
+            let mut sender = PipelineSender::new(Link::Lanes { filled, drained }, fill_span);
             let outcome = produce(building, &mut sender);
             (outcome, sender.fills, sender.backpressure_wall_seconds)
         });
@@ -235,7 +233,7 @@ where
 /// Receive one batch, charging any wait to the `pipeline.stall` pair.
 fn recv_with_stall<T>(
     rx: &Receiver<T>,
-    [wall, sim]: &[Histogram; 2],
+    stall: &SpanSite,
     report: &mut PipelineReport,
 ) -> Option<T> {
     // Fast path: a batch is already waiting, or none ever will be.
@@ -249,8 +247,7 @@ fn recv_with_stall<T>(
     if got.is_some() {
         let waited = waited_from.elapsed().as_secs_f64();
         report.stall_wall_seconds += waited;
-        wall.record(waited);
-        sim.record(0.0);
+        stall.record(waited, 0.0);
     }
     got
 }

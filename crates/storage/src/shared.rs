@@ -106,13 +106,7 @@ impl DeviceHandle {
     /// Wrap an exclusively owned device (single-connection use: tests,
     /// tools). The handle inherits the device's attached telemetry.
     pub fn private(dev: SimDevice) -> Self {
-        let telemetry = BoundTelemetry::new(dev.telemetry().clone());
-        DeviceHandle {
-            inner: Arc::new(Mutex::new(dev)),
-            injector: None,
-            telemetry,
-            local: IoStats::default(),
-        }
+        SharedDevice::new(dev).handle()
     }
 
     /// Run `f` against the device with this connection's fault plan and

@@ -33,7 +33,7 @@ pub use export::{json_escape, json_f64, to_json, to_prometheus};
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, BUCKET_BOUNDS,
 };
-pub use span::Span;
+pub use span::{Span, SpanSite};
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -101,15 +101,21 @@ impl Telemetry {
 
     /// Start a span guard; on drop it records wall seconds into
     /// `<name>.wall_seconds` and accumulated sim seconds into
-    /// `<name>.sim_seconds`.
+    /// `<name>.sim_seconds`. Resolves both names on every call: a site that
+    /// opens a span per fill resolves a [`Telemetry::span_site`] once instead.
     pub fn span(&self, name: &str) -> Span {
+        self.span_site(name).start()
+    }
+
+    /// Resolve the histogram pair of the span `name` once, for
+    /// [`SpanSite::start`] to open spans on without a lookup.
+    pub fn span_site(&self, name: &str) -> SpanSite {
         match &self.inner {
-            Some(_) => Span::new(
+            Some(_) => SpanSite::new(
                 self.histogram(&format!("{name}.wall_seconds")),
                 self.histogram(&format!("{name}.sim_seconds")),
-                true,
             ),
-            None => Span::noop(),
+            None => SpanSite::default(),
         }
     }
 

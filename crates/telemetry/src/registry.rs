@@ -15,6 +15,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// The cell named `name`, looked up by `&str`: the name is copied into a
+/// `String` only when the cell is created.
+fn resolve<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = lock(map);
+    match map.get(name) {
+        Some(cell) => Arc::clone(cell),
+        None => Arc::clone(map.entry(name.to_string()).or_default()),
+    }
+}
+
 /// Monotonically increasing event count.
 #[derive(Debug, Clone, Default)]
 pub struct Counter(pub(crate) Option<Arc<AtomicU64>>);
@@ -233,21 +243,15 @@ impl MetricsRegistry {
     }
 
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = lock(&self.counters);
-        let cell = map.entry(name.to_string()).or_default();
-        Counter(Some(Arc::clone(cell)))
+        Counter(Some(resolve(&self.counters, name)))
     }
 
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = lock(&self.gauges);
-        let cell = map.entry(name.to_string()).or_default();
-        Gauge(Some(Arc::clone(cell)))
+        Gauge(Some(resolve(&self.gauges, name)))
     }
 
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = lock(&self.histograms);
-        let cell = map.entry(name.to_string()).or_default();
-        Histogram(Some(Arc::clone(cell)))
+        Histogram(Some(resolve(&self.histograms, name)))
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {

@@ -27,11 +27,12 @@ bash scripts/loc.sh
 banner "Golden bits (model bits pinned across commits, release arithmetic)"
 cargo test --release --test golden_bits
 
-banner "Allocation budget (scans allocate per block and per fill, never per row)"
+banner "Allocation budget (scans allocate per block and per epoch, never per fill or row)"
 cargo test --release --test alloc_budget
 
-banner "Two buffers (at most two batches alive; a slab fill is the key-sorted window)"
-cargo test --release -p corgipile-storage -p corgipile-db --lib -- pipeline:: exec::
+banner "Two buffers and the fill (two batches alive; slab = key-sorted window; fill_ranked; rank_by_key; spans)"
+cargo test --release -p corgipile-storage -p corgipile-db -p corgipile-data --lib -- pipeline:: exec:: page:: rng::
+cargo test --release -p corgipile-telemetry
 
 banner "Concurrency stress (N sessions over one engine, bit-identical)"
 cargo test --release --test concurrent_sessions
