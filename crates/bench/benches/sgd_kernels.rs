@@ -1,10 +1,10 @@
-//! Criterion: per-tuple gradient kernels — the compute inner loops whose
-//! costs the simulated clock models (dense vs sparse vs MLP).
+//! Criterion: per-tuple gradient kernels, each step's returned loss kept as
+//! the trainer keeps it — the inner loops the simulated clock models.
 
 use corgipile_data::{DatasetSpec, Order};
 use corgipile_ml::{build_model, ModelKind};
 use corgipile_storage::Tuple;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 fn tuples_for(spec: corgipile_data::DatasetSpec) -> Vec<Tuple> {
     spec.with_order(Order::Shuffled).build(1).train
@@ -24,7 +24,7 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             let t = &dense[i % dense.len()];
             i += 1;
-            m.sgd_step(t.features.view(), t.label, 0.01);
+            black_box(m.sgd_step(t.features.view(), t.label, 0.01));
         });
     });
 
@@ -34,7 +34,7 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             let t = &wide[i % wide.len()];
             i += 1;
-            m.sgd_step(t.features.view(), t.label, 0.01);
+            black_box(m.sgd_step(t.features.view(), t.label, 0.01));
         });
     });
 
@@ -44,7 +44,7 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             let t = &sparse[i % sparse.len()];
             i += 1;
-            m.sgd_step(t.features.view(), t.label, 0.01);
+            black_box(m.sgd_step(t.features.view(), t.label, 0.01));
         });
     });
 
@@ -62,7 +62,7 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             let t = &cifar[i % cifar.len()];
             i += 1;
-            m.sgd_step(t.features.view(), t.label, 0.01);
+            black_box(m.sgd_step(t.features.view(), t.label, 0.01));
         });
     });
     group.finish();

@@ -21,13 +21,14 @@
 //! * **Kernel stage.** One of two accumulators carried across the epoch's
 //!   fills: [`PerTupleTrainer`] (standard SGD, lazy L2 decay) when
 //!   `batch_size <= 1` under plain SGD, else a [`MinibatchTrainer`] whose
-//!   batches span fill boundaries. It is entered once per fill.
+//!   batches span fill boundaries. Each row gets one model call, whose
+//!   forward pass also yields the row's pre-update loss.
 //! * **Clock.** Each fill is charged the per-tuple sum of the model's FLOP
-//!   estimates. `batched_dispatch` selects the dispatch-cost rule — the
-//!   invocation overhead once per tuple ([`ComputeCostModel::seconds`]) or
-//!   once per fill ([`ComputeCostModel::seconds_batched`]) — and nothing
-//!   else. Per-fill I/O and compute then go through the analytic
-//!   [`DoubleBufferModel`].
+//!   estimates, added in the walk that feeds the kernel. `batched_dispatch`
+//!   selects the dispatch-cost rule — the invocation overhead once per tuple
+//!   ([`ComputeCostModel::seconds`]) or once per fill
+//!   ([`ComputeCostModel::seconds_batched`]) — and nothing else. Per-fill
+//!   I/O and compute then go through the analytic [`DoubleBufferModel`].
 //! * **Hook.** [`EpochSource::epoch_done`] sees the settled epoch (and the
 //!   model) to evaluate, record, emit telemetry, or halt the run.
 //! * **Checkpoint.** Only when a sink is set, a [`TrainCheckpoint`] is
@@ -291,13 +292,14 @@ impl EpochDriver {
                     if compute.len() <= fill.slot {
                         compute.resize(fill.slot + 1, 0.0);
                     }
-                    // One charge per run of equal width, added once per row:
-                    // the same f64 additions in the same order as asking the
-                    // model and the cost model row by row.
+                    // One walk: each row adds its charge — one per run of
+                    // equal width, the same f64 additions in the same order
+                    // as asking the cost model row by row — then trains.
                     let charged = &mut compute[fill.slot];
                     let mut sum = if batched { 0.0 } else { *charged };
                     let (mut width, mut each) = (usize::MAX, 0.0f64);
-                    for nnz in fill.batch.rows().map(|t| t.features.nnz()) {
+                    for t in fill.batch.rows() {
+                        let nnz = t.features.nnz();
                         if nnz != width {
                             width = nnz;
                             each = model.flops_per_example(nnz);
@@ -306,19 +308,15 @@ impl EpochDriver {
                             }
                         }
                         sum += each;
+                        match &mut stage {
+                            KernelStage::PerTuple(pt) => pt.feed(model, t),
+                            KernelStage::Minibatch(mb) => mb.feed(model, optimizer, t),
+                        }
                     }
                     if batched {
                         sum = *charged + cost.seconds_batched(sum);
                     }
                     *charged = sum;
-                    match &mut stage {
-                        KernelStage::PerTuple(pt) => pt.feed(model, fill.batch.rows()),
-                        KernelStage::Minibatch(mb) => {
-                            for t in fill.batch.rows() {
-                                mb.feed(model, optimizer, t);
-                            }
-                        }
-                    }
                     true
                 },
             );
@@ -377,5 +375,137 @@ impl EpochDriver {
             }
         }
         Ok(run)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use corgipile_ml::{build_model, ModelKind, OptimizerKind};
+
+    /// Sparse rows of three widths, in fills whose width changes mid-fill;
+    /// slot 1 takes two fills, so its charge accumulates across them.
+    fn mixed_fills() -> Vec<(usize, Vec<Tuple>)> {
+        let widths: [(usize, &[usize]); 4] = [
+            (0, &[3, 3, 7, 7, 7, 12]),
+            (1, &[12, 3, 12, 7]),
+            (1, &[7, 7, 3]),
+            (2, &[3, 12, 12, 12, 7, 3]),
+        ];
+        let mut id = 0;
+        widths
+            .iter()
+            .map(|&(slot, nnzs)| {
+                let rows = nnzs.iter().map(|&nnz| {
+                    id += 1;
+                    let idx: Vec<u32> = (0..nnz as u32).map(|j| j * 3).collect();
+                    let vals = idx.iter().map(|&j| (j as f32 - 10.0) / 7.0).collect();
+                    let label = if id % 2 == 0 { 1.0 } else { -1.0 };
+                    Tuple::sparse(id, 40, idx, vals, label)
+                });
+                (slot, rows.collect())
+            })
+            .collect()
+    }
+
+    /// Epoch 0 streams every fill; epoch `e > 0` streams fill `e − 1` alone,
+    /// so that epoch's compute total is exactly that fill's slot charge.
+    struct MixedSource {
+        fills: Vec<(usize, Vec<Tuple>)>,
+        compute: Vec<f64>,
+    }
+
+    impl EpochSource for MixedSource {
+        type Batch = Vec<Tuple>;
+        type Error = StorageError;
+
+        fn replay(&mut self, _epochs: usize) -> Result<(), StorageError> {
+            Ok(())
+        }
+
+        fn stream_epoch(
+            &mut self,
+            epoch: usize,
+            fill: &mut Fill<Vec<Tuple>>,
+            emit: &mut dyn FnMut(&mut Fill<Vec<Tuple>>) -> bool,
+        ) -> Result<EpochIo, StorageError> {
+            let picked = if epoch == 0 {
+                0..self.fills.len()
+            } else {
+                epoch - 1..epoch
+            };
+            for (slot, rows) in &self.fills[picked] {
+                fill.slot = *slot;
+                fill.batch.clone_from(rows);
+                if !emit(fill) {
+                    break;
+                }
+            }
+            Ok(EpochIo::default())
+        }
+
+        fn epoch_done(&mut self, epoch: EpochOutcome<'_>) -> ControlFlow<()> {
+            self.compute.push(epoch.compute_seconds);
+            ControlFlow::Continue(())
+        }
+    }
+
+    /// Each slot's charge as the clock used to add it, in a walk of its own:
+    /// `seconds(flops, 1)` per row, or `seconds_batched(Σ flops)` per fill.
+    fn per_row_charges(
+        model: &dyn Model,
+        cost: ComputeCostModel,
+        batched: bool,
+        fills: &[(usize, Vec<Tuple>)],
+    ) -> Vec<f64> {
+        let mut slots = vec![0.0f64; 3];
+        for (slot, rows) in fills {
+            let flops = rows
+                .iter()
+                .map(|t| model.flops_per_example(t.features.nnz()));
+            if batched {
+                slots[*slot] += cost.seconds_batched(flops.fold(0.0, |a, f| a + f));
+            } else {
+                for f in flops {
+                    slots[*slot] += cost.seconds(f, 1);
+                }
+            }
+        }
+        slots
+    }
+
+    #[test]
+    fn one_walk_charges_each_slot_exactly_like_the_per_row_sum() {
+        let fills = mixed_fills();
+        let cost = ComputeCostModel::in_db_core();
+        for batched in [false, true] {
+            for options in [TrainOptions::default(), TrainOptions::minibatch(4)] {
+                let mut driver = EpochDriver::new(
+                    build_model(&ModelKind::LogisticRegression, 40, 1),
+                    OptimizerKind::default_sgd(0.1).build(),
+                    options.clone(),
+                    cost,
+                    1 + fills.len(),
+                    false,
+                );
+                driver.batched_dispatch = batched;
+                let mut source = MixedSource {
+                    fills: fills.clone(),
+                    compute: Vec::new(),
+                };
+                driver
+                    .run(&Telemetry::disabled(), &mut source, None)
+                    .unwrap();
+                let want = per_row_charges(driver.model.as_ref(), cost, batched, &fills);
+                let total: f64 = want.iter().sum();
+                let ctx = format!("batched {batched}, {options:?}");
+                assert_eq!(source.compute[0].to_bits(), total.to_bits(), "{ctx}");
+                for (i, (slot, _)) in fills.iter().enumerate() {
+                    let alone =
+                        per_row_charges(driver.model.as_ref(), cost, batched, &fills[i..=i])[*slot];
+                    assert_eq!(source.compute[1 + i].to_bits(), alone.to_bits(), "{ctx}");
+                }
+            }
+        }
     }
 }

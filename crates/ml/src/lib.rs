@@ -42,3 +42,6 @@ pub use sgd::{
     PerTupleTrainer, TrainOptions,
 };
 pub use softmax::SoftmaxRegression;
+
+#[cfg(test)]
+mod proptests;

@@ -49,22 +49,22 @@ impl LinearModel {
         x.dot(&self.params[..self.dim]) + self.params[self.dim]
     }
 
-    /// dLoss/dScore at `(x, y)`.
-    fn dloss_dscore(&self, s: f32, y: f32) -> f32 {
+    /// The loss and dLoss/dScore at score `s`, label `y`: the one place
+    /// either formula lives.
+    fn loss_and_slope(&self, s: f32, y: f32) -> (f64, f32) {
+        let (s64, y64) = (s as f64, y as f64);
         match self.task {
             LinearTask::Logistic => {
-                // −y·σ(−y·s); numerically stable for large |s|.
-                let z = (y * s) as f64;
-                (-(y as f64) / (1.0 + z.exp())) as f32
+                // ln(1 + e^{−ys}) and −y·σ(−y·s), both stable for large |s|.
+                let z = -y64 * s64;
+                let loss = if z > 30.0 { z } else { z.exp().ln_1p() };
+                (loss, (-y64 / (1.0 + ((y * s) as f64).exp())) as f32)
             }
             LinearTask::Hinge => {
-                if y * s < 1.0 {
-                    -y
-                } else {
-                    0.0
-                }
+                let slope = if y * s < 1.0 { -y } else { 0.0 };
+                ((1.0 - y64 * s64).max(0.0), slope)
             }
-            LinearTask::Squared => s - y,
+            LinearTask::Squared => (0.5 * (s64 - y64) * (s64 - y64), s - y),
         }
     }
 }
@@ -83,40 +83,26 @@ impl Model for LinearModel {
     }
 
     fn loss(&self, x: FeatureView<'_>, y: f32) -> f64 {
-        let s = self.score(x) as f64;
-        let y = y as f64;
-        match self.task {
-            LinearTask::Logistic => {
-                // ln(1 + e^{−ys}) computed stably.
-                let z = -y * s;
-                if z > 30.0 {
-                    z
-                } else {
-                    z.exp().ln_1p()
-                }
-            }
-            LinearTask::Hinge => (1.0 - y * s).max(0.0),
-            LinearTask::Squared => 0.5 * (s - y) * (s - y),
-        }
+        self.loss_and_slope(self.score(x), y).0
     }
 
-    fn grad(&self, x: FeatureView<'_>, y: f32, grad: &mut [f32]) {
-        let g = self.dloss_dscore(self.score(x), y);
-        if g == 0.0 {
-            return;
+    fn grad(&self, x: FeatureView<'_>, y: f32, grad: &mut [f32]) -> f64 {
+        let (loss, g) = self.loss_and_slope(self.score(x), y);
+        if g != 0.0 {
+            x.axpy_into(g, &mut grad[..self.dim]);
+            grad[self.dim] += g;
         }
-        x.axpy_into(g, &mut grad[..self.dim]);
-        grad[self.dim] += g;
+        loss
     }
 
-    fn sgd_step(&mut self, x: FeatureView<'_>, y: f32, lr: f32) {
+    fn sgd_step(&mut self, x: FeatureView<'_>, y: f32, lr: f32) -> f64 {
         // Sparse fast path: touch only the non-zero coordinates.
-        let g = self.dloss_dscore(self.score(x), y);
-        if g == 0.0 {
-            return;
+        let (loss, g) = self.loss_and_slope(self.score(x), y);
+        if g != 0.0 {
+            x.axpy_into(-lr * g, &mut self.params[..self.dim]);
+            self.params[self.dim] -= lr * g;
         }
-        x.axpy_into(-lr * g, &mut self.params[..self.dim]);
-        self.params[self.dim] -= lr * g;
+        loss
     }
 
     fn predict_label(&self, x: FeatureView<'_>) -> f32 {

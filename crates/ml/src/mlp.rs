@@ -9,7 +9,7 @@
 //! MLP preserves the experiment while keeping runs laptop-sized.
 
 use crate::model::Model;
-use crate::softmax::softmax;
+use crate::softmax::{cross_entropy, softmax};
 use corgipile_storage::{dense_axpy, dense_dot, FeatureView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -121,13 +121,13 @@ impl Model for Mlp {
     }
 
     fn loss(&self, x: FeatureView<'_>, y: f32) -> f64 {
-        let p = softmax(&self.logits(x));
-        -(p[y as usize].max(1e-12) as f64).ln()
+        cross_entropy(&softmax(&self.logits(x)), y)
     }
 
-    fn grad(&self, x: FeatureView<'_>, y: f32, grad: &mut [f32]) {
+    fn grad(&self, x: FeatureView<'_>, y: f32, grad: &mut [f32]) -> f64 {
         let (acts, logits) = self.forward(x);
         let p = softmax(&logits);
+        let loss = cross_entropy(&p, y);
         // dL/dz for the output layer.
         let mut delta: Vec<f32> = p;
         delta[y as usize] -= 1.0;
@@ -164,6 +164,7 @@ impl Model for Mlp {
                 delta = prev;
             }
         }
+        loss
     }
 
     fn predict_label(&self, x: FeatureView<'_>) -> f32 {

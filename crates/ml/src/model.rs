@@ -14,6 +14,10 @@ use corgipile_storage::{FeatureVec, FeatureView};
 ///   with a sparse-aware update (one `axpy` per tuple — the path the paper's
 ///   per-tuple UDA/operator implementations take);
 /// * a FLOP estimate for the simulated compute clock.
+///
+/// The gradient and the step return the loss of the forward pass they
+/// already ran, so a trainer pays one forward pass per row; it is
+/// bit-identical to [`Model::loss`] called just before.
 pub trait Model: Send + Sync {
     /// Number of parameters.
     fn num_params(&self) -> usize;
@@ -28,19 +32,22 @@ pub trait Model: Send + Sync {
     fn loss(&self, x: FeatureView<'_>, y: f32) -> f64;
 
     /// Accumulate the per-example gradient into `grad` (length
-    /// [`Model::num_params`]). Does **not** zero `grad` first.
-    fn grad(&self, x: FeatureView<'_>, y: f32, grad: &mut [f32]);
+    /// [`Model::num_params`]) and return the loss. Does **not** zero `grad`
+    /// first.
+    fn grad(&self, x: FeatureView<'_>, y: f32, grad: &mut [f32]) -> f64;
 
-    /// Fused single-example SGD step: `params -= lr * ∇loss`.
+    /// Fused single-example SGD step: `params -= lr * ∇loss`; returns the
+    /// loss before the update.
     ///
     /// The default materializes a dense gradient; linear models override it
     /// with a sparse update.
-    fn sgd_step(&mut self, x: FeatureView<'_>, y: f32, lr: f32) {
+    fn sgd_step(&mut self, x: FeatureView<'_>, y: f32, lr: f32) -> f64 {
         let mut g = vec![0.0f32; self.num_params()];
-        self.grad(x, y, &mut g);
+        let loss = self.grad(x, y, &mut g);
         for (p, gi) in self.params_mut().iter_mut().zip(&g) {
             *p -= lr * gi;
         }
+        loss
     }
 
     /// Predicted label: sign (±1) for binary classifiers, class index for

@@ -130,17 +130,19 @@ where
     I::Item: Into<TupleView<'a>>,
 {
     let mut pt = PerTupleTrainer::new(opt.lr(), &TrainOptions::default());
-    pt.feed(model, tuples);
+    for t in tuples {
+        pt.feed(model, t.into());
+    }
     pt.finish()
 }
 
 /// Incremental per-tuple SGD: the per-tuple twin of [`MinibatchTrainer`].
 ///
-/// Feed an epoch's stream in any grouping (one buffer fill at a time); the
-/// loss accumulator and the lazy weight-decay stride carry across groups,
-/// so any segmentation of the same sequence yields bit-identical models
-/// and stats. L2 is a lazy weight decay; with `l2 = 0` the decay branch is
-/// never taken.
+/// Feed an epoch's stream a tuple at a time, across any number of buffer
+/// fills; the loss accumulator and the lazy weight-decay stride carry
+/// across them, so any segmentation of the same sequence yields
+/// bit-identical models and stats. L2 is a lazy weight decay; with
+/// `l2 = 0` the decay branch is never taken.
 #[derive(Debug)]
 pub struct PerTupleTrainer {
     lr: f32,
@@ -162,20 +164,14 @@ impl PerTupleTrainer {
         }
     }
 
-    /// Train on `tuples` in order: pre-update loss, then one fused step.
-    pub fn feed<'a, I>(&mut self, model: &mut dyn Model, tuples: I)
-    where
-        I: IntoIterator,
-        I::Item: Into<TupleView<'a>>,
-    {
-        for t in tuples.into_iter().map(Into::into) {
-            self.loss_sum += model.loss(t.features, t.label);
-            model.sgd_step(t.features, t.label, self.lr);
-            self.n += 1;
-            if self.l2 > 0.0 && self.n.is_multiple_of(L2_STRIDE) {
-                for p in model.params_mut() {
-                    *p *= self.decay_stride;
-                }
+    /// Train on one tuple: one fused step, whose pre-update loss joins the
+    /// running sum.
+    pub fn feed(&mut self, model: &mut dyn Model, t: TupleView<'_>) {
+        self.loss_sum += model.sgd_step(t.features, t.label, self.lr);
+        self.n += 1;
+        if self.l2 > 0.0 && self.n.is_multiple_of(L2_STRIDE) {
+            for p in model.params_mut() {
+                *p *= self.decay_stride;
             }
         }
     }
@@ -227,8 +223,7 @@ impl MinibatchTrainer {
 
     /// Accumulate one tuple, stepping the optimizer on batch boundaries.
     pub fn feed(&mut self, model: &mut dyn Model, opt: &mut dyn Optimizer, t: TupleView<'_>) {
-        self.loss_sum += model.loss(t.features, t.label);
-        model.grad(t.features, t.label, &mut self.grad);
+        self.loss_sum += model.grad(t.features, t.label, &mut self.grad);
         self.in_batch += 1;
         self.n += 1;
         if self.in_batch == self.options.batch_size {
@@ -388,7 +383,10 @@ mod tests {
         let mut reg = LinearModel::new(2, LinearTask::Logistic);
         let opt = Sgd::new(0.1, 1.0);
         train_per_tuple(&mut plain, &opt, &data);
-        PerTupleTrainer::new(opt.lr(), &TrainOptions::default().with_l2(0.5)).feed(&mut reg, &data);
+        let mut pt = PerTupleTrainer::new(opt.lr(), &TrainOptions::default().with_l2(0.5));
+        for t in &data {
+            pt.feed(&mut reg, t.view());
+        }
         let norm = |m: &LinearModel| m.params().iter().map(|p| p * p).sum::<f32>();
         assert!(
             norm(&reg) < norm(&plain),
@@ -421,13 +419,17 @@ mod tests {
         let opt = Sgd::new(0.05, 1.0);
         let mut whole = LinearModel::new(2, LinearTask::Logistic);
         let mut pt = PerTupleTrainer::new(opt.lr(), &opts);
-        pt.feed(&mut whole, &data);
+        for t in &data {
+            pt.feed(&mut whole, t.view());
+        }
         let want = pt.finish();
         for cut in [1usize, 7, 16, 33] {
             let mut m = LinearModel::new(2, LinearTask::Logistic);
             let mut pt = PerTupleTrainer::new(opt.lr(), &opts);
             for fill in data.chunks(cut) {
-                pt.feed(&mut m, fill);
+                for t in fill {
+                    pt.feed(&mut m, t.view());
+                }
             }
             let got = pt.finish();
             assert_eq!(m.params(), whole.params(), "cut {cut}");

@@ -53,6 +53,11 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
     exps.into_iter().map(|e| (e / sum) as f32).collect()
 }
 
+/// Cross-entropy of probabilities `p` at class label `y`.
+pub(crate) fn cross_entropy(p: &[f32], y: f32) -> f64 {
+    -(p[y as usize].max(1e-12) as f64).ln()
+}
+
 impl Model for SoftmaxRegression {
     fn num_params(&self) -> usize {
         self.params.len()
@@ -67,13 +72,11 @@ impl Model for SoftmaxRegression {
     }
 
     fn loss(&self, x: FeatureView<'_>, y: f32) -> f64 {
-        let p = self.probabilities(x);
-        let c = y as usize;
-        debug_assert!(c < self.classes, "label {y} out of range");
-        -(p[c].max(1e-12) as f64).ln()
+        debug_assert!((y as usize) < self.classes, "label {y} out of range");
+        cross_entropy(&self.probabilities(x), y)
     }
 
-    fn grad(&self, x: FeatureView<'_>, y: f32, grad: &mut [f32]) {
+    fn grad(&self, x: FeatureView<'_>, y: f32, grad: &mut [f32]) -> f64 {
         let p = self.probabilities(x);
         let target = y as usize;
         let (gw, gb) = grad.split_at_mut(self.classes * self.dim);
@@ -84,9 +87,10 @@ impl Model for SoftmaxRegression {
                 gb[c] += coeff;
             }
         }
+        cross_entropy(&p, y)
     }
 
-    fn sgd_step(&mut self, x: FeatureView<'_>, y: f32, lr: f32) {
+    fn sgd_step(&mut self, x: FeatureView<'_>, y: f32, lr: f32) -> f64 {
         let p = self.probabilities(x);
         let target = y as usize;
         let dim = self.dim;
@@ -98,6 +102,7 @@ impl Model for SoftmaxRegression {
                 b[c] -= lr * coeff;
             }
         }
+        cross_entropy(&p, y)
     }
 
     fn predict_label(&self, x: FeatureView<'_>) -> f32 {

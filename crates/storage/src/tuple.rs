@@ -20,17 +20,17 @@ pub type TupleId = u64;
 
 /// Number of lanes the dense kernels process per unrolled iteration.
 ///
-/// Eight `f32` lanes fill one AVX2 register; the independent-accumulator
-/// form below is what LLVM's autovectorizer turns into packed FMAs without
-/// any explicit SIMD intrinsics (and without new dependencies).
+/// The workspace sets no `target-cpu`, so it builds for baseline x86-64:
+/// SSE2, where the autovectorizer turns eight lanes into two 4-lane
+/// accumulators with a separate multiply and add (no AVX2, no FMA).
 pub const DENSE_LANES: usize = 8;
 
 /// Unrolled dense dot product over `min(x.len(), w.len())` components.
 ///
-/// Eight independent accumulators break the serial dependency chain of the
-/// naive `fold`, letting the autovectorizer emit packed multiply-adds. The
-/// summation order differs from [`dense_dot_scalar`], so results may differ
-/// by normal float rounding; both are deterministic.
+/// Eight accumulators break the naive `fold`'s dependency chain and sum in
+/// another order than [`dense_dot_scalar`]; both are deterministic.
+/// More accumulators or a fused multiply-add would reorder it again: that
+/// moves every trained bit, so it is a deliberate change of its own.
 #[inline]
 pub fn dense_dot(x: &[f32], w: &[f32]) -> f32 {
     let n = x.len().min(w.len());

@@ -34,6 +34,9 @@ banner "Two buffers and the fill (two batches alive; slab = key-sorted window; f
 cargo test --release -p corgipile-storage -p corgipile-db -p corgipile-data --lib -- pipeline:: exec:: page:: rng::
 cargo test --release -p corgipile-telemetry
 
+banner "Model and driver lib tests (gradient checks, returned loss, one walk per fill)"
+cargo test --release -p corgipile-ml -p corgipile-core --lib
+
 banner "Concurrency stress (N sessions over one engine, bit-identical)"
 cargo test --release --test concurrent_sessions
 

@@ -10,8 +10,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CORE_DB_CEILING=8047
-ML_CEILING=1477
+CORE_DB_CEILING=8046
+ML_CEILING=1472
 STORAGE_CEILING=5133
 BENCH_CEILING=2797
 
