@@ -1,9 +1,7 @@
 //! Criterion: the full CorgiPile stack — library trainer epochs, the
 //! one-loader double-buffered stream, and multi-worker epochs.
 
-use corgipile_core::{
-    EpochSource, Fill, ParallelConfig, ParallelSource, SimulatedBlocks, Trainer, TrainerConfig,
-};
+use corgipile_core::{EpochSource, Fill, ParallelConfig, ParallelSource, Trainer, TrainerConfig};
 use corgipile_data::{DatasetSpec, Order};
 use corgipile_ml::{ModelKind, OptimizerKind};
 use corgipile_shuffle::StrategyKind;
@@ -57,12 +55,8 @@ fn bench_threaded_loader(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("one_loader_thread", |b| {
         b.iter(|| {
-            let reader = SimulatedBlocks {
-                table: &table,
-                device: SimDevice::in_memory(),
-            };
             let mut count = 0usize;
-            ParallelSource::new(reader, workers(1), 128, 3)
+            ParallelSource::new(&table, workers(1), 128, 3)
                 .stream_epoch(0, &mut Fill::default(), &mut |fill| {
                     count += fill.batch.len();
                     true

@@ -3,9 +3,7 @@
 //! vs single-buffer CorgiPile).
 
 use corgipile_data::{DatasetSpec, Order};
-use corgipile_db::{
-    BlockShuffleOp, ExecContext, PhysicalOperator, ScanOrder, SgdOperator, TupleShuffleOp,
-};
+use corgipile_db::{BlockShuffleOp, ExecContext, SgdOperator, StrategyKind};
 use corgipile_ml::{build_model, ComputeCostModel, ModelKind, OptimizerKind, TrainOptions};
 use corgipile_shuffle::StrategyParams;
 use corgipile_storage::{DeviceHandle, SimDevice, Table};
@@ -23,20 +21,16 @@ fn table() -> Arc<Table> {
 }
 
 fn run_epoch(table: &Arc<Table>, plan: &str, double: bool) -> f64 {
-    let child: Box<dyn PhysicalOperator> = match plan {
-        "no" => Box::new(BlockShuffleOp::new(table.clone(), ScanOrder::Sequential, 1)),
-        _ => Box::new(TupleShuffleOp::new(
-            Box::new(BlockShuffleOp::new(
-                table.clone(),
-                ScanOrder::RandomBlocks,
-                1,
-            )),
-            table.num_blocks().div_ceil(10).max(1),
-            StrategyParams::default(),
-        )),
+    let kind = match plan {
+        "no" => StrategyKind::NoShuffle,
+        _ => StrategyKind::CorgiPile,
     };
     let op = SgdOperator::new(
-        child,
+        Box::new(BlockShuffleOp::new(
+            table.clone(),
+            kind,
+            StrategyParams::default(),
+        )),
         build_model(&ModelKind::Svm, 28, 1),
         OptimizerKind::default_sgd(0.02).build(),
         TrainOptions::default(),

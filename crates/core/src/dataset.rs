@@ -13,21 +13,22 @@
 //! [`CorgiPileConfig`] and hands out one shuffled epoch iterator at a time.
 
 use crate::config::CorgiPileConfig;
-use corgipile_shuffle::{CorgiPile, ShuffleStrategy};
+use corgipile_shuffle::{BlockStrategy, ShuffleStrategy, StrategyKind};
 use corgipile_storage::{SimDevice, Table, Tuple};
 
 /// A dataset wrapper providing per-epoch two-level-shuffled iterators.
 pub struct CorgiPileDataset {
     table: Table,
     config: CorgiPileConfig,
-    strategy: CorgiPile,
+    strategy: BlockStrategy,
     epoch: usize,
 }
 
 impl CorgiPileDataset {
     /// Wrap a table.
     pub fn new(table: Table, config: CorgiPileConfig) -> Self {
-        let strategy = CorgiPile::new(config.strategy_params(), config.sample_mode);
+        let strategy = BlockStrategy::new(StrategyKind::CorgiPile, config.strategy_params())
+            .with_sample_mode(config.sample_mode);
         CorgiPileDataset {
             table,
             config,

@@ -39,37 +39,11 @@ use corgipile_ml::{
     ComputeCostModel, EpochStats, MinibatchTrainer, Model, Optimizer, PerTupleTrainer,
     TrainCheckpoint, TrainOptions,
 };
+pub use corgipile_shuffle::Fill;
 use corgipile_storage::{
     run_epoch_pipeline, DoubleBufferModel, PipelineError, PipelineReport, StorageError, Telemetry,
-    Tuple, TupleView,
 };
 use std::ops::ControlFlow;
-
-/// The tuples of one buffer fill, in SGD consumption order, borrowed from
-/// wherever the fill keeps them.
-pub trait TupleSeq: Default + Send {
-    /// Iterate the tuples in order.
-    fn rows(&self) -> impl Iterator<Item = TupleView<'_>> + Clone;
-}
-
-impl TupleSeq for Vec<Tuple> {
-    fn rows(&self) -> impl Iterator<Item = TupleView<'_>> + Clone {
-        self.iter().map(Tuple::view)
-    }
-}
-
-/// One buffer fill on its way from the source to the kernel stage.
-#[derive(Debug, Default)]
-pub struct Fill<B> {
-    /// The fill's tuples.
-    pub batch: B,
-    /// Index of the [`EpochIo::fill_io`] entry this fill's loading cost
-    /// lands in; the fill's compute is attributed to the same slot.
-    pub slot: usize,
-    /// Simulated seconds spent producing the fill (recorded on the
-    /// `pipeline.fill` span of overlapped runs).
-    pub sim_seconds: f64,
-}
 
 /// What a source reports once an epoch's stream has ended.
 #[derive(Debug, Default)]
@@ -116,15 +90,13 @@ impl From<CheckpointMismatch> for StorageError {
 /// `Send` because a double-buffered run borrows the source into the
 /// producer thread for the duration of each epoch.
 pub trait EpochSource: Send {
-    /// Container of one fill's tuples.
-    type Batch: TupleSeq;
     /// Error of the source itself and of the checkpoint sink.
     type Error: From<StorageError> + From<CheckpointMismatch> + Send;
 
-    /// Advance every RNG stream past `epochs` completed epochs without
-    /// touching the real device or clock (resume). The streams depend only
-    /// on seeds and the table shape, so replaying against a scratch device
-    /// lands them exactly where the checkpointed run left them.
+    /// Advance the source past `epochs` completed epochs without touching
+    /// the real device or clock (resume). Orders depend only on seeds and
+    /// block metadata, so regenerating them lands the source exactly where
+    /// the checkpointed run left it, without reading a block.
     fn replay(&mut self, epochs: usize) -> Result<(), Self::Error>;
 
     /// Stream `epoch`'s fills through `emit`, in order, until the stream
@@ -135,8 +107,8 @@ pub trait EpochSource: Send {
     fn stream_epoch(
         &mut self,
         epoch: usize,
-        fill: &mut Fill<Self::Batch>,
-        emit: &mut dyn FnMut(&mut Fill<Self::Batch>) -> bool,
+        fill: &mut Fill,
+        emit: &mut dyn FnMut(&mut Fill) -> bool,
     ) -> Result<EpochIo, Self::Error>;
 
     /// Per-epoch hook, called on the training thread once the epoch's clock
@@ -262,7 +234,7 @@ impl EpochDriver {
         let mut run = DriverRun::default();
         // The run's two buffers (§6.3): one being filled, one being drained,
         // traded at every hand-off and kept across epochs.
-        let mut fills: [Fill<S::Batch>; 2] = Default::default();
+        let mut fills: [Fill; 2] = Default::default();
         for epoch in start..self.epochs {
             self.optimizer.set_epoch(epoch);
             let mut stage = if per_tuple {
@@ -288,7 +260,7 @@ impl EpochDriver {
                     })?;
                     Ok(())
                 },
-                |fill: &mut Fill<S::Batch>| {
+                |fill: &mut Fill| {
                     if compute.len() <= fill.slot {
                         compute.resize(fill.slot + 1, 0.0);
                     }
@@ -382,6 +354,8 @@ impl EpochDriver {
 mod tests {
     use super::*;
     use corgipile_ml::{build_model, ModelKind, OptimizerKind};
+    use corgipile_storage::{Page, Tuple};
+    use std::sync::Arc;
 
     /// Sparse rows of three widths, in fills whose width changes mid-fill;
     /// slot 1 takes two fills, so its charge accumulates across them.
@@ -416,7 +390,6 @@ mod tests {
     }
 
     impl EpochSource for MixedSource {
-        type Batch = Vec<Tuple>;
         type Error = StorageError;
 
         fn replay(&mut self, _epochs: usize) -> Result<(), StorageError> {
@@ -426,8 +399,8 @@ mod tests {
         fn stream_epoch(
             &mut self,
             epoch: usize,
-            fill: &mut Fill<Vec<Tuple>>,
-            emit: &mut dyn FnMut(&mut Fill<Vec<Tuple>>) -> bool,
+            fill: &mut Fill,
+            emit: &mut dyn FnMut(&mut Fill) -> bool,
         ) -> Result<EpochIo, StorageError> {
             let picked = if epoch == 0 {
                 0..self.fills.len()
@@ -435,8 +408,11 @@ mod tests {
                 epoch - 1..epoch
             };
             for (slot, rows) in &self.fills[picked] {
+                let mut page = Page::new_jumbo(1 << 20);
+                rows.iter().for_each(|t| page.push(t.view()).unwrap());
                 fill.slot = *slot;
-                fill.batch.clone_from(rows);
+                fill.batch.clear();
+                fill.batch.push_page(&Arc::new(page), |_, _| true);
                 if !emit(fill) {
                     break;
                 }

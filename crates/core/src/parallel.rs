@@ -3,7 +3,7 @@
 //! The paper's PyTorch DDP integration works as follows (Figure 5):
 //!
 //! 1. every process shuffles the *same* block permutation (shared seed) and
-//!    splits it into `PN` parts, taking part `i`;
+//!    takes its share of it;
 //! 2. each process fills a local buffer of `n/PN` blocks and shuffles the
 //!    buffered tuples;
 //! 3. each mini-batch step consumes `batch/PN` tuples per process, computes
@@ -13,28 +13,30 @@
 //! Synchronous gradient averaging makes step 3 *equal* to mini-batch SGD
 //! over the interleaved global stream, so multi-process CorgiPile is a
 //! data-order construction and needs no trainer of its own.
-//! [`ParallelSource`] is that order as an [`EpochSource`]: per epoch, one
-//! scoped producer thread per worker builds that worker's fills in order
-//! and hands them over a one-slot channel, and the calling thread merges
-//! `batch/PN` tuples per worker per round into the stream the
+//! [`ParallelSource`] is that order as an [`EpochSource`]: per epoch the
+//! CorgiPile generator ([`BlockStrategy`]) yields one order of `n/PN`-block fills, fill `k`
+//! goes to worker `k mod PN`, and one scoped producer thread per worker
+//! builds its fills through the one fill ([`Filler::fill`]) and hands them
+//! over a one-slot channel, while the calling thread merges `batch/PN`
+//! tuples per worker per round into the stream the
 //! [`EpochDriver`](crate::EpochDriver) trains on. A worker holds at most
 //! two unconsumed fills (one in its channel slot, one being built): the
 //! paper's `2 × n/PN` blocks per process.
 //!
-//! Every fill derives its tuple-shuffle RNG from `(seed, worker, fill,
-//! epoch)` and reads through its own device pass, so the stream is a pure
-//! function of the configuration: thread timing cannot reorder it,
-//! [`parallel_epoch_plan`] (the same stream, collected) is its reference,
-//! and a resumed run has nothing to replay.
+//! The workers' fills partition the generator's, each ranked by the
+//! epoch's key, so the stream is a function of the seed and the epoch:
+//! thread timing cannot reorder it, [`parallel_epoch_plan`] (the same
+//! stream, collected) is its reference, and a resumed run regenerates the
+//! orders it skips without reading a block.
 
 use crate::driver::{EpochIo, EpochOutcome, EpochSource, Fill};
 use crate::trainer::EpochRecorder;
-use corgipile_data::rng::shuffle_in_place;
-use corgipile_storage::{
-    Access, FileTable, RetryPolicy, SimDevice, StorageError, Table, Telemetry, Tuple,
+use corgipile_shuffle::{
+    BlockStrategy, EpochOrder, Filler, RowBatch, StrategyKind, StrategyParams,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use corgipile_storage::{
+    Access, FileTable, Page, RetryPolicy, SimDevice, StorageError, Table, Telemetry, Tuple,
+};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::mpsc::sync_channel;
@@ -75,6 +77,13 @@ impl ParallelConfig {
     pub fn fill_device(&self) -> SimDevice {
         SimDevice::hdd_scaled(self.device_scale.max(1.0), self.cache_bytes)
     }
+
+    /// Blocks per worker fill over a table of `blocks` blocks (`n/PN`).
+    fn fill_blocks(&self, blocks: usize) -> usize {
+        let n_total =
+            ((blocks as f64 * self.total_buffer_fraction).round() as usize).max(self.workers);
+        (n_total / self.workers).max(1)
+    }
 }
 
 /// Block-granular read access to a table: what one buffer fill needs.
@@ -82,97 +91,56 @@ pub trait BlockReader: Sync {
     /// Number of blocks in the table.
     fn num_blocks(&self) -> usize;
 
-    /// Append the tuples of `blocks`, read in order under `policy`, to
-    /// `out`; returns the simulated seconds the reads cost.
-    fn read_blocks(
+    /// Append the rows of `block`, read under `policy`, to `out`; a
+    /// simulated source charges the read to `dev`.
+    fn read_block(
         &self,
-        blocks: &[usize],
+        block: usize,
+        dev: &mut SimDevice,
         policy: &RetryPolicy,
-        out: &mut Vec<Tuple>,
-    ) -> Result<f64, StorageError>;
+        out: &mut RowBatch,
+    ) -> Result<(), StorageError>;
 }
 
-/// A heap table read through the simulated device: every fill charges a
-/// fresh clone of `device`, fault plan and telemetry handle included.
-#[derive(Debug, Clone)]
-pub struct SimulatedBlocks<'a> {
-    /// The table.
-    pub table: &'a Table,
-    /// The state every fill's device starts from.
-    pub device: SimDevice,
-}
-
-impl BlockReader for SimulatedBlocks<'_> {
+/// A heap table, read as random block reads through the simulated device.
+impl BlockReader for &Table {
     fn num_blocks(&self) -> usize {
-        self.table.num_blocks()
+        Table::num_blocks(self)
     }
 
-    fn read_blocks(
+    fn read_block(
         &self,
-        blocks: &[usize],
+        block: usize,
+        dev: &mut SimDevice,
         policy: &RetryPolicy,
-        out: &mut Vec<Tuple>,
-    ) -> Result<f64, StorageError> {
-        let mut dev = self.device.clone();
-        for &b in blocks {
-            let block = self.table.read(b, Access::Random, &mut dev, policy)?;
-            out.extend(block.rows().map(|r| r.to_tuple()));
-        }
-        Ok(dev.stats().io_seconds)
+        out: &mut RowBatch,
+    ) -> Result<(), StorageError> {
+        out.push_block(&self.read(block, Access::Random, dev, policy)?);
+        Ok(())
     }
 }
 
-/// An on-disk heap file: real positioned reads, no simulated cost.
+/// An on-disk heap file: real positioned reads, no simulated cost. A
+/// block's rows reach the fill as one page.
 impl BlockReader for Arc<FileTable> {
     fn num_blocks(&self) -> usize {
         FileTable::num_blocks(self)
     }
 
-    fn read_blocks(
+    fn read_block(
         &self,
-        blocks: &[usize],
+        block: usize,
+        _dev: &mut SimDevice,
         policy: &RetryPolicy,
-        out: &mut Vec<Tuple>,
-    ) -> Result<f64, StorageError> {
-        for &b in blocks {
-            out.extend(self.read_block_retry(b, policy)?);
-        }
-        Ok(0.0)
+        out: &mut RowBatch,
+    ) -> Result<(), StorageError> {
+        let tuples = self.read_block_retry(block, policy)?;
+        let mut page =
+            Page::new_jumbo(4 + tuples.iter().map(|t| t.encoded_len() + 4).sum::<usize>());
+        tuples.iter().try_for_each(|t| page.push(t.view()))?;
+        out.push_page(&Arc::new(page), |_, _| true);
+        Ok(())
     }
-}
-
-/// Shared-seed block permutation split into `PN` contiguous parts plus the
-/// per-worker buffer size in blocks (§5.1 steps 1–3).
-fn worker_block_parts(
-    num_blocks: usize,
-    cfg: &ParallelConfig,
-    seed: u64,
-    epoch: usize,
-) -> (Vec<Vec<usize>>, usize) {
-    assert!(cfg.workers >= 1, "need at least one worker");
-    let pn = cfg.workers;
-    let mut shared = StdRng::seed_from_u64(seed ^ (epoch as u64).wrapping_mul(0x9E3779B97F4A7C15));
-    let mut order: Vec<usize> = (0..num_blocks).collect();
-    shuffle_in_place(&mut shared, &mut order);
-    let per = order.len().div_ceil(pn);
-    let parts = (0..pn)
-        .map(|w| {
-            if w * per < order.len() {
-                order[w * per..((w + 1) * per).min(order.len())].to_vec()
-            } else {
-                Vec::new()
-            }
-        })
-        .collect();
-    let n_total = ((num_blocks as f64 * cfg.total_buffer_fraction).round() as usize).max(pn);
-    (parts, (n_total / pn).max(1))
-}
-
-/// Worker `w`'s tuple-shuffle RNG for its `fill`-th buffer of `epoch`.
-fn fill_rng(seed: u64, w: usize, fill: usize, epoch: usize) -> StdRng {
-    StdRng::seed_from_u64(
-        seed ^ 0x70_u64 ^ ((w as u64) << 8) ^ ((fill as u64) << 24) ^ epoch as u64,
-    )
 }
 
 /// Multi-process CorgiPile over `reader` as the driver's fill source.
@@ -187,7 +155,12 @@ pub struct ParallelSource<'a, R> {
     reader: R,
     cfg: ParallelConfig,
     batch_size: usize,
-    seed: u64,
+    /// The one generator, and the order of the epoch being streamed.
+    orders: BlockStrategy,
+    order: EpochOrder,
+    /// The state every fill's device starts from: a fresh clone per fill,
+    /// fault plan and telemetry handle included.
+    pub(crate) device: SimDevice,
     policy: RetryPolicy,
     /// Per-epoch hook; its telemetry handle also takes the fill spans and
     /// counters.
@@ -196,68 +169,79 @@ pub struct ParallelSource<'a, R> {
 
 impl<'a, R: BlockReader> ParallelSource<'a, R> {
     /// `cfg.workers` processes over `reader`, merged into global batches
-    /// of `batch_size` under the shared `seed`; default retry policy, no
-    /// telemetry, no test set.
+    /// of `batch_size` under the shared `seed`; loader device
+    /// [`ParallelConfig::fill_device`], default retry policy, no telemetry,
+    /// no test set.
     pub fn new(reader: R, cfg: ParallelConfig, batch_size: usize, seed: u64) -> Self {
+        assert!(cfg.workers >= 1, "need at least one worker");
         ParallelSource {
             reader,
+            orders: BlockStrategy::new(
+                StrategyKind::CorgiPile,
+                StrategyParams::default().with_seed(seed),
+            ),
+            order: EpochOrder::default(),
+            device: cfg.fill_device(),
             cfg,
             batch_size,
-            seed,
             policy: RetryPolicy::default(),
             recorder: EpochRecorder::new(&[], &Telemetry::disabled()),
         }
     }
 
-    /// Worker `w`'s `fill`-th buffer of `epoch`: read `blocks`, shuffle the
-    /// tuples. A pure function of `(seed, w, fill, epoch)`.
-    fn fill(
-        &self,
-        w: usize,
-        fill: usize,
-        epoch: usize,
-        blocks: &[usize],
-    ) -> Result<(Vec<Tuple>, f64), StorageError> {
-        let tel = &self.recorder.tel;
-        let mut span = tel.span("core.loader.fill");
-        let mut buf = Vec::new();
-        let io_seconds = self.reader.read_blocks(blocks, &self.policy, &mut buf)?;
-        shuffle_in_place(&mut fill_rng(self.seed, w, fill, epoch), &mut buf);
-        tel.counter("core.loader.fills").inc();
-        tel.counter("core.loader.buffered_tuples")
-            .add(buf.len() as u64);
-        span.add_sim_seconds(io_seconds);
-        span.finish();
-        Ok((buf, io_seconds))
+    /// Generate the next epoch's order.
+    fn next_order(&mut self) {
+        let blocks = self.reader.num_blocks();
+        let n = self.cfg.fill_blocks(blocks);
+        self.orders.order(blocks, n, &mut self.order);
     }
 
-    /// Run `epoch`: one producer thread per worker, merged round-robin on
-    /// this thread. `emit` sees each run of rounds with, flattened round by
-    /// round, how many tuples every worker gave, and returns `false` to
-    /// stop early. Returns the loading cost of every fill received, per
-    /// worker, once every producer has been joined; a failed read ends the
-    /// stream at that fill.
+    /// Fill `k` of the current order: its blocks read on a fresh loader
+    /// device, its rows ranked by the one fill.
+    fn fill(&self, filler: &mut Filler, k: usize) -> Result<(RowBatch, f64), StorageError> {
+        let tel = &self.recorder.tel;
+        let (mut dev, mut out) = (self.device.clone(), RowBatch::default());
+        let stage = |staged: &mut RowBatch| {
+            for &b in self.order.fill(k) {
+                self.reader.read_block(b, &mut dev, &self.policy, staged)?;
+            }
+            Ok::<_, StorageError>(false)
+        };
+        let placed = filler.fill(tel, self.order.rank, stage, &mut out)?;
+        let io_seconds = dev.stats().io_seconds;
+        if let Some(mut placed) = placed {
+            placed.span.add_sim_seconds(io_seconds);
+            tel.counter("core.loader.buffered_tuples")
+                .add(placed.rows as u64);
+        }
+        tel.counter("core.loader.fills").inc();
+        Ok((out, io_seconds))
+    }
+
+    /// Stream the current order: one producer thread per worker, worker `w`
+    /// building fills `w, w + PN, …`, merged round-robin on this thread.
+    /// `emit` sees each run of rounds with, flattened round by round, how
+    /// many tuples every worker gave, and returns `false` to stop early.
+    /// Returns the loading cost of every fill received, per worker, once
+    /// every producer has been joined; a failed read ends the stream at
+    /// that fill.
     fn merge_epoch(
         &self,
-        epoch: usize,
-        fill: &mut Fill<Vec<Tuple>>,
-        mut emit: impl FnMut(&mut Fill<Vec<Tuple>>, &[usize]) -> bool,
+        fill: &mut Fill,
+        mut emit: impl FnMut(&mut Fill, &[usize]) -> bool,
     ) -> Result<Vec<Vec<f64>>, StorageError>
     where
         Self: Sync,
     {
         let pn = self.cfg.workers;
-        let (parts, n_local) =
-            worker_block_parts(self.reader.num_blocks(), &self.cfg, self.seed, epoch);
         std::thread::scope(|scope| {
-            let fills: Vec<_> = parts
-                .iter()
-                .enumerate()
-                .map(|(w, part)| {
+            let fills: Vec<_> = (0..pn)
+                .map(|w| {
                     let (tx, rx) = sync_channel(1);
                     scope.spawn(move || {
-                        for (fill, blocks) in part.chunks(n_local).enumerate() {
-                            let built = self.fill(w, fill, epoch, blocks);
+                        let mut filler = Filler::new("core.loader");
+                        for k in (w..self.order.fills()).step_by(pn) {
+                            let built = self.fill(&mut filler, k);
                             let failed = built.is_err();
                             if tx.send(built).is_err() || failed {
                                 break;
@@ -269,7 +253,10 @@ impl<'a, R: BlockReader> ParallelSource<'a, R> {
                 .collect();
 
             let share = (self.batch_size / pn).max(1);
-            let mut pending: Vec<VecDeque<Tuple>> = vec![VecDeque::new(); pn];
+            // Per worker: received fills, rows of the front one consumed,
+            // rows left in all of them.
+            let mut pending: Vec<VecDeque<RowBatch>> = (0..pn).map(|_| VecDeque::new()).collect();
+            let (mut at, mut left) = (vec![0; pn], vec![0; pn]);
             let mut io: Vec<Vec<f64>> = vec![Vec::new(); pn];
             let mut slot = 0;
             fill.batch.clear();
@@ -278,18 +265,28 @@ impl<'a, R: BlockReader> ParallelSource<'a, R> {
             loop {
                 let before = fill.batch.len();
                 for w in 0..pn {
-                    while pending[w].len() < share {
+                    while left[w] < share {
                         // A closed channel is a worker out of fills.
                         let Ok(built) = fills[w].recv() else { break };
-                        let (tuples, io_seconds) = built?;
+                        let (rows, io_seconds) = built?;
                         slot = slot.max(io[w].len());
                         fill.sim_seconds = fill.sim_seconds.max(io_seconds);
                         io[w].push(io_seconds);
-                        pending[w].extend(tuples);
+                        left[w] += rows.len();
+                        pending[w].push_back(rows);
                     }
-                    let n = share.min(pending[w].len());
+                    let n = share.min(left[w]);
                     takes.push(n);
-                    fill.batch.extend(pending[w].drain(..n));
+                    left[w] -= n;
+                    for _ in 0..n {
+                        let front = &pending[w][0];
+                        fill.batch.push_from(front, front.refs()[at[w]]);
+                        at[w] += 1;
+                        if at[w] == front.len() {
+                            pending[w].pop_front();
+                            at[w] = 0;
+                        }
+                    }
                 }
                 fill.slot = slot;
                 // The last non-empty round drains every worker, so it was
@@ -299,7 +296,7 @@ impl<'a, R: BlockReader> ParallelSource<'a, R> {
                 }
                 // Hand over before the next round can wait on a producer, so
                 // no fill is held back behind one still being built.
-                if pending.iter().any(|p| p.len() < share) {
+                if left.iter().any(|&l| l < share) {
                     if !emit(fill, &takes) {
                         return Ok(io);
                     }
@@ -313,20 +310,21 @@ impl<'a, R: BlockReader> ParallelSource<'a, R> {
 }
 
 impl<R: BlockReader + Send> EpochSource for ParallelSource<'_, R> {
-    type Batch = Vec<Tuple>;
     type Error = StorageError;
 
-    fn replay(&mut self, _epochs: usize) -> Result<(), StorageError> {
+    fn replay(&mut self, epochs: usize) -> Result<(), StorageError> {
+        (0..epochs).for_each(|_| self.next_order());
         Ok(())
     }
 
     fn stream_epoch(
         &mut self,
-        epoch: usize,
-        fill: &mut Fill<Vec<Tuple>>,
-        emit: &mut dyn FnMut(&mut Fill<Vec<Tuple>>) -> bool,
+        _epoch: usize,
+        fill: &mut Fill,
+        emit: &mut dyn FnMut(&mut Fill) -> bool,
     ) -> Result<EpochIo, StorageError> {
-        let io = self.merge_epoch(epoch, fill, |fill, _| emit(fill))?;
+        self.next_order();
+        let io = self.merge_epoch(fill, |fill, _| emit(fill))?;
         let slots = io.iter().map(Vec::len).max().unwrap_or(0);
         Ok(EpochIo {
             setup_seconds: 0.0,
@@ -357,7 +355,7 @@ pub struct ParallelEpoch {
     pub io_seconds: f64,
 }
 
-/// One epoch of [`ParallelSource`] over `table`, collected: the order
+/// Epoch `epoch` of [`ParallelSource`] over `table`, collected: the order
 /// reference for everything that trains on the stream.
 pub fn parallel_epoch_plan(
     table: &Table,
@@ -366,22 +364,20 @@ pub fn parallel_epoch_plan(
     seed: u64,
     epoch: usize,
 ) -> Result<ParallelEpoch, StorageError> {
-    let reader = SimulatedBlocks {
-        table,
-        device: cfg.fill_device(),
-    };
-    let source = ParallelSource::new(reader, cfg.clone(), batch_size, seed);
+    let mut source = ParallelSource::new(table, cfg.clone(), batch_size, seed);
+    source.replay(epoch + 1)?;
     let mut worker_streams = vec![Vec::new(); cfg.workers];
     let mut merged_batches = Vec::new();
-    let io = source.merge_epoch(epoch, &mut Fill::default(), |fill, takes| {
-        let mut at = 0;
+    let io = source.merge_epoch(&mut Fill::default(), |fill, takes| {
+        let mut rows = fill.batch.rows().map(|r| r.to_tuple());
         for round in takes.chunks(cfg.workers) {
-            let start = at;
+            let mut batch = Vec::new();
             for (stream, &n) in worker_streams.iter_mut().zip(round) {
-                stream.extend_from_slice(&fill.batch[at..at + n]);
-                at += n;
+                let took: Vec<Tuple> = rows.by_ref().take(n).collect();
+                stream.extend_from_slice(&took);
+                batch.extend(took);
             }
-            merged_batches.push(fill.batch[start..at].to_vec());
+            merged_batches.push(batch);
         }
         true
     })?;
@@ -400,7 +396,8 @@ mod tests {
     use corgipile_ml::{
         build_model, train_minibatch, ComputeCostModel, ModelKind, OptimizerKind, TrainOptions,
     };
-    use corgipile_storage::FaultPlan;
+    use corgipile_shuffle::Rank;
+    use corgipile_storage::{splitmix64, FaultPlan};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn clustered(n: usize) -> Table {
@@ -418,12 +415,15 @@ mod tests {
         }
     }
 
-    fn sim(table: &Table, plan: Option<FaultPlan>) -> SimulatedBlocks<'_> {
-        let mut device = SimDevice::in_memory();
+    /// `pn` workers over `table` on an in-memory loader device, faulted by
+    /// `plan`.
+    fn sim(table: &Table, pn: usize, plan: Option<FaultPlan>) -> ParallelSource<'_, &Table> {
+        let mut source = ParallelSource::new(table, workers(pn), 16, 11);
+        source.device = SimDevice::in_memory();
         if let Some(plan) = plan {
-            device.set_fault_plan(plan);
+            source.device.set_fault_plan(plan);
         }
-        SimulatedBlocks { table, device }
+        source
     }
 
     /// Ids of one epoch's stream, in order.
@@ -433,7 +433,7 @@ mod tests {
     ) -> Result<Vec<u64>, StorageError> {
         let mut ids = Vec::new();
         source.stream_epoch(epoch, &mut Fill::default(), &mut |fill| {
-            ids.extend(fill.batch.iter().map(|t| t.id));
+            ids.extend(fill.batch.rows().map(|t| t.id));
             true
         })?;
         Ok(ids)
@@ -527,11 +527,89 @@ mod tests {
         assert!(r.total_sim_seconds() > 0.0);
     }
 
+    /// Epoch `epoch` planned from generated orders alone, with no device:
+    /// each worker's stream is its fills (`k mod PN = w`) of the CorgiPile
+    /// generator's order, each fill's rows — read in place off the table —
+    /// sorted by the epoch's key; the merge takes `batch/PN` rows per
+    /// worker per round. Returns the worker streams and merged batches.
+    fn planned(
+        t: &Table,
+        pcfg: &ParallelConfig,
+        batch: usize,
+        seed: u64,
+        epoch: usize,
+    ) -> (Vec<Vec<Tuple>>, Vec<Vec<Tuple>>) {
+        let mut source = ParallelSource::new(t, pcfg.clone(), batch, seed);
+        source.replay(epoch + 1).unwrap();
+        let (order, pn) = (&source.order, pcfg.workers);
+        let Rank::Key(salt) = order.rank else {
+            panic!("CorgiPile fills are key-ranked")
+        };
+        let streams: Vec<Vec<Tuple>> = (0..pn)
+            .map(|w| {
+                (w..order.fills())
+                    .step_by(pn)
+                    .flat_map(|k| {
+                        let mut rows: Vec<Tuple> = (order.fill(k).iter())
+                            .flat_map(|&b| t.block_tuples(b).unwrap())
+                            .collect();
+                        rows.sort_by_key(|r| splitmix64(salt ^ r.id));
+                        rows
+                    })
+                    .collect()
+            })
+            .collect();
+        let share = (batch / pn).max(1);
+        let mut cursors: Vec<_> = streams.iter().map(|s| s.chunks(share)).collect();
+        let merged = std::iter::from_fn(|| {
+            let round: Vec<Tuple> = cursors
+                .iter_mut()
+                .flat_map(|c| c.next())
+                .flatten()
+                .cloned()
+                .collect();
+            (!round.is_empty()).then_some(round)
+        });
+        let merged = merged.collect();
+        (streams, merged)
+    }
+
+    #[test]
+    fn worker_fills_partition_the_generators_fills() {
+        // Figure 5 as a property of the order: the PN workers' fills are the
+        // one CorgiPile generator's fills, each exactly once, and worker w's
+        // are the ones with k mod PN = w.
+        let t = clustered(2000);
+        for pn in [1usize, 2, 4, 8] {
+            let pcfg = ParallelConfig {
+                workers: pn,
+                total_buffer_fraction: 0.2,
+                ..Default::default()
+            };
+            for epoch in 0..2 {
+                let mut source = ParallelSource::new(&t, pcfg.clone(), 16, 9);
+                source.replay(epoch + 1).unwrap();
+                let params = StrategyParams::default().with_seed(9);
+                let mut one = BlockStrategy::new(StrategyKind::CorgiPile, params);
+                let mut want = EpochOrder::default();
+                for _ in 0..=epoch {
+                    one.order(t.num_blocks(), pcfg.fill_blocks(t.num_blocks()), &mut want);
+                }
+                assert_eq!(source.order, want, "workers {pn} epoch {epoch}");
+                let (streams, _) = planned(&t, &pcfg, 16, 9, epoch);
+                let mut ids: Vec<u64> = streams.iter().flatten().map(|r| r.id).collect();
+                ids.sort_unstable();
+                assert_eq!(ids, (0..2000).collect::<Vec<_>>(), "workers {pn}");
+            }
+        }
+    }
+
     #[test]
     fn training_equals_minibatch_sgd_over_the_planned_stream_bit_for_bit() {
         // Figure 5 as an identity: synchronous data-parallel SGD *is*
-        // mini-batch SGD over the interleaved stream, whatever the worker
-        // count and whichever thread runs the kernel.
+        // mini-batch SGD over the interleaved stream planned from the
+        // orders, whatever the worker count and whichever thread runs the
+        // kernel — and the source streams exactly that plan.
         let t = clustered(600);
         let (batch, seed, epochs) = (30, 4, 3);
         let cfg = TrainerConfig::new(ModelKind::LogisticRegression, epochs).with_batch_size(batch);
@@ -545,11 +623,14 @@ mod tests {
             let mut opt = cfg.optimizer.build();
             for e in 0..epochs {
                 opt.set_epoch(e);
+                let (streams, merged) = planned(&t, &pcfg, batch, seed, e);
                 let plan = parallel_epoch_plan(&t, &pcfg, batch, seed, e).unwrap();
+                assert_eq!(plan.worker_streams, streams, "workers {pn} epoch {e}");
+                assert_eq!(plan.merged_batches, merged, "workers {pn} epoch {e}");
                 train_minibatch(
                     model.as_mut(),
                     opt.as_mut(),
-                    plan.merged_batches.iter().flatten(),
+                    merged.iter().flatten(),
                     &TrainOptions::minibatch(batch),
                 );
             }
@@ -585,23 +666,24 @@ mod tests {
             self.blocks
         }
 
-        fn read_blocks(
+        fn read_block(
             &self,
-            blocks: &[usize],
+            b: usize,
+            dev: &mut SimDevice,
             _policy: &RetryPolicy,
-            out: &mut Vec<Tuple>,
-        ) -> Result<f64, StorageError> {
-            for &b in blocks {
-                if self.stall_odd_blocks && b % 2 == 1 {
-                    std::thread::sleep(std::time::Duration::from_micros(300));
-                }
-                self.read.fetch_add(1, Ordering::SeqCst);
-                out.extend(
-                    (0..PER_BLOCK)
-                        .map(|i| Tuple::dense((b * PER_BLOCK + i) as u64, vec![b as f32], 1.0)),
-                );
+            out: &mut RowBatch,
+        ) -> Result<(), StorageError> {
+            if self.stall_odd_blocks && b % 2 == 1 {
+                std::thread::sleep(std::time::Duration::from_micros(300));
             }
-            Ok(1.0)
+            self.read.fetch_add(1, Ordering::SeqCst);
+            let mut page = Page::new();
+            for i in 0..PER_BLOCK {
+                page.push(Tuple::dense((b * PER_BLOCK + i) as u64, vec![b as f32], 1.0).view())?;
+            }
+            out.push_page(&Arc::new(page), |_, _| true);
+            dev.charge_seconds(1.0);
+            Ok(())
         }
     }
 
@@ -634,7 +716,7 @@ mod tests {
             let mut consumed = std::collections::HashSet::new();
             source
                 .stream_epoch(0, &mut Fill::default(), &mut |fill| {
-                    consumed.extend(fill.batch.iter().map(|t| t.id as usize / PER_BLOCK));
+                    consumed.extend(fill.batch.rows().map(|t| t.id as usize / PER_BLOCK));
                     let allowed = (consumed.len() + 2 * pn).min(64);
                     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
                     while read.load(Ordering::SeqCst) < allowed {
@@ -693,16 +775,8 @@ mod tests {
             let plan = FaultPlan::new(5)
                 .with_transient(tid, 0, 2)
                 .with_transient(tid, 1, 1);
-            let faulted = stream_ids(
-                &mut ParallelSource::new(sim(&t, Some(plan)), workers(pn), 16, 11),
-                0,
-            )
-            .unwrap();
-            let clean = stream_ids(
-                &mut ParallelSource::new(sim(&t, None), workers(pn), 16, 11),
-                0,
-            )
-            .unwrap();
+            let faulted = stream_ids(&mut sim(&t, pn, Some(plan)), 0).unwrap();
+            let clean = stream_ids(&mut sim(&t, pn, None), 0).unwrap();
             assert_eq!(faulted, clean, "retries must hide transients");
             assert_eq!(faulted.len(), 600);
         }
@@ -715,8 +789,7 @@ mod tests {
         let plan = FaultPlan::new(5).with_permanent(t.config().table_id, 0);
         for pn in [1usize, 4] {
             for double_buffer in [false, true] {
-                let mut source =
-                    ParallelSource::new(sim(&t, Some(plan.clone())), workers(pn), 16, 11);
+                let mut source = sim(&t, pn, Some(plan.clone()));
                 source.policy = RetryPolicy::with_max_retries(2);
                 let mut driver = EpochDriver::new(
                     build_model(&ModelKind::Svm, 28, 1),
@@ -758,7 +831,7 @@ mod tests {
     fn early_drop_does_not_hang() {
         let t = clustered(600);
         for pn in [1usize, 4] {
-            let mut source = ParallelSource::new(sim(&t, None), workers(pn), 16, 3);
+            let mut source = sim(&t, pn, None);
             let mut rounds = 0;
             source
                 .stream_epoch(0, &mut Fill::default(), &mut |_| {

@@ -4,10 +4,11 @@
 //! PostgreSQL-style engine:
 //!
 //! * [`exec`] — Volcano-style physical operators with
-//!   `init`/`next`/`rescan`/`close`: `BlockShuffle` (random block reads),
-//!   `TupleShuffle` (buffered tuple shuffle with the §6.3 double-buffering
-//!   accounting), and the `SGD` operator that drives epochs through
-//!   PostgreSQL's re-scan mechanism.
+//!   `init`/`next`/`rescan`/`close`: the scan (`BlockShuffle` over its
+//!   strategy's block orders — random block reads — and, for a strategy
+//!   that ranks its fills, the `TupleShuffle` buffer with the §6.3
+//!   double-buffering accounting), and the `SGD` operator that drives
+//!   epochs through PostgreSQL's re-scan mechanism.
 //! * [`sql`] — the SQL surface:
 //!   `SELECT * FROM t TRAIN BY svm WITH learning_rate = 0.1, max_epoch_num
 //!   = 20, block_size = 10MB` and `SELECT * FROM t PREDICT BY model`.
@@ -54,9 +55,9 @@ pub use corgipile_storage::{TableSnapshot, Telemetry, TelemetrySnapshot};
 pub use database::Database;
 pub use error::DbError;
 pub use exec::{
-    BlockShuffleOp, CheckpointSink, DbEpochRecord, ExecContext, FaultAction, FusedPipelineOp,
-    OpStats, PhysicalOperator, PredictOperator, PredictRunResult, RowBatch, RowRef, ScanOrder,
-    SgdOperator, SgdRunResult, TupleShuffleOp,
+    scan_rows, BlockShuffleOp, CheckpointSink, DbEpochRecord, ExecContext, FaultAction,
+    FusedPipelineOp, OpStats, PhysicalOperator, PredictOperator, PredictRunResult, RowBatch,
+    RowRef, SgdOperator, SgdRunResult,
 };
 pub use model_store::{ModelRecord, ModelStore, ModelStoreOptions, ModelStoreStats};
 pub use options::{

@@ -38,46 +38,11 @@
 
 use crate::catalog::Catalog;
 use crate::error::DbError;
-use crate::exec::{BlockShuffleOp, FusedPipelineOp, PhysicalOperator, ScanOrder, TupleShuffleOp};
+use crate::exec::{BlockShuffleOp, FusedPipelineOp, PhysicalOperator};
 use crate::sql::{ColumnRef, Predicate, Projection, StrategyKind};
-use corgipile_data::rng::shuffle_in_place;
-use corgipile_shuffle::{recluster_table, StrategyParams};
+use corgipile_shuffle::StrategyParams;
 use corgipile_storage::{DeviceHandle, Table};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
-
-impl ScanOrder {
-    /// `EXPLAIN` wording of this order over `blocks` blocks.
-    fn describe(self, blocks: usize) -> String {
-        match self {
-            ScanOrder::Sequential => format!("sequential over {blocks} blocks"),
-            ScanOrder::RandomBlocks => format!("random order over {blocks} blocks"),
-            ScanOrder::SequentialShuffledCopy => {
-                format!("sequential over {blocks} blocks of the shuffled copy")
-            }
-            ScanOrder::ReclusteredCopy => {
-                format!("random order over {blocks} blocks of the reclustered copy")
-            }
-            ScanOrder::BlockReversal => {
-                format!("rotated/reversed near-sequential over {blocks} blocks")
-            }
-        }
-    }
-
-    /// The one-off setup the order pays before epoch 0, if any.
-    fn setup_note(self) -> Option<&'static str> {
-        match self {
-            ScanOrder::SequentialShuffledCopy => {
-                Some("(setup: offline full shuffle, ORDER BY RANDOM(), 2x storage)")
-            }
-            ScanOrder::ReclusteredCopy => {
-                Some("(setup: bounded RECLUSTER, io_budget x full shuffle)")
-            }
-            _ => None,
-        }
-    }
-}
 
 /// Planner input distilled from a parsed `TRAIN BY` query.
 #[derive(Debug, Clone)]
@@ -149,8 +114,8 @@ pub enum LogicalPlan {
     Scan {
         /// Table name.
         table: String,
-        /// Block visit order.
-        order: ScanOrder,
+        /// The strategy whose orders the scan runs.
+        strategy: StrategyKind,
         /// Number of blocks in the table.
         blocks: usize,
         /// Number of tuples in the table.
@@ -172,17 +137,12 @@ impl LogicalPlan {
     pub fn build(spec: &TrainPlanSpec, table: &Table) -> Result<LogicalPlan, DbError> {
         let dim = table.dim()?;
         validate_columns(spec, dim)?;
-        let order = match spec.strategy {
-            StrategyKind::CorgiPile | StrategyKind::BlockOnly => ScanOrder::RandomBlocks,
-            StrategyKind::TupleOnly | StrategyKind::NoShuffle => ScanOrder::Sequential,
-            StrategyKind::ShuffleOnce => ScanOrder::SequentialShuffledCopy,
-            StrategyKind::Corgi2 => ScanOrder::ReclusteredCopy,
-            StrategyKind::BlockReversal => ScanOrder::BlockReversal,
-            other => return Err(DbError::UnknownStrategy(other.name().to_string())),
-        };
+        if !spec.strategy.available_in_db() {
+            return Err(DbError::UnknownStrategy(spec.strategy.name().to_string()));
+        }
         let mut node = LogicalPlan::Scan {
             table: spec.table.clone(),
-            order,
+            strategy: spec.strategy,
             blocks: table.num_blocks(),
             tuples: table.num_tuples(),
             predicate: spec.filter.clone(),
@@ -217,7 +177,7 @@ impl LogicalPlan {
             batch_rows: spec.batch_rows,
             input: Box::new(LogicalPlan::Scan {
                 table: spec.table.clone(),
-                order: ScanOrder::Sequential,
+                strategy: StrategyKind::NoShuffle,
                 blocks: table.num_blocks(),
                 tuples: table.num_tuples(),
                 predicate: spec.filter.clone(),
@@ -264,7 +224,7 @@ impl LogicalPlan {
         let pad = "       ";
         let LogicalPlan::Scan {
             table,
-            order,
+            strategy,
             blocks,
             tuples,
             predicate,
@@ -273,7 +233,7 @@ impl LogicalPlan {
         else {
             unreachable!("fuse_chain scan is Scan")
         };
-        lines.push(format!("{pad}Scan: {}", order.describe(*blocks)));
+        lines.push(format!("{pad}Scan: {}", strategy.scan_wording(*blocks)));
         if let Some(bb) = chain.shuffle_blocks {
             lines.push(format!(
                 "{pad}Buffer: {bb} source blocks (double-buffered tuple shuffle)"
@@ -285,7 +245,7 @@ impl LogicalPlan {
         if let Some(p) = predicate {
             lines.push(format!("{pad}Filter: ({p})"));
         }
-        if let Some(note) = order.setup_note() {
+        if let Some(note) = strategy.setup_note() {
             lines.push(format!("{pad}{note}"));
         }
         lines.push(format!("  Scan target: {table} ({tuples} tuples)"));
@@ -334,20 +294,23 @@ impl LogicalPlan {
             }
             LogicalPlan::Scan {
                 table,
-                order,
+                strategy,
                 blocks,
                 tuples,
                 predicate,
                 projection,
             } => {
-                lines.push(format!("{head}BlockShuffle ({})", order.describe(*blocks)));
+                lines.push(format!(
+                    "{head}BlockShuffle ({})",
+                    strategy.scan_wording(*blocks)
+                ));
                 if let Some(cols) = projection {
                     lines.push(format!("{pad}Output: {}", feature_list(cols)));
                 }
                 if let Some(p) = predicate {
                     lines.push(format!("{pad}Filter: ({p})"));
                 }
-                if let Some(note) = order.setup_note() {
+                if let Some(note) = strategy.setup_note() {
                     lines.push(format!("{pad}{note}"));
                 }
                 *target = Some((table.clone(), *tuples));
@@ -506,129 +469,59 @@ pub struct PhysicalPlan {
 }
 
 /// Lower a logical plan to physical operators. This is the only place in
-/// the engine that constructs scan/shuffle operators for queries — `TRAIN`,
-/// both `PREDICT` forms, and `EXPLAIN ANALYZE` all route here.
+/// the engine that constructs scan operators for queries — `TRAIN`, both
+/// `PREDICT` forms, and `EXPLAIN ANALYZE` all route here.
 ///
-/// With `fuse` set (`WITH fuse = 1`, the session default), the pass wraps
-/// the `TupleShuffle? ← Scan` chain below `Sgd|Predict` in one
-/// [`FusedPipelineOp`]; off, it emits the interpreted operator tree — the
+/// The scan is one [`BlockShuffleOp`] running the strategy's orders (a
+/// `TupleShuffle` node is its ranked fills); the strategy's setup runs here,
+/// charged to `dev`, its copy under a fresh catalog table id. With `fuse`
+/// set (`WITH fuse = 1`, the session default), the pass wraps the scan below
+/// `Sgd|Predict` in one [`FusedPipelineOp`]; off, it runs bare — the
 /// bit-identity oracle.
-#[allow(clippy::too_many_arguments)]
 pub fn build_physical_with(
     plan: &LogicalPlan,
     table: &Arc<Table>,
-    table_name: &str,
     params: &StrategyParams,
-    seed: u64,
     dev: &mut DeviceHandle,
     catalog: &Catalog,
     fuse: bool,
 ) -> Result<PhysicalPlan, DbError> {
-    let mut lower = Lowering {
-        table,
-        table_name,
-        params,
-        seed,
-        dev,
-        catalog,
-        setup_seconds: 0.0,
+    let mut node = plan;
+    while let LogicalPlan::Sgd { input, .. }
+    | LogicalPlan::Predict { input, .. }
+    | LogicalPlan::TupleShuffle { input, .. } = node
+    {
+        node = input;
+    }
+    let LogicalPlan::Scan {
+        strategy,
+        predicate,
+        projection,
+        ..
+    } = node
+    else {
+        unreachable!("every plan bottoms out in its scan")
     };
-    let (child, fused) = match fuse_chain(plan).filter(|_| fuse) {
-        Some(chain) => {
-            let fused = FusedPipelineOp::new(lower.node(plan)?, chain.label());
-            (Box::new(fused) as Box<dyn PhysicalOperator>, true)
-        }
-        None => (lower.node(plan)?, false),
+    let mut scan = BlockShuffleOp::new(table.clone(), *strategy, params.clone());
+    if let Some(p) = predicate {
+        scan = scan.with_predicate(p.clone());
+    }
+    if let Some(cols) = projection {
+        scan = scan.with_projection(cols.clone());
+    }
+    let setup_seconds = scan.setup(dev, &|| catalog.fresh_table_id())?;
+    let (child, fused): (Box<dyn PhysicalOperator>, _) = match fuse_chain(plan).filter(|_| fuse) {
+        Some(chain) => (
+            Box::new(FusedPipelineOp::new(Box::new(scan), chain.label())),
+            true,
+        ),
+        None => (Box::new(scan), false),
     };
     Ok(PhysicalPlan {
         child,
-        setup_seconds: lower.setup_seconds,
+        setup_seconds,
         fused,
     })
-}
-
-/// What lowering threads through every node: the pinned table, the
-/// strategy parameters, the device that pays for offline copies, and the
-/// setup cost accumulated so far.
-struct Lowering<'a> {
-    table: &'a Arc<Table>,
-    table_name: &'a str,
-    params: &'a StrategyParams,
-    seed: u64,
-    dev: &'a mut DeviceHandle,
-    catalog: &'a Catalog,
-    setup_seconds: f64,
-}
-
-impl Lowering<'_> {
-    /// The interpreted operator tree for `node` (roots lower to their input).
-    fn node(&mut self, node: &LogicalPlan) -> Result<Box<dyn PhysicalOperator>, DbError> {
-        Ok(match node {
-            LogicalPlan::Predict { input, .. } | LogicalPlan::Sgd { input, .. } => {
-                self.node(input)?
-            }
-            LogicalPlan::TupleShuffle {
-                buffer_blocks,
-                input,
-            } => Box::new(TupleShuffleOp::new(
-                self.node(input)?,
-                *buffer_blocks,
-                self.params.clone(),
-            )),
-            scan @ LogicalPlan::Scan { .. } => Box::new(self.scan(scan)?),
-        })
-    }
-
-    /// The leaf [`BlockShuffleOp`] for a `LogicalPlan::Scan` node.
-    fn scan(&mut self, scan: &LogicalPlan) -> Result<BlockShuffleOp, DbError> {
-        let LogicalPlan::Scan {
-            order,
-            predicate,
-            projection,
-            ..
-        } = scan
-        else {
-            unreachable!("Lowering::scan takes a Scan node")
-        };
-        let (table, seed) = (self.table, self.seed);
-        let io_before = self.dev.stats().io_seconds;
-        let src = match order {
-            ScanOrder::Sequential | ScanOrder::RandomBlocks | ScanOrder::BlockReversal => {
-                table.clone()
-            }
-            ScanOrder::SequentialShuffledCopy => {
-                // Offline shuffle first (ORDER BY RANDOM(); 2× storage).
-                let mut order: Vec<u64> = (0..table.num_tuples()).collect();
-                shuffle_in_place(&mut StdRng::seed_from_u64(seed), &mut order);
-                let copy_name = format!("{}_shuffled", self.table_name);
-                let copy_id = self.catalog.fresh_table_id();
-                let copy = self
-                    .dev
-                    .with(|d| table.materialize_reordered(&order, copy_name, copy_id, d))?;
-                Arc::new(copy)
-            }
-            ScanOrder::ReclusteredCopy => {
-                // Corgi²: bounded-I/O partial offline re-cluster, then the
-                // regular CorgiPile online pipeline over the copy.
-                let copy_name = format!("{}_reclustered", self.table_name);
-                let copy_id = self.catalog.fresh_table_id();
-                let io_budget = self.params.io_budget;
-                let out = self
-                    .dev
-                    .with(|d| recluster_table(table, copy_name, copy_id, io_budget, seed, d))?;
-                Arc::new(out.table)
-            }
-        };
-        self.setup_seconds += self.dev.stats().io_seconds - io_before;
-        let mut op = BlockShuffleOp::new(src, *order, seed);
-        if let Some(p) = predicate {
-            op = op.with_predicate(p.clone());
-        }
-        if let Some(cols) = projection {
-            op = op.with_projection(cols.clone());
-        }
-        Ok(op)
-    }
 }
 
 #[cfg(test)]
@@ -738,12 +631,14 @@ mod tests {
         };
         assert_eq!((version, batch_rows), (Some(2), 256));
         let LogicalPlan::Scan {
-            order, predicate, ..
+            strategy,
+            predicate,
+            ..
         } = *input
         else {
             panic!("the scan sits directly under Predict")
         };
-        assert_eq!(order, ScanOrder::Sequential);
+        assert_eq!(strategy, StrategyKind::NoShuffle);
         assert_eq!(predicate, Some(pred()));
     }
 
@@ -851,12 +746,10 @@ mod tests {
             seed: 1,
             ..Default::default()
         };
-        let fused =
-            build_physical_with(&plan, &t, "t", &params, 1, &mut dev, &catalog, true).unwrap();
+        let fused = build_physical_with(&plan, &t, &params, &mut dev, &catalog, true).unwrap();
         assert!(fused.fused);
         assert_eq!(fused.child.name(), "Fused Pipeline");
-        let interp =
-            build_physical_with(&plan, &t, "t", &params, 1, &mut dev, &catalog, false).unwrap();
+        let interp = build_physical_with(&plan, &t, &params, &mut dev, &catalog, false).unwrap();
         assert!(!interp.fused);
         assert_eq!(interp.child.name(), "TupleShuffle");
     }
@@ -901,20 +794,20 @@ mod tests {
         let LogicalPlan::TupleShuffle { input, .. } = input.as_ref() else {
             panic!("corgi2 keeps the tuple-level shuffle");
         };
-        let LogicalPlan::Scan { order, .. } = input.as_ref() else {
+        let LogicalPlan::Scan { strategy, .. } = input.as_ref() else {
             panic!("Scan leaf expected");
         };
-        assert_eq!(*order, ScanOrder::ReclusteredCopy);
+        assert_eq!(*strategy, StrategyKind::Corgi2);
 
         // Block reversal: block-granular, no tuple buffer.
         let plan = LogicalPlan::build(&spec(StrategyKind::BlockReversal), &t).unwrap();
         let LogicalPlan::Sgd { input, .. } = &plan else {
             panic!("Sgd root expected");
         };
-        let LogicalPlan::Scan { order, .. } = input.as_ref() else {
+        let LogicalPlan::Scan { strategy, .. } = input.as_ref() else {
             panic!("block_reversal scans directly under Sgd");
         };
-        assert_eq!(*order, ScanOrder::BlockReversal);
+        assert_eq!(*strategy, StrategyKind::BlockReversal);
 
         // Library-only strategies stay rejected at plan time.
         assert!(matches!(

@@ -5,12 +5,9 @@
 
 use crate::database::Database;
 use crate::error::DbError;
-use crate::exec::{
-    BlockShuffleOp, ExecContext, PhysicalOperator, RowBatch, ScanOrder, SgdOperator, TupleShuffleOp,
-};
+use crate::exec::{BlockShuffleOp, ExecContext, PhysicalOperator, RowBatch, SgdOperator};
 use crate::session::QueryResult;
-use crate::sql::{parse, Predicate, Query};
-use corgipile_core::TupleSeq;
+use crate::sql::{parse, Predicate, Query, StrategyKind};
 use corgipile_ml::{build_model, ComputeCostModel, ModelKind, OptimizerKind, TrainOptions};
 use corgipile_shuffle::StrategyParams;
 use corgipile_storage::{DeviceHandle, SimDevice, Table, TableConfig, Tuple};
@@ -22,7 +19,7 @@ use std::sync::Arc;
 /// PostgreSQL's plain `Filter` above a materialization, the placement the
 /// engine itself no longer has.
 struct PostBufferFilter {
-    child: TupleShuffleOp,
+    child: BlockShuffleOp,
     predicate: Predicate,
     fetch: RowBatch,
 }
@@ -40,7 +37,7 @@ impl PhysicalOperator for PostBufferFilter {
             if !self.child.next_batch(ctx, &mut self.fetch)? {
                 return Ok(false);
             }
-            for &r in &self.fetch.rows {
+            for &r in self.fetch.refs() {
                 if self.predicate.matches(self.fetch.row(r)) {
                     out.push_from(&self.fetch, r);
                 }
@@ -96,10 +93,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let t = table(n, width, block_pages);
-        let mode = if random { ScanOrder::RandomBlocks } else { ScanOrder::Sequential };
+        let kind = if random { StrategyKind::BlockOnly } else { StrategyKind::NoShuffle };
         let mut dev = DeviceHandle::private(SimDevice::in_memory());
         let mut ctx = ExecContext::new(&mut dev);
-        let mut op = BlockShuffleOp::new(t, mode, seed);
+        let mut op = BlockShuffleOp::new(t, kind, StrategyParams::default().with_seed(seed));
         op.init(&mut ctx);
         for _pass in 0..3 {
             let mut ids = drain_ids(&mut op, &mut ctx);
@@ -121,12 +118,9 @@ proptest! {
         let blocks = t.num_blocks();
         let mut dev = DeviceHandle::private(SimDevice::in_memory());
         let mut ctx = ExecContext::new(&mut dev);
-        let child = Box::new(BlockShuffleOp::new(t, ScanOrder::RandomBlocks, seed));
-        let mut op = TupleShuffleOp::new(
-            child,
-            capacity_blocks,
-            StrategyParams::default().with_seed(seed | 1),
-        );
+        let fraction = (capacity_blocks as f64 / blocks as f64).min(1.0);
+        let params = StrategyParams::default().with_seed(seed).with_buffer_fraction(fraction);
+        let mut op = BlockShuffleOp::new(t, StrategyKind::CorgiPile, params);
         op.init(&mut ctx);
         let mut ids = drain_ids(&mut op, &mut ctx);
         prop_assert_eq!(ids.len() as u64, n);
@@ -147,12 +141,9 @@ proptest! {
         let t = table(n, 4, 1);
         let mut dev = DeviceHandle::private(SimDevice::in_memory());
         let mut ctx = ExecContext::new(&mut dev);
-        let child = Box::new(BlockShuffleOp::new(t, ScanOrder::RandomBlocks, seed));
-        let mut op = TupleShuffleOp::new(
-            child,
-            (n as usize / 4).max(2),
-            StrategyParams::default().with_seed(seed ^ 0xF00),
-        );
+        let fraction = ((n as usize / 4).max(2) as f64 / t.num_blocks() as f64).min(1.0);
+        let params = StrategyParams::default().with_seed(seed).with_buffer_fraction(fraction);
+        let mut op = BlockShuffleOp::new(t, StrategyKind::CorgiPile, params);
         op.init(&mut ctx);
         let first = drain_ids(&mut op, &mut ctx);
         ctx.fill_io.clear();
@@ -211,9 +202,8 @@ proptest! {
             unreachable!("the statement has a WHERE clause")
         };
         let sparams = StrategyParams::default().with_buffer_fraction(0.5).with_seed(seed);
-        let scan = BlockShuffleOp::new(t.clone(), ScanOrder::RandomBlocks, seed);
         let post = PostBufferFilter {
-            child: TupleShuffleOp::new(Box::new(scan), sparams.buffer_blocks(&t), sparams),
+            child: BlockShuffleOp::new(t.clone(), StrategyKind::CorgiPile, sparams),
             predicate,
             fetch: RowBatch::default(),
         };

@@ -773,9 +773,7 @@ impl Session {
         let physical = build_physical_with(
             &plan,
             table,
-            table_name,
             &sparams,
-            0,
             &mut self.dev,
             self.db.catalog(),
             opts.fuse,

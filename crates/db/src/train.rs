@@ -15,14 +15,14 @@
 
 use crate::catalog::StoredModel;
 use crate::error::DbError;
-use crate::exec::{ExecContext, FaultAction, RowBatch, SgdOperator};
+use crate::exec::{scan_rows, ExecContext, FaultAction, SgdOperator};
 use crate::model_store::{ModelRecord, ModelStore};
 use crate::options::{effective_line, QueryOptions, Statement};
 use crate::plan::{build_physical_with, LogicalPlan, TrainPlanSpec};
 use crate::serving::ServableModel;
 use crate::session::{DbTrainSummary, Session};
 use crate::sql::{ParamValue, Query};
-use corgipile_core::{trainer::evaluate, TupleSeq};
+use corgipile_core::trainer::evaluate;
 use corgipile_ml::{build_model, ModelKind, OptimizerKind, TrainCheckpoint, TrainOptions};
 use corgipile_shuffle::{block_variance_sampled, CostEstimate, CostModel, StrategyParams};
 use corgipile_storage::{RetryPolicy, SimDevice, Table, TableSnapshot};
@@ -370,9 +370,7 @@ impl Session {
             let physical = build_physical_with(
                 &prep.plan,
                 &prep.table,
-                &prep.spec.table,
                 &prep.sparams,
-                prep.seed,
                 &mut self.dev,
                 self.db.catalog(),
                 prep.fuse,
@@ -404,7 +402,7 @@ impl Session {
             // and the projection — so metrics match what SGD saw.
             let cols = prep.spec.projection.feature_indices();
             let eval = (last || prep.report_metrics)
-                .then(|| RowBatch::scan(&prep.table, prep.spec.filter.as_ref(), cols.as_deref()))
+                .then(|| scan_rows(&prep.table, prep.spec.filter.as_ref(), cols.as_deref()))
                 .transpose()?
                 .map(Arc::new);
             if prep.report_metrics {

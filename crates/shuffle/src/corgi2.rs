@@ -1,5 +1,5 @@
-//! Corgi² (Livne et al. 2023): bounded-I/O offline partial re-clustering,
-//! then CorgiPile online.
+//! Corgi²'s offline pass (Livne et al. 2023): bounded-I/O partial
+//! re-clustering, run once before CorgiPile's online two-level shuffle.
 //!
 //! CorgiPile's convergence factor depends on the block-level data variance
 //! h_D; on adversarially clustered storage, block-random sampling alone
@@ -12,14 +12,11 @@
 //! variance to roughly `(1 − io_budget)` × the original before the online
 //! two-level shuffle even starts.
 //!
-//! The same recluster pass is exposed standalone as [`recluster_table`],
-//! backing the SQL `RECLUSTER <table> [WITH io_budget = f]` statement.
+//! The same pass backs the SQL `RECLUSTER <table> [WITH io_budget = f]`
+//! statement.
 
-use crate::corgipile::{BlockSampleMode, CorgiPile};
-use crate::plan::Segment;
-use crate::strategy::{read_block, ShuffleStrategy, StrategyParams};
 use corgipile_data::rng::shuffle_in_place;
-use corgipile_storage::{Access, Result, SimDevice, Table, Tuple};
+use corgipile_storage::{Access, Result, RetryPolicy, SimDevice, Table, Tuple};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -102,7 +99,8 @@ pub fn recluster_table(
     let mut rewritten_bytes = 0usize;
     for &b in &chosen {
         rewritten_bytes += table.block(b)?.bytes;
-        pool.extend(read_block(table, b, Access::Random, dev)?);
+        let block = table.read(b, Access::Random, dev, &RetryPolicy::default())?;
+        pool.extend(block.rows().map(|r| r.to_tuple()));
     }
     shuffle_in_place(&mut rng, &mut pool);
     if !chosen.is_empty() {
@@ -134,77 +132,6 @@ pub fn recluster_table(
         budget_io,
         full_shuffle_io: full_io,
     })
-}
-
-/// The Corgi² strategy: a one-off bounded recluster pass (charged as epoch
-/// 0's setup), then CorgiPile's two-level shuffle over the copy.
-#[derive(Debug)]
-pub struct Corgi2 {
-    params: StrategyParams,
-    online: CorgiPile,
-    copy: Option<Table>,
-}
-
-impl Corgi2 {
-    /// Create a Corgi² strategy; `params.io_budget` bounds the offline pass.
-    pub fn new(params: StrategyParams) -> Self {
-        let online = CorgiPile::new(params.clone(), BlockSampleMode::FullCoverage);
-        Corgi2 {
-            params,
-            online,
-            copy: None,
-        }
-    }
-
-    fn ensure_copy(&mut self, table: &Table, dev: &mut SimDevice) -> Result<f64> {
-        if self.copy.is_some() {
-            return Ok(0.0);
-        }
-        let before = dev.stats().io_seconds;
-        let out = recluster_table(
-            table,
-            format!("{}_reclustered", table.config().name),
-            table.config().table_id | 0xC000_0000,
-            self.params.io_budget,
-            self.params.seed,
-            dev,
-        )?;
-        self.copy = Some(out.table);
-        Ok(dev.stats().io_seconds - before)
-    }
-}
-
-impl ShuffleStrategy for Corgi2 {
-    fn name(&self) -> &'static str {
-        "corgi2"
-    }
-
-    fn stream_epoch(
-        &mut self,
-        table: &Table,
-        dev: &mut SimDevice,
-        emit: &mut dyn FnMut(Segment) -> bool,
-    ) -> Result<f64> {
-        let setup = self.ensure_copy(table, dev)?;
-        let copy = self.copy.as_ref().expect("copy built above");
-        self.online.stream_epoch(copy, dev, emit)?;
-        Ok(setup)
-    }
-
-    fn buffer_tuples(&self, table: &Table) -> usize {
-        self.online.buffer_tuples(table)
-    }
-
-    fn disk_space_factor(&self) -> f64 {
-        // Only the rewritten fraction occupies extra space while the pass
-        // runs (unselected extents are never copied on the simulated disk).
-        1.0 + self.params.io_budget
-    }
-
-    fn reset(&mut self) {
-        self.copy = None;
-        self.online.reset();
-    }
 }
 
 #[cfg(test)]
@@ -280,65 +207,6 @@ mod tests {
         assert!(
             hd_after < 0.7 * hd_before,
             "recluster should cut h_D: {hd_before} -> {hd_after}"
-        );
-    }
-
-    #[test]
-    fn epochs_cover_all_tuples_and_reset_replays() {
-        let t = clustered(1200);
-        let mut s = Corgi2::new(StrategyParams::default().with_seed(5));
-        let mut dev = SimDevice::hdd_scaled(1000.0, 0);
-        let plan = s.next_epoch(&t, &mut dev);
-        assert!(plan.setup_seconds > 0.0, "epoch 0 pays the recluster pass");
-        let mut ids = plan.id_sequence();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..1200).collect::<Vec<_>>());
-        let second = s.next_epoch(&t, &mut dev);
-        assert_eq!(second.setup_seconds, 0.0, "setup charged once");
-
-        let first_ids = plan.id_sequence();
-        s.reset();
-        let mut dev2 = SimDevice::hdd_scaled(1000.0, 0);
-        let replay = s.next_epoch(&t, &mut dev2);
-        assert_eq!(first_ids, replay.id_sequence());
-    }
-
-    #[test]
-    fn setup_stays_under_the_budget_fraction_of_shuffle_once() {
-        let t = clustered(4000);
-        let mut s = Corgi2::new(StrategyParams::default().with_io_budget(0.25).with_seed(5));
-        let mut dev = SimDevice::hdd_scaled(1000.0, 0);
-        let plan = s.next_epoch(&t, &mut dev);
-        let full = full_shuffle_io(&t, &dev);
-        assert!(
-            plan.setup_seconds <= 0.25 * full + 1e-12,
-            "setup {} over budget {}",
-            plan.setup_seconds,
-            0.25 * full
-        );
-    }
-
-    #[test]
-    fn streams_mix_labels_better_than_plain_corgipile_on_clustered_data() {
-        // With a tiny online buffer (one block per fill: no cross-block
-        // mixing from the tuple shuffle), the offline pass is the only
-        // mixing force — label uniformity must improve over plain
-        // CorgiPile under the same buffer.
-        let t = clustered(4000);
-        let params = StrategyParams::default()
-            .with_buffer_fraction(0.02)
-            .with_io_budget(0.5)
-            .with_seed(11);
-        let mut dev = SimDevice::hdd_scaled(1000.0, 0);
-        let mut c2 = Corgi2::new(params.clone());
-        let labels_c2 = c2.next_epoch(&t, &mut dev).label_sequence();
-        let mut cp = CorgiPile::new(params, BlockSampleMode::FullCoverage);
-        let labels_cp = cp.next_epoch(&t, &mut dev).label_sequence();
-        let score_c2 = crate::diagnostics::label_uniformity_score(&labels_c2, 50);
-        let score_cp = crate::diagnostics::label_uniformity_score(&labels_cp, 50);
-        assert!(
-            score_c2 < score_cp,
-            "corgi2 {score_c2} should mix better than corgipile {score_cp}"
         );
     }
 }

@@ -9,8 +9,7 @@
 //! * the **mean displacement** — a scalar randomness score used by tests
 //!   and the Table-1 summary.
 
-use crate::strategy::read_block;
-use corgipile_storage::{Access, SimDevice, Table};
+use corgipile_storage::{Access, RetryPolicy, SimDevice, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -193,16 +192,13 @@ pub fn block_variance_sampled(
     let mut labels: Vec<f32> = Vec::new();
     let mut per_block: Vec<(usize, f64)> = Vec::new();
     for &b in &picks {
-        let tuples = match read_block(table, b, Access::Random, dev) {
-            Ok(tuples) => tuples,
-            Err(_) => continue,
+        let block = match table.read(b, Access::Random, dev, &RetryPolicy::default()) {
+            Ok(block) if !block.is_empty() => block,
+            _ => continue,
         };
-        if tuples.is_empty() {
-            continue;
-        }
-        let sum: f64 = tuples.iter().map(|t| t.label as f64).sum();
-        per_block.push((tuples.len(), sum / tuples.len() as f64));
-        labels.extend(tuples.iter().map(|t| t.label));
+        let sum: f64 = block.rows().map(|t| t.label as f64).sum();
+        per_block.push((block.len(), sum / block.len() as f64));
+        labels.extend(block.rows().map(|t| t.label));
     }
     BlockVariance {
         hd: variance_from_blocks(&per_block, &labels),

@@ -1,0 +1,379 @@
+//! The one fill: stage a fill's blocks, rank their rows, place them (§4.1,
+//! §6.2).
+//!
+//! Every way into training moves rows through [`Filler::fill`]: `Trainer`
+//! through [`fill_epoch`], multi-worker CorgiPile per worker, and the SQL
+//! scan operator. The caller's scan step reads a fill's blocks and admits
+//! their rows (the SQL engine evaluates `WHERE`, projects and skips dead
+//! blocks there); the fill ranks the admitted rows by the order's [`Rank`]
+//! and leaves them in the batch the kernel drains.
+//!
+//! What moves is a [`RowBatch`]: heap pages pinned by `Arc` plus one 8-byte
+//! [`RowRef`] per row. Rows stay on the table's pages unless a fill ranks
+//! them; then narrow rows are copied once, in SGD order, into a page the
+//! batch owns alone — its slab — and rows wider than [`SLAB_ROW_BYTES`] are
+//! handed out in place.
+
+use crate::plan::{EpochOrder, Rank};
+use crate::strategy::{copy_id, ShuffleStrategy};
+use corgipile_data::rng::rank_by_key;
+use corgipile_storage::{
+    splitmix64, BlockHandle, Page, RetryPolicy, SimDevice, Span, SpanSite, StorageError, Table,
+    Telemetry, TupleView,
+};
+use std::sync::Arc;
+
+/// Fills whose rows average more stored bytes than this are consumed in
+/// place, on the table's pages: a row of many cache lines already streams,
+/// and copying it doubles the traffic of a memory-bound statement. Narrower
+/// rows are copied into the batch's slab (DESIGN.md §9 has the sweep).
+pub const SLAB_ROW_BYTES: usize = 1024;
+
+/// One row of a [`RowBatch`]: which of its pinned pages, which slot on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowRef {
+    page: u32,
+    slot: u32,
+}
+
+/// The one batch type: pinned pages (one `Arc` bump per page, none per row)
+/// and the [`RowRef`]s of a run of their rows, in consumption order.
+/// [`RowBatch::clear`] keeps both allocations for the next fill. A batch a
+/// ranked fill copied narrow rows into holds one page nobody else does — its
+/// slab, found again by that test and overwritten in place when the batch
+/// comes back to be refilled.
+#[derive(Debug, Default)]
+pub struct RowBatch {
+    pages: Vec<Arc<Page>>,
+    rows: Vec<RowRef>,
+}
+
+impl RowBatch {
+    /// An empty batch with room for `rows` rows.
+    pub fn with_capacity(rows: usize) -> Self {
+        RowBatch {
+            pages: Vec::new(),
+            rows: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Drop all rows and pins but keep the backing allocations.
+    pub fn clear(&mut self) {
+        self.pages.clear();
+        self.rows.clear();
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the batch holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The handles of the rows, in order.
+    pub fn refs(&self) -> &[RowRef] {
+        &self.rows
+    }
+
+    /// The pinned pages.
+    pub fn pages(&self) -> &[Arc<Page>] {
+        &self.pages
+    }
+
+    /// The row behind a handle of this batch.
+    #[inline]
+    pub fn row(&self, r: RowRef) -> TupleView<'_> {
+        self.pages[r.page as usize].row(r.slot as usize)
+    }
+
+    /// The rows, in order.
+    #[inline]
+    pub fn rows(&self) -> impl Iterator<Item = TupleView<'_>> + Clone {
+        self.rows.iter().map(|&r| self.row(r))
+    }
+
+    /// Empty the batch down to one page nobody else holds — the slab of its
+    /// last fill, or a fresh one — and hand that page out to copy a fill into.
+    fn slab(&mut self) -> &mut Page {
+        self.pages.truncate(1);
+        if self.pages.first_mut().and_then(Arc::get_mut).is_none() {
+            self.pages.clear();
+            self.pages.push(Arc::new(Page::new()));
+        }
+        Arc::get_mut(&mut self.pages[0]).expect("held by this batch alone: just checked, or new")
+    }
+
+    /// Pin `page` and append the slots `keep` admits, in slot order.
+    #[inline]
+    pub fn push_page(&mut self, page: &Arc<Page>, mut keep: impl FnMut(&Page, usize) -> bool) {
+        let (index, before) = (self.pages.len() as u32, self.rows.len());
+        for slot in 0..page.tuple_count() as u32 {
+            if keep(page, slot as usize) {
+                self.rows.push(RowRef { page: index, slot });
+            }
+        }
+        if self.rows.len() > before {
+            self.pages.push(Arc::clone(page));
+        }
+    }
+
+    /// Pin every page of `block` and append all of its rows.
+    pub fn push_block(&mut self, block: &BlockHandle) {
+        block
+            .pages()
+            .iter()
+            .for_each(|p| self.push_page(p, |_, _| true));
+    }
+
+    /// Append row `r` of `src`, pinning its page if the last push did not.
+    pub fn push_from(&mut self, src: &RowBatch, r: RowRef) {
+        let page = &src.pages[r.page as usize];
+        if !self.pages.last().is_some_and(|p| Arc::ptr_eq(p, page)) {
+            self.pages.push(Arc::clone(page));
+        }
+        self.rows.push(RowRef {
+            page: self.pages.len() as u32 - 1,
+            slot: r.slot,
+        });
+    }
+
+    /// Drop the row at position `i` and move the last row into its place.
+    pub fn swap_remove(&mut self, i: usize) {
+        self.rows.swap_remove(i);
+    }
+
+    /// The rows a page at a time: each pinned page with the handles of its rows.
+    fn runs(&self) -> impl Iterator<Item = (&Page, &[RowRef])> + Clone {
+        let runs = self.rows.chunk_by(|a, b| a.page == b.page);
+        runs.map(|run| (&*self.pages[run[0].page as usize], run))
+    }
+}
+
+/// One buffer fill on its way from the source to the kernel stage.
+#[derive(Debug, Default)]
+pub struct Fill {
+    /// The fill's rows, in SGD consumption order.
+    pub batch: RowBatch,
+    /// Index of the epoch's per-fill loading cost this fill's lands in; its
+    /// compute is attributed to the same slot.
+    pub slot: usize,
+    /// Simulated seconds spent producing the fill.
+    pub sim_seconds: f64,
+}
+
+/// A fill [`Filler::fill`] placed: its rows, their stored bytes — what
+/// [`ShuffleStrategy::buffering_cost`] charges for a ranked fill — and the
+/// open `{prefix}.fill` span, for the caller to add the fill's simulated
+/// seconds to.
+#[derive(Debug)]
+pub struct Placed {
+    /// Rows placed.
+    pub rows: usize,
+    /// Their stored bytes (ranked fills only; 0 in stored order).
+    pub bytes: usize,
+    /// The fill's span (records nothing for a fill in stored order).
+    pub span: Span,
+}
+
+/// The fill's scratch, kept across fills: the staging batch, a key per
+/// staged row and [`rank_by_key`]'s output.
+#[derive(Debug)]
+pub struct Filler {
+    prefix: &'static str,
+    staging: RowBatch,
+    keys: Vec<u64>,
+    order: Vec<u32>,
+    rank: Vec<u32>,
+    /// `{prefix}.{fill, read, key, sort, copy}`, resolved by the first
+    /// ranked fill (DESIGN.md §9).
+    spans: Option<[SpanSite; 5]>,
+}
+
+impl Filler {
+    /// A filler whose ranked fills record spans named `{prefix}.*`.
+    pub fn new(prefix: &'static str) -> Self {
+        Filler {
+            prefix,
+            staging: RowBatch::default(),
+            keys: Vec::new(),
+            order: Vec::new(),
+            rank: Vec::new(),
+            spans: None,
+        }
+    }
+
+    /// Place the next fill in `out`; `None` at the end of the stream.
+    ///
+    /// `stage` is the caller's scan step: it appends the admitted rows of
+    /// the next fill's blocks to the batch it is handed and returns
+    /// `Ok(false)` once no block is left. A fill that admitted no row merges
+    /// into the next. In [`Rank::Stored`] the rows are staged straight into
+    /// `out`, on their pages. In [`Rank::Key`] they are staged aside, ranked
+    /// by `splitmix64(salt ⊕ id)` off the staged pages' id columns, and
+    /// copied in that order into `out`'s slab — or, when they average more
+    /// than [`SLAB_ROW_BYTES`] stored bytes, handed out as handles on the
+    /// staged pages.
+    pub fn fill<E>(
+        &mut self,
+        tel: &Telemetry,
+        rank: Rank,
+        mut stage: impl FnMut(&mut RowBatch) -> Result<bool, E>,
+        out: &mut RowBatch,
+    ) -> Result<Option<Placed>, E> {
+        let salt = match rank {
+            Rank::Key(salt) => salt,
+            Rank::Stored => {
+                out.clear();
+                while stage(out)? && out.is_empty() {}
+                let span = SpanSite::default().start();
+                return Ok((!out.is_empty()).then(|| Placed {
+                    rows: out.len(),
+                    bytes: 0,
+                    span,
+                }));
+            }
+            Rank::Own => unreachable!("a strategy that places its own rows fills through place"),
+        };
+        let staging = &mut self.staging;
+        staging.clear();
+        out.rows.clear();
+        let prefix = self.prefix;
+        let site = |p| tel.span_site(&[prefix, ".", p].concat());
+        let phases = ["fill", "read", "key", "sort", "copy"];
+        let [fill, read, key, sort, copy] = &*self.spans.get_or_insert_with(|| phases.map(site));
+        let (span, mut phase) = (fill.start(), read.start());
+        while stage(staging)? && staging.is_empty() {}
+        let n = staging.len();
+        if n == 0 {
+            // End-of-stream probe, not a fill: record nothing.
+            span.cancel();
+            phase.cancel();
+            return Ok(None);
+        }
+        // splitmix64 is bijective, so any correct sort gives the same order,
+        // and filtering below or above the buffer leaves the survivors'
+        // order unchanged.
+        phase = phase.then(key);
+        let mut bytes = 0;
+        self.keys.clear();
+        self.keys.reserve(n);
+        for (page, run) in staging.runs() {
+            let (ids, slots) = (page.ids(), run.iter().map(|r| r.slot as usize));
+            self.keys
+                .extend(slots.clone().map(|s| splitmix64(salt ^ ids[s])));
+            bytes += if run.len() == page.tuple_count() {
+                page.used_bytes()
+            } else {
+                slots.map(|s| page.row(s).encoded_len()).sum()
+            };
+        }
+        phase = phase.then(sort);
+        rank_by_key(&self.keys, &mut self.order, &mut self.rank);
+        let _copy = phase.then(copy);
+        if bytes / n > SLAB_ROW_BYTES {
+            out.rows
+                .extend(self.order.iter().map(|&at| staging.rows[at as usize]));
+            std::mem::swap(&mut out.pages, &mut staging.pages);
+        } else {
+            // Read the staged pages in sequence, write each row to its rank.
+            let runs = staging
+                .runs()
+                .map(|(page, run)| (page, run.iter().map(|r| r.slot as usize)));
+            out.slab().fill_ranked(runs, &self.rank);
+            out.rows
+                .extend((0..n as u32).map(|slot| RowRef { page: 0, slot }));
+        }
+        Ok(Some(Placed {
+            rows: n,
+            bytes,
+            span,
+        }))
+    }
+}
+
+/// Start `strategy`'s next epoch on the simulated device: its setup (any
+/// copy gets the table's id with the two high bits set), then its order,
+/// into `order`.
+/// Returns the setup's simulated seconds.
+pub fn start_epoch<S: ShuffleStrategy + ?Sized>(
+    strategy: &mut S,
+    table: &Table,
+    dev: &mut SimDevice,
+    order: &mut EpochOrder,
+) -> Result<f64, StorageError> {
+    let setup = strategy.setup(table, &|| copy_id(table), dev)?;
+    let copy = strategy.copy();
+    strategy.next_order(copy.as_deref().unwrap_or(table), order);
+    Ok(setup)
+}
+
+/// The fills of the epoch [`start_epoch`] began, the library's way: every
+/// block read through [`Table::read`] under the default [`RetryPolicy`], each
+/// fill placed in `out` — its `k`-th fill in slot `k`, costing the simulated
+/// seconds of its reads and its buffering — and handed to `emit`, which
+/// leaves a buffer behind to fill next. `emit` returning `false` ends the
+/// epoch; a block that stays unreadable ends it with its error.
+pub fn fill_epoch<S: ShuffleStrategy + ?Sized>(
+    strategy: &mut S,
+    table: &Table,
+    dev: &mut SimDevice,
+    filler: &mut Filler,
+    order: &EpochOrder,
+    out: &mut Fill,
+    emit: &mut dyn FnMut(&mut Fill) -> bool,
+) -> Result<(), StorageError> {
+    let copy = strategy.copy();
+    let table = copy.as_deref().unwrap_or(table);
+    let tel = dev.telemetry().clone();
+    let policy = RetryPolicy::default();
+    let read = |i: usize, dev: &mut SimDevice, into: &mut RowBatch| {
+        into.push_block(&table.read(order.blocks[i], order.access(i), dev, &policy)?);
+        Ok::<_, StorageError>(())
+    };
+    if order.rank == Rank::Own {
+        // One fill per run of blocks, and one past them: the drain.
+        let mut staged = RowBatch::default();
+        for k in 0..=order.fills() {
+            let (before, start) = (dev.stats().io_seconds, k * order.fill_blocks);
+            staged.clear();
+            for i in start..start + order.fill(k).len() {
+                read(i, dev, &mut staged)?;
+            }
+            out.batch.clear();
+            strategy.place(table, k, &staged, dev, &mut out.batch);
+            (out.slot, out.sim_seconds) = (k, dev.stats().io_seconds - before);
+            if !emit(out) {
+                break;
+            }
+        }
+        return Ok(());
+    }
+    let mut next = 0;
+    for k in 0.. {
+        let before = dev.stats().io_seconds;
+        let stage = |staging: &mut RowBatch| {
+            let end = (next + order.fill_blocks).min(order.blocks.len());
+            for i in next..end {
+                read(i, dev, staging)?;
+            }
+            next = end;
+            Ok(next < order.blocks.len())
+        };
+        let Some(mut placed) = filler.fill(&tel, order.rank, stage, &mut out.batch)? else {
+            break;
+        };
+        if order.rank != Rank::Stored {
+            dev.charge_seconds(strategy.buffering_cost(placed.rows, placed.bytes));
+        }
+        (out.slot, out.sim_seconds) = (k, dev.stats().io_seconds - before);
+        placed.span.add_sim_seconds(out.sim_seconds);
+        drop(placed);
+        if !emit(out) {
+            break;
+        }
+    }
+    Ok(())
+}

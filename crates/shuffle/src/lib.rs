@@ -1,71 +1,65 @@
 //! # corgipile-shuffle
 //!
 //! The data-shuffling strategies studied by the CorgiPile paper (§3–§4),
-//! implemented as per-epoch tuple-stream producers over heap tables with
-//! full I/O cost accounting:
+//! as per-epoch *order generators* over heap tables, and the one fill that
+//! moves rows in those orders:
 //!
-//! | Strategy | Paper § | I/O pattern | Randomness |
-//! |---|---|---|---|
-//! | [`NoShuffle`] | §3.2 | sequential scan | none |
-//! | [`ShuffleOnce`] | §3.1 | offline full shuffle (2× storage), then sequential | full (fixed across epochs) |
-//! | [`EpochShuffle`] | §3.1 | full shuffle before *every* epoch | full |
-//! | [`SlidingWindowShuffle`] | §3.3 | sequential scan | local window (TensorFlow) |
-//! | [`MrsShuffle`] | §3.4 | sequential scan + looping buffer | reservoir (Bismarck) |
-//! | [`BlockOnlyShuffle`] | §7.3 | random block reads | block order only |
-//! | [`CorgiPile`] | §4 | random block reads + buffered tuple shuffle | two-level hierarchical |
-//! | [`BlockReversalShuffle`] | related work | near-sequential rotated/reversed scans | epoch-indexed order |
-//! | [`Corgi2`] | Corgi² (Livne et al.) | bounded-I/O offline recluster, then CorgiPile | partial offline + two-level |
+//! | Strategy ([`StrategyKind`]) | Paper § | Setup | Fills | Rank |
+//! |---|---|---|---|---|
+//! | No Shuffle | §3.2 | — | each block, in a sequential scan | stored |
+//! | Shuffle Once | §3.1 | offline full shuffle (2× storage), once | each block of the copy, in a scan | stored |
+//! | Epoch Shuffle | §3.1 | offline full shuffle, every epoch | each block of the copy, in a scan | stored |
+//! | Sliding-Window | §3.3 | — | each block, in a scan; then the drain | own (window) |
+//! | MRS | §3.4 | — | each block, in a scan; then the top-up | own (reservoir) |
+//! | Block-Only | §7.3 | — | each block, in a random order | stored |
+//! | Tuple-Only | ablation | — | `n` blocks, in a sequential scan | key |
+//! | CorgiPile | §4 | — | `n` blocks, in a random order | key |
+//! | Block-Reversal | related work | — | each block, rotated (reversed on odd epochs) | stored |
+//! | Corgi² | Livne et al. | bounded-I/O recluster, once | `n` blocks of the copy, in a random order | key |
 //!
-//! Every strategy streams an epoch as a sequence of [`Segment`]s (one per
-//! buffer fill / block read; collected, an [`EpochPlan`]) carrying the
-//! tuples in SGD consumption order together with the simulated I/O seconds
-//! spent producing them, so the trainer can apply the paper's single- vs
-//! double-buffer pipeline model (§6.3). A block that stays unreadable ends
-//! the stream with an error ([`ShuffleStrategy::stream_epoch`]).
+//! Per epoch a strategy runs its setup and generates an [`EpochOrder`]:
+//! block ids, the access each read is charged as, the fill boundaries and a
+//! [`Rank`] rule. The orders are the SQL engine's — the block permutation
+//! is `StdRng(seed ⊕ 0xB50F)` advanced once per epoch, the key rank
+//! `splitmix64(salt ⊕ id)` with a per-epoch salt — and generating one does
+//! no I/O. Every strategy but two is a [`BlockStrategy`]; MRS
+//! ([`MrsShuffle`]) and Sliding-Window ([`SlidingWindowShuffle`]) place
+//! their own rows. [`fill`] reads the blocks and places the rows: `Trainer`,
+//! multi-worker CorgiPile and the SQL scan operator all go through
+//! [`Filler::fill`]. [`ShuffleStrategy::next_epoch`] runs one epoch and
+//! copies it out as [`Segment`]s (an [`EpochPlan`]), each with the
+//! simulated I/O seconds spent producing it.
 //!
-//! [`NoShuffle`]: no_shuffle::NoShuffle
-//! [`ShuffleOnce`]: shuffle_once::ShuffleOnce
-//! [`EpochShuffle`]: epoch_shuffle::EpochShuffle
-//! [`SlidingWindowShuffle`]: sliding_window::SlidingWindowShuffle
+//! [`BlockStrategy`]: blocks::BlockStrategy
 //! [`MrsShuffle`]: mrs::MrsShuffle
-//! [`BlockOnlyShuffle`]: block_only::BlockOnlyShuffle
-//! [`CorgiPile`]: corgipile::CorgiPile
-//! [`BlockReversalShuffle`]: block_reversal::BlockReversalShuffle
-//! [`Corgi2`]: corgi2::Corgi2
+//! [`SlidingWindowShuffle`]: sliding_window::SlidingWindowShuffle
+//! [`EpochOrder`]: plan::EpochOrder
 //! [`EpochPlan`]: plan::EpochPlan
+//! [`Rank`]: plan::Rank
 //! [`Segment`]: plan::Segment
+//! [`Filler::fill`]: fill::Filler::fill
 
 #![forbid(unsafe_code)]
 
-pub mod block_only;
-pub mod block_reversal;
+pub mod blocks;
 pub mod corgi2;
-pub mod corgipile;
 pub mod cost;
 pub mod diagnostics;
-pub mod epoch_shuffle;
+pub mod fill;
 pub mod mrs;
-pub mod no_shuffle;
 pub mod plan;
-pub mod shuffle_once;
 pub mod sliding_window;
 pub mod strategy;
-pub mod tuple_only;
 
-pub use block_only::BlockOnlyShuffle;
-pub use block_reversal::BlockReversalShuffle;
-pub use corgi2::{full_shuffle_io, recluster_table, Corgi2, ReclusterOutcome};
-pub use corgipile::{BlockSampleMode, CorgiPile};
+pub use blocks::{BlockSampleMode, BlockStrategy};
+pub use corgi2::{full_shuffle_io, recluster_table, ReclusterOutcome};
 pub use cost::{CostEstimate, CostModel};
 pub use diagnostics::{
     block_variance_exact, block_variance_sampled, label_distribution, label_uniformity_score,
     order_displacement, tuple_id_trace, BlockVariance, LabelWindow,
 };
-pub use epoch_shuffle::EpochShuffle;
+pub use fill::{fill_epoch, start_epoch, Fill, Filler, Placed, RowBatch, RowRef, SLAB_ROW_BYTES};
 pub use mrs::MrsShuffle;
-pub use no_shuffle::NoShuffle;
-pub use plan::{EpochPlan, Segment};
-pub use shuffle_once::ShuffleOnce;
+pub use plan::{EpochOrder, EpochPlan, Rank, Segment};
 pub use sliding_window::SlidingWindowShuffle;
 pub use strategy::{build_strategy, ShuffleStrategy, StrategyKind, StrategyParams};
-pub use tuple_only::TupleOnlyShuffle;

@@ -14,9 +14,10 @@
 //! dropped tuples arrive in generally increasing storage order, and buffer
 //! tuples repeat.
 
-use crate::plan::Segment;
-use crate::strategy::{read_block, ShuffleStrategy, StrategyParams};
-use corgipile_storage::{Access, SimDevice, StorageError, Table, Tuple};
+use crate::fill::RowBatch;
+use crate::plan::{EpochOrder, Rank};
+use crate::strategy::{ShuffleStrategy, StrategyParams};
+use corgipile_storage::{SimDevice, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -25,8 +26,13 @@ use rand::{Rng, SeedableRng};
 pub struct MrsShuffle {
     params: StrategyParams,
     rng: StdRng,
-    /// Reservoir carried across epochs (thread B's loop source).
-    reservoir: Vec<Tuple>,
+    /// Thread B's loop source, pinned on its rows' pages.
+    reservoir: RowBatch,
+    /// Tuples scanned, dropped to SGD and looped from the reservoir so far
+    /// this epoch.
+    scanned: usize,
+    drops: usize,
+    looped: usize,
 }
 
 impl MrsShuffle {
@@ -36,8 +42,18 @@ impl MrsShuffle {
         MrsShuffle {
             params,
             rng,
-            reservoir: Vec::new(),
+            reservoir: RowBatch::default(),
+            scanned: 0,
+            drops: 0,
+            looped: 0,
         }
+    }
+
+    /// Thread B: feed SGD a random reservoir row.
+    fn loop_once(&mut self, out: &mut RowBatch) {
+        let pick = self.rng.gen_range(0..self.reservoir.len());
+        out.push_from(&self.reservoir, self.reservoir.refs()[pick]);
+        self.looped += 1;
     }
 }
 
@@ -46,70 +62,63 @@ impl ShuffleStrategy for MrsShuffle {
         "mrs"
     }
 
-    fn stream_epoch(
+    /// One fill per block of a sequential scan, then thread B's top-up.
+    fn next_order(&mut self, table: &Table, order: &mut EpochOrder) {
+        order.set(0..table.num_blocks(), 1, false, Rank::Own);
+    }
+
+    fn place(
         &mut self,
         table: &Table,
+        fill: usize,
+        staged: &RowBatch,
         dev: &mut SimDevice,
-        emit: &mut dyn FnMut(Segment) -> bool,
-    ) -> Result<f64, StorageError> {
+        out: &mut RowBatch,
+    ) {
         let m = table.num_tuples() as usize;
         let r_cap = self.params.buffer_tuples(table).min(m);
-        let a_total = m.saturating_sub(r_cap);
+        if fill == 0 {
+            self.reservoir.clear();
+            (self.scanned, self.drops, self.looped) = (0, 0, 0);
+        }
+        let Ok(block) = table.block(fill) else {
+            // Thread B tops up the epoch to exactly m updates.
+            while self.looped < r_cap && !self.reservoir.is_empty() {
+                self.loop_once(out);
+            }
+            return;
+        };
         // Interleave one buffer-loop emission every `interval` drops.
-        let interval = a_total.checked_div(r_cap).map_or(usize::MAX, |v| v.max(1));
-
-        self.reservoir.clear();
-        self.reservoir.reserve(r_cap);
-        let mut scanned = 0usize;
-        let mut drops = 0usize;
-        let mut b_emitted = 0usize;
-
-        for blk in 0..table.num_blocks() {
-            let before = dev.stats().io_seconds;
-            let incoming = read_block(table, blk, Access::in_scan(blk == 0), dev)?;
-            // Copy cost for tuples routed through the reservoir.
-            let bytes = table.block(blk)?.bytes;
-            dev.charge_seconds(self.params.buffering_cost(0, bytes / 4));
-            let mut emitted = Vec::new();
-            for t in incoming {
-                scanned += 1;
-                if self.reservoir.len() < r_cap {
-                    self.reservoir.push(t);
-                    continue;
-                }
-                // Classic reservoir step: keep incoming with prob r/scanned.
-                let dropped = if r_cap > 0 && self.rng.gen_range(0..scanned) < r_cap {
-                    let slot = self.rng.gen_range(0..self.reservoir.len());
-                    std::mem::replace(&mut self.reservoir[slot], t)
-                } else {
-                    t
-                };
-                emitted.push(dropped);
-                drops += 1;
-                // Thread B: loop over the buffer at the multiplex rate.
-                if drops.is_multiple_of(interval) && b_emitted < r_cap && !self.reservoir.is_empty()
-                {
-                    let pick = self.rng.gen_range(0..self.reservoir.len());
-                    emitted.push(self.reservoir[pick].clone());
-                    b_emitted += 1;
-                }
+        let interval = (m - r_cap)
+            .checked_div(r_cap)
+            .map_or(usize::MAX, |v| v.max(1));
+        // Copy cost for tuples routed through the reservoir.
+        dev.charge_seconds(self.params.buffering_cost(0, block.bytes / 4));
+        for &r in staged.refs() {
+            self.scanned += 1;
+            if self.reservoir.len() < r_cap {
+                self.reservoir.push_from(staged, r);
+                continue;
             }
-            if !emit(Segment::new(emitted, dev.stats().io_seconds - before)) {
-                return Ok(0.0);
+            // Classic reservoir step: keep incoming with prob r/scanned; the
+            // dropped tuple (incoming or evicted victim) goes to SGD.
+            if r_cap > 0 && self.rng.gen_range(0..self.scanned) < r_cap {
+                let slot = self.rng.gen_range(0..self.reservoir.len());
+                out.push_from(&self.reservoir, self.reservoir.refs()[slot]);
+                self.reservoir.push_from(staged, r);
+                self.reservoir.swap_remove(slot);
+            } else {
+                out.push_from(staged, r);
+            }
+            self.drops += 1;
+            // Thread B: loop over the buffer at the multiplex rate.
+            if self.drops.is_multiple_of(interval)
+                && self.looped < r_cap
+                && !self.reservoir.is_empty()
+            {
+                self.loop_once(out);
             }
         }
-
-        // Thread B tops up the epoch to exactly m updates.
-        let mut tail = Vec::new();
-        while b_emitted < r_cap && !self.reservoir.is_empty() {
-            let pick = self.rng.gen_range(0..self.reservoir.len());
-            tail.push(self.reservoir[pick].clone());
-            b_emitted += 1;
-        }
-        if !tail.is_empty() {
-            emit(Segment::new(tail, 0.0));
-        }
-        Ok(0.0)
     }
 
     fn buffer_tuples(&self, table: &Table) -> usize {
@@ -181,7 +190,8 @@ mod tests {
         let mut s = MrsShuffle::new(StrategyParams::default());
         let mut dev = SimDevice::hdd(0);
         let mrs_io = s.next_epoch(&t, &mut dev).io_seconds();
-        let mut ns = crate::no_shuffle::NoShuffle::new();
+        let mut ns =
+            crate::build_strategy(crate::StrategyKind::NoShuffle, StrategyParams::default());
         let mut dev2 = SimDevice::hdd(0);
         let ns_io = ns.next_epoch(&t, &mut dev2).io_seconds();
         assert!(mrs_io < ns_io * 1.2, "MRS {mrs_io} vs No Shuffle {ns_io}");

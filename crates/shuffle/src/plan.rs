@@ -1,6 +1,74 @@
-//! Epoch plans: the tuple stream of one epoch, segmented by buffer fill.
+//! Epoch orders, and the epoch plans collected from them.
+//!
+//! An [`EpochOrder`] is what a strategy generates per epoch: which blocks to
+//! read, how each read is charged, where the fills end and how a fill's rows
+//! are ranked. It holds no tuple and costs no I/O. An [`EpochPlan`] is one
+//! epoch run through the fill and copied out, segment by segment.
 
-use corgipile_storage::Tuple;
+use corgipile_storage::{Access, Tuple};
+
+/// How a fill's rows are ranked into SGD order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Rank {
+    /// Stored order: block by block, slot by slot.
+    #[default]
+    Stored,
+    /// Ascending `splitmix64(salt ⊕ id)`: the SQL `TupleShuffle` key sort.
+    /// The key depends on the row alone, so the rank of the rows a `WHERE`
+    /// admits does not depend on where the filter runs.
+    Key(u64),
+    /// The strategy places the rows itself ([`crate::ShuffleStrategy::place`]):
+    /// Sliding-Window's window, MRS's reservoir.
+    Own,
+}
+
+/// One epoch of a strategy, as block ids.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct EpochOrder {
+    /// Block ids, in read order.
+    pub blocks: Vec<usize>,
+    /// Blocks a fill reads: fill `k` reads the `k`-th run of this many.
+    pub fill_blocks: usize,
+    /// Every read is a random block read (CorgiPile's I/O primitive, and
+    /// the reads a buffer pool serves); otherwise the reads are one scan
+    /// that seeks only where it jumps.
+    pub random: bool,
+    /// How each fill's rows are ranked.
+    pub rank: Rank,
+}
+
+impl EpochOrder {
+    /// Overwrite the order with `blocks`, cut into fills of `fill_blocks`.
+    pub fn set(
+        &mut self,
+        blocks: impl IntoIterator<Item = usize>,
+        fill_blocks: usize,
+        random: bool,
+        rank: Rank,
+    ) {
+        self.blocks.clear();
+        self.blocks.extend(blocks);
+        self.fill_blocks = fill_blocks.max(1);
+        (self.random, self.rank) = (random, rank);
+    }
+
+    /// Fills in the epoch.
+    pub fn fills(&self) -> usize {
+        self.blocks.len().div_ceil(self.fill_blocks.max(1))
+    }
+
+    /// The blocks fill `k` reads (none past the end: a [`Rank::Own`]
+    /// strategy's drain).
+    pub fn fill(&self, k: usize) -> &[usize] {
+        let start = (k * self.fill_blocks).min(self.blocks.len());
+        &self.blocks[start..(start + self.fill_blocks).min(self.blocks.len())]
+    }
+
+    /// What the `i`-th read of the epoch is charged as.
+    pub fn access(&self, i: usize) -> Access {
+        Access::in_scan(self.random || i == 0 || self.blocks[i].abs_diff(self.blocks[i - 1]) != 1)
+    }
+}
 
 /// One buffer fill's worth of the epoch stream.
 #[derive(Debug, Clone, Default)]
@@ -85,5 +153,21 @@ mod tests {
         assert_eq!(plan.num_tuples(), 0);
         assert_eq!(plan.io_seconds(), 0.0);
         assert!(plan.id_sequence().is_empty());
+    }
+
+    #[test]
+    fn orders_cut_fills_and_charge_scans_by_their_jumps() {
+        let mut order = EpochOrder::default();
+        order.set([4, 5, 6, 0, 1], 2, false, Rank::Stored);
+        assert_eq!(order.fills(), 3);
+        assert_eq!(
+            (order.fill(0), order.fill(2), order.fill(3)),
+            (&[4, 5][..], &[1][..], &[][..])
+        );
+        let access: Vec<Access> = (0..5).map(|i| order.access(i)).collect();
+        use Access::{Random as R, Sequential as S};
+        assert_eq!(access, [R, S, S, R, S], "the head and the wrap seek");
+        order.random = true;
+        assert!((0..5).all(|i| order.access(i) == R));
     }
 }

@@ -8,9 +8,10 @@
 //! `p − W·U` on average, so on clustered data nearly all negative tuples
 //! still precede positives (Figure 3b/3f).
 
-use crate::plan::Segment;
-use crate::strategy::{read_block, ShuffleStrategy, StrategyParams};
-use corgipile_storage::{Access, SimDevice, StorageError, Table, Tuple};
+use crate::fill::RowBatch;
+use crate::plan::{EpochOrder, Rank};
+use crate::strategy::{ShuffleStrategy, StrategyParams};
+use corgipile_storage::{SimDevice, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,6 +20,8 @@ use rand::{Rng, SeedableRng};
 pub struct SlidingWindowShuffle {
     params: StrategyParams,
     rng: StdRng,
+    /// The window's rows, pinned on their pages.
+    window: RowBatch,
 }
 
 impl SlidingWindowShuffle {
@@ -26,7 +29,11 @@ impl SlidingWindowShuffle {
     /// `buffer_fraction × |table|` tuples.
     pub fn new(params: StrategyParams) -> Self {
         let rng = StdRng::seed_from_u64(params.seed ^ 0x51D3);
-        SlidingWindowShuffle { params, rng }
+        SlidingWindowShuffle {
+            params,
+            rng,
+            window: RowBatch::default(),
+        }
     }
 }
 
@@ -35,43 +42,45 @@ impl ShuffleStrategy for SlidingWindowShuffle {
         "sliding_window"
     }
 
-    fn stream_epoch(
+    /// One fill per block of a sequential scan, then the drain.
+    fn next_order(&mut self, table: &Table, order: &mut EpochOrder) {
+        order.set(0..table.num_blocks(), 1, false, Rank::Own);
+    }
+
+    fn place(
         &mut self,
         table: &Table,
+        fill: usize,
+        staged: &RowBatch,
         dev: &mut SimDevice,
-        emit: &mut dyn FnMut(Segment) -> bool,
-    ) -> Result<f64, StorageError> {
-        let window_cap = self.params.buffer_tuples(table);
-        let mut window: Vec<Tuple> = Vec::with_capacity(window_cap);
-
-        for b in 0..table.num_blocks() {
-            let before = dev.stats().io_seconds;
-            let incoming = read_block(table, b, Access::in_scan(b == 0), dev)?;
-            // Small CPU cost for copying tuples through the window.
-            let bytes = table.block(b)?.bytes;
-            dev.charge_seconds(self.params.buffering_cost(0, bytes.min(window_cap * 256)));
-            let mut emitted = Vec::new();
-            for t in incoming {
-                if window.len() < window_cap {
-                    window.push(t);
-                } else {
-                    let slot = self.rng.gen_range(0..window.len());
-                    emitted.push(std::mem::replace(&mut window[slot], t));
-                }
+        out: &mut RowBatch,
+    ) {
+        if fill == 0 {
+            self.window.clear();
+        }
+        let Ok(block) = table.block(fill) else {
+            // Drain the window in random order.
+            while !self.window.is_empty() {
+                let slot = self.rng.gen_range(0..self.window.len());
+                out.push_from(&self.window, self.window.refs()[slot]);
+                self.window.swap_remove(slot);
             }
-            if !emit(Segment::new(emitted, dev.stats().io_seconds - before)) {
-                return Ok(0.0);
+            return;
+        };
+        // Small CPU cost for copying tuples through the window.
+        let cap = self.params.buffer_tuples(table);
+        dev.charge_seconds(self.params.buffering_cost(0, block.bytes.min(cap * 256)));
+        for &r in staged.refs() {
+            if self.window.len() < cap {
+                self.window.push_from(staged, r);
+            } else {
+                // The incoming row takes the slot of the row it evicts.
+                let slot = self.rng.gen_range(0..self.window.len());
+                out.push_from(&self.window, self.window.refs()[slot]);
+                self.window.push_from(staged, r);
+                self.window.swap_remove(slot);
             }
         }
-
-        // Drain the window in random order.
-        let mut drain = Vec::with_capacity(window.len());
-        while !window.is_empty() {
-            let slot = self.rng.gen_range(0..window.len());
-            drain.push(window.swap_remove(slot));
-        }
-        emit(Segment::new(drain, 0.0));
-        Ok(0.0)
     }
 
     fn buffer_tuples(&self, table: &Table) -> usize {
@@ -80,6 +89,7 @@ impl ShuffleStrategy for SlidingWindowShuffle {
 
     fn reset(&mut self) {
         self.rng = StdRng::seed_from_u64(self.params.seed ^ 0x51D3);
+        self.window.clear();
     }
 }
 
@@ -154,7 +164,8 @@ mod tests {
         let mut sw = SlidingWindowShuffle::new(StrategyParams::default().with_buffer_fraction(0.1));
         let mut dev = SimDevice::hdd(0);
         let sw_io = sw.next_epoch(&t, &mut dev).io_seconds();
-        let mut ns = crate::no_shuffle::NoShuffle::new();
+        let mut ns =
+            crate::build_strategy(crate::StrategyKind::NoShuffle, StrategyParams::default());
         let mut dev2 = SimDevice::hdd(0);
         let ns_io = ns.next_epoch(&t, &mut dev2).io_seconds();
         assert!(

@@ -1,17 +1,14 @@
 //! The strategy trait, shared parameters, and the factory.
 
-use crate::block_only::BlockOnlyShuffle;
-use crate::block_reversal::BlockReversalShuffle;
-use crate::corgi2::Corgi2;
-use crate::corgipile::{BlockSampleMode, CorgiPile};
-use crate::epoch_shuffle::EpochShuffle;
+use crate::blocks::BlockStrategy;
+use crate::fill::{fill_epoch, start_epoch, Fill, Filler, RowBatch};
 use crate::mrs::MrsShuffle;
-use crate::no_shuffle::NoShuffle;
-use crate::plan::{EpochPlan, Segment};
-use crate::shuffle_once::ShuffleOnce;
+use crate::plan::{EpochOrder, EpochPlan, Segment};
 use crate::sliding_window::SlidingWindowShuffle;
-use crate::tuple_only::TupleOnlyShuffle;
-use corgipile_storage::{Access, RetryPolicy, SimDevice, StorageError, Table, Tuple};
+use corgipile_storage::{splitmix64, SimDevice, StorageError, Table};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Parameters shared by buffered strategies.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,39 +80,31 @@ impl StrategyParams {
     }
 }
 
-/// A strategy's charged block read: [`Table::read`] under the default
-/// [`RetryPolicy`], the constant every epoch source retries with. Copied
-/// out: a [`Segment`] owns its tuples.
-pub(crate) fn read_block(
-    table: &Table,
-    block: usize,
-    access: Access,
-    dev: &mut SimDevice,
-) -> Result<Vec<Tuple>, StorageError> {
-    let handle = table.read(block, access, dev, &RetryPolicy::default())?;
-    Ok(handle.to_tuples())
+/// The block-order stream of every strategy that draws one — the SQL
+/// scan's: seeded `seed ⊕ 0xB50F`, advanced once per epoch.
+pub(crate) fn block_rng(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ 0xB5_0F)
 }
 
-/// Read `block` and emit it as one segment costing what the read cost.
-/// Returns what `emit` returned.
-pub(crate) fn emit_block(
-    table: &Table,
-    block: usize,
-    access: Access,
-    dev: &mut SimDevice,
-    emit: &mut dyn FnMut(Segment) -> bool,
-) -> Result<bool, StorageError> {
-    let before = dev.stats().io_seconds;
-    let tuples = read_block(table, block, access, dev)?;
-    Ok(emit(Segment::new(tuples, dev.stats().io_seconds - before)))
+/// The key-sort salt of `epoch` under `seed` ([`crate::Rank::Key`]).
+pub(crate) fn epoch_salt(seed: u64, epoch: u64) -> u64 {
+    splitmix64((seed ^ 0x70_5F).wrapping_add(epoch.wrapping_mul(0x9E37_79B9)))
 }
 
-/// A per-epoch tuple-stream producer.
+/// The table id a library run gives a strategy's copy of `table`; the SQL
+/// engine hands out catalog ids instead.
+pub(crate) fn copy_id(table: &Table) -> u32 {
+    table.config().table_id | 0xC000_0000
+}
+
+/// A per-epoch order generator.
 ///
-/// One call of [`ShuffleStrategy::stream_epoch`] advances the strategy's
-/// internal epoch counter and RNG and hands over the epoch's [`Segment`]s —
-/// the tuples in SGD consumption order with the simulated I/O cost of
-/// producing them — one by one.
+/// Per epoch a strategy yields its one-off setup ([`ShuffleStrategy::setup`])
+/// and its [`EpochOrder`] ([`ShuffleStrategy::next_order`]): the blocks to
+/// read, how each read is charged, where the fills end and how a fill's rows
+/// are ranked. Generating an order reads nothing, so a resumed run
+/// regenerates the orders it skips. The rows themselves move through the
+/// one fill ([`crate::fill`]).
 ///
 /// `Send` is a supertrait so a boxed strategy can move (or be mutably
 /// borrowed) into the producer thread of the double-buffered pipeline.
@@ -123,36 +112,77 @@ pub trait ShuffleStrategy: Send {
     /// Short machine-friendly name ("corgipile", "no_shuffle", …).
     fn name(&self) -> &'static str;
 
-    /// Stream the next epoch's segments over `table` through `emit`, each
-    /// as soon as it is filled, charging `dev`; returns the epoch's setup
-    /// cost in simulated seconds.
-    ///
-    /// This is the hook the double-buffered pipeline hangs its producer
-    /// on. Every block read is retried under the default [`RetryPolicy`];
-    /// one that stays unreadable ends the stream with its
-    /// [`StorageError::ReadFailed`]. `emit` returning `false` abandons the
-    /// rest of the epoch. Either way the strategy's RNG state is
-    /// unspecified until the next [`ShuffleStrategy::reset`].
-    fn stream_epoch(
+    /// The one-off work before the next epoch's fills, charged to `dev`:
+    /// Shuffle Once's shuffled copy and Corgi²'s recluster (the first epoch
+    /// after a reset), Epoch Shuffle's fresh shuffled copy (every epoch); a
+    /// copy's table id comes from `copy_id`. Returns its simulated seconds;
+    /// a block that stays unreadable is its [`StorageError::ReadFailed`].
+    fn setup(
         &mut self,
-        table: &Table,
-        dev: &mut SimDevice,
-        emit: &mut dyn FnMut(Segment) -> bool,
-    ) -> Result<f64, StorageError>;
+        _table: &Table,
+        _copy_id: &dyn Fn() -> u32,
+        _dev: &mut SimDevice,
+    ) -> Result<f64, StorageError> {
+        Ok(0.0)
+    }
 
-    /// [`ShuffleStrategy::stream_epoch`], collected into an [`EpochPlan`]:
-    /// the convenience for devices without a fault plan (order diagnostics,
+    /// The copy [`ShuffleStrategy::setup`] made, which the fills read
+    /// instead of the table.
+    fn copy(&self) -> Option<Arc<Table>> {
+        None
+    }
+
+    /// The next epoch's order over `table` — the table the fills read —
+    /// into `order`.
+    fn next_order(&mut self, table: &Table, order: &mut EpochOrder);
+
+    /// Place fill `fill` of a [`crate::Rank::Own`] order into `out`, from
+    /// `staged`, the rows of the blocks it read, charging `dev` any buffer
+    /// work.
+    fn place(
+        &mut self,
+        _table: &Table,
+        _fill: usize,
+        _staged: &RowBatch,
+        _dev: &mut SimDevice,
+        _out: &mut RowBatch,
+    ) {
+        unreachable!("{} ranks its fills", self.name())
+    }
+
+    /// Simulated seconds of buffering one ranked fill of `rows` rows and
+    /// `bytes` stored bytes ([`StrategyParams::buffering_cost`]).
+    fn buffering_cost(&self, _rows: usize, _bytes: usize) -> f64 {
+        0.0
+    }
+
+    /// One epoch through the fill, copied out into an [`EpochPlan`]: the
+    /// convenience for devices without a fault plan (order diagnostics,
     /// benchmarks).
     ///
     /// # Panics
     ///
-    /// When a block stays unreadable. A device that can fault streams.
+    /// When a block stays unreadable. A device that can fault trains
+    /// through `corgipile_core::Trainer`.
     fn next_epoch(&mut self, table: &Table, dev: &mut SimDevice) -> EpochPlan {
-        let mut segments = Vec::new();
-        let setup_seconds = self
-            .stream_epoch(table, dev, &mut |seg| {
-                segments.push(seg);
-                true
+        let (mut order, mut segments) = (EpochOrder::default(), Vec::new());
+        let setup_seconds = start_epoch(self, table, dev, &mut order)
+            .and_then(|setup| {
+                let (mut filler, mut out) = (Filler::new("shuffle"), Fill::default());
+                fill_epoch(
+                    self,
+                    table,
+                    dev,
+                    &mut filler,
+                    &order,
+                    &mut out,
+                    &mut |fill| {
+                        let tuples = fill.batch.rows().map(|r| r.to_tuple()).collect();
+                        segments.push(Segment::new(tuples, fill.sim_seconds));
+                        true
+                    },
+                )?;
+                Ok(setup)
             })
             .expect("next_epoch is for devices that cannot fault");
         EpochPlan {
@@ -292,6 +322,47 @@ impl StrategyKind {
             StrategyKind::Mrs | StrategyKind::SlidingWindow | StrategyKind::EpochShuffle
         )
     }
+
+    /// Whether each epoch reads the blocks in a fresh random order: random
+    /// block reads, the ones a buffer pool serves.
+    pub fn permutes_blocks(&self) -> bool {
+        matches!(
+            self,
+            StrategyKind::BlockOnly | StrategyKind::CorgiPile | StrategyKind::Corgi2
+        )
+    }
+
+    /// `EXPLAIN`'s wording of this strategy's scan over `blocks` blocks.
+    pub fn scan_wording(&self, blocks: usize) -> String {
+        let (order, of) = match self {
+            StrategyKind::CorgiPile | StrategyKind::BlockOnly => ("random order", ""),
+            StrategyKind::ShuffleOnce => ("sequential", " of the shuffled copy"),
+            StrategyKind::Corgi2 => ("random order", " of the reclustered copy"),
+            StrategyKind::BlockReversal => ("rotated/reversed near-sequential", ""),
+            _ => ("sequential", ""),
+        };
+        format!("{order} over {blocks} blocks{of}")
+    }
+
+    /// `EXPLAIN`'s note on the one-off setup the strategy pays, if any.
+    pub fn setup_note(&self) -> Option<&'static str> {
+        match self {
+            StrategyKind::ShuffleOnce => {
+                Some("(setup: offline full shuffle, ORDER BY RANDOM(), 2x storage)")
+            }
+            StrategyKind::Corgi2 => Some("(setup: bounded RECLUSTER, io_budget x full shuffle)"),
+            _ => None,
+        }
+    }
+
+    /// `EXPLAIN ANALYZE`'s name of the strategy's scan node.
+    pub fn scan_node(&self) -> &'static str {
+        match self {
+            _ if self.permutes_blocks() => "BlockShuffle",
+            StrategyKind::BlockReversal => "BlockReversalScan",
+            _ => "SeqScan",
+        }
+    }
 }
 
 impl std::fmt::Display for StrategyKind {
@@ -303,16 +374,9 @@ impl std::fmt::Display for StrategyKind {
 /// Build a boxed strategy of the given kind.
 pub fn build_strategy(kind: StrategyKind, params: StrategyParams) -> Box<dyn ShuffleStrategy> {
     match kind {
-        StrategyKind::NoShuffle => Box::new(NoShuffle::new()),
-        StrategyKind::ShuffleOnce => Box::new(ShuffleOnce::new(params)),
-        StrategyKind::EpochShuffle => Box::new(EpochShuffle::new(params)),
         StrategyKind::SlidingWindow => Box::new(SlidingWindowShuffle::new(params)),
         StrategyKind::Mrs => Box::new(MrsShuffle::new(params)),
-        StrategyKind::BlockOnly => Box::new(BlockOnlyShuffle::new(params)),
-        StrategyKind::TupleOnly => Box::new(TupleOnlyShuffle::new(params)),
-        StrategyKind::CorgiPile => Box::new(CorgiPile::new(params, BlockSampleMode::FullCoverage)),
-        StrategyKind::Corgi2 => Box::new(Corgi2::new(params)),
-        StrategyKind::BlockReversal => Box::new(BlockReversalShuffle::new(params)),
+        kind => Box::new(BlockStrategy::new(kind, params)),
     }
 }
 

@@ -1,9 +1,9 @@
 //! The double-buffering cost model.
 //!
 //! CorgiPile's tuple-level shuffle needs an in-memory buffer holding `n`
-//! blocks (1–10 % of the data set): the SQL executor's is a recycled
-//! [`Page`](crate::page::Page) filled by `Page::fill_ranked`, the library
-//! strategies' a plain `Vec<Tuple>`. The paper's §6.3 optimization overlaps
+//! blocks (1–10 % of the data set): a recycled [`Page`](crate::page::Page)
+//! filled by `Page::fill_ranked`, in SQL and in the library alike. The
+//! paper's §6.3 optimization overlaps
 //! buffer filling with SGD via *double buffering* — two buffers swapped
 //! between a loader thread and a consumer thread ([`crate::pipeline`]);
 //! [`DoubleBufferModel`] computes the resulting pipelined epoch time from

@@ -99,7 +99,7 @@ pub use wal::{scan_valid_prefix, Wal, WalRecord, WAL_MAGIC, WAL_MAX_PAYLOAD};
 // Telemetry types appear in storage APIs (`SimDevice::set_telemetry`);
 // re-export them so downstream crates need not depend on the telemetry
 // crate directly for the common cases.
-pub use corgipile_telemetry::{Counter, SpanSite, Telemetry, TelemetrySnapshot};
+pub use corgipile_telemetry::{Counter, Span, SpanSite, Telemetry, TelemetrySnapshot};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, StorageError>;

@@ -30,12 +30,8 @@ cargo test --release --test golden_bits
 banner "Allocation budget (scans allocate per block and per epoch, never per fill or row)"
 cargo test --release --test alloc_budget
 
-banner "Two buffers and the fill (two batches alive; slab = key-sorted window; fill_ranked; rank_by_key; spans)"
-cargo test --release -p corgipile-storage -p corgipile-db -p corgipile-data --lib -- pipeline:: exec:: page:: rng::
-cargo test --release -p corgipile-telemetry
-
-banner "Model and driver lib tests (gradient checks, returned loss, one walk per fill)"
-cargo test --release -p corgipile-ml -p corgipile-core --lib
+banner "Every crate's lib tests (the fill, the orders, the executor, planner and session, the driver)"
+cargo test --release --workspace --lib
 
 banner "Concurrency stress (N sessions over one engine, bit-identical)"
 cargo test --release --test concurrent_sessions

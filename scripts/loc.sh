@@ -2,18 +2,21 @@
 # Non-test lines of Rust per engine crate: for every crates/<c>/src/*.rs
 # except proptests.rs, the lines before the first `#[cfg(test)]`.
 # Simplicity PRs quote this number before and after. Exits 1 when
-# core + db, ml, storage, or the whole of crates/bench (every .rs file,
-# tests and criterion benches included), grows past its ceiling. Each ceiling is
-# the count the last deleting PR reached: it may only go down. `shuffle`
-# is printed after `total`, not folded into it, so the series of totals
-# quoted by earlier PRs stays comparable.
+# core + db, core + db + shuffle, ml, storage, or the whole of crates/bench
+# (every .rs file, tests and criterion benches included), grows past its
+# ceiling. Each ceiling is the count the last deleting PR reached: it may
+# only go down. `shuffle` is printed after `total`, not folded into it, so
+# the series of totals quoted by earlier PRs stays comparable; code that
+# moves between `shuffle` and `core` or `db` is gated by the sum of the
+# three.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CORE_DB_CEILING=8046
+CORE_DB_CEILING=7672
+CORE_DB_SHUFFLE_CEILING=9557
 ML_CEILING=1472
 STORAGE_CEILING=5133
-BENCH_CEILING=2797
+BENCH_CEILING=2785
 
 non_test_lines() {
   local n=0 f
@@ -37,14 +40,20 @@ for crate in core db ml storage; do
   esac
 done
 printf '%-8s %6d\n' total "$total"
-printf '%-8s %6d\n' shuffle "$(non_test_lines shuffle)"
+shuffle=$(non_test_lines shuffle)
+printf '%-8s %6d\n' shuffle "$shuffle"
 printf '%-8s %6d  (ceiling %d)\n' core+db "$core_db" "$CORE_DB_CEILING"
+printf '%s %d  (ceiling %d)\n' core+db+shuffle "$((core_db + shuffle))" "$CORE_DB_SHUFFLE_CEILING"
 printf '%-8s %6d  (ceiling %d)\n' ml "$ml" "$ML_CEILING"
 printf '%-8s %6d  (ceiling %d)\n' storage "$storage" "$STORAGE_CEILING"
 bench=$(find crates/bench -name '*.rs' -exec cat {} + | wc -l)
 printf '%-8s %6d  (ceiling %d)\n' bench "$bench" "$BENCH_CEILING"
 if [ "$core_db" -gt "$CORE_DB_CEILING" ]; then
   echo "core + db is over its ceiling: delete before adding" >&2
+  exit 1
+fi
+if [ "$((core_db + shuffle))" -gt "$CORE_DB_SHUFFLE_CEILING" ]; then
+  echo "core + db + shuffle is over its ceiling: delete before adding" >&2
   exit 1
 fi
 if [ "$ml" -gt "$ML_CEILING" ]; then

@@ -8,15 +8,19 @@
 //! allocation of the process while one statement runs and holds it under
 //! N/10 calls — and, on a 2000-feature table whose rows are 8 KB each, under
 //! 256 B per row. A narrow `TRAIN` is held to what it measured plus a
-//! quarter, and four more epochs of it to what an epoch allocates.
+//! quarter, and four more epochs of it to what an epoch allocates. The
+//! library trainer runs the same fill: a warm `Trainer::train` is held to
+//! what an epoch allocates, a two-worker run to a bound per epoch of fills.
 //!
 //! At the commit before columnar pages every block read decoded each row
 //! into a `Vec<f32>` of its own (≥ 1 allocation and, on the wide table,
 //! ≥ 8 KB per row per epoch), and the statement's closing metric copied the
 //! table once more.
 
+use corgipile::core::{CorgiPileConfig, ParallelConfig, Trainer, TrainerConfig};
 use corgipile::data::{DatasetSpec, Order};
 use corgipile::db::{Database, QueryResult, Session};
+use corgipile::ml::ModelKind;
 use corgipile::storage::SimDevice;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -63,21 +67,28 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// `(allocations, bytes requested)` by every thread while `sql` executes.
-fn counted(session: &mut Session, sql: &str) -> (QueryResult, u64, u64) {
+/// What `f` returns, with the `(allocations, bytes requested)` of every
+/// thread while it runs.
+fn count<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     let before = (
         ALLOCS.load(Ordering::Relaxed),
         ALLOC_BYTES.load(Ordering::Relaxed),
     );
     COUNTING.store(true, Ordering::Relaxed);
-    let result = session.execute(sql);
+    let result = f();
     COUNTING.store(false, Ordering::Relaxed);
     let after = (
         ALLOCS.load(Ordering::Relaxed),
         ALLOC_BYTES.load(Ordering::Relaxed),
     );
-    let result = result.unwrap_or_else(|e| panic!("{sql}: {e}"));
     (result, after.0 - before.0, after.1 - before.1)
+}
+
+/// `(allocations, bytes requested)` by every thread while `sql` executes.
+fn counted(session: &mut Session, sql: &str) -> (QueryResult, u64, u64) {
+    let (result, allocs, bytes) = count(|| session.execute(sql));
+    let result = result.unwrap_or_else(|e| panic!("{sql}: {e}"));
+    (result, allocs, bytes)
 }
 
 /// A session over one clustered `spec` table named `t`.
@@ -188,4 +199,52 @@ fn scans_of_a_2000_wide_table_stay_under_256_bytes_a_row() {
         );
         assert!(bytes < 256 * rows, "{bytes} bytes, {rows} rows: {sql}");
     }
+}
+
+#[test]
+fn library_training_allocates_per_fill_not_per_row() {
+    // The library path runs the SQL fill: a warm `Trainer::train` reuses its
+    // two buffers across fills and epochs, so four more epochs add only what
+    // an epoch allocates (measured: 13 calls and 2.8 KB each); two workers
+    // build each fill in a batch of its own (measured: 211 calls an epoch of
+    // nine fills, threads and channels included). Neither allocates per row.
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let table = DatasetSpec::higgs_like(20_000)
+        .with_block_bytes(64 << 10)
+        .with_order(Order::ClusteredByLabel)
+        .build_table(7)
+        .expect("lay out the table");
+    let rows = table.num_tuples();
+    let run = |workers: usize, epochs: usize| {
+        let cfg = TrainerConfig::new(ModelKind::LogisticRegression, epochs)
+            .with_corgipile(CorgiPileConfig::default().with_buffer_fraction(0.25));
+        let trainer = match workers {
+            1 => Trainer::new(cfg),
+            pn => Trainer::new(cfg.with_batch_size(8)).with_workers(ParallelConfig {
+                workers: pn,
+                total_buffer_fraction: 0.25,
+                ..Default::default()
+            }),
+        };
+        let train = || trainer.train(&table, &mut SimDevice::ssd_scaled(1000.0, 0), 41);
+        train().expect("warm run");
+        let (report, allocs, bytes) = count(train);
+        assert_eq!(report.expect("counted run").epochs.len(), epochs);
+        assert!(
+            allocs < rows / 10,
+            "{workers} workers: {allocs} allocations, {rows} rows"
+        );
+        (allocs, bytes)
+    };
+    let per_epoch = |workers| {
+        let ((short, short_bytes), (long, long_bytes)) = (run(workers, 2), run(workers, 6));
+        ((long - short) / 4, (long_bytes - short_bytes) / 4)
+    };
+    let (allocs, bytes) = per_epoch(1);
+    assert!(
+        allocs <= 20 && bytes <= 4096,
+        "Trainer::train: {allocs} calls, {bytes} B an epoch"
+    );
+    let (allocs, _) = per_epoch(2);
+    assert!(allocs <= 256, "two workers: {allocs} calls an epoch");
 }

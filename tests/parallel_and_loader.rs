@@ -3,7 +3,7 @@
 
 use corgipile::core::{
     parallel_epoch_plan, CorgiPileConfig, CorgiPileDataset, EpochSource, Fill, ParallelConfig,
-    ParallelSource, SimulatedBlocks, Trainer, TrainerConfig,
+    ParallelSource, Trainer, TrainerConfig,
 };
 use corgipile::data::{DatasetSpec, Order};
 use corgipile::ml::{ModelKind, OptimizerKind};
@@ -107,14 +107,10 @@ fn one_loader() -> ParallelConfig {
 #[test]
 fn threaded_loader_stream_equals_strategy_coverage() {
     let (table, _) = clustered_cifar();
-    let reader = SimulatedBlocks {
-        table: &table,
-        device: SimDevice::in_memory(),
-    };
     let mut ids: Vec<u64> = Vec::new();
-    ParallelSource::new(reader, one_loader(), 128, 9)
+    ParallelSource::new(&table, one_loader(), 128, 9)
         .stream_epoch(0, &mut Fill::default(), &mut |fill| {
-            ids.extend(fill.batch.iter().map(|t| t.id));
+            ids.extend(fill.batch.rows().map(|t| t.id));
             true
         })
         .unwrap();

@@ -1,5 +1,5 @@
-//! The row-width sweep behind `TupleShuffleOp`'s copy-or-in-place constant
-//! (`SLAB_ROW_BYTES` in `crates/db/src/exec.rs`; DESIGN.md §9 "Rows in
+//! The row-width sweep behind the fill's copy-or-in-place constant
+//! (`SLAB_ROW_BYTES` in `crates/shuffle/src/fill.rs`; DESIGN.md §9 "Rows in
 //! place" has the table this printed). A measurement, not a gate, hence
 //! `#[ignore]`:
 //!
