@@ -23,7 +23,7 @@ use crate::error::DbError;
 use corgipile_ml::{build_model, Model, ModelKind};
 use corgipile_storage::{
     atomic_write_bytes, AppendableTable, FaultInjector, FaultPlan, FieldReader, StorageError,
-    Table, TableSnapshot, Tuple,
+    Table, TableSnapshot, Tuple, TupleView,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -337,7 +337,12 @@ impl Catalog {
         *lock(&self.append_faults) = Some(FaultInjector::new(plan));
     }
 
-    /// Append `rows` to `name` and publish a new snapshot version.
+    /// [`Catalog::append`] over owned tuples (their ids ignored).
+    pub fn append_rows(&self, name: &str, rows: Vec<Tuple>) -> Result<AppendOutcome, DbError> {
+        self.append(name, rows.iter().map(Tuple::view))
+    }
+
+    /// Append `rows` (read in place) to `name`; publish a new snapshot version.
     ///
     /// The statement is journaled as one fsynced WAL frame before any
     /// in-memory state changes, so an acked append survives a crash; on
@@ -345,14 +350,18 @@ impl Catalog {
     /// exactly as a crashed backend would). Publishing bumps the version,
     /// assigns a fresh `table_id`, drops the stale cached ĥ_D and installs
     /// the writer's incremental per-block estimate in its place.
-    pub fn append_rows(&self, name: &str, rows: Vec<Tuple>) -> Result<AppendOutcome, DbError> {
+    pub fn append<'a>(
+        &self,
+        name: &str,
+        rows: impl ExactSizeIterator<Item = TupleView<'a>> + Clone,
+    ) -> Result<AppendOutcome, DbError> {
         let mut writers = lock(&self.writers);
         let recovered = self.ensure_writer(&mut writers, name)?;
         let writer = writers.get_mut(name).expect("writer just ensured");
         let n = rows.len() as u64;
         {
             let mut faults = lock(&self.append_faults);
-            if let Err(e) = writer.append_rows(rows, faults.as_mut()) {
+            if let Err(e) = writer.append(rows, faults.as_mut()) {
                 writers.remove(name);
                 return Err(e.into());
             }

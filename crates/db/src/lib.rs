@@ -67,6 +67,6 @@ pub use plan::{build_physical_with, LogicalPlan, PhysicalPlan, PredictPlanSpec, 
 pub use serving::{CacheStats, ModelCache, ServableModel};
 pub use session::{DbTrainSummary, PredictSummary, QueryResult, ServeOptions, Session};
 pub use sql::{
-    parse, parse_strategy_name, CmpOp, ColumnRef, ParamValue, Predicate, Projection, Query,
-    ShowTarget, StrategyKind,
+    parse, parse_strategy_name, CmpOp, ColumnRef, InsertRows, ParamValue, Predicate, Projection,
+    Query, ShowTarget, StrategyKind,
 };

@@ -33,8 +33,8 @@ use crate::catalog::StoredModel;
 use crate::error::DbError;
 use corgipile_ml::TrainCheckpoint;
 use corgipile_storage::{
-    atomic_write_bytes_faulted, decode_container, encode_container, put_bytes, sites,
-    FaultInjector, FaultPlan, FieldReader, RetryPolicy, StorageError, Wal, WriteOutcome,
+    atomic_write_bytes_faulted, crash_point, decode_container, encode_container, put_bytes, sites,
+    FaultInjector, FaultPlan, FieldReader, RetryPolicy, StorageError, Wal,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -274,21 +274,10 @@ impl ModelStore {
             &bytes,
             inner.injector.as_mut(),
         )?;
-        if let Some(i) = inner.injector.as_mut() {
-            // The named gap between "snapshot durable" and "log truncated":
-            // a crash here leaves the records in both places, which replay
-            // handles idempotently.
-            match i.on_write(sites::MODEL_STORE_POST_SNAPSHOT) {
-                WriteOutcome::Ok => {}
-                WriteOutcome::Fail(e) => return Err(e.into()),
-                WriteOutcome::Torn { .. } | WriteOutcome::Crash => {
-                    return Err(StorageError::Crashed {
-                        site: sites::MODEL_STORE_POST_SNAPSHOT.into(),
-                    }
-                    .into())
-                }
-            }
-        }
+        // The named gap between "snapshot durable" and "log truncated": a
+        // crash here leaves the records in both places, which replay
+        // handles idempotently.
+        crash_point(inner.injector.as_mut(), sites::MODEL_STORE_POST_SNAPSHOT)?;
         inner.wal.reset()?;
         inner.compactions += 1;
         Ok(())

@@ -29,10 +29,10 @@ use crate::exec::{DbEpochRecord, ExecContext, OpStats, PredictOperator};
 use crate::options::{QueryOptions, Statement};
 use crate::plan::{build_physical_with, LogicalPlan, PredictPlanSpec};
 use crate::serving::ServableModel;
-use crate::sql::{parse, ParamValue, Predicate, Query, ShowTarget};
+use crate::sql::{parse, InsertRows, ParamValue, Predicate, Query, ShowTarget};
 use corgipile_ml::{ComputeCostModel, ModelKind};
 use corgipile_shuffle::{recluster_table, StrategyParams};
-use corgipile_storage::{DeviceHandle, FaultPlan, PoolHandle, Table, Telemetry, Tuple};
+use corgipile_storage::{DeviceHandle, FaultPlan, PoolHandle, Table, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -369,7 +369,7 @@ impl Session {
                 let prepared = self.prepare_train(q)?;
                 Ok(QueryResult::Train(self.run_train(prepared)?))
             }
-            Query::Insert { table, rows } => self.insert(&table, rows),
+            Query::Insert { table, rows } => self.insert(&table, &rows),
             Query::Predict { table, model } => {
                 let t = self.catalog().table(&table)?;
                 let servable = self.catalog_servable(&model)?;
@@ -613,7 +613,7 @@ impl Session {
                 let version = self.catalog().table_version(&table)?;
                 Ok(QueryResult::Plan(vec![format!(
                     "Insert on {table} (rows={}, current snapshot v{version})",
-                    rows.len()
+                    rows.views().len()
                 )]))
             }
             Query::Predict { table, model } => {
@@ -651,19 +651,17 @@ impl Session {
     /// journaled as one fsynced table-WAL frame before it is acknowledged,
     /// and the publish invalidates the planner's cached ĥ_D exactly like
     /// `RECLUSTER` does.
-    fn insert(&mut self, table_name: &str, rows: Vec<Tuple>) -> Result<QueryResult, DbError> {
+    fn insert(&mut self, table_name: &str, rows: &InsertRows) -> Result<QueryResult, DbError> {
         let table = self.catalog().table(table_name)?;
-        // An empty table has no width yet: the statement's first row sets it.
-        let dim = table
-            .dim()
-            .or_else(|e| rows.first().map(|r| r.features.dim()).ok_or(e))?;
-        if let Some(bad) = rows.iter().find(|r| r.features.dim() != dim) {
+        // An empty table has no width yet: the statement's rows set it.
+        let dim = table.dim().unwrap_or(rows.width());
+        if rows.width() != dim {
             return Err(DbError::BadParam(format!(
                 "INSERT row has {} features, table {table_name} stores {dim}",
-                bad.features.dim()
+                rows.width()
             )));
         }
-        let out = self.catalog().append_rows(table_name, rows)?;
+        let out = self.catalog().append(table_name, rows.views())?;
         self.telemetry.counter("db.insert.rows").add(out.rows);
         if out.recovered > 0 {
             self.telemetry
@@ -918,7 +916,7 @@ fn predict_plan(
 mod tests {
     use super::*;
     use corgipile_data::{DatasetSpec, Order};
-    use corgipile_storage::SimDevice;
+    use corgipile_storage::{SimDevice, Tuple};
 
     fn higgs_table(n: usize) -> Table {
         DatasetSpec::higgs_like(n)

@@ -17,10 +17,16 @@
 //! `512KB`). The `WHERE` clause is a typed predicate AST over the columns
 //! `id`, `label`, and `f<N>` (feature index `N`), with `AND` binding tighter
 //! than `OR` and parentheses for grouping.
+//!
+//! [`parse`] takes one statement and an optional `;`, nothing after them.
+//! Tokens are lexed on demand, in ASCII: whitespace and delimiters are ASCII
+//! bytes and a non-ASCII character belongs to a word. `INSERT` values go
+//! from the text into one row-major buffer ([`InsertRows`]), digits to
+//! `f32` as they are scanned: no token vector, no per-row object.
 
 use crate::error::DbError;
 pub use corgipile_shuffle::StrategyKind;
-use corgipile_storage::{Tuple, TupleView};
+use corgipile_storage::{FeatureView, TupleView};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -47,13 +53,8 @@ impl ParamValue {
 
     /// Interpret as usize where sensible.
     pub fn as_usize(&self) -> Option<usize> {
-        self.as_f64().and_then(|f| {
-            if f >= 0.0 && f.fract() == 0.0 {
-                Some(f as usize)
-            } else {
-                None
-            }
-        })
+        let f = self.as_f64()?;
+        (f >= 0.0 && f.fract() == 0.0).then_some(f as usize)
     }
 
     /// Interpret as text.
@@ -85,18 +86,14 @@ impl ColumnRef {
         match lower.as_str() {
             "id" => Ok(ColumnRef::Id),
             "label" => Ok(ColumnRef::Label),
-            s => {
-                if let Some(idx) = s.strip_prefix('f') {
-                    if !idx.is_empty() && idx.bytes().all(|b| b.is_ascii_digit()) {
-                        if let Ok(i) = idx.parse::<usize>() {
-                            return Ok(ColumnRef::Feature(i));
-                        }
-                    }
-                }
-                Err(DbError::UnknownColumn(format!(
-                    "{name} (expected id, label, or f<N>)"
-                )))
-            }
+            s => s
+                .strip_prefix('f')
+                .filter(|idx| idx.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|idx| idx.parse().ok())
+                .map(ColumnRef::Feature)
+                .ok_or_else(|| {
+                    DbError::UnknownColumn(format!("{name} (expected id, label, or f<N>)"))
+                }),
         }
     }
 
@@ -309,6 +306,33 @@ pub fn parse_strategy_name(name: &str) -> Result<StrategyKind, DbError> {
     }
 }
 
+/// The rows of an `INSERT`, row-major in one buffer: each row's `width`
+/// feature values, then its label; `values` holds whole rows only.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InsertRows {
+    width: usize,
+    values: Vec<f32>,
+}
+
+impl InsertRows {
+    /// Feature values per row (the label not counted).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The rows, read in place; ids are the append writer's to assign.
+    pub fn views(&self) -> impl ExactSizeIterator<Item = TupleView<'_>> + Clone {
+        self.values.chunks_exact(self.width + 1).map(|row| {
+            let (label, features) = row.split_last().expect("a row holds its label");
+            TupleView {
+                id: 0,
+                label: *label,
+                features: FeatureView::Dense(features),
+            }
+        })
+    }
+}
+
 /// A parsed query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Query {
@@ -341,9 +365,8 @@ pub enum Query {
     Insert {
         /// Destination table.
         table: String,
-        /// Rows as parsed, features and label already narrowed to `f32`;
-        /// ids are placeholders the append writer overwrites.
-        rows: Vec<Tuple>,
+        /// Rows as parsed, features and label already narrowed to `f32`.
+        rows: InsertRows,
     },
     /// `RECLUSTER <table> [WITH io_budget = f, seed = n]`: Corgi²-style
     /// bounded-I/O offline partial re-clustering. Rewrites the most
@@ -429,92 +452,161 @@ impl ShowTarget {
     }
 }
 
+/// The token stream, produced on demand from the query text. Lexing is
+/// ASCII: whitespace separates tokens, `, = * ; ( )` and the comparison
+/// operators stand alone, `'…'` is a quoted string (the quotes dropped),
+/// and every other run of bytes, non-ASCII ones included, is a word.
 struct Tokens<'a> {
-    toks: Vec<&'a str>,
+    src: &'a str,
     pos: usize,
 }
 
-fn tokenize(input: &str) -> Vec<&str> {
-    let mut toks = Vec::new();
-    let bytes = input.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c.is_whitespace() {
-            i += 1;
-        } else if c == ',' || c == '=' || c == '*' || c == ';' || c == '(' || c == ')' {
-            toks.push(&input[i..i + 1]);
-            i += 1;
-        } else if c == '<' || c == '>' || c == '!' {
-            // Comparison operators, including the two-character forms
-            // `<=`, `>=`, `!=`, `<>`.
-            let next = bytes.get(i + 1).map(|&b| b as char);
-            let len = match (c, next) {
-                (_, Some('=')) | ('<', Some('>')) => 2,
-                _ => 1,
-            };
-            toks.push(&input[i..i + len]);
-            i += len;
-        } else if c == '\'' {
-            let start = i + 1;
-            let mut j = start;
-            while j < bytes.len() && bytes[j] as char != '\'' {
-                j += 1;
-            }
-            toks.push(&input[start..j]);
-            // Mark it as a string by pushing the quotes separately? Instead
-            // we rely on position: quoted strings become plain tokens.
-            i = j + 1;
-        } else {
-            let start = i;
-            while i < bytes.len() {
-                let c = bytes[i] as char;
-                if c.is_whitespace()
-                    || matches!(
-                        c,
-                        ',' | '=' | '*' | ';' | '(' | ')' | '\'' | '<' | '>' | '!'
-                    )
-                {
-                    break;
-                }
-                i += 1;
-            }
-            toks.push(&input[start..i]);
-        }
-    }
-    toks
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
 }
 
+fn ends_word(b: u8) -> bool {
+    is_space(b)
+        || matches!(
+            b,
+            b',' | b'=' | b'*' | b';' | b'(' | b')' | b'\'' | b'<' | b'>' | b'!'
+        )
+}
+
+/// `10^k` for `k ≤ 19`, each exact in `f64`.
+const POW10: [f64; 20] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19,
+];
+
 impl<'a> Tokens<'a> {
+    /// Offset of the next non-space byte, if any.
+    fn skip_space(&self) -> Option<usize> {
+        (self.pos..self.src.len()).find(|&i| !is_space(self.src.as_bytes()[i]))
+    }
+
+    /// The next token and the offset just past it, consuming nothing.
+    fn next_token(&self) -> Option<(&'a str, usize)> {
+        let bytes = self.src.as_bytes();
+        let start = self.skip_space()?;
+        let end = match bytes[start] {
+            b',' | b'=' | b'*' | b';' | b'(' | b')' => start + 1,
+            // Comparison operators, including `<=`, `>=`, `!=` and `<>`.
+            c @ (b'<' | b'>' | b'!') => match (c, bytes.get(start + 1)) {
+                (_, Some(b'=')) | (b'<', Some(b'>')) => start + 2,
+                _ => start + 1,
+            },
+            b'\'' => {
+                let close = (start + 1..bytes.len()).find(|&j| bytes[j] == b'\'');
+                let close = close.unwrap_or(bytes.len());
+                return Some((&self.src[start + 1..close], bytes.len().min(close + 1)));
+            }
+            _ => (start..bytes.len())
+                .find(|&j| ends_word(bytes[j]))
+                .unwrap_or(bytes.len()),
+        };
+        Some((&self.src[start..end], end))
+    }
+
     fn peek(&self) -> Option<&'a str> {
-        self.toks.get(self.pos).copied()
+        self.next_token().map(|(tok, _)| tok)
     }
 
     fn bump(&mut self) -> Option<&'a str> {
-        let t = self.peek();
-        self.pos += 1;
-        t
+        let (tok, end) = self.next_token()?;
+        self.pos = end;
+        Some(tok)
     }
 
-    fn expect_kw(&mut self, kw: &str) -> Result<(), DbError> {
-        match self.bump() {
-            Some(t) if t.eq_ignore_ascii_case(kw) => Ok(()),
-            Some(t) => Err(DbError::Parse(format!("expected {kw}, found {t:?}"))),
-            None => Err(DbError::Parse(format!("expected {kw}, found end of input"))),
+    /// Consume the next token if it is `kw` (ASCII case-insensitive).
+    fn eat(&mut self, kw: &str) -> bool {
+        match self.next_token() {
+            Some((tok, end)) if tok.eq_ignore_ascii_case(kw) => {
+                self.pos = end;
+                true
+            }
+            _ => false,
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, DbError> {
-        match self.bump() {
-            Some(t) if !t.is_empty() && t.chars().all(|c| c.is_alphanumeric() || c == '_') => {
-                Ok(t.to_string())
-            }
-            Some(t) => Err(DbError::Parse(format!("expected {what}, found {t:?}"))),
-            None => Err(DbError::Parse(format!(
-                "expected {what}, found end of input"
+    /// The next `INSERT` value as the table stores it: the token's
+    /// `str::parse::<f64>()` narrowed to a finite `f32`, by
+    /// [`fast_decimal`] where it applies.
+    fn value(&mut self) -> Result<f32, DbError> {
+        let start = self
+            .skip_space()
+            .ok_or_else(|| DbError::Parse("expected numeric literal, found end of input".into()))?;
+        if let Some((v, len)) = fast_decimal(&self.src.as_bytes()[start..]) {
+            self.pos = start + len;
+            return Ok(v as f32);
+        }
+        let tok = self
+            .bump()
+            .expect("a token starts at the next non-space byte");
+        // Finite as stored: `1e39` parses as f64 but is `inf` in f32.
+        match tok.parse::<f64>().map(|v| v as f32) {
+            Ok(v) if v.is_finite() => Ok(v),
+            _ => Err(DbError::Parse(format!(
+                "INSERT values must be finite f32 numeric literals, found {tok:?}"
             ))),
         }
     }
+
+    /// The parse error for `what` missing where the next token stands.
+    fn expected(&self, what: &str) -> DbError {
+        let found = self
+            .peek()
+            .map_or("end of input".into(), |t| format!("{t:?}"));
+        DbError::Parse(format!("expected {what}, found {found}"))
+    }
+
+    fn expect_kw(&mut self, kw: &str) -> Result<(), DbError> {
+        self.eat(kw).then_some(()).ok_or_else(|| self.expected(kw))
+    }
+
+    fn ident(&mut self, what: &str) -> Result<String, DbError> {
+        match self.peek() {
+            Some(t) if !t.is_empty() && t.chars().all(|c| c.is_alphanumeric() || c == '_') => {
+                self.bump();
+                Ok(t.to_string())
+            }
+            _ => Err(self.expected(what)),
+        }
+    }
+}
+
+/// Clinger's fast path over the word that starts `bytes`, if it is a plain
+/// decimal (`[+-]`, at most 19 digits, one optional `.`): the digits are
+/// folded into an integer `m` with `k ≤ 19` fractional digits as they are
+/// scanned, and with `m ≤ 2^53` both `m` and `10^k` are exact in `f64`, so
+/// `m / 10^k` is one correctly rounded division, the value
+/// `str::parse::<f64>` returns. Returns it and the word's length; `None`
+/// for any other word (exponents, `inf`, longer literals, …).
+fn fast_decimal(bytes: &[u8]) -> Option<(f64, usize)> {
+    let neg = bytes.first() == Some(&b'-');
+    let start = usize::from(neg || bytes.first() == Some(&b'+'));
+    let digit = |i: usize| Some(bytes.get(i)?.wrapping_sub(b'0')).filter(|&d| d < 10);
+    let (mut m, mut i) = (0u64, start);
+    let mut fold = |i: &mut usize| {
+        while let Some(d) = digit(*i) {
+            m = m.wrapping_mul(10).wrapping_add(u64::from(d));
+            *i += 1;
+        }
+    };
+    fold(&mut i);
+    let int_end = i;
+    if bytes.get(i) == Some(&b'.') {
+        i += 1;
+        fold(&mut i);
+    }
+    // Digits after the point; more than 19 digits in all may have wrapped `m`.
+    let frac = (i - int_end).saturating_sub(1);
+    let digits = int_end - start + frac;
+    let exact = (1..=19).contains(&digits) && m <= 1 << 53;
+    (exact && bytes.get(i).is_none_or(|&b| ends_word(b))).then(|| {
+        let v = m as f64 / POW10[frac];
+        (if neg { -v } else { v }, i)
+    })
 }
 
 fn parse_value(tok: &str) -> ParamValue {
@@ -538,13 +630,15 @@ fn parse_value(tok: &str) -> ParamValue {
     ParamValue::Text(tok.to_string())
 }
 
-/// Parse one query.
+/// Parse one statement, optionally followed by a `;`.
 pub fn parse(input: &str) -> Result<Query, DbError> {
-    let mut t = Tokens {
-        toks: tokenize(input),
-        pos: 0,
-    };
-    parse_tokens(&mut t)
+    let mut t = Tokens { src: input, pos: 0 };
+    let query = parse_tokens(&mut t)?;
+    t.eat(";");
+    match t.peek() {
+        None => Ok(query),
+        Some(_) => Err(t.expected("end of query")),
+    }
 }
 
 // Predicate grammar (lowest to highest precedence):
@@ -553,8 +647,7 @@ pub fn parse(input: &str) -> Result<Query, DbError> {
 //   primary := '(' pred ')' | column cmp number
 fn parse_predicate(t: &mut Tokens) -> Result<Predicate, DbError> {
     let mut left = parse_and(t)?;
-    while matches!(t.peek(), Some(w) if w.eq_ignore_ascii_case("OR")) {
-        t.bump();
+    while t.eat("OR") {
         let right = parse_and(t)?;
         left = Predicate::Or(Box::new(left), Box::new(right));
     }
@@ -563,8 +656,7 @@ fn parse_predicate(t: &mut Tokens) -> Result<Predicate, DbError> {
 
 fn parse_and(t: &mut Tokens) -> Result<Predicate, DbError> {
     let mut left = parse_cmp_or_group(t)?;
-    while matches!(t.peek(), Some(w) if w.eq_ignore_ascii_case("AND")) {
-        t.bump();
+    while t.eat("AND") {
         let right = parse_cmp_or_group(t)?;
         left = Predicate::And(Box::new(left), Box::new(right));
     }
@@ -572,30 +664,15 @@ fn parse_and(t: &mut Tokens) -> Result<Predicate, DbError> {
 }
 
 fn parse_cmp_or_group(t: &mut Tokens) -> Result<Predicate, DbError> {
-    if t.peek() == Some("(") {
-        t.bump();
+    if t.eat("(") {
         let inner = parse_predicate(t)?;
-        match t.bump() {
-            Some(")") => return Ok(inner),
-            Some(other) => {
-                return Err(DbError::Parse(format!("expected ')', found {other:?}")));
-            }
-            None => return Err(DbError::Parse("expected ')', found end of input".into())),
-        }
+        t.expect_kw(")")?;
+        return Ok(inner);
     }
     let col = ColumnRef::parse(&t.ident("predicate column")?)?;
-    let op = match t.bump() {
-        Some(tok) => CmpOp::parse(tok).ok_or_else(|| {
-            DbError::Parse(format!(
-                "expected comparison operator (< <= > >= = != <>), found {tok:?}"
-            ))
-        })?,
-        None => {
-            return Err(DbError::Parse(
-                "expected comparison operator, found end of input".into(),
-            ));
-        }
-    };
+    let op = t.peek().and_then(CmpOp::parse);
+    let op = op.ok_or_else(|| t.expected("comparison operator (< <= > >= = != <>)"))?;
+    t.bump();
     match t.bump() {
         Some(tok) => match tok.parse::<f64>() {
             Ok(value) if value.is_finite() => Ok(Predicate::Cmp { col, op, value }),
@@ -611,263 +688,173 @@ fn parse_cmp_or_group(t: &mut Tokens) -> Result<Predicate, DbError> {
 
 /// Optional `VERSION <n>` clause (`PREDICT`, `LOAD MODEL`).
 fn parse_version(t: &mut Tokens) -> Result<Option<u32>, DbError> {
-    if !matches!(t.peek(), Some(w) if w.eq_ignore_ascii_case("VERSION")) {
+    if !t.eat("VERSION") {
         return Ok(None);
     }
-    t.bump();
-    match t.bump() {
-        Some(tok) => match tok.parse::<u32>() {
-            Ok(v) if v >= 1 => Ok(Some(v)),
-            _ => Err(DbError::Parse(format!(
-                "VERSION expects a positive integer, found {tok:?}"
-            ))),
-        },
-        None => Err(DbError::Parse(
-            "expected version number, found end of input".into(),
-        )),
+    match t.peek().map(str::parse::<u32>) {
+        Some(Ok(v)) if v >= 1 => {
+            t.bump();
+            Ok(Some(v))
+        }
+        _ => Err(t.expected("a positive VERSION number")),
     }
 }
 
-/// Optional `WITH k = v, …` tail without keyword special-casing (the
-/// `TRAIN BY` loop handles `strategy` itself).
+/// Optional `WITH k = v, …` tail; what follows it is the statement's end.
 fn parse_with_params(t: &mut Tokens) -> Result<BTreeMap<String, ParamValue>, DbError> {
     let mut params = BTreeMap::new();
-    match t.peek() {
-        Some(w) if w.eq_ignore_ascii_case("WITH") => {
-            t.bump();
-            loop {
-                let key = t.ident("parameter name")?.to_ascii_lowercase();
-                t.expect_kw("=")?;
-                let val = t
-                    .bump()
-                    .ok_or_else(|| DbError::Parse(format!("missing value for {key}")))?;
-                params.insert(key, parse_value(val));
-                match t.peek() {
-                    Some(",") => {
-                        t.bump();
-                    }
-                    Some(";") | None => break,
-                    Some(other) => {
-                        return Err(DbError::Parse(format!(
-                            "expected ',' or end of query, found {other:?}"
-                        )))
-                    }
-                }
+    if t.eat("WITH") {
+        loop {
+            let key = t.ident("parameter name")?.to_ascii_lowercase();
+            t.expect_kw("=")?;
+            let val = t
+                .bump()
+                .ok_or_else(|| DbError::Parse(format!("missing value for {key}")))?;
+            params.insert(key, parse_value(val));
+            if !t.eat(",") {
+                break;
             }
         }
-        Some(";") | None => {}
-        Some(other) => return Err(DbError::Parse(format!("expected WITH, found {other:?}"))),
     }
     Ok(params)
 }
 
 fn parse_projection(t: &mut Tokens) -> Result<Projection, DbError> {
-    if t.peek() == Some("*") {
-        t.bump();
+    if t.eat("*") {
         return Ok(Projection::All);
     }
     let mut cols = vec![ColumnRef::parse(&t.ident("projection column")?)?];
-    while t.peek() == Some(",") {
-        t.bump();
+    while t.eat(",") {
         cols.push(ColumnRef::parse(&t.ident("projection column")?)?);
     }
     Ok(Projection::Columns(cols))
+}
+
+/// `INSERT`'s `(v, …, label) [, (…)]*`, scanned straight into one
+/// row-major buffer. The first row fixes the width and, from its length in
+/// the text, reserves room for the rows after it.
+fn parse_rows(t: &mut Tokens) -> Result<InsertRows, DbError> {
+    let (mut values, mut width) = (Vec::new(), 0);
+    loop {
+        let (row_start, text_start) = (values.len(), t.pos);
+        t.expect_kw("(")?;
+        loop {
+            values.push(t.value()?);
+            match t.skip_space().map(|i| (i, t.src.as_bytes()[i])) {
+                Some((i, b',')) => t.pos = i + 1,
+                Some((i, b')')) => {
+                    t.pos = i + 1;
+                    break;
+                }
+                _ => return Err(t.expected("',' or ')'")),
+            }
+        }
+        let n = values.len() - row_start;
+        if n < 2 {
+            return Err(DbError::Parse(
+                "INSERT rows need at least one feature value and a label".into(),
+            ));
+        }
+        if width == 0 {
+            width = n;
+            values.reserve(n * ((t.src.len() - t.pos) / (t.pos - text_start)));
+        } else if n != width {
+            return Err(DbError::BadParam(format!(
+                "INSERT row has {} features, the statement's first row has {}",
+                n - 1,
+                width - 1
+            )));
+        }
+        if !t.eat(",") {
+            return Ok(InsertRows {
+                width: width - 1,
+                values,
+            });
+        }
+    }
 }
 
 /// Parse one query from the remaining token stream. `EXPLAIN [ANALYZE]`
 /// recurses over the tokens that follow the keyword rather than re-finding
 /// a substring in the raw input.
 fn parse_tokens(t: &mut Tokens) -> Result<Query, DbError> {
-    match t.peek() {
-        Some(w) if w.eq_ignore_ascii_case("EXPLAIN") => {
-            t.bump();
-            if matches!(t.peek(), Some(w) if w.eq_ignore_ascii_case("ANALYZE")) {
-                t.bump();
-                return Ok(Query::ExplainAnalyze(Box::new(parse_tokens(t)?)));
-            }
-            return Ok(Query::Explain(Box::new(parse_tokens(t)?)));
+    if t.eat("EXPLAIN") {
+        return Ok(if t.eat("ANALYZE") {
+            Query::ExplainAnalyze(Box::new(parse_tokens(t)?))
+        } else {
+            Query::Explain(Box::new(parse_tokens(t)?))
+        });
+    }
+    if t.eat("SHOW") {
+        let what = ShowTarget::from_ident(&t.ident("TABLES, MODELS or STATS")?)?;
+        return Ok(Query::Show { what });
+    }
+    if t.eat("LOAD") {
+        t.expect_kw("MODEL")?;
+        let name = t.ident("model name")?;
+        let version = parse_version(t)?;
+        let activate = t.eat("AS");
+        if activate {
+            t.expect_kw("ACTIVE")?;
         }
-        Some(w) if w.eq_ignore_ascii_case("SHOW") => {
-            t.bump();
-            let what = ShowTarget::from_ident(&t.ident("TABLES, MODELS or STATS")?)?;
-            return Ok(Query::Show { what });
-        }
-        Some(w) if w.eq_ignore_ascii_case("LOAD") => {
-            t.bump();
-            t.expect_kw("MODEL")?;
-            let name = t.ident("model name")?;
-            let version = parse_version(t)?;
-            let activate = match t.peek() {
-                Some(w) if w.eq_ignore_ascii_case("AS") => {
-                    t.bump();
-                    t.expect_kw("ACTIVE")?;
-                    true
-                }
-                _ => false,
-            };
-            return Ok(Query::LoadModel {
-                name,
-                version,
-                activate,
-            });
-        }
-        Some(w) if w.eq_ignore_ascii_case("INSERT") => {
-            t.bump();
-            t.expect_kw("INTO")?;
-            let table = t.ident("table name")?;
-            t.expect_kw("VALUES")?;
-            let mut rows = Vec::new();
-            // Values per row, learnt from the first row: pre-sizes the rest.
-            let mut arity = 0;
-            loop {
-                t.expect_kw("(")?;
-                let mut vals: Vec<f32> = Vec::with_capacity(arity);
-                loop {
-                    let tok = t.bump().ok_or_else(|| {
-                        DbError::Parse("expected numeric literal, found end of input".into())
-                    })?;
-                    // Finite as stored: `1e39` parses as f64 but is `inf` in f32.
-                    let v = tok
-                        .parse::<f64>()
-                        .ok()
-                        .map(|v| v as f32)
-                        .filter(|v| v.is_finite())
-                        .ok_or_else(|| {
-                            DbError::Parse(format!(
-                                "INSERT values must be finite f32 numeric literals, found {tok:?}"
-                            ))
-                        })?;
-                    vals.push(v);
-                    match t.bump() {
-                        Some(",") => {}
-                        Some(")") => break,
-                        Some(other) => {
-                            return Err(DbError::Parse(format!(
-                                "expected ',' or ')', found {other:?}"
-                            )))
-                        }
-                        None => {
-                            return Err(DbError::Parse("expected ')', found end of input".into()))
-                        }
-                    }
-                }
-                arity = vals.len();
-                let label = vals.pop().filter(|_| !vals.is_empty()).ok_or_else(|| {
-                    DbError::Parse("INSERT rows need at least one feature value and a label".into())
-                })?;
-                rows.push(Tuple::dense(0, vals, label));
-                match t.peek() {
-                    Some(",") => {
-                        t.bump();
-                    }
-                    Some(";") | None => break,
-                    Some(other) => {
-                        return Err(DbError::Parse(format!(
-                            "expected ',' or end of query, found {other:?}"
-                        )))
-                    }
-                }
-            }
-            return Ok(Query::Insert { table, rows });
-        }
-        Some(w) if w.eq_ignore_ascii_case("RECLUSTER") => {
-            t.bump();
-            let table = t.ident("table name")?;
-            let params = parse_with_params(t)?;
-            return Ok(Query::Recluster { table, params });
-        }
-        Some(w) if w.eq_ignore_ascii_case("PREDICT") => {
-            // The serving query: `PREDICT <model> [VERSION n] ON <table>
-            // [WHERE pred] [WITH k = v, …]`.
-            t.bump();
-            let model = t.ident("model name")?;
-            let version = parse_version(t)?;
-            t.expect_kw("ON")?;
-            let table = t.ident("table name")?;
-            let filter = match t.peek() {
-                Some(w) if w.eq_ignore_ascii_case("WHERE") => {
-                    t.bump();
-                    Some(parse_predicate(t)?)
-                }
-                _ => None,
-            };
-            let params = parse_with_params(t)?;
-            return Ok(Query::PredictServe {
-                model,
-                version,
-                table,
-                filter,
-                params,
-            });
-        }
-        _ => {}
+        return Ok(Query::LoadModel {
+            name,
+            version,
+            activate,
+        });
+    }
+    if t.eat("INSERT") {
+        t.expect_kw("INTO")?;
+        let table = t.ident("table name")?;
+        t.expect_kw("VALUES")?;
+        let rows = parse_rows(t)?;
+        return Ok(Query::Insert { table, rows });
+    }
+    if t.eat("RECLUSTER") {
+        let table = t.ident("table name")?;
+        let params = parse_with_params(t)?;
+        return Ok(Query::Recluster { table, params });
+    }
+    if t.eat("PREDICT") {
+        // The serving query: `PREDICT <model> [VERSION n] ON <table>
+        // [WHERE pred] [WITH k = v, …]`.
+        let model = t.ident("model name")?;
+        let version = parse_version(t)?;
+        t.expect_kw("ON")?;
+        let table = t.ident("table name")?;
+        let filter = t.eat("WHERE").then(|| parse_predicate(t)).transpose()?;
+        let params = parse_with_params(t)?;
+        return Ok(Query::PredictServe {
+            model,
+            version,
+            table,
+            filter,
+            params,
+        });
     }
     t.expect_kw("SELECT")?;
     let projection = parse_projection(t)?;
     t.expect_kw("FROM")?;
     let table = t.ident("table name")?;
-    let filter = match t.peek() {
-        Some(w) if w.eq_ignore_ascii_case("WHERE") => {
-            t.bump();
-            Some(parse_predicate(t)?)
-        }
-        _ => None,
-    };
+    let filter = t.eat("WHERE").then(|| parse_predicate(t)).transpose()?;
     let verb = t
         .bump()
         .ok_or_else(|| DbError::Parse("expected TRAIN or PREDICT".into()))?;
     if verb.eq_ignore_ascii_case("TRAIN") {
         t.expect_kw("BY")?;
         let model = t.ident("model kind")?.to_ascii_lowercase();
-        let continuous = match t.peek() {
-            Some(w) if w.eq_ignore_ascii_case("CONTINUOUS") => {
-                t.bump();
-                true
+        let continuous = t.eat("CONTINUOUS");
+        let mut params = parse_with_params(t)?;
+        // Typed at parse time: unknown names never reach the planner.
+        let strategy = match params.remove("strategy") {
+            None => None,
+            Some(ParamValue::Text(name)) => Some(parse_strategy_name(&name)?),
+            Some(other) => {
+                return Err(DbError::BadParam(format!(
+                    "strategy must be a name, got {other:?}"
+                )))
             }
-            _ => false,
         };
-        let mut params = BTreeMap::new();
-        let mut strategy = None;
-        match t.peek() {
-            Some(w) if w.eq_ignore_ascii_case("WITH") => {
-                t.bump();
-                loop {
-                    let key = t.ident("parameter name")?.to_ascii_lowercase();
-                    t.expect_kw("=")?;
-                    let val = t
-                        .bump()
-                        .ok_or_else(|| DbError::Parse(format!("missing value for {key}")))?;
-                    if key == "strategy" {
-                        // Typed at parse time: unknown names never reach the
-                        // planner.
-                        let name = match parse_value(val) {
-                            ParamValue::Text(s) => s,
-                            other => {
-                                return Err(DbError::BadParam(format!(
-                                    "strategy must be a name, got {other:?}"
-                                )))
-                            }
-                        };
-                        strategy = Some(parse_strategy_name(&name)?);
-                    } else {
-                        params.insert(key, parse_value(val));
-                    }
-                    match t.peek() {
-                        Some(",") => {
-                            t.bump();
-                        }
-                        Some(";") | None => break,
-                        Some(other) => {
-                            return Err(DbError::Parse(format!(
-                                "expected ',' or end of query, found {other:?}"
-                            )))
-                        }
-                    }
-                }
-            }
-            Some(";") | None => {}
-            Some(other) => return Err(DbError::Parse(format!("expected WITH, found {other:?}"))),
-        }
         Ok(Query::Train {
             table,
             model,
@@ -901,6 +888,8 @@ fn parse_tokens(t: &mut Tokens) -> Result<Query, DbError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corgipile_storage::Tuple;
+    use proptest::prelude::*;
 
     fn train_parts(
         input: &str,
@@ -978,20 +967,30 @@ mod tests {
             parse("INSERT INTO t VALUES (0.5, -1.25, 1)").unwrap(),
             Query::Insert {
                 table: "t".into(),
-                rows: vec![Tuple::dense(0, vec![0.5, -1.25], 1.0)]
+                rows: InsertRows {
+                    width: 2,
+                    values: vec![0.5, -1.25, 1.0]
+                }
             }
         );
         // Multi-row COPY-style append, trailing semicolon, lowercase.
+        let q = parse("insert into s values (1, 2, 1), (3, 4, -1);").unwrap();
         assert_eq!(
-            parse("insert into s values (1, 2, 1), (3, 4, -1);").unwrap(),
+            q,
             Query::Insert {
                 table: "s".into(),
-                rows: vec![
-                    Tuple::dense(0, vec![1.0, 2.0], 1.0),
-                    Tuple::dense(0, vec![3.0, 4.0], -1.0)
-                ]
+                rows: InsertRows {
+                    width: 2,
+                    values: vec![1.0, 2.0, 1.0, 3.0, 4.0, -1.0]
+                }
             }
         );
+        let Query::Insert { rows, .. } = q else {
+            unreachable!()
+        };
+        let views: Vec<TupleView<'_>> = rows.views().collect();
+        assert_eq!(views.len(), 2);
+        assert_eq!(views[1].to_tuple(), Tuple::dense(0, vec![3.0, 4.0], -1.0));
     }
 
     #[test]
@@ -1557,5 +1556,262 @@ mod tests {
             parse("SELECT * FROM t WHERE f0 > 1 PREDICT BY m"),
             Err(DbError::Parse(_))
         ));
+    }
+
+    #[test]
+    fn non_ascii_text_is_a_parse_error_not_a_panic() {
+        // UTF-8 continuation bytes such as 0x85 and 0xA0 are whitespace
+        // when read as `char`s; a lexer that splits there cuts a character.
+        for bad in [
+            "SHOW tą",
+            "INSERT INTO t VALUES (1ą, 2)",
+            "PREDICT m ON t WHERE f0 > 1\u{a0}",
+        ] {
+            assert!(
+                matches!(parse(bad), Err(DbError::Parse(_))),
+                "{bad:?}: {:?}",
+                parse(bad)
+            );
+        }
+        // A non-ASCII identifier is one word.
+        assert!(matches!(
+            parse("SELECT * FROM tą TRAIN BY svm"),
+            Ok(Query::Train { table, .. }) if table == "tą"
+        ));
+    }
+
+    #[test]
+    fn text_after_a_statement_is_rejected() {
+        for bad in [
+            "INSERT INTO t VALUES (1, 2); INSERT INTO t VALUES (3, 4)",
+            "INSERT INTO t VALUES (1, 2);;",
+            "LOAD MODEL m; x",
+            "SHOW TABLES; garbage",
+            "RECLUSTER t; y",
+            "SELECT * FROM t TRAIN BY svm; SHOW TABLES",
+            "PREDICT m ON t;;",
+            "SELECT * FROM t PREDICT BY m m",
+            "EXPLAIN SHOW STATS extra",
+        ] {
+            match parse(bad) {
+                Err(DbError::Parse(m)) => assert!(m.contains("expected"), "{bad:?}: {m}"),
+                other => panic!("{bad:?}: expected a parse error, got {other:?}"),
+            }
+        }
+        for good in ["SHOW TABLES;", "SHOW TABLES ; ", "LOAD MODEL m\n;\n"] {
+            assert!(parse(good).is_ok(), "{good:?}");
+        }
+    }
+
+    #[test]
+    fn ragged_insert_rows_are_bad_parameters() {
+        match parse("INSERT INTO t VALUES (1, 2, 1), (3, -1)") {
+            Err(DbError::BadParam(m)) => assert!(m.contains("features"), "{m}"),
+            other => panic!("expected BadParam, got {other:?}"),
+        }
+        // A row without a feature is a syntax error, before any width check.
+        assert!(matches!(
+            parse("INSERT INTO t VALUES (1, 2, 1), (3)"),
+            Err(DbError::Parse(_))
+        ));
+    }
+
+    /// The eager tokenizer the lexer replaced, kept as the reference it must
+    /// match on ASCII text (on other text it could slice inside a character).
+    fn tokenize(input: &str) -> Vec<&str> {
+        let mut toks = Vec::new();
+        let bytes = input.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            let c = bytes[i] as char;
+            if c.is_whitespace() {
+                i += 1;
+            } else if c == ',' || c == '=' || c == '*' || c == ';' || c == '(' || c == ')' {
+                toks.push(&input[i..i + 1]);
+                i += 1;
+            } else if c == '<' || c == '>' || c == '!' {
+                let next = bytes.get(i + 1).map(|&b| b as char);
+                let len = match (c, next) {
+                    (_, Some('=')) | ('<', Some('>')) => 2,
+                    _ => 1,
+                };
+                toks.push(&input[i..i + len]);
+                i += len;
+            } else if c == '\'' {
+                let start = i + 1;
+                let mut j = start;
+                while j < bytes.len() && bytes[j] as char != '\'' {
+                    j += 1;
+                }
+                toks.push(&input[start..j]);
+                i = j + 1;
+            } else {
+                let start = i;
+                while i < bytes.len() {
+                    let c = bytes[i] as char;
+                    if c.is_whitespace()
+                        || matches!(
+                            c,
+                            ',' | '=' | '*' | ';' | '(' | ')' | '\'' | '<' | '>' | '!'
+                        )
+                    {
+                        break;
+                    }
+                    i += 1;
+                }
+                toks.push(&input[start..i]);
+            }
+        }
+        toks
+    }
+
+    fn lexed(input: &str) -> Vec<&str> {
+        let mut t = Tokens { src: input, pos: 0 };
+        std::iter::from_fn(|| t.bump()).collect()
+    }
+
+    /// Pieces random SQL text is made of: every lexical class, and
+    /// characters whose UTF-8 bytes once read as whitespace.
+    const PIECES: [&str; 30] = [
+        " ", "\t", "\n", "\x0b", "\x0c", "\r", ",", "=", "*", ";", "(", ")", "'", "<", ">", "!",
+        ".", "-", "+", "e", "0", "7", "19", "f3", "INSERT", "VALUES", "inf", "ą", "\u{a0}",
+        "\u{85}",
+    ];
+
+    const STATEMENTS: [&str; 6] = [
+        "INSERT INTO t VALUES (0.5, -1.25, 1), (3, 4e-2, -1);",
+        "SELECT f0, label FROM t WHERE f1 > 0.5 AND (f2 <= 1 OR id <> 3) TRAIN BY svm \
+         CONTINUOUS WITH strategy = 'corgipile', block_size = 10MB",
+        "EXPLAIN ANALYZE SELECT * FROM t PREDICT BY m",
+        "PREDICT m VERSION 2 ON t WHERE f0 != -1 WITH batch_rows = 64",
+        "LOAD MODEL m VERSION 1 AS ACTIVE",
+        "RECLUSTER t WITH io_budget = 0.25, seed = 7",
+    ];
+
+    /// What `INSERT` must store for the literal `tok`: `str::parse`'s f64
+    /// narrowed to f32, if that is finite.
+    fn stored(tok: &str) -> Option<f32> {
+        tok.parse::<f64>()
+            .ok()
+            .map(|v| v as f32)
+            .filter(|v| v.is_finite())
+    }
+
+    fn check_value(tok: &str) {
+        if let Some((v, len)) = fast_decimal(tok.as_bytes()) {
+            assert_eq!(len, tok.len(), "{tok:?}");
+            assert_eq!(
+                v.to_bits(),
+                tok.parse::<f64>().unwrap().to_bits(),
+                "{tok:?}"
+            );
+        }
+        let sql = format!("INSERT INTO t VALUES ({tok}, {tok})");
+        match (parse(&sql), stored(tok)) {
+            (Ok(Query::Insert { rows, .. }), Some(v)) => {
+                let bits: Vec<u32> = rows.values.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(bits, [v.to_bits(); 2], "{tok:?}");
+            }
+            (Err(DbError::Parse(m)), None) => assert!(m.contains("finite"), "{tok:?}: {m}"),
+            (got, want) => panic!("{tok:?}: parsed {got:?}, str::parse gives {want:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn prop_arbitrary_text_never_panics(
+            bytes in proptest::collection::vec(any::<u8>(), 0..40),
+            pieces in proptest::collection::vec(0..PIECES.len(), 0..24),
+        ) {
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+            let text: String = pieces.iter().map(|&i| PIECES[i]).collect();
+            let _ = parse(&text);
+            if text.is_ascii() {
+                prop_assert_eq!(lexed(&text), tokenize(&text));
+            }
+        }
+
+        #[test]
+        fn prop_mutated_statements_never_panic(
+            which in 0..STATEMENTS.len(),
+            edits in proptest::collection::vec((any::<usize>(), 0usize..3, 0..PIECES.len()), 1..6),
+        ) {
+            let mut text: Vec<char> = STATEMENTS[which].chars().collect();
+            for (at, op, piece) in edits {
+                let at = at % (text.len() + 1);
+                match op {
+                    0 if at < text.len() => {
+                        text.remove(at);
+                    }
+                    1 => text.truncate(at),
+                    _ => text.splice(at..at, PIECES[piece].chars()).for_each(drop),
+                }
+            }
+            let text: String = text.into_iter().collect();
+            let _ = parse(&text);
+            if text.is_ascii() {
+                prop_assert_eq!(lexed(&text), tokenize(&text));
+            }
+        }
+
+        #[test]
+        fn prop_insert_values_store_what_str_parse_gives(
+            bits in any::<u32>(),
+            form in 0usize..8,
+            digits in any::<u64>(),
+            shape in (1u32..22, 0usize..26),
+        ) {
+            let (len, point) = shape;
+            let x = f32::from_bits(bits);
+            let sign = if x.is_sign_negative() { "-" } else { "+" };
+            let tok = match form {
+                0 => format!("{x}"),
+                1 => format!("{x:e}"),
+                2 => format!("{x:.40}"),
+                3 => format!("{sign}{}", x.abs()),
+                4 => format!("{}", x.fract()).replacen("0.", ".", 1),
+                5 => format!("{:.0}.", x.trunc()),
+                6 => ["-0", "1e39", "-1e39", "inf", "nan", "+.5", "5.", ".", "-", "1e"][len as usize % 10].to_string(),
+                // Plain decimals on both sides of the fast path's limits:
+                // up to 21 digits, up to 25 of them fractional.
+                _ => {
+                    let mut d = (digits % 10u64.pow(len.min(19))).to_string();
+                    if len > 19 {
+                        d.push_str(&"9".repeat(len as usize - 19));
+                    }
+                    let point = point.min(d.len());
+                    d.insert(d.len() - point, '.');
+                    d
+                }
+            };
+            check_value(&tok);
+        }
+    }
+
+    #[test]
+    fn insert_values_at_the_fast_paths_edges() {
+        for tok in [
+            "9007199254740992",
+            "9007199254740993",
+            "0.9007199254740993",
+            "1234567890123456789",
+            "12345678901234567890",
+            "18446744073709551616",
+            "1844674407370955161.6",
+            "0.0000000000000000000001",
+            "0.00000000000000000000001",
+            "-0.0",
+            "+0",
+            "00000000000000000001.5",
+            "3.4028234e38",
+            "340282350000000000000000000000000000000",
+            "340282370000000000000000000000000000000",
+            "1.17549435e-38",
+            "1e-46",
+        ] {
+            check_value(tok);
+        }
     }
 }

@@ -35,10 +35,10 @@
 use crate::block::between_block_share;
 use crate::codec::FieldReader;
 use crate::error::StorageError;
-use crate::fault::{sites, FaultInjector, WriteOutcome};
+use crate::fault::{crash_point, sites, FaultInjector};
 use crate::retry::RetryPolicy;
 use crate::table::{Table, TableBuilder};
-use crate::tuple::Tuple;
+use crate::tuple::{Tuple, TupleId, TupleView};
 use crate::wal::Wal;
 use crate::Result;
 use std::ops::Deref;
@@ -95,17 +95,22 @@ impl Deref for TableSnapshot {
     }
 }
 
-fn encode_rows(rows: &[Tuple]) -> Vec<u8> {
-    let mut payload =
-        Vec::with_capacity(4 + rows.iter().map(|t| 4 + t.encoded_len()).sum::<usize>());
+/// Encode one statement's rows into `payload` as an [`RT_TABLE_ROWS`]
+/// record, numbered from `first`.
+fn encode_rows<'a>(
+    rows: impl ExactSizeIterator<Item = TupleView<'a>>,
+    first: TupleId,
+    payload: &mut Vec<u8>,
+) {
+    payload.clear();
     payload.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    for t in rows {
+    for (id, t) in (first..).zip(rows) {
+        let t = TupleView { id, ..t };
         // A length-prefixed field ([`crate::codec::put_bytes`] layout),
         // encoded in place.
         payload.extend_from_slice(&(t.encoded_len() as u32).to_le_bytes());
-        t.encode(&mut payload);
+        t.encode(payload);
     }
-    payload
 }
 
 fn decode_rows(payload: &[u8]) -> Result<Vec<Tuple>> {
@@ -144,6 +149,8 @@ pub struct AppendableTable {
     retry: RetryPolicy,
     replayed_rows: u64,
     appended_rows: u64,
+    /// The last statement's WAL record, its buffer kept for the next.
+    payload: Vec<u8>,
 }
 
 impl AppendableTable {
@@ -154,6 +161,7 @@ impl AppendableTable {
             retry: RetryPolicy::default(),
             replayed_rows: 0,
             appended_rows: 0,
+            payload: Vec::new(),
         }
     }
 
@@ -184,7 +192,7 @@ impl AppendableTable {
                                 t.id, next
                             )));
                         }
-                        at.builder.append(&t)?;
+                        at.builder.append(t.view())?;
                         at.replayed_rows += 1;
                     }
                 }
@@ -235,67 +243,54 @@ impl AppendableTable {
         self.wal.as_ref()
     }
 
+    /// [`AppendableTable::append`] over owned tuples (their ids ignored).
+    pub fn append_rows(&mut self, rows: Vec<Tuple>, inj: Option<&mut FaultInjector>) -> Result<()> {
+        self.append(rows.iter().map(Tuple::view), inj)
+    }
+
     /// Append one statement's rows: assign sequence ids, journal them as a
     /// single fsynced WAL frame, then apply them to the open block (logging
-    /// a seal marker for every block that closes). On `Err` the writer must
-    /// be discarded and re-opened — exactly the crashed-process contract
-    /// [`Wal::append`] has.
-    pub fn append_rows(
+    /// a seal marker for every block that closes). The rows are read in
+    /// place, twice: once into the frame, once onto the page. On `Err` the
+    /// writer must be discarded and re-opened — exactly the crashed-process
+    /// contract [`Wal::append`] has.
+    pub fn append<'a>(
         &mut self,
-        mut rows: Vec<Tuple>,
+        rows: impl ExactSizeIterator<Item = TupleView<'a>> + Clone,
         mut inj: Option<&mut FaultInjector>,
     ) -> Result<()> {
-        if rows.is_empty() {
+        if rows.len() == 0 {
             return Ok(());
         }
-        let first = self.builder.tuple_count();
-        for (i, t) in rows.iter_mut().enumerate() {
-            t.id = first + i as u64;
-        }
-        if let Some(i) = inj.as_deref_mut() {
-            match i.on_write(sites::TABLE_APPEND_ROWS) {
-                WriteOutcome::Ok => {}
-                WriteOutcome::Fail(e) => return Err(e),
-                // Nothing has been written yet, so a torn write here
-                // degenerates to a plain crash: the statement never lands.
-                WriteOutcome::Torn { .. } | WriteOutcome::Crash => {
-                    return Err(StorageError::Crashed {
-                        site: sites::TABLE_APPEND_ROWS.into(),
-                    });
-                }
-            }
-        }
+        let (first, n) = (self.builder.tuple_count(), rows.len() as u64);
+        // Nothing has been written yet: a crash here loses the statement.
+        crash_point(inj.as_deref_mut(), sites::TABLE_APPEND_ROWS)?;
         if let Some(wal) = self.wal.as_mut() {
-            let payload = encode_rows(&rows);
-            wal.append_retry(RT_TABLE_ROWS, &payload, inj.as_deref_mut(), &self.retry)?;
+            encode_rows(rows.clone(), first, &mut self.payload);
+            wal.append_retry(
+                RT_TABLE_ROWS,
+                &self.payload,
+                inj.as_deref_mut(),
+                &self.retry,
+            )?;
         }
-        for t in &rows {
+        for (id, t) in (first..).zip(rows) {
             let sealed = self.sealed_blocks();
-            self.builder.append(t)?;
+            self.builder.append(TupleView { id, ..t })?;
             if self.sealed_blocks() > sealed {
                 self.log_seal(inj.as_deref_mut())?;
             }
         }
-        self.appended_rows += rows.len() as u64;
+        self.appended_rows += n;
         Ok(())
     }
 
     /// Log a seal marker for the block the builder just sealed (durable
     /// writers only; the marker is advisory, the block is sealed either way).
     fn log_seal(&mut self, mut inj: Option<&mut FaultInjector>) -> Result<()> {
-        if let Some(i) = inj.as_deref_mut() {
-            match i.on_write(sites::TABLE_SEAL_BLOCK) {
-                WriteOutcome::Ok => {}
-                WriteOutcome::Fail(e) => return Err(e),
-                // The sealed rows were fsynced by their own row records;
-                // dying here loses nothing acknowledged.
-                WriteOutcome::Torn { .. } | WriteOutcome::Crash => {
-                    return Err(StorageError::Crashed {
-                        site: sites::TABLE_SEAL_BLOCK.into(),
-                    });
-                }
-            }
-        }
+        // The sealed rows were fsynced by their own row records; dying
+        // here loses nothing acknowledged.
+        crash_point(inj.as_deref_mut(), sites::TABLE_SEAL_BLOCK)?;
         if let Some(wal) = self.wal.as_mut() {
             let block = self
                 .builder
@@ -590,13 +585,70 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// The frame payload over owned tuples, as it was encoded before rows
+    /// were read in place.
+    fn encode_tuples(rows: &[Tuple]) -> Vec<u8> {
+        let mut payload = (rows.len() as u32).to_le_bytes().to_vec();
+        for t in rows {
+            payload.extend_from_slice(&(t.encoded_len() as u32).to_le_bytes());
+            t.encode(&mut payload);
+        }
+        payload
+    }
+
+    #[test]
+    fn frames_of_row_views_equal_tuple_frames_and_replay() {
+        let path = tmp("view_frames.wal");
+        std::fs::remove_file(&path).ok();
+        let base = base_table(10, crate::page::PAGE_SIZE);
+        // Two features and a label per row, row-major, as `INSERT` scans them.
+        let flat: Vec<f32> = (0..300).map(|i| i as f32 * 0.25 - 7.0).collect();
+        let views = || {
+            flat.chunks_exact(3).map(|r| TupleView {
+                id: 0,
+                label: r[2],
+                features: crate::FeatureView::Dense(&r[..2]),
+            })
+        };
+        {
+            let mut w = AppendableTable::open(&base, &path).unwrap();
+            w.append(views().take(60), None).unwrap();
+            w.append(views().skip(60), None).unwrap();
+            assert_eq!(w.num_tuples(), 110);
+        }
+        let want: Vec<Tuple> = (10..)
+            .zip(views())
+            .map(|(id, v)| TupleView { id, ..v }.to_tuple())
+            .collect();
+        let frames: Vec<Vec<u8>> = Wal::open(&path)
+            .unwrap()
+            .1
+            .into_iter()
+            .filter(|r| r.rtype == RT_TABLE_ROWS)
+            .map(|r| r.payload)
+            .collect();
+        assert_eq!(
+            frames,
+            [encode_tuples(&want[..60]), encode_tuples(&want[60..])]
+        );
+        let w = AppendableTable::open(&base, &path).unwrap();
+        assert_eq!(w.replayed_rows(), 100);
+        let t = w.snapshot_table(1);
+        for row in &want {
+            assert_eq!(&t.get_tuple(row.id).unwrap(), row);
+        }
+        std::fs::remove_file(path).ok();
+    }
+
     #[test]
     fn row_batch_codec_roundtrips_and_rejects_trailing_bytes() {
         let rows = vec![
             Tuple::dense(5, vec![1.0, 2.0], 1.0),
             Tuple::sparse(6, 100, vec![3, 50], vec![0.5, -0.5], -1.0),
         ];
-        let payload = encode_rows(&rows);
+        let mut payload = vec![9; 3];
+        encode_rows(rows.iter().map(Tuple::view), 5, &mut payload);
+        assert_eq!(payload, encode_tuples(&rows));
         assert_eq!(decode_rows(&payload).unwrap(), rows);
         let mut padded = payload.clone();
         padded.push(0);

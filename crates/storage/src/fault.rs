@@ -279,6 +279,18 @@ pub enum WriteOutcome {
     Crash,
 }
 
+/// Visit `site` where nothing is half-written: a tear there is a plain
+/// crash, so only [`WriteOutcome::Ok`] lets the write go on.
+pub fn crash_point(inj: Option<&mut FaultInjector>, site: &str) -> Result<(), StorageError> {
+    match inj.map_or(WriteOutcome::Ok, |i| i.on_write(site)) {
+        WriteOutcome::Ok => Ok(()),
+        WriteOutcome::Fail(e) => Err(e),
+        WriteOutcome::Torn { .. } | WriteOutcome::Crash => {
+            Err(StorageError::Crashed { site: site.into() })
+        }
+    }
+}
+
 /// Stateful executor of a [`FaultPlan`].
 ///
 /// Attach one to a [`SimDevice`](crate::SimDevice) via

@@ -78,8 +78,8 @@ pub use crc::crc32;
 pub use device::{Access, CacheConfig, DeviceProfile, IoStats, SimDevice};
 pub use error::StorageError;
 pub use fault::{
-    sites, splitmix64, FaultInjector, FaultKind, FaultPlan, FaultStats, ReadOutcome, WriteFault,
-    WriteOutcome,
+    crash_point, sites, splitmix64, FaultInjector, FaultKind, FaultPlan, FaultStats, ReadOutcome,
+    WriteFault, WriteOutcome,
 };
 pub use page::{Page, PAGE_SIZE};
 pub use persist::{

@@ -401,7 +401,7 @@ pub fn load_table(path: &Path) -> Result<Table> {
             .map_err(|e| io_err("read block", e))?;
         verify_block_crc(blk, meta, &data)?;
         for t in decode_block(&data, meta.tuple_count)? {
-            builder.append(&t)?;
+            builder.append(t.view())?;
             seen += 1;
         }
     }
@@ -530,7 +530,7 @@ impl FileTable {
         let mut builder = TableBuilder::new(self.config.clone())?;
         for id in 0..self.num_blocks() {
             for t in self.read_block(id)? {
-                builder.append(&t)?;
+                builder.append(t.view())?;
             }
         }
         Ok(builder.finish())

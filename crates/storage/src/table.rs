@@ -109,10 +109,10 @@ impl TableBuilder {
         })
     }
 
-    /// Append one tuple (placed on the current page, a fresh page, or a
+    /// Append one row (placed on the current page, a fresh page, or a
     /// jumbo page if oversized).
-    pub fn append(&mut self, tuple: &Tuple) -> Result<()> {
-        let len = tuple.encoded_len();
+    pub fn append(&mut self, row: TupleView<'_>) -> Result<()> {
+        let len = row.encoded_len();
         if len > self.config.toast_threshold {
             self.any_toast = true;
         }
@@ -123,8 +123,8 @@ impl TableBuilder {
             }
             self.start_page(Arc::new(fresh));
         }
-        Arc::make_mut(self.open_pages.last_mut().expect("page pushed above")).push(tuple.view())?;
-        self.dim.get_or_insert(tuple.features.dim());
+        Arc::make_mut(self.open_pages.last_mut().expect("page pushed above")).push(row)?;
+        self.dim.get_or_insert(row.features.dim());
         self.tuple_count += 1;
         Ok(())
     }
@@ -236,7 +236,7 @@ impl Table {
     {
         let mut b = TableBuilder::new(config)?;
         for t in tuples {
-            b.append(&t)?;
+            b.append(t.view())?;
         }
         Ok(b.finish())
     }
@@ -495,7 +495,7 @@ impl Table {
         cfg.table_id = new_table_id;
         let mut b = TableBuilder::new(cfg)?;
         for &tid in order {
-            b.append(&self.get_tuple(tid)?)?;
+            b.append(self.get_tuple(tid)?.view())?;
         }
         Ok(b.finish())
     }

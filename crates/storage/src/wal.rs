@@ -34,7 +34,7 @@
 //! crash-matrix harness in `corgipile-db`.
 
 use crate::error::StorageError;
-use crate::fault::{sites, FaultInjector, WriteOutcome};
+use crate::fault::{crash_point, sites, FaultInjector, WriteOutcome};
 use crate::retry::{with_retries, RetryPolicy};
 use crate::Result;
 use std::io::{self, Seek, SeekFrom, Write};
@@ -246,19 +246,8 @@ impl Wal {
         self.records += 1;
         self.appended_bytes += frame.len() as u64;
 
-        if let Some(i) = inj {
-            match i.on_write(sites::WAL_AFTER_FSYNC) {
-                WriteOutcome::Ok => {}
-                WriteOutcome::Fail(e) => return Err(e),
-                // The record is already durable; the crash loses nothing.
-                WriteOutcome::Torn { .. } | WriteOutcome::Crash => {
-                    return Err(StorageError::Crashed {
-                        site: sites::WAL_AFTER_FSYNC.into(),
-                    });
-                }
-            }
-        }
-        Ok(())
+        // The record is already durable; a crash here loses nothing.
+        crash_point(inj, sites::WAL_AFTER_FSYNC)
     }
 
     /// [`Wal::append`] with bounded retries, mirroring

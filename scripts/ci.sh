@@ -27,7 +27,7 @@ bash scripts/loc.sh
 banner "Golden bits (model bits pinned across commits, release arithmetic)"
 cargo test --release --test golden_bits
 
-banner "Allocation budget (scans allocate per block and per epoch, never per fill or row)"
+banner "Allocation budget (scans allocate per block and per epoch, INSERTs per page and per statement, never per fill or row)"
 cargo test --release --test alloc_budget
 
 banner "Every crate's lib tests (the fill, the orders, the executor, planner and session, the driver)"

@@ -12,10 +12,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CORE_DB_CEILING=7672
-CORE_DB_SHUFFLE_CEILING=9557
+CORE_DB_CEILING=7666
+CORE_DB_SHUFFLE_CEILING=9551
 ML_CEILING=1472
-STORAGE_CEILING=5133
+STORAGE_CEILING=5129
 BENCH_CEILING=2785
 
 non_test_lines() {

@@ -1,4 +1,4 @@
-//! Allocation budget of the scan paths: rows are read in place.
+//! Allocation budget of the scan and insert paths: rows are read in place.
 //!
 //! A warm `TRAIN … strategy = 'corgipile'`, a `TRAIN … WHERE …` with a
 //! projection and a `PREDICT … WHERE` each walk an N-row table without
@@ -11,6 +11,8 @@
 //! quarter, and four more epochs of it to what an epoch allocates. The
 //! library trainer runs the same fill: a warm `Trainer::train` is held to
 //! what an epoch allocates, a two-worker run to a bound per epoch of fills.
+//! A warm `INSERT` of 64 or 640 rows, and the narrow `PREDICT`, are held to
+//! what they measured plus a quarter.
 //!
 //! At the commit before columnar pages every block read decoded each row
 //! into a `Vec<f32>` of its own (≥ 1 allocation and, on the wide table,
@@ -150,6 +152,15 @@ fn scans_of_a_narrow_table_allocate_per_block_not_per_row() {
         // handles.
         let budget = if sql == TRAIN { 123 } else { 256 };
         assert!(bytes < budget * rows, "{bytes} bytes, {rows} rows: {sql}");
+        // The PREDICT measured 64 calls and 157 900 B: its prediction
+        // batches share one feature-view buffer, where a buffer per
+        // 256-row batch made it 103 calls and 535 572 B.
+        if sql == PREDICT_WHERE {
+            assert!(
+                allocs <= 80 && bytes <= 197_375,
+                "{allocs} allocations, {bytes} bytes: {sql}"
+            );
+        }
     }
 }
 
@@ -247,4 +258,40 @@ fn library_training_allocates_per_fill_not_per_row() {
     );
     let (allocs, _) = per_epoch(2);
     assert!(allocs <= 256, "two workers: {allocs} calls an epoch");
+}
+
+#[test]
+fn inserts_allocate_per_statement_page_and_block_not_per_row() {
+    // An INSERT's values go from the SQL text into one row-major buffer and
+    // from there, read in place, onto the open page: what it allocates is
+    // per statement (that buffer, the publish, the result), per page (its
+    // columns) and per block (its seal), never per row.
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut session, _) = session(DatasetSpec::higgs_like(2_000).with_block_bytes(64 << 10));
+    let insert = |first: usize, rows: usize| {
+        let row = |i: usize| {
+            let values: Vec<String> = (0..29).map(|j| format!("{}", (i * 29 + j) % 97)).collect();
+            format!("({})", values.join(", "))
+        };
+        let rows: Vec<String> = (first..first + rows).map(row).collect();
+        format!("INSERT INTO t VALUES {}", rows.join(", "))
+    };
+    session
+        .execute(&insert(0, 64))
+        .unwrap_or_else(|e| panic!("warm INSERT: {e}"));
+    let mut at = 64;
+    for rows in [64, 640] {
+        let sql = insert(at, rows);
+        at += rows;
+        let (result, allocs, _) = counted(&mut session, &sql);
+        let QueryResult::Insert { rows: n, .. } = result else {
+            panic!("not an INSERT result")
+        };
+        assert_eq!(n, rows as u64);
+        // Measured: 33 calls for 64 rows and 90 for 640 (eleven more pages,
+        // one more block), where a token vector and a `Tuple` per row made
+        // them 110 and 751.
+        let budget = if rows == 64 { 41 } else { 112 };
+        assert!(allocs <= budget, "{allocs} allocations, {rows} rows");
+    }
 }
