@@ -7,7 +7,8 @@
 //! the SQL surface (strategy × model × batch size × `double_buffer` ×
 //! `fuse`, `WHERE` / projection, faults + skip, halt and durable
 //! auto-resume, `CONTINUOUS` with a drift schedule), `Trainer::train`, and
-//! the multi-worker order (`parallel_epoch_plan` at 1/2/4/8 workers).
+//! the multi-worker order (`parallel_epoch_plan` at 1/2/4/8 workers); and
+//! the per-epoch simulated clock of the runs no other constant times.
 //!
 //! A change that moves any of them changed what the engine computes. When
 //! that is intended, the failure message prints the whole table as Rust
@@ -564,5 +565,127 @@ fn pagination_is_pinned_across_page_layouts() {
         assert_eq!((t.num_blocks(), t.total_bytes()), (blocks, bytes));
         assert_eq!(t.block(0).unwrap(), &first);
         assert_eq!(t.block(blocks - 1).unwrap(), &last);
+    }
+}
+
+/// `(case, per epoch: bits of io_seconds, compute_seconds, epoch_seconds)`
+/// of the runs whose clock no other constant pins: `Trainer::with_workers`
+/// at 2 and 4 workers, and `Trainer` under MRS and Sliding-Window, each
+/// with `double_buffer` off and on.
+const CLOCK: &[(&str, [[u64; 3]; 2])] = &[
+    (
+        "workers/pn2/db0",
+        [
+            [0x3fc2911ae9cdad42, 0x3f2b43526527a1d8, 0x3fc297ebbe66f72a],
+            [0x3fc2911ae9cdad42, 0x3f2b43526527a1d8, 0x3fc297ebbe66f72a],
+        ],
+    ),
+    (
+        "workers/pn4/db0",
+        [
+            [0x3fb4a13a591d6b2d, 0x3f2b43526527a1d8, 0x3fb4aedc024ffefe],
+            [0x3fb4a13a591d6b2d, 0x3f2b43526527a1d8, 0x3fb4aedc024ffefe],
+        ],
+    ),
+    (
+        "mrs/db0",
+        [
+            [0x3f45804ac2be0ea6, 0x3f105b97d64afad5, 0x3f478bbdbd876e01],
+            [0x3f45804ac2be0eac, 0x3f105b97d64afad5, 0x3f478bbdbd876e07],
+        ],
+    ),
+    (
+        "sliding_window/db0",
+        [
+            [0x3f45f1adde20a897, 0x3f105b97d64afad3, 0x3f47fd20d8ea07f1],
+            [0x3f45f1adde20a891, 0x3f105b97d64afad3, 0x3f47fd20d8ea07eb],
+        ],
+    ),
+    (
+        "workers/pn2/db1",
+        [
+            [0x3fc2911ae9cdad42, 0x3f2b43526527a1d8, 0x3fc29181dbb9065b],
+            [0x3fc2911ae9cdad42, 0x3f2b43526527a1d8, 0x3fc29181dbb9065b],
+        ],
+    ),
+    (
+        "workers/pn4/db1",
+        [
+            [0x3fb4a13a591d6b2d, 0x3f2b43526527a1d8, 0x3fb4a2083cf41d5e],
+            [0x3fb4a13a591d6b2d, 0x3f2b43526527a1d8, 0x3fb4a2083cf41d5e],
+        ],
+    ),
+    (
+        "mrs/db1",
+        [
+            [0x3f45804ac2be0ea6, 0x3f105b97d64afad5, 0x3f458ba2289a504a],
+            [0x3f45804ac2be0eac, 0x3f105b97d64afad5, 0x3f458ba2289a5050],
+        ],
+    ),
+    (
+        "sliding_window/db1",
+        [
+            [0x3f45f1adde20a897, 0x3f105b97d64afad3, 0x3f466317d8bb38fb],
+            [0x3f45f1adde20a891, 0x3f105b97d64afad3, 0x3f466317d8bb38f5],
+        ],
+    ),
+];
+
+#[test]
+fn worker_mrs_and_sliding_window_clocks_are_pinned() {
+    let (small, large) = (higgs(600), higgs(2000));
+    let mut got = Vec::new();
+    for double_buffer in [false, true] {
+        let cfg = |strategy| {
+            TrainerConfig::new(ModelKind::LogisticRegression, 2)
+                .with_strategy(strategy)
+                .with_corgipile(
+                    CorgiPileConfig::default()
+                        .with_buffer_fraction(0.2)
+                        .with_double_buffer(double_buffer),
+                )
+        };
+        let db = u8::from(double_buffer);
+        let mut runs = Vec::new();
+        for pn in [2usize, 4] {
+            let trainer = Trainer::new(cfg(StrategyKind::CorgiPile).with_batch_size(16))
+                .with_workers(ParallelConfig {
+                    workers: pn,
+                    total_buffer_fraction: 0.25,
+                    ..Default::default()
+                });
+            runs.push((format!("workers/pn{pn}/db{db}"), trainer, &large));
+        }
+        for strategy in [StrategyKind::Mrs, StrategyKind::SlidingWindow] {
+            let name = format!("{}/db{db}", strategy.name());
+            runs.push((name, Trainer::new(cfg(strategy)), &small));
+        }
+        for (name, trainer, table) in runs {
+            let r = trainer
+                .train(table, &mut SimDevice::hdd_scaled(1000.0, 0), 11)
+                .unwrap();
+            let epoch = |e: usize| {
+                let e = &r.epochs[e];
+                [e.io_seconds, e.compute_seconds, e.epoch_seconds].map(f64::to_bits)
+            };
+            got.push((name, [epoch(0), epoch(1)]));
+        }
+    }
+    if got.len() != CLOCK.len()
+        || got
+            .iter()
+            .zip(CLOCK)
+            .any(|(g, w)| (g.0.as_str(), g.1) != *w)
+    {
+        let mut lines = String::from("CLOCK moved; actual values:\n");
+        for (name, epochs) in &got {
+            let hex = |e: &[u64; 3]| e.map(|b| format!("0x{b:016x}")).join(", ");
+            lines.push_str(&format!(
+                "    (\"{name}\", [[{}], [{}]]),\n",
+                hex(&epochs[0]),
+                hex(&epochs[1])
+            ));
+        }
+        panic!("{lines}");
     }
 }
