@@ -1,7 +1,7 @@
-//! Criterion: the full CorgiPile stack — library trainer epochs, the
-//! one-loader double-buffered stream, and multi-worker epochs.
+//! Criterion: the full CorgiPile stack — library trainer epochs and
+//! multi-worker epochs.
 
-use corgipile_core::{EpochSource, Fill, ParallelConfig, ParallelSource, Trainer, TrainerConfig};
+use corgipile_core::{ParallelConfig, Trainer, TrainerConfig};
 use corgipile_data::{DatasetSpec, Order};
 use corgipile_ml::{ModelKind, OptimizerKind};
 use corgipile_shuffle::StrategyKind;
@@ -48,26 +48,6 @@ fn workers(workers: usize) -> ParallelConfig {
     }
 }
 
-fn bench_threaded_loader(c: &mut Criterion) {
-    let table = table();
-    let mut group = c.benchmark_group("threaded_loader_epoch");
-    group.throughput(Throughput::Elements(table.num_tuples()));
-    group.sample_size(20);
-    group.bench_function("one_loader_thread", |b| {
-        b.iter(|| {
-            let mut count = 0usize;
-            ParallelSource::new(&table, workers(1), 128, 3)
-                .stream_epoch(0, &mut Fill::default(), &mut |fill| {
-                    count += fill.batch.len();
-                    true
-                })
-                .unwrap();
-            std::hint::black_box(count)
-        })
-    });
-    group.finish();
-}
-
 fn bench_parallel_epoch(c: &mut Criterion) {
     let table = table();
     let mut group = c.benchmark_group("parallel_epoch");
@@ -95,10 +75,5 @@ fn bench_parallel_epoch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_trainer,
-    bench_threaded_loader,
-    bench_parallel_epoch
-);
+criterion_group!(benches, bench_trainer, bench_parallel_epoch);
 criterion_main!(benches);

@@ -8,12 +8,12 @@
 //! * [`dataset`] — [`CorgiPileDataset`]: the PyTorch-style
 //!   `Dataset`/`DataLoader` API of §5 (block index + per-epoch shuffled
 //!   iterator).
-//! * [`parallel`] — multi-process CorgiPile (§5.1) as a fill source
-//!   ([`ParallelSource`]): the CorgiPile generator's fills dealt to the
-//!   workers, one producer thread and buffer per worker, round-robin merged
-//!   into the stream the one loop trains on; at one worker it is the
-//!   threaded double-buffered loader of §6.3. [`parallel_epoch_plan`]
-//!   collects the same stream as the order reference behind Figure 5.
+//! * [`parallel`] — multi-process CorgiPile (§5.1) as a data order
+//!   ([`ParallelConfig`]): the CorgiPile generator's fills dealt to the
+//!   workers and interleaved `batch/PN` rows per worker per round by the one
+//!   fill, on the one loop's one producer; no thread or channel of its own.
+//!   [`parallel_epoch_plan`] collects the same stream as the order reference
+//!   behind Figure 5.
 //! * [`driver`] — the one epoch loop ([`EpochDriver`]): resume → per epoch
 //!   {fills → kernel stage → simulated clock → hook → checkpoint sink}, shared
 //!   by the [`Trainer`] and the SQL `SGD` operator.
@@ -43,8 +43,6 @@ pub use dataset::CorgiPileDataset;
 pub use driver::{
     CheckpointMismatch, DriverRun, EpochDriver, EpochIo, EpochOutcome, EpochSink, EpochSource, Fill,
 };
-pub use parallel::{
-    parallel_epoch_plan, BlockReader, ParallelConfig, ParallelEpoch, ParallelSource,
-};
+pub use parallel::{parallel_epoch_plan, ParallelConfig, ParallelEpoch};
 pub use theory::{block_variance_factor, CorgiFactors, Theorem1Bound};
 pub use trainer::{EpochRecord, TrainReport, Trainer, TrainerConfig};

@@ -1,35 +1,28 @@
 //! The end-to-end trainer: strategy × model × optimizer × device.
 //!
-//! [`Trainer::train`] runs `epochs` passes of a [`ShuffleStrategy`] over a
-//! heap table — or, handed a [`ParallelConfig`], of multi-process CorgiPile
-//! (§5) — feeding the stream to per-tuple or mini-batch SGD while
-//! accounting simulated time:
-//!
-//! * **I/O time** comes from the strategy's segment costs (device cost
-//!   model);
-//! * **compute time** comes from the model's FLOP estimate × the
-//!   [`ComputeCostModel`];
-//! * the two are combined with the single- or double-buffer pipeline model
-//!   of §6.3 (double buffering overlaps loading with SGD).
-//!
-//! The per-epoch records ([`EpochRecord`]) carry cumulative simulated time,
-//! train loss, and test metric — exactly the data plotted in the paper's
-//! convergence/time figures.
+//! [`Trainer::train`] runs `epochs` passes of a [`ShuffleStrategy`]'s order
+//! over a heap table — or, handed a [`ParallelConfig`], of multi-process
+//! CorgiPile's (§5) — through the one fill and the one epoch loop
+//! ([`EpochDriver`]), charging loading to the device cost model and compute
+//! to the model's FLOPs × the [`ComputeCostModel`], overlapped by the
+//! single- or double-buffer model of §6.3. The per-epoch records
+//! ([`EpochRecord`]) carry cumulative simulated time, train loss and test
+//! metric: the data plotted in the paper's convergence and time figures.
 
 use corgipile_ml::{
     accuracy, build_model, r_squared, ComputeCostModel, Model, ModelKind, OptimizerKind,
     TrainOptions,
 };
 use corgipile_shuffle::{
-    build_strategy, fill_epoch, start_epoch, EpochOrder, Filler, Rank, ShuffleStrategy,
-    StrategyKind, StrategyParams,
+    build_strategy, fill_epoch, start_epoch, EpochOrder, Filler, ShuffleStrategy, StrategyKind,
+    StrategyParams,
 };
-use corgipile_storage::{Counter, SimDevice, StorageError, Table, Telemetry, Tuple, TupleView};
+use corgipile_storage::{CacheConfig, Counter, SimDevice, StorageError, Table, Tuple, TupleView};
 use std::ops::ControlFlow;
 
 use crate::config::CorgiPileConfig;
 use crate::driver::{EpochDriver, EpochIo, EpochOutcome, EpochSink, EpochSource, Fill};
-use crate::parallel::{ParallelConfig, ParallelSource};
+use crate::parallel::ParallelConfig;
 
 /// Full configuration of a training run.
 #[derive(Debug, Clone)]
@@ -250,9 +243,9 @@ impl Trainer {
         Ok(driver)
     }
 
-    /// Run `driver` over the configured source — the shuffle strategy, or
-    /// multi-process CorgiPile when workers were handed in — and return the
-    /// per-epoch records. Observability goes through the device's
+    /// Run `driver` over the configured order — the shuffle strategy's, or
+    /// multi-process CorgiPile's when workers were handed in — and return
+    /// the per-epoch records. Observability goes through the device's
     /// telemetry handle (no-ops when the handle is disabled).
     fn run(
         &self,
@@ -263,67 +256,103 @@ impl Trainer {
         seed: u64,
         sink: Option<EpochSink<'_, StorageError>>,
     ) -> corgipile_storage::Result<Vec<EpochRecord>> {
-        let tel = dev.telemetry().clone();
-        let recorder = EpochRecorder::new(test, &tel);
-        let recorder = match &self.workers {
-            None => {
-                let mut source = StrategySource {
-                    strategy: build_strategy(self.cfg.strategy, self.cfg.strategy_params(seed)),
-                    table,
-                    dev,
-                    filler: Filler::new("shuffle"),
-                    order: EpochOrder::default(),
-                    recorder,
-                };
-                driver.run(&tel, &mut source, sink)?;
-                source.recorder
-            }
+        let (tel, params) = (dev.telemetry().clone(), self.cfg.strategy_params(seed));
+        let (strategy, mut loader): (Box<dyn ShuffleStrategy>, _) = match &self.workers {
+            None => (build_strategy(self.cfg.strategy, params), None),
             Some(workers) => {
-                let batch_size = self.cfg.train_options.batch_size;
-                let mut source = ParallelSource::new(table, workers.clone(), batch_size, seed);
-                // Every fill reads through a fresh loader device that
-                // carries the caller's telemetry handle and fault plan.
-                source.device.set_telemetry(tel.clone());
-                if let Some(injector) = dev.fault_injector() {
-                    source.device.set_fault_plan(injector.plan().clone());
+                // Worker fills read on fresh copies of the workers' loader
+                // device, which carries the run's telemetry handle and, for
+                // the run, its one fault injector.
+                let mut loader = workers.fill_device();
+                loader.set_telemetry(tel.clone());
+                if let Some(injector) = dev.clear_fault_injector() {
+                    loader.set_fault_injector(injector);
                 }
-                source.recorder = recorder;
-                driver.run(&tel, &mut source, sink)?;
-                source.recorder
+                let batch_size = self.cfg.train_options.batch_size;
+                let dealt = workers.strategy(table.num_blocks(), batch_size, seed);
+                (Box::new(dealt), Some(loader))
             }
         };
-        Ok(recorder.records)
+        let mut source = StrategySource {
+            strategy,
+            table,
+            dev: loader.as_mut().unwrap_or(&mut *dev),
+            filler: Filler::new("shuffle"),
+            order: EpochOrder::default(),
+            test,
+            counters: ["core.trainer.tuples", "core.trainer.epochs"].map(|c| tel.counter(c)),
+            records: Vec::new(),
+        };
+        let run = driver.run(&tel, &mut source, sink);
+        let records = source.records;
+        if let Some(injector) = loader.and_then(|mut loader| loader.clear_fault_injector()) {
+            dev.set_fault_injector(injector);
+        }
+        run?;
+        Ok(records)
     }
 }
 
-/// The per-epoch hook every [`Trainer`] source shares: evaluate on the test
-/// set, count, emit `core.epoch.*` events, keep the [`EpochRecord`].
-pub(crate) struct EpochRecorder<'a> {
+/// A [`ShuffleStrategy`] over a heap table as the driver's fill source —
+/// its setup and order per epoch, every fill through the one fill — and the
+/// run's per-epoch hook: evaluate on the test set, count, emit
+/// `core.epoch.*` events, keep the [`EpochRecord`].
+struct StrategySource<'a> {
+    strategy: Box<dyn ShuffleStrategy>,
+    table: &'a Table,
+    dev: &'a mut SimDevice,
+    filler: Filler,
+    order: EpochOrder,
     test: &'a [Tuple],
-    pub(crate) tel: Telemetry,
-    tuple_counter: Counter,
-    epoch_counter: Counter,
+    /// `core.trainer.tuples` and `core.trainer.epochs`.
+    counters: [Counter; 2],
     records: Vec<EpochRecord>,
 }
 
-impl<'a> EpochRecorder<'a> {
-    pub(crate) fn new(test: &'a [Tuple], tel: &Telemetry) -> Self {
-        EpochRecorder {
-            test,
-            tuple_counter: tel.counter("core.trainer.tuples"),
-            epoch_counter: tel.counter("core.trainer.epochs"),
-            tel: tel.clone(),
-            records: Vec::new(),
+impl EpochSource for StrategySource<'_> {
+    type Error = StorageError;
+
+    /// Orders read nothing; a setup's copy is remade on a scratch device of
+    /// the run's profile, which Corgi²'s recluster picks its blocks against.
+    fn replay(&mut self, epochs: usize) -> Result<(), StorageError> {
+        let mut scratch = SimDevice::new(self.dev.profile().clone(), CacheConfig::disabled());
+        for _ in 0..epochs {
+            let strategy = self.strategy.as_mut();
+            start_epoch(strategy, self.table, &mut scratch, &mut self.order)?;
         }
+        Ok(())
     }
 
-    pub(crate) fn epoch_done(&mut self, done: EpochOutcome<'_>) -> ControlFlow<()> {
+    fn stream_epoch(
+        &mut self,
+        _epoch: usize,
+        fill: &mut Fill,
+        emit: &mut dyn FnMut(&mut Fill) -> bool,
+    ) -> Result<EpochIo, StorageError> {
+        let strategy = self.strategy.as_mut();
+        let setup_seconds = start_epoch(strategy, self.table, self.dev, &mut self.order)?;
+        let (filler, order) = (&mut self.filler, &self.order);
+        let fill_io = fill_epoch(strategy, self.table, self.dev, filler, order, fill, emit)?;
+        // Workers load in parallel: a slot costs the slowest of its fills.
+        let fill_io = match order.deal {
+            Some(deal) => (fill_io.chunks(deal.workers))
+                .map(|slot| slot.iter().fold(0.0f64, |a, &b| a.max(b)))
+                .collect(),
+            None => fill_io,
+        };
+        Ok(EpochIo {
+            setup_seconds,
+            fill_io,
+        })
+    }
+
+    fn epoch_done(&mut self, done: EpochOutcome<'_>) -> ControlFlow<()> {
         let test_metric = (!self.test.is_empty())
             .then(|| evaluate(done.model, self.test.iter().map(Tuple::view)));
-        self.tuple_counter.add(done.stats.examples as u64);
-        self.epoch_counter.inc();
+        self.counters[0].add(done.stats.examples as u64);
+        self.counters[1].inc();
         let e = done.epoch as u64;
-        let event = |name, value| self.tel.event(e, name, value);
+        let event = |name, value| self.dev.telemetry().event(e, name, value);
         event("core.epoch.io_seconds", done.io_seconds);
         event("core.epoch.compute_seconds", done.compute_seconds);
         event("core.epoch.epoch_seconds", done.epoch_seconds);
@@ -340,78 +369,6 @@ impl<'a> EpochRecorder<'a> {
             test_metric,
         });
         ControlFlow::Continue(())
-    }
-}
-
-/// A [`ShuffleStrategy`] over a heap table as the driver's fill source: its
-/// setup and order per epoch, every fill through the one fill.
-struct StrategySource<'a> {
-    strategy: Box<dyn ShuffleStrategy>,
-    table: &'a Table,
-    dev: &'a mut SimDevice,
-    filler: Filler,
-    order: EpochOrder,
-    recorder: EpochRecorder<'a>,
-}
-
-impl EpochSource for StrategySource<'_> {
-    type Error = StorageError;
-
-    /// Orders read nothing; a setup's copy is made on a scratch device, and
-    /// a strategy that places its own rows — its draws follow them — walks
-    /// its epochs there too.
-    fn replay(&mut self, epochs: usize) -> Result<(), StorageError> {
-        let mut scratch = SimDevice::in_memory();
-        for _ in 0..epochs {
-            let strategy = self.strategy.as_mut();
-            start_epoch(strategy, self.table, &mut scratch, &mut self.order)?;
-            if self.order.rank == Rank::Own {
-                let (filler, order) = (&mut self.filler, &self.order);
-                let out = &mut Fill::default();
-                fill_epoch(
-                    strategy,
-                    self.table,
-                    &mut scratch,
-                    filler,
-                    order,
-                    out,
-                    &mut |_| true,
-                )?;
-            }
-        }
-        Ok(())
-    }
-
-    fn stream_epoch(
-        &mut self,
-        _epoch: usize,
-        fill: &mut Fill,
-        emit: &mut dyn FnMut(&mut Fill) -> bool,
-    ) -> Result<EpochIo, StorageError> {
-        let strategy = self.strategy.as_mut();
-        let setup_seconds = start_epoch(strategy, self.table, self.dev, &mut self.order)?;
-        let mut fill_io = Vec::new();
-        let (filler, order) = (&mut self.filler, &self.order);
-        fill_epoch(
-            strategy,
-            self.table,
-            self.dev,
-            filler,
-            order,
-            fill,
-            &mut |fill| {
-                fill_io.push(fill.sim_seconds);
-                emit(fill)
-            },
-        )?;
-        Ok(EpochIo {
-            setup_seconds,
-            fill_io,
-        })
-    }
-
-    fn epoch_done(&mut self, done: EpochOutcome<'_>) -> ControlFlow<()> {
-        self.recorder.epoch_done(done)
     }
 }
 
@@ -810,17 +767,22 @@ mod tests {
 
     #[test]
     fn resume_after_crash_is_bit_identical_sgd() {
+        // Every strategy resumes by regenerating the orders it skips — setups
+        // remade as the run made them — and reading nothing.
         let (table, _) = clustered_higgs(1200);
-        let trainer = Trainer::new(TrainerConfig::new(ModelKind::Svm, 5));
-        let (resumed, straight, t_res, t_straight) = crash_and_resume(trainer, &table, 13, 2);
-        assert_eq!(
-            resumed, straight,
-            "resumed SGD model must match bit-for-bit"
-        );
-        assert!(
-            (t_res - t_straight).abs() < 1e-9,
-            "simulated clock must survive resume"
-        );
+        for kind in StrategyKind::all() {
+            let cfg = TrainerConfig::new(ModelKind::Svm, 5).with_strategy(kind);
+            let (resumed, straight, t_res, t_straight) =
+                crash_and_resume(Trainer::new(cfg), &table, 13, 2);
+            assert_eq!(
+                resumed, straight,
+                "{kind}: resumed SGD model must match bit-for-bit"
+            );
+            assert!(
+                (t_res - t_straight).abs() < 1e-9,
+                "{kind}: simulated clock must survive resume"
+            );
+        }
     }
 
     #[test]

@@ -25,10 +25,12 @@
 //! CorgiPile samples blocks in one of two modes: [`BlockSampleMode::FullCoverage`],
 //! every block each epoch, as the PyTorch and PostgreSQL integrations do
 //! (§5.1, §6.2), or [`BlockSampleMode::SampleN`], Algorithm 1 as analysed
-//! in §4.2: one fill of `n` sampled blocks per epoch.
+//! in §4.2: one fill of `n` sampled blocks per epoch. Multi-process
+//! CorgiPile (§5) is the same order with its fills dealt to the workers
+//! ([`BlockStrategy::dealt`]).
 
 use crate::corgi2::recluster_table;
-use crate::plan::{EpochOrder, Rank};
+use crate::plan::{Deal, EpochOrder, Rank};
 use crate::strategy::{block_rng, epoch_salt, ShuffleStrategy, StrategyKind, StrategyParams};
 use corgipile_data::rng::shuffle_in_place;
 use corgipile_storage::{SimDevice, StorageError, Table};
@@ -57,6 +59,8 @@ pub struct BlockStrategy {
     rng: StdRng,
     epoch: u64,
     copy: Option<Arc<Table>>,
+    /// The deal of fills of this many blocks to workers, if multi-process.
+    deal: Option<(Deal, usize)>,
 }
 
 impl BlockStrategy {
@@ -75,12 +79,19 @@ impl BlockStrategy {
             mode: BlockSampleMode::FullCoverage,
             epoch: 0,
             copy: None,
+            deal: None,
         }
     }
 
     /// Sample blocks in `mode`.
     pub fn with_sample_mode(mut self, mode: BlockSampleMode) -> Self {
         self.mode = mode;
+        self
+    }
+
+    /// Deal the fills, `fill_blocks` blocks each, to workers by `deal`.
+    pub fn dealt(mut self, deal: Deal, fill_blocks: usize) -> Self {
+        self.deal = Some((deal, fill_blocks));
         self
     }
 
@@ -93,6 +104,7 @@ impl BlockStrategy {
             true => order.set(0..blocks, n, permuted, Rank::Key(salt)),
             false => order.set(0..blocks, 1, permuted, Rank::Stored),
         }
+        order.deal = self.deal.map(|(deal, _)| deal);
         if permuted {
             shuffle_in_place(&mut self.rng, &mut order.blocks);
         } else if kind == StrategyKind::BlockReversal && blocks > 0 {
@@ -147,7 +159,10 @@ impl ShuffleStrategy for BlockStrategy {
     }
 
     fn next_order(&mut self, table: &Table, order: &mut EpochOrder) {
-        self.order(table.num_blocks(), self.params.buffer_blocks(table), order);
+        let n = self
+            .deal
+            .map_or_else(|| self.params.buffer_blocks(table), |(_, n)| n);
+        self.order(table.num_blocks(), n, order);
     }
 
     fn buffering_cost(&self, rows: usize, bytes: usize) -> f64 {
@@ -173,7 +188,9 @@ impl ShuffleStrategy for BlockStrategy {
     }
 
     fn reset(&mut self) {
+        let deal = self.deal;
         *self = BlockStrategy::new(self.kind, self.params.clone()).with_sample_mode(self.mode);
+        self.deal = deal;
     }
 }
 

@@ -1,12 +1,15 @@
 //! The one fill: stage a fill's blocks, rank their rows, place them (§4.1,
 //! §6.2).
 //!
-//! Every way into training moves rows through [`Filler::fill`]: `Trainer`
-//! through [`fill_epoch`], multi-worker CorgiPile per worker, and the SQL
-//! scan operator. The caller's scan step reads a fill's blocks and admits
+//! Every way into training moves rows through here: `Trainer`, one process
+//! or many, through [`fill_epoch`], and the SQL scan operator through
+//! [`Filler::fill`]. The caller's scan step reads a fill's blocks and admits
 //! their rows (the SQL engine evaluates `WHERE`, projects and skips dead
 //! blocks there); the fill ranks the admitted rows by the order's [`Rank`]
-//! and leaves them in the batch the kernel drains.
+//! and leaves them in the batch the kernel drains. MRS's and
+//! Sliding-Window's fills ([`Rank::Picks`]) are gathered by scan position
+//! from the rows their epoch has read, and a multi-process order's fills are
+//! interleaved into one stream ([`Deal`]).
 //!
 //! What moves is a [`RowBatch`]: heap pages pinned by `Arc` plus one 8-byte
 //! [`RowRef`] per row. Rows stay on the table's pages unless a fill ranks
@@ -14,7 +17,7 @@
 //! batch owns alone — its slab — and rows wider than [`SLAB_ROW_BYTES`] are
 //! handed out in place.
 
-use crate::plan::{EpochOrder, Rank};
+use crate::plan::{Deal, EpochOrder, Rank};
 use crate::strategy::{copy_id, ShuffleStrategy};
 use corgipile_data::rng::rank_by_key;
 use corgipile_storage::{
@@ -140,11 +143,6 @@ impl RowBatch {
         });
     }
 
-    /// Drop the row at position `i` and move the last row into its place.
-    pub fn swap_remove(&mut self, i: usize) {
-        self.rows.swap_remove(i);
-    }
-
     /// The rows a page at a time: each pinned page with the handles of its rows.
     fn runs(&self) -> impl Iterator<Item = (&Page, &[RowRef])> + Clone {
         let runs = self.rows.chunk_by(|a, b| a.page == b.page);
@@ -235,7 +233,7 @@ impl Filler {
                     span,
                 }));
             }
-            Rank::Own => unreachable!("a strategy that places its own rows fills through place"),
+            Rank::Picks => unreachable!("a picked fill is gathered by fill_epoch"),
         };
         let staging = &mut self.staging;
         staging.clear();
@@ -311,69 +309,119 @@ pub fn start_epoch<S: ShuffleStrategy + ?Sized>(
 }
 
 /// The fills of the epoch [`start_epoch`] began, the library's way: every
-/// block read through [`Table::read`] under the default [`RetryPolicy`], each
-/// fill placed in `out` — its `k`-th fill in slot `k`, costing the simulated
-/// seconds of its reads and its buffering — and handed to `emit`, which
-/// leaves a buffer behind to fill next. `emit` returning `false` ends the
-/// epoch; a block that stays unreadable ends it with its error.
+/// block read through [`Table::read`] under the default [`RetryPolicy`],
+/// each fill placed in `out` and handed to `emit`, which leaves a buffer
+/// behind to fill next. `emit` returning `false` ends the epoch; a block
+/// that stays unreadable ends it with its error. Returns every fill's
+/// simulated loading seconds: its reads, plus its buffering when ranked
+/// (by the strategy's rule, or its [`Rank::Picks`] cut).
+///
+/// Fill `k` lands in slot `k`, unless the order is dealt ([`Deal`]): then
+/// each fill is read on a fresh copy of `dev` (a worker's fill is a task of
+/// its own: its first block pays the seek) and the stream takes `share` rows
+/// per worker per round, handing over before a round needs a fill not yet
+/// built; its slot is the newest fill any worker has reached, fill `k`
+/// being worker `k mod workers`'s `k / workers`.
 pub fn fill_epoch<S: ShuffleStrategy + ?Sized>(
-    strategy: &mut S,
+    strategy: &S,
     table: &Table,
     dev: &mut SimDevice,
     filler: &mut Filler,
     order: &EpochOrder,
     out: &mut Fill,
     emit: &mut dyn FnMut(&mut Fill) -> bool,
-) -> Result<(), StorageError> {
+) -> Result<Vec<f64>, StorageError> {
     let copy = strategy.copy();
     let table = copy.as_deref().unwrap_or(table);
-    let tel = dev.telemetry().clone();
-    let policy = RetryPolicy::default();
-    let read = |i: usize, dev: &mut SimDevice, into: &mut RowBatch| {
-        into.push_block(&table.read(order.blocks[i], order.access(i), dev, &policy)?);
-        Ok::<_, StorageError>(())
+    let (tel, policy) = (dev.telemetry().clone(), RetryPolicy::default());
+    let mut fill_io = vec![0.0; order.fills()];
+    // Append fill `k`'s blocks, read on `dev`, to `into`.
+    let read = |k: usize, dev: &mut SimDevice, into: &mut RowBatch| {
+        let start = k * order.fill_blocks;
+        for i in start..start + order.fill(k).len() {
+            into.push_block(&table.read(order.blocks[i], order.access(i), dev, &policy)?);
+        }
+        Ok::<_, StorageError>(false)
     };
-    if order.rank == Rank::Own {
-        // One fill per run of blocks, and one past them: the drain.
-        let mut staged = RowBatch::default();
-        for k in 0..=order.fills() {
-            let (before, start) = (dev.stats().io_seconds, k * order.fill_blocks);
-            staged.clear();
-            for i in start..start + order.fill(k).len() {
-                read(i, dev, &mut staged)?;
+    let Some(Deal { workers, share }) = order.deal else {
+        let mut scanned = RowBatch::default();
+        fill_io.resize(order.cuts.len().max(order.fills()), 0.0);
+        for (k, io) in fill_io.iter_mut().enumerate() {
+            let before = dev.stats().io_seconds;
+            if order.rank == Rank::Picks {
+                read(k, dev, &mut scanned)?;
+                dev.charge_seconds(order.cuts[k].1);
+                out.batch.clear();
+                let picked = order.picks(k).iter().map(|&at| scanned.rows[at as usize]);
+                picked.for_each(|r| out.batch.push_from(&scanned, r));
+            } else {
+                let stage = |staged: &mut RowBatch| read(k, dev, staged);
+                let Some(mut placed) = filler.fill(&tel, order.rank, stage, &mut out.batch)? else {
+                    continue;
+                };
+                if order.rank != Rank::Stored {
+                    dev.charge_seconds(strategy.buffering_cost(placed.rows, placed.bytes));
+                }
+                placed.span.add_sim_seconds(dev.stats().io_seconds - before);
             }
-            out.batch.clear();
-            strategy.place(table, k, &staged, dev, &mut out.batch);
             (out.slot, out.sim_seconds) = (k, dev.stats().io_seconds - before);
+            *io = out.sim_seconds;
             if !emit(out) {
                 break;
             }
         }
-        return Ok(());
-    }
-    let mut next = 0;
-    for k in 0.. {
-        let before = dev.stats().io_seconds;
-        let stage = |staging: &mut RowBatch| {
-            let end = (next + order.fill_blocks).min(order.blocks.len());
-            for i in next..end {
-                read(i, dev, staging)?;
+        return Ok(fill_io);
+    };
+    // Per worker: its rows not yet streamed (from `at` on), and the next
+    // fill it owns.
+    let mut queued: Vec<(RowBatch, usize, usize)> =
+        (0..workers).map(|w| (RowBatch::default(), 0, w)).collect();
+    let (mut built, mut spare, mut slot) = (RowBatch::default(), RowBatch::default(), 0);
+    out.batch.clear();
+    out.sim_seconds = 0.0;
+    loop {
+        let (before, mut short) = (out.batch.len(), false);
+        for (rows, at, next) in &mut queued {
+            while rows.len() - *at < share && *next < order.fills() {
+                let k = *next;
+                *next += workers;
+                // The fresh copy's fault injector, the fill's failures
+                // spent, goes back to `dev`: a fault strikes once a run.
+                let mut fresh = dev.clone();
+                let stage = |staged: &mut RowBatch| read(k, &mut fresh, staged);
+                let placed = filler.fill(&tel, order.rank, stage, &mut built);
+                if let Some(injector) = fresh.clear_fault_injector() {
+                    dev.set_fault_injector(injector);
+                }
+                let io = fresh.stats().io_seconds - dev.stats().io_seconds;
+                if let Some(mut placed) = placed? {
+                    placed.span.add_sim_seconds(io);
+                }
+                (fill_io[k], slot) = (io, slot.max(k / workers));
+                out.sim_seconds = out.sim_seconds.max(io);
+                // What is left of the worker's rows, then the new fill's.
+                spare.clear();
+                let left = &rows.rows[*at..];
+                left.iter().for_each(|&r| spare.push_from(rows, r));
+                built.rows.iter().for_each(|&r| spare.push_from(&built, r));
+                std::mem::swap(rows, &mut spare);
+                *at = 0;
             }
-            next = end;
-            Ok(next < order.blocks.len())
-        };
-        let Some(mut placed) = filler.fill(&tel, order.rank, stage, &mut out.batch)? else {
-            break;
-        };
-        if order.rank != Rank::Stored {
-            dev.charge_seconds(strategy.buffering_cost(placed.rows, placed.bytes));
+            let take = share.min(rows.len() - *at);
+            let taken = &rows.rows[*at..*at + take];
+            taken.iter().for_each(|&r| out.batch.push_from(rows, r));
+            *at += take;
+            short |= rows.len() - *at < share;
         }
-        (out.slot, out.sim_seconds) = (k, dev.stats().io_seconds - before);
-        placed.span.add_sim_seconds(out.sim_seconds);
-        drop(placed);
-        if !emit(out) {
-            break;
+        out.slot = slot;
+        // The last round with rows left every worker short, so it was
+        // handed over: an empty round ends the epoch with nothing held.
+        if out.batch.len() == before || (short && !emit(out)) {
+            return Ok(fill_io);
+        }
+        if short {
+            out.batch.clear();
+            out.sim_seconds = 0.0;
         }
     }
-    Ok(())
 }

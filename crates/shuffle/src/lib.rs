@@ -9,8 +9,8 @@
 //! | No Shuffle | §3.2 | — | each block, in a sequential scan | stored |
 //! | Shuffle Once | §3.1 | offline full shuffle (2× storage), once | each block of the copy, in a scan | stored |
 //! | Epoch Shuffle | §3.1 | offline full shuffle, every epoch | each block of the copy, in a scan | stored |
-//! | Sliding-Window | §3.3 | — | each block, in a scan; then the drain | own (window) |
-//! | MRS | §3.4 | — | each block, in a scan; then the top-up | own (reservoir) |
+//! | Sliding-Window | §3.3 | — | each block, in a scan; then the drain | picks (window) |
+//! | MRS | §3.4 | — | each block, in a scan; then the top-up | picks (reservoir) |
 //! | Block-Only | §7.3 | — | each block, in a random order | stored |
 //! | Tuple-Only | ablation | — | `n` blocks, in a sequential scan | key |
 //! | CorgiPile | §4 | — | `n` blocks, in a random order | key |
@@ -22,15 +22,18 @@
 //! [`Rank`] rule. The orders are the SQL engine's — the block permutation
 //! is `StdRng(seed ⊕ 0xB50F)` advanced once per epoch, the key rank
 //! `splitmix64(salt ⊕ id)` with a per-epoch salt — and generating one does
-//! no I/O. Every strategy but two is a [`BlockStrategy`]; MRS
-//! ([`MrsShuffle`]) and Sliding-Window ([`SlidingWindowShuffle`]) place
-//! their own rows. [`fill`] reads the blocks and places the rows: `Trainer`,
-//! multi-worker CorgiPile and the SQL scan operator all go through
-//! [`Filler::fill`]. [`ShuffleStrategy::next_epoch`] runs one epoch and
-//! copies it out as [`Segment`]s (an [`EpochPlan`]), each with the
-//! simulated I/O seconds spent producing it.
+//! no I/O. Every strategy but two is a [`BlockStrategy`], multi-process
+//! CorgiPile included (its fills dealt to the workers, a [`Deal`]); MRS
+//! ([`MrsShuffle`]) and Sliding-Window ([`SlidingWindowShuffle`]) generate
+//! the scan positions their reservoir and window emit, from counts alone.
+//! [`fill`] reads the blocks and moves the rows: `Trainer`, one process or
+//! many, and the SQL scan operator all go through it.
+//! [`ShuffleStrategy::next_epoch`] runs one epoch and copies it out as
+//! [`Segment`]s (an [`EpochPlan`]), each with the simulated I/O seconds
+//! spent producing it.
 //!
 //! [`BlockStrategy`]: blocks::BlockStrategy
+//! [`Deal`]: plan::Deal
 //! [`MrsShuffle`]: mrs::MrsShuffle
 //! [`SlidingWindowShuffle`]: sliding_window::SlidingWindowShuffle
 //! [`EpochOrder`]: plan::EpochOrder
@@ -60,6 +63,6 @@ pub use diagnostics::{
 };
 pub use fill::{fill_epoch, start_epoch, Fill, Filler, Placed, RowBatch, RowRef, SLAB_ROW_BYTES};
 pub use mrs::MrsShuffle;
-pub use plan::{EpochOrder, EpochPlan, Rank, Segment};
+pub use plan::{Deal, EpochOrder, EpochPlan, Rank, Segment};
 pub use sliding_window::SlidingWindowShuffle;
 pub use strategy::{build_strategy, ShuffleStrategy, StrategyKind, StrategyParams};

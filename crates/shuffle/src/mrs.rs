@@ -13,11 +13,14 @@
 //! The emitted order preserves the paper's observations (Figure 3c/3g):
 //! dropped tuples arrive in generally increasing storage order, and buffer
 //! tuples repeat.
+//!
+//! Every draw depends on counts alone — tuples scanned, the reservoir's
+//! length — so an epoch is generated as the scan positions it emits
+//! ([`Rank::Picks`]), and the one fill gathers them from the blocks read.
 
-use crate::fill::RowBatch;
 use crate::plan::{EpochOrder, Rank};
 use crate::strategy::{ShuffleStrategy, StrategyParams};
-use corgipile_storage::{SimDevice, Table};
+use corgipile_storage::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,34 +29,13 @@ use rand::{Rng, SeedableRng};
 pub struct MrsShuffle {
     params: StrategyParams,
     rng: StdRng,
-    /// Thread B's loop source, pinned on its rows' pages.
-    reservoir: RowBatch,
-    /// Tuples scanned, dropped to SGD and looped from the reservoir so far
-    /// this epoch.
-    scanned: usize,
-    drops: usize,
-    looped: usize,
 }
 
 impl MrsShuffle {
     /// Create an MRS strategy with reservoir size `buffer_fraction × m`.
     pub fn new(params: StrategyParams) -> Self {
         let rng = StdRng::seed_from_u64(params.seed ^ 0x3E5E);
-        MrsShuffle {
-            params,
-            rng,
-            reservoir: RowBatch::default(),
-            scanned: 0,
-            drops: 0,
-            looped: 0,
-        }
-    }
-
-    /// Thread B: feed SGD a random reservoir row.
-    fn loop_once(&mut self, out: &mut RowBatch) {
-        let pick = self.rng.gen_range(0..self.reservoir.len());
-        out.push_from(&self.reservoir, self.reservoir.refs()[pick]);
-        self.looped += 1;
+        MrsShuffle { params, rng }
     }
 }
 
@@ -64,61 +46,53 @@ impl ShuffleStrategy for MrsShuffle {
 
     /// One fill per block of a sequential scan, then thread B's top-up.
     fn next_order(&mut self, table: &Table, order: &mut EpochOrder) {
-        order.set(0..table.num_blocks(), 1, false, Rank::Own);
-    }
-
-    fn place(
-        &mut self,
-        table: &Table,
-        fill: usize,
-        staged: &RowBatch,
-        dev: &mut SimDevice,
-        out: &mut RowBatch,
-    ) {
+        order.set(0..table.num_blocks(), 1, false, Rank::Picks);
         let m = table.num_tuples() as usize;
         let r_cap = self.params.buffer_tuples(table).min(m);
-        if fill == 0 {
-            self.reservoir.clear();
-            (self.scanned, self.drops, self.looped) = (0, 0, 0);
-        }
-        let Ok(block) = table.block(fill) else {
-            // Thread B tops up the epoch to exactly m updates.
-            while self.looped < r_cap && !self.reservoir.is_empty() {
-                self.loop_once(out);
-            }
-            return;
-        };
         // Interleave one buffer-loop emission every `interval` drops.
         let interval = (m - r_cap)
             .checked_div(r_cap)
             .map_or(usize::MAX, |v| v.max(1));
-        // Copy cost for tuples routed through the reservoir.
-        dev.charge_seconds(self.params.buffering_cost(0, block.bytes / 4));
-        for &r in staged.refs() {
-            self.scanned += 1;
-            if self.reservoir.len() < r_cap {
-                self.reservoir.push_from(staged, r);
-                continue;
+        // Thread B's loop source, as scan positions (a block's `tuples`
+        // range), and tuples dropped to SGD and looped from it so far.
+        let mut reservoir: Vec<u32> = Vec::with_capacity(r_cap);
+        let (mut drops, mut looped) = (0usize, 0usize);
+        for block in table.blocks() {
+            for at in block.tuples.clone().map(|id| id as u32) {
+                let scanned = at as usize + 1;
+                if reservoir.len() < r_cap {
+                    reservoir.push(at);
+                    continue;
+                }
+                // Classic reservoir step: keep incoming with prob r/scanned;
+                // the dropped tuple (incoming or evicted victim) goes to SGD.
+                if r_cap > 0 && self.rng.gen_range(0..scanned) < r_cap {
+                    let slot = self.rng.gen_range(0..reservoir.len());
+                    order.picks.push(reservoir[slot]);
+                    reservoir.push(at);
+                    reservoir.swap_remove(slot);
+                } else {
+                    order.picks.push(at);
+                }
+                drops += 1;
+                // Thread B: loop over the buffer at the multiplex rate.
+                if drops.is_multiple_of(interval) && looped < r_cap && !reservoir.is_empty() {
+                    let slot = self.rng.gen_range(0..reservoir.len());
+                    order.picks.push(reservoir[slot]);
+                    looped += 1;
+                }
             }
-            // Classic reservoir step: keep incoming with prob r/scanned; the
-            // dropped tuple (incoming or evicted victim) goes to SGD.
-            if r_cap > 0 && self.rng.gen_range(0..self.scanned) < r_cap {
-                let slot = self.rng.gen_range(0..self.reservoir.len());
-                out.push_from(&self.reservoir, self.reservoir.refs()[slot]);
-                self.reservoir.push_from(staged, r);
-                self.reservoir.swap_remove(slot);
-            } else {
-                out.push_from(staged, r);
-            }
-            self.drops += 1;
-            // Thread B: loop over the buffer at the multiplex rate.
-            if self.drops.is_multiple_of(interval)
-                && self.looped < r_cap
-                && !self.reservoir.is_empty()
-            {
-                self.loop_once(out);
-            }
+            // Copy cost for tuples routed through the reservoir.
+            let copy = self.params.buffering_cost(0, block.bytes / 4);
+            order.cuts.push((order.picks.len(), copy));
         }
+        // Thread B tops up the epoch to exactly m updates.
+        while looped < r_cap && !reservoir.is_empty() {
+            let slot = self.rng.gen_range(0..reservoir.len());
+            order.picks.push(reservoir[slot]);
+            looped += 1;
+        }
+        order.cuts.push((order.picks.len(), 0.0));
     }
 
     fn buffer_tuples(&self, table: &Table) -> usize {
@@ -128,7 +102,6 @@ impl ShuffleStrategy for MrsShuffle {
 
     fn reset(&mut self) {
         self.rng = StdRng::seed_from_u64(self.params.seed ^ 0x3E5E);
-        self.reservoir.clear();
     }
 }
 
@@ -136,6 +109,7 @@ impl ShuffleStrategy for MrsShuffle {
 mod tests {
     use super::*;
     use corgipile_data::{DatasetSpec, Order};
+    use corgipile_storage::SimDevice;
     use std::collections::HashMap;
 
     fn clustered(n: usize) -> Table {

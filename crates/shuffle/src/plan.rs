@@ -1,8 +1,9 @@
 //! Epoch orders, and the epoch plans collected from them.
 //!
 //! An [`EpochOrder`] is what a strategy generates per epoch: which blocks to
-//! read, how each read is charged, where the fills end and how a fill's rows
-//! are ranked. It holds no tuple and costs no I/O. An [`EpochPlan`] is one
+//! read, how each read is charged, where the fills end, how a fill's rows
+//! are ranked and, for multi-process CorgiPile, how the fills are dealt to
+//! the workers. It holds no tuple and costs no I/O. An [`EpochPlan`] is one
 //! epoch run through the fill and copied out, segment by segment.
 
 use corgipile_storage::{Access, Tuple};
@@ -17,9 +18,21 @@ pub enum Rank {
     /// The key depends on the row alone, so the rank of the rows a `WHERE`
     /// admits does not depend on where the filter runs.
     Key(u64),
-    /// The strategy places the rows itself ([`crate::ShuffleStrategy::place`]):
-    /// Sliding-Window's window, MRS's reservoir.
-    Own,
+    /// Fill `k` is the rows at [`EpochOrder::picks`]`(k)`, positions in the
+    /// epoch's scan so far: Sliding-Window's window, MRS's reservoir. The
+    /// epoch has one fill more than it has blocks, the drain.
+    Picks,
+}
+
+/// Multi-process CorgiPile's deal (§5, Figure 5): fill `k` goes to worker
+/// `k mod workers`, and the stream takes `share` rows from every worker per
+/// round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deal {
+    /// Number of processes (`PN`).
+    pub workers: usize,
+    /// Rows per worker per round (`batch/PN`, at least one).
+    pub share: usize,
 }
 
 /// One epoch of a strategy, as block ids.
@@ -35,6 +48,13 @@ pub struct EpochOrder {
     pub random: bool,
     /// How each fill's rows are ranked.
     pub rank: Rank,
+    /// [`Rank::Picks`] only: positions in the epoch's scan, fill after fill.
+    pub picks: Vec<u32>,
+    /// [`Rank::Picks`] only, one per fill: where its picks end, and the
+    /// simulated seconds of buffer work it charges.
+    pub cuts: Vec<(usize, f64)>,
+    /// The fills' deal to workers, if multi-process.
+    pub deal: Option<Deal>,
 }
 
 impl EpochOrder {
@@ -49,7 +69,9 @@ impl EpochOrder {
         self.blocks.clear();
         self.blocks.extend(blocks);
         self.fill_blocks = fill_blocks.max(1);
-        (self.random, self.rank) = (random, rank);
+        (self.random, self.rank, self.deal) = (random, rank, None);
+        self.picks.clear();
+        self.cuts.clear();
     }
 
     /// Fills in the epoch.
@@ -57,8 +79,8 @@ impl EpochOrder {
         self.blocks.len().div_ceil(self.fill_blocks.max(1))
     }
 
-    /// The blocks fill `k` reads (none past the end: a [`Rank::Own`]
-    /// strategy's drain).
+    /// The blocks fill `k` reads (none past the end: a [`Rank::Picks`]
+    /// drain).
     pub fn fill(&self, k: usize) -> &[usize] {
         let start = (k * self.fill_blocks).min(self.blocks.len());
         &self.blocks[start..(start + self.fill_blocks).min(self.blocks.len())]
@@ -67,6 +89,12 @@ impl EpochOrder {
     /// What the `i`-th read of the epoch is charged as.
     pub fn access(&self, i: usize) -> Access {
         Access::in_scan(self.random || i == 0 || self.blocks[i].abs_diff(self.blocks[i - 1]) != 1)
+    }
+
+    /// The scan positions fill `k` of a [`Rank::Picks`] order emits.
+    pub fn picks(&self, k: usize) -> &[u32] {
+        let start = k.checked_sub(1).map_or(0, |j| self.cuts[j].0);
+        &self.picks[start..self.cuts[k].0]
     }
 }
 

@@ -7,11 +7,14 @@
 //! randomness is local: a tuple stored at position `p` is emitted near
 //! `p − W·U` on average, so on clustered data nearly all negative tuples
 //! still precede positives (Figure 3b/3f).
+//!
+//! Every draw depends on the window's length alone, so an epoch is
+//! generated as the scan positions it emits ([`Rank::Picks`]), and the one
+//! fill gathers them from the blocks read.
 
-use crate::fill::RowBatch;
 use crate::plan::{EpochOrder, Rank};
 use crate::strategy::{ShuffleStrategy, StrategyParams};
-use corgipile_storage::{SimDevice, Table};
+use corgipile_storage::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,8 +23,6 @@ use rand::{Rng, SeedableRng};
 pub struct SlidingWindowShuffle {
     params: StrategyParams,
     rng: StdRng,
-    /// The window's rows, pinned on their pages.
-    window: RowBatch,
 }
 
 impl SlidingWindowShuffle {
@@ -29,11 +30,7 @@ impl SlidingWindowShuffle {
     /// `buffer_fraction × |table|` tuples.
     pub fn new(params: StrategyParams) -> Self {
         let rng = StdRng::seed_from_u64(params.seed ^ 0x51D3);
-        SlidingWindowShuffle {
-            params,
-            rng,
-            window: RowBatch::default(),
-        }
+        SlidingWindowShuffle { params, rng }
     }
 }
 
@@ -44,43 +41,32 @@ impl ShuffleStrategy for SlidingWindowShuffle {
 
     /// One fill per block of a sequential scan, then the drain.
     fn next_order(&mut self, table: &Table, order: &mut EpochOrder) {
-        order.set(0..table.num_blocks(), 1, false, Rank::Own);
-    }
-
-    fn place(
-        &mut self,
-        table: &Table,
-        fill: usize,
-        staged: &RowBatch,
-        dev: &mut SimDevice,
-        out: &mut RowBatch,
-    ) {
-        if fill == 0 {
-            self.window.clear();
-        }
-        let Ok(block) = table.block(fill) else {
-            // Drain the window in random order.
-            while !self.window.is_empty() {
-                let slot = self.rng.gen_range(0..self.window.len());
-                out.push_from(&self.window, self.window.refs()[slot]);
-                self.window.swap_remove(slot);
-            }
-            return;
-        };
-        // Small CPU cost for copying tuples through the window.
+        order.set(0..table.num_blocks(), 1, false, Rank::Picks);
         let cap = self.params.buffer_tuples(table);
-        dev.charge_seconds(self.params.buffering_cost(0, block.bytes.min(cap * 256)));
-        for &r in staged.refs() {
-            if self.window.len() < cap {
-                self.window.push_from(staged, r);
-            } else {
-                // The incoming row takes the slot of the row it evicts.
-                let slot = self.rng.gen_range(0..self.window.len());
-                out.push_from(&self.window, self.window.refs()[slot]);
-                self.window.push_from(staged, r);
-                self.window.swap_remove(slot);
+        // The window, as scan positions (a block's `tuples` range).
+        let mut window = Vec::<u32>::with_capacity(cap);
+        for block in table.blocks() {
+            for at in block.tuples.clone().map(|id| id as u32) {
+                if window.len() == cap {
+                    // The incoming row takes the slot of the row it evicts.
+                    let slot = self.rng.gen_range(0..window.len());
+                    order.picks.push(window[slot]);
+                    window.push(at);
+                    window.swap_remove(slot);
+                } else {
+                    window.push(at);
+                }
             }
+            // Small CPU cost for copying tuples through the window.
+            let copy = self.params.buffering_cost(0, block.bytes.min(cap * 256));
+            order.cuts.push((order.picks.len(), copy));
         }
+        // Drain the window in random order.
+        while !window.is_empty() {
+            let slot = self.rng.gen_range(0..window.len());
+            order.picks.push(window.swap_remove(slot));
+        }
+        order.cuts.push((order.picks.len(), 0.0));
     }
 
     fn buffer_tuples(&self, table: &Table) -> usize {
@@ -89,7 +75,6 @@ impl ShuffleStrategy for SlidingWindowShuffle {
 
     fn reset(&mut self) {
         self.rng = StdRng::seed_from_u64(self.params.seed ^ 0x51D3);
-        self.window.clear();
     }
 }
 
@@ -97,6 +82,7 @@ impl ShuffleStrategy for SlidingWindowShuffle {
 mod tests {
     use super::*;
     use corgipile_data::{DatasetSpec, Order};
+    use corgipile_storage::SimDevice;
 
     fn clustered(n: usize) -> Table {
         DatasetSpec::higgs_like(n)

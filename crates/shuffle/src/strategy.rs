@@ -1,7 +1,7 @@
 //! The strategy trait, shared parameters, and the factory.
 
 use crate::blocks::BlockStrategy;
-use crate::fill::{fill_epoch, start_epoch, Fill, Filler, RowBatch};
+use crate::fill::{fill_epoch, start_epoch, Fill, Filler};
 use crate::mrs::MrsShuffle;
 use crate::plan::{EpochOrder, EpochPlan, Segment};
 use crate::sliding_window::SlidingWindowShuffle;
@@ -136,20 +136,6 @@ pub trait ShuffleStrategy: Send {
     /// into `order`.
     fn next_order(&mut self, table: &Table, order: &mut EpochOrder);
 
-    /// Place fill `fill` of a [`crate::Rank::Own`] order into `out`, from
-    /// `staged`, the rows of the blocks it read, charging `dev` any buffer
-    /// work.
-    fn place(
-        &mut self,
-        _table: &Table,
-        _fill: usize,
-        _staged: &RowBatch,
-        _dev: &mut SimDevice,
-        _out: &mut RowBatch,
-    ) {
-        unreachable!("{} ranks its fills", self.name())
-    }
-
     /// Simulated seconds of buffering one ranked fill of `rows` rows and
     /// `bytes` stored bytes ([`StrategyParams::buffering_cost`]).
     fn buffering_cost(&self, _rows: usize, _bytes: usize) -> f64 {
@@ -166,22 +152,15 @@ pub trait ShuffleStrategy: Send {
     /// through `corgipile_core::Trainer`.
     fn next_epoch(&mut self, table: &Table, dev: &mut SimDevice) -> EpochPlan {
         let (mut order, mut segments) = (EpochOrder::default(), Vec::new());
+        let mut keep = |fill: &mut Fill| {
+            let tuples = fill.batch.rows().map(|r| r.to_tuple()).collect();
+            segments.push(Segment::new(tuples, fill.sim_seconds));
+            true
+        };
+        let (mut filler, mut out) = (Filler::new("shuffle"), Fill::default());
         let setup_seconds = start_epoch(self, table, dev, &mut order)
             .and_then(|setup| {
-                let (mut filler, mut out) = (Filler::new("shuffle"), Fill::default());
-                fill_epoch(
-                    self,
-                    table,
-                    dev,
-                    &mut filler,
-                    &order,
-                    &mut out,
-                    &mut |fill| {
-                        let tuples = fill.batch.rows().map(|r| r.to_tuple()).collect();
-                        segments.push(Segment::new(tuples, fill.sim_seconds));
-                        true
-                    },
-                )?;
+                fill_epoch(self, table, dev, &mut filler, &order, &mut out, &mut keep)?;
                 Ok(setup)
             })
             .expect("next_epoch is for devices that cannot fault");

@@ -4,13 +4,15 @@
 //! cargo run --release --example distributed_dl
 //! ```
 //!
-//! Trains an MLP on a clustered multi-class dataset with 4 workers: a
-//! shared-seed block permutation split across workers, one loader thread
-//! and tuple buffer per worker, and `batch/PN` tuples per worker merged into
-//! every global batch — the paper's PyTorch-DDP integration in miniature.
-//! Synchronous gradient averaging makes that exactly mini-batch SGD over the
-//! merged stream, so the same `Trainer` loop runs it. With one worker and
-//! `double_buffer` the same source is the threaded loader of §6.3.
+//! Trains an MLP on a clustered multi-class dataset with 4 workers: the
+//! fills of one shared-seed block permutation dealt round-robin to the
+//! workers, each fill's tuples shuffled, and `batch/PN` tuples per worker
+//! merged into every global batch — the paper's PyTorch-DDP integration in
+//! miniature. Synchronous gradient averaging makes that exactly mini-batch
+//! SGD over the merged stream, so it is a data order: the same `Trainer`
+//! loop and the one fill run it, with no thread per worker. With one worker
+//! and `double_buffer`, the loop's one producer thread loads the next fill
+//! while the kernel trains on this one (§6.3).
 
 use corgipile::core::{CorgiPileConfig, ParallelConfig, Trainer, TrainerConfig};
 use corgipile::data::{DatasetSpec, Order};
@@ -58,7 +60,7 @@ fn main() {
         );
     }
 
-    // --- Threaded double-buffered loader ---------------------------------
+    // --- One worker, double-buffered --------------------------------------
     let cfg = cfg.with_corgipile(CorgiPileConfig::default().with_double_buffer(true));
     let report = Trainer::new(cfg)
         .with_workers(ParallelConfig {
@@ -69,7 +71,7 @@ fn main() {
         .train_with_test(&table, &ds.test, &mut SimDevice::hdd(0), 77)
         .expect("loader-fed training");
     println!(
-        "\none loader thread + double buffering: {:.1}% test accuracy in {:.3} simulated s \
+        "\none worker + double buffering: {:.1}% test accuracy in {:.3} simulated s \
          (loads overlap the SGD kernel)",
         report.final_test_metric().unwrap_or(0.0) * 100.0,
         report.total_sim_seconds()

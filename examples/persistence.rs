@@ -12,12 +12,11 @@
 //! 4. train via SQL, export the model blob, reload it in a fresh session
 //!    and predict with it.
 
-use corgipile::core::{EpochSource, Fill, ParallelConfig, ParallelSource};
 use corgipile::data::libsvm::{load_libsvm_table, write_libsvm_file};
 use corgipile::data::{DatasetSpec, Order};
 use corgipile::db::{Database, QueryResult, StoredModel};
-use corgipile::storage::{load_table, save_table, FileTable, SimDevice, TableConfig};
-use std::sync::Arc;
+use corgipile::shuffle::{BlockStrategy, EpochOrder, StrategyKind, StrategyParams};
+use corgipile::storage::{load_table, save_table, FileTable, RetryPolicy, SimDevice, TableConfig};
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("corgipile_demo_{}", std::process::id()));
@@ -55,23 +54,29 @@ fn main() {
         std::fs::metadata(&table_path).unwrap().len()
     );
 
-    // 3b. Block-addressable access against the real file: CorgiPile's
-    // block shuffle with actual positioned reads, two loader threads
-    // merged into one stream.
-    let ft = Arc::new(FileTable::open(&table_path).expect("open heap file"));
-    let loaders = ParallelConfig {
-        workers: 2,
-        ..Default::default()
-    };
-    let mut streamed = 0;
-    ParallelSource::new(ft.clone(), loaders, 64, 99)
-        .stream_epoch(0, &mut Fill::default(), &mut |fill| {
-            streamed += fill.batch.len();
-            true
-        })
-        .expect("read heap file");
+    // 3b. Block-addressable access against the real file: one epoch of
+    // CorgiPile's block order, each block a real positioned read.
+    let ft = FileTable::open(&table_path).expect("open heap file");
+    let mut order = EpochOrder::default();
+    BlockStrategy::new(
+        StrategyKind::CorgiPile,
+        StrategyParams::default().with_seed(99),
+    )
+    .order(ft.num_blocks(), 1, &mut order);
+    let mut ids = Vec::new();
+    for &block in &order.blocks {
+        let rows = ft.read_block_retry(block, &RetryPolicy::default());
+        ids.extend(rows.expect("read heap file").iter().map(|t| t.id));
+    }
+    ids.sort_unstable();
+    assert_eq!(
+        ids,
+        (0..table.num_tuples()).collect::<Vec<_>>(),
+        "every tuple arrives once"
+    );
     println!(
-        "file-backed CorgiPile epoch: streamed {streamed} tuples from {} on-disk blocks",
+        "file-backed CorgiPile epoch: streamed {} tuples from {} on-disk blocks",
+        ids.len(),
         ft.num_blocks()
     );
 

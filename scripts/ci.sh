@@ -45,13 +45,19 @@ cargo test --release --test serving_hot_reload
 banner "Ingest + continuous training (concurrent INSERT/TRAIN, table-WAL crash matrix)"
 cargo test --release --test ingest_train
 
-banner "Paper-figure harness (smoke: three experiments run and emit)"
+banner "Examples (the only non-test callers of the file scan, multi-worker training and the order diagnostics)"
+for example in persistence distributed_dl shuffle_diagnostics; do
+  cargo run --release --example "$example" > /dev/null
+done
+
+banner "Paper-figure harness (smoke: five experiments run and emit)"
 # Runs-and-emits only: performance is measured by benchmark/, correctness
-# by tests/ — nothing here is gated on a number.
+# by tests/ — nothing here is gated on a number. fig3 runs MRS and
+# Sliding-Window, fig7 multi-worker training.
 smoke_dir=$(mktemp -d)
 CORGI_RESULTS_DIR="$smoke_dir" \
-  cargo run --release -p corgipile-bench --bin corgi-bench -- fig5 fig20 table2
-for id in fig5 fig20 table2; do
+  cargo run --release -p corgipile-bench --bin corgi-bench -- fig3 fig5 fig7 fig20 table2
+for id in fig3 fig5 fig7 fig20 table2; do
   [ -s "$smoke_dir/$id.tsv" ] || { echo "corgi-bench did not emit $id.tsv"; exit 1; }
 done
 rm -rf "$smoke_dir"

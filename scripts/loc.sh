@@ -12,11 +12,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CORE_DB_CEILING=7666
-CORE_DB_SHUFFLE_CEILING=9551
+CORE_DB_CEILING=7381
+CORE_DB_SHUFFLE_CEILING=9299
 ML_CEILING=1472
 STORAGE_CEILING=5129
-BENCH_CEILING=2785
+BENCH_CEILING=2760
 
 non_test_lines() {
   local n=0 f

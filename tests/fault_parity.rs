@@ -1,8 +1,9 @@
 //! One fault plan, every way into training: `Trainer::train` under each
 //! shuffle strategy, `Trainer::with_workers`, and SQL `TRAIN`. A block that
 //! fails twice and recovers is invisible in the model and visible on the
-//! simulated clock; a block that never recovers is a typed
-//! [`StorageError::ReadFailed`] naming it, not a panic.
+//! simulated clock, and fails twice per run, not per epoch or per fill; a
+//! block that never recovers is a typed [`StorageError::ReadFailed`] naming
+//! it, not a panic.
 
 use corgipile::core::{CorgiPileConfig, ParallelConfig, Trainer, TrainerConfig};
 use corgipile::data::{DatasetSpec, Order};
@@ -11,7 +12,7 @@ use corgipile::ml::ModelKind;
 use corgipile::shuffle::StrategyKind;
 use corgipile::storage::{FaultPlan, RetryPolicy, SimDevice, StorageError, Table, Telemetry};
 
-const EPOCHS: usize = 2;
+const EPOCHS: usize = 3;
 
 fn higgs() -> Table {
     DatasetSpec::higgs_like(600)
@@ -50,11 +51,13 @@ fn assert_block_1_is_dead(what: &str, err: &StorageError) {
 }
 
 /// What one `Trainer` run leaves behind: parameter bits, loading-side
-/// simulated seconds (setup included), retries counted by the devices.
+/// simulated seconds (setup included), retries counted by the devices, and
+/// the transient failures the caller's device reports.
 struct Run {
     params: Vec<u32>,
     io_seconds: f64,
     retries: u64,
+    transient_failures: u64,
 }
 
 fn train(trainer: &Trainer, table: &Table, faults: Option<FaultPlan>) -> Result<Run, StorageError> {
@@ -73,21 +76,33 @@ fn train(trainer: &Trainer, table: &Table, faults: Option<FaultPlan>) -> Result<
             .map(|e| e.setup_seconds + e.io_seconds)
             .sum(),
         retries: telemetry.counter("storage.device.retries").get(),
+        transient_failures: dev
+            .fault_injector()
+            .map_or(0, |injector| injector.stats().transient_failures),
     })
 }
 
-/// The same three runs for any trainer: clean, flaky block 0, dead block 1.
-fn check_trainer(what: &str, trainer: &Trainer, table: &Table) {
+/// The same runs for any trainer of `epochs` epochs: clean, flaky block 0
+/// (for `EPOCHS` epochs and for one), dead block 1.
+fn check_trainer(what: &str, trainer: impl Fn(usize) -> Trainer, table: &Table) {
     let table_id = table.config().table_id;
-    let clean = train(trainer, table, None).unwrap();
+    let clean = train(&trainer(EPOCHS), table, None).unwrap();
     assert_eq!(clean.retries, 0, "{what}");
 
-    let flaky = train(trainer, table, Some(transient(table_id))).unwrap();
+    let flaky = train(&trainer(EPOCHS), table, Some(transient(table_id))).unwrap();
     assert_eq!(
         flaky.params, clean.params,
         "{what}: a retried read changed the model"
     );
     assert!(flaky.retries > 0, "{what}: nothing was retried");
+    // The fault is the run's: it does not re-arm per epoch or per fill, and
+    // the caller's device holds its count.
+    let one_epoch = train(&trainer(1), table, Some(transient(table_id))).unwrap();
+    assert_eq!(
+        flaky.retries, one_epoch.retries,
+        "{what}: {EPOCHS} epochs retried more than one"
+    );
+    assert_eq!(flaky.transient_failures, flaky.retries, "{what}");
     // Each failed attempt also costs the seek that found it.
     let overhead = flaky.io_seconds - clean.io_seconds;
     assert!(
@@ -95,7 +110,7 @@ fn check_trainer(what: &str, trainer: &Trainer, table: &Table) {
         "{what}: retries cost {overhead} simulated seconds"
     );
 
-    match train(trainer, table, Some(dead(table_id))) {
+    match train(&trainer(EPOCHS), table, Some(dead(table_id))) {
         Err(e) => assert_block_1_is_dead(what, &e),
         Ok(_) => panic!("{what}: trained over a dead block"),
     }
@@ -106,16 +121,20 @@ fn every_strategy_retries_a_flaky_block_and_reports_a_dead_one() {
     let table = higgs();
     for kind in StrategyKind::all() {
         for double_buffer in [false, true] {
-            let cfg = TrainerConfig::new(ModelKind::Svm, EPOCHS)
-                .with_strategy(kind)
-                .with_corgipile(
-                    CorgiPileConfig::default()
-                        .with_buffer_fraction(0.2)
-                        .with_double_buffer(double_buffer),
-                );
+            let trainer = |epochs| {
+                Trainer::new(
+                    TrainerConfig::new(ModelKind::Svm, epochs)
+                        .with_strategy(kind)
+                        .with_corgipile(
+                            CorgiPileConfig::default()
+                                .with_buffer_fraction(0.2)
+                                .with_double_buffer(double_buffer),
+                        ),
+                )
+            };
             check_trainer(
                 &format!("{} double_buffer={double_buffer}", kind.name()),
-                &Trainer::new(cfg),
+                trainer,
                 &table,
             );
         }
@@ -125,22 +144,27 @@ fn every_strategy_retries_a_flaky_block_and_reports_a_dead_one() {
 #[test]
 fn multi_worker_training_retries_a_flaky_block_and_reports_a_dead_one() {
     let table = higgs();
-    for double_buffer in [false, true] {
-        let cfg = TrainerConfig::new(ModelKind::Svm, EPOCHS)
-            .with_batch_size(8)
-            .with_corgipile(CorgiPileConfig::default().with_double_buffer(double_buffer));
-        // One block per fill: the flaky block's fill is then the slowest of
-        // its slot, which is what a slot is charged.
-        let workers = ParallelConfig {
-            workers: 2,
-            total_buffer_fraction: 2.0 / table.num_blocks() as f64,
-            ..Default::default()
-        };
-        check_trainer(
-            &format!("2 workers double_buffer={double_buffer}"),
-            &Trainer::new(cfg).with_workers(workers),
-            &table,
-        );
+    for pn in [1, 2, 4] {
+        for double_buffer in [false, true] {
+            // One block per fill: the flaky block's fill is then the slowest
+            // of its slot, which is what a slot is charged.
+            let workers = ParallelConfig {
+                workers: pn,
+                total_buffer_fraction: pn as f64 / table.num_blocks() as f64,
+                ..Default::default()
+            };
+            let trainer = |epochs| {
+                let cfg = TrainerConfig::new(ModelKind::Svm, epochs)
+                    .with_batch_size(8)
+                    .with_corgipile(CorgiPileConfig::default().with_double_buffer(double_buffer));
+                Trainer::new(cfg).with_workers(workers.clone())
+            };
+            check_trainer(
+                &format!("{pn} workers double_buffer={double_buffer}"),
+                trainer,
+                &table,
+            );
+        }
     }
 }
 

@@ -1,9 +1,9 @@
-//! Integration: multi-worker CorgiPile — and its one-worker, double-buffered
-//! case, the threaded loader — against the single-process reference.
+//! Integration: multi-worker CorgiPile — and its one-worker case, whose
+//! fills the double-buffered run loads on the one loader thread — against
+//! the single-process reference.
 
 use corgipile::core::{
-    parallel_epoch_plan, CorgiPileConfig, CorgiPileDataset, EpochSource, Fill, ParallelConfig,
-    ParallelSource, Trainer, TrainerConfig,
+    parallel_epoch_plan, CorgiPileConfig, CorgiPileDataset, ParallelConfig, Trainer, TrainerConfig,
 };
 use corgipile::data::{DatasetSpec, Order};
 use corgipile::ml::{ModelKind, OptimizerKind};
@@ -107,13 +107,8 @@ fn one_loader() -> ParallelConfig {
 #[test]
 fn threaded_loader_stream_equals_strategy_coverage() {
     let (table, _) = clustered_cifar();
-    let mut ids: Vec<u64> = Vec::new();
-    ParallelSource::new(&table, one_loader(), 128, 9)
-        .stream_epoch(0, &mut Fill::default(), &mut |fill| {
-            ids.extend(fill.batch.rows().map(|t| t.id));
-            true
-        })
-        .unwrap();
+    let plan = parallel_epoch_plan(&table, &one_loader(), 128, 9, 0).unwrap();
+    let mut ids: Vec<u64> = plan.merged_batches.iter().flatten().map(|t| t.id).collect();
     ids.sort_unstable();
     assert_eq!(ids, (0..table.num_tuples()).collect::<Vec<_>>());
 }
