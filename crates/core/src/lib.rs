@@ -41,7 +41,7 @@ pub mod trainer;
 pub use config::CorgiPileConfig;
 pub use dataset::CorgiPileDataset;
 pub use driver::{
-    CheckpointMismatch, DriverRun, EpochDriver, EpochIo, EpochOutcome, EpochSink, EpochSource, Fill,
+    CheckpointMismatch, DriverRun, EpochDriver, EpochOutcome, EpochSink, EpochSource, Fill,
 };
 pub use parallel::{parallel_epoch_plan, ParallelConfig, ParallelEpoch};
 pub use theory::{block_variance_factor, CorgiFactors, Theorem1Bound};

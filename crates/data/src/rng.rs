@@ -64,30 +64,30 @@ pub fn shuffle_in_place<T, R: Rng + ?Sized>(rng: &mut R, slice: &mut [T]) {
 const SMALL_BUCKET: usize = 16;
 
 /// The keyed counterpart of [`shuffle_in_place`]: a shuffle by hash key.
-/// Sorts the positions of `keys` by key, ties by position, into `order`, and
-/// writes where in it each position went into `rank`; both are scratch kept
-/// across calls. A bucket sort: each position goes to one of `n` buckets by
-/// its key's top bits (the high word of `key × n`), whose bounds `rank`
-/// holds meanwhile. The buckets are in key order, so one insertion sort over
-/// `order` finishes them all.
-pub fn rank_by_key(keys: &[u64], order: &mut Vec<u32>, rank: &mut Vec<u32>) {
+/// Sorts the positions of `keys` by key, ties by position, into `order`,
+/// scratch kept across calls. A bucket sort: each position goes to one of
+/// `n` buckets by its key's top bits (the high word of `key × n`), whose
+/// bounds `order` holds past its first `n` entries meanwhile. The buckets
+/// are in key order, so one insertion sort over `order` finishes them all.
+pub fn rank_by_key(keys: &[u64], order: &mut Vec<u32>) {
     let n = keys.len();
     let bucket = |k: u64| ((u128::from(k) * n as u128) >> 64) as usize;
-    order.resize(n, 0);
-    rank.clear();
-    rank.resize(n + 1, 0);
-    keys.iter().for_each(|&k| rank[bucket(k) + 1] += 1);
-    let big = rank.iter().any(|&size| size as usize > SMALL_BUCKET);
+    order.resize(2 * n + 1, 0);
+    let (sorted, bounds) = order.split_at_mut(n);
+    bounds.fill(0);
+    keys.iter().for_each(|&k| bounds[bucket(k) + 1] += 1);
+    let big = bounds.iter().any(|&size| size as usize > SMALL_BUCKET);
     let mut start = 0;
-    for at in rank.iter_mut() {
+    for at in bounds.iter_mut() {
         start += *at;
         *at = start;
     }
     for (j, &k) in (0u32..).zip(keys) {
-        let at = &mut rank[bucket(k)];
-        order[*at as usize] = j;
+        let at = &mut bounds[bucket(k)];
+        sorted[*at as usize] = j;
         *at += 1;
     }
+    order.truncate(n);
     if big {
         order.sort_unstable_by_key(|&j| (keys[j as usize], j));
     }
@@ -98,10 +98,6 @@ pub fn rank_by_key(keys: &[u64], order: &mut Vec<u32>, rank: &mut Vec<u32>) {
             at -= 1;
         }
         order[at] = j;
-    }
-    rank.truncate(n);
-    for (r, &j) in (0u32..).zip(&*order) {
-        rank[j as usize] = r;
     }
 }
 
@@ -181,14 +177,10 @@ mod tests {
     fn assert_ranks_like_the_key_sort(keys: &[u64]) {
         let mut pairs: Vec<(u64, u32)> = keys.iter().copied().zip(0u32..).collect();
         pairs.sort_unstable_by_key(|&pair| pair);
-        let (mut order, mut rank) = (vec![7; 5], vec![9; 3]);
-        rank_by_key(keys, &mut order, &mut rank);
+        let mut order = vec![7; 5];
+        rank_by_key(keys, &mut order);
         let want: Vec<u32> = pairs.iter().map(|&(_, j)| j).collect();
         assert_eq!(order, want);
-        assert_eq!(rank.len(), keys.len());
-        for (r, &j) in (0u32..).zip(&want) {
-            assert_eq!(rank[j as usize], r);
-        }
     }
 
     proptest! {

@@ -743,7 +743,7 @@ mod tests {
         );
         let mut dev = SimDevice::hdd_scaled(1000.0, 0);
         let plan = s.next_epoch(&t, &mut dev);
-        let full = full_shuffle_io(&t, &dev);
+        let full = full_shuffle_io(dev.profile(), t.total_bytes());
         assert!(
             plan.setup_seconds <= 0.25 * full + 1e-12,
             "setup {} over budget {}",

@@ -16,7 +16,7 @@
 //! statement.
 
 use corgipile_data::rng::shuffle_in_place;
-use corgipile_storage::{Access, Result, RetryPolicy, SimDevice, Table, Tuple};
+use corgipile_storage::{Access, DeviceProfile, Result, RetryPolicy, SimDevice, Table, Tuple};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -39,11 +39,9 @@ pub struct ReclusterOutcome {
     pub full_shuffle_io: f64,
 }
 
-/// Cost of a full offline shuffle (`Table::materialize_reordered`): two
-/// passes of read + write over the whole table.
-pub fn full_shuffle_io(table: &Table, dev: &SimDevice) -> f64 {
-    let total = table.total_bytes();
-    let p = dev.profile();
+/// Cost on `p` of a full offline shuffle (`Table::materialize_reordered`)
+/// of `total` bytes: two passes of read + write over the whole table.
+pub fn full_shuffle_io(p: &DeviceProfile, total: usize) -> f64 {
     2.0 * (p.read_time(total, Access::Random) + p.read_time(total, Access::Sequential))
 }
 
@@ -70,7 +68,7 @@ pub fn recluster_table(
         "io budget must be in (0, 1]"
     );
     let blocks_total = table.num_blocks();
-    let full_io = full_shuffle_io(table, dev);
+    let full_io = full_shuffle_io(dev.profile(), table.total_bytes());
     let budget_io = io_budget * full_io;
     let profile = dev.profile().clone();
 

@@ -19,6 +19,7 @@
 //! materialized shuffle, bounded RECLUSTER) enter as `setup_io`, so cheap
 //! setups win short runs and thorough setups win long ones.
 
+use crate::corgi2::full_shuffle_io;
 use crate::strategy::{StrategyKind, StrategyParams};
 use corgipile_storage::{Access, DeviceProfile, Table};
 
@@ -126,7 +127,7 @@ impl CostModel {
         // Reversal pays at most two seeks per epoch: start + rotation wrap.
         let reversal = 2.0 * seek + transfer;
 
-        let full_shuffle = full_shuffle_io_profile(profile, total_bytes);
+        let full_shuffle = full_shuffle_io(profile, total_bytes);
         let buffered_tuples = ((table.num_tuples() as f64) * alpha).ceil() as usize;
         let buffering = params.buffering_cost(buffered_tuples.max(1), total_bytes);
 
@@ -170,17 +171,9 @@ impl CostModel {
     }
 }
 
-/// Full-shuffle I/O from a profile alone (no device mutation), matching
-/// [`crate::corgi2::full_shuffle_io`]'s two read+write passes over the table.
-fn full_shuffle_io_profile(profile: &DeviceProfile, total_bytes: usize) -> f64 {
-    2.0 * (profile.read_time(total_bytes, Access::Random)
-        + profile.read_time(total_bytes, Access::Sequential))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corgi2::full_shuffle_io;
     use corgipile_data::{DatasetSpec, Order};
     use corgipile_storage::SimDevice;
 
@@ -266,7 +259,7 @@ mod tests {
         let t = table(Order::ClusteredByLabel);
         let params = StrategyParams::default().with_io_budget(0.25);
         let dev = SimDevice::hdd(0);
-        let full = full_shuffle_io(&t, &dev);
+        let full = full_shuffle_io(dev.profile(), t.total_bytes());
         let est = CostModel::new(3)
             .candidates(&t, dev.profile(), &params, 0.5)
             .into_iter()

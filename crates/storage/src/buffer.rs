@@ -2,7 +2,7 @@
 //!
 //! CorgiPile's tuple-level shuffle needs an in-memory buffer holding `n`
 //! blocks (1–10 % of the data set): a recycled [`Page`](crate::page::Page)
-//! filled by `Page::fill_ranked`, in SQL and in the library alike. The
+//! filled by `Page::gather` in SGD order, in SQL and the library alike. The
 //! paper's §6.3 optimization overlaps
 //! buffer filling with SGD via *double buffering* — two buffers swapped
 //! between a loader thread and a consumer thread ([`crate::pipeline`]);

@@ -27,10 +27,10 @@ bash scripts/loc.sh
 banner "Golden bits (model bits pinned across commits, release arithmetic)"
 cargo test --release --test golden_bits
 
-banner "Allocation budget (scans allocate per block and per epoch, INSERTs per page and per statement, never per fill or row)"
+banner "Allocation budget (scans allocate per block and per epoch, INSERTs per page and per statement, never per fill, row or hand-off)"
 cargo test --release --test alloc_budget
 
-banner "Every crate's lib tests (the fill, the orders, the executor, planner and session, the driver)"
+banner "Every crate's lib tests (the fill and its hand-off test the_hand_off_point_is_invisible_once_the_fill_is_settled, the orders, the executor, planner and session, the driver)"
 cargo test --release --workspace --lib
 
 banner "Concurrency stress (N sessions over one engine, bit-identical)"

@@ -200,6 +200,30 @@ fn later_fills_of_a_narrow_train_allocate_no_batch_memory() {
 }
 
 #[test]
+fn a_narrow_train_allocates_the_same_wherever_the_hand_off_falls() {
+    // Double-buffered, a fill goes to the kernel lane part-copied whenever
+    // that lane waits for it, which is timing: what a statement allocates
+    // must not depend on where (or whether) that happens. The counted runs
+    // record no telemetry, whose event log grows by doubling across
+    // statements.
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut session, _) = session(DatasetSpec::higgs_like(20_000).with_block_bytes(64 << 10));
+    let sql = TRAIN.replace("model_name", "double_buffer = 1, model_name");
+    let run = |session: &mut Session| {
+        let (_, allocs, bytes) = counted(session, &sql);
+        (allocs, bytes)
+    };
+    run(&mut session);
+    let site = "db.tuple_shuffle.settle.wall_seconds";
+    let settled = session.telemetry().histogram(site).count();
+    assert!(settled > 0, "the kernel lane finished no fill");
+    session.set_telemetry_enabled(false);
+    run(&mut session);
+    let runs: Vec<(u64, u64)> = (0..3).map(|_| run(&mut session)).collect();
+    assert!(runs.iter().all(|&r| r == runs[0]), "{runs:?}");
+}
+
+#[test]
 fn scans_of_a_2000_wide_table_stay_under_256_bytes_a_row() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let (mut session, rows) = session(DatasetSpec::epsilon_like(6_000).with_block_bytes(4 << 20));

@@ -439,6 +439,52 @@ fn trainer_and_sql_train_are_one_path() {
     }
 }
 
+/// A narrow TRAIN of 3 000-row fills: the kernel lane waits for the first
+/// fill of every epoch while it is still being copied, so it finishes that
+/// fill itself. Recorded on the commit before the hand-off, whose producer
+/// copied every fill.
+const HANDED_OVER: Golden = ("svm/30k", 0x2746b7e6, 0x3fefed470104a463);
+
+#[test]
+fn fills_the_kernel_lane_finishes_train_the_same_bits() {
+    let db = Database::new(SimDevice::hdd_scaled(1000.0, 0));
+    let table = DatasetSpec::higgs_like(30_000)
+        .with_order(Order::ClusteredByLabel)
+        .with_block_bytes(64 << 10)
+        .build_table(1)
+        .unwrap();
+    db.register_table("narrow", table);
+    let mut cell: Option<(u32, u64)> = None;
+    for double_buffer in [0, 1] {
+        let mut s = db.connect();
+        let t = train(
+            &mut s,
+            &format!(
+                "SELECT * FROM narrow TRAIN BY svm WITH max_epoch_num = 3, seed = 5, \
+                 buffer_fraction = 0.1, double_buffer = {double_buffer}, model_name = m"
+            ),
+        );
+        // Settled fills are the ones the kernel lane copied rows of.
+        let settled = s
+            .telemetry()
+            .histogram("db.tuple_shuffle.settle.wall_seconds");
+        assert_eq!(
+            settled.count() > 0,
+            double_buffer == 1,
+            "{}",
+            settled.count()
+        );
+        let bits = sql_bits(&s, &t);
+        assert_eq!(*cell.get_or_insert(bits), bits, "double_buffer diverged");
+    }
+    let (crc, loss) = cell.unwrap();
+    check(
+        "HANDED_OVER",
+        &[(HANDED_OVER.0.into(), crc, loss)],
+        &[HANDED_OVER],
+    );
+}
+
 /// `(case, crc32 of the merged id stream, crc32 over the per-worker stream
 /// crc32s, bits of io_seconds)`. Re-recorded, with the one-worker
 /// parameters below, when the workers' fills became the CorgiPile
