@@ -1,9 +1,9 @@
-//! Criterion: one in-DB training epoch through the Volcano pipeline —
+//! Criterion: one in-DB training epoch through the SQL plan —
 //! the wall-clock analogue of Figure 13 (No-Shuffle plan vs CorgiPile plan
 //! vs single-buffer CorgiPile).
 
 use corgipile_data::{DatasetSpec, Order};
-use corgipile_db::{BlockShuffleOp, ExecContext, SgdOperator, StrategyKind};
+use corgipile_db::{ExecContext, PhysicalPlan, SgdOperator, StrategyKind};
 use corgipile_ml::{build_model, ComputeCostModel, ModelKind, OptimizerKind, TrainOptions};
 use corgipile_shuffle::StrategyParams;
 use corgipile_storage::{DeviceHandle, SimDevice, Table};
@@ -26,11 +26,7 @@ fn run_epoch(table: &Arc<Table>, plan: &str, double: bool) -> f64 {
         _ => StrategyKind::CorgiPile,
     };
     let op = SgdOperator::new(
-        Box::new(BlockShuffleOp::new(
-            table.clone(),
-            kind,
-            StrategyParams::default(),
-        )),
+        PhysicalPlan::new(table.clone(), kind, StrategyParams::default()),
         build_model(&ModelKind::Svm, 28, 1),
         OptimizerKind::default_sgd(0.02).build(),
         TrainOptions::default(),

@@ -1,10 +1,11 @@
 //! The one epoch loop (§6.2–6.3).
 //!
 //! The paper's in-database integration is three operators and *one* SGD
-//! loop with a double-buffer switch. [`EpochDriver`] is that loop; the
-//! library [`Trainer`](crate::Trainer) and the SQL `SGD` operator are thin
-//! adapters that supply an [`EpochSource`] and read the per-epoch
-//! [`EpochOutcome`]s back. One run is
+//! loop with a double-buffer switch. [`EpochDriver`] is that loop, and
+//! [`StrategySource`] its one fill source: the library
+//! [`Trainer`](crate::Trainer) and the SQL `SGD` operator hand it their scan
+//! step and an [`EpochHook`] that reads the per-epoch [`EpochOutcome`]s
+//! back. One run is
 //!
 //! ```text
 //! resume: validate → replay → restore
@@ -12,7 +13,9 @@
 //! ```
 //!
 //! * **Source.** [`EpochSource::stream_epoch`] pushes the epoch's buffer
-//!   fills, in order, through [`run_epoch_pipeline`]. With `double_buffer`
+//!   fills, in order, through [`run_epoch_pipeline`]; for a
+//!   [`StrategySource`] that is the strategy's setup and order, and the one
+//!   loop over its fills ([`EpochStream::fill_epoch`]). With `double_buffer`
 //!   set the source runs on a scoped producer thread and overlaps the
 //!   kernel; without it the very same closures run inline on the calling
 //!   thread. There is exactly one producer, one consumer and
@@ -30,8 +33,9 @@
 //!   ([`ComputeCostModel::seconds`]) or once per fill
 //!   ([`ComputeCostModel::seconds_batched`]) — and nothing else. Per-fill
 //!   I/O and compute then go through the analytic [`DoubleBufferModel`].
-//! * **Hook.** [`EpochSource::epoch_done`] sees the settled epoch (and the
-//!   model) to evaluate, record, emit telemetry, or halt the run.
+//! * **Hook.** [`EpochSource::epoch_done`] — a [`StrategySource`]'s
+//!   [`EpochHook`] — sees the settled epoch (and the model) to evaluate,
+//!   record, emit telemetry, or halt the run.
 //! * **Checkpoint.** Only when a sink is set, a [`TrainCheckpoint`] is
 //!   built after the hook and handed to it — the run's one checkpoint
 //!   output (the SQL path's is the durable model store).
@@ -41,8 +45,10 @@ use corgipile_ml::{
     TrainCheckpoint, TrainOptions,
 };
 pub use corgipile_shuffle::Fill;
+use corgipile_shuffle::{Deal, EpochStream, ScanStep, ShuffleStrategy};
 use corgipile_storage::{
-    run_epoch_pipeline, DoubleBufferModel, PipelineError, PipelineReport, StorageError, Telemetry,
+    run_epoch_pipeline, CacheConfig, DoubleBufferModel, PipelineError, PipelineReport, SimDevice,
+    StorageError, Telemetry,
 };
 use std::ops::ControlFlow;
 
@@ -111,6 +117,75 @@ pub trait EpochSource: Send {
     /// is settled and before any checkpoint is written. `Break` halts the
     /// run after this epoch (and its checkpoint).
     fn epoch_done(&mut self, epoch: EpochOutcome<'_>) -> ControlFlow<()>;
+}
+
+/// What a run does with each settled epoch: evaluate, record, emit
+/// telemetry, or halt ([`EpochSource::epoch_done`]). `S` is the run's scan
+/// step, whose per-epoch state the hook may drain.
+pub trait EpochHook<S>: Send {
+    /// `Break` halts the run after this epoch (and its checkpoint).
+    fn epoch_done(&mut self, scan: &mut S, done: EpochOutcome<'_>) -> ControlFlow<()>;
+}
+
+/// The one fill source: a strategy's epochs over a table ([`EpochStream`]),
+/// read through a scan step — the library's [`SimDevice`], or the SQL
+/// engine's scan — with the caller's [`EpochHook`].
+pub struct StrategySource<'a, St: ?Sized, S, H> {
+    /// The strategy, its table, order and fill.
+    pub stream: EpochStream<'a, St>,
+    /// How blocks are read and charged.
+    pub scan: &'a mut S,
+    /// The caller's per-epoch hook.
+    pub hook: H,
+}
+
+impl<St, S, H> EpochSource for StrategySource<'_, St, S, H>
+where
+    St: ShuffleStrategy + ?Sized,
+    S: ScanStep + Send,
+    S::Error: From<CheckpointMismatch> + Send,
+    H: EpochHook<S>,
+{
+    type Error = S::Error;
+
+    /// Orders read nothing; a setup's copy is remade on a scratch device of
+    /// the run's profile, which Corgi²'s recluster picks its blocks against
+    /// (a setup made before the run is not made again).
+    fn replay(&mut self, epochs: usize) -> Result<(), S::Error> {
+        let profile = self.scan.device(|dev| dev.profile().clone());
+        let mut scratch = SimDevice::new(profile, CacheConfig::disabled());
+        for _ in 0..epochs {
+            self.stream.start(&mut scratch)?;
+        }
+        Ok(())
+    }
+
+    fn stream_epoch(
+        &mut self,
+        _epoch: usize,
+        fill: &mut Fill,
+        kernel_waits: &dyn Fn() -> bool,
+        fill_io: &mut Vec<f64>,
+        emit: &mut dyn FnMut(&mut Fill) -> bool,
+    ) -> Result<f64, S::Error> {
+        let stream = &mut self.stream;
+        let setup = self.scan.device(|dev| stream.start(dev))?;
+        stream.fill_epoch(self.scan, fill, kernel_waits, fill_io, &mut *emit)?;
+        // Workers load in parallel: a slot costs the slowest of its fills.
+        if let Some(Deal { workers, .. }) = stream.order.deal {
+            let slots = fill_io.len().div_ceil(workers);
+            for slot in 0..slots {
+                let fills = fill_io[slot * workers..].iter().take(workers);
+                fill_io[slot] = fills.fold(0.0f64, |a, &b| a.max(b));
+            }
+            fill_io.truncate(slots);
+        }
+        Ok(setup)
+    }
+
+    fn epoch_done(&mut self, done: EpochOutcome<'_>) -> ControlFlow<()> {
+        self.hook.epoch_done(self.scan, done)
+    }
 }
 
 /// Per-epoch checkpoint consumer: the freshly built [`TrainCheckpoint`] and

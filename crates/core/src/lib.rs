@@ -41,7 +41,8 @@ pub mod trainer;
 pub use config::CorgiPileConfig;
 pub use dataset::CorgiPileDataset;
 pub use driver::{
-    CheckpointMismatch, DriverRun, EpochDriver, EpochOutcome, EpochSink, EpochSource, Fill,
+    CheckpointMismatch, DriverRun, EpochDriver, EpochHook, EpochOutcome, EpochSink, EpochSource,
+    Fill, StrategySource,
 };
 pub use parallel::{parallel_epoch_plan, ParallelConfig, ParallelEpoch};
 pub use theory::{block_variance_factor, CorgiFactors, Theorem1Bound};

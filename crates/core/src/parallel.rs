@@ -15,15 +15,12 @@
 //! order, with no trainer, thread or channel of its own: the CorgiPile
 //! generator's `n/PN`-block fills dealt to the workers
 //! ([`ParallelConfig::strategy`]), built and interleaved `batch/PN` rows per
-//! worker per round by the one fill ([`fill_epoch`]). Each fill is priced on
+//! worker per round by the one fill ([`EpochStream::fill_epoch`]). Each fill is priced on
 //! a fresh [`ParallelConfig::fill_device`]; the workers load in parallel, so
 //! a slot costs its slowest fill. [`parallel_epoch_plan`] collects the
 //! stream as the order reference.
 
-use corgipile_shuffle::{
-    fill_epoch, BlockStrategy, Deal, EpochOrder, Fill, Filler, ShuffleStrategy, StrategyKind,
-    StrategyParams,
-};
+use corgipile_shuffle::{BlockStrategy, Deal, EpochStream, Fill, StrategyKind, StrategyParams};
 use corgipile_storage::{SimDevice, StorageError, Table, Tuple};
 
 /// Configuration of multi-process CorgiPile. The global batch size and the
@@ -101,24 +98,18 @@ pub fn parallel_epoch_plan(
     seed: u64,
     epoch: usize,
 ) -> Result<ParallelEpoch, StorageError> {
-    let (mut strategy, mut order) = (
-        cfg.strategy(table.num_blocks(), batch_size, seed),
-        EpochOrder::default(),
-    );
-    (0..=epoch).for_each(|_| strategy.next_order(table, &mut order));
-    let mut rows = Vec::new();
-    let io = fill_epoch(
-        &strategy,
-        table,
-        &mut cfg.fill_device(),
-        &mut Filler::new("shuffle"),
-        &order,
-        &mut Fill::default(),
-        &mut |fill| {
-            rows.extend(fill.batch.rows().map(|r| r.to_tuple()));
-            true
-        },
-    )?;
+    let mut strategy = cfg.strategy(table.num_blocks(), batch_size, seed);
+    let mut stream = EpochStream::new(&mut strategy, table, "shuffle");
+    let mut dev = cfg.fill_device();
+    for _ in 0..=epoch {
+        stream.start(&mut dev)?;
+    }
+    let (mut rows, mut io) = (Vec::new(), Vec::new());
+    stream.fill_epoch(&mut dev, &mut Fill::default(), &|| false, &mut io, |fill| {
+        rows.extend(fill.batch.rows().map(|r| r.to_tuple()));
+        true
+    })?;
+    let order = &stream.order;
     // Cut the stream back into rounds: every worker gives `share` rows per
     // round, or what is left of its fills.
     let Deal { workers, share } = order.deal.expect("a multi-process order is dealt");
@@ -154,7 +145,7 @@ mod tests {
     use crate::{CorgiPileConfig, Trainer, TrainerConfig};
     use corgipile_data::{DatasetSpec, Order};
     use corgipile_ml::{build_model, train_minibatch, ModelKind, OptimizerKind, TrainOptions};
-    use corgipile_shuffle::Rank;
+    use corgipile_shuffle::{EpochOrder, Rank, ShuffleStrategy};
     use corgipile_storage::{splitmix64, Access, FaultPlan, RetryPolicy, Telemetry};
 
     fn clustered(n: usize) -> Table {
@@ -195,23 +186,15 @@ mod tests {
         pn: usize,
         dev: &mut SimDevice,
     ) -> (Vec<u64>, Result<Vec<f64>, StorageError>) {
-        let pcfg = workers(pn);
-        let order = order(t, &pcfg, 16, 11, 0);
-        let strategy = pcfg.strategy(t.num_blocks(), 16, 11);
-        let mut ids = Vec::new();
-        let ended = fill_epoch(
-            &strategy,
-            t,
-            dev,
-            &mut Filler::new("shuffle"),
-            &order,
-            &mut Fill::default(),
-            &mut |fill| {
-                ids.extend(fill.batch.rows().map(|r| r.id));
-                true
-            },
-        );
-        (ids, ended)
+        let mut strategy = workers(pn).strategy(t.num_blocks(), 16, 11);
+        let mut stream = EpochStream::new(&mut strategy, t, "shuffle");
+        stream.start(dev).unwrap();
+        let (mut ids, mut io) = (Vec::new(), Vec::new());
+        let ended = stream.fill_epoch(dev, &mut Fill::default(), &|| false, &mut io, |fill| {
+            ids.extend(fill.batch.rows().map(|r| r.id));
+            true
+        });
+        (ids, ended.map(|()| io))
     }
 
     fn merged_ids(plan: &ParallelEpoch) -> Vec<u64> {

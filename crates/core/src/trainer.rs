@@ -14,14 +14,13 @@ use corgipile_ml::{
     TrainOptions,
 };
 use corgipile_shuffle::{
-    build_strategy, fill_epoch, start_epoch, EpochOrder, Filler, ShuffleStrategy, StrategyKind,
-    StrategyParams,
+    build_strategy, EpochStream, ShuffleStrategy, StrategyKind, StrategyParams,
 };
-use corgipile_storage::{CacheConfig, Counter, SimDevice, StorageError, Table, Tuple, TupleView};
+use corgipile_storage::{Counter, SimDevice, StorageError, Table, Tuple, TupleView};
 use std::ops::ControlFlow;
 
 use crate::config::CorgiPileConfig;
-use crate::driver::{EpochDriver, EpochOutcome, EpochSink, EpochSource, Fill};
+use crate::driver::{EpochDriver, EpochHook, EpochOutcome, EpochSink, StrategySource};
 use crate::parallel::ParallelConfig;
 
 /// Full configuration of a training run.
@@ -257,7 +256,7 @@ impl Trainer {
         sink: Option<EpochSink<'_, StorageError>>,
     ) -> corgipile_storage::Result<Vec<EpochRecord>> {
         let (tel, params) = (dev.telemetry().clone(), self.cfg.strategy_params(seed));
-        let (strategy, mut loader): (Box<dyn ShuffleStrategy>, _) = match &self.workers {
+        let (mut strategy, mut loader): (Box<dyn ShuffleStrategy>, _) = match &self.workers {
             None => (build_strategy(self.cfg.strategy, params), None),
             Some(workers) => {
                 // Worker fills read on fresh copies of the workers' loader
@@ -274,17 +273,16 @@ impl Trainer {
             }
         };
         let mut source = StrategySource {
-            strategy,
-            table,
-            dev: loader.as_mut().unwrap_or(&mut *dev),
-            filler: Filler::new("shuffle"),
-            order: EpochOrder::default(),
-            test,
-            counters: ["core.trainer.tuples", "core.trainer.epochs"].map(|c| tel.counter(c)),
-            records: Vec::new(),
+            stream: EpochStream::new(strategy.as_mut(), table, "shuffle"),
+            scan: loader.as_mut().unwrap_or(&mut *dev),
+            hook: TrainerEpochs {
+                test,
+                counters: ["core.trainer.tuples", "core.trainer.epochs"].map(|c| tel.counter(c)),
+                records: Vec::new(),
+            },
         };
         let run = driver.run(&tel, &mut source, sink);
-        let records = source.records;
+        let records = source.hook.records;
         if let Some(injector) = loader.and_then(|mut loader| loader.clear_fault_injector()) {
             dev.set_fault_injector(injector);
         }
@@ -293,62 +291,23 @@ impl Trainer {
     }
 }
 
-/// A [`ShuffleStrategy`] over a heap table as the driver's fill source —
-/// its setup and order per epoch, every fill through the one fill — and the
-/// run's per-epoch hook: evaluate on the test set, count, emit
+/// The library run's per-epoch hook: evaluate on the test set, count, emit
 /// `core.epoch.*` events, keep the [`EpochRecord`].
-struct StrategySource<'a> {
-    strategy: Box<dyn ShuffleStrategy>,
-    table: &'a Table,
-    dev: &'a mut SimDevice,
-    filler: Filler,
-    order: EpochOrder,
+struct TrainerEpochs<'a> {
     test: &'a [Tuple],
     /// `core.trainer.tuples` and `core.trainer.epochs`.
     counters: [Counter; 2],
     records: Vec<EpochRecord>,
 }
 
-impl EpochSource for StrategySource<'_> {
-    type Error = StorageError;
-
-    /// Orders read nothing; a setup's copy is remade on a scratch device of
-    /// the run's profile, which Corgi²'s recluster picks its blocks against.
-    fn replay(&mut self, epochs: usize) -> Result<(), StorageError> {
-        let mut scratch = SimDevice::new(self.dev.profile().clone(), CacheConfig::disabled());
-        for _ in 0..epochs {
-            let strategy = self.strategy.as_mut();
-            start_epoch(strategy, self.table, &mut scratch, &mut self.order)?;
-        }
-        Ok(())
-    }
-
-    fn stream_epoch(
-        &mut self,
-        _epoch: usize,
-        fill: &mut Fill,
-        _kernel_waits: &dyn Fn() -> bool,
-        fill_io: &mut Vec<f64>,
-        emit: &mut dyn FnMut(&mut Fill) -> bool,
-    ) -> Result<f64, StorageError> {
-        let strategy = self.strategy.as_mut();
-        let setup_seconds = start_epoch(strategy, self.table, self.dev, &mut self.order)?;
-        let (filler, order) = (&mut self.filler, &self.order);
-        let io = fill_epoch(strategy, self.table, self.dev, filler, order, fill, emit)?;
-        // Workers load in parallel: a slot costs the slowest of its fills.
-        let slots = io.chunks(order.deal.map_or(1, |deal| deal.workers));
-        fill_io.clear();
-        fill_io.extend(slots.map(|slot| slot.iter().fold(0.0f64, |a, &b| a.max(b))));
-        Ok(setup_seconds)
-    }
-
-    fn epoch_done(&mut self, done: EpochOutcome<'_>) -> ControlFlow<()> {
+impl EpochHook<SimDevice> for TrainerEpochs<'_> {
+    fn epoch_done(&mut self, dev: &mut SimDevice, done: EpochOutcome<'_>) -> ControlFlow<()> {
         let test_metric = (!self.test.is_empty())
             .then(|| evaluate(done.model, self.test.iter().map(Tuple::view)));
         self.counters[0].add(done.stats.examples as u64);
         self.counters[1].inc();
         let e = done.epoch as u64;
-        let event = |name, value| self.dev.telemetry().event(e, name, value);
+        let event = |name, value| dev.telemetry().event(e, name, value);
         event("core.epoch.io_seconds", done.io_seconds);
         event("core.epoch.compute_seconds", done.compute_seconds);
         event("core.epoch.epoch_seconds", done.epoch_seconds);

@@ -55,9 +55,8 @@ pub use corgipile_storage::{TableSnapshot, Telemetry, TelemetrySnapshot};
 pub use database::Database;
 pub use error::DbError;
 pub use exec::{
-    scan_rows, BlockShuffleOp, CheckpointSink, DbEpochRecord, ExecContext, FaultAction,
-    FusedPipelineOp, OpStats, PhysicalOperator, PredictOperator, PredictRunResult, RowBatch,
-    RowRef, SgdOperator, SgdRunResult,
+    scan_rows, CheckpointSink, DbEpochRecord, ExecContext, FaultAction, OpStats, PredictOperator,
+    PredictRunResult, RowBatch, RowRef, SgdOperator, SgdRunResult,
 };
 pub use model_store::{ModelRecord, ModelStore, ModelStoreOptions, ModelStoreStats};
 pub use options::{

@@ -1,4 +1,4 @@
-//! Query planning: logical plans and physical operator construction.
+//! Query planning: logical plans, and their lowering to the scan they run.
 //!
 //! This is the single plan-construction site of the engine. A prepared
 //! `TRAIN BY` statement (`train.rs`) or a `PREDICT` becomes a
@@ -14,33 +14,25 @@
 //! projections must exist; `id` is not selectable as a training input).
 //! The scan owns the `WHERE` predicate and the column list: it evaluates
 //! the predicate on each row in place *below* the tuple-shuffle buffer and
-//! materializes only survivors over the named columns. That placement
-//! matters for convergence-per-byte: the buffer holds a fixed block budget,
-//! so filtering before buffering raises the effective buffer fraction of
-//! the post-filter dataset that CorgiPile's convergence analysis depends
-//! on — and the projection shrinks every buffered tuple besides.
+//! materializes only survivors over the named columns, so the buffer's
+//! fixed block budget holds a larger fraction of the post-filter dataset
+//! (CorgiPile's convergence depends on it) and smaller tuples. This trains
+//! the same model, bit for bit, as filtering the buffer's output would
+//! (`PostBufferFilter` in `proptests.rs`, and the `WHERE` constants of
+//! `tests/golden_bits.rs`, recorded with the filter above the buffer).
 //!
-//! Filtering below the buffer trains the same model, bit for bit, as
-//! filtering the buffer's output would: the tuple shuffle counts its window
-//! in source blocks (not tuples) and orders survivors by a deterministic
-//! per-tuple key, so the tuple visit sequence is the same either way. That
-//! is checked against the test-side `PostBufferFilter` reference in
-//! `proptests.rs` and against the `WHERE` constants in
-//! `tests/golden_bits.rs`, which were recorded with the filter above the
-//! buffer.
-//!
-//! Lowering runs a *pipeline-fusion* pass: [`build_physical_with`] wraps
-//! the chain in a single [`FusedPipelineOp`] that moves whole
-//! [`RowBatch`](crate::RowBatch)es. Fusion never changes semantics:
-//! `WITH fuse = 0` runs the same operators bare, and both paths replay the
-//! same tuple sequence. Only the *compute accounting* differs (the fused
-//! path charges its per-tuple dispatch overhead once per batch).
+//! The plan is what `EXPLAIN` renders. Lowering ([`build_physical_with`])
+//! turns it into the scan it runs — strategy, table, predicate and column
+//! list, a [`PhysicalPlan`] — and runs the strategy's setup; every plan
+//! executes as one loop (`exec.rs`). A fused plan (`WITH fuse = 1`, the
+//! default) renders as one `Fused Pipeline (…)` node and charges its
+//! per-tuple dispatch overhead once per batch; `fuse = 0` renders the
+//! operator nodes. Both replay the same tuple sequence.
 
 use crate::catalog::Catalog;
 use crate::error::DbError;
-use crate::exec::{BlockShuffleOp, FusedPipelineOp, PhysicalOperator};
 use crate::sql::{ColumnRef, Predicate, Projection, StrategyKind};
-use corgipile_shuffle::StrategyParams;
+use corgipile_shuffle::{BlockStrategy, ShuffleStrategy, StrategyParams};
 use corgipile_storage::{DeviceHandle, Table};
 use std::sync::Arc;
 
@@ -210,18 +202,23 @@ impl LogicalPlan {
         }
     }
 
-    /// Render the plan as the vectorized executor will run it: the root
-    /// kernel, then one `Fused Pipeline (…)` node standing in for the
-    /// whole collapsed chain, annotated with the scan order, buffer, and
-    /// any predicate/projection. Falls back to [`Self::explain_lines`]
-    /// when the shape is not fusable (the current planner always is).
+    /// Render a fused plan: the root kernel, then one `Fused Pipeline (…)`
+    /// node standing in for the operator nodes, annotated with the scan
+    /// order, buffer, and any predicate/projection. A plan not rooted at
+    /// `Sgd`/`Predict` renders as [`Self::explain_lines`] does.
     pub fn explain_lines_fused(&self) -> Vec<String> {
-        let Some(chain) = fuse_chain(self) else {
-            return self.explain_lines();
+        let (kernel, input) = match self {
+            LogicalPlan::Sgd { input, .. } => ("sgd", input),
+            LogicalPlan::Predict { input, .. } => ("predict", input),
+            _ => return self.explain_lines(),
         };
-        let mut lines = vec![self.root_line().expect("fuse_chain roots are Sgd/Predict")];
-        lines.push(format!("  -> Fused Pipeline ({})", chain.label()));
-        let pad = "       ";
+        let (buffer, scan) = match &**input {
+            LogicalPlan::TupleShuffle {
+                buffer_blocks,
+                input,
+            } => (Some(*buffer_blocks), &**input),
+            scan => (None, scan),
+        };
         let LogicalPlan::Scan {
             table,
             strategy,
@@ -229,12 +226,19 @@ impl LogicalPlan {
             tuples,
             predicate,
             projection,
-        } = chain.scan
+        } = scan
         else {
-            unreachable!("fuse_chain scan is Scan")
+            return self.explain_lines();
         };
-        lines.push(format!("{pad}Scan: {}", strategy.scan_wording(*blocks)));
-        if let Some(bb) = chain.shuffle_blocks {
+        let (filter, project) = (predicate.is_some(), projection.is_some());
+        let label = stage_label(filter, project, buffer.is_some(), kernel);
+        let pad = "       ";
+        let mut lines = vec![
+            self.root_line().expect("Sgd/Predict render a root line"),
+            format!("  -> Fused Pipeline ({label})"),
+            format!("{pad}Scan: {}", strategy.scan_wording(*blocks)),
+        ];
+        if let Some(bb) = buffer {
             lines.push(format!(
                 "{pad}Buffer: {bb} source blocks (double-buffered tuple shuffle)"
             ));
@@ -319,73 +323,14 @@ impl LogicalPlan {
     }
 }
 
-/// The decomposed chain `Sgd|Predict ← TupleShuffle? ← Scan`, borrowed
-/// from a logical plan. Produced by [`fuse_chain`]; consumed by the fusion
-/// pass in [`build_physical_with`] and by fused `EXPLAIN` rendering.
-struct FuseChain<'a> {
-    /// `"sgd"` or `"predict"` — the root kernel, last stage of the label.
-    kernel: &'static str,
-    /// Tuple-shuffle buffer capacity in source blocks, if the strategy
-    /// buffers at all.
-    shuffle_blocks: Option<usize>,
-    /// The `LogicalPlan::Scan` leaf.
-    scan: &'a LogicalPlan,
-}
-
-impl FuseChain<'_> {
-    /// Stage list in execution order, e.g. `scan→filter→sgd` for a
-    /// filtered block-only TRAIN or `scan→filter→project→shuffle→sgd` for
-    /// a filtered, projected CorgiPile one.
-    fn label(&self) -> String {
-        let LogicalPlan::Scan {
-            predicate,
-            projection,
-            ..
-        } = self.scan
-        else {
-            unreachable!("fuse_chain scan is Scan")
-        };
-        let mut stages = vec!["scan"];
-        if predicate.is_some() {
-            stages.push("filter");
-        }
-        if projection.is_some() {
-            stages.push("project");
-        }
-        if self.shuffle_blocks.is_some() {
-            stages.push("shuffle");
-        }
-        stages.push(self.kernel);
-        stages.join("→")
-    }
-}
-
-/// Decompose a plan into the fusable chain, or `None` when `plan` is not
-/// rooted at `Sgd`/`Predict` (the planner only ever emits rooted plans; a
-/// caller may still hand [`build_physical_with`] a bare subtree).
-fn fuse_chain(plan: &LogicalPlan) -> Option<FuseChain<'_>> {
-    let (kernel, mut node) = match plan {
-        LogicalPlan::Sgd { input, .. } => ("sgd", input.as_ref()),
-        LogicalPlan::Predict { input, .. } => ("predict", input.as_ref()),
-        _ => return None,
-    };
-    let mut shuffle_blocks = None;
-    if let LogicalPlan::TupleShuffle {
-        buffer_blocks,
-        input,
-    } = node
-    {
-        shuffle_blocks = Some(*buffer_blocks);
-        node = input.as_ref();
-    }
-    match node {
-        scan @ LogicalPlan::Scan { .. } => Some(FuseChain {
-            kernel,
-            shuffle_blocks,
-            scan,
-        }),
-        _ => None,
-    }
+/// A fused plan's stages in execution order, e.g. `scan→filter→sgd`.
+pub(crate) fn stage_label(filter: bool, project: bool, shuffle: bool, kernel: &str) -> String {
+    let stages = [(true, "scan"), (filter, "filter"), (project, "project")];
+    let stages = stages
+        .into_iter()
+        .chain([(shuffle, "shuffle"), (true, kernel)]);
+    let stages: Vec<&str> = stages.filter_map(|(on, s)| on.then_some(s)).collect();
+    stages.join("→")
 }
 
 /// `"f0, f3, label"`-style rendering of a projected feature list.
@@ -455,29 +400,51 @@ fn validate_columns(spec: &TrainPlanSpec, dim: usize) -> Result<(), DbError> {
     Ok(())
 }
 
-/// A built physical plan: the operator tree below the SGD root, plus the
-/// one-off setup cost charged while building it (`strategy = 'once'`
-/// pays its offline shuffle here).
+/// A lowered plan: the scan every `TRAIN` and `PREDICT` runs — a
+/// strategy's orders over a table, read through the scan step with the
+/// statement's `WHERE` predicate and column list — the seconds of the
+/// strategy's setup, and whether the plan is fused.
 pub struct PhysicalPlan {
-    /// Input operator for [`crate::exec::SgdOperator`].
-    pub child: Box<dyn PhysicalOperator>,
-    /// Simulated seconds spent on one-off setup (offline shuffle).
+    /// The table scanned (the strategy holds the copy its setup made).
+    pub table: Arc<Table>,
+    /// The strategy whose orders the scan runs.
+    pub kind: StrategyKind,
+    /// Its order generator.
+    pub strategy: BlockStrategy,
+    /// `WHERE` predicate, evaluated on each row in place.
+    pub predicate: Option<Predicate>,
+    /// Feature columns the survivors are projected onto.
+    pub projection: Option<Vec<usize>>,
+    /// Simulated seconds of the one-off setup (offline shuffle).
     pub setup_seconds: f64,
-    /// Whether lowering collapsed the chain into a [`FusedPipelineOp`]
-    /// (the root operator should then run in batched-accounting mode).
+    /// Fused accounting and rendering: the dispatch cost charged once per
+    /// batch, one `Fused Pipeline` node in `EXPLAIN ANALYZE`.
     pub fused: bool,
 }
 
-/// Lower a logical plan to physical operators. This is the only place in
-/// the engine that constructs scan operators for queries — `TRAIN`, both
-/// `PREDICT` forms, and `EXPLAIN ANALYZE` all route here.
+impl PhysicalPlan {
+    /// Scan `table` in the orders of strategy `kind` under `params`: no
+    /// qualifier, no setup run, not fused.
+    pub fn new(table: Arc<Table>, kind: StrategyKind, params: StrategyParams) -> Self {
+        PhysicalPlan {
+            table,
+            kind,
+            strategy: BlockStrategy::new(kind, params),
+            predicate: None,
+            projection: None,
+            setup_seconds: 0.0,
+            fused: false,
+        }
+    }
+}
+
+/// Lower a logical plan. This is the only place in the engine that builds
+/// the scan for a query — `TRAIN`, both `PREDICT` forms, and `EXPLAIN
+/// ANALYZE` all route here.
 ///
-/// The scan is one [`BlockShuffleOp`] running the strategy's orders (a
-/// `TupleShuffle` node is its ranked fills); the strategy's setup runs here,
-/// charged to `dev`, its copy under a fresh catalog table id. With `fuse`
-/// set (`WITH fuse = 1`, the session default), the pass wraps the scan below
-/// `Sgd|Predict` in one [`FusedPipelineOp`]; off, it runs bare — the
-/// bit-identity oracle.
+/// The strategy's setup runs here, charged to `dev`, its copy under a fresh
+/// catalog table id. With `fuse` set (`WITH fuse = 1`, the session default)
+/// the plan is fused; either way it runs the same loop.
 pub fn build_physical_with(
     plan: &LogicalPlan,
     table: &Arc<Table>,
@@ -502,26 +469,12 @@ pub fn build_physical_with(
     else {
         unreachable!("every plan bottoms out in its scan")
     };
-    let mut scan = BlockShuffleOp::new(table.clone(), *strategy, params.clone());
-    if let Some(p) = predicate {
-        scan = scan.with_predicate(p.clone());
-    }
-    if let Some(cols) = projection {
-        scan = scan.with_projection(cols.clone());
-    }
-    let setup_seconds = scan.setup(dev, &|| catalog.fresh_table_id())?;
-    let (child, fused): (Box<dyn PhysicalOperator>, _) = match fuse_chain(plan).filter(|_| fuse) {
-        Some(chain) => (
-            Box::new(FusedPipelineOp::new(Box::new(scan), chain.label())),
-            true,
-        ),
-        None => (Box::new(scan), false),
-    };
-    Ok(PhysicalPlan {
-        child,
-        setup_seconds,
-        fused,
-    })
+    let mut physical = PhysicalPlan::new(table.clone(), *strategy, params.clone());
+    (physical.predicate, physical.projection) = (predicate.clone(), projection.clone());
+    let copy_id = || catalog.fresh_table_id();
+    physical.setup_seconds = dev.with(|d| physical.strategy.setup(table, &copy_id, d))?;
+    physical.fused = fuse;
+    Ok(physical)
 }
 
 #[cfg(test)]
@@ -679,22 +632,22 @@ mod tests {
     }
 
     #[test]
-    fn fuse_chain_labels_follow_execution_order() {
+    fn fused_labels_follow_execution_order() {
         let t = table();
+        let fused = |plan: LogicalPlan| plan.explain_lines_fused()[1].clone();
         // CorgiPile TRAIN with filter + projection.
         let mut s = spec(StrategyKind::CorgiPile);
         s.filter = Some(pred());
         s.projection = Projection::Columns(vec![ColumnRef::Feature(1)]);
-        let plan = LogicalPlan::build(&s, &t).unwrap();
         assert_eq!(
-            fuse_chain(&plan).unwrap().label(),
-            "scan→filter→project→shuffle→sgd"
+            fused(LogicalPlan::build(&s, &t).unwrap()),
+            "  -> Fused Pipeline (scan→filter→project→shuffle→sgd)"
         );
         // Block-only (no tuple shuffle) with a filter.
         let mut s = spec(StrategyKind::BlockOnly);
         s.filter = Some(pred());
         let plan = LogicalPlan::build(&s, &t).unwrap();
-        assert_eq!(fuse_chain(&plan).unwrap().label(), "scan→filter→sgd");
+        assert_eq!(fused(plan), "  -> Fused Pipeline (scan→filter→sgd)");
         // Serving chain.
         let ps = PredictPlanSpec {
             table: "t".into(),
@@ -704,7 +657,7 @@ mod tests {
             batch_rows: 64,
         };
         let plan = LogicalPlan::build_predict(&ps, &t).unwrap();
-        assert_eq!(fuse_chain(&plan).unwrap().label(), "scan→filter→predict");
+        assert_eq!(fused(plan), "  -> Fused Pipeline (scan→filter→predict)");
     }
 
     #[test]
@@ -730,7 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_lowering_builds_one_pipeline_operator() {
+    fn lowering_carries_the_scan_and_the_fuse_flag() {
         use corgipile_storage::{CacheConfig, DeviceProfile, SimDevice};
         let t = Arc::new(table());
         let catalog = Catalog::new();
@@ -748,10 +701,14 @@ mod tests {
         };
         let fused = build_physical_with(&plan, &t, &params, &mut dev, &catalog, true).unwrap();
         assert!(fused.fused);
-        assert_eq!(fused.child.name(), "Fused Pipeline");
+        assert_eq!(fused.kind, StrategyKind::CorgiPile);
+        assert_eq!((fused.predicate, fused.projection), (Some(pred()), None));
         let interp = build_physical_with(&plan, &t, &params, &mut dev, &catalog, false).unwrap();
         assert!(!interp.fused);
-        assert_eq!(interp.child.name(), "TupleShuffle");
+        // Shuffle Once's copy is made at lowering, and its seconds kept.
+        let once = LogicalPlan::build(&spec(StrategyKind::ShuffleOnce), &t).unwrap();
+        let once = build_physical_with(&once, &t, &params, &mut dev, &catalog, true).unwrap();
+        assert!(once.setup_seconds > 0.0 && once.strategy.copy().is_some());
     }
 
     #[test]

@@ -1,60 +1,75 @@
-//! Property-based tests for the Volcano executor: coverage and re-scan
-//! invariants over randomized table shapes and plan parameters.
+//! Property-based tests for the executor: coverage and re-scan invariants
+//! over randomized table shapes and plan parameters, and the equivalences
+//! the scan's filter and fusion keep.
 
 #![cfg(test)]
 
 use crate::database::Database;
 use crate::error::DbError;
-use crate::exec::{BlockShuffleOp, ExecContext, PhysicalOperator, RowBatch, SgdOperator};
+use crate::exec::{stream, ExecContext, SqlScan};
+use crate::plan::PhysicalPlan;
 use crate::session::QueryResult;
 use crate::sql::{parse, Predicate, Query, StrategyKind};
+use corgipile_core::{EpochDriver, EpochHook, EpochOutcome, EpochSource, Fill, StrategySource};
 use corgipile_ml::{build_model, ComputeCostModel, ModelKind, OptimizerKind, TrainOptions};
-use corgipile_shuffle::StrategyParams;
-use corgipile_storage::{DeviceHandle, SimDevice, Table, TableConfig, Tuple};
+use corgipile_shuffle::{EpochStream, RowBatch, StrategyParams};
+use corgipile_storage::{DeviceHandle, SimDevice, Table, TableConfig, Telemetry, Tuple};
 use proptest::prelude::*;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
-/// The reference the scan's filter is checked against: drop non-matching
-/// tuples from the batches an *unfiltered* tuple-shuffle buffer emits —
+/// The reference the scan's filter is checked against: an *unfiltered* run
+/// whose fills drop non-matching tuples on their way to the kernel —
 /// PostgreSQL's plain `Filter` above a materialization, the placement the
-/// engine itself no longer has.
-struct PostBufferFilter {
-    child: BlockShuffleOp,
+/// engine itself no longer has. A fill left empty is not handed on.
+struct PostBufferFilter<S> {
+    source: S,
     predicate: Predicate,
-    fetch: RowBatch,
+    kept: RowBatch,
 }
 
-impl PhysicalOperator for PostBufferFilter {
-    fn name(&self) -> &'static str {
-        "PostBufferFilter"
+impl<S: EpochSource<Error = DbError>> EpochSource for PostBufferFilter<S> {
+    type Error = DbError;
+
+    fn replay(&mut self, epochs: usize) -> Result<(), DbError> {
+        self.source.replay(epochs)
     }
-    fn init(&mut self, ctx: &mut ExecContext) {
-        self.child.init(ctx)
-    }
-    fn next_batch(
+
+    fn stream_epoch(
         &mut self,
-        ctx: &mut ExecContext,
-        out: &mut RowBatch,
-        _: &dyn Fn() -> bool,
-    ) -> Result<bool, DbError> {
-        out.clear();
-        while out.is_empty() {
-            if !self.child.next_batch(ctx, &mut self.fetch, &|| false)? {
-                return Ok(false);
-            }
-            for &r in self.fetch.refs() {
-                if self.predicate.matches(self.fetch.row(r)) {
-                    out.push_from(&self.fetch, r);
+        epoch: usize,
+        fill: &mut Fill,
+        _kernel_waits: &dyn Fn() -> bool,
+        fill_io: &mut Vec<f64>,
+        emit: &mut dyn FnMut(&mut Fill) -> bool,
+    ) -> Result<f64, DbError> {
+        let (predicate, kept) = (&self.predicate, &mut self.kept);
+        let mut filter = |fill: &mut Fill| {
+            kept.clear();
+            for &r in fill.batch.refs() {
+                if predicate.matches(fill.batch.row(r)) {
+                    kept.push_from(&fill.batch, r);
                 }
             }
-        }
-        Ok(true)
+            std::mem::swap(&mut fill.batch, kept);
+            fill.batch.is_empty() || emit(fill)
+        };
+        self.source
+            .stream_epoch(epoch, fill, &|| false, fill_io, &mut filter)
     }
-    fn rescan(&mut self, ctx: &mut ExecContext) {
-        self.child.rescan(ctx)
+
+    fn epoch_done(&mut self, done: EpochOutcome<'_>) -> ControlFlow<()> {
+        self.source.epoch_done(done)
     }
-    fn close(&mut self, ctx: &mut ExecContext) {
-        self.child.close(ctx)
+}
+
+/// Counts the rows the kernel trained on.
+struct Rows(u64);
+
+impl<S> EpochHook<S> for Rows {
+    fn epoch_done(&mut self, _: &mut S, done: EpochOutcome<'_>) -> ControlFlow<()> {
+        self.0 += done.stats.examples as u64;
+        ControlFlow::Continue(())
     }
 }
 
@@ -75,13 +90,13 @@ fn table(n: u64, width: usize, block_pages: usize) -> Arc<Table> {
     )
 }
 
-fn drain_ids(op: &mut dyn PhysicalOperator, ctx: &mut ExecContext) -> Vec<u64> {
-    let mut out = Vec::new();
-    let mut batch = RowBatch::default();
-    while op.next_batch(ctx, &mut batch, &|| false).unwrap() {
-        out.extend(batch.rows().map(|r| r.id));
-    }
-    out
+/// Each of `epochs` epochs' ids, in stream order, and its fill slots.
+fn drain_ids(plan: &mut PhysicalPlan, epochs: usize) -> (Vec<Vec<u64>>, Vec<Vec<f64>>) {
+    let mut dev = DeviceHandle::private(SimDevice::in_memory());
+    let mut ids = vec![Vec::new(); epochs];
+    let each = |epoch: usize, fill: &Fill| ids[epoch].extend(fill.batch.rows().map(|r| r.id));
+    let (slots, _) = stream(plan, &mut ExecContext::new(&mut dev), epochs, each).unwrap();
+    (ids, slots)
 }
 
 proptest! {
@@ -99,15 +114,10 @@ proptest! {
     ) {
         let t = table(n, width, block_pages);
         let kind = if random { StrategyKind::BlockOnly } else { StrategyKind::NoShuffle };
-        let mut dev = DeviceHandle::private(SimDevice::in_memory());
-        let mut ctx = ExecContext::new(&mut dev);
-        let mut op = BlockShuffleOp::new(t, kind, StrategyParams::default().with_seed(seed));
-        op.init(&mut ctx);
-        for _pass in 0..3 {
-            let mut ids = drain_ids(&mut op, &mut ctx);
+        let mut plan = PhysicalPlan::new(t, kind, StrategyParams::default().with_seed(seed));
+        for mut ids in drain_ids(&mut plan, 3).0 {
             ids.sort_unstable();
             prop_assert_eq!(ids, (0..n).collect::<Vec<_>>());
-            op.rescan(&mut ctx);
         }
     }
 
@@ -121,19 +131,16 @@ proptest! {
     ) {
         let t = table(n, 4, 1);
         let blocks = t.num_blocks();
-        let mut dev = DeviceHandle::private(SimDevice::in_memory());
-        let mut ctx = ExecContext::new(&mut dev);
         let fraction = (capacity_blocks as f64 / blocks as f64).min(1.0);
         let params = StrategyParams::default().with_seed(seed).with_buffer_fraction(fraction);
-        let mut op = BlockShuffleOp::new(t, StrategyKind::CorgiPile, params);
-        op.init(&mut ctx);
-        let mut ids = drain_ids(&mut op, &mut ctx);
-        prop_assert_eq!(ids.len() as u64, n);
-        ids.sort_unstable();
-        prop_assert_eq!(ids, (0..n).collect::<Vec<_>>());
+        let mut plan = PhysicalPlan::new(t, StrategyKind::CorgiPile, params);
+        let (mut ids, slots) = drain_ids(&mut plan, 1);
+        prop_assert_eq!(ids[0].len() as u64, n);
+        ids[0].sort_unstable();
+        prop_assert_eq!(&ids[0], &(0..n).collect::<Vec<_>>());
         // One fill entry per ceil(blocks / capacity) block windows.
         let expected_fills = blocks.div_ceil(capacity_blocks);
-        prop_assert_eq!(ctx.fill_io.len(), expected_fills);
+        prop_assert_eq!(slots[0].len(), expected_fills);
     }
 
     /// Re-scan of a full CorgiPile plan replays full coverage with a fresh
@@ -144,16 +151,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let t = table(n, 4, 1);
-        let mut dev = DeviceHandle::private(SimDevice::in_memory());
-        let mut ctx = ExecContext::new(&mut dev);
         let fraction = ((n as usize / 4).max(2) as f64 / t.num_blocks() as f64).min(1.0);
         let params = StrategyParams::default().with_seed(seed).with_buffer_fraction(fraction);
-        let mut op = BlockShuffleOp::new(t, StrategyKind::CorgiPile, params);
-        op.init(&mut ctx);
-        let first = drain_ids(&mut op, &mut ctx);
-        ctx.fill_io.clear();
-        op.rescan(&mut ctx);
-        let second = drain_ids(&mut op, &mut ctx);
+        let mut plan = PhysicalPlan::new(t, StrategyKind::CorgiPile, params);
+        let [first, second] = <[Vec<u64>; 2]>::try_from(drain_ids(&mut plan, 2).0).unwrap();
         prop_assert_eq!(first.len(), second.len());
         let mut a = first.clone();
         let mut b = second.clone();
@@ -169,9 +170,10 @@ proptest! {
 
     /// Evaluating a random WHERE predicate in the scan, below the
     /// tuple-shuffle buffer, is an equivalence: for any seed, the SQL plan
-    /// and a hand-built `SGD ← PostBufferFilter ← TupleShuffle ← BlockShuffle`
-    /// tree visit the surviving tuples in the same order, so the trained
-    /// models are bit-identical and the SGD node sees the same row count.
+    /// and an unfiltered run whose fills are filtered on their way to the
+    /// kernel (`PostBufferFilter`) visit the surviving tuples in the same
+    /// order, so the trained models are bit-identical and the SGD node sees
+    /// the same row count.
     #[test]
     fn prop_scan_filter_is_bit_identical_to_post_buffer(
         n in 100u64..500,
@@ -207,13 +209,19 @@ proptest! {
             unreachable!("the statement has a WHERE clause")
         };
         let sparams = StrategyParams::default().with_buffer_fraction(0.5).with_seed(seed);
-        let post = PostBufferFilter {
-            child: BlockShuffleOp::new(t.clone(), StrategyKind::CorgiPile, sparams),
+        let mut plan = PhysicalPlan::new(t.clone(), StrategyKind::CorgiPile, sparams);
+        let mut dev = DeviceHandle::private(SimDevice::in_memory());
+        let mut ctx = ExecContext::new(&mut dev);
+        let mut post = PostBufferFilter {
+            source: StrategySource {
+                stream: EpochStream::new(&mut plan.strategy, &plan.table, "post"),
+                scan: &mut SqlScan::new(&mut ctx, None, None),
+                hook: Rows(0),
+            },
             predicate,
-            fetch: RowBatch::default(),
+            kept: RowBatch::default(),
         };
-        let sgd = SgdOperator::new(
-            Box::new(post),
+        let mut sgd = EpochDriver::new(
             build_model(&ModelKind::Svm, 4, seed),
             OptimizerKind::Sgd { lr0: 0.1, decay: 0.95 }.build(),
             TrainOptions::default(),
@@ -221,10 +229,9 @@ proptest! {
             2,
             true,
         );
-        let mut dev = DeviceHandle::private(SimDevice::in_memory());
-        let post = sgd.execute(&mut ExecContext::new(&mut dev)).unwrap();
-        prop_assert_eq!(scan_params.as_slice(), post.model.params());
-        prop_assert_eq!(summary.op_stats[0].rows, post.op_stats[0].rows);
+        sgd.run(&Telemetry::disabled(), &mut post, None).unwrap();
+        prop_assert_eq!(scan_params.as_slice(), sgd.model.params());
+        prop_assert_eq!(summary.op_stats[0].rows, post.source.hook.0);
     }
 
     /// The fused pipeline is an exact oracle match of the interpreted

@@ -777,8 +777,7 @@ impl Session {
             opts.fuse,
         )?;
         let (model_name, version) = (servable.name().to_string(), servable.version());
-        let mut op = PredictOperator::new(physical.child, servable, self.compute, opts.batch_rows);
-        op.fused = physical.fused;
+        let op = PredictOperator::new(physical, servable, self.compute, opts.batch_rows);
         let mut ctx = ExecContext::new(&mut self.dev);
         if self.pool.capacity() > 0 {
             ctx.pool = Some(&mut self.pool);
@@ -797,8 +796,8 @@ impl Session {
                 .add(r.rows_filtered);
         }
 
-        let scan_reads: u64 = r.op_stats.iter().map(|s| s.blocks_read).sum();
-        let scan_hits: u64 = r.op_stats.iter().map(|s| s.cache_hits).sum();
+        // The plan is `Predict ← scan`: the scan's node holds its reads.
+        let scan_cache_hit_rate = r.op_stats[1].cache_hit_rate();
         Ok(PredictSummary {
             model_name,
             version,
@@ -808,11 +807,7 @@ impl Session {
             batches: r.batches,
             rows_filtered: r.rows_filtered,
             cache_hit: false,
-            scan_cache_hit_rate: if scan_reads == 0 {
-                0.0
-            } else {
-                scan_hits as f64 / scan_reads as f64
-            },
+            scan_cache_hit_rate,
             io_seconds: r.io_seconds,
             compute_seconds: r.compute_seconds,
             batch_wall_seconds: r.batch_wall_seconds,

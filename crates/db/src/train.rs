@@ -377,7 +377,7 @@ impl Session {
             )?;
             setup_seconds += physical.setup_seconds;
             let mut sgd = SgdOperator::new(
-                physical.child,
+                physical,
                 build_model(&prep.kind, prep.dim, prep.seed),
                 OptimizerKind::Sgd {
                     lr0: prep.learning_rate,
@@ -389,8 +389,6 @@ impl Session {
                 prep.spec.epochs,
                 prep.double_buffer,
             );
-            sgd.driver.sim_clock = physical.setup_seconds;
-            sgd.driver.batched_dispatch = physical.fused;
             sgd.driver.seed = prep.seed;
             sgd.driver.resume_from = resume.take();
             sgd.halt_after_epoch = if last {

@@ -61,7 +61,7 @@ pub use diagnostics::{
     block_variance_exact, block_variance_sampled, label_distribution, label_uniformity_score,
     order_displacement, tuple_id_trace, BlockVariance, LabelWindow,
 };
-pub use fill::{fill_epoch, start_epoch, Fill, Filler, Placed, RowBatch, RowRef, SLAB_ROW_BYTES};
+pub use fill::{EpochStream, Fill, Filler, Placed, RowBatch, RowRef, ScanStep, SLAB_ROW_BYTES};
 pub use mrs::MrsShuffle;
 pub use plan::{Deal, EpochOrder, EpochPlan, Rank, Segment};
 pub use sliding_window::SlidingWindowShuffle;

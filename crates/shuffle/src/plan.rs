@@ -82,8 +82,13 @@ impl EpochOrder {
     /// The blocks fill `k` reads (none past the end: a [`Rank::Picks`]
     /// drain).
     pub fn fill(&self, k: usize) -> &[usize] {
+        &self.blocks[self.reads(k)]
+    }
+
+    /// The positions in the order of fill `k`'s reads.
+    pub fn reads(&self, k: usize) -> std::ops::Range<usize> {
         let start = (k * self.fill_blocks).min(self.blocks.len());
-        &self.blocks[start..(start + self.fill_blocks).min(self.blocks.len())]
+        start..(start + self.fill_blocks).min(self.blocks.len())
     }
 
     /// What the `i`-th read of the epoch is charged as.

@@ -1,7 +1,7 @@
 //! The strategy trait, shared parameters, and the factory.
 
 use crate::blocks::BlockStrategy;
-use crate::fill::{fill_epoch, start_epoch, Fill, Filler};
+use crate::fill::{EpochStream, Fill};
 use crate::mrs::MrsShuffle;
 use crate::plan::{EpochOrder, EpochPlan, Segment};
 use crate::sliding_window::SlidingWindowShuffle;
@@ -151,16 +151,17 @@ pub trait ShuffleStrategy: Send {
     /// When a block stays unreadable. A device that can fault trains
     /// through `corgipile_core::Trainer`.
     fn next_epoch(&mut self, table: &Table, dev: &mut SimDevice) -> EpochPlan {
-        let (mut order, mut segments) = (EpochOrder::default(), Vec::new());
-        let mut keep = |fill: &mut Fill| {
+        let mut segments = Vec::new();
+        let keep = |fill: &mut Fill| {
             let tuples = fill.batch.rows().map(|r| r.to_tuple()).collect();
             segments.push(Segment::new(tuples, fill.sim_seconds));
             true
         };
-        let (mut filler, mut out) = (Filler::new("shuffle"), Fill::default());
-        let setup_seconds = start_epoch(self, table, dev, &mut order)
+        let (mut stream, mut out) = (EpochStream::new(self, table, "shuffle"), Fill::default());
+        let setup_seconds = stream
+            .start(dev)
             .and_then(|setup| {
-                fill_epoch(self, table, dev, &mut filler, &order, &mut out, &mut keep)?;
+                stream.fill_epoch(dev, &mut out, &|| false, &mut Vec::new(), keep)?;
                 Ok(setup)
             })
             .expect("next_epoch is for devices that cannot fault");

@@ -10,7 +10,8 @@
 //! 256 B per row. A narrow `TRAIN` is held to what it measured plus a
 //! quarter, and four more epochs of it to what an epoch allocates. The
 //! library trainer runs the same fill: a warm `Trainer::train` is held to
-//! what an epoch allocates, a two-worker run to a bound per epoch of fills.
+//! what an epoch allocates, a two-worker run to a bound per epoch of fills,
+//! and double-buffered runs to the same count wherever the hand-off falls.
 //! A warm `INSERT` of 64 or 640 rows, and the narrow `PREDICT`, are held to
 //! what they measured plus a quarter.
 //!
@@ -23,7 +24,7 @@ use corgipile::core::{CorgiPileConfig, ParallelConfig, Trainer, TrainerConfig};
 use corgipile::data::{DatasetSpec, Order};
 use corgipile::db::{Database, QueryResult, Session};
 use corgipile::ml::ModelKind;
-use corgipile::storage::SimDevice;
+use corgipile::storage::{SimDevice, Telemetry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -284,6 +285,36 @@ fn library_training_allocates_per_fill_not_per_row() {
     );
     let (allocs, _) = per_epoch(2);
     assert!(allocs <= 176, "two workers: {allocs} calls an epoch");
+}
+
+#[test]
+fn library_training_allocates_the_same_wherever_the_hand_off_falls() {
+    // `Trainer::train` runs the SQL fill, hand-off included: double-buffered,
+    // a fill goes to the kernel lane part-copied whenever that lane waits,
+    // and what a run allocates must not depend on where that happens.
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let table = DatasetSpec::higgs_like(20_000)
+        .with_block_bytes(64 << 10)
+        .with_order(Order::ClusteredByLabel)
+        .build_table(7)
+        .expect("lay out the table");
+    let cfg = TrainerConfig::new(ModelKind::Svm, 3)
+        .with_corgipile(CorgiPileConfig::default().with_buffer_fraction(0.1));
+    let trainer = Trainer::new(cfg);
+    let mut traced = SimDevice::ssd_scaled(1000.0, 0);
+    traced.set_telemetry(Telemetry::enabled());
+    trainer.train(&table, &mut traced, 5).expect("traced run");
+    let settled = traced.telemetry().histogram("shuffle.settle.wall_seconds");
+    assert!(settled.count() > 0, "the kernel lane finished no fill");
+    let run = || {
+        let train = || trainer.train(&table, &mut SimDevice::ssd_scaled(1000.0, 0), 5);
+        let (report, allocs, bytes) = count(train);
+        report.expect("counted run");
+        (allocs, bytes)
+    };
+    run();
+    let runs: Vec<(u64, u64)> = (0..3).map(|_| run()).collect();
+    assert!(runs.iter().all(|&r| r == runs[0]), "{runs:?}");
 }
 
 #[test]

@@ -189,7 +189,7 @@ fn per_session_stats_sum_to_engine_totals_under_concurrency() {
 
 #[test]
 fn operator_layer_concurrent_execution_is_bit_identical() {
-    use corgipile::db::{BlockShuffleOp, ExecContext, SgdOperator, StrategyKind};
+    use corgipile::db::{ExecContext, PhysicalPlan, SgdOperator, StrategyKind};
     use corgipile::ml::{build_model, ComputeCostModel, ModelKind, OptimizerKind, TrainOptions};
     use corgipile::shuffle::StrategyParams;
     use corgipile::storage::{DeviceHandle, SharedDevice};
@@ -200,13 +200,9 @@ fn operator_layer_concurrent_execution_is_bit_identical() {
         let params = StrategyParams::default()
             .with_buffer_fraction(0.2)
             .with_seed(seed);
-        let child = Box::new(BlockShuffleOp::new(
-            table.clone(),
-            StrategyKind::CorgiPile,
-            params,
-        ));
+        let plan = PhysicalPlan::new(table.clone(), StrategyKind::CorgiPile, params);
         let op = SgdOperator::new(
-            child,
+            plan,
             build_model(&ModelKind::Svm, 28, seed),
             OptimizerKind::default_sgd(0.05).build(),
             TrainOptions::default(),
