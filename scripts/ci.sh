@@ -50,17 +50,19 @@ for example in persistence distributed_dl shuffle_diagnostics; do
   cargo run --release --example "$example" > /dev/null
 done
 
-banner "Paper-figure harness (smoke: five experiments run and emit)"
-# Runs-and-emits only: performance is measured by benchmark/, correctness
-# by tests/ — nothing here is gated on a number. fig3 runs MRS and
-# Sliding-Window, fig7 multi-worker training.
-smoke_dir=$(mktemp -d)
-CORGI_RESULTS_DIR="$smoke_dir" \
-  cargo run --release -p corgipile-bench --bin corgi-bench -- fig3 fig5 fig7 fig20 table2
-for id in fig3 fig5 fig7 fig20 table2; do
-  [ -s "$smoke_dir/$id.tsv" ] || { echo "corgi-bench did not emit $id.tsv"; exit 1; }
+banner "Paper figures (byte gate: corgi-bench all regenerates every results/*.tsv)"
+# Every figure and table is seeded and priced on the simulated clock, so a
+# TSV is a function of the code alone: a digit moves only on purpose, and
+# then its TSV is re-recorded in the same change. fig11 and fig13 train
+# through SQL, fig3 runs MRS and Sliding-Window, fig7 multi-worker training.
+figures_dir=$(mktemp -d)
+CORGI_RESULTS_DIR="$figures_dir" \
+  cargo run --release -p corgipile-bench --bin corgi-bench -- all > /dev/null
+diff <(cd results && ls -- *.tsv) <(cd "$figures_dir" && ls -- *.tsv)
+for tsv in results/*.tsv; do
+  cmp "$tsv" "$figures_dir/$(basename "$tsv")"
 done
-rm -rf "$smoke_dir"
+rm -rf "$figures_dir"
 
 banner "Repo benchmark (quick): harness unit tests + every workload's output checks"
 # Not a performance gate: --quick shortens the runs; a workload whose

@@ -12,11 +12,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CORE_DB_CEILING=7379
-CORE_DB_SHUFFLE_CEILING=9299
+CORE_DB_CEILING=7038
+CORE_DB_SHUFFLE_CEILING=9099
 ML_CEILING=1472
 STORAGE_CEILING=5129
-BENCH_CEILING=2760
+BENCH_CEILING=2756
 
 non_test_lines() {
   local n=0 f
