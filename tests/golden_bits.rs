@@ -21,7 +21,9 @@ use corgipile::data::{DatasetSpec, Order};
 use corgipile::db::{Database, DbTrainSummary, QueryResult, Session};
 use corgipile::ml::{ModelKind, OptimizerKind};
 use corgipile::shuffle::StrategyKind;
-use corgipile::storage::{crc32, FaultPlan, SimDevice, Table, Tuple};
+use corgipile::storage::{
+    crc32, scan_valid_prefix, FaultPlan, SimDevice, Table, Tuple, RT_TABLE_SEAL,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -937,4 +939,58 @@ fn sql_clock_and_explain_analyze_are_pinned() {
         }
         panic!("{lines}");
     }
+}
+
+/// `(file, crc32 of its bytes, its length)` of the two write-ahead logs a
+/// durable engine keeps: the table WAL after three fixed `INSERT`s that
+/// seal two blocks, and `models.wal` after a two-epoch
+/// `durable = 1` TRAIN. Table files, model snapshots and saved model files
+/// share the logs' frame codec, so a change to any of them must leave
+/// these bytes where they are.
+const WAL_BYTES: &[Golden] = &[
+    ("tables/higgs.wal", 0x1892549d, 0x00000000000040b9),
+    ("models.wal", 0xc8f2b516, 0x00000000000001b0),
+];
+
+#[test]
+fn table_and_model_wal_bytes_are_pinned() {
+    let dir = scratch("wal_bytes");
+    let db = Database::with_model_store(SimDevice::hdd_scaled(1000.0, 0), 0, &dir).unwrap();
+    db.register_table("higgs", higgs(600));
+    let mut s = db.connect();
+    for stmt in 0..3usize {
+        let rows: Vec<String> = (0..40usize)
+            .map(|i| {
+                let mut row: Vec<String> = (0..28usize)
+                    .map(|j| (((stmt * 40 + i) * 28 + j) % 17) as f32 * 0.25 - 2.0)
+                    .map(|x| x.to_string())
+                    .collect();
+                row.push((i % 2).to_string());
+                format!("({})", row.join(", "))
+            })
+            .collect();
+        let sql = format!("INSERT INTO higgs VALUES {}", rows.join(", "));
+        s.execute(&sql).unwrap_or_else(|e| panic!("{e}"));
+    }
+    train(
+        &mut s,
+        "SELECT * FROM higgs TRAIN BY svm WITH max_epoch_num = 2, seed = 11, \
+         strategy = 'corgipile', buffer_fraction = 0.2, model_name = m, durable = 1",
+    );
+    let mut got = Vec::new();
+    for (case, path) in [
+        ("tables/higgs.wal", dir.join("tables").join("higgs.wal")),
+        ("models.wal", dir.join("models.wal")),
+    ] {
+        let bytes = std::fs::read(&path).unwrap();
+        let (records, valid) = scan_valid_prefix(&bytes);
+        assert_eq!(valid, bytes.len(), "{case} has a torn tail");
+        if case.starts_with("tables") {
+            let seals = records.iter().filter(|r| r.rtype == RT_TABLE_SEAL).count();
+            assert_eq!((records.len(), seals), (5, 2), "three INSERTs, two seals");
+        }
+        got.push((case.to_string(), crc32(&bytes), bytes.len() as u64));
+    }
+    check("WAL_BYTES", &got, WAL_BYTES);
+    std::fs::remove_dir_all(&dir).ok();
 }
