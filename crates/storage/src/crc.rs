@@ -1,8 +1,7 @@
 //! CRC-32 (IEEE 802.3 polynomial), slice-by-8 table-driven and dependency-free.
 //!
-//! Used by the `CORGIPL3` heap format, WAL frames and snapshot containers
-//! to detect torn writes and bit rot: every block payload and every header
-//! carries a checksum that is verified before the bytes are trusted.
+//! Every frame on disk ([`crate::codec`]) carries one, to detect torn writes
+//! and bit rot: a frame's bytes are trusted only after its CRC verifies.
 
 /// Reflected IEEE polynomial (the one used by zip, PNG, ethernet).
 const POLY: u32 = 0xEDB8_8320;

@@ -68,6 +68,14 @@ impl StorageError {
     }
 }
 
+/// A [`StorageError::Io`] for the failed operation `op`.
+pub fn io_err(op: &'static str, e: std::io::Error) -> StorageError {
+    StorageError::Io {
+        op,
+        message: e.to_string(),
+    }
+}
+
 impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

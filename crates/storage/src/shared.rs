@@ -36,7 +36,7 @@ use crate::Result;
 use corgipile_telemetry::Telemetry;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // A poisoned lock means another session panicked mid-access; the
     // device/pool state itself is a plain counter structure and stays
     // coherent, so keep serving the remaining sessions.

@@ -7,7 +7,7 @@
 //! [`FeatureVec::Sparse`] `(index, value)` pairs plus the logical dimension.
 //!
 //! A [`Tuple`] owns its arrays; it exists where a row is built or kept on
-//! its own (loaders, `INSERT`, WAL frames, the `CORGIPL3` file codec). Rows
+//! its own (loaders, `INSERT`, the row batches of table WALs and files). Rows
 //! resident in a [`Page`](crate::Page) are read in place as [`TupleView`]s,
 //! `Copy` borrows of the page's columns, and the feature arithmetic (`dot`,
 //! `axpy_into`, …) lives once, on [`FeatureView`].
@@ -435,9 +435,15 @@ impl Tuple {
         let features = if tag == TAG_DENSE {
             FeatureVec::Dense(word.map(f32::from_le_bytes).collect())
         } else {
+            let indices: Vec<u32> = word.by_ref().take(nnz).map(u32::from_le_bytes).collect();
+            // [`FeatureVec::sparse`]'s invariants: the kernels index by them.
+            let ordered = indices.windows(2).all(|w| w[0] < w[1]);
+            if !ordered || indices.last().is_some_and(|&i| i >= dim) {
+                return Err(StorageError::Corrupt("sparse indices out of order".into()));
+            }
             FeatureVec::Sparse {
                 dim,
-                indices: word.by_ref().take(nnz).map(u32::from_le_bytes).collect(),
+                indices,
                 values: word.map(f32::from_le_bytes).collect(),
             }
         };
@@ -485,6 +491,32 @@ mod tests {
             assert!(
                 Tuple::decode(&buf[..cut]).is_err(),
                 "cut at {cut} should fail"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_rejects_sparse_indices_the_kernels_cannot_index() {
+        for (dim, indices) in [
+            (4, vec![100]),
+            (4, vec![4]),
+            (9, vec![3, 3]),
+            (9, vec![5, 2]),
+        ] {
+            let t = Tuple {
+                id: 1,
+                features: FeatureVec::Sparse {
+                    dim,
+                    values: vec![1.0; indices.len()],
+                    indices,
+                },
+                label: 1.0,
+            };
+            let mut buf = Vec::new();
+            t.encode(&mut buf);
+            assert!(
+                matches!(Tuple::decode(&buf), Err(StorageError::Corrupt(m)) if m.contains("sparse")),
+                "{t:?}"
             );
         }
     }

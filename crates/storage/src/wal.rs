@@ -5,16 +5,8 @@
 //! record being appended — never a previously-fsynced one, and never the
 //! log's integrity.
 //!
-//! Format (all integers little-endian):
-//!
-//! ```text
-//! magic "CORGIWL1"                      8 bytes
-//! per record:
-//!   payload_len u32
-//!   rtype u8                            record type, caller-defined
-//!   payload bytes                       payload_len bytes
-//!   crc u32                             CRC-32 of payload_len ∥ rtype ∥ payload
-//! ```
+//! Format: the magic `CORGIWL1`, then one frame per record
+//! ([`crate::codec`]: `len u32 ∥ rtype u8 ∥ payload ∥ crc32`).
 //!
 //! Append protocol: frame the record, write it at the end of the file,
 //! `fsync`, acknowledge. Recovery ([`Wal::open`]) scans the longest valid
@@ -33,25 +25,19 @@
 //! crash after the fsync loses nothing. All three are exercised by the
 //! crash-matrix harness in `corgipile-db`.
 
-use crate::error::StorageError;
+use crate::error::{io_err, StorageError};
 use crate::fault::{crash_point, sites, FaultInjector, WriteOutcome};
 use crate::retry::{with_retries, RetryPolicy};
 use crate::Result;
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-// The frame format lives in the shared codec (the table WAL uses the same
-// framing); re-exported here so existing `wal::…` paths keep working.
+// The frame format lives in the shared codec; re-exported here so existing
+// `wal::…` paths keep working.
+use crate::codec::{check_magic, put_frame};
 pub use crate::codec::{
-    encode_frame, scan_valid_prefix, WalRecord, WAL_FRAME_OVERHEAD, WAL_MAGIC, WAL_MAX_PAYLOAD,
+    scan_valid_prefix, WalRecord, WAL_FRAME_OVERHEAD, WAL_MAGIC, WAL_MAX_PAYLOAD,
 };
-
-fn io_err(op: &'static str, e: io::Error) -> StorageError {
-    StorageError::Io {
-        op,
-        message: e.to_string(),
-    }
-}
 
 /// Fsync the directory containing `path`, making a completed rename or
 /// create durable. On filesystems where directories cannot be fsynced the
@@ -84,13 +70,17 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Open (or create) the log at `path`, recovering its valid prefix.
+    /// Open (or create, with its directory) the log at `path`, recovering
+    /// its valid prefix.
     ///
     /// Returns the recovered records in append order. A torn tail — bytes
     /// past the last fully-valid record — is truncated away and counted in
     /// [`Wal::torn_tail_bytes`]. A file that does not start with a prefix
     /// of the magic is rejected as [`StorageError::Corrupt`].
     pub fn open(path: &Path) -> Result<(Wal, Vec<WalRecord>)> {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir).map_err(|e| io_err("create wal dir", e))?;
+        }
         let existing = match std::fs::read(path) {
             Ok(bytes) => Some(bytes),
             Err(e) if e.kind() == io::ErrorKind::NotFound => None,
@@ -106,22 +96,13 @@ impl Wal {
 
         let (records, valid_len, torn) = match &existing {
             None => (Vec::new(), 0, 0),
-            Some(bytes) if bytes.len() < WAL_MAGIC.len() => {
-                // A crash could tear even the magic write; a strict prefix
-                // of the magic is a torn header, anything else is foreign.
-                if !WAL_MAGIC.starts_with(&bytes[..]) {
-                    return Err(StorageError::Corrupt(
-                        "bad magic (not a corgipile WAL file)".into(),
-                    ));
-                }
+            // A crash could tear even the magic write: a strict prefix of
+            // the magic is a torn header, anything else is foreign.
+            Some(bytes) if bytes.len() < WAL_MAGIC.len() && WAL_MAGIC.starts_with(bytes) => {
                 (Vec::new(), 0, bytes.len())
             }
             Some(bytes) => {
-                if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-                    return Err(StorageError::Corrupt(
-                        "bad magic (not a corgipile WAL file)".into(),
-                    ));
-                }
+                check_magic(WAL_MAGIC, bytes, "wal")?;
                 let (records, valid) = scan_valid_prefix(bytes);
                 (records, valid, bytes.len() - valid)
             }
@@ -179,7 +160,8 @@ impl Wal {
                 WAL_MAX_PAYLOAD
             )));
         }
-        let frame = encode_frame(rtype, payload);
+        let mut frame = Vec::with_capacity(WAL_FRAME_OVERHEAD + payload.len());
+        put_frame(&mut frame, rtype, payload);
 
         if let Some(i) = inj.as_deref_mut() {
             match i.on_write(sites::WAL_BEFORE_APPEND) {
@@ -590,8 +572,7 @@ mod tests {
             let mut image = WAL_MAGIC.to_vec();
             let mut boundaries = vec![image.len()];
             for i in 0..n_records {
-                let frame = encode_frame((i % 5) as u8, &payload(i as u64));
-                image.extend_from_slice(&frame);
+                put_frame(&mut image, (i % 5) as u8, &payload(i as u64));
                 boundaries.push(image.len());
             }
             let cut = ((frac * image.len() as f64) as usize).min(image.len());

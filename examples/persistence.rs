@@ -8,7 +8,7 @@
 //! 1. write a LIBSVM dataset to disk (the format of the paper's
 //!    higgs/susy/epsilon/criteo downloads);
 //! 2. import it into a heap table with 8 KB blocks;
-//! 3. save the table in the binary heap format and reload it;
+//! 3. save the table as a table file (CRC-framed blocks) and reload it;
 //! 4. train via SQL, export the model blob, reload it in a fresh session
 //!    and predict with it.
 
@@ -44,19 +44,19 @@ fn main() {
         table.tuples_per_block()
     );
 
-    // 3. Save + reload the heap table (binary format).
+    // 3. Save + reload the table through a table file.
     let table_path = dir.join("criteo.tbl");
     save_table(&table, &table_path).expect("save table");
     let reloaded = load_table(&table_path).expect("load table");
     assert_eq!(reloaded.all_tuples(), table.all_tuples());
     println!(
-        "heap file round-trip OK ({} bytes on disk)",
+        "table file round-trip OK ({} bytes on disk)",
         std::fs::metadata(&table_path).unwrap().len()
     );
 
     // 3b. Block-addressable access against the real file: one epoch of
     // CorgiPile's block order, each block a real positioned read.
-    let ft = FileTable::open(&table_path).expect("open heap file");
+    let ft = FileTable::open(&table_path).expect("open table file");
     let mut order = EpochOrder::default();
     BlockStrategy::new(
         StrategyKind::CorgiPile,
@@ -66,7 +66,7 @@ fn main() {
     let mut ids = Vec::new();
     for &block in &order.blocks {
         let rows = ft.read_block_retry(block, &RetryPolicy::default());
-        ids.extend(rows.expect("read heap file").iter().map(|t| t.id));
+        ids.extend(rows.expect("read table file").iter().map(|t| t.id));
     }
     ids.sort_unstable();
     assert_eq!(

@@ -21,6 +21,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 banner "Docs (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
+banner "No parking_lot or crossbeam in the sources (their manifest lines stay until the benchmark's lock file is re-frozen)"
+if grep -rlE 'parking_lot|crossbeam' crates/*/src src tests examples; then
+  echo "the files above name parking_lot or crossbeam: use std::sync" >&2
+  exit 1
+fi
+
 banner "Line counts (fails when core + db, ml, storage or crates/bench passes its ceiling)"
 bash scripts/loc.sh
 

@@ -1,6 +1,6 @@
 //! Integration: the persistence path end to end — generate → export to
-//! LIBSVM → import → save heap file → open file-backed → train through the
-//! SQL engine over a buffer pool → export/reload the model.
+//! LIBSVM → import → save a table file → open file-backed → train through
+//! the SQL engine over a buffer pool → export/reload the model.
 
 use corgipile::data::libsvm::{load_libsvm_table, write_libsvm_file};
 use corgipile::data::{DatasetSpec, Order};
@@ -38,7 +38,7 @@ fn full_persistence_pipeline() {
     .unwrap();
     assert_eq!(table.num_tuples(), 4_000);
 
-    // Heap-file round trip.
+    // Table-file round trip.
     let heap = dir.join("susy.tbl");
     save_table(&table, &heap).unwrap();
     let reloaded = load_table(&heap).unwrap();
@@ -90,7 +90,10 @@ fn full_persistence_pipeline() {
     assert_eq!(StoredModel::load(&blob).unwrap().params, model.params);
     model.save(&blob).unwrap();
     assert!(!residue.exists(), "save must rename its temp sibling away");
-    assert_eq!(std::fs::read(&blob).unwrap(), model.to_bytes());
+    assert_eq!(
+        StoredModel::load(&blob).unwrap().to_bytes(),
+        model.to_bytes()
+    );
 
     std::fs::remove_dir_all(dir).ok();
 }
