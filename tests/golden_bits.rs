@@ -994,3 +994,88 @@ fn table_and_model_wal_bytes_are_pinned() {
     check("WAL_BYTES", &got, WAL_BYTES);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `(case, crc32 of the copy, bits of io_seconds)` of Corgi²'s offline pass
+/// (`recluster_table`) at budgets 0.5 and 1.0 on two clustered tables: the
+/// dense `higgs` one and a sparse one whose rows vary in width, so the
+/// rewritten pages pack differently from the source's. The crc covers the
+/// number of blocks rewritten, every block's page, tuple and byte bounds,
+/// and every row's id, label and features in table order. The last case is
+/// a `TRAIN … WITH strategy = 'corgi2'`: `(case, parameter crc32, bits of the
+/// last train_loss)`, as in `SQL_GRID`.
+const RECLUSTER: &[Golden] = &[
+    ("higgs/0.5", 0xb69cbf83, 0x3f7811cac643a1d9),
+    ("higgs/1.0", 0xee271714, 0x3f7a1e332e49635e),
+    ("ragged/0.5", 0xe57274de, 0x3f888c06add6862b),
+    ("ragged/1.0", 0x15f6c8e5, 0x3f8989d766090bf6),
+    ("train/corgi2", 0xe74e451d, 0x3fecf4e58a111111),
+];
+
+/// A label-clustered sparse table over 1024 dimensions whose rows hold
+/// 1–61 non-zeros.
+fn ragged_sparse(n: u64) -> Table {
+    use corgipile::storage::TableConfig;
+    let row = |i: u64| {
+        let nnz = 1 + (i * 37 % 61) as u32;
+        let indices = (0..nnz).map(|k| k * 16 + (i % 16) as u32).collect();
+        let values = (0..nnz)
+            .map(|k| ((i + k as u64) % 7) as f32 * 0.5 - 1.5)
+            .collect();
+        let label = if i < n / 2 { 1.0 } else { -1.0 };
+        Tuple::sparse(i, 1024, indices, values, label)
+    };
+    let cfg = TableConfig::new("ragged", 1).with_block_bytes(16 << 10);
+    Table::from_tuples(cfg, (0..n).map(row)).unwrap()
+}
+
+fn table_crc(t: &Table, rewritten: usize) -> u32 {
+    let mut bytes: Vec<u8> = (rewritten as u64).to_le_bytes().to_vec();
+    for b in t.blocks() {
+        for x in [b.pages.start, b.pages.end, b.bytes] {
+            bytes.extend((x as u64).to_le_bytes());
+        }
+        bytes.extend(b.tuples.start.to_le_bytes());
+        bytes.extend(b.tuples.end.to_le_bytes());
+    }
+    for r in t.rows() {
+        bytes.extend(r.id.to_le_bytes());
+        bytes.extend(r.label.to_bits().to_le_bytes());
+        for (i, v) in r.features.to_vec().iter() {
+            bytes.extend((i as u64).to_le_bytes());
+            bytes.extend(v.to_bits().to_le_bytes());
+        }
+    }
+    crc32(&bytes)
+}
+
+#[test]
+fn recluster_and_corgi2_train_are_pinned() {
+    use corgipile::shuffle::recluster_table;
+    let mut got = Vec::new();
+    for (name, table) in [("higgs", higgs(3000)), ("ragged", ragged_sparse(3000))] {
+        assert!(
+            table.num_blocks() >= 8,
+            "{name}: {} blocks",
+            table.num_blocks()
+        );
+        for budget in [0.5, 1.0] {
+            let mut dev = SimDevice::hdd_scaled(1000.0, 0);
+            let out = recluster_table(&table, "rc", 9, budget, 7, &mut dev).unwrap();
+            got.push((
+                format!("{name}/{budget:?}"),
+                table_crc(&out.table, out.blocks_rewritten),
+                out.io_seconds.to_bits(),
+            ));
+        }
+    }
+    let mut s = engine().connect();
+    let t = train(
+        &mut s,
+        "SELECT * FROM higgs TRAIN BY svm WITH max_epoch_num = 3, seed = 11, \
+         learning_rate = 0.05, buffer_fraction = 0.2, io_budget = 0.5, \
+         strategy = 'corgi2', model_name = m",
+    );
+    let (crc, loss) = sql_bits(&s, &t);
+    got.push(("train/corgi2".to_string(), crc, loss));
+    check("RECLUSTER", &got, RECLUSTER);
+}
