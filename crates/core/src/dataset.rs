@@ -122,7 +122,7 @@ mod tests {
     fn is_empty_on_empty_table() {
         let table = Table::from_tuples(
             corgipile_storage::TableConfig::new("e", 9),
-            std::iter::empty(),
+            std::iter::empty::<Tuple>(),
         )
         .unwrap();
         let ds = CorgiPileDataset::new(table, CorgiPileConfig::default());

@@ -599,7 +599,7 @@ mod tests {
     fn empty_table_is_an_error() {
         let table = Table::from_tuples(
             corgipile_storage::TableConfig::new("empty", 1),
-            std::iter::empty(),
+            std::iter::empty::<Tuple>(),
         )
         .unwrap();
         let cfg = TrainerConfig::new(ModelKind::Svm, 1);

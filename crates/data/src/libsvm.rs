@@ -279,7 +279,7 @@ mod tests {
         let table =
             load_libsvm_table(&path, TableConfig::new("imported", 3), Some(50), 0.9).unwrap();
         assert_eq!(table.num_tuples(), 3);
-        assert_eq!(table.get_tuple(2).unwrap().features.get(10), 3.0);
+        assert_eq!(table.row(2).unwrap().features.get(10), 3.0);
         std::fs::remove_file(path).ok();
     }
 

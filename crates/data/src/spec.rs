@@ -351,7 +351,7 @@ impl Dataset {
     pub fn to_table(&self, table_id: u32) -> corgipile_storage::Result<Table> {
         let cfg = TableConfig::new(self.spec.name.clone(), table_id)
             .with_block_bytes(self.spec.block_bytes);
-        Table::from_tuples(cfg, self.train.iter().cloned())
+        Table::from_tuples(cfg, &self.train)
     }
 
     /// Fraction of positive labels in the train split (binary data only).

@@ -2633,7 +2633,7 @@ mod tests {
         let db = Database::new(SimDevice::hdd_scaled(1000.0, 0));
         db.register_table(
             "empty",
-            Table::from_tuples(TableConfig::new("empty", 7), []).unwrap(),
+            Table::from_tuples(TableConfig::new("empty", 7), Vec::<Tuple>::new()).unwrap(),
         );
         let mut s = db.connect();
         // Nothing to train on yet: a typed error, not a panic in the planner.

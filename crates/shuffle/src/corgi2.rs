@@ -5,18 +5,19 @@
 //! h_D; on adversarially clustered storage, block-random sampling alone
 //! converges slowly. Corgi² prepends a *partial* offline pass: a random
 //! subset of blocks is read, their tuples pooled, shuffled, and written
-//! back into the same block slots. The subset is sized so the pass costs at
-//! most `io_budget` × the I/O of a full offline shuffle (the two-pass
-//! external sort of Shuffle Once). Every rewritten block then holds a
-//! near-uniform mixture of the whole table, dropping the effective block
-//! variance to roughly `(1 − io_budget)` × the original before the online
-//! two-level shuffle even starts.
+//! back into the same block slots: each selected slot takes back as many
+//! rows as it held, and the table builder packs them into pages. The subset
+//! is sized so the pass costs at most `io_budget` × the I/O of a full
+//! offline shuffle (the two-pass external sort of Shuffle Once). Every
+//! rewritten block then holds a near-uniform mixture of the whole table,
+//! dropping the effective block variance to roughly `(1 − io_budget)` × the
+//! original before the online two-level shuffle even starts.
 //!
 //! The same pass backs the SQL `RECLUSTER <table> [WITH io_budget = f]`
 //! statement.
 
 use corgipile_data::rng::shuffle_in_place;
-use corgipile_storage::{Access, DeviceProfile, Result, RetryPolicy, SimDevice, Table, Tuple};
+use corgipile_storage::{Access, DeviceProfile, Result, RetryPolicy, SimDevice, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -49,12 +50,12 @@ pub fn full_shuffle_io(p: &DeviceProfile, total: usize) -> f64 {
 ///
 /// Selects a seeded-random subset of blocks whose *planned* read + write
 /// cost fits under `io_budget × full_shuffle_io`, reads them (charging
-/// `dev` for real), pools and shuffles their tuples, and redistributes the
-/// pool across the same block slots; unselected blocks are carried over
-/// untouched (their on-disk extents are never visited, so they cost
-/// nothing). The bound therefore holds by construction on any device
-/// profile. Tuple ids are preserved, so order diagnostics still see
-/// original storage positions.
+/// `dev` for real), pools their rows (borrowed in place) and shuffles them,
+/// and deals the pool back through the one table builder into the same
+/// block slots; unselected blocks are carried over untouched (their on-disk
+/// extents are never visited, so they cost nothing). The bound therefore
+/// holds by construction on any device profile. Tuple ids are preserved, so
+/// order diagnostics still see original storage positions.
 pub fn recluster_table(
     table: &Table,
     new_name: impl Into<String>,
@@ -76,7 +77,7 @@ pub fn recluster_table(
     let mut candidates: Vec<usize> = (0..blocks_total).collect();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xC2_C2);
     shuffle_in_place(&mut rng, &mut candidates);
-    let mut planned = 0.0f64;
+    let (mut planned, mut rewritten_bytes) = (0.0f64, 0usize);
     let mut selected = vec![false; blocks_total];
     let mut chosen: Vec<usize> = Vec::new();
     for &b in &candidates {
@@ -87,43 +88,41 @@ pub fn recluster_table(
             continue;
         }
         planned += cost;
+        rewritten_bytes += bytes;
         selected[b] = true;
         chosen.push(b);
     }
 
-    // Charge the reads for real, pool the tuples.
+    // Charge the reads for real, pool the rows read, in place.
     let before = dev.stats().io_seconds;
-    let mut pool: Vec<Tuple> = Vec::new();
-    let mut rewritten_bytes = 0usize;
+    let slots = (0..blocks_total).map(|b| table.block_handle(b));
+    let mut slots = slots.collect::<Result<Vec<_>>>()?;
     for &b in &chosen {
-        rewritten_bytes += table.block(b)?.bytes;
-        let block = table.read(b, Access::Random, dev, &RetryPolicy::default())?;
-        pool.extend(block.rows().map(|r| r.to_tuple()));
+        slots[b] = table.read(b, Access::Random, dev, &RetryPolicy::default())?;
     }
+    let rows = chosen.iter().map(|&b| slots[b].len()).sum();
+    let mut pool = Vec::with_capacity(rows);
+    pool.extend(chosen.iter().flat_map(|&b| slots[b].rows()));
     shuffle_in_place(&mut rng, &mut pool);
-    if !chosen.is_empty() {
-        // Write the rewritten slots back in one appending pass.
-        dev.write(rewritten_bytes, Access::Sequential);
-    }
+    // Write the rewritten slots back in one appending pass.
+    dev.write(rewritten_bytes, Access::Sequential);
     let io_seconds = dev.stats().io_seconds - before;
 
-    // Rebuild: selected slots drain the shuffled pool, the rest carry over.
+    // Rebuild: a selected slot draws its row count from the shuffled pool,
+    // a carried one appends its own rows.
     let mut cfg = table.config().clone();
     cfg.name = new_name.into();
     cfg.table_id = new_table_id;
-    let mut pool_iter = pool.into_iter();
-    let mut tuples: Vec<Tuple> = Vec::with_capacity(table.num_tuples() as usize);
-    for (b, &is_selected) in selected.iter().enumerate() {
-        let count = table.block(b)?.tuple_count();
-        if is_selected {
-            tuples.extend(pool_iter.by_ref().take(count));
-        } else {
-            tuples.extend(table.block_tuples(b)?);
+    let mut copy = corgipile_storage::TableBuilder::new(cfg)?;
+    let mut pool = pool.into_iter();
+    for (slot, &is_selected) in slots.iter().zip(&selected) {
+        let drawn = if is_selected { slot.len() } else { 0 };
+        for row in pool.by_ref().take(drawn).chain(slot.rows().skip(drawn)) {
+            copy.append(row)?;
         }
     }
-    let copy = Table::from_tuples(cfg, tuples)?;
     Ok(ReclusterOutcome {
-        table: copy,
+        table: copy.finish(),
         blocks_rewritten: chosen.len(),
         blocks_total,
         io_seconds,

@@ -358,9 +358,9 @@ mod tests {
         assert_eq!(snap_v1.num_tuples(), 100, "pinned snapshot must not grow");
         assert_eq!(snap_v2.num_tuples(), 102);
         // Appended rows continue the sequence and land in table order.
-        assert_eq!(snap_v2.get_tuple(100).unwrap().id, 100);
-        assert_eq!(snap_v2.get_tuple(101).unwrap().id, 101);
-        assert_eq!(snap_v2.get_tuple(101).unwrap().label, -1.0);
+        assert_eq!(snap_v2.row(100).unwrap().id, 100);
+        assert_eq!(snap_v2.row(101).unwrap().id, 101);
+        assert_eq!(snap_v2.row(101).unwrap().label, -1.0);
         // Distinct table ids so caches never alias versions.
         assert_ne!(snap_v1.config().table_id, snap_v2.config().table_id);
     }
@@ -382,8 +382,8 @@ mod tests {
         assert_eq!(w2.num_tuples(), 53, "acked rows replay from the WAL");
         assert_eq!(w2.replayed_rows(), 3);
         let t = w2.snapshot_table(99);
-        assert_eq!(t.get_tuple(52).unwrap().features.get(0), 7.0);
-        assert_eq!(t.get_tuple(52).unwrap().features.get(1), 8.0);
+        assert_eq!(t.row(52).unwrap().features.get(0), 7.0);
+        assert_eq!(t.row(52).unwrap().features.get(1), 8.0);
         std::fs::remove_file(path).ok();
     }
 
@@ -665,7 +665,7 @@ mod tests {
         assert_eq!(w.replayed_rows(), 100);
         let t = w.snapshot_table(1);
         for row in &want {
-            assert_eq!(&t.get_tuple(row.id).unwrap(), row);
+            assert_eq!(t.row(row.id).unwrap(), row.view());
         }
         std::fs::remove_file(path).ok();
     }

@@ -22,7 +22,7 @@
 //! the extra decompression cost when TOAST emulation is enabled.
 
 use crate::error::StorageError;
-use crate::tuple::{FeatureView, Tuple, TupleId, TupleView};
+use crate::tuple::{FeatureView, TupleId, TupleView};
 use crate::Result;
 
 /// Standard page size in bytes (PostgreSQL default: 8 KB).
@@ -273,7 +273,7 @@ impl Page {
 
     /// The row in slot `slot`, borrowed from the page's columns. Panics when
     /// `slot >= self.tuple_count()`, like a slice index.
-    #[inline]
+    #[inline(always)]
     pub fn row(&self, slot: usize) -> TupleView<'_> {
         let e = self.extents[slot];
         let values = &self.values[e.values as usize..][..e.nnz as usize];
@@ -293,11 +293,6 @@ impl Page {
         }
     }
 
-    /// An owned copy of the row in slot `slot`.
-    pub fn tuple(&self, slot: usize) -> Tuple {
-        self.row(slot).to_tuple()
-    }
-
     /// Iterate all rows on the page in slot order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = TupleView<'_>> + Clone {
         (0..self.tuple_count()).map(|slot| self.row(slot))
@@ -313,6 +308,7 @@ impl Default for Page {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple::Tuple;
     use proptest::prelude::*;
 
     fn tiny(id: u64) -> Tuple {
@@ -331,8 +327,8 @@ mod tests {
         }
         assert_eq!(p.tuple_count(), 10);
         for id in 0..10 {
-            assert_eq!(p.tuple(id as usize), tiny(id));
             assert_eq!(p.row(id as usize), tiny(id).view());
+            assert_eq!(p.row(id as usize).to_tuple(), tiny(id));
         }
         let all: Vec<_> = p.rows().collect();
         assert_eq!(all.len(), 10);
@@ -360,7 +356,7 @@ mod tests {
         let mut p = Page::new_jumbo(t.encoded_len() + 8);
         assert!(p.disk_bytes() > PAGE_SIZE);
         p.push(t.view()).unwrap();
-        assert_eq!(p.tuple(0), t);
+        assert_eq!(p.row(0).to_tuple(), t);
     }
 
     #[test]
@@ -532,7 +528,6 @@ mod tests {
             }
             for (slot, t) in stored.iter().enumerate() {
                 prop_assert_eq!(p.row(slot), t.view());
-                prop_assert_eq!(&p.tuple(slot), t);
             }
             let got: Vec<Tuple> = p.rows().map(|r| r.to_tuple()).collect();
             prop_assert_eq!(got, stored);

@@ -465,7 +465,8 @@ mod tests {
 
     #[test]
     fn empty_table_roundtrips() {
-        let table = Table::from_tuples(TableConfig::new("empty", 1), std::iter::empty()).unwrap();
+        let table =
+            Table::from_tuples(TableConfig::new("empty", 1), std::iter::empty::<Tuple>()).unwrap();
         let path = tmp("empty.tbl");
         save_table(&table, &path).unwrap();
         let back = load_table(&path).unwrap();

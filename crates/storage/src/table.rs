@@ -13,6 +13,9 @@
 //! * [`Table::materialize_reordered`] — Shuffle Once's offline shuffle,
 //!   modeled as a two-pass external sort (read + write, twice) plus 2×
 //!   storage, matching the paper's observations (§3.1, Table 1).
+//!
+//! Every offline rewrite (Shuffle Once's and Epoch Shuffle's copy, Corgi²'s
+//! `RECLUSTER`) feeds the one [`TableBuilder`] rows borrowed in place.
 
 use crate::block::{closes_block, Block, BlockHandle, BlockId, BlockMeta};
 use crate::device::{Access, SimDevice};
@@ -234,14 +237,14 @@ pub struct Table {
 }
 
 impl Table {
-    /// Build a table from an iterator of tuples.
-    pub fn from_tuples<I>(config: TableConfig, tuples: I) -> Result<Table>
-    where
-        I: IntoIterator<Item = Tuple>,
-    {
+    /// Build a table from an iterator of tuples, owned or borrowed.
+    pub fn from_tuples(
+        config: TableConfig,
+        tuples: impl IntoIterator<Item = impl std::borrow::Borrow<Tuple>>,
+    ) -> Result<Table> {
         let mut b = TableBuilder::new(config)?;
         for t in tuples {
-            b.append(t.view())?;
+            b.append(t.borrow().view())?;
         }
         Ok(b.finish())
     }
@@ -413,7 +416,7 @@ impl Table {
     /// Read a single tuple by position with random access: one seek + one
     /// page transfer. The full-shuffle access pattern (map-style dataset on
     /// secondary storage).
-    pub fn read_tuple_random(&self, tid: TupleId, dev: &mut SimDevice) -> Result<Tuple> {
+    pub fn read_tuple_random(&self, tid: TupleId, dev: &mut SimDevice) -> Result<TupleView<'_>> {
         let (block, page, slot) = self.locate(tid)?;
         dev.read(
             Some(self.cache_key(block)),
@@ -421,13 +424,13 @@ impl Table {
             Access::Random,
             self.toast_cap(),
         );
-        Ok(page.tuple(slot))
+        Ok(page.row(slot))
     }
 
-    /// Copy a tuple by position without charging a device.
-    pub fn get_tuple(&self, tid: TupleId) -> Result<Tuple> {
+    /// The row at position `tid`, read in place without charging a device.
+    pub fn row(&self, tid: TupleId) -> Result<TupleView<'_>> {
         let (_, page, slot) = self.locate(tid)?;
-        Ok(page.tuple(slot))
+        Ok(page.row(slot))
     }
 
     /// All rows in table order, read in place, without device charges.
@@ -500,7 +503,7 @@ impl Table {
         cfg.table_id = new_table_id;
         let mut b = TableBuilder::new(cfg)?;
         for &tid in order {
-            b.append(self.get_tuple(tid)?.view())?;
+            b.append(self.row(tid)?)?;
         }
         Ok(b.finish())
     }
@@ -581,16 +584,16 @@ mod tests {
     }
 
     #[test]
-    fn get_tuple_by_position() {
+    fn row_by_position() {
         let t = make_table(300, 4, 2 * PAGE_SIZE);
         for tid in [0u64, 1, 99, 157, 299] {
-            assert_eq!(t.get_tuple(tid).unwrap().id, tid);
+            assert_eq!(t.row(tid).unwrap().id, tid);
         }
-        assert!(t.get_tuple(300).is_err());
+        assert!(t.row(300).is_err());
     }
 
     #[test]
-    fn random_get_tuple_agrees_with_a_full_decode_on_a_many_page_table() {
+    fn row_by_position_agrees_with_a_full_decode_on_a_many_page_table() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let t = make_table(80_000, 48, 8 * PAGE_SIZE);
         assert!(t.num_pages() >= 2_000, "{} pages", t.num_pages());
@@ -598,7 +601,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..10_000 {
             let tid = rng.gen_range(0..t.num_tuples());
-            assert_eq!(t.get_tuple(tid).unwrap(), all[tid as usize]);
+            assert_eq!(t.row(tid).unwrap(), all[tid as usize].view());
         }
     }
 
@@ -669,17 +672,17 @@ mod tests {
     #[test]
     fn materialize_reordered_preserves_ids_and_charges_io() {
         let t = make_table(200, 4, 2 * PAGE_SIZE);
-        let mut order: Vec<u64> = (0..200).rev().collect();
+        let order: Vec<u64> = (0..200).rev().collect();
         let mut dev = SimDevice::hdd(0);
         let t2 = t
             .materialize_reordered(&order, "t_shuffled", 9, &mut dev)
             .unwrap();
         assert_eq!(t2.num_tuples(), 200);
-        assert_eq!(t2.get_tuple(0).unwrap().id, 199);
-        assert_eq!(t2.get_tuple(199).unwrap().id, 0);
+        for (k, &tid) in order.iter().enumerate() {
+            assert_eq!(t2.row(k as u64).unwrap(), t.row(tid).unwrap());
+        }
         assert!(dev.stats().io_seconds > 0.0);
         assert!(dev.stats().written_bytes as usize >= 2 * t.total_bytes());
-        order.clear(); // silence unused-mut lint paranoia
     }
 
     #[test]
@@ -955,8 +958,7 @@ mod tests {
         fn prop_locate_consistent_with_block_ranges(n in 1u64..300) {
             let t = make_table(n, 4, 2 * PAGE_SIZE);
             for tid in 0..n {
-                let tp = t.get_tuple(tid).unwrap();
-                prop_assert_eq!(tp.id, tid);
+                prop_assert_eq!(t.row(tid).unwrap().id, tid);
             }
             // Every block's tuple range matches its decoded contents.
             for b in 0..t.num_blocks() {

@@ -76,6 +76,9 @@ banner "Repo benchmark (quick): harness unit tests + every workload's output che
 (cd benchmark && cargo test --offline)
 bash benchmark/run.sh --quick
 
+banner "Kernel lane layout (no EpochDriver::run closure of the benchmark binary calls Page::row out of line)"
+bash scripts/kernel_lane_inlined.sh
+
 banner "Repo benchmark (traced): every per-layer probe still runs"
 # The probes issue SQL of their own (ROADMAP 1(b)): a PR that deletes an
 # option or entry point they use breaks only a --trace 1 run. ingest_mixed

@@ -13,9 +13,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CORE_DB_CEILING=7037
-CORE_DB_SHUFFLE_CEILING=9098
+CORE_DB_SHUFFLE_CEILING=9097
 ML_CEILING=1472
-STORAGE_CEILING=5027
+STORAGE_CEILING=5025
 BENCH_CEILING=2756
 
 non_test_lines() {

@@ -13,7 +13,8 @@
 //! what an epoch allocates, a two-worker run to a bound per epoch of fills,
 //! and double-buffered runs to the same count wherever the hand-off falls.
 //! A warm `INSERT` of 64 or 640 rows, and the narrow `PREDICT`, are held to
-//! what they measured plus a quarter.
+//! what they measured plus a quarter; so are Shuffle Once's copy and a
+//! `RECLUSTER`, per page of the table they write.
 //!
 //! At the commit before columnar pages every block read decoded each row
 //! into a `Vec<f32>` of its own (≥ 1 allocation and, on the wide table,
@@ -350,5 +351,50 @@ fn inserts_allocate_per_statement_page_and_block_not_per_row() {
         // them 110 and 751.
         let budget = if rows == 64 { 41 } else { 112 };
         assert!(allocs <= budget, "{allocs} allocations, {rows} rows");
+    }
+}
+
+#[test]
+fn offline_rewrites_allocate_per_page_not_per_row() {
+    // Shuffle Once's copy and RECLUSTER's both go through the one table
+    // builder, fed rows borrowed from the source's pages: what they allocate
+    // is per page of the new table (its columns, its `Arc`) and per block,
+    // never per row.
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut session, rows) = session(DatasetSpec::higgs_like(20_000).with_block_bytes(64 << 10));
+    // The rows are one width, so the shuffled copy packs into as many pages
+    // as the source.
+    let pages = session.catalog().table("t").unwrap().num_pages() as u64;
+    let once = "SELECT * FROM t TRAIN BY lr WITH max_epoch_num = 1, strategy = 'once', \
+                seed = 41, model_name = m";
+    session
+        .execute(once)
+        .unwrap_or_else(|e| panic!("warm {once}: {e}"));
+    let (result, once_allocs, _) = counted(&mut session, once);
+    let QueryResult::Train(t) = result else {
+        panic!("{once}: not a TRAIN result")
+    };
+    assert_eq!(t.epochs[0].tuples as u64, rows);
+    let recluster = "RECLUSTER t WITH io_budget = 0.5, seed = 7";
+    let (result, recluster_allocs, _) = counted(&mut session, recluster);
+    let QueryResult::Recluster {
+        blocks_rewritten, ..
+    } = result
+    else {
+        panic!("{recluster}: not a RECLUSTER result")
+    };
+    assert!(blocks_rewritten > 0);
+    let rewritten = session.catalog().table("t").unwrap().num_pages() as u64;
+    // Measured, in hundredths of a call per page of the new table: 572 for
+    // the TRAIN (its fills and epoch included) and 549 for the RECLUSTER,
+    // where an owned `Tuple` per row made them 6 472 and 6 450.
+    for (sql, allocs, pages, budget) in [
+        (once, once_allocs, pages, 715),
+        (recluster, recluster_allocs, rewritten, 686),
+    ] {
+        assert!(
+            allocs * 100 <= budget * pages,
+            "{allocs} allocations, {pages} pages: {sql}"
+        );
     }
 }
