@@ -64,11 +64,18 @@ banner "Paper figures (byte gate: corgi-bench all regenerates every results/*.ts
 figures_dir=$(mktemp -d)
 CORGI_RESULTS_DIR="$figures_dir" \
   cargo run --release -p corgipile-bench --bin corgi-bench -- all > /dev/null
-diff <(cd results && ls -- *.tsv) <(cd "$figures_dir" && ls -- *.tsv)
+# Every TSV is diffed before the gate fails, so a change that moves digits
+# lists all of them.
+moved=0
+diff <(cd results && ls -- *.tsv) <(cd "$figures_dir" && ls -- *.tsv) || moved=1
 for tsv in results/*.tsv; do
-  cmp "$tsv" "$figures_dir/$(basename "$tsv")"
+  diff -u "$tsv" "$figures_dir/$(basename "$tsv")" || moved=1
 done
 rm -rf "$figures_dir"
+if [ "$moved" != 0 ]; then
+  echo "results/*.tsv moved: the diffs above list every digit" >&2
+  exit 1
+fi
 
 banner "Repo benchmark (quick): harness unit tests + every workload's output checks"
 # Not a performance gate: --quick shortens the runs; a workload whose
