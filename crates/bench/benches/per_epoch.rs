@@ -4,9 +4,9 @@
 
 use corgipile_data::{DatasetSpec, Order};
 use corgipile_db::{ExecContext, PhysicalPlan, SgdOperator, StrategyKind};
-use corgipile_ml::{build_model, ComputeCostModel, ModelKind, OptimizerKind, TrainOptions};
+use corgipile_ml::{build_model, ModelKind, OptimizerKind, TrainOptions};
 use corgipile_shuffle::StrategyParams;
-use corgipile_storage::{DeviceHandle, SimDevice, Table};
+use corgipile_storage::{ComputeCostModel, DeviceHandle, SimDevice, Table};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
 

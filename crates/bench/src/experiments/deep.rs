@@ -46,9 +46,10 @@ pub fn fig7() {
 
     // --- Shuffle Once & No Shuffle, 8-way data-parallel compute ----------
     // (same 8 workers as CorgiPile's run: compute divides by 8).
-    let ddp_compute = corgipile_ml::ComputeCostModel {
+    let ddp_compute = corgipile_storage::ComputeCostModel {
         flops_per_second: 5e9 * workers as f64,
         per_tuple_overhead: 8e-8 / workers as f64,
+        per_fill: false,
     };
     for (name, strategy) in [
         ("Shuffle Once", StrategyKind::ShuffleOnce),

@@ -8,9 +8,9 @@ use crate::report::{fmt_pct, fmt_secs, Report};
 use corgipile_core::{CorgiPileConfig, Trainer};
 use corgipile_data::{DatasetSpec, Order};
 use corgipile_db::{system_trainer_config, InDbSystem};
-use corgipile_ml::{ComputeCostModel, ModelKind, OptimizerKind};
+use corgipile_ml::{ModelKind, OptimizerKind};
 use corgipile_shuffle::StrategyKind;
-use corgipile_storage::SimDevice;
+use corgipile_storage::{ComputeCostModel, SimDevice};
 
 fn is_sparse(spec: &DatasetSpec) -> bool {
     matches!(spec.kind, corgipile_data::DataKind::SparseBinary { .. })

@@ -3,20 +3,21 @@
 //! [`Trainer::train`] runs `epochs` passes of a [`ShuffleStrategy`]'s order
 //! over a heap table — or, handed a [`ParallelConfig`], of multi-process
 //! CorgiPile's (§5) — through the one fill and the one epoch loop
-//! ([`EpochDriver`]), charging loading to the device cost model and compute
-//! to the model's FLOPs × the [`ComputeCostModel`], overlapped by the
-//! single- or double-buffer model of §6.3. The per-epoch records
+//! ([`EpochDriver`]), its loading charged by the device and its compute
+//! priced from each fill's counts by the [`ComputeCostModel`], overlapped
+//! serially or by two buffers (§6.3) on the clock's price list. The per-epoch records
 //! ([`EpochRecord`]) carry cumulative simulated time, train loss and test
 //! metric: the data plotted in the paper's convergence and time figures.
 
 use corgipile_ml::{
-    accuracy, build_model, r_squared, ComputeCostModel, Model, ModelKind, OptimizerKind,
-    TrainOptions,
+    accuracy, build_model, r_squared, Model, ModelKind, OptimizerKind, TrainOptions,
 };
 use corgipile_shuffle::{
     build_strategy, EpochStream, ShuffleStrategy, StrategyKind, StrategyParams,
 };
-use corgipile_storage::{Counter, SimDevice, StorageError, Table, Tuple, TupleView};
+use corgipile_storage::{
+    ComputeCostModel, Counter, SimDevice, StorageError, Table, Tuple, TupleView,
+};
 use std::ops::ControlFlow;
 
 use crate::config::CorgiPileConfig;
@@ -228,7 +229,7 @@ impl Trainer {
     }
 
     /// The [`EpochDriver`] this configuration describes: model, optimizer,
-    /// options, per-tuple dispatch costs, `seed` stamped into checkpoints.
+    /// options, compute profile, `seed` stamped into checkpoints.
     fn driver(&self, table: &Table, seed: u64) -> corgipile_storage::Result<EpochDriver> {
         let mut driver = EpochDriver::new(
             build_model(&self.cfg.model, table.dim()?, seed),

@@ -14,8 +14,9 @@
 //!   epoch within 4 hours" on epsilon/yfcc.
 
 use corgipile_core::{CorgiPileConfig, TrainerConfig};
-use corgipile_ml::{ComputeCostModel, ModelKind};
+use corgipile_ml::ModelKind;
 use corgipile_shuffle::StrategyKind;
+use corgipile_storage::ComputeCostModel;
 
 /// The in-DB ML systems compared in Figures 1, 11 and 13.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,30 +72,18 @@ impl InDbSystem {
         }
     }
 
-    /// The per-tuple compute profile for a given model/dimensionality.
+    /// The per-tuple compute profile for a given model/dimensionality, from
+    /// the clock's price list.
     pub fn compute_model(&self, model: &ModelKind, dim: usize) -> ComputeCostModel {
-        let base = ComputeCostModel::in_db_core();
         match self {
-            InDbSystem::CorgiPile | InDbSystem::BlockOnly => base,
+            InDbSystem::CorgiPile | InDbSystem::BlockOnly => ComputeCostModel::in_db_core(),
             InDbSystem::BismarckShuffleOnce | InDbSystem::BismarckNoShuffle => {
-                // Lean UDA, slightly heavier than a native operator.
-                ComputeCostModel {
-                    per_tuple_overhead: 1.5e-7,
-                    ..base
-                }
+                ComputeCostModel::bismarck()
             }
+            // MADlib's LR also pays the quadratic stderr computation.
             InDbSystem::MadlibShuffleOnce | InDbSystem::MadlibNoShuffle => {
-                // Auxiliary statistics per tuple; LR additionally pays the
-                // quadratic stderr computation.
-                let stderr = if matches!(model, ModelKind::LogisticRegression) {
-                    (dim as f64) * (dim as f64) / base.flops_per_second
-                } else {
-                    0.0
-                };
-                ComputeCostModel {
-                    per_tuple_overhead: 4e-7 + stderr,
-                    ..base
-                }
+                let lr = matches!(model, ModelKind::LogisticRegression);
+                ComputeCostModel::madlib(if lr { (dim * dim) as f64 } else { 0.0 })
             }
         }
     }

@@ -29,9 +29,9 @@ use crate::error::DbError;
 use crate::model_store::{ModelStore, ModelStoreOptions};
 use crate::serving::{ModelCache, ServableModel};
 use crate::session::Session;
-use corgipile_ml::ComputeCostModel;
 use corgipile_storage::{
-    BufferPoolStats, IoStats, SharedBufferPool, SharedDevice, SimDevice, Table, Telemetry,
+    BufferPoolStats, ComputeCostModel, IoStats, SharedBufferPool, SharedDevice, SimDevice, Table,
+    Telemetry,
 };
 use std::path::Path;
 use std::sync::Arc;

@@ -30,9 +30,9 @@ use crate::options::{QueryOptions, Statement};
 use crate::plan::{build_physical_with, LogicalPlan, PredictPlanSpec};
 use crate::serving::ServableModel;
 use crate::sql::{parse, InsertRows, ParamValue, Predicate, Query, ShowTarget};
-use corgipile_ml::{ComputeCostModel, ModelKind};
+use corgipile_ml::ModelKind;
 use corgipile_shuffle::{recluster_table, StrategyParams};
-use corgipile_storage::{DeviceHandle, FaultPlan, PoolHandle, Table, Telemetry};
+use corgipile_storage::{ComputeCostModel, DeviceHandle, FaultPlan, PoolHandle, Table, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -911,7 +911,7 @@ fn predict_plan(
 mod tests {
     use super::*;
     use corgipile_data::{DatasetSpec, Order};
-    use corgipile_storage::{SimDevice, Tuple};
+    use corgipile_storage::{Access, SimDevice, Tuple};
 
     fn higgs_table(n: usize) -> Table {
         DatasetSpec::higgs_like(n)
@@ -1709,8 +1709,10 @@ mod tests {
         // Direct access through device_mut() goes through the handle, so
         // the session telemetry still sees the mirrored device counters.
         let before = s.device().stats().io_seconds;
-        s.device_mut().charge_seconds(1.5);
-        assert!(s.device().stats().io_seconds >= before + 1.5);
+        let read = s
+            .device_mut()
+            .with(|d| d.read(None, 1 << 20, Access::Random, None));
+        assert!(read > 0.0 && s.device().stats().io_seconds >= before + read);
         let gauge = s.telemetry().snapshot();
         assert!(
             gauge

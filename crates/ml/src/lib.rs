@@ -7,15 +7,15 @@
 //! Adam over tuple streams.
 //!
 //! * [`model`] — the [`Model`] trait: flat parameter vector, per-example
-//!   loss/gradient, fast sparse SGD step, and a FLOP cost model used by the
-//!   simulated compute clock.
+//!   loss/gradient, fast sparse SGD step, and the FLOPs per example that the
+//!   simulated clock's compute profiles price (`corgipile_storage::clock`).
 //! * [`linear`] — LR / SVM / linear regression over dense or sparse tuples.
 //! * [`softmax`] — multinomial logistic regression (§7.4.2).
 //! * [`mlp`] — feed-forward ReLU networks (the VGG/ResNet/HAN/TextCNN
 //!   stand-ins of §7.2; see DESIGN.md §2 for the substitution argument).
 //! * [`optimizer`] — SGD with exponential decay (§7.1.3) and Adam (§7.2.3).
 //! * [`sgd`] — the training loop: per-tuple or mini-batch updates over an
-//!   epoch stream, gradient clipping, compute-cost accounting.
+//!   epoch stream, gradient clipping.
 //! * [`metrics`] — accuracy, mean loss, and R² (linear regression, §7.4.2).
 //!
 //! [`Model`]: model::Model
@@ -38,8 +38,7 @@ pub use mlp::Mlp;
 pub use model::{build_model, Model, ModelKind};
 pub use optimizer::{Adam, Optimizer, OptimizerKind, Sgd};
 pub use sgd::{
-    train_minibatch, train_per_tuple, ComputeCostModel, EpochStats, MinibatchTrainer,
-    PerTupleTrainer, TrainOptions,
+    train_minibatch, train_per_tuple, EpochStats, MinibatchTrainer, PerTupleTrainer, TrainOptions,
 };
 pub use softmax::SoftmaxRegression;
 

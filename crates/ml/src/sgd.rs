@@ -1,4 +1,4 @@
-//! Training loops over tuple streams, with compute-cost accounting.
+//! Training loops over tuple streams.
 //!
 //! The paper's systems update the model per tuple (standard SGD, §7.3) or
 //! per mini-batch (§7.4, PyTorch's default §7.2). Both loops live here and
@@ -54,60 +54,6 @@ impl TrainOptions {
 /// Per-tuple SGD applies weight decay lazily every `L2_STRIDE` tuples
 /// (compounded), keeping the sparse fast path O(nnz) per update.
 const L2_STRIDE: usize = 16;
-
-/// Simulated per-example compute cost.
-///
-/// Tuple gradients execute at `flops_per_second`; per-tuple call overhead
-/// models the invocation cost of the surrounding system. The paper
-/// measures that PyTorch pays heavy Python→C++ overhead per tuple (§7.3.5,
-/// 2–16× slower than in-DB CorgiPile for per-tuple SGD), which is exactly
-/// this constant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ComputeCostModel {
-    /// Sustained scalar throughput of the executor (FLOP/s).
-    pub flops_per_second: f64,
-    /// Fixed overhead per example (seconds) — UDA call, operator `next()`,
-    /// or Python invocation depending on the system modeled.
-    pub per_tuple_overhead: f64,
-}
-
-impl ComputeCostModel {
-    /// A single in-DB executor core (the paper binds CorgiPile to one
-    /// physical core, §7.1.1).
-    pub fn in_db_core() -> Self {
-        ComputeCostModel {
-            flops_per_second: 5e9,
-            per_tuple_overhead: 8e-8,
-        }
-    }
-
-    /// PyTorch-outside-DB per-tuple training: same FLOPs, large per-tuple
-    /// invocation overhead (§7.3.5).
-    pub fn pytorch_per_tuple() -> Self {
-        ComputeCostModel {
-            flops_per_second: 5e9,
-            per_tuple_overhead: 3e-6,
-        }
-    }
-
-    /// Cost of `count` examples of `flops` each.
-    pub fn seconds(&self, flops: f64, count: usize) -> f64 {
-        count as f64 * (self.per_tuple_overhead + flops / self.flops_per_second)
-    }
-
-    /// Cost of one fused batch totalling `total_flops`: the invocation
-    /// overhead is paid **once per batch** instead of once per tuple.
-    ///
-    /// This is the vectorized executor's accounting — a fused pipeline
-    /// makes one (monomorphized) kernel call per batch, so the per-tuple
-    /// dispatch overhead amortizes across the batch while the arithmetic
-    /// cost is unchanged. The interpreted tree keeps [`Self::seconds`]
-    /// per-tuple charging; the gap between the two is exactly the
-    /// vectorization speedup the simulated clock reports.
-    pub fn seconds_batched(&self, total_flops: f64) -> f64 {
-        self.per_tuple_overhead + total_flops / self.flops_per_second
-    }
-}
 
 /// Result of training over one epoch stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -459,16 +405,5 @@ mod tests {
         let opt = Sgd::new(0.1, 1.0);
         let stats = train_per_tuple(&mut m, &opt, &[] as &[Tuple]);
         assert_eq!(stats, EpochStats::default());
-    }
-
-    #[test]
-    fn cost_model_orders_systems_correctly() {
-        let flops = 100.0;
-        let db = ComputeCostModel::in_db_core().seconds(flops, 1000);
-        let py = ComputeCostModel::pytorch_per_tuple().seconds(flops, 1000);
-        assert!(
-            py > 5.0 * db,
-            "PyTorch per-tuple overhead should dominate: {py} vs {db}"
-        );
     }
 }

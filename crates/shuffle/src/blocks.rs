@@ -165,10 +165,6 @@ impl ShuffleStrategy for BlockStrategy {
         self.order(table.num_blocks(), n, order);
     }
 
-    fn buffering_cost(&self, rows: usize, bytes: usize) -> f64 {
-        self.params.buffering_cost(rows, bytes)
-    }
-
     fn buffer_tuples(&self, table: &Table) -> usize {
         if !self.kind.is_tuple_buffered() {
             return 0;
@@ -197,9 +193,9 @@ impl ShuffleStrategy for BlockStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corgi2::full_shuffle_io;
     use crate::plan::EpochPlan;
     use corgipile_data::{DatasetSpec, Order};
+    use corgipile_storage::clock::full_shuffle_seconds;
     use StrategyKind::*;
 
     fn make(kind: StrategyKind, params: StrategyParams) -> BlockStrategy {
@@ -743,7 +739,7 @@ mod tests {
         );
         let mut dev = SimDevice::hdd_scaled(1000.0, 0);
         let plan = s.next_epoch(&t, &mut dev);
-        let full = full_shuffle_io(dev.profile(), t.total_bytes());
+        let full = full_shuffle_seconds(dev.profile(), t.total_bytes());
         assert!(
             plan.setup_seconds <= 0.25 * full + 1e-12,
             "setup {} over budget {}",

@@ -17,7 +17,8 @@
 //! statement.
 
 use corgipile_data::rng::shuffle_in_place;
-use corgipile_storage::{Access, DeviceProfile, Result, RetryPolicy, SimDevice, Table};
+use corgipile_storage::clock::full_shuffle_seconds;
+use corgipile_storage::{Access, Result, RetryPolicy, SimDevice, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,12 +39,6 @@ pub struct ReclusterOutcome {
     /// Predicted I/O of a full offline shuffle on this device (the
     /// two-pass external sort Shuffle Once pays).
     pub full_shuffle_io: f64,
-}
-
-/// Cost on `p` of a full offline shuffle (`Table::materialize_reordered`)
-/// of `total` bytes: two passes of read + write over the whole table.
-pub fn full_shuffle_io(p: &DeviceProfile, total: usize) -> f64 {
-    2.0 * (p.read_time(total, Access::Random) + p.read_time(total, Access::Sequential))
 }
 
 /// Partially re-cluster `table` within an I/O budget.
@@ -69,7 +64,7 @@ pub fn recluster_table(
         "io budget must be in (0, 1]"
     );
     let blocks_total = table.num_blocks();
-    let full_io = full_shuffle_io(dev.profile(), table.total_bytes());
+    let full_io = full_shuffle_seconds(dev.profile(), table.total_bytes());
     let budget_io = io_budget * full_io;
     let profile = dev.profile().clone();
 

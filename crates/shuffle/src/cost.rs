@@ -9,8 +9,9 @@
 //!
 //! `epoch_io` is the analytic per-epoch read cost on the target
 //! [`DeviceProfile`] (sequential scan, block-random scan, or near-sequential
-//! reversal scan), plus [`StrategyParams::buffering_cost`] for strategies
-//! that stage tuples through a buffer. `convergence_factor` folds the
+//! reversal scan), plus the clock's buffering price
+//! ([`clock::buffering_seconds`]) for strategies that stage tuples through a
+//! buffer. `convergence_factor` folds the
 //! block-level data variance ĥ_D into an *effective epochs-to-target*
 //! multiplier: strategies that mix poorly on clustered data (high ĥ_D) pay a
 //! large factor, CorgiPile's factor shrinks with buffer fraction α, and
@@ -19,8 +20,8 @@
 //! materialized shuffle, bounded RECLUSTER) enter as `setup_io`, so cheap
 //! setups win short runs and thorough setups win long ones.
 
-use crate::corgi2::full_shuffle_io;
 use crate::strategy::{StrategyKind, StrategyParams};
+use corgipile_storage::clock::{self, full_shuffle_seconds};
 use corgipile_storage::{Access, DeviceProfile, Table};
 
 /// One scored (strategy, buffer fraction) candidate.
@@ -127,9 +128,9 @@ impl CostModel {
         // Reversal pays at most two seeks per epoch: start + rotation wrap.
         let reversal = 2.0 * seek + transfer;
 
-        let full_shuffle = full_shuffle_io(profile, total_bytes);
+        let full_shuffle = full_shuffle_seconds(profile, total_bytes);
         let buffered_tuples = ((table.num_tuples() as f64) * alpha).ceil() as usize;
-        let buffering = params.buffering_cost(buffered_tuples.max(1), total_bytes);
+        let buffering = clock::buffering_seconds(buffered_tuples.max(1), total_bytes);
 
         // `factor` is the effective epochs-to-target multiplier relative to
         // a fully uniform stream: the fixed part prices residual ordering
@@ -259,7 +260,7 @@ mod tests {
         let t = table(Order::ClusteredByLabel);
         let params = StrategyParams::default().with_io_budget(0.25);
         let dev = SimDevice::hdd(0);
-        let full = full_shuffle_io(dev.profile(), t.total_bytes());
+        let full = full_shuffle_seconds(dev.profile(), t.total_bytes());
         let est = CostModel::new(3)
             .candidates(&t, dev.profile(), &params, 0.5)
             .into_iter()

@@ -55,7 +55,7 @@ pub mod sliding_window;
 pub mod strategy;
 
 pub use blocks::{BlockSampleMode, BlockStrategy};
-pub use corgi2::{full_shuffle_io, recluster_table, ReclusterOutcome};
+pub use corgi2::{recluster_table, ReclusterOutcome};
 pub use cost::{CostEstimate, CostModel};
 pub use diagnostics::{
     block_variance_exact, block_variance_sampled, label_distribution, label_uniformity_score,

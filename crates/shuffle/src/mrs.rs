@@ -82,9 +82,8 @@ impl ShuffleStrategy for MrsShuffle {
                     looped += 1;
                 }
             }
-            // Copy cost for tuples routed through the reservoir.
-            let copy = self.params.buffering_cost(0, block.bytes / 4);
-            order.cuts.push((order.picks.len(), copy));
+            // The bytes of the tuples routed through the reservoir.
+            order.cuts.push((order.picks.len(), block.bytes / 4));
         }
         // Thread B tops up the epoch to exactly m updates.
         while looped < r_cap && !reservoir.is_empty() {
@@ -92,7 +91,7 @@ impl ShuffleStrategy for MrsShuffle {
             order.picks.push(reservoir[slot]);
             looped += 1;
         }
-        order.cuts.push((order.picks.len(), 0.0));
+        order.cuts.push((order.picks.len(), 0));
     }
 
     fn buffer_tuples(&self, table: &Table) -> usize {

@@ -51,8 +51,8 @@ pub struct EpochOrder {
     /// [`Rank::Picks`] only: positions in the epoch's scan, fill after fill.
     pub picks: Vec<u32>,
     /// [`Rank::Picks`] only, one per fill: where its picks end, and the
-    /// simulated seconds of buffer work it charges.
-    pub cuts: Vec<(usize, f64)>,
+    /// bytes it copies through the buffer (priced by the clock's buffering).
+    pub cuts: Vec<(usize, usize)>,
     /// The fills' deal to workers, if multi-process.
     pub deal: Option<Deal>,
 }

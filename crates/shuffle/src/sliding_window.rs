@@ -57,16 +57,17 @@ impl ShuffleStrategy for SlidingWindowShuffle {
                     window.push(at);
                 }
             }
-            // Small CPU cost for copying tuples through the window.
-            let copy = self.params.buffering_cost(0, block.bytes.min(cap * 256));
-            order.cuts.push((order.picks.len(), copy));
+            // The bytes copied through the window.
+            order
+                .cuts
+                .push((order.picks.len(), block.bytes.min(cap * 256)));
         }
         // Drain the window in random order.
         while !window.is_empty() {
             let slot = self.rng.gen_range(0..window.len());
             order.picks.push(window.swap_remove(slot));
         }
-        order.cuts.push((order.picks.len(), 0.0));
+        order.cuts.push((order.picks.len(), 0));
     }
 
     fn buffer_tuples(&self, table: &Table) -> usize {

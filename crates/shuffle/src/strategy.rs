@@ -18,11 +18,6 @@ pub struct StrategyParams {
     pub buffer_fraction: f64,
     /// RNG seed driving all of the strategy's random choices.
     pub seed: u64,
-    /// Memory bandwidth (bytes/s) charged for copying tuples into buffers —
-    /// the "buffer copy" overhead of §4.1/§7.3.3.
-    pub copy_bandwidth: f64,
-    /// Per-tuple CPU cost (seconds) of the in-buffer Fisher–Yates shuffle.
-    pub shuffle_cost_per_tuple: f64,
     /// Corgi²'s offline re-clustering budget, as a fraction of a full
     /// offline shuffle's I/O cost (Livne et al. 2023). Only
     /// [`StrategyKind::Corgi2`] reads it.
@@ -34,8 +29,6 @@ impl Default for StrategyParams {
         StrategyParams {
             buffer_fraction: 0.10,
             seed: 0xC0491,
-            copy_bandwidth: 5e9,
-            shuffle_cost_per_tuple: 1.5e-8,
             io_budget: 0.25,
         }
     }
@@ -71,12 +64,6 @@ impl StrategyParams {
     pub fn buffer_blocks(&self, table: &Table) -> usize {
         ((table.num_blocks() as f64 * self.buffer_fraction).round() as usize)
             .clamp(1, table.num_blocks().max(1))
-    }
-
-    /// Loading-side CPU cost of buffering `tuples` tuples of `bytes` bytes:
-    /// one memcpy plus the Fisher–Yates pass.
-    pub fn buffering_cost(&self, tuples: usize, bytes: usize) -> f64 {
-        bytes as f64 / self.copy_bandwidth + tuples as f64 * self.shuffle_cost_per_tuple
     }
 }
 
@@ -135,12 +122,6 @@ pub trait ShuffleStrategy: Send {
     /// The next epoch's order over `table` — the table the fills read —
     /// into `order`.
     fn next_order(&mut self, table: &Table, order: &mut EpochOrder);
-
-    /// Simulated seconds of buffering one ranked fill of `rows` rows and
-    /// `bytes` stored bytes ([`StrategyParams::buffering_cost`]).
-    fn buffering_cost(&self, _rows: usize, _bytes: usize) -> f64 {
-        0.0
-    }
 
     /// One epoch through the fill, copied out into an [`EpochPlan`]: the
     /// convenience for devices without a fault plan (order diagnostics,
@@ -385,15 +366,6 @@ mod tests {
     #[should_panic(expected = "buffer fraction")]
     fn zero_buffer_fraction_rejected() {
         let _ = StrategyParams::default().with_buffer_fraction(0.0);
-    }
-
-    #[test]
-    fn buffering_cost_positive_and_monotone() {
-        let p = StrategyParams::default();
-        let small = p.buffering_cost(10, 1000);
-        let big = p.buffering_cost(1000, 100_000);
-        assert!(small > 0.0);
-        assert!(big > small);
     }
 
     #[test]

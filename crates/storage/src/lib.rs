@@ -19,8 +19,9 @@
 //! * [`table`] — append-only heap tables assembled from pages and carved
 //!   into blocks, read one block at a time through [`Table::read`]
 //!   (random or as part of a scan, fault-guarded and retried);
-//! * [`buffer`] — in-memory tuple buffers used by tuple-level shuffling,
-//!   including the double-buffering cost model from the paper's §6.3;
+//! * [`clock`] — the simulated clock's one price list: the device read
+//!   rule, compute profiles, buffering, retry backoff and the single- and
+//!   double-buffer epoch formulas of §6.3;
 //! * [`fault`] — seeded, deterministic fault injection (transient and
 //!   permanent read failures, checksum corruption, latency spikes, and
 //!   write-path faults: retryable write failures, torn writes, and named
@@ -51,8 +52,8 @@
 
 pub mod append;
 pub mod block;
-pub mod buffer;
 pub mod bufmgr;
+pub mod clock;
 pub mod codec;
 pub mod crc;
 pub mod device;
@@ -69,11 +70,11 @@ pub mod wal;
 
 pub use append::{AppendableTable, TableSnapshot, RT_TABLE_ROWS, RT_TABLE_SEAL};
 pub use block::{BlockHandle, BlockId, BlockMeta};
-pub use buffer::DoubleBufferModel;
 pub use bufmgr::{BufferPool, BufferPoolStats};
+pub use clock::{ComputeCostModel, DeviceProfile};
 pub use codec::{put_bytes, put_frame, read_frames, FieldReader, WAL_FRAME_OVERHEAD};
 pub use crc::crc32;
-pub use device::{Access, CacheConfig, DeviceProfile, IoStats, SimDevice};
+pub use device::{Access, CacheConfig, IoStats, SimDevice};
 pub use error::{io_err, StorageError};
 pub use fault::{
     crash_point, sites, splitmix64, FaultInjector, FaultKind, FaultPlan, FaultStats, ReadOutcome,

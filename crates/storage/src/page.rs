@@ -146,6 +146,11 @@ impl Page {
         &self.ids
     }
 
+    /// `Some(w)` when every row is known to be dense with `w` features.
+    pub fn dense_width(&self) -> Option<usize> {
+        self.dense.map(|w| w as usize)
+    }
+
     /// Bytes currently used by tuple payloads (excluding the slot directory).
     pub fn used_bytes(&self) -> usize {
         self.used

@@ -6,16 +6,16 @@
 //! in what a retry costs and what exhaustion is called:
 //!
 //! * [`Table::read`](crate::Table::read) — the simulated device: each
-//!   retry first charges `base_backoff_s · multiplier^attempt` (capped at
-//!   `max_backoff_s`) to the simulated clock and counts in
-//!   `IoStats::retries`, so fault-tolerance *cost* shows in every I/O
-//!   report; exhaustion is [`StorageError::ReadFailed`].
+//!   retry first waits its [`RetryPolicy::backoff`] on the simulated clock
+//!   and counts in `IoStats::retries`; exhaustion is
+//!   [`StorageError::ReadFailed`].
 //! * [`FileTable::read_block_retry`](crate::FileTable::read_block_retry) —
 //!   real positioned reads: a retry costs nothing but the read itself;
 //!   exhaustion is [`StorageError::ReadFailed`].
 //! * [`Wal::append_retry`](crate::Wal::append_retry) — real appends:
 //!   likewise; exhaustion is [`StorageError::WriteFailed`].
 
+use crate::clock;
 use crate::error::StorageError;
 use crate::Result;
 
@@ -33,13 +33,15 @@ pub struct RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// 4 retries, 1 ms → 2 ms → 4 ms → 8 ms, capped at 100 ms.
+    /// 4 retries, backing off as [`clock::RETRY_BACKOFF`] prices it:
+    /// 1 ms → 2 ms → 4 ms → 8 ms, capped at 100 ms.
     fn default() -> Self {
+        let (base_backoff_s, multiplier, max_backoff_s) = clock::RETRY_BACKOFF;
         RetryPolicy {
             max_retries: 4,
-            base_backoff_s: 1e-3,
-            multiplier: 2.0,
-            max_backoff_s: 0.1,
+            base_backoff_s,
+            multiplier,
+            max_backoff_s,
         }
     }
 }

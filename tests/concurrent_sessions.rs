@@ -190,9 +190,9 @@ fn per_session_stats_sum_to_engine_totals_under_concurrency() {
 #[test]
 fn operator_layer_concurrent_execution_is_bit_identical() {
     use corgipile::db::{ExecContext, PhysicalPlan, SgdOperator, StrategyKind};
-    use corgipile::ml::{build_model, ComputeCostModel, ModelKind, OptimizerKind, TrainOptions};
+    use corgipile::ml::{build_model, ModelKind, OptimizerKind, TrainOptions};
     use corgipile::shuffle::StrategyParams;
-    use corgipile::storage::{DeviceHandle, SharedDevice};
+    use corgipile::storage::{ComputeCostModel, DeviceHandle, SharedDevice};
 
     let table = Arc::new(higgs(1500));
     let table_id = table.config().table_id;

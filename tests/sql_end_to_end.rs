@@ -403,8 +403,8 @@ fn predict_charges_every_sparse_row_its_own_flops() {
     // Rows of 1 to 33 stored components, the lightest one first in every
     // batch of nine: charging a batch `len × flops(first row's nnz)` — what
     // `PREDICT` used to do — bills every row as if it were the lightest.
-    use corgipile::ml::{build_model, ComputeCostModel, ModelKind};
-    use corgipile::storage::{Table, TableConfig, Tuple};
+    use corgipile::ml::{build_model, ModelKind};
+    use corgipile::storage::{ComputeCostModel, Table, TableConfig, Tuple};
     let nnz_of = |i: u64| 1 + 4 * (i % 9) as usize;
     let rows: Vec<Tuple> = (0..900u64)
         .map(|i| {
@@ -424,9 +424,10 @@ fn predict_charges_every_sparse_row_its_own_flops() {
     let cost = ComputeCostModel::in_db_core();
     let model = build_model(&ModelKind::LogisticRegression, 100, 0);
     let flops = |i: u64| model.inference_flops_per_example(nnz_of(i));
-    let per_tuple: f64 = (0..900).map(|i| cost.seconds(flops(i), 1)).sum();
+    let (overhead, rate) = (cost.per_tuple_overhead, cost.flops_per_second);
+    let per_tuple: f64 = (0..900).map(|i| overhead + flops(i) / rate).sum();
     let batched: f64 = (0..100u64)
-        .map(|b| cost.seconds_batched((9 * b..9 * b + 9).map(flops).sum()))
+        .map(|b| overhead + (9 * b..9 * b + 9).map(flops).sum::<f64>() / rate)
         .sum();
     for (fuse, want) in [(0, per_tuple), (1, batched)] {
         let sql = format!("PREDICT m ON sp WITH batch_rows = 9, fuse = {fuse}");
