@@ -1,7 +1,7 @@
 //! I/O model experiments: Appendix Figure 20.
 
 use crate::report::Report;
-use corgipile_storage::{Access, DeviceProfile, SimDevice};
+use corgipile_storage::{Access, CacheConfig, DeviceProfile, SimDevice};
 
 /// Figure 20: effective random-read throughput vs block size, against the
 /// sequential-scan ceiling, for HDD and SSD.
@@ -23,8 +23,7 @@ pub fn fig20() {
             let block = 1usize << shift;
             // Measure through an actual device rather than the closed form:
             // read 64 random blocks and divide.
-            let mut dev =
-                SimDevice::new(profile.clone(), corgipile_storage::CacheConfig::disabled());
+            let mut dev = SimDevice::new(profile.clone(), CacheConfig::disabled());
             let reads = 64usize;
             for i in 0..reads {
                 dev.read(Some(i as u64), block, Access::Random, None);

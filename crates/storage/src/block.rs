@@ -31,11 +31,6 @@ impl BlockMeta {
     pub fn tuple_count(&self) -> usize {
         (self.tuples.end - self.tuples.start) as usize
     }
-
-    /// Number of pages in the block.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 /// One block of a table: its pages, its placement and its label moments.
@@ -207,7 +202,7 @@ mod tests {
         assert_eq!(blocks[0].tuples, 0..20);
         assert_eq!(blocks[2].tuples, 40..50);
         assert_eq!(blocks[2].tuple_count(), 10);
-        assert_eq!(blocks[1].page_count(), 4);
+        assert_eq!(blocks[1].pages.len(), 4);
     }
 
     #[test]
@@ -259,7 +254,7 @@ mod tests {
             prop_assert_eq!(next_tuple, total_tuples);
             // Byte budget respected unless a block is a single (jumbo) page.
             for b in &blocks {
-                prop_assert!(b.bytes <= 8192 * block_pages || b.page_count() == 1);
+                prop_assert!(b.bytes <= 8192 * block_pages || b.pages.len() == 1);
             }
         }
     }

@@ -26,18 +26,6 @@ pub struct BufferPoolStats {
     pub evictions: u64,
 }
 
-impl BufferPoolStats {
-    /// Hit ratio in [0, 1]; 0 when no requests were made.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 struct Frame {
     block: BlockHandle,
     bytes: usize,
@@ -223,7 +211,6 @@ mod tests {
                 evictions: 0
             }
         );
-        assert!((pool.stats().hit_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -292,11 +292,6 @@ impl Wal {
         self.len
     }
 
-    /// Acknowledged records currently in the log.
-    pub fn record_count(&self) -> u64 {
-        self.records
-    }
-
     /// Torn-tail bytes truncated during recovery at open.
     pub fn torn_tail_bytes(&self) -> u64 {
         self.torn_tail_bytes
@@ -340,7 +335,7 @@ mod tests {
             for i in 0..20u64 {
                 wal.append((i % 3) as u8, &payload(i), None).unwrap();
             }
-            assert_eq!(wal.record_count(), 20);
+            assert_eq!(wal.records, 20);
             assert!(wal.fsync_count() >= 21);
         }
         let (wal, recovered) = Wal::open(&path).unwrap();
@@ -360,7 +355,7 @@ mod tests {
         let (mut wal, _) = Wal::open(&path).unwrap();
         wal.append(1, b"abc", None).unwrap();
         wal.reset().unwrap();
-        assert_eq!(wal.record_count(), 0);
+        assert_eq!(wal.records, 0);
         wal.append(2, b"def", None).unwrap();
         drop(wal);
         let (_, recovered) = Wal::open(&path).unwrap();
