@@ -84,7 +84,9 @@ pub trait Model: Send + Sync {
     }
 
     /// FLOPs per example with `nnz` materialized features (forward +
-    /// backward), for the simulated compute clock.
+    /// backward), for the simulated compute clock. Affine in `nnz`, as is
+    /// the inference estimate: the clock prices a fill from its rows' and
+    /// stored features' counts (`ComputeCostModel::price`).
     fn flops_per_example(&self, nnz: usize) -> f64;
 }
 
@@ -257,6 +259,11 @@ mod tests {
             let scalar: Vec<f32> = xs.iter().map(|x| m.predict_label(x.view())).collect();
             assert_eq!(batched, scalar, "{k}");
             assert!(m.inference_flops_per_example(5) <= m.flops_per_example(5));
+            // Affine in nnz, which the clock's counted pricing relies on.
+            let (f0, f1) = (m.flops_per_example(0), m.flops_per_example(1));
+            for nnz in [2, 7, 28, 2000] {
+                assert_eq!(m.flops_per_example(nnz), f0 + nnz as f64 * (f1 - f0), "{k}");
+            }
         }
     }
 
