@@ -134,6 +134,6 @@ pub fn table3() {
             ]);
         }
     }
-    rep.note("Paper Table 3 reports gaps < 1 point; at our 10\u{3}x-smaller scale (tens of label-pure blocks per buffer fill instead of hundreds) residual last-iterate noise widens a few cells to ~3 points, same sign structure.");
+    rep.note("Paper Table 3 reports gaps < 1 point; on this one seed most test gaps favour Shuffle Once and several exceed 1 point (epsilon/lr the most), so that bound is not reproduced at this scale.");
     rep.finish();
 }
