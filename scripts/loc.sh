@@ -12,9 +12,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CORE_DB_CEILING=7037
-CORE_DB_SHUFFLE_CEILING=9097
-ML_CEILING=1472
+CORE_DB_CEILING=6998
+CORE_DB_SHUFFLE_CEILING=9056
+ML_CEILING=1419
 STORAGE_CEILING=5025
 BENCH_CEILING=2756
 
